@@ -9,8 +9,13 @@ and the metric predictions are in perfbench/predictions.json.
 
 Set-up: SETUP_STARTS fresh interpreters import diracspin and warm the
 workload up (sympy lambdify, first calls); each start is timed from spawn
-to ready, and the measuring child's own start is one more sample.
-`setup_s` is their median.
+to ready.  `setup_s` is their median.
+
+Operation times are reported at the reference speed of calibrate.py: each
+is scaled by the reference kernel's time around it, which takes out the
+host's speed drift.  Set-up starts, which that kernel does not track, are
+reported as measured.  The as-measured operation metrics are printed next
+to the reported ones.
 
 --trace 0 measures the end-to-end metrics with tracing off.  --trace 1
 runs the same child with S/2 seconds untraced then S/2 seconds traced, and
@@ -27,24 +32,32 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
 import time
 
+import calibrate
 from tracer import import_metrics
 from workloads import WORKLOADS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKER = os.path.join(HERE, "worker.py")
-SETUP_STARTS = 2
+SETUP_STARTS = 4
 #: Seconds a set-up start may take, and seconds the measuring child may take
 #: beyond the measured phase, before it is killed; together they keep a run
 #: under three minutes.
 SETUP_TIMEOUT_S = 30.0
 CHILD_GRACE_S = 60.0
-#: The tail is the highest percentile that leaves this many samples beyond it.
+#: The tail is the highest of these percentiles that leaves TAIL_BEYOND
+#: samples beyond it.  A fixed ladder, rather than the n-dependent order
+#: statistic, keeps rare hiccups (a gen-2 collection every ~1600 `single`
+#: operations, host jitter) from deciding the value.  It stops at p99: with
+#: p99.9 a `single` run switched percentile as its count crossed 10000, and
+#: the tail's spread over ten runs rose to 0.41.
+TAIL_PERCENTILES = (99.0, 95.0, 90.0, 75.0)
 TAIL_BEYOND = 10
 
 
@@ -104,30 +117,40 @@ def import_times(root: str, args) -> dict:
 
 
 def tail(latencies_ms: list[float]) -> tuple[float, float, int, int]:
-    """(value, percentile, samples, samples beyond) at the highest percentile
-    with at least TAIL_BEYOND samples beyond it; the maximum when there are
-    too few."""
+    """(value, percentile, samples, samples beyond) at the highest of
+    TAIL_PERCENTILES that leaves at least TAIL_BEYOND samples beyond it; the
+    lowest of them when the run is too short for that."""
     ordered = sorted(latencies_ms)
     n = len(ordered)
-    k = n - 1 - TAIL_BEYOND if n > TAIL_BEYOND else n - 1
-    return ordered[k], 100.0 * (k + 1) / n, n, n - 1 - k
+    pct = next((p for p in TAIL_PERCENTILES if n * (100.0 - p) / 100.0 >= TAIL_BEYOND),
+               TAIL_PERCENTILES[-1])
+    k = max(math.ceil(pct / 100.0 * n) - 1, 0)
+    return ordered[k], pct, n, n - 1 - k
 
 
-def ops_per_s(phase: dict) -> float:
-    return len(phase["latencies_ns"]) / phase["elapsed_s"]
+def phase_times(phase: dict, normalized: bool) -> tuple[list[float], float]:
+    """(latency of each operation in ms, seconds of all operation cycles),
+    at the reference speed when `normalized`, else as measured."""
+    lat_ms = [ns / 1e6 for ns in phase["latencies_ns"]]
+    cyc_s = [ns / 1e9 for ns in phase["cycles_ns"]]
+    if normalized:
+        f = calibrate.factors(len(lat_ms), phase["marks"])
+        lat_ms = [t * x for t, x in zip(lat_ms, f)]
+        cyc_s = [t * x for t, x in zip(cyc_s, f)]
+    return lat_ms, sum(cyc_s)
 
 
-def end_to_end(child: dict, setups: list[float]) -> tuple[dict, str]:
-    lat_ms = [ns / 1e6 for ns in child["latencies_ns"]]
+def end_to_end(child: dict, setups: list[float], normalized: bool) -> tuple[dict, str]:
+    lat_ms, busy_s = phase_times(child, normalized)
     tail_ms, pct, n, beyond = tail(lat_ms)
     metrics = {
-        "ops_per_s": (ops_per_s(child), "1/s"),
+        "ops_per_s": (len(lat_ms) / busy_s, "1/s"),
         "op_p50_ms": (statistics.median(lat_ms), "ms"),
         "op_tail_ms": (tail_ms, "ms"),
         "setup_s": (statistics.median(setups), "s"),
         "peak_rss_mb": (child["peak_rss_mb"], "MB"),
     }
-    return metrics, f"op_tail_ms is p{pct:.2f} of {n} operations ({beyond} beyond)"
+    return metrics, f"op_tail_ms is p{pct:g} of {n} operations ({beyond} beyond)"
 
 
 def main(argv=None) -> int:
@@ -150,10 +173,9 @@ def main(argv=None) -> int:
     try:
         setups = [setup_start(root, args) for _ in range(1 if args.toy else SETUP_STARTS)]
         imports = import_times(root, args) if args.trace else {}
-        t0 = time.perf_counter()
         proc = spawn(root, args, ["--trace"] if args.trace else [])
         try:
-            ready_s = wait_ready(proc, t0)
+            wait_ready(proc, 0.0)
         finally:
             out, _ = finish(proc, args.seconds + CHILD_GRACE_S)
         child = json.loads(out.splitlines()[-1])
@@ -161,12 +183,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    setups.append(ready_s)
     attempted, failed = child["attempted"], len(child["failures"])
-    e2e, tail_note = end_to_end(child, setups)
+    e2e, tail_note = end_to_end(child, setups, True)
+    raw, _ = end_to_end(child, setups, False)
     if args.trace:
         untraced_rate = e2e["ops_per_s"][0]
-        traced_rate = ops_per_s(child["traced"])
+        traced_lat, traced_busy = phase_times(child["traced"], True)
+        traced_rate = len(traced_lat) / traced_busy
         metrics = {
             **child["layers"],
             **imports,
@@ -181,6 +204,9 @@ def main(argv=None) -> int:
     for name, (value, unit) in metrics.items():
         print(f"# {args.workload} {name} = {value:.6g} {unit}")
     print(f"# {args.workload} {tail_note}")
+    print(f"# {args.workload} operation times are at the reference speed of "
+          "perfbench/calibrate.py; as measured: "
+          + ", ".join(f"{k} = {v:.6g} {u}" for k, (v, u) in raw.items() if k.startswith("op")))
     if args.trace:
         print(f"# {args.workload} traced run: {child['wrapped_functions']} functions wrapped, "
               f"{child['spans']} spans recorded")
@@ -191,8 +217,10 @@ def main(argv=None) -> int:
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "setup_starts_s": setups, "tail": tail_note,
+        "as_measured": {k: {"value": v, "unit": u} for k, (v, u) in raw.items()},
         "fail_ratio": failed / attempted, "failures": child["failures"], "env": child["env"],
         "latencies_ms": [ns / 1e6 for ns in child["latencies_ns"]],
+        "kernel_marks": child["marks"],
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }
     os.makedirs(os.path.join(root, ".bench_out"), exist_ok=True)

@@ -10,12 +10,14 @@ closed loop -- one caller, the next operation only after the previous one
 and its checks completed -- for S seconds and prints one JSON result line.
 With --trace it first runs S/2 seconds untraced, then installs the span
 tracer and runs S/2 seconds traced, so the two throughputs compare the same
-warm process.
+warm process.  Between operations it runs the reference kernel of
+calibrate.py, untimed by the operations.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import resource
@@ -24,6 +26,9 @@ import time
 import traceback
 from types import SimpleNamespace
 
+import calibrate
+
+PHASE_KEYS = ("latencies_ns", "cycles_ns", "marks")
 MODULES = ("minkowski", "clifford", "lorentz", "amplitudes", "spin_ops", "states",
            "dynamics", "position", "verify", "cli")
 
@@ -91,13 +96,21 @@ def numeric_environment() -> dict:
 
 def closed_loop(wl, seconds: float, first: int, tracer=None) -> dict:
     """Run whole cycles of operations until `seconds` have elapsed; an
-    operation's latency covers the library call(s), not the checks."""
-    latencies, failures = [], []
+    operation's latency covers the library call(s), not the checks, and its
+    cycle adds the checks.  The reference kernel runs between operations
+    (see calibrate.py) and `marks` records (index of the next operation,
+    kernel ms); its time is not in any latency or cycle."""
+    latencies, cycles, failures, marks = [], [], [], []
     first_output = None
     i = first
+    last_mark = -math.inf
     t_begin = time.perf_counter()
     while not latencies or time.perf_counter() - t_begin < seconds:
         for _ in range(wl.group):
+            since_mark = time.perf_counter() - last_mark
+            if since_mark >= calibrate.EVERY_S:
+                marks.append((len(latencies), calibrate.mark_ms(since_mark)))
+                last_mark = time.perf_counter()
             if tracer is not None:
                 tracer.op = i
             t0 = time.perf_counter_ns()
@@ -115,10 +128,12 @@ def closed_loop(wl, seconds: float, first: int, tracer=None) -> dict:
                     reason = "check raised: " + traceback.format_exc(limit=3)
             if reason is not None:
                 failures.append(f"op {i}: {reason}")
+            cycles.append(time.perf_counter_ns() - t0)
             if i == first:
                 first_output = out
             i += 1
-    return {"latencies_ns": latencies, "elapsed_s": time.perf_counter() - t_begin,
+    marks.append((len(latencies), calibrate.mark_ms(time.perf_counter() - last_mark)))
+    return {"latencies_ns": latencies, "cycles_ns": cycles, "marks": marks,
             "failures": failures, "first_output": first_output, "next": i}
 
 
@@ -159,7 +174,7 @@ def main(argv=None) -> int:
         spans = tracer.arrays()
         result["spans"] = len(spans["start"])
         result["layers"] = layer_metrics(spans, len(traced["latencies_ns"]), identities)
-        result["traced"] = {k: traced[k] for k in ("latencies_ns", "elapsed_s")}
+        result["traced"] = {k: traced[k] for k in PHASE_KEYS}
         out_dir = os.path.join(args.root, ".bench_out")
         os.makedirs(out_dir, exist_ok=True)
         np.savez(os.path.join(out_dir, f"spans-{args.workload}-seed{args.seed}.npz"), **spans)
@@ -170,7 +185,7 @@ def main(argv=None) -> int:
         if reason is not None:
             failures.append(f"op 0: {reason}")
     result.update({
-        **{k: untraced[k] for k in ("latencies_ns", "elapsed_s")},
+        **{k: untraced[k] for k in PHASE_KEYS},
         "attempted": sum(len(r["latencies_ns"]) for r in runs),
         "failures": failures,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
