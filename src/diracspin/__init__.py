@@ -11,7 +11,7 @@ Conventions: metric diag(1, -1, -1, -1), natural units, eps^{0123} = +1,
 chiral-like gamma matrices (see `clifford`), unit parity phase.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .minkowski import (
     METRIC,
@@ -33,7 +33,6 @@ from .lorentz import (
     lorentz_from_params,
     bispinor_from_params,
     bispinor_rep,
-    bispinor_boost,
 )
 from .amplitudes import amplitude, amplitude_via_boost, dirac_bar, sandwich, weinberg_residual
 from .spin_ops import (

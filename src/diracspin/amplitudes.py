@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI
+from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI, energy_projector, slash
 from .lorentz import bispinor_rep, standard_boost, su2_from_so3, wigner_rotation
 from .minkowski import check_energy_sign, check_mass, on_shell, parity_flip
 
@@ -80,6 +80,26 @@ def weinberg_residual(L: np.ndarray, eps: int, p4: np.ndarray, m: float) -> floa
     return min(float(np.abs(moved @ (sign * D).T - target).max()) for sign in (1.0, -1.0))
 
 
+def orthogonality_residual(eps: int, p4: np.ndarray, m: float) -> float:
+    """Max-entry residual of vbar^eps v^eps = eps I and vbar^-eps v^eps = 0."""
+    v = amplitude(eps, p4, m)
+    same = np.abs(dirac_bar(v) @ v - eps * np.eye(2)).max()
+    cross = np.abs(dirac_bar(amplitude(-eps, p4, m)) @ v).max()
+    return float(np.maximum(same, cross))
+
+
+def projector_residual(eps: int, p4: np.ndarray, m: float) -> float:
+    """Max-entry residual of v^eps vbar^eps = eps Lambda_eps(p)."""
+    v = amplitude(eps, p4, m)
+    return float(np.abs(v @ dirac_bar(v) - eps * energy_projector(eps, p4, m)).max())
+
+
+def dirac_residual(eps: int, p4: np.ndarray, m: float) -> float:
+    """Max-entry residual of p_mu gamma^mu v^eps = eps m v^eps, divided by m."""
+    v = amplitude(eps, p4, m)
+    return float(np.abs(slash(p4) @ v - eps * m * v).max()) / m
+
+
 def parity_residual(eps: int, p4: np.ndarray, m: float) -> float:
     """Max-entry residual of eps v^eps(p) = gamma^0 v^eps(p^pi) (unit parity phase)."""
     eps = check_energy_sign(eps)
@@ -124,11 +144,10 @@ def sandwich_formula_residual(eps: int, p4: np.ndarray, m: float) -> float:
     p4 = np.asarray(p4, dtype=float)
     targets = sandwich_formulas(p4, m)
     pv_gamma = np.einsum("i,iab->ab", p4[1:], GAMMA[1:])
-    worst = 0.0
+    diffs = [sandwich(eps, p4, m, GAMMA5) - targets["gamma5"],
+             sandwich(eps, p4, m, GAMMA0 @ pv_gamma) - targets["gamma0_pslash3"]]
     for mu in range(4):
-        worst = max(worst, float(np.abs(sandwich(eps, p4, m, GAMMA[mu]) - targets[f"gamma{mu}"]).max()))
         key = "gamma0_gamma5" if mu == 0 else f"gamma{mu}_gamma5"
-        worst = max(worst, float(np.abs(sandwich(eps, p4, m, GAMMA[mu] @ GAMMA5) - targets[key]).max()))
-    worst = max(worst, float(np.abs(sandwich(eps, p4, m, GAMMA5) - targets["gamma5"]).max()))
-    worst = max(worst, float(np.abs(sandwich(eps, p4, m, GAMMA0 @ pv_gamma) - targets["gamma0_pslash3"]).max()))
-    return worst
+        diffs.append(sandwich(eps, p4, m, GAMMA[mu]) - targets[f"gamma{mu}"])
+        diffs.append(sandwich(eps, p4, m, GAMMA[mu] @ GAMMA5) - targets[key])
+    return float(np.abs(np.stack(diffs)).max())

@@ -10,8 +10,10 @@ spin-transform  Bloch-vector and spin-matrix transport under a pure boost
 precess         magnetic precession trajectory as CSV
 fourier-check   momentum vs position scalar-product comparison
 
-Exit codes: 0 success, 1 a checked identity exceeded tolerance, 2 bad
-usage or configuration.  Reports are deterministic for a fixed seed;
+Exit codes: 0 success, 1 a checked identity exceeded tolerance (a NaN or
+inf residual counts as exceeding it), 2 bad usage or configuration,
+including non-finite numeric arguments and a precession run whose state
+overflows.  Reports are deterministic for a fixed seed;
 complex matrices serialize row-major as [re, im] pairs.
 """
 from __future__ import annotations
@@ -22,8 +24,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .amplitudes import amplitude, dirac_bar, parity_residual
-from .clifford import energy_projector, slash
+from .amplitudes import (amplitude, dirac_residual, orthogonality_residual, parity_residual,
+                         projector_residual)
 from .dynamics import ChargedState, integrate, quadrupole_field, uniform_field
 from .lorentz import (boost_from_velocity, lorentz_gamma, standard_boost, su2_from_so3,
                       wigner_rotation, wigner_rotation_closed)
@@ -35,14 +37,22 @@ from .verify import (DEFAULT_TOLERANCES, RunConfig, complex_matrix_payload, form
                      real_matrix_payload, run_all, to_csv, to_json)
 
 
+def _number(text: str) -> float:
+    """A finite float; nan and inf are refused before any computation."""
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _vec3(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
-    try:
-        return np.array([float(x) for x in parts])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return np.array([_number(x) for x in parts])
 
 
 def _mat3(text: str) -> np.ndarray:
@@ -50,10 +60,7 @@ def _mat3(text: str) -> np.ndarray:
     if len(parts) != 9:
         raise argparse.ArgumentTypeError(
             f"expected nine comma-separated numbers (row-major 3x3), got {len(parts)}")
-    try:
-        return np.array([float(x) for x in parts]).reshape(3, 3)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return np.array([_number(x) for x in parts]).reshape(3, 3)
 
 
 def _spin2(text: str) -> np.ndarray:
@@ -61,19 +68,19 @@ def _spin2(text: str) -> np.ndarray:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated complex numbers")
     try:
-        return np.array([complex(x) for x in parts])
+        spin = np.array([complex(x) for x in parts])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not np.isfinite(spin).all():
+        raise argparse.ArgumentTypeError(f"expected finite components, got {text!r}")
+    return spin
 
 
 def _tol_pair(text: str) -> tuple[str, float]:
     name, sep, value = text.partition("=")
     if not sep or not name:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
-    try:
-        return name, float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name, _number(value)
 
 
 def _tol_map(args, allowed) -> dict:
@@ -106,6 +113,16 @@ def _json_only(args) -> None:
 
 def _report_common(args) -> dict:
     return {"version": __version__}
+
+
+#: Identities that `amplitude` checks at its one (eps, p), by registry name;
+#: the `verify` sweep evaluates the same residual functions on both shells.
+_AMPLITUDE_CHECKS = {
+    "amplitude_dirac": dirac_residual,
+    "amplitude_orthogonality": orthogonality_residual,
+    "amplitude_parity": parity_residual,
+    "amplitude_projector": projector_residual,
+}
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -179,27 +196,17 @@ def cmd_amplitude(args) -> int:
     _json_only(args)
     if args.eps not in (1, -1):
         raise ValueError("--eps must be +1 or -1")
-    allowed = {"amplitude_orthogonality", "amplitude_projector", "amplitude_dirac",
-               "amplitude_parity"}
-    overrides = _tol_map(args, allowed)
+    overrides = _tol_map(args, _AMPLITUDE_CHECKS)
     p4 = on_shell(args.mass, args.momentum)
-    v = amplitude(args.eps, p4, args.mass)
-    vb = dirac_bar(v)
-    residuals = {
-        "amplitude_orthogonality": float(np.abs(vb @ v - args.eps * np.eye(2)).max()),
-        "amplitude_projector": float(
-            np.abs(v @ vb - args.eps * energy_projector(args.eps, p4, args.mass)).max()),
-        "amplitude_dirac": float(np.abs(slash(p4) @ v - args.eps * args.mass * v).max()),
-        "amplitude_parity": parity_residual(args.eps, p4, args.mass),
-    }
-    tols = {k: overrides.get(k, DEFAULT_TOLERANCES[k]) for k in sorted(residuals)}
+    residuals = {k: check(args.eps, p4, args.mass) for k, check in _AMPLITUDE_CHECKS.items()}
+    tols = {k: overrides.get(k, DEFAULT_TOLERANCES[k]) for k in residuals}
     passed = all(residuals[k] < tols[k] for k in residuals)
     report = {
         **_report_common(args),
         "config": {"eps": args.eps, "momentum": list(map(float, args.momentum)),
                    "mass": args.mass, "tolerances": tols},
-        "amplitude": complex_matrix_payload(v),
-        "residuals": {k: residuals[k] for k in sorted(residuals)},
+        "amplitude": complex_matrix_payload(amplitude(args.eps, p4, args.mass)),
+        "residuals": residuals,
         "passed": passed,
     }
     _emit(to_json(report), args)
@@ -243,7 +250,10 @@ def cmd_precess(args) -> int:
             raise ValueError("quadrupole field needs --gradient with nine entries")
         field = quadrupole_field(args.gradient)
     state = ChargedState(q=args.q, xi=args.xi, x=args.x0, charge=args.charge, mass=args.mass)
-    traj = integrate(state, field, args.t_final, args.steps, reading=args.reading)
+    try:
+        traj = integrate(state, field, args.t_final, args.steps, reading=args.reading)
+    except RuntimeError as exc:  # the state overflowed; report it like bad input
+        raise ValueError(str(exc)) from None
     _emit(traj.to_csv(), args)
 
     xi_norm = np.linalg.norm(traj.xi, axis=1)
@@ -295,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="sweep RNG seed")
     common.add_argument("--samples", type=int, default=200, help="samples per identity")
-    common.add_argument("--mass", type=float, default=1.0, help="particle mass")
-    common.add_argument("--pmax", type=float, default=10.0,
+    common.add_argument("--mass", type=_number, default=1.0, help="particle mass")
+    common.add_argument("--pmax", type=_number, default=10.0,
                         help="momentum sampling radius in units of the mass")
-    common.add_argument("--vmax", type=float, default=0.99, help="velocity sampling radius")
+    common.add_argument("--vmax", type=_number, default=0.99, help="velocity sampling radius")
     # default None so each handler can tell an explicit choice from none;
     # the action objects are shared across subparsers via parents=
     common.add_argument("--format", choices=("json", "csv"), default=None,
@@ -353,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="initial polarization")
     sp.add_argument("--x0", type=_vec3, default=np.zeros(3), metavar="X,Y,Z",
                     help="initial position")
-    sp.add_argument("--charge", type=float, default=1.0)
-    sp.add_argument("--t-final", type=float, required=True)
+    sp.add_argument("--charge", type=_number, default=1.0)
+    sp.add_argument("--t-final", type=_number, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--reading", choices=("stern-gerlach", "transposed"),
                     default="stern-gerlach", help="index reading of the gradient force")
@@ -363,11 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fourier-check", parents=[common],
                         help="compare momentum and position scalar products")
     sp.add_argument("--eps", type=int, default=1)
-    sp.add_argument("--width", type=float, default=0.4, help="momentum-space Gaussian width")
+    sp.add_argument("--width", type=_number, default=0.4, help="momentum-space Gaussian width")
     sp.add_argument("--center", type=_vec3, default=np.zeros(3), metavar="PX,PY,PZ")
     sp.add_argument("--spin", type=_spin2, default=np.array([1.0 + 0j, 0.0 + 0j]),
                     metavar="A,B", help="spin components (complex literals)")
-    sp.add_argument("--time", type=float, default=0.0, help="slice time for the position side")
+    sp.add_argument("--time", type=_number, default=0.0, help="slice time for the position side")
     sp.set_defaults(func=cmd_fourier_check)
     return p
 

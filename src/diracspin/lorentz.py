@@ -2,15 +2,19 @@
 
 Covers velocity boosts, the standard boost taking the rest momentum to p,
 Wigner rotations (both the brute-force matrix product and the closed form),
-the SU(2) double cover of SO(3), and finite bispinor transformations built
-either from generator parameters or by polar-decomposing a vector-realization
-matrix into boost x rotation.
+and the spinor double cover.  One closed-form map takes a proper
+orthochronous L to the SL(2,C) element A(L) with A X(x) A^+ = X(Lx), where
+X(x) = x^mu sigma_mu and sigma_mu = (I, sigma_1, sigma_2, sigma_3); the
+SU(2) lift of a rotation and the bispinor S(L) = diag(A, (A^+)^{-1}) are
+both read off it.  The double-cover sign is fixed by Re tr A > 0 (see
+`_sl2c_lift` for the tie at Re tr A = 0).  Finite bispinor transformations
+also come from generator parameters through the matrix exponential, which
+stays as the brute-force reference for the closed form.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.spatial.transform import Rotation
 
 from .clifford import GAMMA0, PAULI, SIGMA
 from .minkowski import METRIC, check_mass, lorentz_matrix, on_shell
@@ -158,29 +162,57 @@ def wigner_rotation_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarr
             + (g / b) * (2.0 * g * (v3 @ pv) / (a * (1.0 + g)) - 1.0) * np.outer(v3, pv))
 
 
-def su2_from_so3(R3: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+#: sigma_mu = (I, sigma_1, sigma_2, sigma_3), shape (4, 2, 2).
+_SIGMA4 = np.concatenate([_I2[None], PAULI])
+#: Row 4 mu + nu, column 4 X + 2 a + b: (sigma_mu sigma_X sigma_nu)_{ab}.
+_LIFT = np.einsum("mab,xbc,ncd->mnxad", _SIGMA4, _SIGMA4, _SIGMA4).reshape(16, 16)
+
+
+def _sl2c_lift(L: np.ndarray) -> np.ndarray:
+    """SL(2,C) element A with A X(x) A^+ = X(Lx), X(x) = x^mu sigma_mu, for a
+    proper orthochronous float matrix L (validated by the caller).
+
+    Each M_X = sum_{mu nu} L^mu_nu sigma_mu X sigma_nu equals 2 c A with
+    c = tr(A^+ X), for X in (I, sigma_1, sigma_2, sigma_3).  M_I vanishes at
+    half-turns, so the M_X holding the largest entry is used.  Dividing by 2c
+    takes |c|^2 = tr(X M_X) / 2 and only the phase of c^2 = det(M_X) / 4: the
+    determinant cancels down from entries of order gamma^2 to order gamma, so
+    its modulus would carry a relative error of order gamma eps.  For L = I
+    every step is exact, so A(I) = I exactly.
+
+    Sign rule: with A = c0 I - i w.sigma, Re c0 > 0; at Re c0 = 0 (where
+    Re w != 0, since c0^2 + w.w = 1) the first nonzero component of Re w is
+    positive.  A rotation by theta about n has c0 = cos(theta/2) and
+    w = sin(theta/2) n, so a half-turn lifts to -i n.sigma with the first
+    nonzero component of n positive.
+    """
+    M = (L.reshape(16) @ _LIFT).reshape(4, 2, 2)
+    k = np.abs(M).argmax() // 4
+    (a, b), (c, d) = M[k]
+    det = a * d - b * c
+    A = M[k] / np.sqrt(2.0 * np.trace(_SIGMA4[k] @ M[k]).real * det / abs(det))
+    (a, b), (c, d) = A
+    key = (a + d).real
+    if key == 0.0:
+        key = next(r for r in (-(b + c).imag, (c - b).real, (d - a).imag) if r != 0.0)
+    return -A if key < 0.0 else A
+
+
+def su2_from_so3(R3: np.ndarray) -> np.ndarray:
     """SU(2) element D covering the rotation R, with D (sigma.a) D^+ = (R a).sigma.
 
-    The double-cover sign is fixed by trace(D) >= 0; for half-turns
-    (trace approximately 0) the first nonzero axis component is taken
-    positive.
+    D is the closed-form lift of diag(1, R), so tr D >= 0, and a half-turn
+    about n lifts to -i n.sigma with the first nonzero component of n
+    positive (see `_sl2c_lift`).
     """
     R3 = np.asarray(R3, dtype=float)
     if R3.shape != (3, 3):
         raise ValueError(f"rotation must have shape (3, 3), got {R3.shape}")
-    if np.abs(R3.T @ R3 - np.eye(3)).max() >= tol or np.linalg.det(R3) <= 0.0:
+    if np.abs(R3.T @ R3 - np.eye(3)).max() >= 1e-10 or np.linalg.det(R3) <= 0.0:
         raise ValueError("matrix is not a proper rotation")
-    rotvec = Rotation.from_matrix(R3).as_rotvec()
-    theta = float(np.linalg.norm(rotvec))
-    if theta == 0.0:
-        return _I2.copy()
-    axis = rotvec / theta
-    D = np.cos(theta / 2.0) * _I2 - 1j * np.sin(theta / 2.0) * np.einsum("i,iab->ab", axis, PAULI)
-    if abs(np.cos(theta / 2.0)) < 1e-8:
-        lead = axis[np.abs(axis) > 1e-12]
-        if lead.size and lead[0] < 0.0:
-            D = -D
-    return D
+    L = np.eye(4)
+    L[1:, 1:] = R3
+    return _sl2c_lift(L)
 
 
 # ---------------------------------------------------------------------------
@@ -255,46 +287,16 @@ def bispinor_from_params(omega: np.ndarray) -> np.ndarray:
     return expm(0.5j * np.einsum("ab,abmn->mn", omega, SIGMA))
 
 
-def bispinor_boost(v3: np.ndarray) -> np.ndarray:
-    """Bispinor realization of boost_from_velocity(v): block-diagonal
-    diag(exp(-eta n.sigma/2), exp(+eta n.sigma/2)) with eta = artanh |v|."""
-    v3 = np.asarray(v3, dtype=float)
-    speed = float(np.linalg.norm(v3))
-    if speed == 0.0:
-        return np.eye(4, dtype=complex)
-    if speed >= 1.0:
-        raise ValueError(f"superluminal velocity: |v| = {speed:.6f} >= 1")
-    eta = np.arctanh(speed)
-    ns = np.einsum("i,iab->ab", v3 / speed, PAULI)
-    c, s = np.cosh(eta / 2.0), np.sinh(eta / 2.0)
-    upper = c * _I2 - s * ns
-    lower = c * _I2 + s * ns
-    return np.block([[upper, _Z2], [_Z2, lower]])
-
-
-def polar_decompose(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a proper orthochronous L into boost x rotation.
-
-    The boost velocity is read off column 0 (v_i = -L^i_0 / L^0_0); the
-    remainder B(v)^{-1} L is a pure rotation whose 3x3 block is returned.
-    """
-    L = np.asarray(L, dtype=float)
-    v3 = -L[1:, 0] / L[0, 0]
-    R4 = np.linalg.solve(boost_from_velocity(v3), L)
-    return v3, R4[1:, 1:].copy()
-
-
 def bispinor_rep(L: np.ndarray) -> np.ndarray:
-    """Finite bispinor transformation S(L) for proper orthochronous L.
+    """Finite bispinor transformation S(L) = diag(A, (A^+)^{-1}) for proper
+    orthochronous L, with A the closed-form SL(2,C) lift of L.
 
-    Built through the polar split L = B(v) R as S = S(B(v)) diag(D, D) with
-    D = su2_from_so3(R), which lands on the branch with S(I) = +I.  The
-    inverse satisfies S^{-1} = gamma^0 S^+ gamma^0.
+    The branch follows the lift's sign rule (Re tr A >= 0), so S(I) = +I.
+    The inverse satisfies S^{-1} = gamma^0 S^+ gamma^0.
     """
-    L = lorentz_matrix(L, proper=True)
-    v3, R3 = polar_decompose(L)
-    D = su2_from_so3(R3)
-    return bispinor_boost(v3) @ np.block([[D, _Z2], [_Z2, D]])
+    A = _sl2c_lift(lorentz_matrix(L, proper=True))
+    (a, b), (c, d) = A
+    return np.block([[A, _Z2], [_Z2, np.array([[d, -c], [-b, a]]).conj()]])
 
 
 def bispinor_inverse(S: np.ndarray) -> np.ndarray:
@@ -321,6 +323,8 @@ def random_velocity(rng: np.random.Generator, vmax: float = 0.99) -> np.ndarray:
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Haar-random rotation matrix."""
+    from scipy.spatial.transform import Rotation
+
     return Rotation.random(rng=rng).as_matrix()
 
 

@@ -8,14 +8,9 @@ ordered (t, x, y, z); spatial vectors are arrays of shape (3,).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 #: Metric tensor g_{mu nu} = diag(1, -1, -1, -1).
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-
-#: Allowed energy-sign labels for the two mass shells.
-ENERGY_SIGNS = (1, -1)
-
 
 def check_energy_sign(eps: int) -> int:
     """Validate an energy-sign label, returning it as a plain int (+1 or -1)."""
@@ -111,12 +106,3 @@ def parity_matrix() -> np.ndarray:
     """Vector realization of space inversion, diag(1, -1, -1, -1)."""
     return np.diag([1.0, -1.0, -1.0, -1.0])
 
-
-def dagger(M: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(M).conj().T
-
-
-def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
-    return _expm(np.asarray(M))

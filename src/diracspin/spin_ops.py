@@ -14,8 +14,6 @@ on-shell four-momentum, with operator eigenvalues P^mu -> eps p^mu.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .amplitudes import amplitude, dirac_bar
@@ -30,25 +28,6 @@ _EYE4 = np.eye(4, dtype=complex)
 def column_action(M: np.ndarray) -> np.ndarray:
     """Convert a stored (ket-index) operator matrix to its coefficient-column action."""
     return np.asarray(M).T.copy()
-
-
-@dataclass(frozen=True)
-class OperatorAction:
-    """A momentum-space operator realization on one mass shell."""
-
-    basis: str  # "covariant" or "spin"
-    eps: int
-    p4: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.basis not in ("covariant", "spin"):
-            raise ValueError(f"basis must be 'covariant' or 'spin', got {self.basis!r}")
-        check_energy_sign(self.eps)
-
-    @property
-    def on_columns(self) -> np.ndarray:
-        return column_action(self.matrix)
 
 
 def pl_covariant(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:

@@ -152,6 +152,16 @@ def test_amplitude_bad_eps_exit_two(capsys):
     assert code == 2
 
 
+def test_amplitude_residuals_are_mass_scaled(capsys):
+    # the Dirac-equation residual is divided by m, as in the verify sweep
+    code, out, _ = run(capsys, "amplitude", "--mass", "1e5", "--momentum", "1,2,3")
+    assert code == 0
+    r = json.loads(out)
+    assert r["passed"] is True
+    assert sorted(r["residuals"]) == ["amplitude_dirac", "amplitude_orthogonality",
+                                      "amplitude_parity", "amplitude_projector"]
+
+
 # --- spin-transform --------------------------------------------------------
 
 def test_spin_transform_reports_rotation(capsys):
@@ -255,3 +265,60 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- exit-code contract under adversarial numbers ----------------------------
+
+ADVERSARIAL_ARGV = [
+    ["verify", "--samples", "3", "--pmax", "nan"],
+    ["verify", "--samples", "3", "--pmax", "inf"],
+    ["verify", "--samples", "3", "--pmax", "1e300"],
+    ["verify", "--samples", "3", "--mass", "1e300"],
+    ["verify", "--samples", "3", "--vmax", "nan"],
+    ["verify", "--samples", "3", "--tol", "su2_lift=nan"],
+    ["wigner", "--velocity", "nan,0,0"],
+    ["wigner", "--velocity", "0.5,0,0", "--momentum", "1e300,0,0"],
+    ["boost", "--velocity", "inf,0,0"],
+    ["boost", "--momentum", "1e300,0,0"],
+    ["amplitude", "--mass", "inf"],
+    ["amplitude", "--momentum", "1e300,0,0"],
+    ["amplitude", "--mass", "1e300", "--momentum", "1,2,3"],
+    ["spin-transform", "--velocity", "0.5,0,0", "--xi", "nan,0,0"],
+    ["spin-transform", "--velocity", "0.5,0,0", "--momentum", "1e300,0,0"],
+    ["precess", "--b", "0,0,1", "--t-final", "nan", "--steps", "10"],
+    ["precess", "--b", "0,0,1", "--t-final", "inf", "--steps", "10"],
+    ["precess", "--b", "0,0,1", "--t-final", "1e300", "--steps", "10"],
+    ["precess", "--b", "0,0,1e300", "--t-final", "1", "--steps", "10"],
+    ["precess", "--field", "quadrupole", "--gradient", "1e300,0,0,0,1,0,0,0,-2",
+     "--t-final", "1", "--steps", "10"],
+    ["fourier-check", "--width", "nan"],
+    ["fourier-check", "--time", "inf"],
+    ["fourier-check", "--spin", "nan,0"],
+]
+
+
+@pytest.mark.parametrize("argv", ADVERSARIAL_ARGV, ids=" ".join)
+def test_adversarial_numbers_keep_exit_contract(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["precess", "--b", "0,0,1", "--t-final", "nan", "--steps", "10"],
+                                  ["verify", "--pmax", "inf"],
+                                  ["verify", "--tol", "su2_lift=nan"]], ids=" ".join)
+def test_non_finite_argument_refused_up_front(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+def test_precess_overflow_is_reported_not_raised(capsys):
+    code, _, err = run(capsys, "precess", "--b", "0,0,1e300", "--t-final", "1", "--steps", "10")
+    assert code == 2
+    assert err.startswith("error: integration produced non-finite values")

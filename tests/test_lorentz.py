@@ -4,14 +4,15 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
 
-from diracspin.clifford import GAMMA
-from diracspin.lorentz import (VMAX_HARD, bispinor_boost, bispinor_from_params,
-                               bispinor_inverse, bispinor_rep, boost_from_velocity,
-                               boost_params, lorentz_from_params, lorentz_gamma,
-                               polar_decompose, random_lorentz, random_momentum,
-                               random_rotation, random_velocity, rotation_params,
-                               standard_boost, su2_from_so3, wigner_rotation,
-                               wigner_rotation_batch, wigner_rotation_closed)
+from diracspin.amplitudes import amplitude, amplitude_via_boost
+from diracspin.clifford import GAMMA, PAULI
+from diracspin.lorentz import (VMAX_HARD, bispinor_from_params, bispinor_inverse,
+                               bispinor_rep, boost_from_velocity, boost_params,
+                               lorentz_from_params, lorentz_gamma, random_lorentz,
+                               random_momentum, random_rotation, random_velocity,
+                               rotation_params, standard_boost, su2_from_so3,
+                               wigner_rotation, wigner_rotation_batch,
+                               wigner_rotation_closed)
 from diracspin.minkowski import (METRIC, is_proper_orthochronous, lorentz_residual,
                                  minkowski_dot, on_shell)
 
@@ -221,21 +222,90 @@ def test_bispinor_inverse_is_inverse(rng):
     assert_allclose(bispinor_inverse(S) @ S, np.eye(4), atol=1e-11)
 
 
-def test_bispinor_exp_matches_polar_route():
-    omega = boost_params([0.2, 0.0, -0.3])
-    v = np.tanh(np.linalg.norm([0.2, 0.0, -0.3]))
-    direction = np.array([0.2, 0.0, -0.3]) / np.linalg.norm([0.2, 0.0, -0.3])
-    assert_allclose(bispinor_from_params(omega), bispinor_boost(v * direction), atol=1e-13)
+def _covariance_residual(L, S):
+    Sinv = bispinor_inverse(S)
+    return max(np.abs(Sinv @ GAMMA[mu] @ S - np.einsum("n,nab->ab", L[mu], GAMMA)).max()
+               for mu in range(4))
 
 
-def test_polar_decompose_reassembles(rng):
+def _branch_key(A):
+    """First nonzero of (Re c0, Re w1, Re w2, Re w3) for A = c0 I - i w.sigma;
+    the documented sign rule makes it positive."""
+    c0 = np.trace(A) / 2.0
+    w = np.array([0.5j * np.trace(PAULI[k] @ A) for k in range(3)])
+    key = np.concatenate(([c0.real], w.real))
+    return key[np.flatnonzero(key)[0]]
+
+
+def test_bispinor_exp_matches_closed_lift():
+    # The exponential is the brute-force reference.  The closed-form lift
+    # agrees with it up to the double-cover sign, chosen so Re tr A >= 0;
+    # a rotation by 4 rad > pi exponentiates onto the other branch.
+    cases = [(boost_params([0.2, 0.0, -0.3]), 1.0),
+             (rotation_params([0.2, 0.1, -0.7]), 1.0),
+             (boost_params([0.2, 0.0, -0.3]) + rotation_params([0.5, -0.4, 0.3]), 1.0),
+             (rotation_params([0.0, 4.0, 0.0]), -1.0)]
+    for omega, sign in cases:
+        S = bispinor_rep(lorentz_from_params(omega))
+        assert_allclose(bispinor_from_params(omega), sign * S, atol=1e-13)
+        assert np.trace(S[:2, :2]).real > 0.0
+
+
+@pytest.mark.parametrize("p_over_m", [1e3, 1e4, 1e6])
+def test_bispinor_rep_high_rapidity(p_over_m):
+    # L^T g L - g of the float standard boost is of order (p0/m)^2 eps, so the
+    # covariance bound is scaled by that condition number; the observed
+    # residuals stay orders of magnitude below it.
+    rng = np.random.default_rng(1206)
+    eps, m = np.finfo(float).eps, 1.5
     for _ in range(20):
+        u = rng.normal(size=3)
+        p4 = on_shell(m, m * p_over_m * u / np.linalg.norm(u))
+        gamma = p4[0] / m
+        L = standard_boost(p4, m)
+        S = bispinor_rep(L)
+        assert _covariance_residual(L, S) <= gamma ** 2 * eps
+        # the off-shell rounding of the float p4 itself moves the two
+        # constructions apart by a relative gamma eps
+        for e in (1, -1):
+            v = amplitude(e, p4, m)
+            assert np.abs(amplitude_via_boost(e, p4, m) - v).max() <= 2.0 * gamma * eps * np.abs(v).max()
+
+
+_AXES = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+         np.array([0.48, -0.6, 0.64])]
+
+
+@pytest.mark.parametrize("n", _AXES, ids=["x", "y", "z", "oblique"])
+def test_half_turn_lift(n):
+    R = 2.0 * np.outer(n, n) - np.eye(3)
+    L = np.eye(4)
+    L[1:, 1:] = R
+    assert _covariance_residual(L, bispinor_rep(L)) < 1e-14
+    D = su2_from_so3(R)
+    adj = np.array([[0.5 * np.trace(PAULI[i] @ D @ PAULI[j] @ D.conj().T).real
+                     for j in range(3)] for i in range(3)])
+    assert_allclose(adj, R, atol=1e-15)
+    # the sign rule: a half-turn about n lifts to -i n.sigma, n's first
+    # nonzero component positive
+    assert _branch_key(D) > 0.0
+    assert_allclose(D, -1j * np.einsum("i,iab->ab", n, PAULI), atol=1e-15)
+    assert_allclose(bispinor_rep(L)[:2, :2], D, atol=0)
+
+
+def test_lift_sign_rule_random(rng):
+    for _ in range(50):
         L = random_lorentz(rng)
-        v3, R3 = polar_decompose(L)
-        R4 = np.eye(4)
-        R4[1:, 1:] = R3
-        assert_allclose(boost_from_velocity(v3) @ R4, L, atol=1e-12)
-        assert_allclose(R3 @ R3.T, np.eye(3), atol=1e-12)
+        assert _branch_key(bispinor_rep(L)[:2, :2]) > 0.0
+        assert _branch_key(su2_from_so3(random_rotation(rng))) > 0.0
+        # half-turn about a random axis: tr D is zero up to rounding, so the
+        # branch is whichever the rounding picks, and the rule still holds
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        D = su2_from_so3(2.0 * np.outer(n, n) - np.eye(3))
+        assert _branch_key(D) > 0.0
+        half = -1j * np.einsum("i,iab->ab", n, PAULI)
+        assert min(np.abs(D - half).max(), np.abs(D + half).max()) < 1e-15
 
 
 @settings(max_examples=30)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from diracspin.minkowski import (METRIC, dagger, four_vector, is_proper_orthochronous,
+from diracspin.minkowski import (METRIC, four_vector, is_proper_orthochronous,
                                  lorentz_matrix, lorentz_residual, minkowski_dot, on_shell,
                                  parity_flip, parity_matrix, spatial)
 
@@ -90,7 +90,3 @@ def test_lorentz_matrix_proper_flag():
     with pytest.raises(ValueError):
         lorentz_matrix(parity_matrix(), proper=True)
 
-
-def test_dagger():
-    M = np.array([[1 + 2j, 3], [4j, 5]])
-    assert_allclose(dagger(M), M.conj().T)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diracspin import __version__
+from diracspin import verify
+from diracspin.cli import main
 from diracspin.verify import (DEFAULT_TOLERANCES, IDENTITY_RUNNERS, RunConfig,
                               complex_matrix_payload, format_float, identity_rng,
                               real_matrix_payload, run_all, run_identity, to_csv, to_json)
@@ -54,6 +56,18 @@ def test_config_validation():
         RunConfig(mass=-1.0)
     with pytest.raises(ValueError):
         RunConfig(tolerances={"bogus": 1e-9})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_config_refuses_non_finite(bad):
+    with pytest.raises(ValueError):
+        RunConfig(pmax_over_m=bad)
+    with pytest.raises(ValueError):
+        RunConfig(vmax=bad)
+    with pytest.raises(ValueError):
+        RunConfig(mass=bad)
+    with pytest.raises(ValueError):
+        RunConfig(tolerances={"su2_lift": bad})
 
 
 def test_report_schema_and_pass():
@@ -118,3 +132,33 @@ def test_failure_marks_report():
     bad = [r for r in report["identities"] if r["name"] == "weinberg_condition"][0]
     assert bad["passed"] is False
     assert report["config"]["tolerances"]["weinberg_condition"] == 1e-30
+
+
+def test_nan_residual_fails_closed(monkeypatch, capsys):
+    # A NaN at the second sample must survive the reduction: the builtin max
+    # would keep the first sample's finite value and pass the identity.
+    calls = []
+    real = verify.bispinor_rep
+
+    def poisoned(L):
+        calls.append(1)
+        S = real(L)
+        return np.full_like(S, np.nan) if len(calls) == 2 else S
+
+    monkeypatch.setattr(verify, "bispinor_rep", poisoned)
+    cfg = RunConfig(samples=5)
+    r = run_identity("bispinor_inverse_structure", cfg)
+    assert np.isnan(r.max_residual) and r.passed is False
+
+    calls.clear()
+    report = run_all(cfg)
+    assert report["all_pass"] is False
+    parsed = json.loads(to_json(report))
+    bad = [x for x in parsed["identities"] if x["name"] == "bispinor_covariance"][0]
+    assert bad["max_residual"] is None and bad["passed"] is False
+    row = [line for line in to_csv(report).splitlines() if line.startswith("bispinor_covariance,")][0]
+    assert row.split(",")[3:] == ["nan", "false"]
+
+    calls.clear()
+    assert main(["verify", "--samples", "5"]) == 1
+    assert "bispinor_covariance" in capsys.readouterr().err
