@@ -38,17 +38,35 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
 
 
 def amplitude_batch(eps: int, P: np.ndarray, m: float) -> np.ndarray:
-    """Amplitudes for a batch of spatial momenta, shape (n, 4, 2)."""
+    """Amplitudes for a batch of spatial momenta, shape (n, 4, 2).
+
+    The closed form written out entry by entry: with c = 1 + (p^0 + p_z)/m,
+    d = 1 + (p^0 - p_z)/m and the sigma_2 column swap applied,
+
+        v = pref [ (p_y + i p_x)/m           -i c             ]
+                 [  i d                      (p_y - i p_x)/m  ]
+                 [ -eps (p_y + i p_x)/m      -i eps d         ]
+                 [  i eps c                  eps (-p_y + i p_x)/m ]
+
+    with pref = 1 / (2 sqrt(1 + p^0/m)); the closed form of `amplitude`.
+    """
     eps = check_energy_sign(eps)
     m = check_mass(m)
     P = np.asarray(P, dtype=float).reshape(-1, 3)
     p0 = np.sqrt(m * m + np.einsum("ni,ni->n", P, P))
-    psig = np.einsum("ni,iab->nab", P, PAULI)
-    eye = np.eye(2, dtype=complex)
-    top = eye + (p0[:, None, None] * eye + psig) / m
-    bottom = eps * (eye + (p0[:, None, None] * eye - psig) / m)
     pref = 1.0 / (2.0 * np.sqrt(1.0 + p0 / m))
-    return pref[:, None, None] * np.concatenate([top, bottom], axis=1) @ _SIGMA2
+    inv_m = 1.0 / m
+    c = pref * (1.0 + (p0 + P[:, 2]) * inv_m)
+    d = pref * (1.0 + (p0 - P[:, 2]) * inv_m)
+    x = pref * (P[:, 0] * inv_m)
+    y = pref * (P[:, 1] * inv_m)
+    v = np.zeros((len(P), 4, 2), dtype=complex)
+    re, im = v.real, v.imag
+    re[:, 0, 0], im[:, 0, 0], im[:, 0, 1] = y, x, -c
+    im[:, 1, 0], re[:, 1, 1], im[:, 1, 1] = d, y, -x
+    re[:, 2, 0], im[:, 2, 0], im[:, 2, 1] = -eps * y, -eps * x, -eps * d
+    im[:, 3, 0], re[:, 3, 1], im[:, 3, 1] = eps * c, -eps * y, eps * x
+    return v
 
 
 def dirac_bar(M: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ fourier-check   momentum vs position scalar-product comparison
 Exit codes: 0 success, 1 a checked identity exceeded tolerance (a NaN or
 inf residual counts as exceeding it), 2 bad usage or configuration,
 including non-finite numeric arguments and a precession run whose state
-overflows.  Reports are deterministic for a fixed seed;
+or conservation summary overflows; such runs write nothing to stdout.
+Reports are deterministic for a fixed seed;
 complex matrices serialize row-major as [re, im] pairs.
 """
 from __future__ import annotations
@@ -254,17 +255,25 @@ def cmd_precess(args) -> int:
         traj = integrate(state, field, args.t_final, args.steps, reading=args.reading)
     except RuntimeError as exc:  # the state overflowed; report it like bad input
         raise ValueError(str(exc)) from None
-    _emit(traj.to_csv(), args)
 
-    xi_norm = np.linalg.norm(traj.xi, axis=1)
-    xi_drift = float(np.abs(xi_norm - xi_norm[0]).max())
-    q_norm = np.linalg.norm(traj.q, axis=1)
-    q_drift = float(np.abs(q_norm - q_norm[0]).max())
-    xiq = np.einsum("ni,ni->n", traj.xi, traj.q)
-    xiq_drift = float(np.abs(xiq - xiq[0]).max())
-    print(f"# steps={args.steps} t_final={format_float(args.t_final)} "
-          f"xi_drift={format_float(xi_drift)} q_norm_drift={format_float(q_drift)} "
-          f"xi_dot_q_drift={format_float(xiq_drift)}", file=sys.stderr)
+    # The summary is checked before anything is written, so an overflowing
+    # run leaves no partial CSV behind.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi_norm = np.linalg.norm(traj.xi, axis=1)
+        xi_drift = float(np.abs(xi_norm - xi_norm[0]).max())
+        q_norm = np.linalg.norm(traj.q, axis=1)
+        q_drift = float(np.abs(q_norm - q_norm[0]).max())
+        xiq = np.einsum("ni,ni->n", traj.xi, traj.q)
+        xiq_drift = float(np.abs(xiq - xiq[0]).max())
+    drifts = {"xi_drift": xi_drift, "q_norm_drift": q_drift, "xi_dot_q_drift": xiq_drift}
+    overflowed = [name for name, value in drifts.items() if not np.isfinite(value)]
+    if overflowed:
+        raise ValueError(f"conservation summary overflows float64 ({', '.join(overflowed)} "
+                         f"not finite); reduce --q, --xi or the field")
+    _emit(traj.to_csv(), args)
+    summary = " ".join(f"{name}={format_float(value)}" for name, value in drifts.items())
+    print(f"# steps={args.steps} t_final={format_float(args.t_final)} {summary}",
+          file=sys.stderr)
     return 0
 
 

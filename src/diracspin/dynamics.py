@@ -37,16 +37,19 @@ class FieldConfig:
     uniform: bool = False
 
     def gradient_residual(self, pts: np.ndarray, h: float = 1e-6) -> float:
-        """Self-check: max difference between grad_b and a central difference of b."""
-        worst = 0.0
+        """Self-check: max difference between grad_b and a central difference of b.
+
+        NaN at any point propagates to the result (0.0 for no points).
+        """
+        residuals = []
         for x in np.asarray(pts, dtype=float).reshape(-1, 3):
             num = np.empty((3, 3))
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = h
                 num[i] = (self.b(x + e) - self.b(x - e)) / (2.0 * h)
-            worst = max(worst, float(np.abs(num - self.grad_b(x)).max()))
-        return worst
+            residuals.append(np.abs(num - self.grad_b(x)).max())
+        return float(np.max(residuals, initial=0.0))
 
 
 def uniform_field(b3: np.ndarray) -> FieldConfig:

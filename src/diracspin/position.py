@@ -173,6 +173,7 @@ def parseval_check(a, b, pgrid: Grid | None = None, xgrid: PositionGrid | None =
     mass factor belongs there).  Returns (lhs, rhs, relerr) with relerr the
     mismatch relative to the larger magnitude.  Reducing either grid spacing
     (one `refined()` level) tightens the match until tail truncation floors it.
+    When b is a (the same object), its position mesh is synthesized once.
     """
     if pgrid is None or xgrid is None:
         dp, dx = default_grids(a, b)
@@ -185,7 +186,7 @@ def parseval_check(a, b, pgrid: Grid | None = None, xgrid: PositionGrid | None =
         raise ValueError("parseval_check requires a common mass")
     lhs = scalar_product(a, b, pgrid)
     psi = synthesize_mesh(a, t, xgrid, pgrid)
-    phi = synthesize_mesh(b, t, xgrid, pgrid)
+    phi = psi if b is a else synthesize_mesh(b, t, xgrid, pgrid)
     rhs = 2.0 * masses[0] * position_product(psi, phi, xgrid)
     scale = max(abs(lhs), abs(rhs))
     relerr = abs(lhs - rhs) / scale if scale > 0 else abs(lhs - rhs)

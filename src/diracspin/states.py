@@ -233,7 +233,8 @@ def _sector_product(a, b, grid: Grid | None) -> complex:
         a = a if not a_spin else to_covariant(a)
         b = b if not b_spin else to_covariant(b)
         a_spin = b_spin = False
-    va, vb = a.evaluate(pts), b.evaluate(pts)
+    va = a.evaluate(pts)
+    vb = va if b is a else b.evaluate(pts)
     if a_spin:
         return complex(np.einsum("n,ns,ns->", wts, va.conj(), vb))
     return complex(a.eps * np.einsum("n,nb,bc,nc->", wts, va.conj(), GAMMA0, vb))
@@ -243,7 +244,9 @@ def scalar_product(a, b, grid: Grid | None = None) -> complex:
     """Invariant scalar product (a, b); antilinear in a.
 
     Accepts single sectors or sequences of sectors (one per energy sign);
-    sectors with different energy signs are orthogonal.
+    sectors with different energy signs are orthogonal.  A sector paired
+    with itself (the same object on both sides, as in `norm`) is evaluated
+    once on the grid.
     """
     return sum(_sector_product(sa, sb, grid) for sa in _as_sectors(a) for sb in _as_sectors(b))
 
@@ -277,16 +280,23 @@ def wigner_d_batch(L: np.ndarray, pts: np.ndarray, m: float, eps: int = 1) -> np
     """SU(2) Wigner matrices D(R(L, p)) on a batch of momenta, shape (n, 2, 2).
 
     Computed through the amplitude relation D^T = (eps vbar(Lp) S(L) v(p))^{-1},
-    which pins the double-cover sign consistently with bispinor_rep(L).
+    which pins the double-cover sign consistently with bispinor_rep(L).  The
+    4x4 factor eps gamma^0 S(L) is formed once; the sandwich is one matrix
+    product over all rows of v(Lp)^+ followed by a batched matmul with v(p),
+    and the 2x2 inverse is the closed-form adjugate over the determinant.
     """
     L = np.asarray(L, dtype=float)
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    S = bispinor_rep(L)
     p4 = _onshell_batch(pts, m)
     v_in = amplitude_batch(eps, pts, m)
     v_out = amplitude_batch(eps, (p4 @ L.T)[:, 1:], m)
-    M = eps * np.einsum("nbs,bc,cd,nde->nse", v_out.conj(), GAMMA0, S, v_in)
-    return np.linalg.inv(M).transpose(0, 2, 1)
+    G = eps * GAMMA0 @ bispinor_rep(L)
+    M = (v_out.conj().transpose(0, 2, 1).reshape(-1, 4) @ G).reshape(-1, 2, 4) @ v_in
+    a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+    D = np.empty_like(M)
+    # D = (M^{-1})^T = [[d, -c], [-b, a]] / det M
+    D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1] = d, -c, -b, a
+    return D / (a * d - b * c)[:, None, None]
 
 
 def lorentz_transform(w, L: np.ndarray):

@@ -55,6 +55,12 @@ class RunConfig:
         check_mass(self.mass)
         if not (np.isfinite(self.pmax_over_m) and self.pmax_over_m > 0):
             raise ValueError(f"pmax_over_m must be positive and finite, got {self.pmax_over_m!r}")
+        m = float(self.mass)
+        pmax = m * float(self.pmax_over_m)
+        if not np.isfinite(m * m + pmax * pmax):
+            raise ValueError(f"mass = {self.mass!r} with pmax_over_m = {self.pmax_over_m!r} "
+                             f"overflows the largest on-shell energy squared, "
+                             f"mass^2 (1 + pmax_over_m^2)")
         if not 0.0 < self.vmax < 1.0:
             raise ValueError("vmax must lie strictly between 0 and 1")
         if self.vmax > VMAX_HARD:

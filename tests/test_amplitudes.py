@@ -82,6 +82,21 @@ def test_batch_matches_scalar(rng):
         assert_allclose(batch[k], amplitude(1, P[k], 1.0), atol=1e-14)
 
 
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("m", [0.3, 1.0, 7.0])
+def test_batch_matches_scalar_both_shells(rng, eps, m):
+    # entry-by-entry closed form against the matrix-built scalar amplitude,
+    # |p|/m log-uniform in [1e-3, 1e3]; the two differ only by the rounding
+    # of p^0, a relative few eps of the largest entry
+    u = rng.normal(size=(60, 3))
+    P = m * (10.0 ** rng.uniform(-3, 3, size=60) / np.linalg.norm(u, axis=1))[:, None] * u
+    batch = amplitude_batch(eps, P, m)
+    assert batch.shape == (60, 4, 2)
+    for k in range(60):
+        ref = amplitude(eps, on_shell(m, P[k]), m)
+        assert np.abs(batch[k] - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+
+
 def test_construction_via_boost_agrees(momenta):
     # boosting the rest amplitude with the standard boost reproduces the
     # closed form, column by column including phases

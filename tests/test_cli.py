@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,7 @@ ADVERSARIAL_ARGV = [
     ["precess", "--b", "0,0,1", "--t-final", "inf", "--steps", "10"],
     ["precess", "--b", "0,0,1", "--t-final", "1e300", "--steps", "10"],
     ["precess", "--b", "0,0,1e300", "--t-final", "1", "--steps", "10"],
+    ["precess", "--b", "0,0,1", "--q", "1e300,0,0", "--t-final", "1", "--steps", "10"],
     ["precess", "--field", "quadrupole", "--gradient", "1e300,0,0,0,1,0,0,0,-2",
      "--t-final", "1", "--steps", "10"],
     ["fourier-check", "--width", "nan"],
@@ -303,9 +305,11 @@ def test_adversarial_numbers_keep_exit_contract(capsys, argv):
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if code == 2:  # refused runs leave no partial report behind
+        assert out == ""
 
 
 @pytest.mark.parametrize("argv", [["precess", "--b", "0,0,1", "--t-final", "nan", "--steps", "10"],
@@ -322,3 +326,24 @@ def test_precess_overflow_is_reported_not_raised(capsys):
     code, _, err = run(capsys, "precess", "--b", "0,0,1e300", "--t-final", "1", "--steps", "10")
     assert code == 2
     assert err.startswith("error: integration produced non-finite values")
+
+
+def test_precess_summary_overflow_prints_nothing(capsys):
+    # |q| = 1e300 integrates finitely, but its squared norm overflows
+    code, out, err = run(capsys, "precess", "--b", "0,0,1", "--q", "1e300,0,0",
+                         "--t-final", "1", "--steps", "10")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: conservation summary overflows")
+
+
+@pytest.mark.parametrize("argv", [["--pmax", "1e300"], ["--mass", "1e300"]], ids=" ".join)
+def test_verify_overflowing_energy_refused_by_name(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "--samples", "3", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "pmax_over_m" in err and "mass" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

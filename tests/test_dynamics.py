@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from diracspin.dynamics import (ChargedState, Trajectory, integrate, larmor_solution,
-                                quadrupole_field, rhs, uniform_field)
+from diracspin.dynamics import (ChargedState, FieldConfig, Trajectory, integrate,
+                                larmor_solution, quadrupole_field, rhs, uniform_field)
 
 
 def larmor_setup(b=2.0):
@@ -27,6 +27,14 @@ def test_quadrupole_field_linear_profile():
     x = np.array([1.0, 2.0, -1.0])
     assert_allclose(f.b(x), x @ G)
     assert f.gradient_residual(np.array([x, 2 * x])) < 1e-9
+
+
+def test_gradient_residual_propagates_nan_at_later_point():
+    # NaN only at the second of two points must not fold away to 0.0
+    f = FieldConfig(b=lambda x: np.full(3, np.nan) if x[0] > 0.5 else np.zeros(3),
+                    grad_b=lambda x: np.zeros((3, 3)))
+    assert f.gradient_residual(np.zeros((1, 3))) == 0.0
+    assert not np.isfinite(f.gradient_residual(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])))
 
 
 def test_quadrupole_rejects_bad_shape():

@@ -4,14 +4,18 @@ The slice comparison carries the mode-normalization factor: with the
 amplitude convention vbar v = eps I, summing both shells of the momentum
 product equals 2m times the spatial integral of Psi^+ Phi.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from diracspin.amplitudes import amplitude
+from diracspin.lorentz import random_lorentz
 from diracspin.position import (PositionGrid, default_grids, parseval_check, position_product,
                                 synthesize, synthesize_mesh)
-from diracspin.states import Grid, gaussian_packet, norm, normalized, scalar_product
+from diracspin.states import (Grid, SpinWaveFunction, gaussian_packet, lorentz_transform, norm,
+                              normalized, scalar_product, to_covariant)
 
 TWO_PI_CUBED_SQRT = (2.0 * np.pi) ** 1.5
 
@@ -49,6 +53,30 @@ def test_parseval_refinement_strictly_improves():
     _, _, coarse = parseval_check(a, a, pgrid, xgrid)
     _, _, fine = parseval_check(a, a, pgrid.refined(), xgrid.refined())
     assert fine < coarse
+
+
+@pytest.mark.parametrize("covariant", [False, True], ids=["spin", "covariant"])
+def test_parseval_self_pair_equals_pair_with_copy(rng, covariant):
+    # (a, a) synthesizes one mesh; the result is exactly that of two meshes
+    w = packet(spin=(0.6, 0.8j), width=0.5)
+    a = lorentz_transform(to_covariant(w) if covariant else w, random_lorentz(rng, vmax=0.6))
+    pgrid, xgrid = default_grids(a, a, p_points=16, x_points=10)
+    assert parseval_check(a, a, pgrid, xgrid) == parseval_check(a, replace(a), pgrid, xgrid)
+
+
+def test_parseval_self_pair_evaluates_once_per_route():
+    # one evaluation for the momentum product, one for the shared mesh
+    calls = []
+    base = packet(spin=(1.0, 0.5j), width=0.5)
+
+    def fn(pts):
+        calls.append(len(pts))
+        return base.evaluate(pts)
+
+    w = SpinWaveFunction(eps=1, mass=1.0, width=0.5, fn=fn)
+    pgrid, xgrid = default_grids(w, w, p_points=12, x_points=8)
+    parseval_check(w, w, pgrid, xgrid)
+    assert calls == [12 ** 3, 12 ** 3]
 
 
 def test_parseval_off_diagonal_pair():

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from diracspin.lorentz import boost_from_velocity, random_lorentz, random_rotation
+from diracspin.amplitudes import amplitude_batch
+from diracspin.clifford import GAMMA0, PAULI
+from diracspin.lorentz import (bispinor_rep, boost_from_velocity, random_lorentz,
+                               random_rotation, wigner_rotation)
 from diracspin.minkowski import on_shell
 from diracspin.states import (CovariantWaveFunction, DensityState, Grid, SpinWaveFunction,
                               apply_spin, bloch_transform, dirac_residual, from_covariant,
@@ -73,6 +78,28 @@ def test_cross_shell_orthogonality_exact():
     a = packet(eps=1)
     b = packet(eps=-1)
     assert scalar_product(a, b) == 0.0
+
+
+def test_self_product_evaluates_once():
+    calls = []
+    base = packet(spin=(1.0, 0.5j))
+
+    def fn(pts):
+        calls.append(len(pts))
+        return base.evaluate(pts)
+
+    w = SpinWaveFunction(eps=1, mass=1.0, width=0.5, fn=fn)
+    assert norm(w, Grid(4.0, 12)) == norm(base, Grid(4.0, 12))
+    assert calls == [12 ** 3]
+
+
+@pytest.mark.parametrize("covariant", [False, True], ids=["spin", "covariant"])
+def test_self_product_equals_product_with_copy(rng, covariant):
+    # reusing one evaluation for (a, a) gives exactly the two-evaluation value
+    w = packet(spin=(0.6, 0.8j), width=0.5)
+    a = lorentz_transform(to_covariant(w) if covariant else w, random_lorentz(rng, vmax=0.6))
+    grid = a.default_grid(24)
+    assert scalar_product(a, a, grid) == scalar_product(a, replace(a), grid)
 
 
 def test_scalar_product_rejects_mass_mismatch():
@@ -151,6 +178,40 @@ def test_wigner_d_batch_unitary(rng, pts):
     assert D.shape == (len(pts), 2, 2)
     prods = np.einsum("nab,ncb->nac", D, D.conj())
     assert_allclose(prods, np.broadcast_to(np.eye(2), prods.shape), atol=1e-10)
+
+
+def _wigner_d_reference(L, pts, m, eps):
+    # D^T = (eps vbar(Lp) S(L) v(p))^{-1} through a general einsum and inverse
+    p4 = np.concatenate([np.sqrt(m * m + np.sum(pts ** 2, axis=1))[:, None], pts], axis=1)
+    v_in = amplitude_batch(eps, pts, m)
+    v_out = amplitude_batch(eps, (p4 @ L.T)[:, 1:], m)
+    M = eps * np.einsum("nbs,bc,cd,nde->nse", v_out.conj(), GAMMA0, bispinor_rep(L), v_in)
+    return np.linalg.inv(M).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("m", [0.3, 1.0, 7.0])
+def test_wigner_d_batch_matches_reference(rng, eps, m):
+    L = random_lorentz(rng, vmax=0.95)
+    pts = m * rng.normal(scale=3.0, size=(200, 3))
+    assert_allclose(wigner_d_batch(L, pts, m, eps), _wigner_d_reference(L, pts, m, eps),
+                    rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("m", [0.3, 1.0, 7.0])
+def test_wigner_d_batch_rotates_pauli_vectors(rng, eps, m):
+    # defining property D (sigma.a) D^+ = (R a).sigma with R the vector
+    # Wigner rotation; a transposed or conjugated D fails it
+    L = random_lorentz(rng, vmax=0.95)
+    pts = m * rng.normal(scale=3.0, size=(20, 3))
+    D = wigner_d_batch(L, pts, m, eps)
+    for k, p in enumerate(pts):
+        R, _ = wigner_rotation(L, on_shell(m, p), m)
+        a = rng.normal(size=3)
+        a /= np.linalg.norm(a)
+        lhs = D[k] @ np.einsum("i,iab->ab", a, PAULI) @ D[k].conj().T
+        assert_allclose(lhs, np.einsum("i,iab->ab", R @ a, PAULI), rtol=0, atol=1e-12)
 
 
 def test_rotation_rotates_center(rng):

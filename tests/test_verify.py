@@ -58,6 +58,13 @@ def test_config_validation():
         RunConfig(tolerances={"bogus": 1e-9})
 
 
+@pytest.mark.parametrize("kwargs", [{"pmax_over_m": 1e300}, {"mass": 1e300},
+                                    {"mass": 1e155, "pmax_over_m": 1e5}])
+def test_config_refuses_overflowing_energy(kwargs):
+    with pytest.raises(ValueError, match="pmax_over_m"):
+        RunConfig(**kwargs)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_config_refuses_non_finite(bad):
     with pytest.raises(ValueError):
