@@ -20,25 +20,11 @@ from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI, energy_projector, slash
 from .lorentz import bispinor_rep, standard_boost, su2_from_so3, wigner_rotation
 from .minkowski import check_energy_sign, check_mass, on_shell, parity_flip
 
-_SIGMA2 = PAULI[1]
-
 
 def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
-    """Bispinor amplitude v^eps(p), shape (4, 2)."""
-    eps = check_energy_sign(eps)
-    m = check_mass(m)
-    p4 = np.asarray(p4, dtype=float)
-    p0, pv = p4[0], p4[1:]
-    pref = 1.0 / (2.0 * np.sqrt(1.0 + p0 / m))
-    psig = np.einsum("i,iab->ab", pv, PAULI)
-    eye = np.eye(2, dtype=complex)
-    top = eye + (p0 * eye + psig) / m
-    bottom = eps * (eye + (p0 * eye - psig) / m)
-    return pref * np.vstack([top, bottom]) @ _SIGMA2
-
-
-def amplitude_batch(eps: int, P: np.ndarray, m: float) -> np.ndarray:
-    """Amplitudes for a batch of spatial momenta, shape (n, 4, 2).
+    """Bispinor amplitudes v^eps(p) for four-momenta p4 of shape (..., 4),
+    shape (..., 4, 2); a single four-momentum (shape (4,)) is the n = 1 case
+    and gives one 4x2 matrix.
 
     The closed form written out entry by entry: with c = 1 + (p^0 + p_z)/m,
     d = 1 + (p^0 - p_z)/m and the sigma_2 column swap applied,
@@ -48,25 +34,36 @@ def amplitude_batch(eps: int, P: np.ndarray, m: float) -> np.ndarray:
                  [ -eps (p_y + i p_x)/m      -i eps d         ]
                  [  i eps c                  eps (-p_y + i p_x)/m ]
 
-    with pref = 1 / (2 sqrt(1 + p^0/m)); the closed form of `amplitude`.
+    with pref = 1 / (2 sqrt(1 + p^0/m)).  The p^0 given is used as is.
     """
     eps = check_energy_sign(eps)
     m = check_mass(m)
-    P = np.asarray(P, dtype=float).reshape(-1, 3)
-    p0 = np.sqrt(m * m + np.einsum("ni,ni->n", P, P))
+    p4 = np.asarray(p4, dtype=float)
+    p0, pz = p4[..., 0], p4[..., 3]
     pref = 1.0 / (2.0 * np.sqrt(1.0 + p0 / m))
     inv_m = 1.0 / m
-    c = pref * (1.0 + (p0 + P[:, 2]) * inv_m)
-    d = pref * (1.0 + (p0 - P[:, 2]) * inv_m)
-    x = pref * (P[:, 0] * inv_m)
-    y = pref * (P[:, 1] * inv_m)
-    v = np.zeros((len(P), 4, 2), dtype=complex)
+    c = pref * (1.0 + (p0 + pz) * inv_m)
+    d = pref * (1.0 + (p0 - pz) * inv_m)
+    x = pref * (p4[..., 1] * inv_m)
+    y = pref * (p4[..., 2] * inv_m)
+    v = np.zeros(p4.shape[:-1] + (4, 2), dtype=complex)
     re, im = v.real, v.imag
-    re[:, 0, 0], im[:, 0, 0], im[:, 0, 1] = y, x, -c
-    im[:, 1, 0], re[:, 1, 1], im[:, 1, 1] = d, y, -x
-    re[:, 2, 0], im[:, 2, 0], im[:, 2, 1] = -eps * y, -eps * x, -eps * d
-    im[:, 3, 0], re[:, 3, 1], im[:, 3, 1] = eps * c, -eps * y, eps * x
+    re[..., 0, 0], im[..., 0, 0], im[..., 0, 1] = y, x, -c
+    im[..., 1, 0], re[..., 1, 1], im[..., 1, 1] = d, y, -x
+    re[..., 2, 0], im[..., 2, 0], im[..., 2, 1] = -eps * y, -eps * x, -eps * d
+    im[..., 3, 0], re[..., 3, 1], im[..., 3, 1] = eps * c, -eps * y, eps * x
     return v
+
+
+def amplitude_batch(eps: int, P: np.ndarray, m: float) -> np.ndarray:
+    """Amplitudes for a batch of spatial momenta, shape (n, 4, 2): each
+    momentum is lifted onto the mass shell, p^0 = sqrt(m^2 + |pvec|^2), and
+    passed to `amplitude`.
+    """
+    m = check_mass(m)
+    P = np.asarray(P, dtype=float).reshape(-1, 3)
+    p0 = np.sqrt(m * m + np.einsum("ni,ni->n", P, P))
+    return amplitude(eps, np.concatenate([p0[:, None], P], axis=1), m)
 
 
 def dirac_bar(M: np.ndarray) -> np.ndarray:
@@ -158,14 +155,17 @@ def sandwich_formulas(p4: np.ndarray, m: float) -> dict[str, np.ndarray]:
 
 
 def sandwich_formula_residual(eps: int, p4: np.ndarray, m: float) -> float:
-    """Worst max-entry residual over all five closed-form contractions."""
+    """Worst max-entry residual over all five closed-form contractions,
+    vbar M v with v and vbar computed once."""
     p4 = np.asarray(p4, dtype=float)
     targets = sandwich_formulas(p4, m)
+    v = amplitude(eps, p4, m)
+    vb = dirac_bar(v)
     pv_gamma = np.einsum("i,iab->ab", p4[1:], GAMMA[1:])
-    diffs = [sandwich(eps, p4, m, GAMMA5) - targets["gamma5"],
-             sandwich(eps, p4, m, GAMMA0 @ pv_gamma) - targets["gamma0_pslash3"]]
+    diffs = [vb @ GAMMA5 @ v - targets["gamma5"],
+             vb @ (GAMMA0 @ pv_gamma) @ v - targets["gamma0_pslash3"]]
     for mu in range(4):
         key = "gamma0_gamma5" if mu == 0 else f"gamma{mu}_gamma5"
-        diffs.append(sandwich(eps, p4, m, GAMMA[mu]) - targets[f"gamma{mu}"])
-        diffs.append(sandwich(eps, p4, m, GAMMA[mu] @ GAMMA5) - targets[key])
+        diffs.append(vb @ GAMMA[mu] @ v - targets[f"gamma{mu}"])
+        diffs.append(vb @ (GAMMA[mu] @ GAMMA5) @ v - targets[key])
     return float(np.abs(np.stack(diffs)).max())

@@ -20,6 +20,7 @@ from .clifford import GAMMA0, PAULI, SIGMA
 from .minkowski import METRIC, check_mass, lorentz_matrix, on_shell
 
 _I2 = np.eye(2, dtype=complex)
+_I3 = np.eye(3)
 _Z2 = np.zeros((2, 2), dtype=complex)
 
 #: Hard upper bound on boost speeds accepted anywhere in the package; keeps
@@ -55,6 +56,20 @@ def boost_from_velocity(v3: np.ndarray) -> np.ndarray:
     return lorentz_matrix(L, proper=True)
 
 
+def _standard_boost_matrix(p0, pv, m):
+    """Standard boosts L_p for energies p0 (...) and spatial momenta pv (..., 3),
+    shape (..., 4, 4), in the dtype of pv.
+
+    Column 0 is p/m, and the spatial block is I + pvec (x) pvec / (m (m + p^0));
+    the matrix is symmetric.
+    """
+    L = np.zeros(pv.shape[:-1] + (4, 4), dtype=pv.dtype)
+    L[..., 0, 0] = p0 / m
+    L[..., 0, 1:] = L[..., 1:, 0] = pv / m
+    L[..., 1:, 1:] = _I3 + pv[..., :, None] * pv[..., None, :] / (m * (m + p0))[..., None, None]
+    return L
+
+
 def standard_boost(p4: np.ndarray, m: float) -> np.ndarray:
     """Boost L_p taking the rest four-momentum (m, 0, 0, 0) to p.
 
@@ -63,77 +78,37 @@ def standard_boost(p4: np.ndarray, m: float) -> np.ndarray:
     """
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    p0, pv = p4[0], p4[1:]
-    L = np.eye(4)
-    L[0, 0] = p0 / m
-    L[0, 1:] = pv / m
-    L[1:, 0] = pv / m
-    L[1:, 1:] += np.outer(pv, pv) / (m * (m + p0))
-    return lorentz_matrix(L, proper=True)
+    return lorentz_matrix(_standard_boost_matrix(p4[0], p4[1:], m), proper=True)
 
 
 #: Metric in extended precision for the Wigner composition below.
 _METRIC_LD = METRIC.astype(np.longdouble)
 
 
-def _standard_boost_ld(pv: np.ndarray, m) -> np.ndarray:
-    """Standard boost of the on-shell momentum with spatial part pv, assembled
-    in extended precision with the energy recomputed from pv (which keeps the
-    matrix pseudo-orthogonal to extended-precision roundoff even when the
-    caller's four-vector is slightly off shell)."""
-    p0 = np.sqrt(m * m + pv @ pv)
-    L = np.eye(4, dtype=np.longdouble)
-    L[0, 0] = p0 / m
-    L[0, 1:] = pv / m
-    L[1:, 0] = pv / m
-    L[1:, 1:] += np.outer(pv, pv) / (m * (m + p0))
-    return L
-
-
 def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Wigner rotation R(L, p) = L_{Lp}^{-1} L L_p by direct matrix products.
+    """Wigner rotations R(L, p) = L_{Lp}^{-1} L L_p by direct matrix products,
+    for four-momenta p4 of shape (..., 4); a single four-momentum (shape (4,))
+    is the n = 1 case.
 
     Composing the three factors involves entries of order (p^0/m)^2 that
     cancel down to a rotation, so the products run in extended precision
-    (the inverse standard boost is its metric transpose, g L^T g); the
-    result is returned as float64.  Longdouble inputs are used as given,
-    which lets callers chain exact products of group elements.  Returns
-    (R3, R4): the 3x3 rotation block and the full 4x4 matrix, whose time
+    (a standard boost is symmetric, so its inverse is g L_p g), and both
+    standard boosts are assembled with the energy recomputed from the spatial
+    momentum, which keeps them pseudo-orthogonal to extended-precision
+    roundoff even when p4 is slightly off shell.  The result is returned as
+    float64.  Longdouble inputs are used as given, which lets callers chain
+    exact products of group elements.  Returns (R3, R4): the rotation blocks,
+    shape (..., 3, 3), and the full matrices, shape (..., 4, 4), whose time
     row and column equal (1, 0, 0, 0) up to roundoff.
     """
     Ld = np.asarray(L).astype(np.longdouble)
     p4d = np.asarray(p4).astype(np.longdouble)
     md = np.longdouble(m)
-    Lp_out = _standard_boost_ld((Ld @ p4d)[1:], md)
-    inv = _METRIC_LD @ Lp_out.T @ _METRIC_LD
-    R4 = np.asarray(inv @ Ld @ _standard_boost_ld(p4d[1:], md), dtype=float)
-    return R4[1:, 1:].copy(), R4
-
-
-def wigner_rotation_batch(L: np.ndarray, P: np.ndarray, m: float) -> np.ndarray:
-    """Wigner rotation blocks R(L, p) for a batch of spatial momenta, (n, 3, 3).
-
-    Same extended-precision evaluation as wigner_rotation.
-    """
-    Ld = np.asarray(L).astype(np.longdouble)
-    P = np.asarray(P).astype(np.longdouble).reshape(-1, 3)
-    md = np.longdouble(m)
-
-    def boosts(Q: np.ndarray) -> np.ndarray:
-        q0 = np.sqrt(md * md + np.einsum("ni,ni->n", Q, Q))
-        B = np.broadcast_to(np.eye(4, dtype=np.longdouble), (len(Q), 4, 4)).copy()
-        B[:, 0, 0] = q0 / md
-        B[:, 0, 1:] = Q / md
-        B[:, 1:, 0] = Q / md
-        B[:, 1:, 1:] += np.einsum("ni,nj->nij", Q, Q) / (md * (md + q0))[:, None, None]
-        return B
-
-    p0 = np.sqrt(md * md + np.einsum("ni,ni->n", P, P))
-    p4 = np.concatenate([p0[:, None], P], axis=1)
-    Lp = p4 @ Ld.T
-    inv = np.einsum("ab,nbc,cd->nad", _METRIC_LD, boosts(Lp[:, 1:]).transpose(0, 2, 1), _METRIC_LD)
-    R4 = np.einsum("nab,bc,ncd->nad", inv, Ld, boosts(P))
-    return np.asarray(R4[:, 1:, 1:], dtype=float)
+    Q = np.stack([p4d[..., 1:], (p4d @ Ld.T)[..., 1:]])
+    q0 = np.sqrt(md * md + np.einsum("...i,...i->...", Q, Q))
+    B_in, B_out = _standard_boost_matrix(q0, Q, md)
+    R4 = np.asarray(_METRIC_LD @ B_out @ _METRIC_LD @ Ld @ B_in, dtype=float)
+    return R4[..., 1:, 1:].copy(), R4
 
 
 def wigner_rotation_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarray:

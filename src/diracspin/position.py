@@ -32,7 +32,7 @@ from math import fsum
 import numpy as np
 
 from .states import (CovariantWaveFunction, Grid, SpinWaveFunction, _as_sectors,
-                     omega_of, scalar_product, to_covariant)
+                     _trapezoid_weights, omega_of, scalar_product, to_covariant)
 
 TWO_PI_CUBED_SQRT = (2.0 * np.pi) ** 1.5
 
@@ -62,10 +62,7 @@ class PositionGrid:
         return np.linspace(-self.xmax, self.xmax, self.n)
 
     def weights_1d(self) -> np.ndarray:
-        w1 = np.full(self.n, 2.0 * self.xmax / (self.n - 1))
-        w1[0] *= 0.5
-        w1[-1] *= 0.5
-        return w1
+        return _trapezoid_weights(self.xmax, self.n)
 
     def refined(self) -> "PositionGrid":
         return PositionGrid(self.xmax, 2 * self.n - 1)

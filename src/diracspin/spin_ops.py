@@ -18,7 +18,7 @@ import numpy as np
 
 from .amplitudes import amplitude, dirac_bar
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI_T
-from .lorentz import wigner_rotation_closed
+from .lorentz import lorentz_gamma, wigner_rotation_closed
 from .minkowski import check_energy_sign, check_mass
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -147,10 +147,7 @@ def spin_transform_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarra
     v3 = np.asarray(v3, dtype=float)
     p4 = np.asarray(p4, dtype=float)
     m = check_mass(m)
-    b2 = float(v3 @ v3)
-    if b2 >= 1.0:
-        raise ValueError(f"superluminal velocity: |v| = {np.sqrt(b2):.6f} >= 1")
-    g = 1.0 / np.sqrt(1.0 - b2)
+    g = lorentz_gamma(v3)
     p0, pv = p4[0], p4[1:]
     a = m + p0
     b = m + g * (p0 - v3 @ pv)

@@ -22,12 +22,13 @@ tensor-product trapezoid quadrature on a centered cube.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
 
-from .amplitudes import amplitude_batch
+from .amplitudes import amplitude, amplitude_batch
 from .clifford import GAMMA, GAMMA0, PAULI
 from .lorentz import bispinor_rep, wigner_rotation
 from .minkowski import METRIC, check_energy_sign, check_mass, lorentz_matrix
@@ -35,15 +36,17 @@ from .minkowski import METRIC, check_energy_sign, check_mass, lorentz_matrix
 #: Momentum symbols used by all symbolic profiles.
 P = sp.symbols("p1 p2 p3", real=True)
 
-_LAMBDA_CACHE: dict[sp.Expr, Callable] = {}
+
+@lru_cache(maxsize=64)
+def _compiled(expr: sp.Expr) -> Callable:
+    """Numpy function of (p1, p2, p3) for a profile expression.  Shared across
+    packets, since equal expressions recur when a packet is built again;
+    bounded, since every normalized packet brings new ones."""
+    return sp.lambdify(P, expr, modules="numpy")
 
 
 def _eval_expr(expr: sp.Expr, px: np.ndarray, py: np.ndarray, pz: np.ndarray) -> np.ndarray:
-    fn = _LAMBDA_CACHE.get(expr)
-    if fn is None:
-        fn = sp.lambdify(P, expr, modules="numpy")
-        _LAMBDA_CACHE[expr] = fn
-    out = np.asarray(fn(px, py, pz), dtype=complex)
+    out = np.asarray(_compiled(expr)(px, py, pz), dtype=complex)
     if out.shape != np.shape(px):
         out = np.broadcast_to(out, np.shape(px)).copy()
     return out
@@ -58,6 +61,14 @@ def omega_of(pts: np.ndarray, m: float) -> np.ndarray:
     """On-shell energies for an array of spatial momenta (..., 3)."""
     pts = np.asarray(pts, dtype=float)
     return np.sqrt(m * m + np.einsum("...i,...i->...", pts, pts))
+
+
+def _trapezoid_weights(half_width: float, n: int) -> np.ndarray:
+    """1-D trapezoid weights for n uniform points on [-half_width, half_width]."""
+    w1 = np.full(n, 2.0 * half_width / (n - 1))
+    w1[0] *= 0.5
+    w1[-1] *= 0.5
+    return w1
 
 
 @dataclass(frozen=True)
@@ -82,9 +93,7 @@ class Grid:
 
     def weights(self) -> np.ndarray:
         """Flat trapezoid weights matching points(), shape (n^3,)."""
-        w1 = np.full(self.n, 2.0 * self.pmax / (self.n - 1))
-        w1[0] *= 0.5
-        w1[-1] *= 0.5
+        w1 = _trapezoid_weights(self.pmax, self.n)
         return np.einsum("i,j,k->ijk", w1, w1, w1).ravel()
 
     def refined(self) -> "Grid":
@@ -92,8 +101,23 @@ class Grid:
         return Grid(self.pmax, 2 * self.n - 1)
 
 
+class _ShellProfile:
+    """Validation and default grid sizing shared by the wavefunction kinds,
+    which carry eps, mass, width and center fields."""
+
+    def __post_init__(self):
+        check_energy_sign(self.eps)
+        check_mass(self.mass)
+        if self.width <= 0:
+            raise ValueError("profile width must be positive")
+        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+
+    def default_grid(self, n: int = 64) -> Grid:
+        return Grid(float(np.linalg.norm(self.center)) + 8.0 * self.width, n)
+
+
 @dataclass(frozen=True)
-class SpinWaveFunction:
+class SpinWaveFunction(_ShellProfile):
     """Spin-basis profile psitilde on the energy-sign-eps mass shell.
 
     Either symbolic (`exprs`, a pair of sympy expressions in P) or callable
@@ -109,13 +133,9 @@ class SpinWaveFunction:
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        check_energy_sign(self.eps)
-        check_mass(self.mass)
-        if self.width <= 0:
-            raise ValueError("profile width must be positive")
+        super().__post_init__()
         if self.exprs is None and self.fn is None:
             raise ValueError("profile needs either symbolic exprs or a callable")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -124,12 +144,9 @@ class SpinWaveFunction:
             return np.stack(comps, axis=-1)
         return self.fn(pts)
 
-    def default_grid(self, n: int = 64) -> Grid:
-        return Grid(float(np.linalg.norm(self.center)) + 8.0 * self.width, n)
-
 
 @dataclass(frozen=True)
-class CovariantWaveFunction:
+class CovariantWaveFunction(_ShellProfile):
     """Covariant-basis profile psi (four bispinor components) on one shell."""
 
     eps: int
@@ -138,18 +155,8 @@ class CovariantWaveFunction:
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    def __post_init__(self):
-        check_energy_sign(self.eps)
-        check_mass(self.mass)
-        if self.width <= 0:
-            raise ValueError("profile width must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(pts, dtype=float))
-
-    def default_grid(self, n: int = 64) -> Grid:
-        return Grid(float(np.linalg.norm(self.center)) + 8.0 * self.width, n)
 
 
 def gaussian_packet(eps: int, mass: float, width: float,
@@ -288,7 +295,7 @@ def wigner_d_batch(L: np.ndarray, pts: np.ndarray, m: float, eps: int = 1) -> np
     L = np.asarray(L, dtype=float)
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     p4 = _onshell_batch(pts, m)
-    v_in = amplitude_batch(eps, pts, m)
+    v_in = amplitude(eps, p4, m)
     v_out = amplitude_batch(eps, (p4 @ L.T)[:, 1:], m)
     G = eps * GAMMA0 @ bispinor_rep(L)
     M = (v_out.conj().transpose(0, 2, 1).reshape(-1, 4) @ G).reshape(-1, 2, 4) @ v_in

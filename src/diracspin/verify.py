@@ -198,7 +198,10 @@ def _su2_lift(cfg, rng):
 
 
 def _amplitude_completeness(p4, m):
-    total = sum(e * amplitude(e, p4, m) @ dirac_bar(amplitude(e, p4, m)) for e in (1, -1))
+    total = np.zeros((4, 4), dtype=complex)
+    for e in (1, -1):
+        v = amplitude(e, p4, m)
+        total += e * v @ dirac_bar(v)
     return float(np.abs(total - np.eye(4)).max())
 
 
@@ -305,12 +308,20 @@ def identity_rng(cfg: RunConfig, name: str) -> np.random.Generator:
 
 def run_identity(name: str, cfg: RunConfig) -> IdentityResult:
     """Run one identity.  The reduction propagates NaN, and a NaN or inf
-    residual never compares below the tolerance, so it fails."""
+    residual never compares below the tolerance, so it fails.  A sample
+    whose kernel refuses an intermediate it computed itself (a ValueError,
+    say a Wigner rotation too far from orthogonal to lift at high rapidity)
+    gets a NaN residual and ends the run; `samples` counts the samples run."""
     if name not in IDENTITY_RUNNERS:
         raise KeyError(f"unknown identity {name!r}")
     runner, _ = IDENTITY_RUNNERS[name]
-    residuals = np.fromiter(runner(cfg, identity_rng(cfg, name)), dtype=float)
-    residual = float(residuals.max())
+    residuals = []
+    try:
+        for r in runner(cfg, identity_rng(cfg, name)):
+            residuals.append(r)
+    except ValueError:  # cfg was validated up front, so a kernel refused
+        residuals.append(np.nan)
+    residual = float(np.max(residuals))
     tol = cfg.tolerance(name)
     return IdentityResult(name=name, samples=len(residuals), tolerance=tol,
                           max_residual=residual, passed=bool(residual < tol))

@@ -97,6 +97,20 @@ def test_batch_matches_scalar_both_shells(rng, eps, m):
         assert np.abs(batch[k] - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("eps", [1, -1])
+def test_amplitude_stack_matches_rows(rng, eps):
+    # a (2, 3, 4) stack of four-momenta is the same computation as one call
+    # per momentum, and each row matches the boosted rest amplitude
+    m = 0.7
+    P = np.array([random_momentum(rng, m) for _ in range(6)]).reshape(2, 3, 4)
+    v = amplitude(eps, P, m)
+    assert v.shape == (2, 3, 4, 2)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(v[i, j], amplitude(eps, P[i, j], m))
+            assert_allclose(v[i, j], amplitude_via_boost(eps, P[i, j], m), atol=1e-12)
+
+
 def test_construction_via_boost_agrees(momenta):
     # boosting the rest amplitude with the standard boost reproduces the
     # closed form, column by column including phases

@@ -277,6 +277,7 @@ ADVERSARIAL_ARGV = [
     ["verify", "--samples", "3", "--mass", "1e300"],
     ["verify", "--samples", "3", "--vmax", "nan"],
     ["verify", "--samples", "3", "--tol", "su2_lift=nan"],
+    ["verify", "--samples", "3", "--pmax", "1000"],
     ["wigner", "--velocity", "nan,0,0"],
     ["wigner", "--velocity", "0.5,0,0", "--momentum", "1e300,0,0"],
     ["boost", "--velocity", "inf,0,0"],
@@ -310,6 +311,18 @@ def test_adversarial_numbers_keep_exit_contract(capsys, argv):
     assert "Traceback" not in err
     if code == 2:  # refused runs leave no partial report behind
         assert out == ""
+
+
+def test_verify_kernel_refusal_is_an_identity_failure(capsys):
+    # At |p|/m up to 1e3 the Wigner rotation misses orthogonality by more than
+    # su2_from_so3 accepts; the configuration is valid, so the identities
+    # that lift it fail (exit 1) instead of the run ending as bad usage.
+    code, out, err = run(capsys, "verify", "--samples", "3", "--pmax", "1000")
+    assert code == 1 and "Traceback" not in err
+    rows = {r["name"]: r for r in json.loads(out)["identities"]}
+    for name in ("bloch_rotation", "weinberg_condition"):
+        assert rows[name]["max_residual"] is None and rows[name]["passed"] is False
+        assert name in err
 
 
 @pytest.mark.parametrize("argv", [["precess", "--b", "0,0,1", "--t-final", "nan", "--steps", "10"],

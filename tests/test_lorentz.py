@@ -11,8 +11,7 @@ from diracspin.lorentz import (VMAX_HARD, bispinor_from_params, bispinor_inverse
                                lorentz_from_params, lorentz_gamma, random_lorentz,
                                random_momentum, random_rotation, random_velocity,
                                rotation_params, standard_boost, su2_from_so3,
-                               wigner_rotation, wigner_rotation_batch,
-                               wigner_rotation_closed)
+                               wigner_rotation, wigner_rotation_closed)
 from diracspin.minkowski import (METRIC, is_proper_orthochronous, lorentz_residual,
                                  minkowski_dot, on_shell)
 
@@ -64,6 +63,21 @@ def test_standard_boost_first_column(momenta):
         assert lorentz_residual(L) < 1e-10 * max(1.0, np.abs(L).max() ** 2)
 
 
+def test_standard_boost_uses_given_energy(momenta):
+    # the caller's p^0 is used as given, not recomputed from the spatial part:
+    # with p^0 nudged off shell by ~1e-13 the matrix is still the closed form
+    # built from that p^0, bit for bit
+    m = 1.3
+    for p4 in momenta[:10] * m:
+        p4[0] *= 1.0 + 1e-13
+        p0, pv = p4[0], p4[1:]
+        ref = np.eye(4)
+        ref[0, 0] = p0 / m
+        ref[0, 1:] = ref[1:, 0] = pv / m
+        ref[1:, 1:] += np.outer(pv, pv) / (m * (m + p0))
+        assert np.array_equal(standard_boost(p4, m), ref)
+
+
 def test_standard_boost_velocity_reading(momenta):
     # the rest frame of p moves with velocity -p/p0 relative to the lab
     for p4 in momenta[:10]:
@@ -97,12 +111,32 @@ def test_wigner_closed_matches_brute(rng):
 
 
 def test_wigner_batch_matches_single(rng):
+    # a stack of momenta is the same computation as one call per momentum
     L = random_lorentz(rng)
     P = np.array([random_momentum(rng, 1.0) for _ in range(17)])
-    batch = wigner_rotation_batch(L, P[:, 1:], 1.0)
+    R3, R4 = wigner_rotation(L, P, 1.0)
+    assert R3.shape == (17, 3, 3) and R4.shape == (17, 4, 4)
     for k in range(len(P)):
-        single, _ = wigner_rotation(L, P[k], 1.0)
-        assert_allclose(batch[k], single, atol=1e-14)
+        single3, single4 = wigner_rotation(L, P[k], 1.0)
+        assert np.array_equal(R3[k], single3) and np.array_equal(R4[k], single4)
+    # and each block agrees with the closed form for a pure boost; a (2, 3, 4)
+    # stack keeps its leading shape
+    v3 = random_velocity(rng)
+    R3, _ = wigner_rotation(boost_from_velocity(v3), P[:6].reshape(2, 3, 4), 1.0)
+    assert R3.shape == (2, 3, 3, 3)
+    for k in range(6):
+        assert np.abs(R3.reshape(6, 3, 3)[k] - wigner_rotation_closed(v3, P[k], 1.0)).max() < 1e-10
+
+
+def test_wigner_rotation_recomputes_energy_from_spatial_momentum(rng):
+    # both standard boosts are built on shell from the spatial momenta, so an
+    # input energy off shell by a relative 1e-9 still gives a Lorentz matrix
+    # to roundoff (a boost built from that energy misses L^T g L = g by ~1e-9)
+    L = random_lorentz(rng)
+    for p4 in (random_momentum(rng, 1.0) for _ in range(10)):
+        off = p4 * np.array([1.0 + 1e-9, 1.0, 1.0, 1.0])
+        _, R4 = wigner_rotation(L, off, 1.0)
+        assert lorentz_residual(R4) < 1e-13
 
 
 def test_wigner_perpendicular_frozen_angle():

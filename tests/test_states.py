@@ -26,6 +26,24 @@ def pts(rng):
     return rng.normal(scale=0.8, size=(30, 3))
 
 
+# --- compiled profiles ---------------------------------------------------
+
+def test_profile_compile_cache_is_bounded_and_shared():
+    from diracspin.states import _compiled
+
+    _compiled.cache_clear()
+    origin = np.zeros((1, 3))
+    widths = 0.5 + 0.01 * np.arange(70)
+    for w in widths:  # every width is a new Gaussian expression
+        gaussian_packet(1, 1.0, w).evaluate(origin)
+    info = _compiled.cache_info()
+    assert info.misses > 64 and info.currsize <= 64
+    # a packet built again from the same arguments compiles nothing
+    gaussian_packet(1, 1.0, widths[-1]).evaluate(origin)
+    again = _compiled.cache_info()
+    assert again.hits == info.hits + 2 and again.misses == info.misses
+
+
 # --- grids -----------------------------------------------------------------
 
 def test_grid_axis_and_weights():
@@ -49,6 +67,19 @@ def test_grid_rejects_bad_shape():
         Grid(pmax=-1.0, n=8)
     with pytest.raises(ValueError):
         Grid(pmax=1.0, n=1)
+
+
+@pytest.mark.parametrize("kind", [SpinWaveFunction, CovariantWaveFunction])
+def test_wavefunction_validation_and_default_grid(kind):
+    def fn(pts):
+        return np.zeros(pts.shape[:-1] + (4,))
+
+    w = kind(eps=-1, mass=2.0, width=0.5, fn=fn, center=[3.0, 4.0, 0.0])
+    assert w.center.dtype == float
+    assert w.default_grid(16) == Grid(5.0 + 8.0 * 0.5, 16)
+    for bad in ({"eps": 0}, {"mass": 0.0}, {"mass": float("nan")}, {"width": 0.0}):
+        with pytest.raises(ValueError):
+            kind(**{"eps": 1, "mass": 1.0, "width": 0.5, "fn": fn, **bad})
 
 
 # --- scalar product and norms ----------------------------------------------

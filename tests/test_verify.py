@@ -141,6 +141,23 @@ def test_failure_marks_report():
     assert report["config"]["tolerances"]["weinberg_condition"] == 1e-30
 
 
+def test_kernel_refusal_fails_the_identity(monkeypatch):
+    # A kernel that refuses its own intermediate at the second sample gives
+    # that sample a NaN residual; the run stops there and the identity fails.
+    calls = []
+    real = verify.su2_from_so3
+
+    def refusing(R3):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("matrix is not a proper rotation")
+        return real(R3)
+
+    monkeypatch.setattr(verify, "su2_from_so3", refusing)
+    r = run_identity("su2_lift", RunConfig(samples=5))
+    assert r.samples == 2 and np.isnan(r.max_residual) and r.passed is False
+
+
 def test_nan_residual_fails_closed(monkeypatch, capsys):
     # A NaN at the second sample must survive the reduction: the builtin max
     # would keep the first sample's finite value and pass the identity.
