@@ -18,6 +18,8 @@ GOLDEN = [
     (["verify", "--seed", "42"], "verify_seed42.json"),
     (["verify", "--seed", "7", "--samples", "500", "--vmax", "0.999", "--pmax", "30"],
      "verify_seed7_high_boost.json"),
+    (["verify", "--seed", "3", "--samples", "100", "--mass", "2.5", "--pmax", "20"],
+     "verify_seed3_mass2p5.json"),
     (["fourier-check", "--width", "0.4", "--spin", "1+0j,0.5j"], "fourier_check_readme.json"),
 ]
 
