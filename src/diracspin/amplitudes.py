@@ -18,13 +18,14 @@ import numpy as np
 
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI, energy_projector, slash
 from .lorentz import bispinor_rep, standard_boost, su2_from_so3, wigner_rotation
-from .minkowski import check_energy_sign, check_mass, on_shell, parity_flip
+from .minkowski import check_energy_sign, check_mass, max_entry, on_shell, parity_flip
 
 
 def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     """Bispinor amplitudes v^eps(p) for four-momenta p4 of shape (..., 4),
     shape (..., 4, 2); a single four-momentum (shape (4,)) is the n = 1 case
-    and gives one 4x2 matrix.
+    and gives one 4x2 matrix.  eps is one sign or an array of signs, one per
+    four-momentum.
 
     The closed form written out entry by entry: with c = 1 + (p^0 + p_z)/m,
     d = 1 + (p^0 - p_z)/m and the sigma_2 column swap applied,
@@ -67,8 +68,8 @@ def amplitude_batch(eps: int, P: np.ndarray, m: float) -> np.ndarray:
 
 
 def dirac_bar(M: np.ndarray) -> np.ndarray:
-    """Dirac adjoint Mbar = M^+ gamma^0 (shape (k, 4) for a (4, k) input)."""
-    return np.asarray(M).conj().T @ GAMMA0
+    """Dirac adjoint Mbar = M^+ gamma^0 (shape (..., k, 4) for a (..., 4, k) input)."""
+    return np.swapaxes(np.asarray(M).conj(), -1, -2) @ GAMMA0
 
 
 def amplitude_via_boost(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -82,7 +83,9 @@ def amplitude_via_boost(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
 
 
 def weinberg_residual(L: np.ndarray, eps: int, p4: np.ndarray, m: float) -> float:
-    """Max-entry residual of S(L) v^eps(p) D^T(R(L, p)) = v^eps(Lp).
+    """Max-entry residual of S(L) v^eps(p) D^T(R(L, p)) = v^eps(Lp), for
+    transformations (..., 4, 4), signs and four-momenta (..., 4) broadcast
+    together; shape (...).
 
     The SU(2) lift of the Wigner rotation is defined up to a global sign;
     the residual is evaluated for both signs and the smaller one returned.
@@ -91,36 +94,40 @@ def weinberg_residual(L: np.ndarray, eps: int, p4: np.ndarray, m: float) -> floa
     R3, _ = wigner_rotation(L, p4, m)
     D = su2_from_so3(R3)
     moved = bispinor_rep(L) @ amplitude(eps, p4, m)
-    target = amplitude(eps, L @ p4, m)
-    return min(float(np.abs(moved @ (sign * D).T - target).max()) for sign in (1.0, -1.0))
+    target = amplitude(eps, (L @ np.asarray(p4, dtype=float)[..., None])[..., 0], m)
+    return np.minimum(*(max_entry(moved @ np.swapaxes(sign * D, -1, -2) - target)
+                        for sign in (1.0, -1.0)))
 
 
 def orthogonality_residual(eps: int, p4: np.ndarray, m: float) -> float:
-    """Max-entry residual of vbar^eps v^eps = eps I and vbar^-eps v^eps = 0."""
+    """Max-entry residual of vbar^eps v^eps = eps I and vbar^-eps v^eps = 0,
+    per four-momentum of a (..., 4) stack."""
     v = amplitude(eps, p4, m)
-    same = np.abs(dirac_bar(v) @ v - eps * np.eye(2)).max()
-    cross = np.abs(dirac_bar(amplitude(-eps, p4, m)) @ v).max()
-    return float(np.maximum(same, cross))
+    same = max_entry(dirac_bar(v) @ v - eps * np.eye(2))
+    cross = max_entry(dirac_bar(amplitude(-eps, p4, m)) @ v)
+    return np.maximum(same, cross)
 
 
 def projector_residual(eps: int, p4: np.ndarray, m: float) -> float:
-    """Max-entry residual of v^eps vbar^eps = eps Lambda_eps(p)."""
+    """Max-entry residual of v^eps vbar^eps = eps Lambda_eps(p), per four-momentum."""
     v = amplitude(eps, p4, m)
-    return float(np.abs(v @ dirac_bar(v) - eps * energy_projector(eps, p4, m)).max())
+    return max_entry(v @ dirac_bar(v) - eps * energy_projector(eps, p4, m))
 
 
 def dirac_residual(eps: int, p4: np.ndarray, m: float) -> float:
-    """Max-entry residual of p_mu gamma^mu v^eps = eps m v^eps, divided by m."""
+    """Max-entry residual of p_mu gamma^mu v^eps = eps m v^eps, divided by m,
+    per four-momentum."""
     v = amplitude(eps, p4, m)
-    return float(np.abs(slash(p4) @ v - eps * m * v).max()) / m
+    return max_entry(slash(p4) @ v - eps * m * v) / m
 
 
 def parity_residual(eps: int, p4: np.ndarray, m: float) -> float:
-    """Max-entry residual of eps v^eps(p) = gamma^0 v^eps(p^pi) (unit parity phase)."""
+    """Max-entry residual of eps v^eps(p) = gamma^0 v^eps(p^pi) (unit parity
+    phase), per four-momentum."""
     eps = check_energy_sign(eps)
     lhs = eps * amplitude(eps, p4, m)
     rhs = GAMMA0 @ amplitude(eps, parity_flip(p4), m)
-    return float(np.abs(lhs - rhs).max())
+    return max_entry(lhs - rhs)
 
 
 def sandwich(eps: int, p4: np.ndarray, m: float, M: np.ndarray) -> np.ndarray:
@@ -138,34 +145,35 @@ def sandwich_formulas(p4: np.ndarray, m: float) -> dict[str, np.ndarray]:
         vbar gamma^k gamma^5 v   = -(m sigma^T_k + p_k (pvec.sigma^T)/(m + p^0)) / m
         vbar gamma^0 (pvec.gammavec) v = 0
 
-    Returned as target matrices keyed by formula name.
+    Returned as target matrices (..., 2, 2) keyed by formula name.
     """
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    p0, pv = p4[0], p4[1:]
+    p0, pv = p4[..., 0, None, None], p4[..., 1:]
     eye = np.eye(2, dtype=complex)
-    psig_t = np.einsum("i,iba->ab", pv, PAULI)  # pvec . sigma^T
-    out = {f"gamma{mu}": (p4[mu] / m) * eye for mu in range(4)}
-    out["gamma5"] = np.zeros((2, 2), dtype=complex)
+    zero = np.zeros(p4.shape[:-1] + (2, 2), dtype=complex)
+    psig_t = np.einsum("...i,iba->...ab", pv, PAULI)  # pvec . sigma^T
+    out = {f"gamma{mu}": (p4[..., mu, None, None] / m) * eye for mu in range(4)}
+    out["gamma5"] = zero
     out["gamma0_gamma5"] = -psig_t / m
     for k in range(3):
-        out[f"gamma{k + 1}_gamma5"] = -(m * PAULI[k].T + pv[k] * psig_t / (m + p0)) / m
-    out["gamma0_pslash3"] = np.zeros((2, 2), dtype=complex)
+        out[f"gamma{k + 1}_gamma5"] = -(m * PAULI[k].T + pv[..., k, None, None] * psig_t / (m + p0)) / m
+    out["gamma0_pslash3"] = zero.copy()
     return out
 
 
 def sandwich_formula_residual(eps: int, p4: np.ndarray, m: float) -> float:
     """Worst max-entry residual over all five closed-form contractions,
-    vbar M v with v and vbar computed once."""
+    vbar M v with v and vbar computed once, per four-momentum."""
     p4 = np.asarray(p4, dtype=float)
     targets = sandwich_formulas(p4, m)
     v = amplitude(eps, p4, m)
     vb = dirac_bar(v)
-    pv_gamma = np.einsum("i,iab->ab", p4[1:], GAMMA[1:])
+    pv_gamma = np.einsum("...i,iab->...ab", p4[..., 1:], GAMMA[1:])
     diffs = [vb @ GAMMA5 @ v - targets["gamma5"],
              vb @ (GAMMA0 @ pv_gamma) @ v - targets["gamma0_pslash3"]]
     for mu in range(4):
         key = "gamma0_gamma5" if mu == 0 else f"gamma{mu}_gamma5"
         diffs.append(vb @ GAMMA[mu] @ v - targets[f"gamma{mu}"])
         diffs.append(vb @ (GAMMA[mu] @ GAMMA5) @ v - targets[key])
-    return float(np.abs(np.stack(diffs)).max())
+    return np.abs(np.stack(diffs)).max(axis=(0, -2, -1))

@@ -53,14 +53,20 @@ def _sigma_tensor() -> np.ndarray:
 SIGMA = _sigma_tensor()
 
 
+#: Lowers the index of a contravariant four-vector: p_mu = g_{mu nu} p^nu.
+_LOWER = np.diag(METRIC)
+
+
 def slash(p4: np.ndarray) -> np.ndarray:
-    """Feynman slash p_mu gamma^mu = p^0 gamma^0 - pvec . gammavec."""
+    """Feynman slash p_mu gamma^mu = p^0 gamma^0 - pvec . gammavec, for
+    four-momenta (..., 4); shape (..., 4, 4)."""
     p4 = np.asarray(p4, dtype=float)
-    return np.einsum("m,mab->ab", METRIC @ p4, GAMMA)
+    return np.einsum("...m,mab->...ab", p4 * _LOWER, GAMMA)
 
 
 def energy_projector(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
-    """Covariant projector onto the energy-sign-eps solutions,
+    """Covariant projectors onto the energy-sign-eps solutions, for
+    four-momenta (..., 4); shape (..., 4, 4),
 
         Lambda_eps(p) = (m I + eps p_mu gamma^mu) / (2 m).
 

@@ -10,6 +10,9 @@ both read off it.  The double-cover sign is fixed by Re tr A > 0 (see
 `_sl2c_lift` for the tie at Re tr A = 0).  Finite bispinor transformations
 also come from generator parameters through the matrix exponential, which
 stays as the brute-force reference for the closed form.
+
+The kinematic kernels and the samplers' builders are batch-first (see
+`minkowski`); the generator-parameter maps take one matrix.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .clifford import GAMMA0, PAULI, SIGMA
-from .minkowski import METRIC, check_mass, lorentz_matrix, on_shell
+from .minkowski import METRIC, check_mass, lorentz_matrix, on_shell, refuse_first
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3)
@@ -29,56 +32,68 @@ VMAX_HARD = 0.999999
 
 
 def lorentz_gamma(v3: np.ndarray) -> float:
-    """Lorentz factor gamma = (1 - |v|^2)^(-1/2) for |v| < 1."""
+    """Lorentz factor gamma = (1 - |v|^2)^(-1/2) for velocities v3 of shape
+    (..., 3) with |v| < 1."""
     v3 = np.asarray(v3, dtype=float)
-    b2 = float(v3 @ v3)
-    if b2 >= 1.0:
-        raise ValueError(f"superluminal velocity: |v| = {np.sqrt(b2):.6f} >= 1")
+    b2 = np.vecdot(v3, v3)
+    refuse_first((b2 >= 1.0,
+                  lambda i: f"superluminal velocity: |v| = {np.sqrt(b2.reshape(-1)[i]):.6f} >= 1"))
     return 1.0 / np.sqrt(1.0 - b2)
 
 
 def boost_from_velocity(v3: np.ndarray) -> np.ndarray:
-    """Pure boost with velocity v, as a 4x4 vector-realization matrix.
+    """Pure boosts with velocities v3 of shape (..., 3), as (..., 4, 4)
+    vector-realization matrices.
 
     Row 0 is (gamma, -gamma v); the spatial block is
     I + gamma^2/(1+gamma) v (x) v.  The matrix is symmetric and
     boost_from_velocity(-v) is its inverse.
     """
     v3 = np.asarray(v3, dtype=float)
-    if v3.shape != (3,):
+    if v3.shape[-1:] != (3,):
         raise ValueError(f"velocity must have shape (3,), got {v3.shape}")
     g = lorentz_gamma(v3)
-    L = np.eye(4)
-    L[0, 0] = g
-    L[0, 1:] = -g * v3
-    L[1:, 0] = -g * v3
-    L[1:, 1:] += (g * g / (1.0 + g)) * np.outer(v3, v3)
+    L = np.zeros(v3.shape[:-1] + (4, 4))
+    L[..., 0, 0] = g
+    L[..., 0, 1:] = L[..., 1:, 0] = -g[..., None] * v3
+    L[..., 1:, 1:] = _I3 + _mat(g * g / (1.0 + g)) * _outer(v3, v3)
     return lorentz_matrix(L, proper=True)
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer products a (x) b over the leading axes."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _mat(x) -> np.ndarray:
+    """Per-sample scalars (...) as (..., 1, 1), to scale a stack of matrices."""
+    return np.asarray(x)[..., None, None]
+
+
 def _standard_boost_matrix(p0, pv, m):
-    """Standard boosts L_p for energies p0 (...) and spatial momenta pv (..., 3),
-    shape (..., 4, 4), in the dtype of pv.
+    """Standard boosts L_p for energies p0 (...), spatial momenta pv (..., 3)
+    and masses m (a scalar or (...)), shape (..., 4, 4), in the dtype of pv.
 
     Column 0 is p/m, and the spatial block is I + pvec (x) pvec / (m (m + p^0));
     the matrix is symmetric.
     """
     L = np.zeros(pv.shape[:-1] + (4, 4), dtype=pv.dtype)
     L[..., 0, 0] = p0 / m
-    L[..., 0, 1:] = L[..., 1:, 0] = pv / m
-    L[..., 1:, 1:] = _I3 + pv[..., :, None] * pv[..., None, :] / (m * (m + p0))[..., None, None]
+    L[..., 0, 1:] = L[..., 1:, 0] = pv / np.asarray(m)[..., None]
+    L[..., 1:, 1:] = _I3 + _outer(pv, pv) / _mat(m * (m + p0))
     return L
 
 
 def standard_boost(p4: np.ndarray, m: float) -> np.ndarray:
-    """Boost L_p taking the rest four-momentum (m, 0, 0, 0) to p.
+    """Boosts L_p taking the rest four-momentum (m, 0, 0, 0) to p, for
+    four-momenta of shape (..., 4); shape (..., 4, 4).
 
     Column 0 equals p/m; note L_p = boost_from_velocity(-pvec/p^0): the two
     constructors use opposite sign conventions for the velocity argument.
     """
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return lorentz_matrix(_standard_boost_matrix(p4[0], p4[1:], m), proper=True)
+    return lorentz_matrix(_standard_boost_matrix(p4[..., 0], p4[..., 1:], m), proper=True)
 
 
 #: Metric in extended precision for the Wigner composition below.
@@ -87,8 +102,10 @@ _METRIC_LD = METRIC.astype(np.longdouble)
 
 def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
     """Wigner rotations R(L, p) = L_{Lp}^{-1} L L_p by direct matrix products,
-    for four-momenta p4 of shape (..., 4); a single four-momentum (shape (4,))
-    is the n = 1 case.
+    for transformations L of shape (..., 4, 4), four-momenta p4 of shape
+    (..., 4) and masses m (a scalar or (...)), broadcast against each other
+    over the leading axes; a single L and a single four-momentum is the
+    n = 1 case.
 
     Composing the three factors involves entries of order (p^0/m)^2 that
     cancel down to a rotation, so the products run in extended precision
@@ -103,8 +120,9 @@ def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray
     """
     Ld = np.asarray(L).astype(np.longdouble)
     p4d = np.asarray(p4).astype(np.longdouble)
-    md = np.longdouble(m)
-    Q = np.stack([p4d[..., 1:], (p4d @ Ld.T)[..., 1:]])
+    md = np.asarray(m, dtype=np.longdouble)
+    Lp = (Ld @ p4d[..., None])[..., 0]
+    Q = np.stack(np.broadcast_arrays(p4d[..., 1:], Lp[..., 1:]))
     q0 = np.sqrt(md * md + np.einsum("...i,...i->...", Q, Q))
     B_in, B_out = _standard_boost_matrix(q0, Q, md)
     R4 = np.asarray(_METRIC_LD @ B_out @ _METRIC_LD @ Ld @ B_in, dtype=float)
@@ -112,7 +130,8 @@ def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray
 
 
 def wigner_rotation_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarray:
-    """Closed-form Wigner rotation for a pure boost of velocity v acting on p.
+    """Closed-form Wigner rotations for pure boosts of velocities v3 (..., 3)
+    acting on four-momenta p4 (..., 4); shape (..., 3, 3).
 
     With a = m + p^0 and b = m + gamma (p^0 - v.p) (b is m plus the boosted
     energy), the rotation block is
@@ -126,15 +145,15 @@ def wigner_rotation_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarr
     v3 = np.asarray(v3, dtype=float)
     p4 = np.asarray(p4, dtype=float)
     m = check_mass(m)
-    g = lorentz_gamma(v3)
-    p0, pv = p4[0], p4[1:]
+    g, p0, pv = _mat(lorentz_gamma(v3)), _mat(p4[..., 0]), p4[..., 1:]
     a = m + p0
-    b = m + g * (p0 - v3 @ pv)
-    return (np.eye(3)
-            + ((1.0 - g) / (a * b)) * np.outer(pv, pv)
-            + (g * g * (m - p0) / (b * (1.0 + g))) * np.outer(v3, v3)
-            + (g / b) * np.outer(pv, v3)
-            + (g / b) * (2.0 * g * (v3 @ pv) / (a * (1.0 + g)) - 1.0) * np.outer(v3, pv))
+    vp = _mat(np.vecdot(v3, pv))
+    b = m + g * (p0 - vp)
+    return (_I3
+            + ((1.0 - g) / (a * b)) * _outer(pv, pv)
+            + (g * g * (m - p0) / (b * (1.0 + g))) * _outer(v3, v3)
+            + (g / b) * _outer(pv, v3)
+            + (g / b) * (2.0 * g * vp / (a * (1.0 + g)) - 1.0) * _outer(v3, pv))
 
 
 #: sigma_mu = (I, sigma_1, sigma_2, sigma_3), shape (4, 2, 2).
@@ -144,8 +163,9 @@ _LIFT = np.einsum("mab,xbc,ncd->mnxad", _SIGMA4, _SIGMA4, _SIGMA4).reshape(16, 1
 
 
 def _sl2c_lift(L: np.ndarray) -> np.ndarray:
-    """SL(2,C) element A with A X(x) A^+ = X(Lx), X(x) = x^mu sigma_mu, for a
-    proper orthochronous float matrix L (validated by the caller).
+    """SL(2,C) elements A with A X(x) A^+ = X(Lx), X(x) = x^mu sigma_mu, for
+    proper orthochronous float matrices L of shape (..., 4, 4) (validated by
+    the caller); shape (..., 2, 2).
 
     Each M_X = sum_{mu nu} L^mu_nu sigma_mu X sigma_nu equals 2 c A with
     c = tr(A^+ X), for X in (I, sigma_1, sigma_2, sigma_3).  M_I vanishes at
@@ -153,7 +173,10 @@ def _sl2c_lift(L: np.ndarray) -> np.ndarray:
     takes |c|^2 = tr(X M_X) / 2 and only the phase of c^2 = det(M_X) / 4: the
     determinant cancels down from entries of order gamma^2 to order gamma, so
     its modulus would carry a relative error of order gamma eps.  For L = I
-    every step is exact, so A(I) = I exactly.
+    every step is exact, so A(I) = I exactly.  The determinant, its modulus
+    and the division by it are written in real arithmetic, rounded as the
+    complex scalar operations are; complex array products would fuse
+    multiply-adds and round differently.
 
     Sign rule: with A = c0 I - i w.sigma, Re c0 > 0; at Re c0 = 0 (where
     Re w != 0, since c0^2 + w.w = 1) the first nonzero component of Re w is
@@ -161,33 +184,55 @@ def _sl2c_lift(L: np.ndarray) -> np.ndarray:
     w = sin(theta/2) n, so a half-turn lifts to -i n.sigma with the first
     nonzero component of n positive.
     """
-    M = (L.reshape(16) @ _LIFT).reshape(4, 2, 2)
-    k = np.abs(M).argmax() // 4
-    (a, b), (c, d) = M[k]
-    det = a * d - b * c
-    A = M[k] / np.sqrt(2.0 * np.trace(_SIGMA4[k] @ M[k]).real * det / abs(det))
-    (a, b), (c, d) = A
-    key = (a + d).real
-    if key == 0.0:
-        key = next(r for r in (-(b + c).imag, (c - b).real, (d - a).imag) if r != 0.0)
-    return -A if key < 0.0 else A
+    batch = L.shape[:-2]
+    M = (L.reshape(-1, 1, 16) @ _LIFT).reshape(-1, 4, 2, 2)
+    k = np.abs(M).reshape(-1, 16).argmax(axis=-1) // 4
+    Mk = M[np.arange(len(M)), k]
+    # (a d, b c) as real products, then det = a d - b c
+    parts = Mk.view(float).reshape(-1, 2, 2, 2)  # row, column, (re, im)
+    x, y = parts[:, 0], parts[:, 1, ::-1]  # (a, b) and (d, c)
+    re = x[..., 0] * y[..., 0] - x[..., 1] * y[..., 1]
+    im = x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]
+    det_re, det_im = re[:, 0] - re[:, 1], im[:, 0] - im[:, 1]
+    tr = _SIGMA4[k] @ Mk
+    scale = 2.0 * (tr[:, 0, 0].real + tr[:, 1, 1].real)
+    inv_abs = 1.0 / np.hypot(det_re, det_im)
+    c2 = np.empty(len(M), dtype=complex)
+    c2.real, c2.imag = scale * det_re * inv_abs, scale * det_im * inv_abs
+    A = Mk / np.sqrt(c2)[:, None, None]
+    key = A[:, 0, 0].real + A[:, 1, 1].real
+    if not key.all():
+        a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+        for tie in (-(b + c).imag, (c - b).real, (d - a).imag):
+            key = np.where(key == 0.0, tie, key)
+    np.negative(A, out=A, where=(key < 0.0)[:, None, None])
+    return A.reshape(batch + (2, 2))
 
 
 def su2_from_so3(R3: np.ndarray) -> np.ndarray:
-    """SU(2) element D covering the rotation R, with D (sigma.a) D^+ = (R a).sigma.
+    """SU(2) elements D covering rotations R of shape (..., 3, 3), with
+    D (sigma.a) D^+ = (R a).sigma; shape (..., 2, 2).
 
     D is the closed-form lift of diag(1, R), so tr D >= 0, and a half-turn
     about n lifts to -i n.sigma with the first nonzero component of n
-    positive (see `_sl2c_lift`).
+    positive (see `_sl2c_lift`).  A matrix that is not a proper rotation to
+    1e-10 is refused, naming the first such sample of a stack.
     """
     R3 = np.asarray(R3, dtype=float)
-    if R3.shape != (3, 3):
+    if R3.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must have shape (3, 3), got {R3.shape}")
-    if np.abs(R3.T @ R3 - np.eye(3)).max() >= 1e-10 or np.linalg.det(R3) <= 0.0:
-        raise ValueError("matrix is not a proper rotation")
-    L = np.eye(4)
-    L[1:, 1:] = R3
-    return _sl2c_lift(L)
+    bad = ((np.abs(np.swapaxes(R3, -1, -2) @ R3 - _I3).max(axis=(-2, -1)) >= 1e-10)
+           | (np.linalg.det(R3) <= 0.0))
+    refuse_first((bad, lambda i: "matrix is not a proper rotation"))
+    return _sl2c_lift(_rotation4(R3))
+
+
+def _rotation4(R3: np.ndarray) -> np.ndarray:
+    """diag(1, R) for rotations R of shape (..., 3, 3)."""
+    L = np.zeros(R3.shape[:-2] + (4, 4))
+    L[..., 0, 0] = 1.0
+    L[..., 1:, 1:] = R3
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -263,48 +308,104 @@ def bispinor_from_params(omega: np.ndarray) -> np.ndarray:
 
 
 def bispinor_rep(L: np.ndarray) -> np.ndarray:
-    """Finite bispinor transformation S(L) = diag(A, (A^+)^{-1}) for proper
-    orthochronous L, with A the closed-form SL(2,C) lift of L.
+    """Finite bispinor transformations S(L) = diag(A, (A^+)^{-1}) for proper
+    orthochronous L of shape (..., 4, 4), with A the closed-form SL(2,C) lift
+    of L; shape (..., 4, 4).
 
     The branch follows the lift's sign rule (Re tr A >= 0), so S(I) = +I.
     The inverse satisfies S^{-1} = gamma^0 S^+ gamma^0.
     """
     A = _sl2c_lift(lorentz_matrix(L, proper=True))
-    (a, b), (c, d) = A
-    return np.block([[A, _Z2], [_Z2, np.array([[d, -c], [-b, a]]).conj()]])
+    S = np.zeros(A.shape[:-2] + (4, 4), dtype=complex)
+    S[..., :2, :2] = A
+    # (A^+)^{-1} = conj([[d, -c], [-b, a]]) since det A = 1
+    S[..., 2, 2], S[..., 3, 3] = A[..., 1, 1].conj(), A[..., 0, 0].conj()
+    S[..., 2, 3], S[..., 3, 2] = -A[..., 1, 0].conj(), -A[..., 0, 1].conj()
+    return S
 
 
 def bispinor_inverse(S: np.ndarray) -> np.ndarray:
-    """Inverse of a bispinor transformation via S^{-1} = gamma^0 S^+ gamma^0."""
-    return GAMMA0 @ np.asarray(S).conj().T @ GAMMA0
+    """Inverses of bispinor transformations (..., 4, 4) via S^{-1} = gamma^0 S^+ gamma^0."""
+    return GAMMA0 @ np.swapaxes(np.asarray(S).conj(), -1, -2) @ GAMMA0
+
+
+# ---------------------------------------------------------------------------
+# Random samples.  Each sampler is a raw draw, taking its random numbers from
+# the generator in a fixed order, and a batch-first builder of the sample
+# from those numbers; a sweep draws sample after sample and builds them all
+# at once, which keeps every stream as the one-at-a-time samplers leave it.
+# ---------------------------------------------------------------------------
+
+def draw_ball(rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """Raw draw of a point uniform in the unit ball: a normal 3-vector (its
+    direction) and the radius, uniform()^(1/3) rounded as a Python float."""
+    return rng.normal(size=3), rng.uniform() ** (1.0 / 3.0)
+
+
+def draw_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Raw draw of a Haar-random rotation: a normal 4-vector (its quaternion),
+    as scipy's Rotation.random takes it."""
+    return rng.normal(size=4)
+
+
+def draw_lorentz(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """Raw draw of a `random_lorentz` sample: rotation, then velocity."""
+    return (draw_rotation(rng), *draw_ball(rng))
+
+
+def _ball_points(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Points r u/|u| from directions u (..., 3) and radii r (...)."""
+    u = np.asarray(u, dtype=float)
+    return np.asarray(r)[..., None] * (u / np.sqrt(np.vecdot(u, u))[..., None])
+
+
+def momenta_from_draws(u: np.ndarray, c: np.ndarray, m: float, pmax_over_m: float) -> np.ndarray:
+    """On-shell four-momenta (..., 4) from `draw_ball` draws, with
+    pvec = m pmax_over_m c u/|u|."""
+    return on_shell(m, _ball_points(u, m * (pmax_over_m * np.asarray(c))))
+
+
+def velocities_from_draws(u: np.ndarray, c: np.ndarray, vmax: float) -> np.ndarray:
+    """Velocities (..., 3) from `draw_ball` draws, v = vmax c u/|u|."""
+    return _ball_points(u, vmax * np.asarray(c))
+
+
+def rotations_from_draws(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) from `draw_rotation` draws."""
+    from scipy.spatial.transform import Rotation
+
+    q = np.asarray(q, dtype=float)
+    return Rotation.from_quat(q.reshape(-1, 4)).as_matrix().reshape(q.shape[:-1] + (3, 3))
+
+
+def lorentz_from_draws(q: np.ndarray, u: np.ndarray, c: np.ndarray, vmax: float) -> np.ndarray:
+    """Transformations boost x rotation (..., 4, 4) from `draw_lorentz` draws."""
+    R = _rotation4(rotations_from_draws(q))
+    return boost_from_velocity(velocities_from_draws(u, c, vmax)) @ R
+
+
+def _check_vmax(vmax: float) -> None:
+    if not 0.0 < vmax <= VMAX_HARD:
+        raise ValueError(f"vmax must lie in (0, {VMAX_HARD}], got {vmax}")
 
 
 def random_momentum(rng: np.random.Generator, m: float, pmax_over_m: float = 10.0) -> np.ndarray:
     """On-shell four-momentum with pvec = m u, u uniform in the ball |u| <= pmax_over_m."""
-    u = rng.normal(size=3)
-    u /= np.linalg.norm(u)
-    r = pmax_over_m * rng.uniform() ** (1.0 / 3.0)
-    return on_shell(m, m * r * u)
+    return momenta_from_draws(*draw_ball(rng), m, pmax_over_m)
 
 
 def random_velocity(rng: np.random.Generator, vmax: float = 0.99) -> np.ndarray:
     """Velocity uniform in the ball |v| <= vmax (vmax capped at 0.999999)."""
-    if not 0.0 < vmax <= VMAX_HARD:
-        raise ValueError(f"vmax must lie in (0, {VMAX_HARD}], got {vmax}")
-    u = rng.normal(size=3)
-    u /= np.linalg.norm(u)
-    return vmax * rng.uniform() ** (1.0 / 3.0) * u
+    _check_vmax(vmax)
+    return velocities_from_draws(*draw_ball(rng), vmax)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Haar-random rotation matrix."""
-    from scipy.spatial.transform import Rotation
-
-    return Rotation.random(rng=rng).as_matrix()
+    return rotations_from_draws(draw_rotation(rng))
 
 
 def random_lorentz(rng: np.random.Generator, vmax: float = 0.99) -> np.ndarray:
     """Random proper orthochronous transformation, sampled as boost x rotation."""
-    L = np.eye(4)
-    L[1:, 1:] = random_rotation(rng)
-    return boost_from_velocity(random_velocity(rng, vmax)) @ L
+    _check_vmax(vmax)
+    return lorentz_from_draws(*draw_lorentz(rng), vmax)

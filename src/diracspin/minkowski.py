@@ -4,19 +4,59 @@ Conventions used throughout the package: metric g = diag(1, -1, -1, -1),
 natural units (hbar = c = 1), totally antisymmetric symbol fixed by
 eps^{0123} = +1.  Four-vectors are plain numpy arrays of shape (4,)
 ordered (t, x, y, z); spatial vectors are arrays of shape (3,).
+
+Kernels are batch-first: leading axes are sample axes, and a single input
+is the case with none.  A validator that refuses part of a batch raises
+`SampleRefused` naming the first refused sample.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 #: Metric tensor g_{mu nu} = diag(1, -1, -1, -1).
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
-def check_energy_sign(eps: int) -> int:
-    """Validate an energy-sign label, returning it as a plain int (+1 or -1)."""
-    if eps not in (1, -1):
-        raise ValueError(f"energy sign must be +1 or -1, got {eps!r}")
-    return int(eps)
+
+class SampleRefused(ValueError):
+    """A validator refused an input; `index` is the first refused sample,
+    counted in C order over the batch axes (0 for a single input)."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
+
+
+def refuse_first(*checks: tuple[np.ndarray, Callable[[int], str]]) -> None:
+    """Raise `SampleRefused` at the first sample that fails any check.
+
+    Each check is (bad, message): bad holds one flag per sample (a single
+    flag for a single input), and message(i) gives the text for sample i.
+    The text is that of the first check the sample fails; a batch adds the
+    sample index to it.
+    """
+    flags = [np.asarray(bad) for bad, _ in checks]
+    if not any(f.any() for f in flags):
+        return
+    batched = any(f.ndim for f in flags)
+    table = np.stack(np.broadcast_arrays(*flags)).reshape(len(checks), -1)
+    i = int(np.argmax(table.any(axis=0)))
+    j = int(np.argmax(table[:, i]))
+    raise SampleRefused(checks[j][1](i) + (f" (sample {i})" if batched else ""), i)
+
+
+def check_energy_sign(eps):
+    """Validate an energy-sign label, returning it as a plain int (+1 or -1);
+    an array of labels, one per sample, is returned as an int array."""
+    if np.ndim(eps) == 0:
+        if eps not in (1, -1):
+            raise ValueError(f"energy sign must be +1 or -1, got {eps!r}")
+        return int(eps)
+    eps = np.asarray(eps)
+    refuse_first(((eps != 1) & (eps != -1),
+                  lambda i: f"energy sign must be +1 or -1, got {eps.reshape(-1)[i]!r}"))
+    return eps.astype(int)
 
 
 def check_mass(m: float) -> float:
@@ -25,6 +65,19 @@ def check_mass(m: float) -> float:
     if not np.isfinite(m) or m <= 0.0:
         raise ValueError(f"mass must be positive and finite, got {m!r}")
     return m
+
+
+def max_entry(X: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each matrix of a (..., a, b) stack; NaN propagates."""
+    return np.abs(X).max(axis=(-2, -1))
+
+
+def libm_square(x) -> np.ndarray:
+    """x ** 2 for each entry, rounded as a float scalar's x ** 2 is (by the C
+    library's pow).  numpy's array power multiplies x * x instead, which
+    rounds differently in about one case in a thousand."""
+    x = np.asarray(x, dtype=float)
+    return np.array([v ** 2 for v in x.reshape(-1).tolist()]).reshape(x.shape)
 
 
 def four_vector(t: float, x: float, y: float, z: float) -> np.ndarray:
@@ -40,48 +93,52 @@ def minkowski_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def on_shell(m: float, p3: np.ndarray) -> np.ndarray:
-    """Lift a spatial momentum onto the mass-m shell: (omega(p), pvec).
+    """Lift spatial momenta (..., 3) onto the mass-m shell: (omega(p), pvec),
+    shape (..., 4).
 
     omega(p) = sqrt(|pvec|^2 + m^2) is always the positive root; the
     energy sign of a state lives in a separate label, never in p^0.
     """
     m = check_mass(m)
     p3 = np.asarray(p3, dtype=float)
-    if p3.shape != (3,):
+    if p3.shape[-1:] != (3,):
         raise ValueError(f"spatial momentum must have shape (3,), got {p3.shape}")
-    return np.concatenate(([np.sqrt(m * m + p3 @ p3)], p3))
+    p0 = np.sqrt(m * m + np.vecdot(p3, p3))
+    return np.concatenate([p0[..., None], p3], axis=-1)
 
 
 def spatial(p4: np.ndarray) -> np.ndarray:
     """Spatial part of a four-vector."""
-    return np.asarray(p4, dtype=float)[1:]
+    return np.asarray(p4, dtype=float)[..., 1:]
 
 
 def parity_flip(p4: np.ndarray) -> np.ndarray:
-    """Space inversion of a four-vector: (p^0, -pvec)."""
+    """Space inversion of four-vectors (..., 4): (p^0, -pvec)."""
     p4 = np.asarray(p4, dtype=float)
-    return np.concatenate(([p4[0]], -p4[1:]))
+    return np.concatenate([p4[..., :1], -p4[..., 1:]], axis=-1)
 
 
 def lorentz_residual(L: np.ndarray) -> float:
-    """Max-entry residual of the defining relation L^T g L = g."""
+    """Max-entry residual of the defining relation L^T g L = g, per matrix
+    of a (..., 4, 4) stack."""
     L = np.asarray(L, dtype=float)
-    return float(np.abs(L.T @ METRIC @ L - METRIC).max())
+    return np.abs(np.swapaxes(L, -1, -2) @ METRIC @ L - METRIC).max(axis=(-2, -1))
 
 
 def is_proper_orthochronous(L: np.ndarray) -> bool:
-    """Check det L > 0 and L^0_0 > 0.
+    """Check det L > 0 and L^0_0 > 0, per matrix of a (..., 4, 4) stack.
 
     Meaningful for matrices that already preserve the metric (which forces
     |det| = 1 and |L^0_0| >= 1), so plain sign checks stay reliable even for
     extreme boosts where a rounded determinant misses +-1 by a wide margin.
     """
     L = np.asarray(L, dtype=float)
-    return bool(np.linalg.det(L) > 0.0 and L[0, 0] > 0.0)
+    return (np.linalg.det(L) > 0.0) & (L[..., 0, 0] > 0.0)
 
 
 def lorentz_matrix(L: np.ndarray, tol: float = 1e-10, proper: bool = False) -> np.ndarray:
-    """Validate a 4x4 Lorentz matrix (L^T g L = g) and return it.
+    """Validate a 4x4 Lorentz matrix (L^T g L = g), or a (..., 4, 4) stack of
+    them, and return it.
 
     The metric defect is compared against tol scaled by the squared entry
     magnitude, since rounding alone produces a defect of that order in
@@ -90,15 +147,16 @@ def lorentz_matrix(L: np.ndarray, tol: float = 1e-10, proper: bool = False) -> n
     matrix pass only the metric check.
     """
     L = np.asarray(L, dtype=float)
-    if L.shape != (4, 4):
+    if L.shape[-2:] != (4, 4):
         raise ValueError(f"Lorentz matrix must have shape (4, 4), got {L.shape}")
-    scale = max(1.0, float(np.abs(L).max()) ** 2)
+    scale = np.maximum(1.0, libm_square(np.abs(L).max(axis=(-2, -1))))
     r = lorentz_residual(L)
-    if r >= tol * scale:
-        raise ValueError(
-            f"matrix does not preserve the metric: residual {r:.3e} >= {tol:.1e} * {scale:.3g}")
-    if proper and not is_proper_orthochronous(L):
-        raise ValueError("matrix is not proper orthochronous")
+    checks = [(r >= tol * scale, lambda i: (f"matrix does not preserve the metric: residual "
+                                            f"{r.reshape(-1)[i]:.3e} >= {tol:.1e} * "
+                                            f"{scale.reshape(-1)[i]:.3g}"))]
+    if proper:
+        checks.append((~is_proper_orthochronous(L), lambda i: "matrix is not proper orthochronous"))
+    refuse_first(*checks)
     return L
 
 

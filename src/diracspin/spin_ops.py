@@ -18,8 +18,8 @@ import numpy as np
 
 from .amplitudes import amplitude, dirac_bar
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI_T
-from .lorentz import lorentz_gamma, wigner_rotation_closed
-from .minkowski import check_energy_sign, check_mass
+from .lorentz import _mat, lorentz_gamma, wigner_rotation_closed
+from .minkowski import check_energy_sign, check_mass, max_entry
 
 _EYE2 = np.eye(2, dtype=complex)
 _EYE4 = np.eye(4, dtype=complex)
@@ -31,7 +31,8 @@ def column_action(M: np.ndarray) -> np.ndarray:
 
 
 def pl_covariant(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
-    """Pauli-Lubanski component W^mu on the covariant basis:
+    """Pauli-Lubanski component W^mu on the covariant basis, for four-momenta
+    (..., 4); shape (..., 4, 4):
 
         W^mu -> -(eps/2) (eps m gamma^mu + p^mu I) gamma^5.
 
@@ -41,11 +42,12 @@ def pl_covariant(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     eps = check_energy_sign(eps)
     check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return -(eps / 2.0) * (eps * m * GAMMA[mu] + p4[mu] * _EYE4) @ GAMMA5
+    return -(eps / 2.0) * (eps * m * GAMMA[mu] + _mat(p4[..., mu]) * _EYE4) @ GAMMA5
 
 
 def pl_spin(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
-    """Pauli-Lubanski component W^mu on the spin basis:
+    """Pauli-Lubanski component W^mu on the spin basis, for four-momenta
+    (..., 4); shape (..., 2, 2):
 
         W^0 -> (eps/2) pvec.sigma^T
         W^k -> (eps/2) (m sigma^T_k + p_k (pvec.sigma^T)/(m + p^0)),
@@ -56,17 +58,21 @@ def pl_spin(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    p0, pv = p4[0], p4[1:]
-    pst = np.einsum("i,iab->ab", pv, PAULI_T)
+    p0, pv = p4[..., 0], p4[..., 1:]
+    pst = np.einsum("...i,iab->...ab", pv, PAULI_T)
     if mu == 0:
         return (eps / 2.0) * pst
     k = mu - 1
-    return (eps / 2.0) * (m * PAULI_T[k] + pv[k] * pst / (m + p0))
+    return (eps / 2.0) * (m * PAULI_T[k] + _mat(pv[..., k]) * pst / _mat(m + p0))
 
 
 def spin_matrix(i: int) -> np.ndarray:
     """Spin component S_i on the spin basis: sigma^T_i / 2, independent of p and eps."""
     return PAULI_T[i] / 2.0
+
+
+#: The spin triple (S_1, S_2, S_3), shape (3, 2, 2).
+_SPIN = PAULI_T / 2.0
 
 
 def spin_from_pl(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -75,28 +81,28 @@ def spin_from_pl(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
         S_i = (1/m) (eps W_i - eps W^0 p_i / (p^0 + m)),
 
     using the shell eigenvalues P -> eps p (so E P^0 -> p^0 and
-    E Wvec -> eps Wvec).  Returns shape (3, 2, 2); equals sigma^T/2 for
-    both energy signs.
+    E Wvec -> eps Wvec).  Returns shape (..., 3, 2, 2) for four-momenta
+    (..., 4); equals sigma^T/2 for both energy signs.
     """
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
     w0 = pl_spin(0, eps, p4, m)
-    out = np.empty((3, 2, 2), dtype=complex)
-    for i in range(3):
-        out[i] = (eps * pl_spin(i + 1, eps, p4, m) - eps * w0 * p4[i + 1] / (p4[0] + m)) / m
-    return out
+    return np.stack([(eps * pl_spin(i + 1, eps, p4, m)
+                      - eps * w0 * _mat(p4[..., i + 1]) / _mat(p4[..., 0] + m)) / m
+                     for i in range(3)], axis=-3)
 
 
 def casimir_spin(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
-    """Spin-basis matrix of -W.W/m^2; equals s(s+1) I = (3/4) I."""
+    """Spin-basis matrix of -W.W/m^2, shape (..., 2, 2); equals s(s+1) I = (3/4) I."""
     check_mass(m)
     w = [pl_spin(mu, eps, p4, m) for mu in range(4)]
     return -(w[0] @ w[0] - sum(wk @ wk for wk in w[1:])) / (m * m)
 
 
 def spin_covariant(i: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
-    """Spin component S_i on the covariant basis,
+    """Spin component S_i on the covariant basis, for four-momenta (..., 4);
+    shape (..., 4, 4),
 
         S_i -> -(eps/2) (gamma^i + eps p_i (I - eps gamma^0)/(p^0 + m)) gamma^5,
 
@@ -107,31 +113,34 @@ def spin_covariant(i: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return -(eps / 2.0) * (GAMMA[i + 1] + eps * p4[i + 1] * (_EYE4 - eps * GAMMA0) / (p4[0] + m)) @ GAMMA5
+    return -(eps / 2.0) * (GAMMA[i + 1] + eps * _mat(p4[..., i + 1]) * (_EYE4 - eps * GAMMA0)
+                           / _mat(p4[..., 0] + m)) @ GAMMA5
 
 
 def hamiltonian_covariant(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
-    """Free Dirac Hamiltonian on the covariant basis, H = gamma^0 (eps pvec.gammavec + m I).
+    """Free Dirac Hamiltonian on the covariant basis, H = gamma^0 (eps pvec.gammavec + m I),
+    for four-momenta (..., 4); shape (..., 4, 4).
 
     Squares to (p^0)^2 I.
     """
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return GAMMA0 @ (eps * np.einsum("i,iab->ab", p4[1:], GAMMA[1:]) + m * _EYE4)
+    return GAMMA0 @ (eps * np.einsum("...i,iab->...ab", p4[..., 1:], GAMMA[1:]) + m * _EYE4)
 
 
 def fw_residual(eps: int, p4: np.ndarray, m: float) -> float:
     """Foldy-Wouthuysen diagonalization check: max entry of
-    eps vbar H v - eps p^0 I, which vanishes identically."""
+    eps vbar H v - eps p^0 I, which vanishes identically; per four-momentum."""
     v = amplitude(eps, p4, m)
     h = hamiltonian_covariant(eps, p4, m)
     p4 = np.asarray(p4, dtype=float)
-    return float(np.abs(eps * dirac_bar(v) @ h @ v - eps * p4[0] * _EYE2).max())
+    return max_entry(eps * dirac_bar(v) @ h @ v - eps * _mat(p4[..., 0]) * _EYE2)
 
 
 def spin_transform_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarray:
-    """Spin matrices seen from a frame boosted with velocity v, closed form.
+    """Spin matrices seen from a frame boosted with velocity v, closed form,
+    for velocities (..., 3) and four-momenta (..., 4).
 
     With gamma the Lorentz factor of v, a = m + p^0, and
     b = m + gamma (p^0 - v.p):
@@ -142,27 +151,26 @@ def spin_transform_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarra
 
     evaluated on the positive-energy shell with the S_i of spin_matrix.
     Componentwise equal to applying the closed-form Wigner rotation to the
-    spin triple.  Returns shape (3, 2, 2).
+    spin triple.  Returns shape (..., 3, 2, 2).
     """
     v3 = np.asarray(v3, dtype=float)
     p4 = np.asarray(p4, dtype=float)
     m = check_mass(m)
-    g = lorentz_gamma(v3)
-    p0, pv = p4[0], p4[1:]
+    g, p0, pv = _mat(lorentz_gamma(v3)), _mat(p4[..., 0]), p4[..., 1:]
     a = m + p0
-    b = m + g * (p0 - v3 @ pv)
-    s = np.stack([spin_matrix(i) for i in range(3)])
-    p_dot_s = np.einsum("i,iab->ab", pv, s)
-    v_dot_s = np.einsum("i,iab->ab", v3, s)
+    vp = _mat(np.vecdot(v3, pv))
+    b = m + g * (p0 - vp)
+    p_dot_s = np.einsum("...i,iab->...ab", pv, _SPIN)
+    v_dot_s = np.einsum("...i,iab->...ab", v3, _SPIN)
     p_term = ((1.0 - g) * p_dot_s + g * (m + p0) * v_dot_s) / (a * b)
     v_term = (g / b) * (g * (m - p0) * v_dot_s / (1.0 + g)
-                        + 2.0 * g * (v3 @ pv) * p_dot_s / (a * (1.0 + g))
+                        + 2.0 * g * vp * p_dot_s / (a * (1.0 + g))
                         - p_dot_s)
-    return s + np.einsum("i,ab->iab", pv, p_term) + np.einsum("i,ab->iab", v3, v_term)
+    return _SPIN + _mat(pv) * p_term[..., None, :, :] + _mat(v3) * v_term[..., None, :, :]
 
 
 def spin_transform_wigner(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarray:
-    """Spin matrices transformed by rotating the triple with R(v, p)."""
+    """Spin matrices transformed by rotating the triple with R(v, p), for
+    velocities (..., 3) and four-momenta (..., 4); shape (..., 3, 2, 2)."""
     R = wigner_rotation_closed(v3, p4, m)
-    s = np.stack([spin_matrix(i) for i in range(3)])
-    return np.einsum("ij,jab->iab", R, s)
+    return np.einsum("...ij,jab->...iab", R, _SPIN)

@@ -31,7 +31,8 @@ import sympy as sp
 from .amplitudes import amplitude, amplitude_batch
 from .clifford import GAMMA, GAMMA0, PAULI
 from .lorentz import bispinor_rep, wigner_rotation
-from .minkowski import METRIC, check_energy_sign, check_mass, lorentz_matrix
+from .minkowski import (METRIC, check_energy_sign, check_mass, libm_square, lorentz_matrix,
+                        refuse_first)
 
 #: Momentum symbols used by all symbolic profiles.
 P = sp.symbols("p1 p2 p3", real=True)
@@ -460,7 +461,9 @@ def momentum_apply_sampled(s: SampledWaveFunction, j: int) -> SampledWaveFunctio
 @dataclass(frozen=True)
 class DensityState:
     """Positive-energy state sharp at four-momentum q with Bloch vector xi,
-    rho = (I + xi.sigma)/2 on the spin indices."""
+    rho = (I + xi.sigma)/2 on the spin indices.  q4 (..., 4) and xi (..., 3)
+    may also hold a stack of states, one per sample; a refused sample is
+    named by its index."""
 
     q4: np.ndarray
     xi: np.ndarray
@@ -468,23 +471,24 @@ class DensityState:
     def __post_init__(self):
         q4 = np.asarray(self.q4, dtype=float)
         xi = np.asarray(self.xi, dtype=float)
-        if q4.shape != (4,) or xi.shape != (3,):
+        if q4.shape[-1:] != (4,) or xi.shape[-1:] != (3,) or q4.shape[:-1] != xi.shape[:-1]:
             raise ValueError("DensityState needs a four-momentum and a 3-vector")
-        if q4[0] <= 0:
-            raise ValueError("DensityState requires positive energy")
-        if q4[0] ** 2 - q4[1:] @ q4[1:] <= 0:
-            raise ValueError("four-momentum must be timelike")
-        if np.linalg.norm(xi) > 1.0 + 1e-12:
-            raise ValueError(f"Bloch vector must satisfy |xi| <= 1, got {np.linalg.norm(xi)}")
+        q0 = q4[..., 0]
+        length = np.sqrt(np.vecdot(xi, xi))
+        refuse_first((q0 <= 0, lambda i: "DensityState requires positive energy"),
+                     (libm_square(q0) - np.vecdot(q4[..., 1:], q4[..., 1:]) <= 0,
+                      lambda i: "four-momentum must be timelike"),
+                     (length > 1.0 + 1e-12,
+                      lambda i: f"Bloch vector must satisfy |xi| <= 1, got {length.reshape(-1)[i]}"))
         object.__setattr__(self, "q4", q4)
         object.__setattr__(self, "xi", xi)
 
     @property
     def mass(self) -> float:
-        return float(np.sqrt(self.q4[0] ** 2 - self.q4[1:] @ self.q4[1:]))
+        return np.sqrt(libm_square(self.q4[..., 0]) - np.vecdot(self.q4[..., 1:], self.q4[..., 1:]))
 
     def density_matrix(self) -> np.ndarray:
-        return (np.eye(2, dtype=complex) + np.einsum("i,iab->ab", self.xi, PAULI)) / 2.0
+        return (np.eye(2, dtype=complex) + np.einsum("...i,iab->...ab", self.xi, PAULI)) / 2.0
 
 
 def spin_expectations(s: DensityState) -> dict[str, np.ndarray]:
@@ -507,11 +511,12 @@ def spin_expectations(s: DensityState) -> dict[str, np.ndarray]:
 
 
 def bloch_transform(s: DensityState, L: np.ndarray) -> DensityState:
-    """Transport a sharp Bloch state: q -> Lq and xi -> R(L, q) xi.
+    """Transport sharp Bloch states: q -> Lq and xi -> R(L, q) xi, for one L
+    or a stack of them matching a stack of states.
 
     The Bloch vector rotates with the Wigner rotation, so its length is
     preserved; equivalently rho -> D rho D^+ with D the SU(2) lift.
     """
     L = lorentz_matrix(L, proper=True)
     R3, _ = wigner_rotation(L, s.q4, s.mass)
-    return DensityState(q4=L @ s.q4, xi=R3 @ s.xi)
+    return DensityState(q4=(L @ s.q4[..., None])[..., 0], xi=(R3 @ s.xi[..., None])[..., 0])

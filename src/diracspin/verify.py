@@ -7,6 +7,19 @@ report byte for byte.  Residuals are max-norm deviations of the checked
 relation; an identity passes when its worst sample stays below tolerance.
 The reduction propagates NaN, so a NaN or inf residual fails its identity.
 
+An identity is a list of sample kinds and an evaluator.  The sweep draws the
+samples of a chunk (at most `CHUNK` of them) one after another in a Python
+loop, each sample taking its random numbers in a fixed order (the order the
+one-at-a-time samplers in `lorentz` use), then builds every kind of the chunk
+in one batched call and evaluates the identity once over the whole chunk,
+one residual per sample.  Chunking keeps peak memory independent of the
+sample count.  A kernel that refuses a sample (say a Wigner rotation too far
+from orthogonal to lift at high rapidity) raises `SampleRefused` with the
+index of the first refused sample; the samples before it are evaluated again
+(a later kernel may refuse an earlier sample), the refused sample gets a NaN
+residual and the run ends there, so `samples` counts the samples up to and
+including the first refused one.
+
 Reports serialize to JSON (canonical; floats printed with 17 significant
 digits by a small writer that keeps key order fixed) or CSV (one line per
 identity); a non-finite worst residual is written as null (JSON) or nan (CSV).
@@ -14,7 +27,7 @@ identity); a non-finite worst residual is written as null (JSON) or nan (CSV).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,9 +37,10 @@ from .amplitudes import (amplitude, dirac_bar, dirac_residual, orthogonality_res
                          weinberg_residual)
 from .clifford import GAMMA, GAMMA5, PAULI, energy_projector
 from .lorentz import (VMAX_HARD, bispinor_inverse, bispinor_rep, boost_from_velocity,
-                      random_lorentz, random_momentum, random_rotation, random_velocity,
-                      standard_boost, su2_from_so3, wigner_rotation, wigner_rotation_closed)
-from .minkowski import METRIC, check_mass
+                      draw_ball, draw_lorentz, draw_rotation, lorentz_from_draws,
+                      momenta_from_draws, rotations_from_draws, standard_boost, su2_from_so3,
+                      velocities_from_draws, wigner_rotation, wigner_rotation_closed)
+from .minkowski import METRIC, SampleRefused, check_mass, libm_square, max_entry
 from .spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant, pl_covariant,
                        pl_spin, spin_covariant, spin_from_pl, spin_matrix,
                        spin_transform_closed, spin_transform_wigner)
@@ -36,6 +50,9 @@ from .states import DensityState, bloch_transform
 #: speed 1/2 along y (unit mass); pinned from an independent high-precision
 #: evaluation of arctan of the rotation matrix entries.
 PERPENDICULAR_WIGNER_ANGLE = 0.14334756890536535
+
+#: Samples drawn and evaluated per batch.
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -85,219 +102,217 @@ class IdentityResult:
     passed: bool
 
 
-def _rand_p4(cfg: RunConfig, rng) -> np.ndarray:
-    return random_momentum(rng, cfg.mass, cfg.pmax_over_m)
+# --- sample kinds: (raw draw, batched builder) ------------------------------
+# A raw draw takes one sample's random numbers from the generator and returns
+# them as a tuple; the builder gets the config and one array per tuple entry,
+# stacked over the chunk's samples.
+
+_MOMENTUM = (draw_ball, lambda cfg, u, c: momenta_from_draws(u, c, cfg.mass, cfg.pmax_over_m))
+_VELOCITY = (draw_ball, lambda cfg, u, c: velocities_from_draws(u, c, cfg.vmax))
+_LORENTZ = (draw_lorentz, lambda cfg, q, u, c: lorentz_from_draws(q, u, c, cfg.vmax))
+_ROTATION = (lambda rng: (draw_rotation(rng),), lambda cfg, q: rotations_from_draws(q))
+#: Energy sign +-1; rng.integers(0, 2) takes the same numbers as rng.choice((-1, 1)).
+_SIGN = (lambda rng: (rng.integers(0, 2),), lambda cfg, k: 2 * k - 1)
+#: Bloch vector: length uniform in [0, 1], direction uniform.
+_BLOCH = (lambda rng: (rng.normal(size=3), rng.uniform(0.0, 1.0)),
+          lambda cfg, u, c: c[:, None] * u / np.sqrt(np.vecdot(u, u))[:, None])
 
 
-def _rand_eps(rng) -> int:
-    return int(rng.choice((-1, 1)))
+def _draw(cfg: RunConfig, rng, n: int, kinds) -> tuple:
+    """n samples of the given kinds, drawn sample by sample, built per kind."""
+    rows = [[raw(rng) for raw, _ in kinds] for _ in range(n)]
+    built = []
+    for j, (_, build) in enumerate(kinds):
+        columns = zip(*(row[j] for row in rows))  # one per entry of the raw tuple
+        built.append(build(cfg, *map(np.array, columns)))
+    return tuple(built)
 
 
-def _worst(residuals: list) -> float:
-    """Largest residual, NaN if any is NaN (the builtin max drops a NaN that
-    is not its first argument)."""
-    return float(np.max(residuals))
+def _worst(residuals: list) -> np.ndarray:
+    """Per-sample worst of several residual arrays, NaN if any is NaN."""
+    return np.max(np.stack(residuals), axis=0)
 
 
-# --- identity runners: (cfg, rng) -> one residual per sample ---------------
+# --- identity evaluators: (cfg, *samples) -> one residual per sample -------
 
-def _momenta(cfg, rng, residual):
-    """One momentum per sample, yielding residual(p4, m)."""
-    for _ in range(cfg.samples):
-        yield residual(_rand_p4(cfg, rng), cfg.mass)
-
-
-def _shells(cfg, rng, residual):
-    """One momentum per sample, yielding the worse shell of residual(eps, p4, m)."""
-    return _momenta(cfg, rng, lambda p4, m: _worst([residual(e, p4, m) for e in (1, -1)]))
+def _shells(cfg, p4, residual):
+    """Worse shell of residual(eps, p4, m) per momentum."""
+    return np.maximum(residual(1, p4, cfg.mass), residual(-1, p4, cfg.mass))
 
 
-def _clifford_anticommutation(cfg, rng):
-    yield _worst([np.abs(GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
-                         - 2.0 * METRIC[mu, nu] * np.eye(4)).max()
-                  for mu in range(4) for nu in range(4)])
+def _clifford_anticommutation(cfg):
+    return np.max([max_entry(GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
+                             - 2.0 * METRIC[mu, nu] * np.eye(4))
+                   for mu in range(4) for nu in range(4)], keepdims=True)
 
 
-def _clifford_gamma5(cfg, rng):
-    yield _worst([np.abs(GAMMA5 @ GAMMA5 - np.eye(4)).max(),
-                  np.abs(GAMMA5 - 1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]).max(),
-                  np.abs(GAMMA5.conj().T - GAMMA5).max(),
-                  *(np.abs(GAMMA5 @ GAMMA[mu] + GAMMA[mu] @ GAMMA5).max() for mu in range(4))])
+def _clifford_gamma5(cfg):
+    return np.max([max_entry(GAMMA5 @ GAMMA5 - np.eye(4)),
+                   max_entry(GAMMA5 - 1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]),
+                   max_entry(GAMMA5.conj().T - GAMMA5),
+                   *(max_entry(GAMMA5 @ GAMMA[mu] + GAMMA[mu] @ GAMMA5) for mu in range(4))],
+                  keepdims=True)
 
 
 def _energy_projector(p4, m):
     plus = energy_projector(1, p4, m)
     minus = energy_projector(-1, p4, m)
-    return _worst([np.abs(plus @ plus - plus).max(), np.abs(plus + minus - np.eye(4)).max(),
-                   np.abs(plus @ minus).max(), abs(np.trace(plus).real - 2.0)])
+    return _worst([max_entry(plus @ plus - plus), max_entry(plus + minus - np.eye(4)),
+                   max_entry(plus @ minus),
+                   np.abs(np.trace(plus, axis1=-2, axis2=-1).real - 2.0)])
 
 
-def _bispinor_covariance(cfg, rng):
-    for _ in range(cfg.samples):
-        L = random_lorentz(rng, cfg.vmax)
-        S = bispinor_rep(L)
-        Sinv = bispinor_inverse(S)
-        yield _worst([np.abs(Sinv @ GAMMA[mu] @ S - np.einsum("n,nab->ab", L[mu], GAMMA)).max()
-                      for mu in range(4)])
+def _bispinor_covariance(cfg, L):
+    S = bispinor_rep(L)
+    Sinv = bispinor_inverse(S)
+    return _worst([max_entry(Sinv @ GAMMA[mu] @ S - np.einsum("...n,nab->...ab", L[..., mu, :], GAMMA))
+                   for mu in range(4)])
 
 
-def _bispinor_inverse_structure(cfg, rng):
-    for _ in range(cfg.samples):
-        S = bispinor_rep(random_lorentz(rng, cfg.vmax))
-        yield float(np.abs(bispinor_inverse(S) @ S - np.eye(4)).max())
+def _bispinor_inverse_structure(cfg, L):
+    S = bispinor_rep(L)
+    return max_entry(bispinor_inverse(S) @ S - np.eye(4))
 
 
-def _standard_boost(cfg, rng):
+def _standard_boost(cfg, p4):
     q = np.array([cfg.mass, 0.0, 0.0, 0.0])
-    for _ in range(cfg.samples):
-        p4 = _rand_p4(cfg, rng)
-        L = standard_boost(p4, cfg.mass)
-        yield _worst([np.abs(L @ q - p4).max() / max(1.0, float(p4[0])),
-                      np.abs(L - boost_from_velocity(-p4[1:] / p4[0])).max()])
+    L = standard_boost(p4, cfg.mass)
+    return _worst([np.abs(L @ q - p4).max(axis=-1) / np.maximum(1.0, p4[:, 0]),
+                   max_entry(L - boost_from_velocity(-p4[:, 1:] / p4[:, :1]))])
 
 
-def _wigner_closed_form(cfg, rng):
-    for _ in range(cfg.samples):
-        v3 = random_velocity(rng, cfg.vmax)
-        p4 = _rand_p4(cfg, rng)
-        R3, _ = wigner_rotation(boost_from_velocity(v3), p4, cfg.mass)
-        yield float(np.abs(R3 - wigner_rotation_closed(v3, p4, cfg.mass)).max())
+def _wigner_closed_form(cfg, v3, p4):
+    R3, _ = wigner_rotation(boost_from_velocity(v3), p4, cfg.mass)
+    return max_entry(R3 - wigner_rotation_closed(v3, p4, cfg.mass))
 
 
-def _wigner_cocycle(cfg, rng):
+def _wigner_cocycle(cfg, L1, L2, p4):
     # The sampled L1, L2, p are the exact data; their products are formed in
     # extended precision so the comparison probes the cocycle identity rather
     # than rounding in L2 @ L1.
-    for _ in range(cfg.samples):
-        L1 = random_lorentz(rng, cfg.vmax).astype(np.longdouble)
-        L2 = random_lorentz(rng, cfg.vmax).astype(np.longdouble)
-        p4 = _rand_p4(cfg, rng).astype(np.longdouble)
-        R21, _ = wigner_rotation(L2 @ L1, p4, cfg.mass)
-        Ra, _ = wigner_rotation(L2, L1 @ p4, cfg.mass)
-        Rb, _ = wigner_rotation(L1, p4, cfg.mass)
-        yield float(np.abs(R21 - Ra @ Rb).max())
+    L1, L2, p4 = (x.astype(np.longdouble) for x in (L1, L2, p4))
+    R21, _ = wigner_rotation(L2 @ L1, p4, cfg.mass)
+    Ra, _ = wigner_rotation(L2, (L1 @ p4[:, :, None])[:, :, 0], cfg.mass)
+    Rb, _ = wigner_rotation(L1, p4, cfg.mass)
+    return max_entry(R21 - Ra @ Rb)
 
 
-def _wigner_perpendicular_oracle(cfg, rng):
+def _wigner_perpendicular_oracle(cfg):
     # Boost along x at speed 1/2; unit-mass particle moving at speed 1/2 along y.
     m = 1.0
     gamma = 1.0 / np.sqrt(1.0 - 0.25)
     p4 = np.array([gamma * m, 0.0, gamma * m * 0.5, 0.0])
     R3 = wigner_rotation_closed(np.array([0.5, 0.0, 0.0]), p4, m)
     angle = np.arccos((np.trace(R3) - 1.0) / 2.0)
-    yield abs(float(angle) - PERPENDICULAR_WIGNER_ANGLE)
+    return np.array([abs(float(angle) - PERPENDICULAR_WIGNER_ANGLE)])
 
 
-def _su2_lift(cfg, rng):
-    for _ in range(cfg.samples):
-        R3 = random_rotation(rng)
-        D = su2_from_so3(R3)
-        yield _worst([np.abs(D @ D.conj().T - np.eye(2)).max(), abs(np.linalg.det(D) - 1.0),
-                      *(np.abs(D @ PAULI[i] @ D.conj().T - np.einsum("j,jab->ab", R3[:, i], PAULI)).max()
-                        for i in range(3))])
+def _su2_lift(cfg, R3):
+    D = su2_from_so3(R3)
+    Dh = np.swapaxes(D.conj(), -1, -2)
+    det = np.linalg.det(D)
+    return _worst([max_entry(D @ Dh - np.eye(2)), np.hypot(det.real - 1.0, det.imag),
+                   *(max_entry(D @ PAULI[i] @ Dh - np.einsum("...j,jab->...ab", R3[..., i], PAULI))
+                     for i in range(3))])
 
 
 def _amplitude_completeness(p4, m):
-    total = np.zeros((4, 4), dtype=complex)
+    total = np.zeros(p4.shape[:-1] + (4, 4), dtype=complex)
     for e in (1, -1):
         v = amplitude(e, p4, m)
         total += e * v @ dirac_bar(v)
-    return float(np.abs(total - np.eye(4)).max())
+    return max_entry(total - np.eye(4))
 
 
-def _weinberg_condition(cfg, rng):
-    for _ in range(cfg.samples):
-        L = random_lorentz(rng, cfg.vmax)
-        p4 = _rand_p4(cfg, rng)
-        yield weinberg_residual(L, _rand_eps(rng), p4, cfg.mass)
+def _weinberg_condition(cfg, L, p4, eps):
+    return weinberg_residual(L, eps, p4, cfg.mass)
 
 
 def _hamiltonian_square(eps, p4, m):
     H = hamiltonian_covariant(eps, p4, m)
-    return float(np.abs(H @ H - p4[0] ** 2 * np.eye(4)).max()) / p4[0] ** 2
+    p0_sq = libm_square(p4[..., 0])
+    return max_entry(H @ H - p0_sq[..., None, None] * np.eye(4)) / p0_sq
 
 
 def _pl_sandwich(eps, p4, m):
     v = amplitude(eps, p4, m)
     vb = dirac_bar(v)
-    return _worst([np.abs(eps * (vb @ pl_covariant(mu, eps, p4, m) @ v) - pl_spin(mu, eps, p4, m)).max()
+    return _worst([max_entry(eps * (vb @ pl_covariant(mu, eps, p4, m) @ v) - pl_spin(mu, eps, p4, m))
                    for mu in range(4)])
 
 
 def _pl_reconstruction(eps, p4, m):
     S = spin_from_pl(eps, p4, m)
-    return _worst([np.abs(S[i] - spin_matrix(i)).max() for i in range(3)])
+    return _worst([max_entry(S[..., i, :, :] - spin_matrix(i)) for i in range(3)])
 
 
 def _casimir_sandwich(eps, p4, m):
-    return float(np.abs(casimir_spin(eps, p4, m) - 0.75 * np.eye(2)).max())
+    return max_entry(casimir_spin(eps, p4, m) - 0.75 * np.eye(2))
 
 
 def _spin_covariant_sandwich(eps, p4, m):
     v = amplitude(eps, p4, m)
     vb = dirac_bar(v)
-    return _worst([np.abs(eps * (vb @ spin_covariant(i, eps, p4, m) @ v) - spin_matrix(i)).max()
+    return _worst([max_entry(eps * (vb @ spin_covariant(i, eps, p4, m) @ v) - spin_matrix(i))
                    for i in range(3)])
 
 
-def _spin_transform_equivalence(cfg, rng):
-    for _ in range(cfg.samples):
-        v3 = random_velocity(rng, cfg.vmax)
-        p4 = _rand_p4(cfg, rng)
-        closed = spin_transform_closed(v3, p4, cfg.mass)
-        rotated = spin_transform_wigner(v3, p4, cfg.mass)
-        yield float(np.abs(closed - rotated).max())
+def _spin_transform_equivalence(cfg, v3, p4):
+    closed = spin_transform_closed(v3, p4, cfg.mass)
+    rotated = spin_transform_wigner(v3, p4, cfg.mass)
+    return np.abs(closed - rotated).max(axis=(-3, -2, -1))
 
 
-def _bloch_rotation(cfg, rng):
-    for _ in range(cfg.samples):
-        L = random_lorentz(rng, cfg.vmax)
-        p4 = _rand_p4(cfg, rng)
-        u = rng.normal(size=3)
-        xi = rng.uniform(0.0, 1.0) * u / np.linalg.norm(u)
-        s = DensityState(q4=p4, xi=xi)
-        s2 = bloch_transform(s, L)
-        R3, _ = wigner_rotation(L, p4, cfg.mass)
-        D = su2_from_so3(R3)
-        lhs = np.einsum("i,iab->ab", s2.xi, PAULI)
-        rhs = D @ np.einsum("i,iab->ab", s.xi, PAULI) @ D.conj().T
-        yield _worst([abs(np.linalg.norm(s2.xi) - np.linalg.norm(s.xi)), np.abs(lhs - rhs).max()])
+def _bloch_rotation(cfg, L, p4, xi):
+    s = DensityState(q4=p4, xi=xi)
+    s2 = bloch_transform(s, L)
+    R3, _ = wigner_rotation(L, p4, cfg.mass)
+    D = su2_from_so3(R3)
+    lhs = np.einsum("...i,iab->...ab", s2.xi, PAULI)
+    rhs = D @ np.einsum("...i,iab->...ab", s.xi, PAULI) @ np.swapaxes(D.conj(), -1, -2)
+    norm = np.sqrt(np.vecdot(s2.xi, s2.xi)) - np.sqrt(np.vecdot(s.xi, s.xi))
+    return _worst([np.abs(norm), max_entry(lhs - rhs)])
 
 
-#: Registry: name -> (runner, default tolerance).  A runner yields one
-#: residual per sample (the worst of that sample's checks).  Report order is
-#: the sorted name order; the spawn index of each identity's rng is its
-#: position here.  The lambdas look their residual up when called, so a
-#: function rebound at module level (a test double, a tracer) is the one run.
-IDENTITY_RUNNERS: dict[str, tuple[Callable, float]] = dict(sorted({
-    "amplitude_completeness": (lambda c, r: _momenta(c, r, _amplitude_completeness), 1e-12),
-    "amplitude_dirac": (lambda c, r: _shells(c, r, dirac_residual), 1e-12),
-    "amplitude_orthogonality": (lambda c, r: _shells(c, r, orthogonality_residual), 1e-12),
-    "amplitude_parity": (lambda c, r: _shells(c, r, parity_residual), 1e-12),
-    "amplitude_projector": (lambda c, r: _shells(c, r, projector_residual), 1e-12),
-    "bispinor_covariance": (_bispinor_covariance, 1e-10),
-    "bispinor_inverse_structure": (_bispinor_inverse_structure, 1e-10),
-    "bloch_rotation": (_bloch_rotation, 1e-11),
-    "casimir_sandwich": (lambda c, r: _shells(c, r, _casimir_sandwich), 1e-12),
-    "clifford_anticommutation": (_clifford_anticommutation, 1e-14),
-    "clifford_gamma5": (_clifford_gamma5, 1e-14),
-    "energy_projector": (lambda c, r: _momenta(c, r, _energy_projector), 1e-13),
-    "fw_diagonalization": (lambda c, r: _shells(c, r, fw_residual), 1e-11),
-    "hamiltonian_square": (lambda c, r: _shells(c, r, _hamiltonian_square), 1e-13),
-    "pauli_lubanski_reconstruction": (lambda c, r: _shells(c, r, _pl_reconstruction), 1e-12),
-    "pauli_lubanski_sandwich": (lambda c, r: _shells(c, r, _pl_sandwich), 1e-12),
-    "sandwich_formulas": (lambda c, r: _shells(c, r, sandwich_formula_residual), 1e-12),
-    "spin_covariant_sandwich": (lambda c, r: _shells(c, r, _spin_covariant_sandwich), 1e-12),
-    "spin_transform_equivalence": (_spin_transform_equivalence, 1e-10),
-    "standard_boost": (_standard_boost, 1e-11),
-    "su2_lift": (_su2_lift, 1e-12),
-    "weinberg_condition": (_weinberg_condition, 1e-9),
-    "wigner_closed_form": (_wigner_closed_form, 1e-10),
-    "wigner_cocycle": (_wigner_cocycle, 1e-10),
-    "wigner_perpendicular_oracle": (_wigner_perpendicular_oracle, 1e-12),
+_P = (_MOMENTUM,)
+
+#: Registry: name -> (sample kinds, evaluator, default tolerance).  Each
+#: sample draws one of each kind, in the order listed; an identity with no
+#: kinds is a fixed check, evaluated once as one sample.  The evaluator
+#: returns one residual per sample (the worst of that sample's checks).
+#: Report order is the sorted name order; the spawn index of each identity's
+#: rng is its position here.  The lambdas look their residual up when called,
+#: so a function rebound at module level (a test double, a tracer) is the one
+#: run.
+IDENTITY_RUNNERS: dict[str, tuple[tuple, Callable, float]] = dict(sorted({
+    "amplitude_completeness": (_P, lambda c, p: _amplitude_completeness(p, c.mass), 1e-12),
+    "amplitude_dirac": (_P, lambda c, p: _shells(c, p, dirac_residual), 1e-12),
+    "amplitude_orthogonality": (_P, lambda c, p: _shells(c, p, orthogonality_residual), 1e-12),
+    "amplitude_parity": (_P, lambda c, p: _shells(c, p, parity_residual), 1e-12),
+    "amplitude_projector": (_P, lambda c, p: _shells(c, p, projector_residual), 1e-12),
+    "bispinor_covariance": ((_LORENTZ,), _bispinor_covariance, 1e-10),
+    "bispinor_inverse_structure": ((_LORENTZ,), _bispinor_inverse_structure, 1e-10),
+    "bloch_rotation": ((_LORENTZ, _MOMENTUM, _BLOCH), _bloch_rotation, 1e-11),
+    "casimir_sandwich": (_P, lambda c, p: _shells(c, p, _casimir_sandwich), 1e-12),
+    "clifford_anticommutation": ((), _clifford_anticommutation, 1e-14),
+    "clifford_gamma5": ((), _clifford_gamma5, 1e-14),
+    "energy_projector": (_P, lambda c, p: _energy_projector(p, c.mass), 1e-13),
+    "fw_diagonalization": (_P, lambda c, p: _shells(c, p, fw_residual), 1e-11),
+    "hamiltonian_square": (_P, lambda c, p: _shells(c, p, _hamiltonian_square), 1e-13),
+    "pauli_lubanski_reconstruction": (_P, lambda c, p: _shells(c, p, _pl_reconstruction), 1e-12),
+    "pauli_lubanski_sandwich": (_P, lambda c, p: _shells(c, p, _pl_sandwich), 1e-12),
+    "sandwich_formulas": (_P, lambda c, p: _shells(c, p, sandwich_formula_residual), 1e-12),
+    "spin_covariant_sandwich": (_P, lambda c, p: _shells(c, p, _spin_covariant_sandwich), 1e-12),
+    "spin_transform_equivalence": ((_VELOCITY, _MOMENTUM), _spin_transform_equivalence, 1e-10),
+    "standard_boost": (_P, _standard_boost, 1e-11),
+    "su2_lift": ((_ROTATION,), _su2_lift, 1e-12),
+    "weinberg_condition": ((_LORENTZ, _MOMENTUM, _SIGN), _weinberg_condition, 1e-9),
+    "wigner_closed_form": ((_VELOCITY, _MOMENTUM), _wigner_closed_form, 1e-10),
+    "wigner_cocycle": ((_LORENTZ, _LORENTZ, _MOMENTUM), _wigner_cocycle, 1e-10),
+    "wigner_perpendicular_oracle": ((), _wigner_perpendicular_oracle, 1e-12),
 }.items()))
 
-DEFAULT_TOLERANCES = {name: tol for name, (_, tol) in IDENTITY_RUNNERS.items()}
+DEFAULT_TOLERANCES = {name: tol for name, (*_, tol) in IDENTITY_RUNNERS.items()}
 
 
 def identity_rng(cfg: RunConfig, name: str) -> np.random.Generator:
@@ -306,24 +321,54 @@ def identity_rng(cfg: RunConfig, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
 
 
-def run_identity(name: str, cfg: RunConfig) -> IdentityResult:
-    """Run one identity.  The reduction propagates NaN, and a NaN or inf
-    residual never compares below the tolerance, so it fails.  A sample
-    whose kernel refuses an intermediate it computed itself (a ValueError,
-    say a Wigner rotation too far from orthogonal to lift at high rapidity)
-    gets a NaN residual and ends the run; `samples` counts the samples run."""
+def _evaluate(cfg: RunConfig, evaluate: Callable, samples: tuple) -> tuple[np.ndarray, bool]:
+    """Residuals of a chunk, and whether a sample was refused.  On a refusal
+    the samples before the refused one are evaluated again, since a later
+    kernel may refuse one of them; the residuals then end with NaN for the
+    first refused sample."""
+    n, refused = len(samples[0]), False
+    while n:
+        try:
+            residuals = evaluate(cfg, *(s[:n] for s in samples))
+            break
+        except SampleRefused as exc:
+            n, refused = exc.index, True
+    else:
+        residuals = np.empty(0)
+    return (np.append(residuals, np.nan) if refused else residuals), refused
+
+
+def sample_residuals(name: str, cfg: RunConfig) -> Iterator[np.ndarray]:
+    """Per-sample residuals of one identity in draw order, one array per
+    chunk of at most CHUNK samples.  A refused sample ends the run: its
+    residual is NaN and it is the last one."""
     if name not in IDENTITY_RUNNERS:
         raise KeyError(f"unknown identity {name!r}")
-    runner, _ = IDENTITY_RUNNERS[name]
-    residuals = []
-    try:
-        for r in runner(cfg, identity_rng(cfg, name)):
-            residuals.append(r)
-    except ValueError:  # cfg was validated up front, so a kernel refused
-        residuals.append(np.nan)
-    residual = float(np.max(residuals))
+    kinds, evaluate, _ = IDENTITY_RUNNERS[name]
+    if not kinds:
+        yield evaluate(cfg)
+        return
+    rng = identity_rng(cfg, name)
+    for start in range(0, cfg.samples, CHUNK):
+        residuals, refused = _evaluate(cfg, evaluate,
+                                       _draw(cfg, rng, min(CHUNK, cfg.samples - start), kinds))
+        yield residuals
+        if refused:
+            return
+
+
+def run_identity(name: str, cfg: RunConfig) -> IdentityResult:
+    """Run one identity.  The reduction propagates NaN, and a NaN or inf
+    residual never compares below the tolerance, so it fails; so does a
+    refused sample (see `sample_residuals`), and `samples` counts the
+    samples run."""
+    samples, worst = 0, []
+    for residuals in sample_residuals(name, cfg):
+        samples += residuals.size
+        worst.append(residuals.max())
+    residual = float(np.max(worst))
     tol = cfg.tolerance(name)
-    return IdentityResult(name=name, samples=len(residuals), tolerance=tol,
+    return IdentityResult(name=name, samples=samples, tolerance=tol,
                           max_residual=residual, passed=bool(residual < tol))
 
 

@@ -1,0 +1,208 @@
+"""Batch-first kernels: a call on a (n, ...) stack equals one call per row,
+bit for bit, so the batched sweep reports what a per-sample loop would."""
+import numpy as np
+import pytest
+
+from diracspin.amplitudes import (dirac_residual, orthogonality_residual, parity_residual,
+                                  projector_residual, sandwich_formula_residual,
+                                  weinberg_residual)
+from diracspin.clifford import PAULI, energy_projector, slash
+from diracspin.lorentz import (bispinor_inverse, bispinor_rep, boost_from_velocity, draw_ball,
+                               draw_lorentz, draw_rotation, lorentz_from_draws, lorentz_gamma,
+                               momenta_from_draws, random_lorentz, random_momentum,
+                               random_rotation, random_velocity, rotations_from_draws,
+                               standard_boost, su2_from_so3, velocities_from_draws,
+                               wigner_rotation, wigner_rotation_closed)
+from diracspin.minkowski import (SampleRefused, is_proper_orthochronous, lorentz_matrix,
+                                 lorentz_residual, on_shell, parity_flip)
+from diracspin.spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant, pl_covariant,
+                                pl_spin, spin_covariant, spin_from_pl, spin_transform_closed,
+                                spin_transform_wigner)
+from diracspin.states import DensityState, bloch_transform
+
+N = 12
+M = 1.7
+
+
+def assert_rows(fn, *stacks):
+    """fn over stacks with a leading axis of N equals fn row by row."""
+    out = fn(*stacks)
+    out = out if isinstance(out, tuple) else (out,)
+    for i in range(len(stacks[0])):
+        row = fn(*(s[i] for s in stacks))
+        row = row if isinstance(row, tuple) else (row,)
+        assert all(np.array_equal(o[i], r, equal_nan=True) for o, r in zip(out, row)), i
+
+
+def _half_turn(n):
+    n = np.asarray(n, dtype=float)
+    return 2.0 * np.outer(n, n) - np.eye(3)
+
+
+def _embed(R):
+    L = np.zeros(R.shape[:-2] + (4, 4))
+    L[..., 0, 0] = 1.0
+    L[..., 1:, 1:] = R
+    return L
+
+
+#: Rotations with the lift's special cases: identity, half-turns about the
+#: axes and an oblique axis (where Re tr D = 0 and the sign rule decides).
+SPECIAL_ROTATIONS = np.array([np.eye(3), _half_turn([1, 0, 0]), _half_turn([0, 1, 0]),
+                              _half_turn([0, 0, 1]), _half_turn([0.48, -0.6, 0.64])])
+
+
+@pytest.fixture
+def P(rng):
+    return np.array([random_momentum(rng, M, 20.0) for _ in range(N)])
+
+
+@pytest.fixture
+def V(rng):
+    return np.array([random_velocity(rng, 0.99) for _ in range(N)])
+
+
+@pytest.fixture
+def Ls(rng):
+    return np.array([random_lorentz(rng, 0.99) for _ in range(N)])
+
+
+@pytest.fixture
+def Rs(rng):
+    return np.concatenate([SPECIAL_ROTATIONS, [random_rotation(rng) for _ in range(N)]])
+
+
+def test_minkowski_stacks(P, Ls):
+    assert_rows(lambda p: on_shell(M, p[..., 1:]), P)
+    assert_rows(parity_flip, P)
+    assert_rows(lorentz_residual, Ls)
+    assert_rows(is_proper_orthochronous, Ls)
+    assert_rows(lambda L: lorentz_matrix(L, proper=True), Ls)
+
+
+def test_boost_stacks(P, V):
+    assert_rows(lorentz_gamma, V)
+    assert_rows(boost_from_velocity, V)
+    assert_rows(lambda p: standard_boost(p, M), P)
+    assert_rows(lambda v, p: wigner_rotation_closed(v, p, M), V, P)
+
+
+def test_wigner_rotation_stack_of_L(P, Ls):
+    # one L per momentum: the transposes act on the matrix axes only
+    assert_rows(lambda L, p: wigner_rotation(L, p, M), Ls, P)
+    # one L broadcast over many momenta, and one momentum under many L
+    L = Ls[0]
+    assert_rows(lambda p: wigner_rotation(L, p, M), P)
+    p = P[0]
+    assert_rows(lambda L: wigner_rotation(L, p, M), Ls)
+    R3, R4 = wigner_rotation(Ls.reshape(3, 4, 4, 4), P.reshape(3, 4, 4), M)
+    assert R3.shape == (3, 4, 3, 3) and R4.shape == (3, 4, 4, 4)
+    assert np.array_equal(R3.reshape(N, 3, 3), wigner_rotation(Ls, P, M)[0])
+
+
+def test_su2_and_bispinor_stacks(Rs, Ls):
+    assert_rows(su2_from_so3, Rs)
+    D = su2_from_so3(Rs)
+    axes = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.48, -0.6, 0.64]]
+    # the sign rule in a stack: a half-turn about n lifts to -i n.sigma
+    for D_half, n in zip(D[1:5], axes):
+        assert np.allclose(D_half, -1j * np.einsum("i,iab->ab", n, PAULI), atol=1e-15)
+    assert np.array_equal(D[0], np.eye(2))
+    Lall = np.concatenate([_embed(Rs), Ls])
+    assert_rows(bispinor_rep, Lall)
+    assert_rows(bispinor_inverse, bispinor_rep(Lall))
+
+
+def test_clifford_stacks(P):
+    assert_rows(slash, P)
+    for eps in (1, -1):
+        assert_rows(lambda p: energy_projector(eps, p, M), P)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_spin_operator_stacks(P, V, eps):
+    for mu in range(4):
+        assert_rows(lambda p: pl_spin(mu, eps, p, M), P)
+        assert_rows(lambda p: pl_covariant(mu, eps, p, M), P)
+    for i in range(3):
+        assert_rows(lambda p: spin_covariant(i, eps, p, M), P)
+    assert_rows(lambda p: hamiltonian_covariant(eps, p, M), P)
+    assert_rows(lambda p: spin_from_pl(eps, p, M), P)
+    assert_rows(lambda p: casimir_spin(eps, p, M), P)
+    assert_rows(lambda p: fw_residual(eps, p, M), P)
+    assert_rows(lambda v, p: spin_transform_closed(v, p, M), V, P)
+    assert_rows(lambda v, p: spin_transform_wigner(v, p, M), V, P)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_amplitude_residual_stacks(P, Ls, eps):
+    for residual in (orthogonality_residual, projector_residual, dirac_residual,
+                     parity_residual, sandwich_formula_residual):
+        assert_rows(lambda p: residual(eps, p, M), P)
+    assert_rows(lambda L, p: weinberg_residual(L, eps, p, M), Ls, P)
+
+
+def test_weinberg_residual_sign_per_sample(P, Ls):
+    signs = np.array([1, -1] * (N // 2))
+    assert_rows(lambda L, e, p: weinberg_residual(L, e, p, M), Ls, signs, P)
+
+
+def test_bloch_state_stacks(rng, P, Ls):
+    xi = rng.uniform(-0.5, 0.5, size=(N, 3))
+    states = DensityState(q4=P, xi=xi)
+    assert np.array_equal(states.mass, [DensityState(q4=p, xi=x).mass for p, x in zip(P, xi)])
+    moved = bloch_transform(states, Ls)
+    for i in range(N):
+        row = bloch_transform(DensityState(q4=P[i], xi=xi[i]), Ls[i])
+        assert np.array_equal(moved.q4[i], row.q4) and np.array_equal(moved.xi[i], row.xi)
+
+
+def test_builders_reproduce_the_one_at_a_time_samplers():
+    # drawing sample by sample and building the stack at once leaves every
+    # sample, and the generator, as the scalar samplers do
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    lorentz = [random_lorentz(a, 0.9) for _ in range(N)]
+    rotations = [random_rotation(a) for _ in range(N)]
+    momenta = [random_momentum(a, M, 30.0) for _ in range(N)]
+    velocities = [random_velocity(a, 0.5) for _ in range(N)]
+    signs = [int(a.choice((-1, 1))) for _ in range(N)]
+    q, u, c = (np.array(col) for col in zip(*(draw_lorentz(b) for _ in range(N))))
+    assert np.array_equal(lorentz_from_draws(q, u, c, 0.9), lorentz)
+    assert np.array_equal(rotations_from_draws(np.array([draw_rotation(b) for _ in range(N)])),
+                          rotations)
+    u, c = (np.array(col) for col in zip(*(draw_ball(b) for _ in range(N))))
+    assert np.array_equal(momenta_from_draws(u, c, M, 30.0), momenta)
+    u, c = (np.array(col) for col in zip(*(draw_ball(b) for _ in range(N))))
+    assert np.array_equal(velocities_from_draws(u, c, 0.5), velocities)
+    assert [2 * int(b.integers(0, 2)) - 1 for _ in range(N)] == signs
+    assert a.uniform() == b.uniform()
+
+
+def test_validators_name_the_first_refused_sample(Ls, Rs, V):
+    bad = Ls.copy()
+    bad[[3, 7], 0, 0] *= 2.0
+    with pytest.raises(SampleRefused, match=r"metric.*\(sample 3\)") as exc:
+        lorentz_matrix(bad)
+    assert exc.value.index == 3
+    R = Rs.copy()
+    R[[5, 9]] *= -1.0
+    with pytest.raises(SampleRefused, match=r"not a proper rotation \(sample 5\)") as exc:
+        su2_from_so3(R)
+    assert exc.value.index == 5
+    fast = V.copy()
+    fast[4] *= 2.0
+    with pytest.raises(SampleRefused, match=r"superluminal.*\(sample 4\)") as exc:
+        boost_from_velocity(fast)
+    assert exc.value.index == 4
+    # a sample failing a later check still counts if it comes first
+    q4 = np.array([on_shell(1.0, [0.1, 0.0, 0.0])] * 4)
+    xi = np.zeros((4, 3))
+    q4[2, 0] = -1.0
+    xi[1] = [0.0, 0.0, 1.5]
+    with pytest.raises(SampleRefused, match=r"\|xi\| <= 1.*\(sample 1\)") as exc:
+        DensityState(q4=q4, xi=xi)
+    assert exc.value.index == 1
+    # a single input keeps the plain message, sample 0
+    with pytest.raises(SampleRefused, match=r"proper rotation$") as exc:
+        su2_from_so3(-np.eye(3))
+    assert exc.value.index == 0

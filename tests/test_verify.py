@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from diracspin import __version__
 from diracspin import verify
 from diracspin.cli import main
+from diracspin.minkowski import SampleRefused
 from diracspin.verify import (DEFAULT_TOLERANCES, IDENTITY_RUNNERS, RunConfig,
                               complex_matrix_payload, format_float, identity_rng,
                               real_matrix_payload, run_all, run_identity, to_csv, to_json)
@@ -142,39 +143,40 @@ def test_failure_marks_report():
 
 
 def test_kernel_refusal_fails_the_identity(monkeypatch):
-    # A kernel that refuses its own intermediate at the second sample gives
+    # A batched kernel that refuses its own intermediate at sample 1 gives
     # that sample a NaN residual; the run stops there and the identity fails.
     calls = []
     real = verify.su2_from_so3
 
     def refusing(R3):
-        calls.append(1)
-        if len(calls) == 2:
-            raise ValueError("matrix is not a proper rotation")
+        calls.append(len(R3))
+        if len(R3) > 1:
+            raise SampleRefused("matrix is not a proper rotation (sample 1)", 1)
         return real(R3)
 
     monkeypatch.setattr(verify, "su2_from_so3", refusing)
     r = run_identity("su2_lift", RunConfig(samples=5))
     assert r.samples == 2 and np.isnan(r.max_residual) and r.passed is False
+    assert calls == [5, 1]  # the samples before the refused one are evaluated again
 
 
 def test_nan_residual_fails_closed(monkeypatch, capsys):
-    # A NaN at the second sample must survive the reduction: the builtin max
-    # would keep the first sample's finite value and pass the identity.
-    calls = []
+    # A NaN at sample 1 must survive the reduction: the builtin max would
+    # keep sample 0's finite value and pass the identity.
     real = verify.bispinor_rep
 
     def poisoned(L):
-        calls.append(1)
         S = real(L)
-        return np.full_like(S, np.nan) if len(calls) == 2 else S
+        if len(S) > 1:
+            S[1] = np.nan
+        return S
 
     monkeypatch.setattr(verify, "bispinor_rep", poisoned)
     cfg = RunConfig(samples=5)
     r = run_identity("bispinor_inverse_structure", cfg)
     assert np.isnan(r.max_residual) and r.passed is False
+    assert r.samples == 5
 
-    calls.clear()
     report = run_all(cfg)
     assert report["all_pass"] is False
     parsed = json.loads(to_json(report))
@@ -183,6 +185,114 @@ def test_nan_residual_fails_closed(monkeypatch, capsys):
     row = [line for line in to_csv(report).splitlines() if line.startswith("bispinor_covariance,")][0]
     assert row.split(",")[3:] == ["nan", "false"]
 
-    calls.clear()
     assert main(["verify", "--samples", "5"]) == 1
     assert "bispinor_covariance" in capsys.readouterr().err
+
+
+def test_nan_in_one_check_of_a_sample_fails(monkeypatch):
+    # standard_boost checks two relations per sample; a NaN in only one of
+    # them, at sample 1, must still make that sample's residual NaN.
+    real = verify.boost_from_velocity
+
+    def poisoned(v3):
+        L = real(v3)
+        if len(L) > 1:
+            L[1] = np.nan
+        return L
+
+    monkeypatch.setattr(verify, "boost_from_velocity", poisoned)
+    residuals = _residual_stream("standard_boost", RunConfig(samples=5))
+    assert np.isnan(residuals).tolist() == [False, True, False, False, False]
+    r = run_identity("standard_boost", RunConfig(samples=5))
+    assert np.isnan(r.max_residual) and r.passed is False
+
+    # likewise a NaN on one mass shell only
+    real_dirac = verify.dirac_residual
+
+    def one_shell(eps, p4, m):
+        r = real_dirac(eps, p4, m)
+        if eps == -1:
+            r[1] = np.nan
+        return r
+
+    monkeypatch.setattr(verify, "dirac_residual", one_shell)
+    residuals = _residual_stream("amplitude_dirac", RunConfig(samples=5))
+    assert np.isnan(residuals).tolist() == [False, True, False, False, False]
+
+
+def _residual_stream(name, cfg):
+    return np.concatenate(list(verify.sample_residuals(name, cfg)))
+
+
+@pytest.mark.parametrize("chunk, sizes", [(1, [1] * 10), (4, [4, 4, 2])])
+def test_chunks_continue_one_stream(monkeypatch, chunk, sizes):
+    # Drawing and evaluating in chunks gives every identity the same
+    # per-sample residuals, in the same order, as one chunk of all 10; with
+    # chunks of 1 that is the sample-by-sample loop.
+    cfg = RunConfig(samples=10, seed=3, mass=2.5)
+    whole = {name: _residual_stream(name, cfg) for name in IDENTITY_RUNNERS}
+    monkeypatch.setattr(verify, "CHUNK", chunk)
+    for name in IDENTITY_RUNNERS:
+        chunked = list(verify.sample_residuals(name, cfg))
+        assert [len(c) for c in chunked] == ([1] if len(whole[name]) == 1 else sizes)
+        assert np.array_equal(np.concatenate(chunked), whole[name]), name
+
+
+def test_nan_and_refusal_cross_the_chunk_boundary(monkeypatch):
+    # With chunks of 4, sample 5 is sample 1 of the second chunk: a NaN
+    # there fails the identity although both other chunks are finite, and a
+    # refusal there ends the run after 6 samples.
+    monkeypatch.setattr(verify, "CHUNK", 4)
+    cfg = RunConfig(samples=10)
+    calls = []
+    real_rep, real_lift = verify.bispinor_rep, verify.su2_from_so3
+
+    def poisoned(L):
+        calls.append(len(L))
+        S = real_rep(L)
+        if len(calls) == 2:
+            S[1] = np.nan
+        return S
+
+    monkeypatch.setattr(verify, "bispinor_rep", poisoned)
+    r = run_identity("bispinor_inverse_structure", cfg)
+    assert calls == [4, 4, 2]
+    assert r.samples == 10 and np.isnan(r.max_residual) and r.passed is False
+    calls.clear()
+    chunks = list(verify.sample_residuals("bispinor_inverse_structure", cfg))
+    assert [np.isnan(c).tolist() for c in chunks] == [[False] * 4, [False, True, False, False],
+                                                       [False] * 2]
+
+    calls.clear()
+
+    def refusing(R3):
+        calls.append(len(R3))
+        if len(calls) == 2:
+            raise SampleRefused("matrix is not a proper rotation (sample 1)", 1)
+        return real_lift(R3)
+
+    monkeypatch.setattr(verify, "su2_from_so3", refusing)
+    r = run_identity("su2_lift", cfg)
+    assert calls == [4, 4, 1]
+    assert r.samples == 6 and np.isnan(r.max_residual) and r.passed is False
+
+
+def test_refusal_reports_the_first_refused_sample(monkeypatch):
+    # A kernel refusing sample 3 runs before one refusing sample 1; the
+    # report still names sample 1, the first sample any kernel refuses.
+    real_rep, real_inverse = verify.bispinor_rep, verify.bispinor_inverse
+
+    def refusing_late(S):
+        if len(S) > 1:
+            raise SampleRefused("refused (sample 1)", 1)
+        return real_inverse(S)
+
+    def refusing_early(L):
+        if len(L) > 3:
+            raise SampleRefused("refused (sample 3)", 3)
+        return real_rep(L)
+
+    monkeypatch.setattr(verify, "bispinor_rep", refusing_early)
+    monkeypatch.setattr(verify, "bispinor_inverse", refusing_late)
+    r = run_identity("bispinor_inverse_structure", RunConfig(samples=8))
+    assert r.samples == 2 and np.isnan(r.max_residual) and r.passed is False
