@@ -168,6 +168,21 @@ def test_csv_contract_with_position():
     assert lines[0] == "t,qx,qy,qz,xix,xiy,xiz,x,y,z"
 
 
+def test_csv_text_is_format_17g():
+    # -0, a subnormal and values needing all 17 digits print as format(v, ".17g")
+    t = np.array([0.0, 5e-324])
+    q = np.array([[-0.0, 1.0 / 3.0, 1e300], [2.2250738585072014e-308, -1e-310, 0.1]])
+    xi = np.array([[0.6, -0.0, 0.8], [1.0, 2.0, -3.5]])
+    x = np.array([[1e-5, 123456789.0, -0.0], [4e-320, 0.0, 1.5]])
+    for include_position, cols in ((False, 7), (True, 10)):
+        traj = Trajectory(t=t, q=q, xi=xi, x=x, include_position=include_position)
+        rows = np.column_stack([t, q, xi, x])[:, :cols]
+        body = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+        lines = traj.to_csv().split("\n", 1)
+        assert lines[1] == body
+        assert ",-0," in body and "4.9406564584124654e-324" in body
+
+
 def test_csv_writes_to_stream():
     state, field = larmor_setup()
     traj = integrate(state, field, 0.5, 4)
@@ -179,8 +194,26 @@ def test_csv_writes_to_stream():
 def test_divergent_run_aborts_with_context():
     s = ChargedState(q=np.array([1e150, 0.0, 0.0]), xi=np.array([1.0, 0.0, 0.0]))
     f = quadrupole_field(np.eye(3) * 1e160)
-    with pytest.raises(RuntimeError, match="non-finite"):
+    with pytest.raises(RuntimeError) as exc:
         integrate(s, f, 1e6, 5)
+    assert str(exc.value) == "integration produced non-finite values at step 1, t = 200000"
+
+
+def test_divergent_run_names_first_bad_step():
+    # RK4 amplifies a rotation with omega h = 4 by ~7.6 per step, so the
+    # state grows until a step overflows part-way through the run.
+    s = ChargedState(q=np.array([1.0, 0.0, 0.0]), xi=np.array([1.0, 0.0, 0.0]))
+    f = uniform_field(np.array([0.0, 0.0, 4.0]))
+    with pytest.raises(RuntimeError) as exc:
+        integrate(s, f, 400.0, 400)
+    assert str(exc.value) == "integration produced non-finite values at step 349, t = 349"
+
+
+def test_large_finite_state_is_not_refused():
+    # Every entry is finite although their sum overflows float64.
+    s = ChargedState(q=np.zeros(3), xi=np.full(3, 1e308))
+    traj = integrate(s, uniform_field(np.zeros(3)), 1.0, 4)
+    assert (traj.xi == 1e308).all()
 
 
 def test_trajectory_type():

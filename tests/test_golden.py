@@ -1,4 +1,5 @@
-"""Reports pinned byte for byte against files committed under tests/data.
+"""Reports and trajectories pinned byte for byte against files committed
+under tests/data.
 
 Comparing two runs of one build cannot see a change in the last digit of a
 residual; these files can.  A change that moves a pinned report on purpose
@@ -29,3 +30,34 @@ def test_report_matches_golden(tmp_path, argv, name):
     out = tmp_path / name
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+#: precess runs pinned with their stderr conservation summary.  The uniform
+#: case starts from q_z = -0 with q_x < 0 and e > 0, where the RK4 stages
+#: carry a -0 cross-product component that the zero gradient force of a
+#: uniform field turns into +0: a CSV that kept "-0" after the first row
+#: would show a dropped force term.  The quadrupole case has a non-symmetric
+#: gradient, so its transposed reading differs from the Stern-Gerlach one.
+PRECESS_GOLDEN = [
+    (["precess", "--field", "uniform", "--b", "0,0,1.3", "--q=-0.5,0.2,-0", "--xi", "0.6,0,-0.8",
+      "--charge", "1.5", "--mass", "2", "--t-final", "3", "--steps", "120"],
+     "precess_uniform.csv",
+     "# steps=120 t_final=3 xi_drift=6.2915339604785459e-11 "
+     "q_norm_drift=9.4114160908986833e-11 xi_dot_q_drift=1.0485912138591402e-10"),
+    (["precess", "--field", "quadrupole", "--gradient", "0.2,0.5,-0.1,0,-0.3,0.4,0.1,0,0.1",
+      "--reading", "transposed", "--x0", "0.3,-0.2,0.5", "--q", "0.1,0.4,-0.2",
+      "--xi", "0,0.6,0.8", "--charge", "2", "--mass", "0.7", "--t-final", "2.5",
+      "--steps", "120"],
+     "precess_quadrupole_transposed.csv",
+     "# steps=120 t_final=2.5 xi_drift=1.0001131034442778e-09 "
+     "q_norm_drift=0.91426326980119399 xi_dot_q_drift=0.81898749325081377"),
+]
+
+
+@pytest.mark.parametrize("argv, name, summary", PRECESS_GOLDEN,
+                         ids=[name for _, name, _ in PRECESS_GOLDEN])
+def test_precess_matches_golden(capsys, argv, name, summary):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.encode() == (DATA / name).read_bytes()
+    assert err == summary + "\n"
