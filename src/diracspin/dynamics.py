@@ -13,11 +13,19 @@ symmetric; both are available, with the Stern-Gerlach reading
 force_i = sum_j (d_i B_j) xi_j as the default.  Curl-free fields make the
 readings coincide.  Integration is a fixed-step classical Runge-Kutta
 scheme (RK4).
+
+The equations are written once, in `_rate`, on plain Python floats: the
+nine components of (q, xi, x) in, their nine derivatives out.  `integrate`
+steps those floats directly and `rhs` is the single-state wrapper, so no
+state object is rebuilt per stage.  The field callables b(x) and grad_b(x)
+are called once per RK4 stage, at the stage position.  The arithmetic keeps
+numpy's operation order (np.cross, matmul for the force), so a trajectory
+equals the 3-vector numpy form bit for bit.
 """
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -92,18 +100,41 @@ class ChargedState:
             object.__setattr__(self, name, v)
 
 
-def rhs(s: ChargedState, f: FieldConfig, reading: str = "stern-gerlach") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time derivatives (dq/dt, dxi/dt, dx/dt) at the state s."""
+def _transposed(reading: str) -> bool:
+    """Whether `reading` is the transposed one; an unknown reading is refused."""
     if reading not in GRADIENT_READINGS:
         raise ValueError(f"unknown gradient reading {reading!r}; choose from {GRADIENT_READINGS}")
-    e_over_m = s.charge / s.mass
-    B = f.b(s.x)
-    G = f.grad_b(s.x)
-    force = G @ s.xi if reading == "stern-gerlach" else G.T @ s.xi
-    dq = e_over_m * np.cross(s.q, B) + 0.5 * e_over_m * force
-    dxi = e_over_m * np.cross(s.xi, B)
-    dx = s.q / s.mass
-    return dq, dxi, dx
+    return reading == "transposed"
+
+
+def _rate(y: tuple, f: FieldConfig, e_over_m: float, mass: float, transposed: bool) -> tuple:
+    """The equations of motion on plain floats: the state y = (q, xi, x) as
+    nine floats in, (dq/dt, dxi/dt, dx/dt) as nine floats out.
+
+    B and dB are read once, at the position.  The cross products follow
+    np.cross's operation order and the force keeps numpy's matmul, so each
+    value equals the 3-vector numpy evaluation bit for bit.
+    """
+    q0, q1, q2, s0, s1, s2 = y[:6]
+    pos = np.array(y[6:])
+    b0, b1, b2 = f.b(pos).tolist()
+    G = f.grad_b(pos)
+    f0, f1, f2 = ((G.T if transposed else G) @ np.array(y[3:6])).tolist()
+    half = 0.5 * e_over_m
+    return (e_over_m * (q1 * b2 - q2 * b1) + half * f0,
+            e_over_m * (q2 * b0 - q0 * b2) + half * f1,
+            e_over_m * (q0 * b1 - q1 * b0) + half * f2,
+            e_over_m * (s1 * b2 - s2 * b1),
+            e_over_m * (s2 * b0 - s0 * b2),
+            e_over_m * (s0 * b1 - s1 * b0),
+            q0 / mass, q1 / mass, q2 / mass)
+
+
+def rhs(s: ChargedState, f: FieldConfig, reading: str = "stern-gerlach") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time derivatives (dq/dt, dxi/dt, dx/dt) at the state s."""
+    d = _rate((*s.q.tolist(), *s.xi.tolist(), *s.x.tolist()), f, s.charge / s.mass, s.mass,
+              _transposed(reading))
+    return np.array(d[:3]), np.array(d[3:6]), np.array(d[6:])
 
 
 @dataclass(frozen=True)
@@ -120,15 +151,12 @@ class Trajectory:
         """Write rows t,qx,qy,qz,xix,xiy,xiz[,x,y,z]; returns the text when
         target is None, otherwise writes to the path or file object."""
         cols = ["t", "qx", "qy", "qz", "xix", "xiy", "xiz"]
-        data = [self.t, *self.q.T, *self.xi.T]
+        data = [self.t, self.q, self.xi]
         if self.include_position:
             cols += ["x", "y", "z"]
-            data += [*self.x.T]
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for row in zip(*data):
-            buf.write(",".join(format(v, ".17g") for v in row) + "\n")
-        text = buf.getvalue()
+            data.append(self.x)
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        text = ",".join(cols) + "\n" + "".join([row % tuple(r) for r in np.column_stack(data).tolist()])
         if target is None:
             return text
         if hasattr(target, "write"):
@@ -147,30 +175,29 @@ def integrate(s0: ChargedState, f: FieldConfig, t_final: float, steps: int,
     """
     if steps < 1:
         raise ValueError("need at least one step")
+    transposed = _transposed(reading)
     h = float(t_final) / steps
-    n = steps + 1
-    t = np.linspace(0.0, float(t_final), n)
-    q = np.empty((n, 3))
-    xi = np.empty((n, 3))
-    x = np.empty((n, 3))
-    q[0], xi[0], x[0] = s0.q, s0.xi, s0.x
-
-    def deriv(qv, xv, pv):
-        return rhs(replace(s0, q=qv, xi=xv, x=pv), f, reading)
+    half, sixth = 0.5 * h, h / 6.0
+    t = np.linspace(0.0, float(t_final), steps + 1)
+    consts = (f, s0.charge / s0.mass, s0.mass, transposed)
+    y = (*s0.q.tolist(), *s0.xi.tolist(), *s0.x.tolist())
+    rows = [y]
 
     # Overflow is caught by the finiteness check below, not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            k1 = deriv(q[k], xi[k], x[k])
-            k2 = deriv(q[k] + 0.5 * h * k1[0], xi[k] + 0.5 * h * k1[1], x[k] + 0.5 * h * k1[2])
-            k3 = deriv(q[k] + 0.5 * h * k2[0], xi[k] + 0.5 * h * k2[1], x[k] + 0.5 * h * k2[2])
-            k4 = deriv(q[k] + h * k3[0], xi[k] + h * k3[1], x[k] + h * k3[2])
-            q[k + 1] = q[k] + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            xi[k + 1] = xi[k] + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            x[k + 1] = x[k] + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            if not (np.isfinite(q[k + 1]).all() and np.isfinite(xi[k + 1]).all() and np.isfinite(x[k + 1]).all()):
-                raise RuntimeError(f"integration produced non-finite values at step {k + 1}, t = {t[k + 1]:.6g}")
+        for k in range(1, steps + 1):
+            k1 = _rate(y, *consts)
+            k2 = _rate(tuple([a + half * d for a, d in zip(y, k1)]), *consts)
+            k3 = _rate(tuple([a + half * d for a, d in zip(y, k2)]), *consts)
+            k4 = _rate(tuple([a + h * d for a, d in zip(y, k3)]), *consts)
+            y = tuple([a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+                       for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
+            if not all(map(math.isfinite, y)):
+                raise RuntimeError(f"integration produced non-finite values at step {k}, t = {t[k]:.6g}")
+            rows.append(y)
 
+    table = np.array(rows)
+    q, xi, x = (np.ascontiguousarray(table[:, i:i + 3]) for i in (0, 3, 6))
     return Trajectory(t=t, q=q, xi=xi, x=x, include_position=not f.uniform)
 
 
