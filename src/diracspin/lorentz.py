@@ -17,7 +17,6 @@ The kinematic kernels and the samplers' builders are batch-first (see
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .clifford import GAMMA0, PAULI, SIGMA
 from .minkowski import METRIC, check_mass, lorentz_matrix, on_shell, refuse_first
@@ -289,6 +288,8 @@ def lorentz_from_params(omega: np.ndarray) -> np.ndarray:
 
     boost_params(eta x-hat) reproduces boost_from_velocity(tanh(eta) x-hat).
     """
+    from scipy.linalg import expm  # slow to import; only these two references need it
+
     omega = check_generator_params(omega)
     gen = 0.5j * np.einsum("ab,abmn->mn", omega, VECTOR_GENERATORS)
     L = expm(gen)
@@ -303,6 +304,8 @@ def bispinor_from_params(omega: np.ndarray) -> np.ndarray:
     Paired with lorentz_from_params on the same omega it satisfies the
     conjugation law S^{-1} gamma^mu S = L^mu_nu gamma^nu.
     """
+    from scipy.linalg import expm
+
     omega = check_generator_params(omega)
     return expm(0.5j * np.einsum("ab,abmn->mn", omega, SIGMA))
 

@@ -103,7 +103,10 @@ def on_shell(m: float, p3: np.ndarray) -> np.ndarray:
     p3 = np.asarray(p3, dtype=float)
     if p3.shape[-1:] != (3,):
         raise ValueError(f"spatial momentum must have shape (3,), got {p3.shape}")
-    p0 = np.sqrt(m * m + np.vecdot(p3, p3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0 = np.sqrt(m * m + np.vecdot(p3, p3))
+    refuse_first((~np.isfinite(p0), lambda i: f"momentum with mass = {m!r} overflows the on-shell "
+                                               f"energy squared, |p|^2 + mass^2"))
     return np.concatenate([p0[..., None], p3], axis=-1)
 
 

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import diracspin
 from diracspin.cli import main
 
 PERP_ANGLE = 0.14334756890536535
@@ -303,14 +308,19 @@ ADVERSARIAL_ARGV = [
 @pytest.mark.parametrize("argv", ADVERSARIAL_ARGV, ids=" ".join)
 def test_adversarial_numbers_keep_exit_contract(capsys, argv):
     try:
-        code = main(argv)
+        code, usage = main(argv), False
     except SystemExit as exc:
-        code = exc.code
+        code, usage = exc.code, True
     out, err = capsys.readouterr()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    if code == 2:  # refused runs leave no partial report behind
+    if code == 2:  # refused runs leave no partial report behind, and one error line
         assert out == ""
+        lines = err.splitlines()
+        if usage:  # argparse prints its usage text before the error line
+            assert [ln for ln in lines if "error:" in ln] == lines[-1:]
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_verify_kernel_refusal_is_an_identity_failure(capsys):
@@ -333,6 +343,29 @@ def test_non_finite_argument_refused_up_front(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["amplitude", "--momentum", "1e300,0,0"],
+                                  ["amplitude", "--mass", "1e300", "--momentum", "1,2,3"],
+                                  ["boost", "--momentum", "1e300,0,0"],
+                                  ["wigner", "--velocity", "0.5,0,0", "--momentum", "1e300,0,0"],
+                                  ["spin-transform", "--velocity", "0.5,0,0",
+                                   "--momentum", "1e300,0,0"]], ids=" ".join)
+def test_overflowing_momentum_refused_by_name(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: momentum with mass = ")
+    assert err.endswith("overflows the on-shell energy squared, |p|^2 + mass^2\n")
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # Only the generator-exponential references need scipy.linalg (expm);
+    # no subcommand calls them, and they import it on first use.
+    src = str(Path(diracspin.__file__).resolve().parents[1])
+    code = "import sys, diracspin.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.stdout.strip() == "[]"
 
 
 def test_precess_overflow_is_reported_not_raised(capsys):
