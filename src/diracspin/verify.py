@@ -281,7 +281,7 @@ _P = (_MOMENTUM,)
 #: kinds is a fixed check, evaluated once as one sample.  The evaluator
 #: returns one residual per sample (the worst of that sample's checks).
 #: Report order is the sorted name order; the spawn index of each identity's
-#: rng is its position here.  The lambdas look their residual up when called,
+#: rng is its entry in RNG_STREAMS.  The lambdas look their residual up when called,
 #: so a function rebound at module level (a test double, a tracer) is the one
 #: run.
 IDENTITY_RUNNERS: dict[str, tuple[tuple, Callable, float]] = dict(sorted({
@@ -315,10 +315,45 @@ IDENTITY_RUNNERS: dict[str, tuple[tuple, Callable, float]] = dict(sorted({
 DEFAULT_TOLERANCES = {name: tol for name, (*_, tol) in IDENTITY_RUNNERS.items()}
 
 
+#: Spawn index of each identity's rng stream, frozen per name so that adding
+#: or removing an identity re-seeds no other.  The first 25 are the identities'
+#: positions in the sorted registry, which once served as the index; a new
+#: identity takes the next unused integer.
+RNG_STREAMS = {
+    "amplitude_completeness": 0,
+    "amplitude_dirac": 1,
+    "amplitude_orthogonality": 2,
+    "amplitude_parity": 3,
+    "amplitude_projector": 4,
+    "bispinor_covariance": 5,
+    "bispinor_inverse_structure": 6,
+    "bloch_rotation": 7,
+    "casimir_sandwich": 8,
+    "clifford_anticommutation": 9,
+    "clifford_gamma5": 10,
+    "energy_projector": 11,
+    "fw_diagonalization": 12,
+    "hamiltonian_square": 13,
+    "pauli_lubanski_reconstruction": 14,
+    "pauli_lubanski_sandwich": 15,
+    "sandwich_formulas": 16,
+    "spin_covariant_sandwich": 17,
+    "spin_transform_equivalence": 18,
+    "standard_boost": 19,
+    "su2_lift": 20,
+    "weinberg_condition": 21,
+    "wigner_closed_form": 22,
+    "wigner_cocycle": 23,
+    "wigner_perpendicular_oracle": 24,
+}
+
+
 def identity_rng(cfg: RunConfig, name: str) -> np.random.Generator:
     """Per-identity generator, stable under changes to other identities."""
-    index = list(IDENTITY_RUNNERS).index(name)
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
+    if name not in RNG_STREAMS:
+        raise KeyError(f"identity {name!r} has no rng stream; give it the next unused "
+                       f"index in RNG_STREAMS")
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(RNG_STREAMS[name],)))
 
 
 def _evaluate(cfg: RunConfig, evaluate: Callable, samples: tuple) -> tuple[np.ndarray, bool]:

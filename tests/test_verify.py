@@ -30,6 +30,28 @@ def test_identity_rng_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_every_identity_has_its_own_rng_stream():
+    assert set(verify.RNG_STREAMS) == set(IDENTITY_RUNNERS)
+    assert sorted(verify.RNG_STREAMS.values()) == list(range(len(IDENTITY_RUNNERS)))
+    with pytest.raises(KeyError, match="no rng stream"):
+        identity_rng(CFG, "not_registered")
+
+
+def test_new_identity_reseeds_no_other(monkeypatch):
+    # A name that sorts first would have shifted every registry position,
+    # which once was each identity's spawn index.
+    cfg = RunConfig(samples=30, seed=11)
+    before = {name: _residual_stream(name, cfg) for name in IDENTITY_RUNNERS}
+    runners = {**IDENTITY_RUNNERS,
+               "aaa_dummy": ((verify._MOMENTUM,), lambda c, p: np.zeros(len(p)), 1e-12)}
+    monkeypatch.setattr(verify, "IDENTITY_RUNNERS", dict(sorted(runners.items())))
+    monkeypatch.setattr(verify, "RNG_STREAMS", {**verify.RNG_STREAMS, "aaa_dummy": len(runners) - 1})
+    assert list(verify.IDENTITY_RUNNERS)[0] == "aaa_dummy"
+    assert _residual_stream("aaa_dummy", cfg).shape == (30,)
+    for name, residuals in before.items():
+        assert np.array_equal(_residual_stream(name, cfg), residuals, equal_nan=True), name
+
+
 def test_run_identity_passes_defaults():
     r = run_identity("amplitude_orthogonality", CFG)
     assert r.passed
