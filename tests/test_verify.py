@@ -33,7 +33,7 @@ def test_identity_rng_reproducible():
 def test_every_identity_has_its_own_rng_stream():
     assert set(verify.RNG_STREAMS) == set(IDENTITY_RUNNERS)
     assert sorted(verify.RNG_STREAMS.values()) == list(range(len(IDENTITY_RUNNERS)))
-    with pytest.raises(KeyError, match="no rng stream"):
+    with pytest.raises(KeyError):
         identity_rng(CFG, "not_registered")
 
 
