@@ -346,8 +346,8 @@ def draw_ball(rng: np.random.Generator) -> tuple[np.ndarray, float]:
 
 
 def draw_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Raw draw of a Haar-random rotation: a normal 4-vector (its quaternion),
-    as scipy's Rotation.random takes it."""
+    """Raw draw of a Haar-random rotation: a normal 4-vector (its quaternion,
+    scalar last), as scipy's Rotation.random takes it."""
     return rng.normal(size=4)
 
 
@@ -374,11 +374,23 @@ def velocities_from_draws(u: np.ndarray, c: np.ndarray, vmax: float) -> np.ndarr
 
 
 def rotations_from_draws(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) from `draw_rotation` draws."""
-    from scipy.spatial.transform import Rotation
+    """Rotation matrices (..., 3, 3) from `draw_rotation` draws.
 
+    q = (x, y, z, w) is a quaternion with its scalar last.  It is divided by
+    its norm, summed left to right, and mapped by the standard entries; both
+    steps keep the operation order of scipy's Rotation.from_quat(q).as_matrix(),
+    so the matrices agree with it bit for bit.
+    """
     q = np.asarray(q, dtype=float)
-    return Rotation.from_quat(q.reshape(-1, 4)).as_matrix().reshape(q.shape[:-1] + (3, 3))
+    q = q / np.sqrt(q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1]
+                    + q[..., 2] * q[..., 2] + q[..., 3] * q[..., 3])[..., None]
+    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.stack([x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw),
+                     2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw),
+                     2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+                    axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def lorentz_from_draws(q: np.ndarray, u: np.ndarray, c: np.ndarray, vmax: float) -> np.ndarray:

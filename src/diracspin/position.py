@@ -55,8 +55,8 @@ class PositionGrid:
     n: int = DEFAULT_X_POINTS
 
     def __post_init__(self):
-        if self.xmax <= 0 or self.n < 2:
-            raise ValueError(f"need xmax > 0 and n >= 2, got xmax={self.xmax}, n={self.n}")
+        if not (np.isfinite(self.xmax) and self.xmax > 0) or self.n < 2:
+            raise ValueError(f"need finite xmax > 0 and n >= 2, got xmax={self.xmax}, n={self.n}")
 
     def axis(self) -> np.ndarray:
         return np.linspace(-self.xmax, self.xmax, self.n)

@@ -15,6 +15,18 @@ columns transform with its conjugate; and the one-parameter family of
 Newton-Wigner shifts t -> shift(t a) has derivative -i (a . X) at t = 0,
 with X the position operator X psi = i eps (grad - pvec/(2 omega^2)) psi.
 
+The Wigner matrix has a closed form.  The amplitude factors as
+v^eps(p) = [A(p); eps A(p)^{-1}] sigma_2 / sqrt(2), with the hermitian
+SL(2,C) boost A(p) = (m + p^0 + pvec.sigma) / sqrt(2m (m + p^0)), and
+S(L) = diag(A(L), (A(L)^+)^{-1}).  With the unitary W = A(Lp)^{-1} A(L) A(p),
+
+    eps vbar(Lp) S(L) v(p) = sigma_2 (W + (W^+)^{-1}) sigma_2 / 2 = sigma_2 W sigma_2,
+    D^T = (eps vbar(Lp) S(L) v(p))^{-1} = sigma_2 W^{-1} sigma_2,
+    D = sigma_2 W^{-T} sigma_2 = W,
+
+for both energy signs, so `wigner_d_batch` evaluates D = A(Lp)^{-1} A(L) A(p)
+directly, with the double-cover sign of `bispinor_rep(L)`.
+
 The invariant scalar product is (a, b) = sum_eps int d3p/(2 omega)
 atilde^+ btilde = sum_eps eps int d3p/(2 omega) abar b, approximated by
 tensor-product trapezoid quadrature on a centered cube.
@@ -28,9 +40,9 @@ from typing import Callable, Sequence
 import numpy as np
 import sympy as sp
 
-from .amplitudes import amplitude, amplitude_batch
+from .amplitudes import amplitude_batch
 from .clifford import GAMMA, GAMMA0, PAULI
-from .lorentz import bispinor_rep, wigner_rotation
+from .lorentz import _SIGMA4, _sl2c_lift, bispinor_rep, wigner_rotation
 from .minkowski import (METRIC, check_energy_sign, check_mass, libm_square, lorentz_matrix,
                         refuse_first)
 
@@ -80,8 +92,8 @@ class Grid:
     n: int = 64
 
     def __post_init__(self):
-        if self.pmax <= 0 or self.n < 2:
-            raise ValueError(f"need pmax > 0 and n >= 2, got pmax={self.pmax}, n={self.n}")
+        if not (np.isfinite(self.pmax) and self.pmax > 0) or self.n < 2:
+            raise ValueError(f"need finite pmax > 0 and n >= 2, got pmax={self.pmax}, n={self.n}")
 
     def axis(self) -> np.ndarray:
         return np.linspace(-self.pmax, self.pmax, self.n)
@@ -109,9 +121,12 @@ class _ShellProfile:
     def __post_init__(self):
         check_energy_sign(self.eps)
         check_mass(self.mass)
-        if self.width <= 0:
-            raise ValueError("profile width must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if not (np.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"profile width must be finite and positive, got {self.width}")
+        center = np.asarray(self.center, dtype=float)
+        if not np.isfinite(center).all():
+            raise ValueError(f"profile center must be finite, got {center}")
+        object.__setattr__(self, "center", center)
 
     def default_grid(self, n: int = 64) -> Grid:
         return Grid(float(np.linalg.norm(self.center)) + 8.0 * self.width, n)
@@ -284,27 +299,49 @@ def _onshell_batch(pts: np.ndarray, m: float) -> np.ndarray:
     return np.concatenate([omega_of(pts, m)[:, None], pts], axis=1)
 
 
-def wigner_d_batch(L: np.ndarray, pts: np.ndarray, m: float, eps: int = 1) -> np.ndarray:
+def wigner_d_batch(L: np.ndarray, pts: np.ndarray, m: float) -> np.ndarray:
     """SU(2) Wigner matrices D(R(L, p)) on a batch of momenta, shape (n, 2, 2).
 
-    Computed through the amplitude relation D^T = (eps vbar(Lp) S(L) v(p))^{-1},
-    which pins the double-cover sign consistently with bispinor_rep(L).  The
-    4x4 factor eps gamma^0 S(L) is formed once; the sandwich is one matrix
-    product over all rows of v(Lp)^+ followed by a batched matmul with v(p),
-    and the 2x2 inverse is the closed-form adjugate over the determinant.
+    D is the SL(2,C) product W = A(Lp)^{-1} A(L) A(p), with A(L) the lift
+    that `bispinor_rep` uses and, for q on the shell,
+
+        A(q) = (m + q^0 + qvec.sigma) / sqrt(2m (m + q^0)),
+        A(q)^{-1} = (m + q^0 - qvec.sigma) / sqrt(2m (m + q^0)).
+
+    It is the element the amplitude relation D^T = (eps vbar(Lp) S(L) v(p))^{-1}
+    defines, sign included.  The amplitude factors as v^eps(p) =
+    [A(p); eps A(p)^{-1}] sigma_2 / sqrt(2), and S(L) = diag(A(L), (A(L)^+)^{-1});
+    with A(p), A(Lp) hermitian and W unitary,
+
+        eps vbar(Lp) S(L) v(p) = sigma_2 (W + (W^+)^{-1}) sigma_2 / 2 = sigma_2 W sigma_2,
+        D^T = (sigma_2 W sigma_2)^{-1} = sigma_2 W^{-1} sigma_2,
+        D = sigma_2 W^{-T} sigma_2 = W        (sigma_2 W^T sigma_2 = W^{-1} on SU(2)),
+
+    for either energy sign, so D carries the double-cover sign of S(L) and
+    takes no eps.  Writing x^0 I + xvec.sigma = x^mu sigma_mu, D is bilinear
+    in the real components b = (m + q^0, -qvec) / sqrt(2m (m + q^0)) and
+    a = (m + p^0, pvec) / sqrt(2m (m + p^0)):
+
+        D = sum_{mu nu} b_mu a_nu sigma_mu A(L) sigma_nu,
+
+    which is one real matrix product of the (n, 16) outer products b (x) a
+    with the 16 matrices sigma_mu A(L) sigma_nu.  q^0 is recomputed on the
+    shell from qvec = (Lp)vec, so A(Lp)^{-1} has unit determinant.
     """
-    L = np.asarray(L, dtype=float)
+    m = check_mass(m)
+    L = lorentz_matrix(L, proper=True)
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    p4 = _onshell_batch(pts, m)
-    v_in = amplitude(eps, p4, m)
-    v_out = amplitude_batch(eps, (p4 @ L.T)[:, 1:], m)
-    G = eps * GAMMA0 @ bispinor_rep(L)
-    M = (v_out.conj().transpose(0, 2, 1).reshape(-1, 4) @ G).reshape(-1, 2, 4) @ v_in
-    a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
-    D = np.empty_like(M)
-    # D = (M^{-1})^T = [[d, -c], [-b, a]] / det M
-    D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1] = d, -c, -b, a
-    return D / (a * d - b * c)[:, None, None]
+    a = np.empty((4, len(pts)))  # one row per sigma component
+    a[0], a[1:] = omega_of(pts, m), pts.T
+    b = np.empty_like(a)
+    b[1:] = -(L[1:] @ a)
+    b[0] = m + np.sqrt(m * m + np.einsum("in,in->n", b[1:], b[1:]))
+    a[0] += m
+    a /= np.sqrt(2.0 * m * a[0])
+    b /= np.sqrt(2.0 * m * b[0])
+    sandwich = np.einsum("mij,jk,nkl->mnil", _SIGMA4, _sl2c_lift(L), _SIGMA4)
+    D = (b[:, None] * a[None]).reshape(16, -1).T @ sandwich.reshape(16, 4).view(float)
+    return D.view(complex).reshape(-1, 2, 2)
 
 
 def lorentz_transform(w, L: np.ndarray):
@@ -332,16 +369,14 @@ def lorentz_transform(w, L: np.ndarray):
         return CovariantWaveFunction(eps=w.eps, mass=m, width=new_width, fn=fn, center=new_center)
 
     if isinstance(w, SpinWaveFunction):
-        eps = w.eps
-
         def fn(pts: np.ndarray) -> np.ndarray:
             flat = pts.reshape(-1, 3)
             pre = (_onshell_batch(flat, m) @ Linv.T)[:, 1:]
             vals = w.evaluate(pre)
-            D = wigner_d_batch(L, pre, m, eps)
+            D = wigner_d_batch(L, pre, m)
             return np.einsum("nse,ne->ns", D.conj(), vals).reshape(pts.shape[:-1] + (2,))
 
-        return SpinWaveFunction(eps=eps, mass=m, width=new_width, fn=fn, center=new_center)
+        return SpinWaveFunction(eps=w.eps, mass=m, width=new_width, fn=fn, center=new_center)
 
     raise TypeError(f"cannot transform {type(w).__name__}")
 

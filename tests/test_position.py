@@ -32,6 +32,11 @@ def test_position_grid_refined():
     assert np.sum(g.weights_1d()) == pytest.approx(20.0)
 
 
+def test_position_grid_rejects_non_finite_xmax():
+    with pytest.raises(ValueError, match="xmax"):
+        PositionGrid(float("inf"))
+
+
 def test_default_grids_cover_both_packets():
     a = packet(width=0.4)
     b = packet(width=0.5)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from diracspin.amplitudes import amplitude_batch
+from diracspin.amplitudes import amplitude, amplitude_batch
 from diracspin.clifford import GAMMA0, PAULI
-from diracspin.lorentz import (bispinor_rep, boost_from_velocity, random_lorentz,
+from diracspin.lorentz import (_sl2c_lift, bispinor_rep, boost_from_velocity, random_lorentz,
                                random_rotation, wigner_rotation)
 from diracspin.minkowski import on_shell
 from diracspin.states import (CovariantWaveFunction, DensityState, Grid, SpinWaveFunction,
@@ -67,6 +67,23 @@ def test_grid_rejects_bad_shape():
         Grid(pmax=-1.0, n=8)
     with pytest.raises(ValueError):
         Grid(pmax=1.0, n=1)
+
+
+def test_grid_rejects_non_finite_pmax():
+    with pytest.raises(ValueError, match="pmax"):
+        Grid(float("nan"))
+
+
+def test_packet_rejects_non_finite_width():
+    # a NaN width passes a `width <= 0` test and makes the norm NaN
+    with pytest.raises(ValueError, match="width"):
+        gaussian_packet(1, 1.0, float("nan"))
+
+
+def test_packet_rejects_non_finite_center():
+    # a NaN center would size the default grid with pmax = nan
+    with pytest.raises(ValueError, match="center"):
+        gaussian_packet(1, 1.0, 0.5, center=(float("nan"), 0.0, 0.0))
 
 
 @pytest.mark.parametrize("kind", [SpinWaveFunction, CovariantWaveFunction])
@@ -225,7 +242,7 @@ def _wigner_d_reference(L, pts, m, eps):
 def test_wigner_d_batch_matches_reference(rng, eps, m):
     L = random_lorentz(rng, vmax=0.95)
     pts = m * rng.normal(scale=3.0, size=(200, 3))
-    assert_allclose(wigner_d_batch(L, pts, m, eps), _wigner_d_reference(L, pts, m, eps),
+    assert_allclose(wigner_d_batch(L, pts, m), _wigner_d_reference(L, pts, m, eps),
                     rtol=0, atol=1e-13)
 
 
@@ -233,16 +250,58 @@ def test_wigner_d_batch_matches_reference(rng, eps, m):
 @pytest.mark.parametrize("m", [0.3, 1.0, 7.0])
 def test_wigner_d_batch_rotates_pauli_vectors(rng, eps, m):
     # defining property D (sigma.a) D^+ = (R a).sigma with R the vector
-    # Wigner rotation; a transposed or conjugated D fails it
+    # Wigner rotation; a transposed or conjugated D fails it.  The one D
+    # also transports the amplitudes of either shell, S(L) v^eps(p) D^T =
+    # v^eps(Lp), which pins its double-cover sign to that of S(L).
     L = random_lorentz(rng, vmax=0.95)
     pts = m * rng.normal(scale=3.0, size=(20, 3))
-    D = wigner_d_batch(L, pts, m, eps)
+    D = wigner_d_batch(L, pts, m)
     for k, p in enumerate(pts):
         R, _ = wigner_rotation(L, on_shell(m, p), m)
         a = rng.normal(size=3)
         a /= np.linalg.norm(a)
         lhs = D[k] @ np.einsum("i,iab->ab", a, PAULI) @ D[k].conj().T
         assert_allclose(lhs, np.einsum("i,iab->ab", R @ a, PAULI), rtol=0, atol=1e-12)
+    p4 = on_shell(m, pts)
+    moved = bispinor_rep(L) @ amplitude(eps, p4, m) @ D.transpose(0, 2, 1)
+    assert_allclose(moved, amplitude(eps, p4 @ L.T, m), rtol=0, atol=1e-12)
+
+
+def _group_projection(L):
+    # Lambda^mu_nu = tr(sigma_mu A sigma_nu A^+) / 2 for the lift A of L, in
+    # extended precision: a Lorentz matrix to ~1e-19, however far the float64
+    # L misses the metric
+    s4 = np.concatenate([np.eye(2)[None], PAULI]).astype(np.clongdouble)
+    A = _sl2c_lift(L).astype(np.clongdouble)
+    return np.einsum("mab,bc,ncd,da->mn", s4, A, s4, A.conj().T).real / 2
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e3, 1e4])
+def test_wigner_d_batch_high_rapidity(rng, ratio):
+    # the closed form keeps unitarity and the Wigner rotation to rounding of
+    # order (P^0/m) eps, P^0 = max(p^0, (Lp)^0), at any rapidity
+    m = 2.5
+    L = random_lorentz(rng, vmax=0.9)
+    u = rng.normal(size=(200, 3))
+    p4 = on_shell(m, (m * ratio) * u / np.linalg.norm(u, axis=1)[:, None])
+    D = wigner_d_batch(L, p4[:, 1:], m)
+    kappa = np.maximum(p4[:, 0], (p4 @ L.T)[:, 0]) / m
+    tol = 16.0 * kappa * np.finfo(float).eps
+    Dh = D.conj().transpose(0, 2, 1)
+    assert (np.abs(D @ Dh - np.eye(2)).max(axis=(1, 2)) <= tol).all()
+    assert (np.abs(np.linalg.det(D) - 1.0) <= tol).all()
+    # wigner_rotation's product of standard boosts has entries of order
+    # (p^0/m)^2 that cancel down to a rotation: fed the float64 L it would
+    # carry L's metric defect times (p^0/m)^2, so it gets the projected L, and
+    # its own extended-precision rounding, (P^0/m)^2 eps_longdouble, is added
+    # to the bound
+    R, _ = wigner_rotation(_group_projection(L), p4, m)
+    a = rng.normal(size=(len(p4), 3))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    lhs = D @ np.einsum("ni,iab->nab", a, PAULI) @ Dh
+    rhs = np.einsum("ni,iab->nab", (R @ a[..., None])[..., 0], PAULI)
+    tol_R = tol + 16.0 * kappa ** 2 * float(np.finfo(np.longdouble).eps)
+    assert (np.abs(lhs - rhs).max(axis=(1, 2)) <= tol_R).all()
 
 
 def test_rotation_rotates_center(rng):
