@@ -20,6 +20,7 @@ complex matrices serialize row-major as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -310,7 +311,11 @@ def cmd_fourier_check(args) -> int:
 
 # --- parser ----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Array-valued defaults
+    are strings, which argparse converts with the option's type on every
+    parse, so no parse shares an array with another."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="sweep RNG seed")
     common.add_argument("--samples", type=int, default=200, help="samples per identity")
@@ -338,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("wigner", parents=[common], help="Wigner rotation for one case")
     sp.add_argument("--velocity", type=_vec3, required=True, metavar="VX,VY,VZ")
-    sp.add_argument("--momentum", type=_vec3, default=np.zeros(3), metavar="PX,PY,PZ")
+    sp.add_argument("--momentum", type=_vec3, default="0,0,0", metavar="PX,PY,PZ")
     sp.set_defaults(func=cmd_wigner)
 
     sp = sub.add_parser("boost", parents=[common], help="boost matrix with diagnostics")
@@ -349,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("amplitude", parents=[common], help="bispinor amplitude at one momentum")
     sp.add_argument("--eps", type=int, default=1, help="energy sign, +1 or -1")
-    sp.add_argument("--momentum", type=_vec3, default=np.zeros(3), metavar="PX,PY,PZ")
+    sp.add_argument("--momentum", type=_vec3, default="0,0,0", metavar="PX,PY,PZ")
     sp.set_defaults(func=cmd_amplitude)
 
     sp = sub.add_parser("spin-transform", parents=[common],
                         help="spin transport under a pure boost")
     sp.add_argument("--velocity", type=_vec3, required=True, metavar="VX,VY,VZ")
-    sp.add_argument("--momentum", type=_vec3, default=np.zeros(3), metavar="PX,PY,PZ")
-    sp.add_argument("--xi", type=_vec3, default=np.array([0.0, 0.0, 1.0]),
+    sp.add_argument("--momentum", type=_vec3, default="0,0,0", metavar="PX,PY,PZ")
+    sp.add_argument("--xi", type=_vec3, default="0,0,1",
                     metavar="X,Y,Z", help="Bloch vector to rotate")
     sp.set_defaults(func=cmd_spin_transform)
 
@@ -366,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="uniform field components")
     sp.add_argument("--gradient", type=_mat3, default=None, metavar="G11,...,G33",
                     help="row-major field gradient (d_i B_j) for quadrupole")
-    sp.add_argument("--q", type=_vec3, default=np.array([0.0, 0.0, 0.0]), metavar="QX,QY,QZ",
+    sp.add_argument("--q", type=_vec3, default="0,0,0", metavar="QX,QY,QZ",
                     help="initial momentum")
-    sp.add_argument("--xi", type=_vec3, default=np.array([1.0, 0.0, 0.0]), metavar="X,Y,Z",
+    sp.add_argument("--xi", type=_vec3, default="1,0,0", metavar="X,Y,Z",
                     help="initial polarization")
-    sp.add_argument("--x0", type=_vec3, default=np.zeros(3), metavar="X,Y,Z",
+    sp.add_argument("--x0", type=_vec3, default="0,0,0", metavar="X,Y,Z",
                     help="initial position")
     sp.add_argument("--charge", type=_number, default=1.0)
     sp.add_argument("--t-final", type=_number, required=True)
@@ -383,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compare momentum and position scalar products")
     sp.add_argument("--eps", type=int, default=1)
     sp.add_argument("--width", type=_number, default=0.4, help="momentum-space Gaussian width")
-    sp.add_argument("--center", type=_vec3, default=np.zeros(3), metavar="PX,PY,PZ")
-    sp.add_argument("--spin", type=_spin2, default=np.array([1.0 + 0j, 0.0 + 0j]),
+    sp.add_argument("--center", type=_vec3, default="0,0,0", metavar="PX,PY,PZ")
+    sp.add_argument("--spin", type=_spin2, default="1,0",
                     metavar="A,B", help="spin components (complex literals)")
     sp.add_argument("--time", type=_number, default=0.0, help="slice time for the position side")
     sp.set_defaults(func=cmd_fourier_check)

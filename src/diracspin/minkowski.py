@@ -59,11 +59,19 @@ def check_energy_sign(eps):
     return eps.astype(int)
 
 
+#: Smallest positive normal float64; a mass whose square falls below it
+#: leaves omega(0) = sqrt(m^2) at zero or subnormal.
+_TINY = float(np.finfo(float).tiny)
+
+
 def check_mass(m: float) -> float:
-    """Validate a strictly positive rest mass."""
+    """Validate a strictly positive rest mass whose square is a normal float64."""
     m = float(m)
     if not np.isfinite(m) or m <= 0.0:
         raise ValueError(f"mass must be positive and finite, got {m!r}")
+    if m * m < _TINY:
+        raise ValueError(f"mass = {m!r} underflows the mass squared: mass^2 is below "
+                         f"the smallest normal float64, {_TINY:.4g}")
     return m
 
 
@@ -72,12 +80,19 @@ def max_entry(X: np.ndarray) -> np.ndarray:
     return np.abs(X).max(axis=(-2, -1))
 
 
+#: 2^512: from here on x * x overflows, and a float's x ** 2 raises OverflowError.
+_SQUARE_OVERFLOWS = 2.0 ** 512
+
+
 def libm_square(x) -> np.ndarray:
     """x ** 2 for each entry, rounded as a float scalar's x ** 2 is (by the C
     library's pow).  numpy's array power multiplies x * x instead, which
-    rounds differently in about one case in a thousand."""
+    rounds differently in about one case in a thousand.  A square that
+    overflows is inf (x * x, which does not raise), and NaN stays NaN."""
     x = np.asarray(x, dtype=float)
-    return np.array([v ** 2 for v in x.reshape(-1).tolist()]).reshape(x.shape)
+    big = _SQUARE_OVERFLOWS
+    return np.array([v ** 2 if -big < v < big else v * v
+                     for v in x.reshape(-1).tolist()]).reshape(x.shape)
 
 
 def four_vector(t: float, x: float, y: float, z: float) -> np.ndarray:
@@ -147,18 +162,27 @@ def lorentz_matrix(L: np.ndarray, tol: float = 1e-10, proper: bool = False) -> n
     magnitude, since rounding alone produces a defect of that order in
     L^T g L for large rapidities.  With proper=True additionally require a
     proper orthochronous element; discrete elements such as the parity
-    matrix pass only the metric check.
+    matrix pass only the metric check.  The check fails closed: a matrix
+    with a NaN or inf entry, or one whose squared entries overflow (so that
+    neither the scale nor the residual is finite), is refused.
     """
     L = np.asarray(L, dtype=float)
     if L.shape[-2:] != (4, 4):
         raise ValueError(f"Lorentz matrix must have shape (4, 4), got {L.shape}")
-    scale = np.maximum(1.0, libm_square(np.abs(L).max(axis=(-2, -1))))
-    r = lorentz_residual(L)
-    checks = [(r >= tol * scale, lambda i: (f"matrix does not preserve the metric: residual "
-                                            f"{r.reshape(-1)[i]:.3e} >= {tol:.1e} * "
-                                            f"{scale.reshape(-1)[i]:.3g}"))]
-    if proper:
-        checks.append((~is_proper_orthochronous(L), lambda i: "matrix is not proper orthochronous"))
+    big = max_entry(L)
+    scale = np.maximum(1.0, libm_square(big))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = lorentz_residual(L)
+        checks = [(~np.isfinite(big), lambda i: "matrix has a non-finite entry"),
+                  (~(np.isfinite(scale) & np.isfinite(r)),
+                   lambda i: (f"matrix entries up to {big.reshape(-1)[i]:.3g} overflow the "
+                              f"metric check L^T g L")),
+                  (~(r < tol * scale), lambda i: (f"matrix does not preserve the metric: residual "
+                                                  f"{r.reshape(-1)[i]:.3e} >= {tol:.1e} * "
+                                                  f"{scale.reshape(-1)[i]:.3g}"))]
+        if proper:
+            checks.append((~is_proper_orthochronous(L),
+                           lambda i: "matrix is not proper orthochronous"))
     refuse_first(*checks)
     return L
 

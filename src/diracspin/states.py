@@ -30,6 +30,13 @@ directly, with the double-cover sign of `bispinor_rep(L)`.
 The invariant scalar product is (a, b) = sum_eps int d3p/(2 omega)
 atilde^+ btilde = sum_eps eps int d3p/(2 omega) abar b, approximated by
 tensor-product trapezoid quadrature on a centered cube.
+
+sympy is imported on first use, by the functions that build or act on a
+symbolic profile (`gaussian_packet`, `omega_expr`, `nw_shift`, `nw_apply`,
+`momentum_apply`, `apply_spin`, and the lambdify cache behind `evaluate`)
+and by the first access to `P`.  Importing this module, and everything
+that works on callable profiles, sharp Bloch states and Wigner matrices,
+loads numpy only.
 """
 from __future__ import annotations
 
@@ -38,7 +45,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .amplitudes import amplitude_batch
 from .clifford import GAMMA, GAMMA0, PAULI
@@ -46,8 +52,20 @@ from .lorentz import _SIGMA4, _sl2c_lift, bispinor_rep, wigner_rotation
 from .minkowski import (METRIC, check_energy_sign, check_mass, libm_square, lorentz_matrix,
                         refuse_first)
 
-#: Momentum symbols used by all symbolic profiles.
-P = sp.symbols("p1 p2 p3", real=True)
+@lru_cache(maxsize=None)
+def _sympy():
+    """(sympy, P): the module and the momentum symbols P = (p1, p2, p3) used
+    by all symbolic profiles, imported on first use."""
+    import sympy as sp
+
+    return sp, sp.symbols("p1 p2 p3", real=True)
+
+
+def __getattr__(name: str):
+    """`P`, the momentum symbols, is made on first access."""
+    if name == "P":
+        return _sympy()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @lru_cache(maxsize=64)
@@ -55,6 +73,7 @@ def _compiled(expr: sp.Expr) -> Callable:
     """Numpy function of (p1, p2, p3) for a profile expression.  Shared across
     packets, since equal expressions recur when a packet is built again;
     bounded, since every normalized packet brings new ones."""
+    sp, P = _sympy()
     return sp.lambdify(P, expr, modules="numpy")
 
 
@@ -67,6 +86,7 @@ def _eval_expr(expr: sp.Expr, px: np.ndarray, py: np.ndarray, pz: np.ndarray) ->
 
 def omega_expr(m: float) -> sp.Expr:
     """Symbolic on-shell energy sqrt(m^2 + |p|^2)."""
+    sp, P = _sympy()
     return sp.sqrt(m * m + P[0] ** 2 + P[1] ** 2 + P[2] ** 2)
 
 
@@ -183,6 +203,7 @@ def gaussian_packet(eps: int, mass: float, width: float,
 
         psitilde_s(p) = spin_s * poly_s(p) * exp(-|p - center|^2 / (2 width^2)).
     """
+    sp, P = _sympy()
     center = np.asarray(center, dtype=float)
     gauss = sp.exp(-sum((P[i] - center[i]) ** 2 for i in range(3)) / (2.0 * width ** 2))
     if poly is None:
@@ -330,13 +351,18 @@ def wigner_d_batch(L: np.ndarray, pts: np.ndarray, m: float) -> np.ndarray:
     """
     m = check_mass(m)
     L = lorentz_matrix(L, proper=True)
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    a = np.empty((4, len(pts)))  # one row per sigma component
-    a[0], a[1:] = omega_of(pts, m), pts.T
+    p4 = _onshell_batch(pts, m)
+    return _wigner_d(L, p4, _onshell_batch(p4 @ L[1:].T, m), m)
+
+
+def _wigner_d(L: np.ndarray, p4: np.ndarray, q4: np.ndarray, m: float) -> np.ndarray:
+    """The kernel of `wigner_d_batch`: D = A(q)^{-1} A(L) A(p) for on-shell
+    momenta p4 (n, 4) and targets q4 (n, 4), with qvec = (L p)vec and q^0 on
+    the shell; L and m already validated."""
+    a = np.empty((4, len(p4)))  # one row per sigma component
+    a[0], a[1:] = m + p4[:, 0], p4[:, 1:].T
     b = np.empty_like(a)
-    b[1:] = -(L[1:] @ a)
-    b[0] = m + np.sqrt(m * m + np.einsum("in,in->n", b[1:], b[1:]))
-    a[0] += m
+    b[0], b[1:] = m + q4[:, 0], -q4[:, 1:].T
     a /= np.sqrt(2.0 * m * a[0])
     b /= np.sqrt(2.0 * m * b[0])
     sandwich = np.einsum("mij,jk,nkl->mnil", _SIGMA4, _sl2c_lift(L), _SIGMA4)
@@ -370,10 +396,11 @@ def lorentz_transform(w, L: np.ndarray):
 
     if isinstance(w, SpinWaveFunction):
         def fn(pts: np.ndarray) -> np.ndarray:
-            flat = pts.reshape(-1, 3)
-            pre = (_onshell_batch(flat, m) @ Linv.T)[:, 1:]
-            vals = w.evaluate(pre)
-            D = wigner_d_batch(L, pre, m)
+            q4 = _onshell_batch(pts, m)
+            pre4 = q4 @ Linv.T
+            pre4[:, 0] = omega_of(pre4[:, 1:], m)  # the preimage, back on the shell
+            vals = w.evaluate(pre4[:, 1:])
+            D = _wigner_d(L, pre4, q4, m)
             return np.einsum("nse,ne->ns", D.conj(), vals).reshape(pts.shape[:-1] + (2,))
 
         return SpinWaveFunction(eps=w.eps, mass=m, width=new_width, fn=fn, center=new_center)
@@ -397,6 +424,7 @@ def nw_shift(w: SpinWaveFunction, a3: np.ndarray) -> SpinWaveFunction:
     a3 = np.asarray(a3, dtype=float)
     eps, m = w.eps, w.mass
     if w.exprs is not None:
+        sp, P = _sympy()
         sub = {P[i]: P[i] + eps * a3[i] for i in range(3)}
         omega = omega_expr(m)
         factor = sp.sqrt(omega / omega.subs(sub, simultaneous=True))
@@ -424,6 +452,7 @@ def nw_apply(w: SpinWaveFunction, i: int) -> SpinWaveFunction:
     """
     if w.exprs is None:
         raise ValueError("nw_apply needs a symbolic profile; sample it and use nw_apply_sampled")
+    sp, P = _sympy()
     eps, m = w.eps, w.mass
     om2 = m * m + P[0] ** 2 + P[1] ** 2 + P[2] ** 2
     exprs = tuple(sp.I * eps * (sp.diff(e, P[i]) - P[i] / (2 * om2) * e) for e in w.exprs)
@@ -433,6 +462,7 @@ def nw_apply(w: SpinWaveFunction, i: int) -> SpinWaveFunction:
 def momentum_apply(w: SpinWaveFunction, j: int) -> SpinWaveFunction:
     """Apply the momentum component P_j, which acts as multiplication by eps p_j."""
     if w.exprs is not None:
+        P = _sympy()[1]
         return replace(w, exprs=tuple(w.eps * P[j] * e for e in w.exprs))
     eps, inner = w.eps, w.fn
     return replace(w, fn=lambda pts: eps * np.asarray(pts, float)[..., j : j + 1] * inner(pts))
@@ -446,6 +476,7 @@ def apply_spin(w: SpinWaveFunction, M2: np.ndarray) -> SpinWaveFunction:
     """
     M2 = np.asarray(M2, dtype=complex)
     if w.exprs is not None:
+        sp = _sympy()[0]
         exprs = tuple(sum(sp.sympify(complex(M2[s, t])) * w.exprs[t] for t in range(2)) for s in range(2))
         return replace(w, exprs=exprs)
     inner = w.fn

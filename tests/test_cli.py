@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import diracspin
-from diracspin.cli import main
+from diracspin.cli import build_parser, main
 
 PERP_ANGLE = 0.14334756890536535
 
@@ -275,6 +275,15 @@ def test_version_flag(capsys):
 
 # --- exit-code contract under adversarial numbers ----------------------------
 
+#: Masses whose square underflows float64: omega(0) would be zero.
+TINY_MASS_ARGV = [
+    ["fourier-check", "--mass", "1e-300"],
+    ["wigner", "--velocity=0.1,0,0", "--mass", "1e-200"],
+    ["spin-transform", "--velocity=0.1,0,0", "--mass", "1e-200"],
+    ["verify", "--samples", "3", "--mass", "1e-200"],
+    ["boost", "--momentum=1,0,0", "--mass", "1e-200"],
+]
+
 ADVERSARIAL_ARGV = [
     ["verify", "--samples", "3", "--pmax", "nan"],
     ["verify", "--samples", "3", "--pmax", "inf"],
@@ -302,6 +311,8 @@ ADVERSARIAL_ARGV = [
     ["fourier-check", "--width", "nan"],
     ["fourier-check", "--time", "inf"],
     ["fourier-check", "--spin", "nan,0"],
+    ["boost", "--momentum=1e100,0,0", "--mass", "1e-100"],
+    *TINY_MASS_ARGV,
 ]
 
 
@@ -356,6 +367,88 @@ def test_overflowing_momentum_refused_by_name(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: momentum with mass = ")
     assert err.endswith("overflows the on-shell energy squared, |p|^2 + mass^2\n")
+
+
+@pytest.mark.parametrize("argv", TINY_MASS_ARGV, ids=" ".join)
+def test_underflowing_mass_refused_by_name(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: mass = {float(argv[-1])!r} underflows the mass squared")
+    assert err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_boost_whose_entries_overflow_is_refused_without_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "boost", "--momentum=1e100,0,0", "--mass", "1e-100")
+    assert code == 2 and out == ""
+    assert err == "error: matrix entries up to 1e+200 overflow the metric check L^T g L\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+#: One run of every subcommand with its array-valued options left at their defaults.
+DEFAULT_ARRAY_ARGV = [
+    ["verify", "--samples", "2"],
+    ["wigner", "--velocity", "0.3,0.1,0"],
+    ["boost", "--velocity", "0.3,0.1,0"],
+    ["amplitude"],
+    ["spin-transform", "--velocity", "0.3,0.1,0"],
+    ["precess", "--b", "0,0,1", "--t-final", "1", "--steps", "20"],
+    ["fourier-check", "--width", "0.5"],
+]
+
+
+def test_parser_built_once_and_shares_no_default_array(capsys):
+    assert build_parser() is build_parser()
+    first = [run(capsys, *argv) for argv in DEFAULT_ARRAY_ARGV]
+    second = [run(capsys, *argv) for argv in DEFAULT_ARRAY_ARGV]
+    assert [code for code, _, _ in first] == [0] * len(DEFAULT_ARRAY_ARGV)
+    assert first == second
+    parse = build_parser().parse_args
+    zero = [0.0, 0.0, 0.0]
+    expected = {"wigner": {"momentum": zero}, "amplitude": {"momentum": zero},
+                "spin-transform": {"momentum": zero, "xi": [0.0, 0.0, 1.0]},
+                "precess": {"q": zero, "xi": [1.0, 0.0, 0.0], "x0": zero},
+                "fourier-check": {"center": zero, "spin": [1.0 + 0j, 0j]}}
+    for argv in DEFAULT_ARRAY_ARGV:
+        if argv[0] not in expected:
+            continue
+        a, b = parse(argv), parse(argv)
+        for name, value in expected[argv[0]].items():
+            assert getattr(a, name) is not getattr(b, name)
+            getattr(a, name)[...] = 7.0  # a caller that writes into its arrays
+            assert np.array_equal(getattr(parse(argv), name), value)
+
+
+def test_numeric_subcommands_leave_sympy_out():
+    # Only symbolic profiles need sympy: verify and the single-case commands
+    # never import it, and the packet API imports it on its first profile.
+    src = str(Path(diracspin.__file__).resolve().parents[1])
+    code = """if True:
+        import contextlib, io, json, sys
+        import diracspin.cli as cli
+        runs = [["verify", "--samples", "2"], ["wigner", "--velocity", "0.3,0.1,0"],
+                ["boost", "--velocity", "0.3,0,0"], ["amplitude", "--momentum", "1,2,3"],
+                ["spin-transform", "--velocity", "0.3,0.1,0"],
+                ["precess", "--b", "0,0,1", "--t-final", "1", "--steps", "10"]]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [cli.main(argv) for argv in runs]
+        before = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+        from diracspin.states import P, gaussian_packet, norm, normalized
+        nrm = norm(normalized(gaussian_packet(1, 1.0, 0.5)))
+        print(json.dumps({"codes": codes, "before": before, "P": str(P),
+                          "after": "sympy" in sys.modules, "norm": nrm}))
+    """
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    out = json.loads(res.stdout)
+    assert out["codes"] == [0] * 6
+    assert out["before"] == []
+    assert out["after"] is True and out["P"] == "(p1, p2, p3)"
+    assert out["norm"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cli_import_leaves_scipy_linalg_out():

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from diracspin.minkowski import (METRIC, four_vector, is_proper_orthochronous,
-                                 lorentz_matrix, lorentz_residual, minkowski_dot, on_shell,
-                                 parity_flip, parity_matrix, spatial)
+from diracspin.minkowski import (METRIC, SampleRefused, check_mass, four_vector,
+                                 is_proper_orthochronous, libm_square, lorentz_matrix,
+                                 lorentz_residual, minkowski_dot, on_shell, parity_flip,
+                                 parity_matrix, spatial)
 
 finite = st.floats(-50, 50, allow_nan=False)
 
@@ -90,3 +93,55 @@ def test_lorentz_matrix_proper_flag():
     with pytest.raises(ValueError):
         lorentz_matrix(parity_matrix(), proper=True)
 
+
+
+@pytest.mark.parametrize("proper", [False, True])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", [0, 1])
+def test_lorentz_matrix_refuses_non_finite_entries(proper, entry, k):
+    diag = np.ones(4)
+    diag[k] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SampleRefused, match="non-finite entry"):
+            lorentz_matrix(np.diag(diag), proper=proper)
+
+
+@pytest.mark.parametrize("proper", [False, True])
+def test_lorentz_matrix_names_first_non_finite_sample(proper):
+    stack = np.stack([np.eye(4), np.eye(4), np.diag([1.0, np.nan, 1.0, 1.0])])
+    with pytest.raises(SampleRefused) as exc:
+        lorentz_matrix(stack, proper=proper)
+    assert exc.value.index == 2 and "(sample 2)" in str(exc.value)
+
+
+@pytest.mark.parametrize("proper", [False, True])
+def test_lorentz_matrix_refuses_overflowing_entries_without_warnings(proper):
+    # a standard boost with p/m = 1e200: finite entries whose squares overflow
+    g = 1e200
+    L = np.eye(4)
+    L[0, 0] = L[1, 1] = g
+    L[0, 1] = L[1, 0] = g
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SampleRefused, match="overflow the metric check"):
+            lorentz_matrix(L, proper=proper)
+
+
+def test_libm_square_overflows_to_inf_and_keeps_finite_bits():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(size=1000) * 10.0 ** rng.integers(-150, 150, 1000),
+                        [2.0 ** 512 * (1 - 2.0 ** -53), -1e154, 0.0, -0.0]])
+    expected = np.array([v ** 2 for v in x.tolist()])
+    assert np.array_equal(libm_square(x), expected)
+    big = libm_square(np.array([2.0 ** 512, -1e200, np.inf, -np.inf, np.nan]))
+    assert np.array_equal(big[:4], [np.inf] * 4) and np.isnan(big[4])
+
+
+def test_check_mass_refuses_underflowing_square():
+    tiny = np.finfo(float).tiny
+    assert check_mass(1.5e-154) == 1.5e-154  # 2.25e-308 is still a normal float64
+    for m in (1.4e-154, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match=f"mass = {m!r} underflows the mass squared"):
+            check_mass(m)
+    assert check_mass(np.sqrt(tiny) * (1 + 1e-15)) > 0

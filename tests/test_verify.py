@@ -88,6 +88,12 @@ def test_config_refuses_overflowing_energy(kwargs):
         RunConfig(**kwargs)
 
 
+@pytest.mark.parametrize("mass", [1e-155, 1e-200, 1e-300])
+def test_config_refuses_mass_whose_square_underflows(mass):
+    with pytest.raises(ValueError, match=f"mass = {mass!r} underflows"):
+        RunConfig(mass=mass)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_config_refuses_non_finite(bad):
     with pytest.raises(ValueError):
