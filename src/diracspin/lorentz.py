@@ -16,6 +16,8 @@ The kinematic kernels and the samplers' builders are batch-first (see
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .clifford import GAMMA0, PAULI, SIGMA
@@ -333,48 +335,60 @@ def bispinor_inverse(S: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Random samples.  Each sampler is a raw draw, taking its random numbers from
-# the generator in a fixed order, and a batch-first builder of the sample
-# from those numbers; a sweep draws sample after sample and builds them all
-# at once, which keeps every stream as the one-at-a-time samplers leave it.
+# Random samples.  The order of a sample's random numbers is defined once per
+# kind, as a layout; a sweep fills a chunk's rows from its kinds' layouts and
+# the batch-first builders read the columns.  A scalar sampler is n = 1.
 # ---------------------------------------------------------------------------
 
-def draw_ball(rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Raw draw of a point uniform in the unit ball: a normal 3-vector (its
-    direction) and the radius, uniform()^(1/3) rounded as a Python float."""
-    return rng.normal(size=3), rng.uniform() ** (1.0 / 3.0)
+#: Layouts of a point uniform in the unit ball (a normal 3-vector, its
+#: direction, then the radius uniform()^(1/3)), a Haar-random rotation (a
+#: normal quaternion, scalar last, as scipy's Rotation.random takes it) and a
+#: `random_lorentz` sample (rotation, then velocity).
+BALL, ROTATION = "nnnc", "nnnn"
+LORENTZ = ROTATION + BALL
 
 
-def draw_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Raw draw of a Haar-random rotation: a normal 4-vector (its quaternion,
-    scalar last), as scipy's Rotation.random takes it."""
-    return rng.normal(size=4)
-
-
-def draw_lorentz(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
-    """Raw draw of a `random_lorentz` sample: rotation, then velocity."""
-    return (draw_rotation(rng), *draw_ball(rng))
+def fill_draws(rng: np.random.Generator, layout: str, n: int = 1) -> np.ndarray:
+    """Random numbers of n samples, shape (n, len(layout)), taken row after
+    row: "n" a standard normal (one call per run), "c" a uniform's cube root,
+    "u" a uniform, "s" integers(0, 2).  These are the numbers normal(size=k),
+    uniform() ** (1/3), uniform() and integers(0, 2) take per sample; the cube
+    root is a Python float's, as numpy's array power rounds some differently,
+    and adding 0.0 turns a drawn -0.0 into normal()'s 0.0 + 1.0 z = +0.0."""
+    scalars = {"c": lambda: rng.random() ** (1.0 / 3.0), "u": rng.random,
+               "s": lambda: rng.integers(0, 2)}
+    steps = [(m.start(), m.end(), m[0][0]) for m in re.finditer("n+|.", layout)]
+    out = np.empty((n, len(layout)))
+    for row in out:
+        for a, b, kind in steps:
+            if kind == "n":
+                rng.standard_normal(out=row[a:b])
+            else:
+                row[a] = scalars[kind]()
+    return np.add(out, 0.0, out=out)
 
 
 def _ball_points(u: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Points r u/|u| from directions u (..., 3) and radii r (...)."""
-    u = np.asarray(u, dtype=float)
-    return np.asarray(r)[..., None] * (u / np.sqrt(np.vecdot(u, u))[..., None])
+    return r[..., None] * (u / np.sqrt(np.vecdot(u, u))[..., None])
 
 
-def momenta_from_draws(u: np.ndarray, c: np.ndarray, m: float, pmax_over_m: float) -> np.ndarray:
-    """On-shell four-momenta (..., 4) from `draw_ball` draws, with
-    pvec = m pmax_over_m c u/|u|."""
-    return on_shell(m, _ball_points(u, m * (pmax_over_m * np.asarray(c))))
+def momenta_from_draws(d: np.ndarray, m: float, pmax_over_m: float) -> np.ndarray:
+    """On-shell four-momenta (..., 4) from `BALL` draws d (..., 4), with
+    pvec = m pmax_over_m c u/|u| for u = d[..., :3] and c = d[..., 3]."""
+    return on_shell(m, _ball_points(d[..., :3], m * (pmax_over_m * d[..., 3])))
 
 
-def velocities_from_draws(u: np.ndarray, c: np.ndarray, vmax: float) -> np.ndarray:
-    """Velocities (..., 3) from `draw_ball` draws, v = vmax c u/|u|."""
-    return _ball_points(u, vmax * np.asarray(c))
+def velocities_from_draws(d: np.ndarray, vmax: float) -> np.ndarray:
+    """Velocities (..., 3) from `BALL` draws d (..., 4), v = vmax c u/|u|,
+    for 0 < vmax <= VMAX_HARD."""
+    if not 0.0 < vmax <= VMAX_HARD:
+        raise ValueError(f"vmax must lie in (0, {VMAX_HARD}], got {vmax}")
+    return _ball_points(d[..., :3], vmax * d[..., 3])
 
 
 def rotations_from_draws(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) from `draw_rotation` draws.
+    """Rotation matrices (..., 3, 3) from `ROTATION` draws (..., 4).
 
     q = (x, y, z, w) is a quaternion with its scalar last.  It is divided by
     its norm, summed left to right, and mapped by the standard entries; both
@@ -393,34 +407,27 @@ def rotations_from_draws(q: np.ndarray) -> np.ndarray:
                     axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
-def lorentz_from_draws(q: np.ndarray, u: np.ndarray, c: np.ndarray, vmax: float) -> np.ndarray:
-    """Transformations boost x rotation (..., 4, 4) from `draw_lorentz` draws."""
-    R = _rotation4(rotations_from_draws(q))
-    return boost_from_velocity(velocities_from_draws(u, c, vmax)) @ R
-
-
-def _check_vmax(vmax: float) -> None:
-    if not 0.0 < vmax <= VMAX_HARD:
-        raise ValueError(f"vmax must lie in (0, {VMAX_HARD}], got {vmax}")
+def lorentz_from_draws(d: np.ndarray, vmax: float) -> np.ndarray:
+    """Transformations boost x rotation (..., 4, 4) from `LORENTZ` draws d (..., 8)."""
+    R = _rotation4(rotations_from_draws(d[..., :4]))
+    return boost_from_velocity(velocities_from_draws(d[..., 4:], vmax)) @ R
 
 
 def random_momentum(rng: np.random.Generator, m: float, pmax_over_m: float = 10.0) -> np.ndarray:
     """On-shell four-momentum with pvec = m u, u uniform in the ball |u| <= pmax_over_m."""
-    return momenta_from_draws(*draw_ball(rng), m, pmax_over_m)
+    return momenta_from_draws(fill_draws(rng, BALL)[0], m, pmax_over_m)
 
 
 def random_velocity(rng: np.random.Generator, vmax: float = 0.99) -> np.ndarray:
     """Velocity uniform in the ball |v| <= vmax (vmax capped at 0.999999)."""
-    _check_vmax(vmax)
-    return velocities_from_draws(*draw_ball(rng), vmax)
+    return velocities_from_draws(fill_draws(rng, BALL)[0], vmax)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Haar-random rotation matrix."""
-    return rotations_from_draws(draw_rotation(rng))
+    return rotations_from_draws(fill_draws(rng, ROTATION)[0])
 
 
 def random_lorentz(rng: np.random.Generator, vmax: float = 0.99) -> np.ndarray:
     """Random proper orthochronous transformation, sampled as boost x rotation."""
-    _check_vmax(vmax)
-    return lorentz_from_draws(*draw_lorentz(rng), vmax)
+    return lorentz_from_draws(fill_draws(rng, LORENTZ)[0], vmax)

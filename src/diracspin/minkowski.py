@@ -144,14 +144,22 @@ def lorentz_residual(L: np.ndarray) -> float:
 
 
 def is_proper_orthochronous(L: np.ndarray) -> bool:
-    """Check det L > 0 and L^0_0 > 0, per matrix of a (..., 4, 4) stack.
+    """Check L^0_0 > 0 and that the rotation part R has det R = +1, per
+    matrix of a (..., 4, 4) stack of matrices that preserve the metric.
 
-    Meaningful for matrices that already preserve the metric (which forces
-    |det| = 1 and |L^0_0| >= 1), so plain sign checks stay reliable even for
-    extreme boosts where a rounded determinant misses +-1 by a wide margin.
+    Such an L with L^0_0 >= 1 is diag(1, R) B, B the pure boost whose row 0
+    is that of L, so its spatial block is R (I + b b^T / (1 + L^0_0)) with
+    b = L[0, 1:], and det R = det L[1:, 1:] / L^0_0 exactly.  This ratio
+    takes no difference of the order-gamma entries, unlike det L (an LU
+    determinant that cancels to 0 for boosts from p/m ~ 1e12) or R itself
+    (whose entries cancel from p/m ~ 1e16), so a boost along an axis passes
+    at any rapidity.  det R must lie within 0.5 of +1: a rotation part that
+    rounding has moved that far is refused, whatever its sign.  The test is
+    |det L[1:, 1:] - L^0_0| < 0.5 L^0_0, which needs no division.
     """
     L = np.asarray(L, dtype=float)
-    return (np.linalg.det(L) > 0.0) & (L[..., 0, 0] > 0.0)
+    l00 = L[..., 0, 0]
+    return (l00 > 0.0) & (np.abs(np.linalg.det(L[..., 1:, 1:]) - l00) < 0.5 * l00)
 
 
 def lorentz_matrix(L: np.ndarray, tol: float = 1e-10, proper: bool = False) -> np.ndarray:

@@ -1,22 +1,22 @@
 """Randomized identity-residual sweeps with deterministic, serializable reports.
 
 Each named identity draws its own sample stream from a `SeedSequence` spawned
-off the run seed and the identity's position in the sorted registry, so adding
+off the run seed and the identity's frozen index in `RNG_STREAMS`, so adding
 samples to one identity never disturbs another and a fixed seed reproduces the
 report byte for byte.  Residuals are max-norm deviations of the checked
 relation; an identity passes when its worst sample stays below tolerance.
 The reduction propagates NaN, so a NaN or inf residual fails its identity.
 
-An identity is a list of sample kinds and an evaluator.  The sweep draws the
-samples of a chunk (at most `CHUNK` of them) one after another in a Python
-loop, each sample taking its random numbers in a fixed order (the order the
-one-at-a-time samplers in `lorentz` use), then builds every kind of the chunk
-in one batched call and evaluates the identity once over the whole chunk,
-one residual per sample.  Chunking keeps peak memory independent of the
-sample count.  A kernel that refuses a sample (say a Wigner rotation too far
-from orthogonal to lift at high rapidity) raises `SampleRefused` with the
-index of the first refused sample; the samples before it are evaluated again
-(a later kernel may refuse an earlier sample), the refused sample gets a NaN
+An identity is a list of sample kinds and an evaluator.  A sample takes the
+layouts of its kinds (`lorentz.fill_draws`) one after another, so the sweep
+fills one (n, width) array per chunk of at most `CHUNK` samples with the
+numbers the one-at-a-time samplers take, builds each kind from its columns
+in one batched call and evaluates the identity once over the chunk, one
+residual per sample.  Chunking keeps peak memory independent of the sample
+count.  A kernel that refuses a sample (say a Wigner rotation too far from
+orthogonal to lift at high rapidity) raises `SampleRefused` with the index
+of the first refused sample; the samples before it are evaluated again (a
+later kernel may refuse an earlier sample), the refused sample gets a NaN
 residual and the run ends there, so `samples` counts the samples up to and
 including the first refused one.
 
@@ -36,10 +36,10 @@ from .amplitudes import (amplitude, dirac_bar, dirac_residual, orthogonality_res
                          parity_residual, projector_residual, sandwich_formula_residual,
                          weinberg_residual)
 from .clifford import GAMMA, GAMMA5, PAULI, energy_projector
-from .lorentz import (VMAX_HARD, bispinor_inverse, bispinor_rep, boost_from_velocity,
-                      draw_ball, draw_lorentz, draw_rotation, lorentz_from_draws,
-                      momenta_from_draws, rotations_from_draws, standard_boost, su2_from_so3,
-                      velocities_from_draws, wigner_rotation, wigner_rotation_closed)
+from .lorentz import (BALL, LORENTZ, ROTATION, VMAX_HARD, bispinor_inverse, bispinor_rep,
+                      boost_from_velocity, fill_draws, lorentz_from_draws, momenta_from_draws,
+                      rotations_from_draws, standard_boost, su2_from_so3, velocities_from_draws,
+                      wigner_rotation, wigner_rotation_closed)
 from .minkowski import METRIC, SampleRefused, check_mass, libm_square, max_entry
 from .spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant, pl_covariant,
                        pl_spin, spin_covariant, spin_from_pl, spin_matrix,
@@ -102,30 +102,19 @@ class IdentityResult:
     passed: bool
 
 
-# --- sample kinds: (raw draw, batched builder) ------------------------------
-# A raw draw takes one sample's random numbers from the generator and returns
-# them as a tuple; the builder gets the config and one array per tuple entry,
-# stacked over the chunk's samples.
+# --- sample kinds: (layout, batched builder) -------------------------------
+# A sample takes its kinds' layouts in turn (`fill_draws`); each builder gets
+# the config and its kind's columns of the chunk's draws.
 
-_MOMENTUM = (draw_ball, lambda cfg, u, c: momenta_from_draws(u, c, cfg.mass, cfg.pmax_over_m))
-_VELOCITY = (draw_ball, lambda cfg, u, c: velocities_from_draws(u, c, cfg.vmax))
-_LORENTZ = (draw_lorentz, lambda cfg, q, u, c: lorentz_from_draws(q, u, c, cfg.vmax))
-_ROTATION = (lambda rng: (draw_rotation(rng),), lambda cfg, q: rotations_from_draws(q))
-#: Energy sign +-1; rng.integers(0, 2) takes the same numbers as rng.choice((-1, 1)).
-_SIGN = (lambda rng: (rng.integers(0, 2),), lambda cfg, k: 2 * k - 1)
-#: Bloch vector: length uniform in [0, 1], direction uniform.
-_BLOCH = (lambda rng: (rng.normal(size=3), rng.uniform(0.0, 1.0)),
-          lambda cfg, u, c: c[:, None] * u / np.sqrt(np.vecdot(u, u))[:, None])
-
-
-def _draw(cfg: RunConfig, rng, n: int, kinds) -> tuple:
-    """n samples of the given kinds, drawn sample by sample, built per kind."""
-    rows = [[raw(rng) for raw, _ in kinds] for _ in range(n)]
-    built = []
-    for j, (_, build) in enumerate(kinds):
-        columns = zip(*(row[j] for row in rows))  # one per entry of the raw tuple
-        built.append(build(cfg, *map(np.array, columns)))
-    return tuple(built)
+_MOMENTUM = (BALL, lambda cfg, d: momenta_from_draws(d, cfg.mass, cfg.pmax_over_m))
+_VELOCITY = (BALL, lambda cfg, d: velocities_from_draws(d, cfg.vmax))
+_LORENTZ = (LORENTZ, lambda cfg, d: lorentz_from_draws(d, cfg.vmax))
+_ROTATION = (ROTATION, lambda cfg, d: rotations_from_draws(d))
+#: Energy sign +-1; integers(0, 2) takes the same numbers as choice((-1, 1)).
+_SIGN = ("s", lambda cfg, d: 2 * d[:, 0].astype(int) - 1)
+#: Bloch vector: a normal 3-vector (direction), then its length, uniform in [0, 1].
+_BLOCH = ("nnnu", lambda cfg, d: (d[:, 3:] * d[:, :3]
+                                  / np.sqrt(np.vecdot(d[:, :3], d[:, :3]))[:, None]))
 
 
 def _worst(residuals: list) -> np.ndarray:
@@ -381,9 +370,12 @@ def sample_residuals(name: str, cfg: RunConfig) -> Iterator[np.ndarray]:
         yield evaluate(cfg)
         return
     rng = identity_rng(cfg, name)
+    layouts, builders = zip(*kinds)
+    ends = np.cumsum([len(layout) for layout in layouts])[:-1]
     for start in range(0, cfg.samples, CHUNK):
-        residuals, refused = _evaluate(cfg, evaluate,
-                                       _draw(cfg, rng, min(CHUNK, cfg.samples - start), kinds))
+        draws = fill_draws(rng, "".join(layouts), min(CHUNK, cfg.samples - start))
+        samples = tuple(build(cfg, d) for build, d in zip(builders, np.split(draws, ends, axis=1)))
+        residuals, refused = _evaluate(cfg, evaluate, samples)
         yield residuals
         if refused:
             return

@@ -124,6 +124,15 @@ def test_boost_momentum_matrix(capsys):
     assert_allclose(L[:, 0] * 2.0, [np.sqrt(29.0), 3.0, 0.0, 4.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1e12, 1e16])
+def test_boost_at_extreme_momentum_is_accepted(capsys, p):
+    # det L cancels to 0 here; the rotation part decides the orientation
+    code, out, err = run(capsys, "boost", f"--momentum={p},0,0")
+    assert code == 0 and err == ""
+    L = np.array(json.loads(out)["matrix"])
+    assert L[0, 0] == L[1, 0] == L[0, 1] == p
+
+
 def test_boost_requires_exactly_one_input(capsys):
     code, _, _ = run(capsys, "boost")
     assert code == 2

@@ -87,6 +87,57 @@ def test_proper_orthochronous_classification():
     assert not is_proper_orthochronous(time_reversal)
 
 
+def _boosts(p3):
+    """Standard boosts (..., 4, 4) to momenta p3 (..., 3), unit mass, built
+    without validation."""
+    p0 = np.sqrt(1.0 + np.vecdot(p3, p3))
+    L = np.zeros(p3.shape[:-1] + (4, 4))
+    L[..., 0, 0] = p0
+    L[..., 0, 1:] = L[..., 1:, 0] = p3
+    L[..., 1:, 1:] = np.eye(3) + p3[..., :, None] * p3[..., None, :] / (1.0 + p0)[..., None, None]
+    return L
+
+
+def test_discrete_elements_stay_refused_at_high_rapidity():
+    boost = _boosts(np.array([1e12, 0.0, 0.0]))
+    time_reversal = np.diag([-1.0, 1.0, 1.0, 1.0])
+    for X in (parity_matrix(), time_reversal, -np.eye(4), parity_matrix() @ boost,
+              time_reversal @ boost, -boost):
+        assert not is_proper_orthochronous(X)
+        with pytest.raises(SampleRefused, match="not proper orthochronous"):
+            lorentz_matrix(X, proper=True)
+
+
+@pytest.mark.parametrize("p_over_m", [1e2, 1e6, 1e12, 1e15, 1e16, 1e17])
+def test_rotation_part_decides_at_high_rapidity(p_over_m):
+    # det L cancels to 0 for a boost from p/m ~ 1e12; the rotation part's
+    # determinant det L[1:, 1:] / L^0_0 keeps boost x rotation proper up to
+    # 1e15, and parity negates it exactly, so a matrix and its parity image
+    # are never both accepted, not even where rounding has destroyed it.
+    from diracspin.lorentz import _rotation4, rotations_from_draws
+
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((300, 3))
+    L = _boosts(p_over_m * u / np.linalg.norm(u, axis=1)[:, None])
+    L = L @ _rotation4(rotations_from_draws(rng.standard_normal((300, 4))))
+    proper = is_proper_orthochronous(L)
+    improper = is_proper_orthochronous(parity_matrix() @ L)
+    assert not (proper & improper).any()
+    if p_over_m <= 1e15:
+        assert proper.all() and not improper.any()
+    axis = _boosts(np.array([p_over_m, 0.0, 0.0]))
+    assert is_proper_orthochronous(axis) and not is_proper_orthochronous(parity_matrix() @ axis)
+
+
+def test_a_stack_names_its_first_improper_matrix():
+    boosts = _boosts(np.array([[1e12, 0.0, 0.0], [0.0, 1e16, 0.0], [3.0, 4.0, 0.0]]))
+    stack = np.concatenate([boosts, parity_matrix() @ boosts])[[0, 1, 4, 2, 3]]
+    assert is_proper_orthochronous(stack).tolist() == [True, True, False, True, False]
+    with pytest.raises(SampleRefused, match=r"not proper orthochronous \(sample 2\)") as exc:
+        lorentz_matrix(stack, proper=True)
+    assert exc.value.index == 2
+
+
 def test_lorentz_matrix_proper_flag():
     # parity preserves the metric but is excluded once proper=True
     lorentz_matrix(parity_matrix())

@@ -7,8 +7,8 @@ from diracspin.amplitudes import (dirac_residual, orthogonality_residual, parity
                                   projector_residual, sandwich_formula_residual,
                                   weinberg_residual)
 from diracspin.clifford import PAULI, energy_projector, slash
-from diracspin.lorentz import (bispinor_inverse, bispinor_rep, boost_from_velocity, draw_ball,
-                               draw_lorentz, draw_rotation, lorentz_from_draws, lorentz_gamma,
+from diracspin.lorentz import (BALL, LORENTZ, ROTATION, bispinor_inverse, bispinor_rep,
+                               boost_from_velocity, fill_draws, lorentz_from_draws, lorentz_gamma,
                                momenta_from_draws, random_lorentz, random_momentum,
                                random_rotation, random_velocity, rotations_from_draws,
                                standard_boost, su2_from_so3, velocities_from_draws,
@@ -166,14 +166,14 @@ def test_builders_reproduce_the_one_at_a_time_samplers():
     momenta = [random_momentum(a, M, 30.0) for _ in range(N)]
     velocities = [random_velocity(a, 0.5) for _ in range(N)]
     signs = [int(a.choice((-1, 1))) for _ in range(N)]
-    q, u, c = (np.array(col) for col in zip(*(draw_lorentz(b) for _ in range(N))))
-    assert np.array_equal(lorentz_from_draws(q, u, c, 0.9), lorentz)
-    assert np.array_equal(rotations_from_draws(np.array([draw_rotation(b) for _ in range(N)])),
+    d = fill_draws(b, LORENTZ, N)
+    assert np.array_equal(lorentz_from_draws(d, 0.9), lorentz)
+    assert np.array_equal(rotations_from_draws(fill_draws(b, ROTATION, N)),
                           rotations)
-    u, c = (np.array(col) for col in zip(*(draw_ball(b) for _ in range(N))))
-    assert np.array_equal(momenta_from_draws(u, c, M, 30.0), momenta)
-    u, c = (np.array(col) for col in zip(*(draw_ball(b) for _ in range(N))))
-    assert np.array_equal(velocities_from_draws(u, c, 0.5), velocities)
+    d = fill_draws(b, BALL, N)
+    assert np.array_equal(momenta_from_draws(d, M, 30.0), momenta)
+    d = fill_draws(b, BALL, N)
+    assert np.array_equal(velocities_from_draws(d, 0.5), velocities)
     assert [2 * int(b.integers(0, 2)) - 1 for _ in range(N)] == signs
     assert a.uniform() == b.uniform()
 
