@@ -22,6 +22,11 @@ GOLDEN = [
     (["verify", "--seed", "3", "--samples", "100", "--mass", "2.5", "--pmax", "20"],
      "verify_seed3_mass2p5.json"),
     (["fourier-check", "--width", "0.4", "--spin", "1+0j,0.5j"], "fourier_check_readme.json"),
+    (["wigner", "--velocity", "0.5,0,0", "--momentum=0,0.577,0"], "wigner_readme.json"),
+    (["amplitude", "--eps", "-1", "--momentum", "1,2,3"], "amplitude_readme.json"),
+    (["amplitude", "--eps", "1", "--momentum", "1,2,3"], "amplitude_positive_shell.json"),
+    (["spin-transform", "--velocity", "0.5,0,0", "--momentum=0,1,0", "--xi", "0,0,1"],
+     "spin_transform_readme.json"),
 ]
 
 
