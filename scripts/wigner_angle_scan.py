@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from diracspin.lorentz import wigner_rotation_closed
+from diracspin.lorentz import rotation_angle, wigner_rotation_closed
 from diracspin.minkowski import on_shell
 
 
@@ -19,7 +19,7 @@ def angle_of(v, u, m=1.0):
     gu = 1.0 / np.sqrt(1.0 - u * u)
     p4 = on_shell(m, [0.0, gu * m * u, 0.0])
     R = wigner_rotation_closed(np.array([v, 0.0, 0.0]), p4, m)
-    return np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
+    return rotation_angle(R)
 
 
 def closed_form(v, u):

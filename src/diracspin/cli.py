@@ -15,7 +15,9 @@ inf residual counts as exceeding it), 2 bad usage or configuration,
 including non-finite numeric arguments and a precession run whose state
 or conservation summary overflows; such runs write nothing to stdout.
 Reports are deterministic for a fixed seed;
-complex matrices serialize row-major as [re, im] pairs.
+complex matrices serialize row-major as [re, im] pairs.  `wigner`,
+`amplitude` and `spin-transform` take every residual they report from the
+`verify` registry (`verify.evaluate_at`), at their one sample.
 """
 from __future__ import annotations
 
@@ -26,17 +28,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .amplitudes import (amplitude, dirac_residual, orthogonality_residual, parity_residual,
-                         projector_residual)
+from .amplitudes import amplitude
 from .dynamics import ChargedState, integrate, quadrupole_field, uniform_field
-from .lorentz import (boost_from_velocity, lorentz_gamma, standard_boost, su2_from_so3,
-                      wigner_rotation, wigner_rotation_closed)
+from .lorentz import (boost_from_velocity, lorentz_gamma, rotation_angle, standard_boost,
+                      su2_from_so3, wigner_rotation_closed)
 from .minkowski import lorentz_residual, on_shell
 from .position import default_grids, parseval_check
-from .spin_ops import spin_transform_closed, spin_transform_wigner
+from .spin_ops import spin_transform_closed
 from .states import gaussian_packet, normalized
-from .verify import (DEFAULT_TOLERANCES, RunConfig, complex_matrix_payload, format_float,
-                     real_matrix_payload, run_all, to_csv, to_json)
+from .verify import (DEFAULT_TOLERANCES, RunConfig, complex_matrix_payload, evaluate_at,
+                     format_float, real_matrix_payload, resolve_tolerances, run_all, to_csv,
+                     to_json)
 
 
 def _number(text: str) -> float:
@@ -85,15 +87,6 @@ def _tol_pair(text: str) -> tuple[str, float]:
     return name, _number(value)
 
 
-def _tol_map(args, allowed) -> dict:
-    overrides = dict(args.tol or [])
-    unknown = set(overrides) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown tolerance overrides: {sorted(unknown)} "
-                         f"(choose from {sorted(allowed)})")
-    return overrides
-
-
 def _emit(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -108,31 +101,19 @@ def _check_speed(v3: np.ndarray) -> np.ndarray:
     return v3
 
 
-def _json_only(args) -> None:
-    if args.format == "csv":
-        raise ValueError("this subcommand emits JSON reports; drop --format csv")
-
-
-def _report_common(args) -> dict:
-    return {"version": __version__}
-
-
-#: Identities that `amplitude` checks at its one (eps, p), by registry name;
-#: the `verify` sweep evaluates the same residual functions on both shells.
-_AMPLITUDE_CHECKS = {
-    "amplitude_dirac": dirac_residual,
-    "amplitude_orthogonality": orthogonality_residual,
-    "amplitude_parity": parity_residual,
-    "amplitude_projector": projector_residual,
-}
+def _check_point(args, names, *sample) -> tuple[dict, dict, bool]:
+    """Tolerances, residuals and verdict of the registered identities `names`
+    at one sample (a point, without a batch axis)."""
+    tols = resolve_tolerances(dict(args.tol), {name: DEFAULT_TOLERANCES[name] for name in names})
+    residuals = {name: float(evaluate_at(name, args.mass, *sample)) for name in names}
+    return tols, residuals, all(residuals[name] < tols[name] for name in names)
 
 
 # --- subcommand handlers ---------------------------------------------------
 
 def cmd_verify(args) -> int:
     cfg = RunConfig(seed=args.seed, samples=args.samples, mass=args.mass,
-                    pmax_over_m=args.pmax, vmax=args.vmax,
-                    tolerances=_tol_map(args, DEFAULT_TOLERANCES))
+                    pmax_over_m=args.pmax, vmax=args.vmax, tolerances=dict(args.tol))
     report = run_all(cfg)
     _emit(to_csv(report) if args.format == "csv" else to_json(report), args)
     if not report["all_pass"]:
@@ -143,36 +124,29 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    _json_only(args)
     v3 = _check_speed(args.velocity)
     p4 = on_shell(args.mass, args.momentum)
-    tol = _tol_map(args, {"wigner_closed_form"}).get(
-        "wigner_closed_form", DEFAULT_TOLERANCES["wigner_closed_form"])
+    tols, residuals, passed = _check_point(args, ["wigner_closed_form"], v3, p4)
     closed = wigner_rotation_closed(v3, p4, args.mass)
-    brute, _ = wigner_rotation(boost_from_velocity(v3), p4, args.mass)
-    residual = float(np.abs(closed - brute).max())
-    cos_angle = np.clip((np.trace(closed) - 1.0) / 2.0, -1.0, 1.0)
-    angle = float(np.arccos(cos_angle))
     # Rotation axis from the antisymmetric part; zero vector for angle ~ 0.
     w = np.array([closed[2, 1] - closed[1, 2], closed[0, 2] - closed[2, 0],
                   closed[1, 0] - closed[0, 1]])
     axis = (w / np.linalg.norm(w)).tolist() if np.linalg.norm(w) > 1e-14 else [0.0, 0.0, 0.0]
     report = {
-        **_report_common(args),
+        "version": __version__,
         "config": {"velocity": list(map(float, v3)), "momentum": list(map(float, args.momentum)),
-                   "mass": args.mass, "tolerance": tol},
+                   "mass": args.mass, "tolerance": tols["wigner_closed_form"]},
         "rotation": real_matrix_payload(closed),
         "axis": axis,
-        "angle": angle,
-        "brute_force_residual": residual,
-        "passed": residual < tol,
+        "angle": float(rotation_angle(closed)),
+        "brute_force_residual": residuals["wigner_closed_form"],
+        "passed": passed,
     }
     _emit(to_json(report), args)
-    return 0 if report["passed"] else 1
+    return 0 if passed else 1
 
 
 def cmd_boost(args) -> int:
-    _json_only(args)
     if (args.velocity is None) == (args.momentum is None):
         raise ValueError("give exactly one of --velocity or --momentum")
     if args.velocity is not None:
@@ -185,7 +159,7 @@ def cmd_boost(args) -> int:
         config = {"momentum": list(map(float, args.momentum)), "mass": args.mass,
                   "energy": float(p4[0])}
     report = {
-        **_report_common(args),
+        "version": __version__,
         "config": config,
         "matrix": real_matrix_payload(L),
         "metric_residual": lorentz_residual(L),
@@ -195,16 +169,14 @@ def cmd_boost(args) -> int:
 
 
 def cmd_amplitude(args) -> int:
-    _json_only(args)
     if args.eps not in (1, -1):
         raise ValueError("--eps must be +1 or -1")
-    overrides = _tol_map(args, _AMPLITUDE_CHECKS)
     p4 = on_shell(args.mass, args.momentum)
-    residuals = {k: check(args.eps, p4, args.mass) for k, check in _AMPLITUDE_CHECKS.items()}
-    tols = {k: overrides.get(k, DEFAULT_TOLERANCES[k]) for k in residuals}
-    passed = all(residuals[k] < tols[k] for k in residuals)
+    names = ["amplitude_dirac", "amplitude_orthogonality", "amplitude_parity",
+             "amplitude_projector"]
+    tols, residuals, passed = _check_point(args, names, p4, args.eps)
     report = {
-        **_report_common(args),
+        "version": __version__,
         "config": {"eps": args.eps, "momentum": list(map(float, args.momentum)),
                    "mass": args.mass, "tolerances": tols},
         "amplitude": complex_matrix_payload(amplitude(args.eps, p4, args.mass)),
@@ -216,33 +188,28 @@ def cmd_amplitude(args) -> int:
 
 
 def cmd_spin_transform(args) -> int:
-    _json_only(args)
     v3 = _check_speed(args.velocity)
     p4 = on_shell(args.mass, args.momentum)
-    tol = _tol_map(args, {"spin_transform_equivalence"}).get(
-        "spin_transform_equivalence", DEFAULT_TOLERANCES["spin_transform_equivalence"])
+    tols, residuals, passed = _check_point(args, ["spin_transform_equivalence"], v3, p4)
     closed = spin_transform_closed(v3, p4, args.mass)
-    rotated = spin_transform_wigner(v3, p4, args.mass)
-    residual = float(np.abs(closed - rotated).max())
     R3 = wigner_rotation_closed(v3, p4, args.mass)
     report = {
-        **_report_common(args),
+        "version": __version__,
         "config": {"velocity": list(map(float, v3)), "momentum": list(map(float, args.momentum)),
-                   "mass": args.mass, "xi": list(map(float, args.xi)), "tolerance": tol},
+                   "mass": args.mass, "xi": list(map(float, args.xi)),
+                   "tolerance": tols["spin_transform_equivalence"]},
         "rotation": real_matrix_payload(R3),
         "su2": complex_matrix_payload(su2_from_so3(R3)),
         "xi_out": [float(x) for x in R3 @ args.xi],
         "transformed_spin": [complex_matrix_payload(closed[i]) for i in range(3)],
-        "equivalence_residual": residual,
-        "passed": residual < tol,
+        "equivalence_residual": residuals["spin_transform_equivalence"],
+        "passed": passed,
     }
     _emit(to_json(report), args)
-    return 0 if report["passed"] else 1
+    return 0 if passed else 1
 
 
 def cmd_precess(args) -> int:
-    if args.format == "json":
-        raise ValueError("precess emits CSV trajectories; drop --format json")
     if args.field == "uniform":
         if args.b is None:
             raise ValueError("uniform field needs --b Bx,By,Bz")
@@ -279,8 +246,7 @@ def cmd_precess(args) -> int:
 
 
 def cmd_fourier_check(args) -> int:
-    _json_only(args)
-    tol = _tol_map(args, {"parseval"}).get("parseval", 1e-3)
+    tol = resolve_tolerances(dict(args.tol), {"parseval": 1e-3})["parseval"]
     if args.eps not in (1, -1):
         raise ValueError("--eps must be +1 or -1")
     packet = normalized(gaussian_packet(args.eps, args.mass, args.width,
@@ -291,7 +257,7 @@ def cmd_fourier_check(args) -> int:
                                          t=args.time)
     passed = relerr < tol and relerr2 < relerr
     report = {
-        **_report_common(args),
+        "version": __version__,
         "config": {"eps": args.eps, "mass": args.mass, "width": args.width,
                    "center": list(map(float, args.center)),
                    "spin": [[float(s.real), float(s.imag)] for s in args.spin],
@@ -317,19 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     are strings, which argparse converts with the option's type on every
     parse, so no parse shares an array with another."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="sweep RNG seed")
-    common.add_argument("--samples", type=int, default=200, help="samples per identity")
     common.add_argument("--mass", type=_number, default=1.0, help="particle mass")
-    common.add_argument("--pmax", type=_number, default=10.0,
-                        help="momentum sampling radius in units of the mass")
-    common.add_argument("--vmax", type=_number, default=0.99, help="velocity sampling radius")
-    # default None so each handler can tell an explicit choice from none;
-    # the action objects are shared across subparsers via parents=
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="report format (trajectories are always CSV)")
     common.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
-    common.add_argument("--tol", metavar="NAME=VALUE", type=_tol_pair, action="append",
-                        help="tolerance override, repeatable")
+    # for the subcommands that check a tolerance; "append" copies the default
+    # before appending, so the shared empty list stays empty
+    checked = argparse.ArgumentParser(add_help=False)
+    checked.add_argument("--tol", metavar="NAME=VALUE", type=_tol_pair, action="append",
+                         default=[], help="tolerance override, repeatable")
 
     p = argparse.ArgumentParser(prog="diracspin",
                                 description="Numerical checks for relativistic spin-1/2 "
@@ -338,10 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("verify", parents=[common], help="run the identity-residual sweep")
+    sp = sub.add_parser("verify", parents=[common, checked], help="run the identity-residual sweep")
+    sp.add_argument("--seed", type=int, default=42, help="sweep RNG seed")
+    sp.add_argument("--samples", type=int, default=200, help="samples per identity")
+    sp.add_argument("--pmax", type=_number, default=10.0,
+                    help="momentum sampling radius in units of the mass")
+    sp.add_argument("--vmax", type=_number, default=0.99, help="velocity sampling radius")
+    sp.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("wigner", parents=[common], help="Wigner rotation for one case")
+    sp = sub.add_parser("wigner", parents=[common, checked], help="Wigner rotation for one case")
     sp.add_argument("--velocity", type=_vec3, required=True, metavar="VX,VY,VZ")
     sp.add_argument("--momentum", type=_vec3, default="0,0,0", metavar="PX,PY,PZ")
     sp.set_defaults(func=cmd_wigner)
@@ -352,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="standard boost for this spatial momentum")
     sp.set_defaults(func=cmd_boost)
 
-    sp = sub.add_parser("amplitude", parents=[common], help="bispinor amplitude at one momentum")
+    sp = sub.add_parser("amplitude", parents=[common, checked], help="bispinor amplitude at one momentum")
     sp.add_argument("--eps", type=int, default=1, help="energy sign, +1 or -1")
     sp.add_argument("--momentum", type=_vec3, default="0,0,0", metavar="PX,PY,PZ")
     sp.set_defaults(func=cmd_amplitude)
 
-    sp = sub.add_parser("spin-transform", parents=[common],
+    sp = sub.add_parser("spin-transform", parents=[common, checked],
                         help="spin transport under a pure boost")
     sp.add_argument("--velocity", type=_vec3, required=True, metavar="VX,VY,VZ")
     sp.add_argument("--momentum", type=_vec3, default="0,0,0", metavar="PX,PY,PZ")
@@ -384,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="stern-gerlach", help="index reading of the gradient force")
     sp.set_defaults(func=cmd_precess)
 
-    sp = sub.add_parser("fourier-check", parents=[common],
+    sp = sub.add_parser("fourier-check", parents=[common, checked],
                         help="compare momentum and position scalar products")
     sp.add_argument("--eps", type=int, default=1)
     sp.add_argument("--width", type=_number, default=0.4, help="momentum-space Gaussian width")
@@ -400,10 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -157,6 +157,12 @@ def wigner_rotation_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarr
             + (g / b) * (2.0 * g * vp / (a * (1.0 + g)) - 1.0) * _outer(v3, pv))
 
 
+def rotation_angle(R3: np.ndarray) -> np.ndarray:
+    """Angles arccos((tr R - 1) / 2) of rotations R of shape (..., 3, 3); the
+    cosine is clipped to [-1, 1], so rounding past 0 or pi gives no NaN."""
+    return np.arccos(np.clip((np.trace(R3, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
+
+
 #: sigma_mu = (I, sigma_1, sigma_2, sigma_3), shape (4, 2, 2).
 _SIGMA4 = np.concatenate([_I2[None], PAULI])
 #: Row 4 mu + nu, column 4 X + 2 a + b: (sigma_mu sigma_X sigma_nu)_{ab}.

@@ -7,18 +7,20 @@ report byte for byte.  Residuals are max-norm deviations of the checked
 relation; an identity passes when its worst sample stays below tolerance.
 The reduction propagates NaN, so a NaN or inf residual fails its identity.
 
-An identity is a list of sample kinds and an evaluator.  A sample takes the
-layouts of its kinds (`lorentz.fill_draws`) one after another, so the sweep
-fills one (n, width) array per chunk of at most `CHUNK` samples with the
-numbers the one-at-a-time samplers take, builds each kind from its columns
-in one batched call and evaluates the identity once over the chunk, one
-residual per sample.  Chunking keeps peak memory independent of the sample
-count.  A kernel that refuses a sample (say a Wigner rotation too far from
-orthogonal to lift at high rapidity) raises `SampleRefused` with the index
-of the first refused sample; the samples before it are evaluated again (a
-later kernel may refuse an earlier sample), the refused sample gets a NaN
-residual and the run ends there, so `samples` counts the samples up to and
-including the first refused one.
+An identity is a list of sample kinds and an evaluator, which `evaluate_at`
+runs on given samples; the sweep and the CLI's point subcommands both call
+it, so each residual has one definition.  A sample takes the layouts of its
+kinds (`lorentz.fill_draws`) one after another, so the sweep fills one
+(n, width) array per chunk of at most `CHUNK` samples with the numbers the
+one-at-a-time samplers take, builds each kind from its columns in one
+batched call and evaluates the identity once over the chunk, one residual
+per sample.  Chunking keeps peak memory independent of the sample count.  A
+kernel that refuses a sample (say a Wigner rotation too far from orthogonal
+to lift at high rapidity) raises `SampleRefused` with the index of the first
+refused sample; the samples before it are evaluated again (a later kernel
+may refuse an earlier sample), the refused sample gets a NaN residual and
+the run ends there, so `samples` counts the samples up to and including the
+first refused one.
 
 Reports serialize to JSON (canonical; floats printed with 17 significant
 digits by a small writer that keeps key order fixed) or CSV (one line per
@@ -38,8 +40,8 @@ from .amplitudes import (amplitude, dirac_bar, dirac_residual, orthogonality_res
 from .clifford import GAMMA, GAMMA5, PAULI, energy_projector
 from .lorentz import (BALL, LORENTZ, ROTATION, VMAX_HARD, bispinor_inverse, bispinor_rep,
                       boost_from_velocity, fill_draws, lorentz_from_draws, momenta_from_draws,
-                      rotations_from_draws, standard_boost, su2_from_so3, velocities_from_draws,
-                      wigner_rotation, wigner_rotation_closed)
+                      rotation_angle, rotations_from_draws, standard_boost, su2_from_so3,
+                      velocities_from_draws, wigner_rotation, wigner_rotation_closed)
 from .minkowski import METRIC, SampleRefused, check_mass, libm_square, max_entry
 from .spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant, pl_covariant,
                        pl_spin, spin_covariant, spin_from_pl, spin_matrix,
@@ -82,12 +84,7 @@ class RunConfig:
             raise ValueError("vmax must lie strictly between 0 and 1")
         if self.vmax > VMAX_HARD:
             raise ValueError(f"vmax must not exceed {VMAX_HARD}")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
-        bad = sorted(k for k, v in self.tolerances.items() if not (np.isfinite(v) and v > 0))
-        if bad:
-            raise ValueError(f"tolerance overrides must be positive and finite: {bad}")
+        resolve_tolerances(self.tolerances, DEFAULT_TOLERANCES)
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -122,20 +119,26 @@ def _worst(residuals: list) -> np.ndarray:
     return np.max(np.stack(residuals), axis=0)
 
 
-# --- identity evaluators: (cfg, *samples) -> one residual per sample -------
+# --- identity evaluators: (m, *samples) -> one residual per sample ---------
 
-def _shells(cfg, p4, residual):
-    """Worse shell of residual(eps, p4, m) per momentum."""
-    return np.maximum(residual(1, p4, cfg.mass), residual(-1, p4, cfg.mass))
+def _shells(residual: Callable[[], Callable]) -> Callable:
+    """Evaluator (m, p4, eps=None) of a per-shell residual(eps, p4, m): the
+    shell eps (+1 or -1) when given, else the worse of both shells per
+    momentum.  `residual` returns the function, so it is looked up when
+    the evaluator is called."""
+    def evaluate(m, p4, eps=None):
+        f = residual()
+        return f(eps, p4, m) if eps is not None else np.maximum(f(1, p4, m), f(-1, p4, m))
+    return evaluate
 
 
-def _clifford_anticommutation(cfg):
+def _clifford_anticommutation(m):
     return np.max([max_entry(GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
                              - 2.0 * METRIC[mu, nu] * np.eye(4))
                    for mu in range(4) for nu in range(4)], keepdims=True)
 
 
-def _clifford_gamma5(cfg):
+def _clifford_gamma5(m):
     return np.max([max_entry(GAMMA5 @ GAMMA5 - np.eye(4)),
                    max_entry(GAMMA5 - 1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]),
                    max_entry(GAMMA5.conj().T - GAMMA5),
@@ -151,52 +154,50 @@ def _energy_projector(p4, m):
                    np.abs(np.trace(plus, axis1=-2, axis2=-1).real - 2.0)])
 
 
-def _bispinor_covariance(cfg, L):
+def _bispinor_covariance(m, L):
     S = bispinor_rep(L)
     Sinv = bispinor_inverse(S)
     return _worst([max_entry(Sinv @ GAMMA[mu] @ S - np.einsum("...n,nab->...ab", L[..., mu, :], GAMMA))
                    for mu in range(4)])
 
 
-def _bispinor_inverse_structure(cfg, L):
+def _bispinor_inverse_structure(m, L):
     S = bispinor_rep(L)
     return max_entry(bispinor_inverse(S) @ S - np.eye(4))
 
 
-def _standard_boost(cfg, p4):
-    q = np.array([cfg.mass, 0.0, 0.0, 0.0])
-    L = standard_boost(p4, cfg.mass)
-    return _worst([np.abs(L @ q - p4).max(axis=-1) / np.maximum(1.0, p4[:, 0]),
-                   max_entry(L - boost_from_velocity(-p4[:, 1:] / p4[:, :1]))])
+def _standard_boost(m, p4):
+    q = np.array([m, 0.0, 0.0, 0.0])
+    L = standard_boost(p4, m)
+    return _worst([np.abs(L @ q - p4).max(axis=-1) / np.maximum(1.0, p4[..., 0]),
+                   max_entry(L - boost_from_velocity(-p4[..., 1:] / p4[..., :1]))])
 
 
-def _wigner_closed_form(cfg, v3, p4):
-    R3, _ = wigner_rotation(boost_from_velocity(v3), p4, cfg.mass)
-    return max_entry(R3 - wigner_rotation_closed(v3, p4, cfg.mass))
+def _wigner_closed_form(m, v3, p4):
+    R3, _ = wigner_rotation(boost_from_velocity(v3), p4, m)
+    return max_entry(R3 - wigner_rotation_closed(v3, p4, m))
 
 
-def _wigner_cocycle(cfg, L1, L2, p4):
+def _wigner_cocycle(m, L1, L2, p4):
     # The sampled L1, L2, p are the exact data; their products are formed in
     # extended precision so the comparison probes the cocycle identity rather
     # than rounding in L2 @ L1.
     L1, L2, p4 = (x.astype(np.longdouble) for x in (L1, L2, p4))
-    R21, _ = wigner_rotation(L2 @ L1, p4, cfg.mass)
-    Ra, _ = wigner_rotation(L2, (L1 @ p4[:, :, None])[:, :, 0], cfg.mass)
-    Rb, _ = wigner_rotation(L1, p4, cfg.mass)
+    R21, _ = wigner_rotation(L2 @ L1, p4, m)
+    Ra, _ = wigner_rotation(L2, (L1 @ p4[..., None])[..., 0], m)
+    Rb, _ = wigner_rotation(L1, p4, m)
     return max_entry(R21 - Ra @ Rb)
 
 
-def _wigner_perpendicular_oracle(cfg):
+def _wigner_perpendicular_oracle(_):
     # Boost along x at speed 1/2; unit-mass particle moving at speed 1/2 along y.
-    m = 1.0
     gamma = 1.0 / np.sqrt(1.0 - 0.25)
-    p4 = np.array([gamma * m, 0.0, gamma * m * 0.5, 0.0])
-    R3 = wigner_rotation_closed(np.array([0.5, 0.0, 0.0]), p4, m)
-    angle = np.arccos((np.trace(R3) - 1.0) / 2.0)
-    return np.array([abs(float(angle) - PERPENDICULAR_WIGNER_ANGLE)])
+    p4 = np.array([gamma, 0.0, gamma * 0.5, 0.0])
+    R3 = wigner_rotation_closed(np.array([0.5, 0.0, 0.0]), p4, 1.0)
+    return np.array([abs(float(rotation_angle(R3)) - PERPENDICULAR_WIGNER_ANGLE)])
 
 
-def _su2_lift(cfg, R3):
+def _su2_lift(m, R3):
     D = su2_from_so3(R3)
     Dh = np.swapaxes(D.conj(), -1, -2)
     det = np.linalg.det(D)
@@ -213,8 +214,8 @@ def _amplitude_completeness(p4, m):
     return max_entry(total - np.eye(4))
 
 
-def _weinberg_condition(cfg, L, p4, eps):
-    return weinberg_residual(L, eps, p4, cfg.mass)
+def _weinberg_condition(m, L, p4, eps):
+    return weinberg_residual(L, eps, p4, m)
 
 
 def _hamiltonian_square(eps, p4, m):
@@ -246,16 +247,16 @@ def _spin_covariant_sandwich(eps, p4, m):
                    for i in range(3)])
 
 
-def _spin_transform_equivalence(cfg, v3, p4):
-    closed = spin_transform_closed(v3, p4, cfg.mass)
-    rotated = spin_transform_wigner(v3, p4, cfg.mass)
+def _spin_transform_equivalence(m, v3, p4):
+    closed = spin_transform_closed(v3, p4, m)
+    rotated = spin_transform_wigner(v3, p4, m)
     return np.abs(closed - rotated).max(axis=(-3, -2, -1))
 
 
-def _bloch_rotation(cfg, L, p4, xi):
+def _bloch_rotation(m, L, p4, xi):
     s = DensityState(q4=p4, xi=xi)
     s2 = bloch_transform(s, L)
-    R3, _ = wigner_rotation(L, p4, cfg.mass)
+    R3, _ = wigner_rotation(L, p4, m)
     D = su2_from_so3(R3)
     lhs = np.einsum("...i,iab->...ab", s2.xi, PAULI)
     rhs = D @ np.einsum("...i,iab->...ab", s.xi, PAULI) @ np.swapaxes(D.conj(), -1, -2)
@@ -267,31 +268,33 @@ _P = (_MOMENTUM,)
 
 #: Registry: name -> (sample kinds, evaluator, default tolerance).  Each
 #: sample draws one of each kind, in the order listed; an identity with no
-#: kinds is a fixed check, evaluated once as one sample.  The evaluator
-#: returns one residual per sample (the worst of that sample's checks).
+#: kinds is a fixed check, evaluated once as one sample.  The evaluator takes
+#: the mass and one array per kind, batch axis first or none for a point, and
+#: returns one residual per sample (the worst of that sample's checks); a per-shell
+#: identity also takes an optional sign, +1 or -1, for one shell alone.
 #: Report order is the sorted name order; the spawn index of each identity's
 #: rng is its entry in RNG_STREAMS.  The lambdas look their residual up when
 #: called, so a function rebound at module level (a test double, a tracer) is
 #: the one run.
 IDENTITY_RUNNERS: dict[str, tuple[tuple, Callable, float]] = dict(sorted({
-    "amplitude_completeness": (_P, lambda c, p: _amplitude_completeness(p, c.mass), 1e-12),
-    "amplitude_dirac": (_P, lambda c, p: _shells(c, p, dirac_residual), 1e-12),
-    "amplitude_orthogonality": (_P, lambda c, p: _shells(c, p, orthogonality_residual), 1e-12),
-    "amplitude_parity": (_P, lambda c, p: _shells(c, p, parity_residual), 1e-12),
-    "amplitude_projector": (_P, lambda c, p: _shells(c, p, projector_residual), 1e-12),
+    "amplitude_completeness": (_P, lambda m, p: _amplitude_completeness(p, m), 1e-12),
+    "amplitude_dirac": (_P, _shells(lambda: dirac_residual), 1e-12),
+    "amplitude_orthogonality": (_P, _shells(lambda: orthogonality_residual), 1e-12),
+    "amplitude_parity": (_P, _shells(lambda: parity_residual), 1e-12),
+    "amplitude_projector": (_P, _shells(lambda: projector_residual), 1e-12),
     "bispinor_covariance": ((_LORENTZ,), _bispinor_covariance, 1e-10),
     "bispinor_inverse_structure": ((_LORENTZ,), _bispinor_inverse_structure, 1e-10),
     "bloch_rotation": ((_LORENTZ, _MOMENTUM, _BLOCH), _bloch_rotation, 1e-11),
-    "casimir_sandwich": (_P, lambda c, p: _shells(c, p, _casimir_sandwich), 1e-12),
+    "casimir_sandwich": (_P, _shells(lambda: _casimir_sandwich), 1e-12),
     "clifford_anticommutation": ((), _clifford_anticommutation, 1e-14),
     "clifford_gamma5": ((), _clifford_gamma5, 1e-14),
-    "energy_projector": (_P, lambda c, p: _energy_projector(p, c.mass), 1e-13),
-    "fw_diagonalization": (_P, lambda c, p: _shells(c, p, fw_residual), 1e-11),
-    "hamiltonian_square": (_P, lambda c, p: _shells(c, p, _hamiltonian_square), 1e-13),
-    "pauli_lubanski_reconstruction": (_P, lambda c, p: _shells(c, p, _pl_reconstruction), 1e-12),
-    "pauli_lubanski_sandwich": (_P, lambda c, p: _shells(c, p, _pl_sandwich), 1e-12),
-    "sandwich_formulas": (_P, lambda c, p: _shells(c, p, sandwich_formula_residual), 1e-12),
-    "spin_covariant_sandwich": (_P, lambda c, p: _shells(c, p, _spin_covariant_sandwich), 1e-12),
+    "energy_projector": (_P, lambda m, p: _energy_projector(p, m), 1e-13),
+    "fw_diagonalization": (_P, _shells(lambda: fw_residual), 1e-11),
+    "hamiltonian_square": (_P, _shells(lambda: _hamiltonian_square), 1e-13),
+    "pauli_lubanski_reconstruction": (_P, _shells(lambda: _pl_reconstruction), 1e-12),
+    "pauli_lubanski_sandwich": (_P, _shells(lambda: _pl_sandwich), 1e-12),
+    "sandwich_formulas": (_P, _shells(lambda: sandwich_formula_residual), 1e-12),
+    "spin_covariant_sandwich": (_P, _shells(lambda: _spin_covariant_sandwich), 1e-12),
     "spin_transform_equivalence": ((_VELOCITY, _MOMENTUM), _spin_transform_equivalence, 1e-10),
     "standard_boost": (_P, _standard_boost, 1e-11),
     "su2_lift": ((_ROTATION,), _su2_lift, 1e-12),
@@ -342,7 +345,33 @@ def identity_rng(cfg: RunConfig, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(RNG_STREAMS[name],)))
 
 
-def _evaluate(cfg: RunConfig, evaluate: Callable, samples: tuple) -> tuple[np.ndarray, bool]:
+def resolve_tolerances(overrides: dict, defaults: dict) -> dict:
+    """The defaults map (name -> tolerance) with the overrides applied, in
+    the defaults' order.  An override of a name not in defaults, or one that
+    is not positive and finite, is refused."""
+    unknown = set(overrides) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown tolerance overrides: {sorted(unknown)} "
+                         f"(choose from {sorted(defaults)})")
+    bad = sorted(k for k, v in overrides.items() if not (np.isfinite(v) and v > 0))
+    if bad:
+        raise ValueError(f"tolerance overrides must be positive and finite: {bad}")
+    return {**defaults, **overrides}
+
+
+def evaluate_at(name: str, m: float, *samples) -> np.ndarray:
+    """Residuals of a registered identity at mass m on given samples, one
+    per sample: one array per sample kind, batch axis first, and for a
+    per-shell identity an optional sign.  A point is the n = 1 case, given
+    without the batch axis as the kernels take it; it gives one residual,
+    equal bit for bit to the one the same sample gets in a batch.  A kernel
+    that refuses a sample raises `SampleRefused` naming the first one."""
+    if name not in IDENTITY_RUNNERS:
+        raise KeyError(f"unknown identity {name!r}")
+    return IDENTITY_RUNNERS[name][1](m, *samples)
+
+
+def _evaluate(name: str, m: float, samples: tuple) -> tuple[np.ndarray, bool]:
     """Residuals of a chunk, and whether a sample was refused.  On a refusal
     the samples before the refused one are evaluated again, since a later
     kernel may refuse one of them; the residuals then end with NaN for the
@@ -350,7 +379,7 @@ def _evaluate(cfg: RunConfig, evaluate: Callable, samples: tuple) -> tuple[np.nd
     n, refused = len(samples[0]), False
     while n:
         try:
-            residuals = evaluate(cfg, *(s[:n] for s in samples))
+            residuals = evaluate_at(name, m, *(s[:n] for s in samples))
             break
         except SampleRefused as exc:
             n, refused = exc.index, True
@@ -365,9 +394,9 @@ def sample_residuals(name: str, cfg: RunConfig) -> Iterator[np.ndarray]:
     residual is NaN and it is the last one."""
     if name not in IDENTITY_RUNNERS:
         raise KeyError(f"unknown identity {name!r}")
-    kinds, evaluate, _ = IDENTITY_RUNNERS[name]
+    kinds = IDENTITY_RUNNERS[name][0]
     if not kinds:
-        yield evaluate(cfg)
+        yield evaluate_at(name, cfg.mass)
         return
     rng = identity_rng(cfg, name)
     layouts, builders = zip(*kinds)
@@ -375,7 +404,7 @@ def sample_residuals(name: str, cfg: RunConfig) -> Iterator[np.ndarray]:
     for start in range(0, cfg.samples, CHUNK):
         draws = fill_draws(rng, "".join(layouts), min(CHUNK, cfg.samples - start))
         samples = tuple(build(cfg, d) for build, d in zip(builders, np.split(draws, ends, axis=1)))
-        residuals, refused = _evaluate(cfg, evaluate, samples)
+        residuals, refused = _evaluate(name, cfg.mass, samples)
         yield residuals
         if refused:
             return

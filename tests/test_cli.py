@@ -98,6 +98,13 @@ def test_wigner_zero_velocity_identity(capsys):
     assert_allclose(np.array(r["rotation"]), np.eye(3), atol=1e-14)
 
 
+def test_wigner_mass_is_not_checked_against_the_sweep_range(capsys):
+    # m^2 (1 + pmax^2) would overflow for verify's default --pmax; a point
+    # check draws nothing, so only its own momentum has to stay finite
+    code, out, _ = run(capsys, "wigner", "--velocity", "0.5,0,0", "--mass", "5e153")
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 def test_wigner_superluminal_exit_two(capsys):
     code, _, err = run(capsys, "wigner", "--velocity", "1.01,0,0")
     assert code == 2
@@ -242,10 +249,13 @@ def test_precess_missing_field_components_exit_two(capsys):
 
 
 def test_precess_rejects_json_format(capsys):
-    code, _, err = run(capsys, "precess", "--field", "uniform", "--b", "0,0,1",
-                       "--t-final", "1", "--steps", "4", "--format", "json")
-    assert code == 2
-    assert "CSV" in err
+    # only verify takes --format; precess always writes CSV
+    with pytest.raises(SystemExit) as exc:
+        main(["precess", "--field", "uniform", "--b", "0,0,1",
+              "--t-final", "1", "--steps", "4", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "unrecognized arguments: --format json" in err
 
 
 # --- fourier-check ---------------------------------------------------------
@@ -267,9 +277,12 @@ def test_fourier_check_tolerance_override_failure(capsys):
 
 
 def test_point_reports_are_json_only(capsys):
-    code, _, err = run(capsys, "wigner", "--velocity", "0.1,0,0", "--format", "csv")
-    assert code == 2
-    assert "JSON" in err
+    # only verify takes --format; the point reports are always JSON
+    with pytest.raises(SystemExit) as exc:
+        main(["wigner", "--velocity", "0.1,0,0", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "unrecognized arguments: --format csv" in err
     # and the shared default is still JSON for verify
     code, out, _ = run(capsys, "verify", "--samples", "5")
     assert code == 0
@@ -291,6 +304,25 @@ TINY_MASS_ARGV = [
     ["spin-transform", "--velocity=0.1,0,0", "--mass", "1e-200"],
     ["verify", "--samples", "3", "--mass", "1e-200"],
     ["boost", "--momentum=1,0,0", "--mass", "1e-200"],
+]
+
+#: Bad usage that must exit 2: a tolerance that is not positive on every
+#: subcommand that checks one, and flags of verify or --tol on a subcommand
+#: that does not take them.
+REFUSED_ARGV = [
+    ["verify", "--samples", "3", "--tol", "su2_lift=0"],
+    ["verify", "--samples", "3", "--tol", "su2_lift=-1"],
+    ["wigner", "--velocity", "0.5,0,0", "--tol", "wigner_closed_form=0"],
+    ["wigner", "--velocity", "0.5,0,0", "--tol", "wigner_closed_form=-1"],
+    ["amplitude", "--tol", "amplitude_dirac=0"],
+    ["amplitude", "--tol", "amplitude_dirac=-1"],
+    ["spin-transform", "--velocity", "0.5,0,0", "--tol", "spin_transform_equivalence=0"],
+    ["spin-transform", "--velocity", "0.5,0,0", "--tol", "spin_transform_equivalence=-1"],
+    ["fourier-check", "--tol", "parseval=0"],
+    ["fourier-check", "--tol", "parseval=-1"],
+    ["boost", "--velocity", "0.5,0,0", "--tol", "foo=1", "--samples", "0", "--vmax", "7"],
+    ["boost", "--velocity", "0.5,0,0", "--samples", "0"],
+    ["precess", "--b", "0,0,1", "--t-final", "1", "--steps", "10", "--tol", "foo=1"],
 ]
 
 ADVERSARIAL_ARGV = [
@@ -322,6 +354,7 @@ ADVERSARIAL_ARGV = [
     ["fourier-check", "--spin", "nan,0"],
     ["boost", "--momentum=1e100,0,0", "--mass", "1e-100"],
     *TINY_MASS_ARGV,
+    *REFUSED_ARGV,
 ]
 
 
@@ -332,7 +365,7 @@ def test_adversarial_numbers_keep_exit_contract(capsys, argv):
     except SystemExit as exc:
         code, usage = exc.code, True
     out, err = capsys.readouterr()
-    assert code in (0, 1, 2)
+    assert code in ((2,) if argv in REFUSED_ARGV else (0, 1, 2))
     assert "Traceback" not in err
     if code == 2:  # refused runs leave no partial report behind, and one error line
         assert out == ""

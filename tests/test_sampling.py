@@ -5,6 +5,9 @@ samplers were first written with, one sample and one kind at a time.  The
 fill must take the same numbers, bit for bit and sign bits included, and
 leave the generator where the reference leaves it; so must every
 one-at-a-time sampler, since callers interleave them with their own draws.
+A swept sample evaluated on its own must give its swept residual, bit for
+bit, since the CLI's point reports evaluate one sample through the same
+entry point.
 """
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from diracspin import verify
 from diracspin.lorentz import (fill_draws, lorentz_from_draws, momenta_from_draws,
                                random_lorentz, random_momentum, random_rotation, random_velocity,
                                rotations_from_draws, velocities_from_draws)
-from diracspin.verify import CHUNK, IDENTITY_RUNNERS, RunConfig, identity_rng, sample_residuals
+from diracspin.verify import (CHUNK, IDENTITY_RUNNERS, RunConfig, evaluate_at, identity_rng,
+                              sample_residuals)
 
 
 def ball(rng):
@@ -49,17 +53,22 @@ def reference_draws(rng, kinds, n):
     return np.array([[x for draw in drawers for x in draw(rng)] for _ in range(n)], dtype=float)
 
 
+def build_samples(cfg, kinds, rows):
+    """The samples of each kind, built from their columns of the rows."""
+    samples, col = [], 0
+    for layout, build in kinds:
+        samples.append(build(cfg, rows[:, col:col + len(layout)]))
+        col += len(layout)
+    return tuple(samples)
+
+
 def reference_residuals(name, cfg):
     """The residual stream of `sample_residuals`, from reference draws."""
-    kinds, evaluate, _ = IDENTITY_RUNNERS[name]
+    kinds = IDENTITY_RUNNERS[name][0]
     rng, stream = identity_rng(cfg, name), []
     for start in range(0, cfg.samples, CHUNK):
         rows = reference_draws(rng, kinds, min(CHUNK, cfg.samples - start))
-        samples, col = [], 0
-        for layout, build in kinds:
-            samples.append(build(cfg, rows[:, col:col + len(layout)]))
-            col += len(layout)
-        residuals, refused = verify._evaluate(cfg, evaluate, tuple(samples))
+        residuals, refused = verify._evaluate(name, cfg.mass, build_samples(cfg, kinds, rows))
         stream.append(residuals)
         if refused:
             break
@@ -114,3 +123,18 @@ def test_samplers_leave_the_generator_where_the_reference_does(sampler, draw, bu
         sample = sampler(a)
         assert_same_bits(sample, build(np.array(draw(b))))
         assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(seed=7, pmax_over_m=30.0, vmax=0.999)],
+                         ids=["default", "high_boost"])
+@pytest.mark.parametrize("name", SAMPLED)
+def test_one_sample_alone_equals_the_sweep(name, cfg):
+    kinds, n = IDENTITY_RUNNERS[name][0], 50
+    samples = build_samples(cfg, kinds, reference_draws(identity_rng(cfg, name), kinds, n))
+    swept = np.concatenate(list(sample_residuals(name, cfg)))[:n]
+    # a point (no batch axis), as the CLI passes it, and a batch of one
+    points = np.array([evaluate_at(name, cfg.mass, *(s[i] for s in samples)) for i in range(n)])
+    batches = np.concatenate([evaluate_at(name, cfg.mass, *(s[i:i + 1] for s in samples))
+                              for i in range(n)])
+    assert_same_bits(points, swept)
+    assert_same_bits(batches, swept)

@@ -9,8 +9,9 @@ from diracspin import verify
 from diracspin.cli import main
 from diracspin.minkowski import SampleRefused
 from diracspin.verify import (DEFAULT_TOLERANCES, IDENTITY_RUNNERS, RunConfig,
-                              complex_matrix_payload, format_float, identity_rng,
-                              real_matrix_payload, run_all, run_identity, to_csv, to_json)
+                              complex_matrix_payload, evaluate_at, format_float, identity_rng,
+                              real_matrix_payload, resolve_tolerances, run_all, run_identity,
+                              to_csv, to_json)
 
 CFG = RunConfig(samples=25)
 
@@ -79,6 +80,37 @@ def test_config_validation():
         RunConfig(mass=-1.0)
     with pytest.raises(ValueError):
         RunConfig(tolerances={"bogus": 1e-9})
+
+
+def test_resolve_tolerances():
+    defaults = {"b": 1e-9, "a": 1e-12}
+    resolved = resolve_tolerances({"a": 2e-12}, defaults)
+    assert list(resolved.items()) == [("b", 1e-9), ("a", 2e-12)]
+    assert resolve_tolerances({}, defaults) == defaults
+    with pytest.raises(ValueError, match=r"unknown tolerance overrides: \['c'\] \(choose from"):
+        resolve_tolerances({"c": 1.0}, defaults)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"positive and finite: \['a'\]"):
+            resolve_tolerances({"a": bad}, defaults)
+
+
+#: Identities checked on each mass shell; a sign selects one.
+SHELL_IDENTITIES = ["amplitude_dirac", "amplitude_orthogonality", "amplitude_parity",
+                    "amplitude_projector", "casimir_sandwich", "fw_diagonalization",
+                    "hamiltonian_square", "pauli_lubanski_reconstruction",
+                    "pauli_lubanski_sandwich", "sandwich_formulas", "spin_covariant_sandwich"]
+
+
+def test_evaluate_at_one_shell_or_both():
+    m = 1.7
+    p4 = verify.momenta_from_draws(verify.fill_draws(np.random.default_rng(2), verify.BALL, 6),
+                                   m, 10.0)
+    for name in SHELL_IDENTITIES:
+        plus, minus = evaluate_at(name, m, p4, 1), evaluate_at(name, m, p4, -1)
+        assert plus.shape == minus.shape == (6,)
+        assert np.array_equal(evaluate_at(name, m, p4), np.maximum(plus, minus)), name
+    with pytest.raises(KeyError, match="no_such_identity"):
+        evaluate_at("no_such_identity", m, p4)
 
 
 @pytest.mark.parametrize("kwargs", [{"pmax_over_m": 1e300}, {"mass": 1e300},
