@@ -66,3 +66,32 @@ def test_precess_matches_golden(capsys, argv, name, summary):
     out, err = capsys.readouterr()
     assert out.encode() == (DATA / name).read_bytes()
     assert err == summary + "\n"
+
+
+#: Packet transport pinned as text: the transported spin-basis values and the
+#: covariant values of one normalized packet per energy sign, on a 5^3
+#: momentum grid, 17 significant digits per real and imaginary part.
+TRANSPORT_GOLDEN = "transport_packet.txt"
+
+
+def _transport_text() -> str:
+    import numpy as np
+
+    from diracspin.lorentz import random_lorentz
+    from diracspin.states import (Grid, gaussian_packet, lorentz_transform, normalized,
+                                  to_covariant)
+
+    pts = Grid(1.5, 5).points()
+    L = random_lorentz(np.random.default_rng(5), 0.8)
+    lines = []
+    for eps in (1, -1):
+        w = normalized(gaussian_packet(eps, 1.0, 0.5, spin=(0.8, 0.6j)))
+        for label, vals in (("lorentz_transform", lorentz_transform(w, L).evaluate(pts)),
+                            ("to_covariant", to_covariant(w).evaluate(pts))):
+            lines.append(f"# eps={eps:+d} {label}")
+            lines.extend(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) for row in vals)
+    return "\n".join(lines) + "\n"
+
+
+def test_transport_matches_golden():
+    assert _transport_text() == (DATA / TRANSPORT_GOLDEN).read_text()
