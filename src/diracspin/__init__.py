@@ -29,6 +29,7 @@ from .lorentz import (
     standard_boost,
     wigner_rotation,
     wigner_rotation_closed,
+    wigner_d,
     su2_from_so3,
     lorentz_from_params,
     bispinor_from_params,

@@ -56,17 +56,6 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     return v
 
 
-def amplitude_batch(eps: int, P: np.ndarray, m: float) -> np.ndarray:
-    """Amplitudes for a batch of spatial momenta, shape (n, 4, 2): each
-    momentum is lifted onto the mass shell, p^0 = sqrt(m^2 + |pvec|^2), and
-    passed to `amplitude`.
-    """
-    m = check_mass(m)
-    P = np.asarray(P, dtype=float).reshape(-1, 3)
-    p0 = np.sqrt(m * m + np.einsum("ni,ni->n", P, P))
-    return amplitude(eps, np.concatenate([p0[:, None], P], axis=1), m)
-
-
 def dirac_bar(M: np.ndarray) -> np.ndarray:
     """Dirac adjoint Mbar = M^+ gamma^0 (shape (..., k, 4) for a (..., 4, k) input)."""
     return np.swapaxes(np.asarray(M).conj(), -1, -2) @ GAMMA0

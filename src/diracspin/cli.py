@@ -298,12 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
+    defaults = RunConfig()
     sp = sub.add_parser("verify", parents=[common, checked], help="run the identity-residual sweep")
-    sp.add_argument("--seed", type=int, default=42, help="sweep RNG seed")
-    sp.add_argument("--samples", type=int, default=200, help="samples per identity")
-    sp.add_argument("--pmax", type=_number, default=10.0,
+    sp.add_argument("--seed", type=int, default=defaults.seed, help="sweep RNG seed")
+    sp.add_argument("--samples", type=int, default=defaults.samples, help="samples per identity")
+    sp.add_argument("--pmax", type=_number, default=defaults.pmax_over_m,
                     help="momentum sampling radius in units of the mass")
-    sp.add_argument("--vmax", type=_number, default=0.99, help="velocity sampling radius")
+    sp.add_argument("--vmax", type=_number, default=defaults.vmax, help="velocity sampling radius")
     sp.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     sp.set_defaults(func=cmd_verify)
 
@@ -359,11 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="A,B", help="spin components (complex literals)")
     sp.add_argument("--time", type=_number, default=0.0, help="slice time for the position side")
     sp.set_defaults(func=cmd_fourier_check)
+    for sp in sub.choices.values():  # leftover flags are reported with the subcommand's usage
+        sp.set_defaults(error=sp.error)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

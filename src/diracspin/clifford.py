@@ -1,4 +1,4 @@
-"""Dirac gamma matrices, energy projectors, and the parity conjugation.
+"""Dirac gamma matrices and energy projectors.
 
 The gamma matrices are held in the chiral-like representation
 
@@ -8,7 +8,8 @@ The gamma matrices are held in the chiral-like representation
 with entries drawn from {0, +-1, +-i}, so the Clifford algebra
 gamma^mu gamma^nu + gamma^nu gamma^mu = 2 g^{mu nu} I holds exactly in
 floating point.  The spin generators are Sigma^{mu nu} = (i/4)
-[gamma^mu, gamma^nu].
+[gamma^mu, gamma^nu].  Space inversion acts on bispinors as gamma^0 (unit
+phase): conjugation by it keeps gamma^0 and flips the sign of gamma^k.
 """
 from __future__ import annotations
 
@@ -75,12 +76,3 @@ def energy_projector(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     eps = check_energy_sign(eps)
     m = check_mass(m)
     return (m * np.eye(4, dtype=complex) + eps * slash(p4)) / (2.0 * m)
-
-
-def parity_bispinor() -> np.ndarray:
-    """Bispinor realization of space inversion with unit phase: S(P) = gamma^0.
-
-    Conjugation sends gamma^0 -> gamma^0 and gamma^k -> -gamma^k, matching
-    the vector-realization parity matrix.
-    """
-    return GAMMA0.copy()

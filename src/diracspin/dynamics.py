@@ -1,8 +1,9 @@
 """Slow-motion momentum and polarization dynamics in a static magnetic field.
 
-For a charge e with g = 2 in a magnetic field B(x), to leading order in
-velocity and with no electric field, the mean momentum q, Bloch vector xi,
-and position x evolve as
+For a charge e in a magnetic field B(x), with g = 2 (the one value these
+equations hold for, so a state carries no g), to leading order in velocity
+and with no electric field, the mean momentum q, Bloch vector xi, and
+position x evolve as
 
     dq/dt  = (e/m) q x B + (e/2m) grad-force(xi, dB),
     dxi/dt = (e/m) xi x B,
@@ -87,12 +88,9 @@ class ChargedState:
     x: np.ndarray = field(default_factory=lambda: np.zeros(3))
     charge: float = 1.0
     mass: float = 1.0
-    g: float = 2.0
 
     def __post_init__(self):
         check_mass(self.mass)
-        if self.g != 2.0:
-            raise ValueError("only g = 2 is supported by these equations of motion")
         for name in ("q", "xi", "x"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (3,):

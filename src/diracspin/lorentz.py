@@ -5,9 +5,10 @@ Wigner rotations (both the brute-force matrix product and the closed form),
 and the spinor double cover.  One closed-form map takes a proper
 orthochronous L to the SL(2,C) element A(L) with A X(x) A^+ = X(Lx), where
 X(x) = x^mu sigma_mu and sigma_mu = (I, sigma_1, sigma_2, sigma_3); the
-SU(2) lift of a rotation and the bispinor S(L) = diag(A, (A^+)^{-1}) are
-both read off it.  The double-cover sign is fixed by Re tr A > 0 (see
-`_sl2c_lift` for the tie at Re tr A = 0).  Finite bispinor transformations
+SU(2) lift of a rotation, the bispinor S(L) = diag(A, (A^+)^{-1}) and the
+Wigner matrix D = A(Lp)^{-1} A(L) A(p) (`wigner_d`) are all read off it.
+The double-cover sign is fixed by Re tr A > 0 (see `_sl2c_lift` for the tie
+at Re tr A = 0).  Finite bispinor transformations
 also come from generator parameters through the matrix exponential, which
 stays as the brute-force reference for the closed form.
 
@@ -214,6 +215,53 @@ def _sl2c_lift(L: np.ndarray) -> np.ndarray:
             key = np.where(key == 0.0, tie, key)
     np.negative(A, out=A, where=(key < 0.0)[:, None, None])
     return A.reshape(batch + (2, 2))
+
+
+def wigner_d(L: np.ndarray, p4: np.ndarray, q4: np.ndarray, m: float) -> np.ndarray:
+    """SU(2) Wigner matrices D(R(L, p)) for a proper orthochronous L,
+    on-shell four-momenta p4 (..., 4) and their images q4 (..., 4), with
+    qvec = (L p)vec and q^0 on the shell; shape (..., 2, 2).
+
+    D is the SL(2,C) product W = A(q)^{-1} A(L) A(p), with A(L) the lift
+    that `bispinor_rep` uses and, for k on the shell,
+
+        A(k) = (m + k^0 + kvec.sigma) / sqrt(2m (m + k^0)),
+        A(k)^{-1} = (m + k^0 - kvec.sigma) / sqrt(2m (m + k^0)).
+
+    It is the element the amplitude relation D^T = (eps vbar(q) S(L) v(p))^{-1}
+    defines, sign included.  The amplitude factors as v^eps(p) =
+    [A(p); eps A(p)^{-1}] sigma_2 / sqrt(2), and S(L) = diag(A(L), (A(L)^+)^{-1});
+    with A(p), A(q) hermitian and W unitary,
+
+        eps vbar(q) S(L) v(p) = sigma_2 (W + (W^+)^{-1}) sigma_2 / 2 = sigma_2 W sigma_2,
+        D^T = (sigma_2 W sigma_2)^{-1} = sigma_2 W^{-1} sigma_2,
+        D = sigma_2 W^{-T} sigma_2 = W        (sigma_2 W^T sigma_2 = W^{-1} on SU(2)),
+
+    for either energy sign, so D carries the double-cover sign of S(L) and
+    takes no eps.  Writing x^0 I + xvec.sigma = x^mu sigma_mu, D is bilinear
+    in the real components b = (m + q^0, -qvec) / sqrt(2m (m + q^0)) and
+    a = (m + p^0, pvec) / sqrt(2m (m + p^0)):
+
+        D = sum_{mu nu} b_mu a_nu sigma_mu A(L) sigma_nu,
+
+    which is one real matrix product of the (n, 16) outer products b (x) a
+    with the 16 matrices sigma_mu A(L) sigma_nu.  A(q)^{-1} has unit
+    determinant only when q^0 is on the shell of qvec.
+    """
+    m = check_mass(m)
+    L = lorentz_matrix(L, proper=True)
+    p4 = np.asarray(p4, dtype=float)
+    batch = p4.shape[:-1]
+    p4, q4 = p4.reshape(-1, 4), np.asarray(q4, dtype=float).reshape(-1, 4)
+    a = np.empty((4, len(p4)))  # one row per sigma component
+    a[0], a[1:] = m + p4[:, 0], p4[:, 1:].T
+    b = np.empty_like(a)
+    b[0], b[1:] = m + q4[:, 0], -q4[:, 1:].T
+    a /= np.sqrt(2.0 * m * a[0])
+    b /= np.sqrt(2.0 * m * b[0])
+    sandwich = np.einsum("mij,jk,nkl->mnil", _SIGMA4, _sl2c_lift(L), _SIGMA4)
+    D = (b[:, None] * a[None]).reshape(16, -1).T @ sandwich.reshape(16, 4).view(float)
+    return D.view(complex).reshape(batch + (2, 2))
 
 
 def su2_from_so3(R3: np.ndarray) -> np.ndarray:

@@ -14,18 +14,8 @@ kets transform with the SU(2) Wigner matrix D, so spin-basis wavefunction
 columns transform with its conjugate; and the one-parameter family of
 Newton-Wigner shifts t -> shift(t a) has derivative -i (a . X) at t = 0,
 with X the position operator X psi = i eps (grad - pvec/(2 omega^2)) psi.
-
-The Wigner matrix has a closed form.  The amplitude factors as
-v^eps(p) = [A(p); eps A(p)^{-1}] sigma_2 / sqrt(2), with the hermitian
-SL(2,C) boost A(p) = (m + p^0 + pvec.sigma) / sqrt(2m (m + p^0)), and
-S(L) = diag(A(L), (A(L)^+)^{-1}).  With the unitary W = A(Lp)^{-1} A(L) A(p),
-
-    eps vbar(Lp) S(L) v(p) = sigma_2 (W + (W^+)^{-1}) sigma_2 / 2 = sigma_2 W sigma_2,
-    D^T = (eps vbar(Lp) S(L) v(p))^{-1} = sigma_2 W^{-1} sigma_2,
-    D = sigma_2 W^{-T} sigma_2 = W,
-
-for both energy signs, so `wigner_d_batch` evaluates D = A(Lp)^{-1} A(L) A(p)
-directly, with the double-cover sign of `bispinor_rep(L)`.
+D is `lorentz.wigner_d`, the closed form A(Lp)^{-1} A(L) A(p) with the
+double-cover sign of `bispinor_rep(L)`, for both energy signs.
 
 The invariant scalar product is (a, b) = sum_eps int d3p/(2 omega)
 atilde^+ btilde = sum_eps eps int d3p/(2 omega) abar b, approximated by
@@ -46,9 +36,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .amplitudes import amplitude_batch
-from .clifford import GAMMA, GAMMA0, PAULI
-from .lorentz import _SIGMA4, _sl2c_lift, bispinor_rep, wigner_rotation
+from .amplitudes import amplitude
+from .clifford import GAMMA0, PAULI, energy_projector
+from .lorentz import bispinor_rep, wigner_d, wigner_rotation
 from .minkowski import (METRIC, check_energy_sign, check_mass, libm_square, lorentz_matrix,
                         refuse_first)
 
@@ -91,9 +81,21 @@ def omega_expr(m: float) -> sp.Expr:
 
 
 def omega_of(pts: np.ndarray, m: float) -> np.ndarray:
-    """On-shell energies for an array of spatial momenta (..., 3)."""
+    """On-shell energies for an array of spatial momenta (..., 3).
+
+    Grids are lifted here and not through `minkowski.on_shell`: its
+    `np.vecdot` rounds |p|^2 differently from this `einsum` (on 14% of a
+    64^3 grid on [-3, 3]^3), and the goldens pin the rounding of each path.
+    """
     pts = np.asarray(pts, dtype=float)
     return np.sqrt(m * m + np.einsum("...i,...i->...", pts, pts))
+
+
+def _onshell_batch(pts: np.ndarray, m: float) -> np.ndarray:
+    """On-shell four-momenta (n, 4) for spatial momenta (..., 3), with the
+    energies of `omega_of`."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    return np.concatenate([omega_of(pts, m)[:, None], pts], axis=1)
 
 
 def _trapezoid_weights(half_width: float, n: int) -> np.ndarray:
@@ -224,7 +226,7 @@ def to_covariant(w: SpinWaveFunction) -> CovariantWaveFunction:
     """Contract with the amplitude: psi(p) = v^eps(p) psitilde(p)."""
     def fn(pts: np.ndarray) -> np.ndarray:
         flat = pts.reshape(-1, 3)
-        v = amplitude_batch(w.eps, flat, w.mass)
+        v = amplitude(w.eps, _onshell_batch(flat, w.mass), w.mass)
         vals = w.evaluate(flat)
         return np.einsum("nab,nb->na", v, vals).reshape(pts.shape[:-1] + (4,))
 
@@ -235,7 +237,7 @@ def from_covariant(c: CovariantWaveFunction) -> SpinWaveFunction:
     """Invert the basis change: psitilde(p) = eps vbar^eps(p) psi(p)."""
     def fn(pts: np.ndarray) -> np.ndarray:
         flat = pts.reshape(-1, 3)
-        v = amplitude_batch(c.eps, flat, c.mass)
+        v = amplitude(c.eps, _onshell_batch(flat, c.mass), c.mass)
         vals = c.evaluate(flat)
         out = c.eps * np.einsum("nbs,bc,nc->ns", v.conj(), GAMMA0, vals)
         return out.reshape(pts.shape[:-1] + (2,))
@@ -246,11 +248,7 @@ def from_covariant(c: CovariantWaveFunction) -> SpinWaveFunction:
 def dirac_residual(c: CovariantWaveFunction, pts: np.ndarray) -> float:
     """Max violation of the shell constraint Lambda_{-eps}(p) psi(p) = 0."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    m = c.mass
-    p0 = omega_of(pts, m)
-    p4 = np.concatenate([p0[:, None], pts], axis=1)
-    sl = np.einsum("nm,mab->nab", p4 @ METRIC, GAMMA)
-    proj = (m * np.eye(4, dtype=complex) - c.eps * sl) / (2.0 * m)
+    proj = energy_projector(-c.eps, _onshell_batch(pts, c.mass), c.mass)
     vals = c.evaluate(pts)
     return float(np.abs(np.einsum("nab,nb->na", proj, vals)).max())
 
@@ -315,61 +313,6 @@ def normalized(w: SpinWaveFunction, grid: Grid | None = None) -> SpinWaveFunctio
 # Lorentz transport
 # ---------------------------------------------------------------------------
 
-def _onshell_batch(pts: np.ndarray, m: float) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    return np.concatenate([omega_of(pts, m)[:, None], pts], axis=1)
-
-
-def wigner_d_batch(L: np.ndarray, pts: np.ndarray, m: float) -> np.ndarray:
-    """SU(2) Wigner matrices D(R(L, p)) on a batch of momenta, shape (n, 2, 2).
-
-    D is the SL(2,C) product W = A(Lp)^{-1} A(L) A(p), with A(L) the lift
-    that `bispinor_rep` uses and, for q on the shell,
-
-        A(q) = (m + q^0 + qvec.sigma) / sqrt(2m (m + q^0)),
-        A(q)^{-1} = (m + q^0 - qvec.sigma) / sqrt(2m (m + q^0)).
-
-    It is the element the amplitude relation D^T = (eps vbar(Lp) S(L) v(p))^{-1}
-    defines, sign included.  The amplitude factors as v^eps(p) =
-    [A(p); eps A(p)^{-1}] sigma_2 / sqrt(2), and S(L) = diag(A(L), (A(L)^+)^{-1});
-    with A(p), A(Lp) hermitian and W unitary,
-
-        eps vbar(Lp) S(L) v(p) = sigma_2 (W + (W^+)^{-1}) sigma_2 / 2 = sigma_2 W sigma_2,
-        D^T = (sigma_2 W sigma_2)^{-1} = sigma_2 W^{-1} sigma_2,
-        D = sigma_2 W^{-T} sigma_2 = W        (sigma_2 W^T sigma_2 = W^{-1} on SU(2)),
-
-    for either energy sign, so D carries the double-cover sign of S(L) and
-    takes no eps.  Writing x^0 I + xvec.sigma = x^mu sigma_mu, D is bilinear
-    in the real components b = (m + q^0, -qvec) / sqrt(2m (m + q^0)) and
-    a = (m + p^0, pvec) / sqrt(2m (m + p^0)):
-
-        D = sum_{mu nu} b_mu a_nu sigma_mu A(L) sigma_nu,
-
-    which is one real matrix product of the (n, 16) outer products b (x) a
-    with the 16 matrices sigma_mu A(L) sigma_nu.  q^0 is recomputed on the
-    shell from qvec = (Lp)vec, so A(Lp)^{-1} has unit determinant.
-    """
-    m = check_mass(m)
-    L = lorentz_matrix(L, proper=True)
-    p4 = _onshell_batch(pts, m)
-    return _wigner_d(L, p4, _onshell_batch(p4 @ L[1:].T, m), m)
-
-
-def _wigner_d(L: np.ndarray, p4: np.ndarray, q4: np.ndarray, m: float) -> np.ndarray:
-    """The kernel of `wigner_d_batch`: D = A(q)^{-1} A(L) A(p) for on-shell
-    momenta p4 (n, 4) and targets q4 (n, 4), with qvec = (L p)vec and q^0 on
-    the shell; L and m already validated."""
-    a = np.empty((4, len(p4)))  # one row per sigma component
-    a[0], a[1:] = m + p4[:, 0], p4[:, 1:].T
-    b = np.empty_like(a)
-    b[0], b[1:] = m + q4[:, 0], -q4[:, 1:].T
-    a /= np.sqrt(2.0 * m * a[0])
-    b /= np.sqrt(2.0 * m * b[0])
-    sandwich = np.einsum("mij,jk,nkl->mnil", _SIGMA4, _sl2c_lift(L), _SIGMA4)
-    D = (b[:, None] * a[None]).reshape(16, -1).T @ sandwich.reshape(16, 4).view(float)
-    return D.view(complex).reshape(-1, 2, 2)
-
-
 def lorentz_transform(w, L: np.ndarray):
     """Transport a wavefunction to the frame reached by L.
 
@@ -400,7 +343,7 @@ def lorentz_transform(w, L: np.ndarray):
             pre4 = q4 @ Linv.T
             pre4[:, 0] = omega_of(pre4[:, 1:], m)  # the preimage, back on the shell
             vals = w.evaluate(pre4[:, 1:])
-            D = _wigner_d(L, pre4, q4, m)
+            D = wigner_d(L, pre4, q4, m)
             return np.einsum("nse,ne->ns", D.conj(), vals).reshape(pts.shape[:-1] + (2,))
 
         return SpinWaveFunction(eps=w.eps, mass=m, width=new_width, fn=fn, center=new_center)
@@ -513,11 +456,6 @@ def nw_apply_sampled(s: SampledWaveFunction, i: int) -> SampledWaveFunction:
     om2 = s.mass ** 2 + sum(s.mesh(k) ** 2 for k in range(3))
     vals = 1j * s.eps * (deriv - (s.mesh(i) / (2.0 * om2))[..., None] * s.values)
     return replace(s, values=vals)
-
-
-def momentum_apply_sampled(s: SampledWaveFunction, j: int) -> SampledWaveFunction:
-    """P_j on gridded data: multiplication by eps p_j."""
-    return replace(s, values=s.eps * s.mesh(j)[..., None] * s.values)
 
 
 # ---------------------------------------------------------------------------

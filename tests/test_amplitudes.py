@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from diracspin.amplitudes import (amplitude, amplitude_batch, amplitude_via_boost, dirac_bar,
-                                  parity_residual, sandwich, sandwich_formula_residual,
+from diracspin.amplitudes import (amplitude, amplitude_via_boost, dirac_bar, parity_residual, sandwich, sandwich_formula_residual,
                                   sandwich_formulas, weinberg_residual)
 from diracspin.clifford import GAMMA, GAMMA0, PAULI, energy_projector, slash
 from diracspin.lorentz import random_lorentz, random_momentum
 from diracspin.minkowski import on_shell
+from diracspin.states import _onshell_batch
 
 SQRT_HALF = np.sqrt(0.5)
 # amplitudes at p = 0 (the sigma_2 pairing fixes the phase convention)
@@ -76,7 +76,7 @@ def test_amplitude_normalization_property(px, py, pz, m):
 
 def test_batch_matches_scalar(rng):
     P = np.array([random_momentum(rng, 1.0) for _ in range(9)])
-    batch = amplitude_batch(1, P[:, 1:], 1.0)
+    batch = amplitude(1, _onshell_batch(P[:, 1:], 1.0), 1.0)
     assert batch.shape == (9, 4, 2)
     for k in range(9):
         assert_allclose(batch[k], amplitude(1, P[k], 1.0), atol=1e-14)
@@ -90,7 +90,7 @@ def test_batch_matches_scalar_both_shells(rng, eps, m):
     # of p^0, a relative few eps of the largest entry
     u = rng.normal(size=(60, 3))
     P = m * (10.0 ** rng.uniform(-3, 3, size=60) / np.linalg.norm(u, axis=1))[:, None] * u
-    batch = amplitude_batch(eps, P, m)
+    batch = amplitude(eps, _onshell_batch(P, m), m)
     assert batch.shape == (60, 4, 2)
     for k in range(60):
         ref = amplitude(eps, on_shell(m, P[k]), m)

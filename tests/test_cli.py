@@ -31,6 +31,21 @@ def test_verify_roundtrip_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verify_defaults_are_run_config(monkeypatch):
+    from diracspin import cli
+    from diracspin.verify import RunConfig
+
+    built = []
+
+    def capture(cfg):
+        built.append(cfg)
+        raise OSError("not run")
+
+    monkeypatch.setattr(cli, "run_all", capture)
+    assert main(["verify"]) == 2
+    assert built == [RunConfig()]
+
+
 def test_verify_stdout_json(capsys):
     code, out, _ = run(capsys, "verify", "--samples", "10")
     assert code == 0
@@ -255,7 +270,8 @@ def test_precess_rejects_json_format(capsys):
               "--t-final", "1", "--steps", "4", "--format", "json"])
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
-    assert "unrecognized arguments: --format json" in err
+    assert err.startswith("usage: diracspin precess ")
+    assert "diracspin precess: error: unrecognized arguments: --format json" in err
 
 
 # --- fourier-check ---------------------------------------------------------
@@ -282,7 +298,8 @@ def test_point_reports_are_json_only(capsys):
         main(["wigner", "--velocity", "0.1,0,0", "--format", "csv"])
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
-    assert "unrecognized arguments: --format csv" in err
+    assert err.startswith("usage: diracspin wigner ")
+    assert "diracspin wigner: error: unrecognized arguments: --format csv" in err
     # and the shared default is still JSON for verify
     code, out, _ = run(capsys, "verify", "--samples", "5")
     assert code == 0
@@ -293,6 +310,15 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_package_version_is_read_from_the_module():
+    # pyproject.toml declares the version dynamic, read from diracspin.__version__
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = pyprojecttoml.read_configuration(Path(__file__).parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == diracspin.__version__
 
 
 # --- exit-code contract under adversarial numbers ----------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from diracspin.clifford import (GAMMA, GAMMA0, GAMMA5, PAULI, SIGMA, energy_projector,
-                                parity_bispinor, slash)
+                                slash)
 from diracspin.minkowski import METRIC, minkowski_dot, on_shell
 
 finite = st.floats(-20, 20, allow_nan=False)
@@ -79,5 +79,3 @@ def test_energy_projector_rest():
     assert_allclose(energy_projector(1, p4, 1.0), (np.eye(4) + GAMMA0) / 2.0)
 
 
-def test_parity_bispinor_is_gamma0():
-    assert_array_equal(parity_bispinor(), GAMMA0)

@@ -43,7 +43,8 @@ def test_quadrupole_rejects_bad_shape():
 
 
 def test_state_requires_g_two():
-    with pytest.raises(ValueError):
+    # g = 2 is built into the equations of motion; the state takes no g
+    with pytest.raises(TypeError):
         ChargedState(q=np.zeros(3), xi=np.zeros(3), g=2.1)
 
 

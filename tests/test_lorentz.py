@@ -17,9 +17,10 @@ from diracspin.lorentz import (VMAX_HARD, bispinor_from_params, bispinor_inverse
                                lorentz_from_params, lorentz_gamma, random_lorentz,
                                random_momentum, random_rotation, random_velocity,
                                rotation_params, rotations_from_draws, standard_boost,
-                               su2_from_so3, wigner_rotation, wigner_rotation_closed)
+                               su2_from_so3, wigner_d, wigner_rotation,
+                               wigner_rotation_closed)
 from diracspin.minkowski import (METRIC, is_proper_orthochronous, lorentz_residual,
-                                 minkowski_dot, on_shell)
+                                 minkowski_dot, on_shell, parity_matrix)
 
 # Frozen reference: boost v = 0.5 x, momentum along y with |p| = gamma/2 and
 # m = 1 rotates the spin frame about z by arctan(sqrt(3)/12).
@@ -239,6 +240,35 @@ def test_su2_lift_half_turn():
 def test_su2_rejects_non_rotation():
     with pytest.raises(ValueError):
         su2_from_so3(np.diag([1.0, 1.0, -1.0]))
+
+
+def _wigner_d_inputs(rng, n=5):
+    L = random_lorentz(rng)
+    p4 = np.array([random_momentum(rng, 1.0) for _ in range(n)])
+    return L, p4, on_shell(1.0, (p4 @ L.T)[:, 1:])
+
+
+def test_wigner_d_refuses_parity(rng):
+    _, p4, _ = _wigner_d_inputs(rng)
+    P = parity_matrix()
+    with pytest.raises(ValueError, match="not proper orthochronous"):
+        wigner_d(P, p4, p4 @ P.T, 1.0)
+
+
+def test_wigner_d_refuses_zero_mass(rng):
+    L, p4, q4 = _wigner_d_inputs(rng)
+    with pytest.raises(ValueError, match="mass must be positive"):
+        wigner_d(L, p4, q4, 0.0)
+
+
+def test_wigner_d_single_point_is_batch_row(rng):
+    # one real matrix product per call; BLAS may round a one-row product
+    # differently from a batch, so rows agree to rounding
+    L, p4, q4 = _wigner_d_inputs(rng)
+    D = wigner_d(L, p4, q4, 1.0)
+    assert D.shape == (5, 2, 2)
+    for k in range(5):
+        assert_allclose(wigner_d(L, p4[k], q4[k], 1.0), D[k], rtol=0, atol=1e-14)
 
 
 def test_params_boost_roundtrip():

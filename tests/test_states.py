@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from diracspin.amplitudes import amplitude, amplitude_batch
+from diracspin.amplitudes import amplitude
 from diracspin.clifford import GAMMA0, PAULI
 from diracspin.lorentz import (_sl2c_lift, bispinor_rep, boost_from_velocity, random_lorentz,
-                               random_rotation, wigner_rotation)
+                               random_rotation, wigner_d, wigner_rotation)
 from diracspin.minkowski import on_shell
 from diracspin.states import (CovariantWaveFunction, DensityState, Grid, SpinWaveFunction,
                               apply_spin, bloch_transform, dirac_residual, from_covariant,
-                              gaussian_packet, lorentz_transform, momentum_apply,
-                              momentum_apply_sampled, norm, normalized, nw_apply,
-                              nw_apply_sampled, nw_shift, sample, scalar_product,
-                              spin_expectations, to_covariant, wigner_d_batch)
+                              _onshell_batch, gaussian_packet, lorentz_transform,
+                              momentum_apply, norm, normalized, nw_apply, nw_apply_sampled,
+                              nw_shift, sample, scalar_product, spin_expectations,
+                              to_covariant)
 
 
 def packet(eps=1, width=0.5, spin=(1.0, 0.0), center=(0.0, 0.0, 0.0)):
@@ -220,9 +220,15 @@ def test_norm_invariant_under_boost():
     assert norm(moved) == pytest.approx(1.0, rel=1e-6)
 
 
+def _transport_d(L, pts, m):
+    # D on a batch of spatial momenta, with p and q = Lp lifted as transport lifts them
+    p4 = _onshell_batch(pts, m)
+    return wigner_d(L, p4, _onshell_batch(p4 @ L[1:].T, m), m)
+
+
 def test_wigner_d_batch_unitary(rng, pts):
     L = random_lorentz(rng)
-    D = wigner_d_batch(L, pts, 1.0)
+    D = _transport_d(L, pts, 1.0)
     assert D.shape == (len(pts), 2, 2)
     prods = np.einsum("nab,ncb->nac", D, D.conj())
     assert_allclose(prods, np.broadcast_to(np.eye(2), prods.shape), atol=1e-10)
@@ -231,8 +237,8 @@ def test_wigner_d_batch_unitary(rng, pts):
 def _wigner_d_reference(L, pts, m, eps):
     # D^T = (eps vbar(Lp) S(L) v(p))^{-1} through a general einsum and inverse
     p4 = np.concatenate([np.sqrt(m * m + np.sum(pts ** 2, axis=1))[:, None], pts], axis=1)
-    v_in = amplitude_batch(eps, pts, m)
-    v_out = amplitude_batch(eps, (p4 @ L.T)[:, 1:], m)
+    v_in = amplitude(eps, _onshell_batch(pts, m), m)
+    v_out = amplitude(eps, _onshell_batch((p4 @ L.T)[:, 1:], m), m)
     M = eps * np.einsum("nbs,bc,cd,nde->nse", v_out.conj(), GAMMA0, bispinor_rep(L), v_in)
     return np.linalg.inv(M).transpose(0, 2, 1)
 
@@ -242,7 +248,7 @@ def _wigner_d_reference(L, pts, m, eps):
 def test_wigner_d_batch_matches_reference(rng, eps, m):
     L = random_lorentz(rng, vmax=0.95)
     pts = m * rng.normal(scale=3.0, size=(200, 3))
-    assert_allclose(wigner_d_batch(L, pts, m), _wigner_d_reference(L, pts, m, eps),
+    assert_allclose(_transport_d(L, pts, m), _wigner_d_reference(L, pts, m, eps),
                     rtol=0, atol=1e-13)
 
 
@@ -255,7 +261,7 @@ def test_wigner_d_batch_rotates_pauli_vectors(rng, eps, m):
     # v^eps(Lp), which pins its double-cover sign to that of S(L).
     L = random_lorentz(rng, vmax=0.95)
     pts = m * rng.normal(scale=3.0, size=(20, 3))
-    D = wigner_d_batch(L, pts, m)
+    D = _transport_d(L, pts, m)
     for k, p in enumerate(pts):
         R, _ = wigner_rotation(L, on_shell(m, p), m)
         a = rng.normal(size=3)
@@ -284,7 +290,7 @@ def test_wigner_d_batch_high_rapidity(rng, ratio):
     L = random_lorentz(rng, vmax=0.9)
     u = rng.normal(size=(200, 3))
     p4 = on_shell(m, (m * ratio) * u / np.linalg.norm(u, axis=1)[:, None])
-    D = wigner_d_batch(L, p4[:, 1:], m)
+    D = _transport_d(L, p4[:, 1:], m)
     kappa = np.maximum(p4[:, 0], (p4 @ L.T)[:, 0]) / m
     tol = 16.0 * kappa * np.finfo(float).eps
     Dh = D.conj().transpose(0, 2, 1)
@@ -373,7 +379,7 @@ def test_sampled_operators_match_symbolic():
     sym = sample(nw_apply(w, 0), axes).values[sl]
     assert np.abs(num - sym).max() < 5e-4
     exact = sample(momentum_apply(w, 2), axes).values
-    assert_allclose(momentum_apply_sampled(s, 2).values, exact, atol=1e-13)
+    assert_allclose(s.eps * s.mesh(2)[..., None] * s.values, exact, atol=1e-13)
 
 
 def test_momentum_apply_is_multiplication(pts):
