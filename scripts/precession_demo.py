@@ -36,7 +36,8 @@ def main():
     t_final = args.periods * 2.0 * np.pi / bnorm  # e = m = 1
     traj = integrate(state, uniform_field(args.b), t_final, args.steps)
     if args.out:
-        traj.to_csv(args.out)
+        with open(args.out, "w") as fh:
+            fh.write(traj.to_csv())
         print(f"wrote {len(traj.t)} rows to {args.out}")
 
     q_exact, xi_exact = larmor_solution(state, args.b, traj.t)

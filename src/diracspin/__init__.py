@@ -73,7 +73,7 @@ from .dynamics import (
     integrate,
     larmor_solution,
 )
-from .position import PositionGrid, synthesize, synthesize_mesh, parseval_check, default_grids
+from .position import synthesize, synthesize_mesh, parseval_check, default_grids
 from .verify import RunConfig, run_all, run_identity, to_json, to_csv, DEFAULT_TOLERANCES
 
 __all__ = [name for name in dir() if not name.startswith("_")]

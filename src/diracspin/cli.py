@@ -262,8 +262,8 @@ def cmd_fourier_check(args) -> int:
                    "center": list(map(float, args.center)),
                    "spin": [[float(s.real), float(s.imag)] for s in args.spin],
                    "time": args.time, "tolerance": tol,
-                   "momentum_grid": {"pmax": pgrid.pmax, "points": pgrid.n},
-                   "position_grid": {"xmax": xgrid.xmax, "points": xgrid.n}},
+                   "momentum_grid": {"pmax": pgrid.half_width, "points": pgrid.n},
+                   "position_grid": {"xmax": xgrid.half_width, "points": xgrid.n}},
         "momentum_side": [float(lhs.real), float(lhs.imag)],
         "position_side": [float(rhs.real), float(rhs.imag)],
         "relative_error": relerr,
@@ -366,9 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
     if extra:
-        args.error(f"unrecognized arguments: {' '.join(extra)}")
+        # the top-level parser takes no values, so a token before the
+        # subcommand is a leftover of its own
+        argv = sys.argv[1:] if argv is None else list(argv)
+        error = parser.error if argv.index(args.command) else args.error
+        error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -145,24 +145,15 @@ class Trajectory:
     x: np.ndarray
     include_position: bool
 
-    def to_csv(self, target=None) -> str | None:
-        """Write rows t,qx,qy,qz,xix,xiy,xiz[,x,y,z]; returns the text when
-        target is None, otherwise writes to the path or file object."""
+    def to_csv(self) -> str:
+        """The rows t,qx,qy,qz,xix,xiy,xiz[,x,y,z] as CSV text."""
         cols = ["t", "qx", "qy", "qz", "xix", "xiy", "xiz"]
         data = [self.t, self.q, self.xi]
         if self.include_position:
             cols += ["x", "y", "z"]
             data.append(self.x)
         row = ",".join(["%.17g"] * len(cols)) + "\n"
-        text = ",".join(cols) + "\n" + "".join([row % tuple(r) for r in np.column_stack(data).tolist()])
-        if target is None:
-            return text
-        if hasattr(target, "write"):
-            target.write(text)
-            return None
-        with open(target, "w") as fh:
-            fh.write(text)
-        return None
+        return ",".join(cols) + "\n" + "".join([row % tuple(r) for r in np.column_stack(data).tolist()])
 
 
 def integrate(s0: ChargedState, f: FieldConfig, t_final: float, steps: int,

@@ -18,6 +18,10 @@ import numpy as np
 #: Metric tensor g_{mu nu} = diag(1, -1, -1, -1).
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
+#: Metric defect |L^T g L - g| that `lorentz_matrix` accepts, per unit of
+#: the squared largest entry.
+METRIC_TOL = 1e-10
+
 
 class SampleRefused(ValueError):
     """A validator refused an input; `index` is the first refused sample,
@@ -162,11 +166,11 @@ def is_proper_orthochronous(L: np.ndarray) -> bool:
     return (l00 > 0.0) & (np.abs(np.linalg.det(L[..., 1:, 1:]) - l00) < 0.5 * l00)
 
 
-def lorentz_matrix(L: np.ndarray, tol: float = 1e-10, proper: bool = False) -> np.ndarray:
+def lorentz_matrix(L: np.ndarray, proper: bool = False) -> np.ndarray:
     """Validate a 4x4 Lorentz matrix (L^T g L = g), or a (..., 4, 4) stack of
     them, and return it.
 
-    The metric defect is compared against tol scaled by the squared entry
+    The metric defect is compared against METRIC_TOL scaled by the squared entry
     magnitude, since rounding alone produces a defect of that order in
     L^T g L for large rapidities.  With proper=True additionally require a
     proper orthochronous element; discrete elements such as the parity
@@ -185,9 +189,10 @@ def lorentz_matrix(L: np.ndarray, tol: float = 1e-10, proper: bool = False) -> n
                   (~(np.isfinite(scale) & np.isfinite(r)),
                    lambda i: (f"matrix entries up to {big.reshape(-1)[i]:.3g} overflow the "
                               f"metric check L^T g L")),
-                  (~(r < tol * scale), lambda i: (f"matrix does not preserve the metric: residual "
-                                                  f"{r.reshape(-1)[i]:.3e} >= {tol:.1e} * "
-                                                  f"{scale.reshape(-1)[i]:.3g}"))]
+                  (~(r < METRIC_TOL * scale),
+                   lambda i: (f"matrix does not preserve the metric: residual "
+                              f"{r.reshape(-1)[i]:.3e} >= {METRIC_TOL:.1e} * "
+                              f"{scale.reshape(-1)[i]:.3g}"))]
         if proper:
             checks.append((~is_proper_orthochronous(L),
                            lambda i: "matrix is not proper orthochronous"))

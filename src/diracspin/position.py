@@ -26,13 +26,12 @@ quadrature error for Gaussian-decaying profiles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
 
-from .states import (CovariantWaveFunction, Grid, SpinWaveFunction, _as_sectors,
-                     _trapezoid_weights, omega_of, scalar_product, to_covariant)
+from .states import (MIN_COVERAGE, Grid, SpinWaveFunction, _as_sectors, covering_grid,
+                     scalar_product, to_covariant)
 
 TWO_PI_CUBED_SQRT = (2.0 * np.pi) ** 1.5
 
@@ -43,41 +42,9 @@ TWO_PI_CUBED_SQRT = (2.0 * np.pi) ** 1.5
 DEFAULT_P_POINTS = 32
 DEFAULT_X_POINTS = 18
 
-#: Minimum decay widths the quadrature cubes must cover.
-MIN_COVERAGE = 8.0
-
-
-@dataclass(frozen=True)
-class PositionGrid:
-    """Uniform tensor-product position grid on [-xmax, xmax]^3."""
-
-    xmax: float
-    n: int = DEFAULT_X_POINTS
-
-    def __post_init__(self):
-        if not (np.isfinite(self.xmax) and self.xmax > 0) or self.n < 2:
-            raise ValueError(f"need finite xmax > 0 and n >= 2, got xmax={self.xmax}, n={self.n}")
-
-    def axis(self) -> np.ndarray:
-        return np.linspace(-self.xmax, self.xmax, self.n)
-
-    def weights_1d(self) -> np.ndarray:
-        return _trapezoid_weights(self.xmax, self.n)
-
-    def refined(self) -> "PositionGrid":
-        return PositionGrid(self.xmax, 2 * self.n - 1)
-
-
-@dataclass(frozen=True)
-class PositionSample:
-    """One bispinor value on a fixed-time slice."""
-
-    x4: np.ndarray
-    psi: np.ndarray
-
 
 def _coverage_check(w, grid: Grid) -> None:
-    reach = grid.pmax - float(np.abs(w.center).max())
+    reach = grid.half_width - float(np.abs(w.center).max())
     cover = reach / w.width
     if cover < MIN_COVERAGE - 1e-9:
         raise ValueError(
@@ -85,12 +52,12 @@ def _coverage_check(w, grid: Grid) -> None:
             f"center; need >= {MIN_COVERAGE:g} (pmax >= |center| + {MIN_COVERAGE:g} * width)")
 
 
-def _position_coverage_check(widths, grid: PositionGrid) -> None:
+def _position_coverage_check(widths, grid: Grid) -> None:
     # Spatial width of a Gaussian packet of momentum width w is 1/w.
     need = MIN_COVERAGE / min(widths)
-    if grid.xmax < need * (1.0 - 1e-12):
+    if grid.half_width < need * (1.0 - 1e-12):
         raise ValueError(
-            f"position grid extent {grid.xmax:g} covers fewer than {MIN_COVERAGE:g} "
+            f"position grid extent {grid.half_width:g} covers fewer than {MIN_COVERAGE:g} "
             f"spatial widths; need xmax >= {need:g}")
 
 
@@ -99,8 +66,9 @@ def _covariant_sectors(w) -> tuple:
                  for s in _as_sectors(w))
 
 
-def synthesize(w, x4, pgrid: Grid | None = None) -> PositionSample:
-    """Evaluate the position-space bispinor at one spacetime point x4 = (t, xvec).
+def synthesize(w, x4, pgrid: Grid) -> np.ndarray:
+    """Evaluate the position-space bispinor, shape (4,), at one spacetime
+    point x4 = (t, xvec).
 
     `w` is a wavefunction or a sequence of them (one per energy sign); spin-basis
     profiles are contracted with the amplitude first.
@@ -108,41 +76,34 @@ def synthesize(w, x4, pgrid: Grid | None = None) -> PositionSample:
     x4 = np.asarray(x4, dtype=float)
     if x4.shape != (4,):
         raise ValueError("x4 must be a four-vector (t, x, y, z)")
-    sectors = _covariant_sectors(w)
     psi = np.zeros(4, dtype=complex)
-    for s in sectors:
-        grid = pgrid if pgrid is not None else s.default_grid(DEFAULT_P_POINTS)
-        _coverage_check(s, grid)
-        pts = grid.points()
-        om = omega_of(pts, s.mass)
+    for s in _covariant_sectors(w):
+        _coverage_check(s, pgrid)
+        pts, om, wts = pgrid.shell_measure(s.mass)
         phase = np.exp(-1j * s.eps * (om * x4[0] - pts @ x4[1:]))
-        wts = grid.weights() / (2.0 * om)
         psi = psi + np.einsum("n,n,na->a", wts, phase, s.evaluate(pts))
-    return PositionSample(x4=x4, psi=psi / TWO_PI_CUBED_SQRT)
+    return psi / TWO_PI_CUBED_SQRT
 
 
-def synthesize_mesh(w, t: float, xgrid: PositionGrid, pgrid: Grid | None = None) -> np.ndarray:
+def synthesize_mesh(w, t: float, xgrid: Grid, pgrid: Grid) -> np.ndarray:
     """Position-space bispinor on the full tensor mesh of `xgrid` at time t.
 
     Returns shape (n, n, n, 4) indexed by the three position axes.  The phase
     e^{i eps pvec.xvec} factorizes over axes, giving three dense contractions.
     """
-    xa = xgrid.axis()
+    pa, xa = pgrid.axis(), xgrid.axis()
     out = np.zeros((xgrid.n, xgrid.n, xgrid.n, 4), dtype=complex)
     for s in _covariant_sectors(w):
-        grid = pgrid if pgrid is not None else s.default_grid(DEFAULT_P_POINTS)
-        _coverage_check(s, grid)
-        pa = grid.axis()
-        pts = grid.points()
-        om = omega_of(pts, s.mass)
-        core = (grid.weights() / (2.0 * om) * np.exp(-1j * s.eps * om * t))[:, None] * s.evaluate(pts)
-        core = core.reshape(grid.n, grid.n, grid.n, 4)
+        _coverage_check(s, pgrid)
+        pts, om, wts = pgrid.shell_measure(s.mass)
+        core = (wts * np.exp(-1j * s.eps * om * t))[:, None] * s.evaluate(pts)
+        core = core.reshape(pgrid.n, pgrid.n, pgrid.n, 4)
         E = np.exp(1j * s.eps * np.outer(pa, xa))
         out = out + np.einsum("abcd,aj,bk,cl->jkld", core, E, E, E, optimize=True)
     return out / TWO_PI_CUBED_SQRT
 
 
-def position_product(psi_mesh: np.ndarray, phi_mesh: np.ndarray, xgrid: PositionGrid) -> complex:
+def position_product(psi_mesh: np.ndarray, phi_mesh: np.ndarray, xgrid: Grid) -> complex:
     """Quadrature of conj(Psi) gamma^0 Phi = Psi^+ Phi over the position cube,
     reduced with compensated summation."""
     w1 = xgrid.weights_1d()
@@ -152,16 +113,16 @@ def position_product(psi_mesh: np.ndarray, phi_mesh: np.ndarray, xgrid: Position
 
 
 def default_grids(a, b, p_points: int = DEFAULT_P_POINTS,
-                  x_points: int = DEFAULT_X_POINTS) -> tuple[Grid, PositionGrid]:
-    """Shared quadrature cubes for a pair of states: the largest per-sector
-    momentum cube and a position cube of extent 8 / (smallest width)."""
+                  x_points: int = DEFAULT_X_POINTS) -> tuple[Grid, Grid]:
+    """Shared quadrature cubes for a pair of states: the momentum cube that
+    covers every sector and a position cube of half-width
+    MIN_COVERAGE / (smallest width)."""
     sectors = _as_sectors(a) + _as_sectors(b)
-    pmax = max(s.default_grid().pmax for s in sectors)
     widths = [s.width for s in sectors]
-    return Grid(pmax, p_points), PositionGrid(MIN_COVERAGE / min(widths), x_points)
+    return covering_grid(sectors, p_points), Grid(MIN_COVERAGE / min(widths), x_points)
 
 
-def parseval_check(a, b, pgrid: Grid | None = None, xgrid: PositionGrid | None = None,
+def parseval_check(a, b, pgrid: Grid | None = None, xgrid: Grid | None = None,
                    t: float = 0.0) -> tuple[complex, complex, float]:
     """Compare the two routes to the invariant scalar product (a, b).
 

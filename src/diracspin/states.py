@@ -4,8 +4,8 @@ Bloch-vector states.
 A state on one mass shell is a two-component profile over spatial momentum:
 either in the spin basis (components indexed by the rest-frame spin label)
 or in the covariant basis (four bispinor components obtained by contracting
-with the amplitude, psi = v^eps psitilde).  Profiles from the built-in
-Gaussian-times-polynomial family are held as sympy expressions in the
+with the amplitude, psi = v^eps psitilde).  Gaussian packets, and what the
+symbolic operators below make of them, are held as sympy expressions in the
 momentum symbols P = (p1, p2, p3), which keeps Newton-Wigner applications
 exact; transformed states fall back to plain callables.
 
@@ -98,27 +98,26 @@ def _onshell_batch(pts: np.ndarray, m: float) -> np.ndarray:
     return np.concatenate([omega_of(pts, m)[:, None], pts], axis=1)
 
 
-def _trapezoid_weights(half_width: float, n: int) -> np.ndarray:
-    """1-D trapezoid weights for n uniform points on [-half_width, half_width]."""
-    w1 = np.full(n, 2.0 * half_width / (n - 1))
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    return w1
+#: Minimum decay widths the quadrature cubes must cover.
+MIN_COVERAGE = 8.0
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor-product momentum grid on [-pmax, pmax]^3 with n points per axis."""
+    """Uniform tensor-product cube [-half_width, half_width]^3 with n points
+    per axis: the momentum cube of the scalar product, the position cube of
+    the Parseval check and the mesh of a sampled profile."""
 
-    pmax: float
+    half_width: float
     n: int = 64
 
     def __post_init__(self):
-        if not (np.isfinite(self.pmax) and self.pmax > 0) or self.n < 2:
-            raise ValueError(f"need finite pmax > 0 and n >= 2, got pmax={self.pmax}, n={self.n}")
+        if not (np.isfinite(self.half_width) and self.half_width > 0) or self.n < 2:
+            raise ValueError(f"need finite half_width > 0 and n >= 2, "
+                             f"got half_width={self.half_width}, n={self.n}")
 
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.pmax, self.pmax, self.n)
+        return np.linspace(-self.half_width, self.half_width, self.n)
 
     def points(self) -> np.ndarray:
         """Flat list of grid points, shape (n^3, 3), axis-0 fastest last."""
@@ -126,14 +125,34 @@ class Grid:
         X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
         return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
 
+    def weights_1d(self) -> np.ndarray:
+        """Trapezoid weights along one axis, shape (n,)."""
+        w1 = np.full(self.n, 2.0 * self.half_width / (self.n - 1))
+        w1[0] *= 0.5
+        w1[-1] *= 0.5
+        return w1
+
     def weights(self) -> np.ndarray:
         """Flat trapezoid weights matching points(), shape (n^3,)."""
-        w1 = _trapezoid_weights(self.pmax, self.n)
+        w1 = self.weights_1d()
         return np.einsum("i,j,k->ijk", w1, w1, w1).ravel()
+
+    def shell_measure(self, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(points, omega, weights / (2 omega)): the momentum cube with its
+        on-shell energies and the invariant measure d3p/(2 omega) for mass m."""
+        pts = self.points()
+        om = omega_of(pts, m)
+        return pts, om, self.weights() / (2.0 * om)
 
     def refined(self) -> "Grid":
         """One refinement level: doubles the resolution on the same cube."""
-        return Grid(self.pmax, 2 * self.n - 1)
+        return Grid(self.half_width, 2 * self.n - 1)
+
+
+def covering_grid(sectors, n: int = 64) -> Grid:
+    """The momentum cube that reaches MIN_COVERAGE decay widths past the
+    center of every sector."""
+    return Grid(max(float(np.linalg.norm(s.center)) + MIN_COVERAGE * s.width for s in sectors), n)
 
 
 class _ShellProfile:
@@ -151,7 +170,7 @@ class _ShellProfile:
         object.__setattr__(self, "center", center)
 
     def default_grid(self, n: int = 64) -> Grid:
-        return Grid(float(np.linalg.norm(self.center)) + 8.0 * self.width, n)
+        return covering_grid((self,), n)
 
 
 @dataclass(frozen=True)
@@ -199,22 +218,15 @@ class CovariantWaveFunction(_ShellProfile):
 
 def gaussian_packet(eps: int, mass: float, width: float,
                     spin: Sequence[complex] = (1.0, 0.0),
-                    center: Sequence[float] = (0.0, 0.0, 0.0),
-                    poly: sp.Expr | tuple[sp.Expr, sp.Expr] | None = None) -> SpinWaveFunction:
-    """Gaussian-times-polynomial profile
+                    center: Sequence[float] = (0.0, 0.0, 0.0)) -> SpinWaveFunction:
+    """Gaussian profile
 
-        psitilde_s(p) = spin_s * poly_s(p) * exp(-|p - center|^2 / (2 width^2)).
+        psitilde_s(p) = spin_s * exp(-|p - center|^2 / (2 width^2)).
     """
     sp, P = _sympy()
     center = np.asarray(center, dtype=float)
     gauss = sp.exp(-sum((P[i] - center[i]) ** 2 for i in range(3)) / (2.0 * width ** 2))
-    if poly is None:
-        polys = (sp.Integer(1), sp.Integer(1))
-    elif isinstance(poly, tuple):
-        polys = poly
-    else:
-        polys = (poly, poly)
-    exprs = tuple(sp.sympify(complex(spin[s])) * polys[s] * gauss for s in range(2))
+    exprs = tuple(sp.sympify(complex(spin[s])) * gauss for s in range(2))
     return SpinWaveFunction(eps=eps, mass=mass, width=width, exprs=exprs, center=center)
 
 
@@ -265,10 +277,8 @@ def _sector_product(a, b, grid: Grid | None) -> complex:
     if abs(a.mass - b.mass) > 1e-12:
         raise ValueError("scalar product requires equal masses")
     if grid is None:
-        ga, gb = a.default_grid(), b.default_grid()
-        grid = Grid(max(ga.pmax, gb.pmax), max(ga.n, gb.n))
-    pts = grid.points()
-    wts = grid.weights() / (2.0 * omega_of(pts, a.mass))
+        grid = covering_grid((a, b))
+    pts, _, wts = grid.shell_measure(a.mass)
     a_spin = isinstance(a, SpinWaveFunction)
     b_spin = isinstance(b, SpinWaveFunction)
     if a_spin != b_spin:
@@ -428,31 +438,29 @@ def apply_spin(w: SpinWaveFunction, M2: np.ndarray) -> SpinWaveFunction:
 
 @dataclass(frozen=True)
 class SampledWaveFunction:
-    """Spin-basis profile sampled on a uniform tensor grid (grid route for
-    Newton-Wigner applications when no symbolic form is available)."""
+    """Spin-basis profile sampled on a `Grid` (grid route for Newton-Wigner
+    applications when no symbolic form is available)."""
 
     eps: int
     mass: float
-    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
-    values: np.ndarray  # shape (n1, n2, n3, 2)
+    grid: Grid
+    values: np.ndarray  # shape (n, n, n, 2)
 
     def mesh(self, i: int) -> np.ndarray:
         shape = [1, 1, 1]
-        shape[i] = len(self.axes[i])
-        return self.axes[i].reshape(shape)
+        shape[i] = self.grid.n
+        return self.grid.axis().reshape(shape)
 
 
-def sample(w: SpinWaveFunction, axes) -> SampledWaveFunction:
-    """Evaluate a profile on the tensor product of three 1-D axes."""
-    ax = tuple(np.asarray(a, dtype=float) for a in axes)
-    X, Y, Z = np.meshgrid(*ax, indexing="ij")
-    pts = np.stack([X, Y, Z], axis=-1)
-    return SampledWaveFunction(eps=w.eps, mass=w.mass, axes=ax, values=w.evaluate(pts))
+def sample(w: SpinWaveFunction, grid: Grid) -> SampledWaveFunction:
+    """Evaluate a profile at the points of a grid."""
+    values = w.evaluate(grid.points()).reshape((grid.n,) * 3 + (2,))
+    return SampledWaveFunction(eps=w.eps, mass=w.mass, grid=grid, values=values)
 
 
 def nw_apply_sampled(s: SampledWaveFunction, i: int) -> SampledWaveFunction:
     """X_i on gridded data, with the derivative as a central difference."""
-    deriv = np.gradient(s.values, s.axes[i], axis=i, edge_order=2)
+    deriv = np.gradient(s.values, s.grid.axis(), axis=i, edge_order=2)
     om2 = s.mass ** 2 + sum(s.mesh(k) ** 2 for k in range(3))
     vals = 1j * s.eps * (deriv - (s.mesh(i) / (2.0 * om2))[..., None] * s.values)
     return replace(s, values=vals)

@@ -90,6 +90,25 @@ def test_unknown_flag_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_leftover_before_subcommand_uses_top_level_usage(capsys):
+    # --bogus was given to the top-level parser, which reports it
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "verify"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: diracspin [-h] [--version]")
+    assert "diracspin: error: unrecognized arguments: --bogus" in err
+
+
+def test_leftover_after_subcommand_uses_its_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--bogus"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: diracspin verify ")
+    assert "diracspin verify: error: unrecognized arguments: --bogus" in err
+
+
 # --- wigner ----------------------------------------------------------------
 
 def test_wigner_perpendicular_case(capsys):

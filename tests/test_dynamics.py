@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -182,14 +181,6 @@ def test_csv_text_is_format_17g():
         lines = traj.to_csv().split("\n", 1)
         assert lines[1] == body
         assert ",-0," in body and "4.9406564584124654e-324" in body
-
-
-def test_csv_writes_to_stream():
-    state, field = larmor_setup()
-    traj = integrate(state, field, 0.5, 4)
-    buf = io.StringIO()
-    traj.to_csv(buf)
-    assert buf.getvalue() == traj.to_csv()
 
 
 def test_divergent_run_aborts_with_context():

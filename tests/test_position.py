@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 
 from diracspin.amplitudes import amplitude
 from diracspin.lorentz import random_lorentz
-from diracspin.position import (PositionGrid, default_grids, parseval_check, position_product,
-                                synthesize, synthesize_mesh)
+from diracspin.position import (default_grids, parseval_check, position_product, synthesize,
+                                synthesize_mesh)
 from diracspin.states import (Grid, SpinWaveFunction, gaussian_packet, lorentz_transform, norm,
                               normalized, scalar_product, to_covariant)
 
@@ -24,25 +24,20 @@ def packet(eps=1, width=0.4, spin=(1.0, 0.0), center=(0.0, 0.0, 0.0)):
     return gaussian_packet(eps, 1.0, width, spin=spin, center=np.asarray(center))
 
 
-def test_position_grid_refined():
-    g = PositionGrid(xmax=10.0, n=9)
-    r = g.refined()
-    assert r.n == 17 and r.xmax == 10.0
-    assert_allclose(r.axis()[::2], g.axis())
-    assert np.sum(g.weights_1d()) == pytest.approx(20.0)
-
-
-def test_position_grid_rejects_non_finite_xmax():
-    with pytest.raises(ValueError, match="xmax"):
-        PositionGrid(float("inf"))
-
-
 def test_default_grids_cover_both_packets():
     a = packet(width=0.4)
     b = packet(width=0.5)
     pgrid, xgrid = default_grids(a, b)
-    assert pgrid.pmax >= 8.0 * 0.4
-    assert xgrid.xmax >= 8.0 / 0.4  # driven by the narrower momentum width
+    assert pgrid.half_width >= 8.0 * 0.4
+    assert xgrid.half_width >= 8.0 / 0.4  # driven by the narrower momentum width
+
+
+def test_scalar_product_default_grid_is_default_grids():
+    # one sizing rule: the product's own default cube is default_grids' at 64 points
+    a = packet(width=0.4, center=(0.3, 0.0, 0.0))
+    b = packet(width=0.5, spin=(0.6, 0.8j), center=(0.0, -0.2, 0.1))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert scalar_product(x, y) == scalar_product(x, y, default_grids(x, y, p_points=64)[0])
 
 
 def test_parseval_default_accuracy():
@@ -131,25 +126,25 @@ def test_parseval_rejects_mass_mismatch():
 def test_coverage_guard_momentum():
     a = packet(width=0.4)
     with pytest.raises(ValueError, match="decay widths"):
-        parseval_check(a, a, Grid(pmax=1.0, n=16), PositionGrid(xmax=20.0, n=12))
+        parseval_check(a, a, Grid(1.0, 16), Grid(20.0, 12))
 
 
 def test_coverage_guard_position():
     a = packet(width=0.4)
     pgrid, _ = default_grids(a, a)
     with pytest.raises(ValueError, match="spatial widths"):
-        parseval_check(a, a, pgrid, PositionGrid(xmax=5.0, n=12))
+        parseval_check(a, a, pgrid, Grid(5.0, 12))
 
 
 def test_synthesize_point_matches_mesh_node():
     a = packet(spin=(0.3, 1.0))
     pgrid, _ = default_grids(a, a)
-    xgrid = PositionGrid(xmax=8.0 / 0.4, n=9)
+    xgrid = Grid(8.0 / 0.4, 9)
     mesh = synthesize_mesh(a, 0.0, xgrid, pgrid)
     ax = xgrid.axis()
     x4 = np.array([0.0, ax[2], ax[5], ax[7]])
     point = synthesize(a, x4, pgrid)
-    assert_allclose(mesh[2, 5, 7], point.psi, atol=1e-12)
+    assert_allclose(mesh[2, 5, 7], point, atol=1e-12)
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -163,7 +158,7 @@ def test_narrow_packet_approaches_plane_wave(eps):
     w = gaussian_packet(eps, m, width, spin=(1.0, 0.0), center=pbar)
     p0 = np.sqrt(m * m + pbar @ pbar)
     x4 = np.array([0.3, -0.2, 0.5, 0.1])
-    got = synthesize(w, x4, Grid(pmax=float(np.abs(pbar).max() + 8 * width), n=48)).psi
+    got = synthesize(w, x4, Grid(float(np.abs(pbar).max() + 8 * width), 48))
     phase = np.exp(-1j * eps * (p0 * x4[0] - pbar @ x4[1:]))
     v = amplitude(eps, np.concatenate([[p0], pbar]), m)
     kernel = eps * phase * v[:, 0] / TWO_PI_CUBED_SQRT
@@ -177,6 +172,6 @@ def test_narrow_packet_approaches_plane_wave(eps):
 def test_mesh_shape_and_dtype():
     a = packet()
     pgrid, _ = default_grids(a, a)
-    mesh = synthesize_mesh(a, 0.0, PositionGrid(xmax=20.0, n=7), pgrid)
+    mesh = synthesize_mesh(a, 0.0, Grid(20.0, 7), pgrid)
     assert mesh.shape == (7, 7, 7, 4)
     assert mesh.dtype == np.complex128

@@ -47,7 +47,7 @@ def test_profile_compile_cache_is_bounded_and_shared():
 # --- grids -----------------------------------------------------------------
 
 def test_grid_axis_and_weights():
-    g = Grid(pmax=2.0, n=5)
+    g = Grid(2.0, 5)
     assert_allclose(g.axis(), [-2, -1, 0, 1, 2])
     w = g.weights()
     assert w.shape == (125,)
@@ -56,22 +56,24 @@ def test_grid_axis_and_weights():
 
 
 def test_grid_refined_shares_endpoints():
-    g = Grid(pmax=3.0, n=9)
-    r = g.refined()
-    assert r.n == 17 and r.pmax == g.pmax
-    assert_allclose(r.axis()[::2], g.axis())
+    for g in (Grid(3.0, 9), Grid(10.0, 9)):  # a momentum and a position cube
+        r = g.refined()
+        assert r.n == 17 and r.half_width == g.half_width
+        assert_allclose(r.axis()[::2], g.axis())
+        assert np.sum(g.weights_1d()) == pytest.approx(2.0 * g.half_width)
 
 
 def test_grid_rejects_bad_shape():
     with pytest.raises(ValueError):
-        Grid(pmax=-1.0, n=8)
+        Grid(-1.0, 8)
     with pytest.raises(ValueError):
-        Grid(pmax=1.0, n=1)
+        Grid(1.0, 1)
 
 
 def test_grid_rejects_non_finite_pmax():
-    with pytest.raises(ValueError, match="pmax"):
-        Grid(float("nan"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="half_width"):
+            Grid(bad)
 
 
 def test_packet_rejects_non_finite_width():
@@ -371,15 +373,27 @@ def test_position_components_commute(pts):
 
 def test_sampled_operators_match_symbolic():
     w = packet(width=0.9, spin=(1.0, 1.0j))
-    axes = [np.linspace(-2.0, 2.0, 161)] * 3
-    s = sample(w, axes)
+    grid = Grid(2.0, 161)
+    s = sample(w, grid)
     # interior slice: central differences are only second order at edges
     sl = (slice(20, -20),) * 3
     num = nw_apply_sampled(s, 0).values[sl]
-    sym = sample(nw_apply(w, 0), axes).values[sl]
+    sym = sample(nw_apply(w, 0), grid).values[sl]
     assert np.abs(num - sym).max() < 5e-4
-    exact = sample(momentum_apply(w, 2), axes).values
+    exact = sample(momentum_apply(w, 2), grid).values
     assert_allclose(s.eps * s.mesh(2)[..., None] * s.values, exact, atol=1e-13)
+
+
+@pytest.mark.parametrize("symbolic", [True, False], ids=["symbolic", "callable"])
+def test_sample_evaluates_at_grid_points(symbolic):
+    # the sampled values are the profile at grid.points(), in that order
+    base = packet(width=0.9, spin=(1.0, 1.0j), center=(0.2, -0.1, 0.3))
+    w = base if symbolic else SpinWaveFunction(eps=1, mass=1.0, width=0.9, fn=base.evaluate)
+    g = Grid(1.5, 7)
+    s = sample(w, g)
+    assert s.grid == g and s.values.shape == (7, 7, 7, 2)
+    assert np.array_equal(s.values, w.evaluate(g.points()).reshape(7, 7, 7, 2))
+    assert np.array_equal(s.mesh(1).ravel(), g.axis())
 
 
 def test_momentum_apply_is_multiplication(pts):
