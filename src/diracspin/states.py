@@ -142,7 +142,9 @@ class Grid:
         on-shell energies and the invariant measure d3p/(2 omega) for mass m."""
         pts = self.points()
         om = omega_of(pts, m)
-        return pts, om, self.weights() / (2.0 * om)
+        wts = self.weights()
+        wts /= 2.0 * om  # in place: a new quotient array raised the peak RSS of a 64^3 norm
+        return pts, om, wts
 
     def refined(self) -> "Grid":
         """One refinement level: doubles the resolution on the same cube."""
