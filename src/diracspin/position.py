@@ -96,7 +96,7 @@ def synthesize_mesh(w, t: float, xgrid: Grid, pgrid: Grid) -> np.ndarray:
     for s in _covariant_sectors(w):
         _coverage_check(s, pgrid)
         pts, om, wts = pgrid.shell_measure(s.mass)
-        wts = (wts * np.exp(-1j * s.eps * om * t))[:, None]  # rebound: one weight array at a time
+        wts = (wts * np.exp(-1j * s.eps * om * t))[:, None]  # frees the real weights
         core = (wts * s.evaluate(pts)).reshape(pgrid.n, pgrid.n, pgrid.n, 4)
         E = np.exp(1j * s.eps * np.outer(pa, xa))
         out = out + np.einsum("abcd,aj,bk,cl->jkld", core, E, E, E, optimize=True)
