@@ -24,6 +24,19 @@ def packet(eps=1, width=0.4, spin=(1.0, 0.0), center=(0.0, 0.0, 0.0)):
     return gaussian_packet(eps, 1.0, width, spin=spin, center=np.asarray(center))
 
 
+def test_position_grid_refined():
+    g = Grid(10.0, 9)  # a position cube
+    r = g.refined()
+    assert r.n == 17 and r.half_width == 10.0
+    assert_allclose(r.axis()[::2], g.axis())
+    assert np.sum(g.weights_1d()) == pytest.approx(20.0)
+
+
+def test_position_grid_rejects_non_finite_xmax():
+    with pytest.raises(ValueError, match="half_width"):
+        Grid(float("inf"))
+
+
 def test_default_grids_cover_both_packets():
     a = packet(width=0.4)
     b = packet(width=0.5)
