@@ -15,13 +15,11 @@ __version__ = "0.2.0"
 
 from .minkowski import (
     METRIC,
-    four_vector,
     minkowski_dot,
     on_shell,
     parity_flip,
     lorentz_matrix,
     lorentz_residual,
-    parity_matrix,
 )
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI, SIGMA, energy_projector, slash
 from .lorentz import (
@@ -35,7 +33,7 @@ from .lorentz import (
     bispinor_from_params,
     bispinor_rep,
 )
-from .amplitudes import amplitude, amplitude_via_boost, dirac_bar, sandwich, weinberg_residual
+from .amplitudes import amplitude, amplitude_via_boost, dirac_bar, weinberg_residual
 from .spin_ops import (
     pl_covariant,
     pl_spin,

@@ -119,12 +119,6 @@ def parity_residual(eps: int, p4: np.ndarray, m: float) -> float:
     return max_entry(lhs - rhs)
 
 
-def sandwich(eps: int, p4: np.ndarray, m: float, M: np.ndarray) -> np.ndarray:
-    """2x2 contraction vbar^eps(p) M v^eps(p)."""
-    v = amplitude(eps, p4, m)
-    return dirac_bar(v) @ np.asarray(M, dtype=complex) @ v
-
-
 def sandwich_formulas(p4: np.ndarray, m: float) -> dict[str, np.ndarray]:
     """Closed forms for the five reference contractions, independent of eps:
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .amplitudes import amplitude
-from .dynamics import ChargedState, integrate, quadrupole_field, uniform_field
+from .dynamics import GRADIENT_READINGS, ChargedState, integrate, quadrupole_field, uniform_field
 from .lorentz import (boost_from_velocity, lorentz_gamma, rotation_angle, standard_boost,
                       su2_from_so3, wigner_rotation_closed)
 from .minkowski import lorentz_residual, on_shell
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--charge", type=_number, default=1.0)
     sp.add_argument("--t-final", type=_number, required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--reading", choices=("stern-gerlach", "transposed"),
+    sp.add_argument("--reading", choices=GRADIENT_READINGS,
                     default="stern-gerlach", help="index reading of the gradient force")
     sp.set_defaults(func=cmd_precess)
 

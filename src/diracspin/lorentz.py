@@ -26,7 +26,6 @@ from .minkowski import METRIC, check_mass, lorentz_matrix, on_shell, refuse_firs
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3)
-_Z2 = np.zeros((2, 2), dtype=complex)
 
 #: Hard upper bound on boost speeds accepted anywhere in the package; keeps
 #: gamma factors (and with them condition numbers) bounded in sweeps.

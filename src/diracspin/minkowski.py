@@ -99,11 +99,6 @@ def libm_square(x) -> np.ndarray:
                      for v in x.reshape(-1).tolist()]).reshape(x.shape)
 
 
-def four_vector(t: float, x: float, y: float, z: float) -> np.ndarray:
-    """Assemble a contravariant four-vector (t, x, y, z)."""
-    return np.array([t, x, y, z], dtype=float)
-
-
 def minkowski_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Invariant product a.b = a^0 b^0 - avec.bvec."""
     a = np.asarray(a, dtype=float)
@@ -127,11 +122,6 @@ def on_shell(m: float, p3: np.ndarray) -> np.ndarray:
     refuse_first((~np.isfinite(p0), lambda i: f"momentum with mass = {m!r} overflows the on-shell "
                                                f"energy squared, |p|^2 + mass^2"))
     return np.concatenate([p0[..., None], p3], axis=-1)
-
-
-def spatial(p4: np.ndarray) -> np.ndarray:
-    """Spatial part of a four-vector."""
-    return np.asarray(p4, dtype=float)[..., 1:]
 
 
 def parity_flip(p4: np.ndarray) -> np.ndarray:
@@ -198,9 +188,4 @@ def lorentz_matrix(L: np.ndarray, proper: bool = False) -> np.ndarray:
                            lambda i: "matrix is not proper orthochronous"))
     refuse_first(*checks)
     return L
-
-
-def parity_matrix() -> np.ndarray:
-    """Vector realization of space inversion, diag(1, -1, -1, -1)."""
-    return np.diag([1.0, -1.0, -1.0, -1.0])
 

@@ -1,7 +1,7 @@
 """Randomized identity-residual sweeps with deterministic, serializable reports.
 
 Each named identity draws its own sample stream from a `SeedSequence` spawned
-off the run seed and the identity's frozen index in `RNG_STREAMS`, so adding
+off the run seed and the stream index frozen in its registry entry, so adding
 samples to one identity never disturbs another and a fixed seed reproduces the
 report byte for byte.  Residuals are max-norm deviations of the checked
 relation; an identity passes when its worst sample stays below tolerance.
@@ -146,7 +146,7 @@ def _clifford_gamma5(m):
                   keepdims=True)
 
 
-def _energy_projector(p4, m):
+def _energy_projector(m, p4):
     plus = energy_projector(1, p4, m)
     minus = energy_projector(-1, p4, m)
     return _worst([max_entry(plus @ plus - plus), max_entry(plus + minus - np.eye(4)),
@@ -206,7 +206,7 @@ def _su2_lift(m, R3):
                      for i in range(3))])
 
 
-def _amplitude_completeness(p4, m):
+def _amplitude_completeness(m, p4):
     total = np.zeros(p4.shape[:-1] + (4, 4), dtype=complex)
     for e in (1, -1):
         v = amplitude(e, p4, m)
@@ -266,83 +266,54 @@ def _bloch_rotation(m, L, p4, xi):
 
 _P = (_MOMENTUM,)
 
-#: Registry: name -> (sample kinds, evaluator, default tolerance).  Each
-#: sample draws one of each kind, in the order listed; an identity with no
-#: kinds is a fixed check, evaluated once as one sample.  The evaluator takes
-#: the mass and one array per kind, batch axis first or none for a point, and
-#: returns one residual per sample (the worst of that sample's checks); a per-shell
-#: identity also takes an optional sign, +1 or -1, for one shell alone.
-#: Report order is the sorted name order; the spawn index of each identity's
-#: rng is its entry in RNG_STREAMS.  The lambdas look their residual up when
-#: called, so a function rebound at module level (a test double, a tracer) is
-#: the one run.
-IDENTITY_RUNNERS: dict[str, tuple[tuple, Callable, float]] = dict(sorted({
-    "amplitude_completeness": (_P, lambda m, p: _amplitude_completeness(p, m), 1e-12),
-    "amplitude_dirac": (_P, _shells(lambda: dirac_residual), 1e-12),
-    "amplitude_orthogonality": (_P, _shells(lambda: orthogonality_residual), 1e-12),
-    "amplitude_parity": (_P, _shells(lambda: parity_residual), 1e-12),
-    "amplitude_projector": (_P, _shells(lambda: projector_residual), 1e-12),
-    "bispinor_covariance": ((_LORENTZ,), _bispinor_covariance, 1e-10),
-    "bispinor_inverse_structure": ((_LORENTZ,), _bispinor_inverse_structure, 1e-10),
-    "bloch_rotation": ((_LORENTZ, _MOMENTUM, _BLOCH), _bloch_rotation, 1e-11),
-    "casimir_sandwich": (_P, _shells(lambda: _casimir_sandwich), 1e-12),
-    "clifford_anticommutation": ((), _clifford_anticommutation, 1e-14),
-    "clifford_gamma5": ((), _clifford_gamma5, 1e-14),
-    "energy_projector": (_P, lambda m, p: _energy_projector(p, m), 1e-13),
-    "fw_diagonalization": (_P, _shells(lambda: fw_residual), 1e-11),
-    "hamiltonian_square": (_P, _shells(lambda: _hamiltonian_square), 1e-13),
-    "pauli_lubanski_reconstruction": (_P, _shells(lambda: _pl_reconstruction), 1e-12),
-    "pauli_lubanski_sandwich": (_P, _shells(lambda: _pl_sandwich), 1e-12),
-    "sandwich_formulas": (_P, _shells(lambda: sandwich_formula_residual), 1e-12),
-    "spin_covariant_sandwich": (_P, _shells(lambda: _spin_covariant_sandwich), 1e-12),
-    "spin_transform_equivalence": ((_VELOCITY, _MOMENTUM), _spin_transform_equivalence, 1e-10),
-    "standard_boost": (_P, _standard_boost, 1e-11),
-    "su2_lift": ((_ROTATION,), _su2_lift, 1e-12),
-    "weinberg_condition": ((_LORENTZ, _MOMENTUM, _SIGN), _weinberg_condition, 1e-9),
-    "wigner_closed_form": ((_VELOCITY, _MOMENTUM), _wigner_closed_form, 1e-10),
-    "wigner_cocycle": ((_LORENTZ, _LORENTZ, _MOMENTUM), _wigner_cocycle, 1e-10),
-    "wigner_perpendicular_oracle": ((), _wigner_perpendicular_oracle, 1e-12),
+#: Registry: name -> (sample kinds, evaluator, default tolerance, rng stream).
+#: Each sample draws one of each kind, in the order listed; an identity with
+#: no kinds is a fixed check, evaluated once as one sample.  The evaluator
+#: takes the mass and one array per kind, batch axis first or none for a
+#: point, and returns one residual per sample (the worst of that sample's
+#: checks); a per-shell identity also takes an optional sign, +1 or -1, for
+#: one shell alone.  Report order is the sorted name order.  The stream is the
+#: spawn index of the identity's rng, frozen per name so that adding or
+#: removing an identity re-seeds no other: 0-24 are the sorted positions the
+#: reports pinned under tests/data were made with, and a new identity takes
+#: the next unused integer.  The lambdas look their residual up when called,
+#: so a function rebound at module level (a test double, a tracer) is the one
+#: run.
+IDENTITY_RUNNERS: dict[str, tuple[tuple, Callable, float, int]] = dict(sorted({
+    "amplitude_completeness": (_P, _amplitude_completeness, 1e-12, 0),
+    "amplitude_dirac": (_P, _shells(lambda: dirac_residual), 1e-12, 1),
+    "amplitude_orthogonality": (_P, _shells(lambda: orthogonality_residual), 1e-12, 2),
+    "amplitude_parity": (_P, _shells(lambda: parity_residual), 1e-12, 3),
+    "amplitude_projector": (_P, _shells(lambda: projector_residual), 1e-12, 4),
+    "bispinor_covariance": ((_LORENTZ,), _bispinor_covariance, 1e-10, 5),
+    "bispinor_inverse_structure": ((_LORENTZ,), _bispinor_inverse_structure, 1e-10, 6),
+    "bloch_rotation": ((_LORENTZ, _MOMENTUM, _BLOCH), _bloch_rotation, 1e-11, 7),
+    "casimir_sandwich": (_P, _shells(lambda: _casimir_sandwich), 1e-12, 8),
+    "clifford_anticommutation": ((), _clifford_anticommutation, 1e-14, 9),
+    "clifford_gamma5": ((), _clifford_gamma5, 1e-14, 10),
+    "energy_projector": (_P, _energy_projector, 1e-13, 11),
+    "fw_diagonalization": (_P, _shells(lambda: fw_residual), 1e-11, 12),
+    "hamiltonian_square": (_P, _shells(lambda: _hamiltonian_square), 1e-13, 13),
+    "pauli_lubanski_reconstruction": (_P, _shells(lambda: _pl_reconstruction), 1e-12, 14),
+    "pauli_lubanski_sandwich": (_P, _shells(lambda: _pl_sandwich), 1e-12, 15),
+    "sandwich_formulas": (_P, _shells(lambda: sandwich_formula_residual), 1e-12, 16),
+    "spin_covariant_sandwich": (_P, _shells(lambda: _spin_covariant_sandwich), 1e-12, 17),
+    "spin_transform_equivalence": ((_VELOCITY, _MOMENTUM), _spin_transform_equivalence, 1e-10, 18),
+    "standard_boost": (_P, _standard_boost, 1e-11, 19),
+    "su2_lift": ((_ROTATION,), _su2_lift, 1e-12, 20),
+    "weinberg_condition": ((_LORENTZ, _MOMENTUM, _SIGN), _weinberg_condition, 1e-9, 21),
+    "wigner_closed_form": ((_VELOCITY, _MOMENTUM), _wigner_closed_form, 1e-10, 22),
+    "wigner_cocycle": ((_LORENTZ, _LORENTZ, _MOMENTUM), _wigner_cocycle, 1e-10, 23),
+    "wigner_perpendicular_oracle": ((), _wigner_perpendicular_oracle, 1e-12, 24),
 }.items()))
 
-DEFAULT_TOLERANCES = {name: tol for name, (*_, tol) in IDENTITY_RUNNERS.items()}
-
-
-#: Spawn index of each identity's rng stream, frozen per name so that adding
-#: or removing an identity re-seeds no other.  The first 25 equal the
-#: identities' positions in the sorted registry, so the reports pinned under
-#: tests/data keep their bytes; a new identity takes the next unused integer.
-RNG_STREAMS = {
-    "amplitude_completeness": 0,
-    "amplitude_dirac": 1,
-    "amplitude_orthogonality": 2,
-    "amplitude_parity": 3,
-    "amplitude_projector": 4,
-    "bispinor_covariance": 5,
-    "bispinor_inverse_structure": 6,
-    "bloch_rotation": 7,
-    "casimir_sandwich": 8,
-    "clifford_anticommutation": 9,
-    "clifford_gamma5": 10,
-    "energy_projector": 11,
-    "fw_diagonalization": 12,
-    "hamiltonian_square": 13,
-    "pauli_lubanski_reconstruction": 14,
-    "pauli_lubanski_sandwich": 15,
-    "sandwich_formulas": 16,
-    "spin_covariant_sandwich": 17,
-    "spin_transform_equivalence": 18,
-    "standard_boost": 19,
-    "su2_lift": 20,
-    "weinberg_condition": 21,
-    "wigner_closed_form": 22,
-    "wigner_cocycle": 23,
-    "wigner_perpendicular_oracle": 24,
-}
+DEFAULT_TOLERANCES = {name: tol for name, (_, _, tol, _) in IDENTITY_RUNNERS.items()}
 
 
 def identity_rng(cfg: RunConfig, name: str) -> np.random.Generator:
     """Per-identity generator, stable under changes to other identities."""
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(RNG_STREAMS[name],)))
+    stream = IDENTITY_RUNNERS[name][3]
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
 
 
 def resolve_tolerances(overrides: dict, defaults: dict) -> dict:

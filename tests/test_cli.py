@@ -368,6 +368,13 @@ REFUSED_ARGV = [
     ["boost", "--velocity", "0.5,0,0", "--tol", "foo=1", "--samples", "0", "--vmax", "7"],
     ["boost", "--velocity", "0.5,0,0", "--samples", "0"],
     ["precess", "--b", "0,0,1", "--t-final", "1", "--steps", "10", "--tol", "foo=1"],
+    ["wigner", "--velocity", "1,2"],
+    ["wigner", "--velocity", "1,x,2"],
+    ["precess", "--field", "quadrupole", "--gradient", "1,2,3", "--t-final", "1", "--steps", "2"],
+    ["precess", "--field", "quadrupole", "--t-final", "1", "--steps", "2"],
+    ["fourier-check", "--spin", "1,2,3"],
+    ["fourier-check", "--spin", "1,x"],
+    ["fourier-check", "--eps", "0"],
 ]
 
 ADVERSARIAL_ARGV = [

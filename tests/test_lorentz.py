@@ -20,7 +20,7 @@ from diracspin.lorentz import (VMAX_HARD, bispinor_from_params, bispinor_inverse
                                su2_from_so3, wigner_d, wigner_rotation,
                                wigner_rotation_closed)
 from diracspin.minkowski import (METRIC, is_proper_orthochronous, lorentz_residual,
-                                 minkowski_dot, on_shell, parity_matrix)
+                                 minkowski_dot, on_shell)
 
 # Frozen reference: boost v = 0.5 x, momentum along y with |p| = gamma/2 and
 # m = 1 rotates the spin frame about z by arctan(sqrt(3)/12).
@@ -250,7 +250,7 @@ def _wigner_d_inputs(rng, n=5):
 
 def test_wigner_d_refuses_parity(rng):
     _, p4, _ = _wigner_d_inputs(rng)
-    P = parity_matrix()
+    P = np.diag([1.0, -1.0, -1.0, -1.0])
     with pytest.raises(ValueError, match="not proper orthochronous"):
         wigner_d(P, p4, p4 @ P.T, 1.0)
 

@@ -5,33 +5,27 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from diracspin.minkowski import (METRIC, SampleRefused, check_mass, four_vector,
-                                 is_proper_orthochronous, libm_square, lorentz_matrix,
-                                 lorentz_residual, minkowski_dot, on_shell, parity_flip,
-                                 parity_matrix, spatial)
+from diracspin.minkowski import (METRIC, SampleRefused, check_mass, is_proper_orthochronous,
+                                 libm_square, lorentz_matrix, lorentz_residual, minkowski_dot,
+                                 on_shell, parity_flip)
 
 finite = st.floats(-50, 50, allow_nan=False)
+PARITY = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 def test_metric_is_mostly_minus():
     assert_allclose(METRIC, np.diag([1.0, -1.0, -1.0, -1.0]))
 
 
-def test_four_vector_and_spatial():
-    p = four_vector(2.0, 1.0, -1.0, 3.0)
-    assert p.shape == (4,)
-    assert_allclose(spatial(p), [1.0, -1.0, 3.0])
-
-
 @given(finite, finite, finite, finite)
 def test_dot_signature(t, x, y, z):
-    p = four_vector(t, x, y, z)
+    p = np.array([t, x, y, z])
     assert minkowski_dot(p, p) == pytest.approx(t * t - x * x - y * y - z * z, abs=1e-9)
 
 
 def test_dot_frozen_values():
-    a = four_vector(1.0, 2.0, 3.0, 4.0)
-    b = four_vector(5.0, 6.0, 7.0, 8.0)
+    a = np.array([1.0, 2.0, 3.0, 4.0])
+    b = np.array([5.0, 6.0, 7.0, 8.0])
     assert minkowski_dot(a, b) == pytest.approx(5.0 - 12.0 - 21.0 - 32.0)
 
 
@@ -54,15 +48,15 @@ def test_on_shell_rejects_bad_mass(bad):
 
 
 def test_parity_flip_keeps_time():
-    p = four_vector(3.0, 1.0, 2.0, -4.0)
+    p = np.array([3.0, 1.0, 2.0, -4.0])
     assert_allclose(parity_flip(p), [3.0, -1.0, -2.0, 4.0])
     # involution
     assert_allclose(parity_flip(parity_flip(p)), p)
 
 
 def test_parity_matrix_action_matches_flip():
-    p = four_vector(1.0, 0.5, -0.25, 2.0)
-    assert_allclose(parity_matrix() @ p, parity_flip(p))
+    p = np.array([1.0, 0.5, -0.25, 2.0])
+    assert_allclose(PARITY @ p, parity_flip(p))
 
 
 def test_lorentz_residual_identity_exact():
@@ -81,7 +75,7 @@ def test_lorentz_matrix_rejects_wrong_shape():
 
 def test_proper_orthochronous_classification():
     assert is_proper_orthochronous(np.eye(4))
-    assert not is_proper_orthochronous(parity_matrix())         # det = -1
+    assert not is_proper_orthochronous(PARITY)                  # det = -1
     assert not is_proper_orthochronous(-np.eye(4))              # past-pointing
     time_reversal = np.diag([-1.0, 1.0, 1.0, 1.0])
     assert not is_proper_orthochronous(time_reversal)
@@ -101,7 +95,7 @@ def _boosts(p3):
 def test_discrete_elements_stay_refused_at_high_rapidity():
     boost = _boosts(np.array([1e12, 0.0, 0.0]))
     time_reversal = np.diag([-1.0, 1.0, 1.0, 1.0])
-    for X in (parity_matrix(), time_reversal, -np.eye(4), parity_matrix() @ boost,
+    for X in (PARITY, time_reversal, -np.eye(4), PARITY @ boost,
               time_reversal @ boost, -boost):
         assert not is_proper_orthochronous(X)
         with pytest.raises(SampleRefused, match="not proper orthochronous"):
@@ -121,17 +115,17 @@ def test_rotation_part_decides_at_high_rapidity(p_over_m):
     L = _boosts(p_over_m * u / np.linalg.norm(u, axis=1)[:, None])
     L = L @ _rotation4(rotations_from_draws(rng.standard_normal((300, 4))))
     proper = is_proper_orthochronous(L)
-    improper = is_proper_orthochronous(parity_matrix() @ L)
+    improper = is_proper_orthochronous(PARITY @ L)
     assert not (proper & improper).any()
     if p_over_m <= 1e15:
         assert proper.all() and not improper.any()
     axis = _boosts(np.array([p_over_m, 0.0, 0.0]))
-    assert is_proper_orthochronous(axis) and not is_proper_orthochronous(parity_matrix() @ axis)
+    assert is_proper_orthochronous(axis) and not is_proper_orthochronous(PARITY @ axis)
 
 
 def test_a_stack_names_its_first_improper_matrix():
     boosts = _boosts(np.array([[1e12, 0.0, 0.0], [0.0, 1e16, 0.0], [3.0, 4.0, 0.0]]))
-    stack = np.concatenate([boosts, parity_matrix() @ boosts])[[0, 1, 4, 2, 3]]
+    stack = np.concatenate([boosts, PARITY @ boosts])[[0, 1, 4, 2, 3]]
     assert is_proper_orthochronous(stack).tolist() == [True, True, False, True, False]
     with pytest.raises(SampleRefused, match=r"not proper orthochronous \(sample 2\)") as exc:
         lorentz_matrix(stack, proper=True)
@@ -140,9 +134,9 @@ def test_a_stack_names_its_first_improper_matrix():
 
 def test_lorentz_matrix_proper_flag():
     # parity preserves the metric but is excluded once proper=True
-    lorentz_matrix(parity_matrix())
+    lorentz_matrix(PARITY)
     with pytest.raises(ValueError):
-        lorentz_matrix(parity_matrix(), proper=True)
+        lorentz_matrix(PARITY, proper=True)
 
 
 

@@ -1,0 +1,34 @@
+"""Smoke runs of the scripts under scripts/, with tiny arguments and no --out."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import diracspin
+from diracspin.verify import IDENTITY_RUNNERS
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args, cwd):
+    src = str(Path(diracspin.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], capture_output=True,
+                          text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_residual_sweep_prints_one_row_per_identity(tmp_path):
+    res = run_script("residual_sweep.py", "--samples", "5", "10", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = res.stdout.splitlines()[2:-1]  # between the header rule and the peak RSS line
+    assert [row.split()[0] for row in rows] == list(IDENTITY_RUNNERS)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, args", [("precession_demo.py", ["--steps", "50"]),
+                                        ("wigner_angle_scan.py", ["--speeds", "0.5", "0.9"])])
+def test_script_runs(tmp_path, name, args):
+    res = run_script(name, *args, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert not any(tmp_path.iterdir())

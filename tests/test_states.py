@@ -163,6 +163,25 @@ def test_orthogonal_spins_give_zero():
     assert abs(scalar_product(a, b)) < 1e-14
 
 
+def test_mixed_spin_and_covariant_product():
+    # a spin-basis sector paired with a covariant one is carried to the
+    # covariant basis; either order gives the spin-basis product
+    w = packet(spin=(0.6, 0.8j), width=0.5, center=(0.2, 0.0, -0.1))
+    grid = Grid(4.0, 24)
+    expect = scalar_product(w, w, grid)
+    assert scalar_product(w, to_covariant(w), grid) == pytest.approx(expect, rel=1e-14)
+    assert scalar_product(to_covariant(w), w, grid) == pytest.approx(expect, rel=1e-14)
+
+
+def test_product_of_sector_sequences():
+    # sequences pair every sector with every other; the cross-shell pairs are 0
+    plus = packet(spin=(0.6, 0.8j), width=0.5)
+    minus = packet(eps=-1, spin=(0.0, 1.0), width=0.6)
+    grid = Grid(4.0, 24)
+    both = scalar_product([plus, minus], [plus, minus], grid)
+    assert both == scalar_product(plus, plus, grid) + scalar_product(minus, minus, grid)
+
+
 # --- covariant bridge ------------------------------------------------------
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -405,6 +424,30 @@ def test_apply_spin_matrix_action(pts):
     M = np.array([[0.0, 1.0], [1.0j, 0.0]])
     got = apply_spin(w, M).evaluate(pts)
     assert_allclose(got, w.evaluate(pts) @ M.T, atol=1e-13)
+
+
+def _as_callable(w):
+    return SpinWaveFunction(eps=w.eps, mass=w.mass, width=w.width, fn=w.evaluate, center=w.center)
+
+
+def test_operators_on_callable_profile_match_symbolic(pts):
+    w = packet(eps=-1, spin=(0.6, 0.8j), width=0.7, center=(0.1, -0.2, 0.0))
+    a = np.array([0.3, -0.2, 0.1])
+    M = np.array([[0.0, 1.0], [1.0j, 0.0]])
+    for op in (lambda u: nw_shift(u, a), lambda u: momentum_apply(u, 1),
+               lambda u: apply_spin(u, M)):
+        got, expect = op(_as_callable(w)), op(w)
+        assert got.exprs is None
+        assert_allclose(got.center, expect.center, rtol=0, atol=0)
+        assert_allclose(got.evaluate(pts), expect.evaluate(pts), rtol=0, atol=1e-14)
+
+
+def test_normalized_callable_profile(pts):
+    w = packet(spin=(1.0, 0.5j), width=0.45)
+    unit = normalized(_as_callable(w))
+    assert unit.exprs is None
+    assert norm(unit) == pytest.approx(1.0, abs=2e-15)
+    assert_allclose(unit.evaluate(pts), normalized(w).evaluate(pts), rtol=0, atol=1e-14)
 
 
 # --- sharp-momentum Bloch states -------------------------------------------

@@ -32,8 +32,8 @@ def test_identity_rng_reproducible():
 
 
 def test_every_identity_has_its_own_rng_stream():
-    assert set(verify.RNG_STREAMS) == set(IDENTITY_RUNNERS)
-    assert sorted(verify.RNG_STREAMS.values()) == list(range(len(IDENTITY_RUNNERS)))
+    streams = [stream for *_, stream in IDENTITY_RUNNERS.values()]
+    assert sorted(streams) == list(range(len(IDENTITY_RUNNERS)))
     with pytest.raises(KeyError):
         identity_rng(CFG, "not_registered")
 
@@ -44,9 +44,9 @@ def test_new_identity_reseeds_no_other(monkeypatch):
     cfg = RunConfig(samples=30, seed=11)
     before = {name: _residual_stream(name, cfg) for name in IDENTITY_RUNNERS}
     runners = {**IDENTITY_RUNNERS,
-               "aaa_dummy": ((verify._MOMENTUM,), lambda c, p: np.zeros(len(p)), 1e-12)}
+               "aaa_dummy": ((verify._MOMENTUM,), lambda c, p: np.zeros(len(p)), 1e-12,
+                             len(IDENTITY_RUNNERS))}
     monkeypatch.setattr(verify, "IDENTITY_RUNNERS", dict(sorted(runners.items())))
-    monkeypatch.setattr(verify, "RNG_STREAMS", {**verify.RNG_STREAMS, "aaa_dummy": len(runners) - 1})
     assert list(verify.IDENTITY_RUNNERS)[0] == "aaa_dummy"
     assert _residual_stream("aaa_dummy", cfg).shape == (30,)
     for name, residuals in before.items():
@@ -218,6 +218,21 @@ def test_kernel_refusal_fails_the_identity(monkeypatch):
     r = run_identity("su2_lift", RunConfig(samples=5))
     assert r.samples == 2 and np.isnan(r.max_residual) and r.passed is False
     assert calls == [5, 1]  # the samples before the refused one are evaluated again
+
+
+def test_refusal_at_the_first_sample_fails_the_identity(monkeypatch):
+    # With sample 0 refused there is nothing before it to evaluate again:
+    # the run is that one sample, with a NaN residual.
+    calls = []
+
+    def refusing(R3):
+        calls.append(len(R3))
+        raise SampleRefused("matrix is not a proper rotation (sample 0)", 0)
+
+    monkeypatch.setattr(verify, "su2_from_so3", refusing)
+    r = run_identity("su2_lift", RunConfig(samples=5))
+    assert r.samples == 1 and np.isnan(r.max_residual) and r.passed is False
+    assert calls == [5]
 
 
 def test_nan_residual_fails_closed(monkeypatch, capsys):
