@@ -438,7 +438,7 @@ def test_operators_on_callable_profile_match_symbolic(pts):
                lambda u: apply_spin(u, M)):
         got, expect = op(_as_callable(w)), op(w)
         assert got.exprs is None
-        assert_allclose(got.center, expect.center, rtol=0, atol=0)
+        assert np.array_equal(got.center, expect.center)
         assert_allclose(got.evaluate(pts), expect.evaluate(pts), rtol=0, atol=1e-14)
 
 
