@@ -12,11 +12,8 @@ import sys
 
 import numpy as np
 
+from diracspin.cli import _vec3 as vec3  # three finite numbers, else a usage error
 from diracspin.dynamics import ChargedState, integrate, larmor_solution, uniform_field
-
-
-def vec3(text):
-    return np.array([float(v) for v in text.split(",")])
 
 
 def main():

@@ -36,6 +36,9 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
                  [  i eps c                  eps (-p_y + i p_x)/m ]
 
     with pref = 1 / (2 sqrt(1 + p^0/m)).  The p^0 given is used as is.
+
+    The entries are filled as contiguous planes of a (4, 2, ...) array, so a
+    batch result is a transposed view of it and not C-contiguous.
     """
     eps = check_energy_sign(eps)
     m = check_mass(m)
@@ -47,13 +50,13 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     d = pref * (1.0 + (p0 - pz) * inv_m)
     x = pref * (p4[..., 1] * inv_m)
     y = pref * (p4[..., 2] * inv_m)
-    v = np.zeros(p4.shape[:-1] + (4, 2), dtype=complex)
+    v = np.zeros((4, 2) + p4.shape[:-1], dtype=complex)
     re, im = v.real, v.imag
-    re[..., 0, 0], im[..., 0, 0], im[..., 0, 1] = y, x, -c
-    im[..., 1, 0], re[..., 1, 1], im[..., 1, 1] = d, y, -x
-    re[..., 2, 0], im[..., 2, 0], im[..., 2, 1] = -eps * y, -eps * x, -eps * d
-    im[..., 3, 0], re[..., 3, 1], im[..., 3, 1] = eps * c, -eps * y, eps * x
-    return v
+    re[0, 0], im[0, 0], im[0, 1] = y, x, -c
+    im[1, 0], re[1, 1], im[1, 1] = d, y, -x
+    re[2, 0], im[2, 0], im[2, 1] = -eps * y, -eps * x, -eps * d
+    im[3, 0], re[3, 1], im[3, 1] = eps * c, -eps * y, eps * x
+    return v.transpose(*range(2, v.ndim), 0, 1)
 
 
 def dirac_bar(M: np.ndarray) -> np.ndarray:

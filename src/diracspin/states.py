@@ -7,7 +7,9 @@ or in the covariant basis (four bispinor components obtained by contracting
 with the amplitude, psi = v^eps psitilde).  Gaussian packets, and what the
 symbolic operators below make of them, are held as sympy expressions in the
 momentum symbols P = (p1, p2, p3), which keeps Newton-Wigner applications
-exact; transformed states fall back to plain callables.
+exact; transformed states fall back to plain callables.  A symbolic profile
+is compiled once, to one numpy callable for both components in which their
+shared subexpressions (a packet's Gaussian) are evaluated once.
 
 Wavefunctions carry the bra-side index convention.  Consequences fixed here:
 kets transform with the SU(2) Wigner matrix D, so spin-basis wavefunction
@@ -59,19 +61,14 @@ def __getattr__(name: str):
 
 
 @lru_cache(maxsize=64)
-def _compiled(expr: sp.Expr) -> Callable:
-    """Numpy function of (p1, p2, p3) for a profile expression.  Shared across
-    packets, since equal expressions recur when a packet is built again;
-    bounded, since every normalized packet brings new ones."""
+def _compiled(exprs: tuple[sp.Expr, ...]) -> Callable:
+    """One numpy function of (p1, p2, p3) for all components of a profile,
+    returning their list.  Subexpressions the components share (the
+    Gaussian `exp` of a packet) are evaluated once.  Shared across packets,
+    since equal profiles recur when a packet is built again; bounded, since
+    every normalized packet brings new ones."""
     sp, P = _sympy()
-    return sp.lambdify(P, expr, modules="numpy")
-
-
-def _eval_expr(expr: sp.Expr, px: np.ndarray, py: np.ndarray, pz: np.ndarray) -> np.ndarray:
-    out = np.asarray(_compiled(expr)(px, py, pz), dtype=complex)
-    if out.shape != np.shape(px):
-        out = np.broadcast_to(out, np.shape(px)).copy()
-    return out
+    return sp.lambdify(P, list(exprs), modules="numpy", cse=True)
 
 
 def omega_expr(m: float) -> sp.Expr:
@@ -122,8 +119,11 @@ class Grid:
     def points(self) -> np.ndarray:
         """Flat list of grid points, shape (n^3, 3), axis-0 fastest last."""
         ax = self.axis()
-        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
+        pts = np.empty((self.n,) * 3 + (3,))
+        pts[..., 0] = ax[:, None, None]
+        pts[..., 1] = ax[:, None]
+        pts[..., 2] = ax
+        return pts.reshape(-1, 3)
 
     def weights_1d(self) -> np.ndarray:
         """Trapezoid weights along one axis, shape (n,)."""
@@ -199,8 +199,10 @@ class SpinWaveFunction(_ShellProfile):
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if self.exprs is not None:
-            comps = [_eval_expr(e, pts[..., 0], pts[..., 1], pts[..., 2]) for e in self.exprs]
-            return np.stack(comps, axis=-1)
+            out = np.empty(pts.shape[:-1] + (2,), dtype=complex)
+            # a constant component comes back as a scalar; the assignment broadcasts it
+            out[..., 0], out[..., 1] = _compiled(self.exprs)(pts[..., 0], pts[..., 1], pts[..., 2])
+            return out
         return self.fn(pts)
 
 

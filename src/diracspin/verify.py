@@ -132,6 +132,12 @@ def _shells(residual: Callable[[], Callable]) -> Callable:
     return evaluate
 
 
+def _late(evaluator: Callable[[], Callable]) -> Callable:
+    """Evaluator (m, *samples) that calls the function `evaluator` returns,
+    so it is looked up when the evaluator is called."""
+    return lambda m, *samples: evaluator()(m, *samples)
+
+
 def _clifford_anticommutation(m):
     return np.max([max_entry(GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
                              - 2.0 * METRIC[mu, nu] * np.eye(4))
@@ -276,35 +282,35 @@ _P = (_MOMENTUM,)
 #: spawn index of the identity's rng, frozen per name so that adding or
 #: removing an identity re-seeds no other: 0-24 are the sorted positions the
 #: reports pinned under tests/data were made with, and a new identity takes
-#: the next unused integer.  The lambdas look their residual up when called,
-#: so a function rebound at module level (a test double, a tracer) is the one
-#: run.
+#: the next unused integer.  Every evaluator, and the residual inside each
+#: `_shells` entry, is looked up when called, so a function rebound at module
+#: level (a test double, a mutant, a tracer) is the one run.
 IDENTITY_RUNNERS: dict[str, tuple[tuple, Callable, float, int]] = dict(sorted({
-    "amplitude_completeness": (_P, _amplitude_completeness, 1e-12, 0),
+    "amplitude_completeness": (_P, _late(lambda: _amplitude_completeness), 1e-12, 0),
     "amplitude_dirac": (_P, _shells(lambda: dirac_residual), 1e-12, 1),
     "amplitude_orthogonality": (_P, _shells(lambda: orthogonality_residual), 1e-12, 2),
     "amplitude_parity": (_P, _shells(lambda: parity_residual), 1e-12, 3),
     "amplitude_projector": (_P, _shells(lambda: projector_residual), 1e-12, 4),
-    "bispinor_covariance": ((_LORENTZ,), _bispinor_covariance, 1e-10, 5),
-    "bispinor_inverse_structure": ((_LORENTZ,), _bispinor_inverse_structure, 1e-10, 6),
-    "bloch_rotation": ((_LORENTZ, _MOMENTUM, _BLOCH), _bloch_rotation, 1e-11, 7),
+    "bispinor_covariance": ((_LORENTZ,), _late(lambda: _bispinor_covariance), 1e-10, 5),
+    "bispinor_inverse_structure": ((_LORENTZ,), _late(lambda: _bispinor_inverse_structure), 1e-10, 6),
+    "bloch_rotation": ((_LORENTZ, _MOMENTUM, _BLOCH), _late(lambda: _bloch_rotation), 1e-11, 7),
     "casimir_sandwich": (_P, _shells(lambda: _casimir_sandwich), 1e-12, 8),
-    "clifford_anticommutation": ((), _clifford_anticommutation, 1e-14, 9),
-    "clifford_gamma5": ((), _clifford_gamma5, 1e-14, 10),
-    "energy_projector": (_P, _energy_projector, 1e-13, 11),
+    "clifford_anticommutation": ((), _late(lambda: _clifford_anticommutation), 1e-14, 9),
+    "clifford_gamma5": ((), _late(lambda: _clifford_gamma5), 1e-14, 10),
+    "energy_projector": (_P, _late(lambda: _energy_projector), 1e-13, 11),
     "fw_diagonalization": (_P, _shells(lambda: fw_residual), 1e-11, 12),
     "hamiltonian_square": (_P, _shells(lambda: _hamiltonian_square), 1e-13, 13),
     "pauli_lubanski_reconstruction": (_P, _shells(lambda: _pl_reconstruction), 1e-12, 14),
     "pauli_lubanski_sandwich": (_P, _shells(lambda: _pl_sandwich), 1e-12, 15),
     "sandwich_formulas": (_P, _shells(lambda: sandwich_formula_residual), 1e-12, 16),
     "spin_covariant_sandwich": (_P, _shells(lambda: _spin_covariant_sandwich), 1e-12, 17),
-    "spin_transform_equivalence": ((_VELOCITY, _MOMENTUM), _spin_transform_equivalence, 1e-10, 18),
-    "standard_boost": (_P, _standard_boost, 1e-11, 19),
-    "su2_lift": ((_ROTATION,), _su2_lift, 1e-12, 20),
-    "weinberg_condition": ((_LORENTZ, _MOMENTUM, _SIGN), _weinberg_condition, 1e-9, 21),
-    "wigner_closed_form": ((_VELOCITY, _MOMENTUM), _wigner_closed_form, 1e-10, 22),
-    "wigner_cocycle": ((_LORENTZ, _LORENTZ, _MOMENTUM), _wigner_cocycle, 1e-10, 23),
-    "wigner_perpendicular_oracle": ((), _wigner_perpendicular_oracle, 1e-12, 24),
+    "spin_transform_equivalence": ((_VELOCITY, _MOMENTUM), _late(lambda: _spin_transform_equivalence), 1e-10, 18),
+    "standard_boost": (_P, _late(lambda: _standard_boost), 1e-11, 19),
+    "su2_lift": ((_ROTATION,), _late(lambda: _su2_lift), 1e-12, 20),
+    "weinberg_condition": ((_LORENTZ, _MOMENTUM, _SIGN), _late(lambda: _weinberg_condition), 1e-9, 21),
+    "wigner_closed_form": ((_VELOCITY, _MOMENTUM), _late(lambda: _wigner_closed_form), 1e-10, 22),
+    "wigner_cocycle": ((_LORENTZ, _LORENTZ, _MOMENTUM), _late(lambda: _wigner_cocycle), 1e-10, 23),
+    "wigner_perpendicular_oracle": ((), _late(lambda: _wigner_perpendicular_oracle), 1e-12, 24),
 }.items()))
 
 DEFAULT_TOLERANCES = {name: tol for name, (_, _, tol, _) in IDENTITY_RUNNERS.items()}

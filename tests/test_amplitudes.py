@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from diracspin.amplitudes import (amplitude, amplitude_via_boost, dirac_bar, parity_residual, sandwich_formula_residual,
                                   sandwich_formulas, weinberg_residual)
@@ -75,11 +75,13 @@ def test_amplitude_normalization_property(px, py, pz, m):
 
 
 def test_batch_matches_scalar(rng):
-    P = np.array([random_momentum(rng, 1.0) for _ in range(9)])
-    batch = amplitude(1, _onshell_batch(P[:, 1:], 1.0), 1.0)
-    assert batch.shape == (9, 4, 2)
-    for k in range(9):
-        assert_allclose(batch[k], amplitude(1, P[k], 1.0), atol=1e-14)
+    # a batch row is, bit for bit, the point amplitude of the same four-momentum
+    P = _onshell_batch(np.array([random_momentum(rng, 1.0)[1:] for _ in range(9)]), 1.0)
+    for eps in (1, -1):
+        batch = amplitude(eps, P, 1.0)
+        assert batch.shape == (9, 4, 2)
+        for k in range(9):
+            assert_array_equal(batch[k], amplitude(eps, P[k], 1.0))
 
 
 @pytest.mark.parametrize("eps", [1, -1])

@@ -41,7 +41,23 @@ def test_profile_compile_cache_is_bounded_and_shared():
     # a packet built again from the same arguments compiles nothing
     gaussian_packet(1, 1.0, widths[-1]).evaluate(origin)
     again = _compiled.cache_info()
-    assert again.hits == info.hits + 2 and again.misses == info.misses
+    assert again.hits == info.hits + 1 and again.misses == info.misses
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "normalized", "centred"])
+def test_joint_profile_matches_per_component_lambdify(kind, pts):
+    # one compiled callable with shared subexpressions gives, bit for bit, the
+    # values of each component compiled and evaluated on its own
+    import sympy as sp
+
+    from diracspin.states import P
+
+    w = {"gaussian": lambda: packet(width=0.4, spin=(0.6, 0.8j)),
+         "normalized": lambda: normalized(packet(width=0.4, spin=(1.0, 1.0j)), Grid(4.0, 24)),
+         "centred": lambda: packet(width=0.7, spin=(1.0, 0.0), center=(0.3, -0.2, 0.5))}[kind]()
+    ref = np.stack([np.broadcast_to(np.asarray(sp.lambdify(P, e, modules="numpy")(*pts.T),
+                                               dtype=complex), len(pts)) for e in w.exprs], axis=-1)
+    assert np.array_equal(w.evaluate(pts), ref)
 
 
 # --- grids -----------------------------------------------------------------
@@ -53,6 +69,14 @@ def test_grid_axis_and_weights():
     assert w.shape == (125,)
     # trapezoid weights integrate 1 over the cube to its volume
     assert np.sum(w) == pytest.approx(4.0 ** 3)
+
+
+@pytest.mark.parametrize("half_width, n", [(2.0, 5), (3.0, 64), (1.5, 7)])
+def test_grid_points_match_meshgrid(half_width, n):
+    g = Grid(half_width, n)
+    ax = g.axis()
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+    assert np.array_equal(g.points(), np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1))
 
 
 def test_grid_refined_shares_endpoints():

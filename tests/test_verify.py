@@ -295,6 +295,14 @@ def test_nan_in_one_check_of_a_sample_fails(monkeypatch):
     assert np.isnan(residuals).tolist() == [False, True, False, False, False]
 
 
+@pytest.mark.parametrize("name, evaluator", [("standard_boost", "_standard_boost"),
+                                              ("casimir_sandwich", "_casimir_sandwich")])
+def test_rebound_evaluator_is_the_one_run(monkeypatch, name, evaluator):
+    # a direct entry and a `_shells` entry both look their function up when called
+    monkeypatch.setattr(verify, evaluator, lambda *args: np.full(len(args[1]), 7.0))
+    assert run_identity(name, RunConfig(samples=5)).max_residual == 7.0
+
+
 def _residual_stream(name, cfg):
     return np.concatenate(list(verify.sample_residuals(name, cfg)))
 
