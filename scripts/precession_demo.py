@@ -26,12 +26,22 @@ def main():
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
+    if args.steps < 1:
+        ap.error(f"--steps must be at least 1, got {args.steps}")
+    if not np.isfinite(args.periods):
+        ap.error(f"--periods must be finite, got {args.periods}")
     bnorm = np.linalg.norm(args.b)
     if bnorm == 0.0:
         sys.exit("need a nonzero field for a finite period")
-    state = ChargedState(q=args.q, xi=args.xi)
+    try:
+        state = ChargedState(q=args.q, xi=args.xi)
+    except ValueError as exc:
+        ap.error(str(exc))
     t_final = args.periods * 2.0 * np.pi / bnorm  # e = m = 1
-    traj = integrate(state, uniform_field(args.b), t_final, args.steps)
+    try:
+        traj = integrate(state, uniform_field(args.b), t_final, args.steps)
+    except RuntimeError as exc:  # the run overflowed: too long for --steps
+        ap.error(str(exc))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(traj.to_csv())
@@ -46,7 +56,12 @@ def main():
     print("\nstep-halving (endpoint error):")
     prev = None
     for steps in (125, 250, 500, 1000):
-        tr = integrate(state, uniform_field(args.b), t_final, steps)
+        try:
+            tr = integrate(state, uniform_field(args.b), t_final, steps)
+        except RuntimeError:  # too few steps for t_final: RK4 is unstable there
+            print(f"  n={steps:5d}  diverged")
+            prev = None
+            continue
         qe, _ = larmor_solution(state, args.b, tr.t[-1:])
         err = np.abs(tr.q[-1] - qe[0]).max()
         rate = f"  order {np.log2(prev / err):.2f}" if prev else ""

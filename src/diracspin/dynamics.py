@@ -81,7 +81,10 @@ def quadrupole_field(G: np.ndarray) -> FieldConfig:
 
 @dataclass(frozen=True)
 class ChargedState:
-    """Mean momentum, Bloch vector, and position of a charged particle."""
+    """Mean momentum, Bloch vector, and position of a charged particle.
+
+    The Bloch vector xi is refused if |xi| > 1, as in `states.DensityState`.
+    """
 
     q: np.ndarray
     xi: np.ndarray
@@ -96,6 +99,9 @@ class ChargedState:
             if v.shape != (3,):
                 raise ValueError(f"{name} must have shape (3,)")
             object.__setattr__(self, name, v)
+        length = math.hypot(*self.xi.tolist())  # no overflow for finite entries
+        if not length <= 1.0 + 1e-12:
+            raise ValueError(f"Bloch vector must satisfy |xi| <= 1, got {length}")
 
 
 def _transposed(reading: str) -> bool:

@@ -31,7 +31,7 @@ from math import fsum
 import numpy as np
 
 from .states import (MIN_COVERAGE, Grid, SpinWaveFunction, _as_sectors, covering_grid,
-                     scalar_product, to_covariant)
+                     evaluate_on, scalar_product, to_covariant)
 
 TWO_PI_CUBED_SQRT = (2.0 * np.pi) ** 1.5
 
@@ -81,7 +81,7 @@ def synthesize(w, x4, pgrid: Grid) -> np.ndarray:
         _coverage_check(s, pgrid)
         pts, om, wts = pgrid.shell_measure(s.mass)
         phase = np.exp(-1j * s.eps * (om * x4[0] - pts @ x4[1:]))
-        psi = psi + np.einsum("n,n,na->a", wts, phase, s.evaluate(pts))
+        psi = psi + np.einsum("n,n,na->a", wts, phase, evaluate_on(s, pts))
     return psi / TWO_PI_CUBED_SQRT
 
 
@@ -97,7 +97,7 @@ def synthesize_mesh(w, t: float, xgrid: Grid, pgrid: Grid) -> np.ndarray:
         _coverage_check(s, pgrid)
         pts, om, wts = pgrid.shell_measure(s.mass)
         wts = (wts * np.exp(-1j * s.eps * om * t))[:, None]  # frees the real weights
-        core = (wts * s.evaluate(pts)).reshape(pgrid.n, pgrid.n, pgrid.n, 4)
+        core = (wts * evaluate_on(s, pts)).reshape(pgrid.n, pgrid.n, pgrid.n, 4)
         E = np.exp(1j * s.eps * np.outer(pa, xa))
         out = out + np.einsum("abcd,aj,bk,cl->jkld", core, E, E, E, optimize=True)
     return out / TWO_PI_CUBED_SQRT

@@ -275,6 +275,13 @@ def test_precess_zero_field_constant(capsys):
         assert float(row[1]) == 0.3 and float(row[5]) == 1.0
 
 
+def test_precess_refuses_non_bloch_vector(capsys):
+    code, out, err = run(capsys, "precess", "--b", "0,0,1", "--xi", "2,0,0",
+                         "--t-final", "0.1", "--steps", "3")
+    assert code == 2 and out == ""
+    assert err == "error: Bloch vector must satisfy |xi| <= 1, got 2.0\n"
+
+
 def test_precess_missing_field_components_exit_two(capsys):
     code, _, err = run(capsys, "precess", "--field", "uniform",
                        "--t-final", "1", "--steps", "4")
@@ -372,6 +379,8 @@ REFUSED_ARGV = [
     ["wigner", "--velocity", "1,x,2"],
     ["precess", "--field", "quadrupole", "--gradient", "1,2,3", "--t-final", "1", "--steps", "2"],
     ["precess", "--field", "quadrupole", "--t-final", "1", "--steps", "2"],
+    ["precess", "--b", "0,0,1", "--xi", "2,0,0", "--t-final", "0.1", "--steps", "3"],
+    ["precess", "--b", "0,0,1", "--xi", "1e300,1e300,0", "--t-final", "0.1", "--steps", "3"],
     ["fourier-check", "--spin", "1,2,3"],
     ["fourier-check", "--spin", "1,x"],
     ["fourier-check", "--eps", "0"],

@@ -202,10 +202,22 @@ def test_divergent_run_names_first_bad_step():
 
 
 def test_large_finite_state_is_not_refused():
-    # Every entry is finite although their sum overflows float64.
-    s = ChargedState(q=np.zeros(3), xi=np.full(3, 1e308))
+    # Every entry is finite although their sum overflows float64.  The
+    # entries sit in the position, since a Bloch vector has |xi| <= 1.
+    s = ChargedState(q=np.zeros(3), xi=np.array([1.0, 0.0, 0.0]), x=np.full(3, 1e308))
     traj = integrate(s, uniform_field(np.zeros(3)), 1.0, 4)
-    assert (traj.xi == 1e308).all()
+    assert (traj.x == 1e308).all()
+
+
+@pytest.mark.parametrize("xi", [[2.0, 0.0, 0.0], [1e308, 1e308, 0.0], [np.nan, 0.0, 0.0]])
+def test_state_refuses_non_bloch_vector(xi):
+    with pytest.raises(ValueError, match=r"\|xi\| <= 1"):
+        ChargedState(q=np.zeros(3), xi=np.array(xi))
+
+
+def test_state_accepts_unit_bloch_vector_up_to_rounding():
+    xi = np.array([0.6, 0.8, 0.0]) * (1.0 + 1e-13)
+    assert (ChargedState(q=np.zeros(3), xi=xi).xi == xi).all()
 
 
 def test_trajectory_type():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from diracspin import states
 from diracspin.amplitudes import amplitude
 from diracspin.lorentz import random_lorentz
 from diracspin.position import (default_grids, parseval_check, position_product, synthesize,
@@ -75,6 +76,20 @@ def test_parseval_self_pair_equals_pair_with_copy(rng, covariant):
     a = lorentz_transform(to_covariant(w) if covariant else w, random_lorentz(rng, vmax=0.6))
     pgrid, xgrid = default_grids(a, a, p_points=16, x_points=10)
     assert parseval_check(a, a, pgrid, xgrid) == parseval_check(a, replace(a), pgrid, xgrid)
+
+
+@pytest.mark.parametrize("transported", [False, True], ids=["packet", "transported"])
+def test_parseval_blocks_match_whole_grid(monkeypatch, rng, transported):
+    # block-wise evaluation on refined grids gives the whole-array tuple bit for bit
+    a = normalized(packet(spin=(0.6, 0.8j)))
+    if transported:
+        a = lorentz_transform(a, random_lorentz(rng, vmax=0.6))
+    pgrid, xgrid = default_grids(a, a)
+    pgrid, xgrid = pgrid.refined(), xgrid.refined()
+    assert pgrid.n ** 3 > states._BLOCK
+    blocked = parseval_check(a, a, pgrid, xgrid)
+    monkeypatch.setattr(states, "_BLOCK", pgrid.n ** 3)
+    assert parseval_check(a, a, pgrid, xgrid) == blocked
 
 
 def test_parseval_self_pair_evaluates_once_per_route():

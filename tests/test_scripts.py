@@ -34,6 +34,23 @@ def test_script_runs(tmp_path, name, args):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [["--steps", "0"], ["--periods", "nan"], ["--periods", "inf"],
+                                  ["--xi", "2,0,0"], ["--periods", "1e300"]],
+                         ids=" ".join)
+def test_precession_demo_refuses_bad_run_arguments(tmp_path, args):
+    res = run_script("precession_demo.py", *args, cwd=tmp_path)
+    assert res.returncode == 2 and res.stdout == "" and "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()  # argparse's usage text, then one error line
+    assert [ln for ln in lines if "error:" in ln] == lines[-1:]
+
+
+def test_precession_demo_reports_a_diverged_halving_row(tmp_path):
+    # 200 periods are fine at 2000 steps, but RK4 overflows at 125 of them
+    res = run_script("precession_demo.py", "--periods", "200", "--steps", "2000", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "n=  125  diverged" in res.stdout
+
+
 @pytest.mark.parametrize("value", ["1,2", "1,2,3,4", "1,x,2", "1,nan,2"])
 def test_precession_demo_refuses_a_bad_vector(tmp_path, value):
     res = run_script("precession_demo.py", "--b", value, "--steps", "50", cwd=tmp_path)

@@ -1,17 +1,19 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from diracspin.amplitudes import amplitude
 from diracspin.clifford import GAMMA0, PAULI
 from diracspin.lorentz import (_sl2c_lift, bispinor_rep, boost_from_velocity, random_lorentz,
                                random_rotation, wigner_d, wigner_rotation)
+from diracspin import states
 from diracspin.minkowski import on_shell
 from diracspin.states import (CovariantWaveFunction, DensityState, Grid, SpinWaveFunction,
-                              apply_spin, bloch_transform, dirac_residual, from_covariant,
-                              _onshell_batch, gaussian_packet, lorentz_transform,
+                              apply_spin, bloch_transform, dirac_residual, evaluate_on,
+                              from_covariant, _onshell_batch, gaussian_packet, lorentz_transform,
                               momentum_apply, norm, normalized, nw_apply, nw_apply_sampled,
                               nw_shift, sample, scalar_product, spin_expectations,
                               to_covariant)
@@ -163,6 +165,73 @@ def test_self_product_evaluates_once():
     w = SpinWaveFunction(eps=1, mass=1.0, width=0.5, fn=fn)
     assert norm(w, Grid(4.0, 12)) == norm(base, Grid(4.0, 12))
     assert calls == [12 ** 3]
+
+
+# --- block-wise grid evaluation ------------------------------------------
+# The reference is the whole-array evaluation: `_BLOCK` raised to at least
+# the number of points makes `evaluate_on` a single call.
+
+def _transported(rng, eps):
+    w = normalized(packet(eps=eps, spin=(0.6, 0.8j), width=0.4))
+    return lorentz_transform(w, random_lorentz(rng, vmax=0.8))
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_blocks_match_whole_grid_transported(monkeypatch, rng, eps):
+    moved = _transported(rng, eps)
+    grid = moved.default_grid(64)
+    pts = grid.points()
+    assert len(pts) > states._BLOCK
+    blocked, nrm = evaluate_on(moved, pts), norm(moved, grid)
+    monkeypatch.setattr(states, "_BLOCK", len(pts))
+    assert_array_equal(blocked, moved.evaluate(pts))
+    assert norm(moved, grid) == nrm
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_blocks_match_whole_grid_basis_changes(monkeypatch, eps):
+    c = to_covariant(packet(eps=eps, spin=(0.6, 0.8j), width=0.4))
+    back = from_covariant(c)
+    grid = c.default_grid(63)
+    pts = grid.points()
+    assert len(pts) % states._BLOCK != 0
+    blocked = [evaluate_on(c, pts), evaluate_on(back, pts), dirac_residual(c, pts),
+               sample(back, grid).values]
+    monkeypatch.setattr(states, "_BLOCK", len(pts))
+    assert_array_equal(blocked[0], c.evaluate(pts))
+    assert_array_equal(blocked[1], back.evaluate(pts))
+    assert dirac_residual(c, pts) == blocked[2]
+    assert_array_equal(sample(back, grid).values, blocked[3])
+
+
+def test_blocks_are_near_equal():
+    # split as np.array_split does: no block is a small remainder
+    sizes = []
+    base = packet()
+
+    def fn(pts):
+        sizes.append(len(pts))
+        return base.evaluate(pts)
+
+    w = SpinWaveFunction(eps=1, mass=1.0, width=0.5, fn=fn)
+    n = 63 ** 3
+    evaluate_on(w, Grid(4.0, 63).points())
+    assert sum(sizes) == n and len(sizes) == -(-n // states._BLOCK)
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= states._BLOCK
+
+
+def test_transported_norm_peak_memory(rng):
+    # Evaluated whole, the 64^3 grid held ~96 MiB of temporaries at once.
+    moved = _transported(rng, 1)
+    grid = moved.default_grid(64)
+    norm(moved, grid)  # compiles the profile outside the traced call
+    tracemalloc.start()
+    try:
+        norm(moved, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
 
 
 @pytest.mark.parametrize("covariant", [False, True], ids=["spin", "covariant"])
