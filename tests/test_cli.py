@@ -379,6 +379,9 @@ REFUSED_ARGV = [
     ["wigner", "--velocity", "1,x,2"],
     ["precess", "--field", "quadrupole", "--gradient", "1,2,3", "--t-final", "1", "--steps", "2"],
     ["precess", "--field", "quadrupole", "--t-final", "1", "--steps", "2"],
+    ["precess", "--b", "0,0,1", "--t-final", "1", "--steps", "0"],
+    ["precess", "--b", "1,2,3,4", "--t-final", "1", "--steps", "10"],
+    ["precess", "--b", "1,nan,2", "--t-final", "1", "--steps", "10"],
     ["precess", "--b", "0,0,1", "--xi", "2,0,0", "--t-final", "0.1", "--steps", "3"],
     ["precess", "--b", "0,0,1", "--xi", "1e300,1e300,0", "--t-final", "0.1", "--steps", "3"],
     ["fourier-check", "--spin", "1,2,3"],

@@ -84,17 +84,18 @@ def test_larmor_rotation_sense():
 
 def test_integrate_fourth_order_convergence():
     state, field = larmor_setup()
-    t_final = np.pi / 4.0
     b3 = np.array([0.0, 0.0, 2.0])
 
-    def endpoint_error(steps):
+    def endpoint_error(steps, t_final):
         traj = integrate(state, field, t_final, steps)
         q_exact, _ = larmor_solution(state, b3, traj.t[-1:])
         return np.abs(traj.q[-1] - q_exact[0]).max()
 
-    e1, e2 = endpoint_error(40), endpoint_error(80)
-    order = np.log2(e1 / e2)
-    assert 3.8 < order < 4.2
+    # an eighth of a period, and one full period (2 pi / |B|) halved three times
+    for t_final, steps in ((np.pi / 4.0, (40, 80)), (np.pi, (125, 250, 500, 1000))):
+        errors = [endpoint_error(n, t_final) for n in steps]
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert np.all((3.8 < orders) & (orders < 4.2)), orders
 
 
 def test_integration_conserves_geometry():

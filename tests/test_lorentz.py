@@ -158,6 +158,18 @@ def test_wigner_perpendicular_frozen_angle():
     assert angle == pytest.approx(np.arctan(np.sqrt(3.0) / 12.0), abs=1e-14)
     # rotation happens in the v-p plane, about +z for this orientation
     assert R[2, 2] == pytest.approx(1.0, abs=1e-15)
+    # Over a grid of speeds both the closed form and the brute-force product
+    # equal R_z(angle) entry by entry.  Matrices, not angles, are compared:
+    # the arccos above loses digits at small angles.
+    speeds = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    v, u = (a.ravel() for a in np.meshgrid(speeds, speeds, indexing="ij"))
+    gv, gu = 1.0 / np.sqrt(1.0 - v * v), 1.0 / np.sqrt(1.0 - u * u)
+    Rz = Rotation.from_euler("z", np.arctan(gv * gu * v * u / (gv + gu))[:, None]).as_matrix()
+    zero = np.zeros_like(v)
+    v3 = np.stack([v, zero, zero], -1)
+    p4 = np.stack([gu, zero, gu * u, zero], -1)
+    assert np.abs(wigner_rotation_closed(v3, p4, 1.0) - Rz).max() <= 1e-15
+    assert np.abs(wigner_rotation(boost_from_velocity(v3), p4, 1.0)[0] - Rz).max() <= 1e-12
 
 
 def test_wigner_parallel_gives_identity():

@@ -234,6 +234,20 @@ def test_transported_norm_peak_memory(rng):
     assert peak < 48 * 2 ** 20
 
 
+def test_dirac_residual_peak_memory():
+    # With the whole (N, 4, 4) projector, the 64^3 grid peaked at ~136 MiB.
+    c = to_covariant(gaussian_packet(1, 1.0, 0.4))
+    pts = c.default_grid(64).points()
+    dirac_residual(c, pts)  # compiles the profile outside the traced call
+    tracemalloc.start()
+    try:
+        dirac_residual(c, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
+
+
 @pytest.mark.parametrize("covariant", [False, True], ids=["spin", "covariant"])
 def test_self_product_equals_product_with_copy(rng, covariant):
     # reusing one evaluation for (a, a) gives exactly the two-evaluation value

@@ -321,6 +321,18 @@ def test_chunks_continue_one_stream(monkeypatch, chunk, sizes):
         assert np.array_equal(np.concatenate(chunked), whole[name]), name
 
 
+def test_shorter_run_is_a_prefix_of_a_longer_one(monkeypatch):
+    # The margin study (`verify --samples N` for several N) rests on this: the
+    # first n samples of a longer run are the n-sample run, on either side of
+    # a chunk boundary.
+    monkeypatch.setattr(verify, "CHUNK", 4)
+    for name in IDENTITY_RUNNERS:
+        stream = _residual_stream(name, RunConfig(samples=11, seed=5))
+        for n in (3, 4, 5, 8, 9):
+            worst = run_identity(name, RunConfig(samples=n, seed=5)).max_residual
+            assert worst == stream[:n].max(), (name, n)
+
+
 def test_nan_and_refusal_cross_the_chunk_boundary(monkeypatch):
     # With chunks of 4, sample 5 is sample 1 of the second chunk: a NaN
     # there fails the identity although both other chunks are finite, and a
