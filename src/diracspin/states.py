@@ -270,10 +270,16 @@ def gaussian_packet(eps: int, mass: float, width: float,
     """Gaussian profile
 
         psitilde_s(p) = spin_s * exp(-|p - center|^2 / (2 width^2)).
+
+    A width whose 2 width^2 is not a finite normal float64 is refused.
     """
+    two_w2 = 2.0 * float(libm_square(width))
+    if not (np.isfinite(two_w2) and two_w2 >= np.finfo(float).tiny):
+        raise ValueError(f"width = {width!r} puts 2 width^2 = {two_w2!r} outside "
+                         f"the normal float64 range")
     sp, P = _sympy()
     center = np.asarray(center, dtype=float)
-    gauss = sp.exp(-sum((P[i] - center[i]) ** 2 for i in range(3)) / (2.0 * width ** 2))
+    gauss = sp.exp(-sum((P[i] - center[i]) ** 2 for i in range(3)) / two_w2)
     exprs = tuple(sp.sympify(complex(spin[s])) * gauss for s in range(2))
     return SpinWaveFunction(eps=eps, mass=mass, width=width, exprs=exprs, center=center)
 

@@ -387,6 +387,8 @@ REFUSED_ARGV = [
     ["fourier-check", "--spin", "1,2,3"],
     ["fourier-check", "--spin", "1,x"],
     ["fourier-check", "--eps", "0"],
+    ["fourier-check", "--width", "1e-300"],
+    ["fourier-check", "--width", "1e300"],
 ]
 
 ADVERSARIAL_ARGV = [
