@@ -17,8 +17,6 @@ The kinematic kernels and the samplers' builders are batch-first (see
 """
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from .clifford import GAMMA0, PAULI, SIGMA
@@ -388,56 +386,39 @@ def bispinor_inverse(S: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Random samples.  The order of a sample's random numbers is defined once per
-# kind, as a layout; a sweep fills a chunk's rows from its kinds' layouts and
-# the batch-first builders read the columns.  A scalar sampler is n = 1.
+# Random samples.  Every sample kind is made of standard normals only: a kind
+# has a width, a sample takes that many normals, and the batch-first builders
+# read them as columns.  A sweep draws a whole chunk of samples in one call;
+# a scalar sampler is the n = 1 case, one standard_normal(width) call.
 # ---------------------------------------------------------------------------
 
-#: Layouts of a point uniform in the unit ball (a normal 3-vector, its
-#: direction, then the radius uniform()^(1/3)), a Haar-random rotation (a
-#: normal quaternion, scalar last, as scipy's Rotation.random takes it) and a
-#: `random_lorentz` sample (rotation, then velocity).
-BALL, ROTATION = "nnnc", "nnnn"
+#: Widths of a point uniform in the unit ball (five normals, see
+#: `_ball_points`), a Haar-random rotation (a normal quaternion, scalar last,
+#: as scipy's Rotation.random takes it) and a `random_lorentz` sample
+#: (rotation, then velocity).
+BALL, ROTATION = 5, 4
 LORENTZ = ROTATION + BALL
 
 
-def fill_draws(rng: np.random.Generator, layout: str, n: int = 1) -> np.ndarray:
-    """Random numbers of n samples, shape (n, len(layout)), taken row after
-    row: "n" a standard normal (one call per run), "c" a uniform's cube root,
-    "u" a uniform, "s" integers(0, 2).  These are the numbers normal(size=k),
-    uniform() ** (1/3), uniform() and integers(0, 2) take per sample; the cube
-    root is a Python float's, as numpy's array power rounds some differently,
-    and adding 0.0 turns a drawn -0.0 into normal()'s 0.0 + 1.0 z = +0.0."""
-    scalars = {"c": lambda: rng.random() ** (1.0 / 3.0), "u": rng.random,
-               "s": lambda: rng.integers(0, 2)}
-    steps = [(m.start(), m.end(), m[0][0]) for m in re.finditer("n+|.", layout)]
-    out = np.empty((n, len(layout)))
-    for row in out:
-        for a, b, kind in steps:
-            if kind == "n":
-                rng.standard_normal(out=row[a:b])
-            else:
-                row[a] = scalars[kind]()
-    return np.add(out, 0.0, out=out)
-
-
-def _ball_points(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Points r u/|u| from directions u (..., 3) and radii r (...)."""
-    return r[..., None] * (u / np.sqrt(np.vecdot(u, u))[..., None])
+def _ball_points(g: np.ndarray, radius: float) -> np.ndarray:
+    """Points uniform in the ball |x| <= radius from `BALL` draws g (..., 5):
+    radius g[:3] / |g|, the first three of five standard normals over the
+    norm of all five (Voelker, Gosmann & Stewart 2017)."""
+    return (radius / np.sqrt(np.vecdot(g, g)))[..., None] * g[..., :3]
 
 
 def momenta_from_draws(d: np.ndarray, m: float, pmax_over_m: float) -> np.ndarray:
-    """On-shell four-momenta (..., 4) from `BALL` draws d (..., 4), with
-    pvec = m pmax_over_m c u/|u| for u = d[..., :3] and c = d[..., 3]."""
-    return on_shell(m, _ball_points(d[..., :3], m * (pmax_over_m * d[..., 3])))
+    """On-shell four-momenta (..., 4) from `BALL` draws d (..., 5), with
+    pvec uniform in the ball |pvec| <= m pmax_over_m."""
+    return on_shell(m, _ball_points(d, m * pmax_over_m))
 
 
 def velocities_from_draws(d: np.ndarray, vmax: float) -> np.ndarray:
-    """Velocities (..., 3) from `BALL` draws d (..., 4), v = vmax c u/|u|,
-    for 0 < vmax <= VMAX_HARD."""
+    """Velocities (..., 3) uniform in the ball |v| <= vmax from `BALL` draws
+    d (..., 5), for 0 < vmax <= VMAX_HARD."""
     if not 0.0 < vmax <= VMAX_HARD:
         raise ValueError(f"vmax must lie in (0, {VMAX_HARD}], got {vmax}")
-    return _ball_points(d[..., :3], vmax * d[..., 3])
+    return _ball_points(d, vmax)
 
 
 def rotations_from_draws(q: np.ndarray) -> np.ndarray:
@@ -461,26 +442,26 @@ def rotations_from_draws(q: np.ndarray) -> np.ndarray:
 
 
 def lorentz_from_draws(d: np.ndarray, vmax: float) -> np.ndarray:
-    """Transformations boost x rotation (..., 4, 4) from `LORENTZ` draws d (..., 8)."""
+    """Transformations boost x rotation (..., 4, 4) from `LORENTZ` draws d (..., 9)."""
     R = _rotation4(rotations_from_draws(d[..., :4]))
     return boost_from_velocity(velocities_from_draws(d[..., 4:], vmax)) @ R
 
 
 def random_momentum(rng: np.random.Generator, m: float, pmax_over_m: float = 10.0) -> np.ndarray:
     """On-shell four-momentum with pvec = m u, u uniform in the ball |u| <= pmax_over_m."""
-    return momenta_from_draws(fill_draws(rng, BALL)[0], m, pmax_over_m)
+    return momenta_from_draws(rng.standard_normal(BALL), m, pmax_over_m)
 
 
 def random_velocity(rng: np.random.Generator, vmax: float = 0.99) -> np.ndarray:
     """Velocity uniform in the ball |v| <= vmax (vmax capped at 0.999999)."""
-    return velocities_from_draws(fill_draws(rng, BALL)[0], vmax)
+    return velocities_from_draws(rng.standard_normal(BALL), vmax)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Haar-random rotation matrix."""
-    return rotations_from_draws(fill_draws(rng, ROTATION)[0])
+    return rotations_from_draws(rng.standard_normal(ROTATION))
 
 
 def random_lorentz(rng: np.random.Generator, vmax: float = 0.99) -> np.ndarray:
     """Random proper orthochronous transformation, sampled as boost x rotation."""
-    return lorentz_from_draws(fill_draws(rng, LORENTZ)[0], vmax)
+    return lorentz_from_draws(rng.standard_normal(LORENTZ), vmax)

@@ -70,15 +70,30 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _float64_printer():
+    """lambdify's numpy printer, with the settings lambdify gives its own,
+    writing each Float as the repr of its float64, which reads back to the
+    same double; sympy's own printer keeps 15 significant digits."""
+    from sympy.printing.numpy import NumPyPrinter
+
+    class Float64Printer(NumPyPrinter):
+        def _print_Float(self, expr):
+            return repr(float(expr))
+
+    return Float64Printer({"fully_qualified_modules": False, "inline": True,
+                           "allow_unknown_functions": True})
+
+
 @lru_cache(maxsize=64)
 def _compiled(exprs: tuple[sp.Expr, ...]) -> Callable:
     """One numpy function of (p1, p2, p3) for all components of a profile,
-    returning their list.  Subexpressions the components share (the
-    Gaussian `exp` of a packet) are evaluated once.  Shared across packets,
-    since equal profiles recur when a packet is built again; bounded, since
-    every normalized packet brings new ones."""
+    returning their list, with every Float coefficient at full float64
+    precision (`_float64_printer`).  Subexpressions the components share
+    (the Gaussian `exp` of a packet) are evaluated once.  Shared across
+    packets, since equal profiles recur when a packet is built again;
+    bounded, since every normalized packet brings new ones."""
     sp, P = _sympy()
-    return sp.lambdify(P, list(exprs), modules="numpy", cse=True)
+    return sp.lambdify(P, list(exprs), modules="numpy", cse=True, printer=_float64_printer())
 
 
 def omega_expr(m: float) -> sp.Expr:

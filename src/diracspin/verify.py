@@ -9,18 +9,17 @@ The reduction propagates NaN, so a NaN or inf residual fails its identity.
 
 An identity is a list of sample kinds and an evaluator, which `evaluate_at`
 runs on given samples; the sweep and the CLI's point subcommands both call
-it, so each residual has one definition.  A sample takes the layouts of its
-kinds (`lorentz.fill_draws`) one after another, so the sweep fills one
-(n, width) array per chunk of at most `CHUNK` samples with the numbers the
-one-at-a-time samplers take, builds each kind from its columns in one
-batched call and evaluates the identity once over the chunk, one residual
-per sample.  Chunking keeps peak memory independent of the sample count.  A
-kernel that refuses a sample (say a Wigner rotation too far from orthogonal
-to lift at high rapidity) raises `SampleRefused` with the index of the first
-refused sample; the samples before it are evaluated again (a later kernel
-may refuse an earlier sample), the refused sample gets a NaN residual and
-the run ends there, so `samples` counts the samples up to and including the
-first refused one.
+it, so each residual has one definition.  A kind is a width of standard
+normals (`lorentz.BALL`, ...) and a builder.  The sweep draws each chunk of
+at most `CHUNK` samples in one call, an (n, width) array of normals with a
+sample's kinds side by side, builds each kind from its columns at once and
+evaluates the identity over the chunk, one residual per sample, in memory
+independent of the sample count.  A kernel that refuses a sample (say a
+Wigner rotation too far from orthogonal to lift at high rapidity) raises
+`SampleRefused` with the index of the first refused sample; the samples
+before it are evaluated again (a later kernel may refuse an earlier
+sample), the refused sample gets a NaN residual and the run ends there, so
+`samples` counts the samples up to and including the first refused one.
 
 Reports serialize to JSON (canonical; floats printed with 17 significant
 digits by a small writer that keeps key order fixed) or CSV (one line per
@@ -39,7 +38,7 @@ from .amplitudes import (amplitude, dirac_bar, dirac_residual, orthogonality_res
                          weinberg_residual)
 from .clifford import GAMMA, GAMMA5, PAULI, energy_projector
 from .lorentz import (BALL, LORENTZ, ROTATION, VMAX_HARD, bispinor_inverse, bispinor_rep,
-                      boost_from_velocity, fill_draws, lorentz_from_draws, momenta_from_draws,
+                      boost_from_velocity, lorentz_from_draws, momenta_from_draws,
                       rotation_angle, rotations_from_draws, standard_boost, su2_from_so3,
                       velocities_from_draws, wigner_rotation, wigner_rotation_closed)
 from .minkowski import METRIC, SampleRefused, check_mass, libm_square, max_entry
@@ -99,19 +98,19 @@ class IdentityResult:
     passed: bool
 
 
-# --- sample kinds: (layout, batched builder) -------------------------------
-# A sample takes its kinds' layouts in turn (`fill_draws`); each builder gets
-# the config and its kind's columns of the chunk's draws.
+# --- sample kinds: (width, batched builder) --------------------------------
+# Each builder gets the config and its kind's columns of the chunk's draws.
 
 _MOMENTUM = (BALL, lambda cfg, d: momenta_from_draws(d, cfg.mass, cfg.pmax_over_m))
 _VELOCITY = (BALL, lambda cfg, d: velocities_from_draws(d, cfg.vmax))
 _LORENTZ = (LORENTZ, lambda cfg, d: lorentz_from_draws(d, cfg.vmax))
 _ROTATION = (ROTATION, lambda cfg, d: rotations_from_draws(d))
-#: Energy sign +-1; integers(0, 2) takes the same numbers as choice((-1, 1)).
-_SIGN = ("s", lambda cfg, d: 2 * d[:, 0].astype(int) - 1)
-#: Bloch vector: a normal 3-vector (direction), then its length, uniform in [0, 1].
-_BLOCH = ("nnnu", lambda cfg, d: (d[:, 3:] * d[:, :3]
-                                  / np.sqrt(np.vecdot(d[:, :3], d[:, :3]))[:, None]))
+#: Energy sign: -1 where the normal is negative, else +1.
+_SIGN = (1, lambda cfg, d: np.where(d[:, 0] < 0.0, -1, 1))
+#: Bloch vector: the direction of g[:3] times |g[3]| / |g[3:6]|, a length
+#: uniform in [0, 1] (Archimedes: a uniform point's height on the sphere).
+_BLOCH = (6, lambda cfg, d: (np.abs(d[:, 3]) / np.sqrt(np.vecdot(d[:, 3:], d[:, 3:]))
+                             / np.sqrt(np.vecdot(d[:, :3], d[:, :3])))[:, None] * d[:, :3])
 
 
 def _worst(residuals: list) -> np.ndarray:
@@ -376,10 +375,10 @@ def sample_residuals(name: str, cfg: RunConfig) -> Iterator[np.ndarray]:
         yield evaluate_at(name, cfg.mass)
         return
     rng = identity_rng(cfg, name)
-    layouts, builders = zip(*kinds)
-    ends = np.cumsum([len(layout) for layout in layouts])[:-1]
+    widths, builders = zip(*kinds)
+    ends = np.cumsum(widths)[:-1]
     for start in range(0, cfg.samples, CHUNK):
-        draws = fill_draws(rng, "".join(layouts), min(CHUNK, cfg.samples - start))
+        draws = rng.standard_normal((min(CHUNK, cfg.samples - start), sum(widths)))
         samples = tuple(build(cfg, d) for build, d in zip(builders, np.split(draws, ends, axis=1)))
         residuals, refused = _evaluate(name, cfg.mass, samples)
         yield residuals

@@ -8,7 +8,7 @@ from diracspin.amplitudes import (dirac_residual, orthogonality_residual, parity
                                   weinberg_residual)
 from diracspin.clifford import PAULI, energy_projector, slash
 from diracspin.lorentz import (BALL, LORENTZ, ROTATION, bispinor_inverse, bispinor_rep,
-                               boost_from_velocity, fill_draws, lorentz_from_draws, lorentz_gamma,
+                               boost_from_velocity, lorentz_from_draws, lorentz_gamma,
                                momenta_from_draws, random_lorentz, random_momentum,
                                random_rotation, random_velocity, rotations_from_draws,
                                standard_boost, su2_from_so3, velocities_from_draws,
@@ -165,16 +165,10 @@ def test_builders_reproduce_the_one_at_a_time_samplers():
     rotations = [random_rotation(a) for _ in range(N)]
     momenta = [random_momentum(a, M, 30.0) for _ in range(N)]
     velocities = [random_velocity(a, 0.5) for _ in range(N)]
-    signs = [int(a.choice((-1, 1))) for _ in range(N)]
-    d = fill_draws(b, LORENTZ, N)
-    assert np.array_equal(lorentz_from_draws(d, 0.9), lorentz)
-    assert np.array_equal(rotations_from_draws(fill_draws(b, ROTATION, N)),
-                          rotations)
-    d = fill_draws(b, BALL, N)
-    assert np.array_equal(momenta_from_draws(d, M, 30.0), momenta)
-    d = fill_draws(b, BALL, N)
-    assert np.array_equal(velocities_from_draws(d, 0.5), velocities)
-    assert [2 * int(b.integers(0, 2)) - 1 for _ in range(N)] == signs
+    assert np.array_equal(lorentz_from_draws(b.standard_normal((N, LORENTZ)), 0.9), lorentz)
+    assert np.array_equal(rotations_from_draws(b.standard_normal((N, ROTATION))), rotations)
+    assert np.array_equal(momenta_from_draws(b.standard_normal((N, BALL)), M, 30.0), momenta)
+    assert np.array_equal(velocities_from_draws(b.standard_normal((N, BALL)), 0.5), velocities)
     assert a.uniform() == b.uniform()
 
 

@@ -49,17 +49,38 @@ def test_profile_compile_cache_is_bounded_and_shared():
 @pytest.mark.parametrize("kind", ["gaussian", "normalized", "centred"])
 def test_joint_profile_matches_per_component_lambdify(kind, pts):
     # one compiled callable with shared subexpressions gives, bit for bit, the
-    # values of each component compiled and evaluated on its own
+    # values of each component compiled (with the same printer) and evaluated
+    # on its own
     import sympy as sp
 
-    from diracspin.states import P
+    from diracspin.states import P, _float64_printer
 
     w = {"gaussian": lambda: packet(width=0.4, spin=(0.6, 0.8j)),
          "normalized": lambda: normalized(packet(width=0.4, spin=(1.0, 1.0j)), Grid(4.0, 24)),
          "centred": lambda: packet(width=0.7, spin=(1.0, 0.0), center=(0.3, -0.2, 0.5))}[kind]()
-    ref = np.stack([np.broadcast_to(np.asarray(sp.lambdify(P, e, modules="numpy")(*pts.T),
-                                               dtype=complex), len(pts)) for e in w.exprs], axis=-1)
+    ref = np.stack([np.broadcast_to(np.asarray(
+        sp.lambdify(P, e, modules="numpy", printer=_float64_printer())(*pts.T), dtype=complex),
+        len(pts)) for e in w.exprs], axis=-1)
     assert np.array_equal(w.evaluate(pts), ref)
+
+
+def test_compiled_profile_keeps_float64_coefficients():
+    # sympy's own printer writes each Float to 15 significant digits, which
+    # rounds these coefficients to other doubles
+    import inspect
+    import re
+
+    import sympy as sp
+
+    from diracspin.states import _compiled
+
+    w = normalized(gaussian_packet(1, 1.0, 0.4, spin=(0.6, 0.8)))
+    coefficients = {abs(float(f)) for e in w.exprs for f in e.atoms(sp.Float)}
+    source = inspect.getsource(_compiled(w.exprs))
+    # unsigned: the printer writes a negative term as a subtraction
+    literals = {float(x) for x in re.findall(r"(?<![\w.])\d+\.\d+(?:e[-+]?\d+)?", source)}
+    assert all(float(f"{c:.15g}") != c for c in coefficients)
+    assert literals == coefficients
 
 
 # --- grids -----------------------------------------------------------------

@@ -103,7 +103,7 @@ SHELL_IDENTITIES = ["amplitude_dirac", "amplitude_orthogonality", "amplitude_par
 
 def test_evaluate_at_one_shell_or_both():
     m = 1.7
-    p4 = verify.momenta_from_draws(verify.fill_draws(np.random.default_rng(2), verify.BALL, 6),
+    p4 = verify.momenta_from_draws(np.random.default_rng(2).standard_normal((6, verify.BALL)),
                                    m, 10.0)
     for name in SHELL_IDENTITIES:
         plus, minus = evaluate_at(name, m, p4, 1), evaluate_at(name, m, p4, -1)
