@@ -33,7 +33,7 @@ from .dynamics import GRADIENT_READINGS, ChargedState, integrate, quadrupole_fie
 from .lorentz import (boost_from_velocity, lorentz_gamma, rotation_angle, standard_boost,
                       su2_from_so3, wigner_rotation_closed)
 from .minkowski import lorentz_residual, on_shell
-from .position import default_grids, parseval_check
+from .position import default_grids, parseval_check, quadrature_range_error
 from .spin_ops import spin_transform_closed
 from .states import gaussian_packet, normalized
 from .verify import (DEFAULT_TOLERANCES, RunConfig, complex_matrix_payload, evaluate_at,
@@ -249,12 +249,21 @@ def cmd_fourier_check(args) -> int:
     tol = resolve_tolerances(dict(args.tol), {"parseval": 1e-3})["parseval"]
     if args.eps not in (1, -1):
         raise ValueError("--eps must be +1 or -1")
-    packet = normalized(gaussian_packet(args.eps, args.mass, args.width,
-                                        spin=args.spin, center=args.center))
+    packet = gaussian_packet(args.eps, args.mass, args.width, spin=args.spin, center=args.center)
     pgrid, xgrid = default_grids(packet, packet)
-    lhs, rhs, relerr = parseval_check(packet, packet, pgrid, xgrid, t=args.time)
-    lhs2, rhs2, relerr2 = parseval_check(packet, packet, pgrid.refined(), xgrid.refined(),
-                                         t=args.time)
+    levels = ((pgrid, xgrid), (pgrid.refined(), xgrid.refined()))
+    pgrids, xgrids = zip(*levels)
+    # the cubes (the normalizing one too), then the unit packet's position side
+    problem = quadrature_range_error((packet.default_grid(), *pgrids), xgrids, args.mass, args.time)
+    if problem is None:
+        packet = normalized(packet)
+        problem = quadrature_range_error(pgrids, xgrids, args.mass, args.time,
+                                         peak2=sum(abs(s) ** 2 for s in packet.spin))
+    if problem is not None:
+        raise ValueError(f"--width {args.width!r} puts {problem} "
+                         f"(at this --mass, --center and --time)")
+    (lhs, rhs, relerr), (_, _, relerr2) = (parseval_check(packet, packet, p, x, t=args.time)
+                                           for p, x in levels)
     passed = relerr < tol and relerr2 < relerr
     report = {
         "version": __version__,

@@ -122,6 +122,46 @@ def default_grids(a, b, p_points: int = DEFAULT_P_POINTS,
     return covering_grid(sectors, p_points), Grid(MIN_COVERAGE / min(widths), x_points)
 
 
+def quadrature_range_error(pgrids, xgrids, m: float, t: float = 0.0,
+                           peak2: float | None = None) -> str | None:
+    """The first quantity of a Parseval check on these momentum and position
+    cubes that leaves the float64 range, described, or None.
+
+    From the cubes alone: every d3p/(2 omega) weight of the momentum cubes
+    and every d3x weight of the position cubes must be a normal float64 (a
+    weight that underflows drops its sample, one that overflows turns the
+    sum into inf or nan), and the phase arguments omega t and p_i x_i must
+    be finite.  Given peak2, the largest |psitilde|^2 of the state, the
+    position side is bounded too: since v^+ v = (omega / m) I, Cauchy-Schwarz
+    gives |Psi(x)|^2 <= (2 pi)^-3 (V_p / 2m)^2 peak2 on a momentum cube of
+    volume V_p, and that bound and its integral over the position cube must
+    be finite.
+    """
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    pmax = np.float64(max(g.half_width for g in pgrids))
+    xmax = np.float64(max(g.half_width for g in xgrids))
+    with np.errstate(over="ignore", under="ignore"):
+        # (h / 2)^3 is a corner weight; an inner one is 8 times that
+        corner_p = [(np.float64(g.half_width) / (g.n - 1)) ** 3 for g in pgrids]
+        corner_x = [(np.float64(g.half_width) / (g.n - 1)) ** 3 for g in xgrids]
+        omega_max = np.sqrt(m * m + 3.0 * pmax * pmax)
+        normal = {"the d3p/(2 omega) weights": (min(corner_p) / (2.0 * omega_max),
+                                                8.0 * max(corner_p) / (2.0 * m)),
+                  "the d3x weights": (min(corner_x), 8.0 * max(corner_x))}
+        finite = {"the phase omega t": omega_max * abs(t), "the phase p x": pmax * xmax}
+        if peak2 is not None:
+            bound = (4.0 * pmax ** 3 / m * np.sqrt(peak2)) ** 2 / (2.0 * np.pi) ** 3
+            finite["the bound on |Psi|^2"] = bound
+            finite["the bound on its integral over x"] = bound * 8.0 * xmax ** 3
+    for name, (lo, hi) in normal.items():
+        if not (tiny <= lo and hi <= huge):
+            return f"{name} ({lo:.3g} to {hi:.3g}) outside the normal float64 range"
+    for name, value in finite.items():
+        if not value <= huge:
+            return f"{name} ({value:.3g}) outside the float64 range"
+    return None
+
+
 def parseval_check(a, b, pgrid: Grid | None = None, xgrid: Grid | None = None,
                    t: float = 0.0) -> tuple[complex, complex, float]:
     """Compare the two routes to the invariant scalar product (a, b).

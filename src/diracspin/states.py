@@ -4,12 +4,14 @@ Bloch-vector states.
 A state on one mass shell is a two-component profile over spatial momentum:
 either in the spin basis (components indexed by the rest-frame spin label)
 or in the covariant basis (four bispinor components obtained by contracting
-with the amplitude, psi = v^eps psitilde).  Gaussian packets, and what the
-symbolic operators below make of them, are held as sympy expressions in the
-momentum symbols P = (p1, p2, p3), which keeps Newton-Wigner applications
-exact; transformed states fall back to plain callables.  A symbolic profile
-is compiled once, to one numpy callable for both components in which their
-shared subexpressions (a packet's Gaussian) are evaluated once.
+with the amplitude, psi = v^eps psitilde).  A Gaussian packet is held by
+its parameters (spin pair, center, width, mass) and evaluated in numpy.
+What the symbolic operators below make of a profile is held as sympy
+expressions in the momentum symbols P = (p1, p2, p3), which keeps
+Newton-Wigner applications exact; a packet builds its own pair once, on
+first use by such an operator.  Transformed states are plain callables.  A
+symbolic profile is compiled once, to one numpy callable for both
+components in which their shared subexpressions are evaluated once.
 
 Wavefunctions carry the bra-side index convention.  Consequences fixed here:
 kets transform with the SU(2) Wigner matrix D, so spin-basis wavefunction
@@ -34,11 +36,12 @@ profile is pointwise, so row i of its output depends only on row i of the
 points.
 
 sympy is imported on first use, by the functions that build or act on a
-symbolic profile (`gaussian_packet`, `omega_expr`, `nw_shift`, `nw_apply`,
-`momentum_apply`, `apply_spin`, and the lambdify cache behind `evaluate`)
-and by the first access to `P`.  Importing this module, and everything
-that works on callable profiles, sharp Bloch states and Wigner matrices,
-loads numpy only.
+symbolic profile (`omega_expr`, `nw_shift`, `nw_apply`, `momentum_apply`,
+`apply_spin`, a packet's `exprs`, and the lambdify cache behind
+`evaluate`) and by the first access to `P`.  Importing this module, and
+everything that works on packets, callable profiles, sharp Bloch states and
+Wigner matrices (normalizing, transporting, scalar products), loads numpy
+only.
 """
 from __future__ import annotations
 
@@ -86,12 +89,13 @@ def _float64_printer():
 
 @lru_cache(maxsize=64)
 def _compiled(exprs: tuple[sp.Expr, ...]) -> Callable:
-    """One numpy function of (p1, p2, p3) for all components of a profile,
-    returning their list, with every Float coefficient at full float64
-    precision (`_float64_printer`).  Subexpressions the components share
-    (the Gaussian `exp` of a packet) are evaluated once.  Shared across
-    packets, since equal profiles recur when a packet is built again;
-    bounded, since every normalized packet brings new ones."""
+    """One numpy function of (p1, p2, p3) for all components of a symbolic
+    profile, returning their list, with every Float coefficient at full
+    float64 precision (`_float64_printer`).  Subexpressions the components
+    share (the Gaussian `exp` of an operator's result on a packet) are
+    evaluated once.  Shared, since equal profiles recur when an operator is
+    applied again to an equal packet; bounded, since every new packet
+    brings new ones."""
     sp, P = _sympy()
     return sp.lambdify(P, list(exprs), modules="numpy", cse=True, printer=_float64_printer())
 
@@ -200,13 +204,34 @@ class _ShellProfile:
         return covering_grid((self,), n)
 
 
+class _SymbolicPair:
+    """The `exprs` field of a `SpinWaveFunction`: its pair of sympy
+    expressions, or None.  A Gaussian packet builds its pair from its
+    parameters on first access, and keeps it."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field default
+        exprs = obj.__dict__["_exprs"]
+        if exprs is None and obj.spin is not None:
+            exprs = obj.__dict__["_exprs"] = _packet_exprs(obj)
+        return exprs
+
+    def __set__(self, obj, value):
+        obj.__dict__["_exprs"] = value
+
+
 @dataclass(frozen=True)
 class SpinWaveFunction(_ShellProfile):
     """Spin-basis profile psitilde on the energy-sign-eps mass shell.
 
-    Either symbolic (`exprs`, a pair of sympy expressions in P) or callable
-    (`fn`, mapping points (..., 3) to components (..., 2)).  `width` and
-    `center` describe the momentum-space decay for default grid sizing.
+    One of three forms: a Gaussian packet (`spin`, the pair spin_s of
+    `gaussian_packet`, with the decay `width` and `center`), symbolic
+    (`exprs`, a pair of sympy expressions in P) or callable (`fn`, mapping
+    points (..., 3) to components (..., 2)).  `width` and `center` describe
+    the momentum-space decay for default grid sizing.  A packet is evaluated
+    in numpy; its `exprs` are built on first access, for the symbolic
+    operators, and their results are symbolic profiles.
 
     `fn` must be pointwise: row i of its output depends only on point i.
     Grid consumers call it on blocks of the grid points (`evaluate_on`) and
@@ -216,23 +241,66 @@ class SpinWaveFunction(_ShellProfile):
     eps: int
     mass: float
     width: float
-    exprs: tuple[sp.Expr, sp.Expr] | None = None
+    exprs: tuple[sp.Expr, sp.Expr] | None = _SymbolicPair()
     fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    spin: tuple[complex, complex] | None = None
 
     def __post_init__(self):
         super().__post_init__()
-        if self.exprs is None and self.fn is None:
-            raise ValueError("profile needs either symbolic exprs or a callable")
+        if self.spin is not None:
+            spin = tuple(complex(s) for s in self.spin)
+            if len(spin) != 2 or not np.isfinite(spin).all():
+                raise ValueError(f"packet spin must be two finite numbers, got {self.spin}")
+            object.__setattr__(self, "spin", spin)
+            # 2 width^2, with width^2 rounded as `width ** 2`
+            two_w2 = 2.0 * float(libm_square(self.width))
+            if not (np.isfinite(two_w2) and two_w2 >= np.finfo(float).tiny):
+                raise ValueError(f"width = {self.width!r} puts 2 width^2 = {two_w2!r} outside "
+                                 f"the normal float64 range")
+            object.__setattr__(self, "_two_w2", two_w2)
+        elif self.fn is None and self.exprs is None:
+            raise ValueError("profile needs a packet spin, symbolic exprs or a callable")
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
+        if self.spin is not None:
+            # lambdify's operations on the packet's pair, in its order:
+            # x0 = exp(k (p1 - c1)^2 + k (p2 - c2)^2 + k (p3 - c3)^2) with
+            # k = -1 / (2 width^2), summed plane by plane, then x0 * spin_s
+            k = -1.0 / self._two_w2
+            x0 = np.subtract(pts[..., 0], self.center[0])
+            np.square(x0, out=x0)
+            x0 *= k
+            term = np.empty_like(x0)
+            for i in (1, 2):
+                np.subtract(pts[..., i], self.center[i], out=term)
+                np.square(term, out=term)
+                term *= k
+                x0 += term
+            np.exp(x0, out=x0)
+            out = np.empty(pts.shape[:-1] + (2,), dtype=complex)
+            for s in range(2):
+                np.multiply(x0, self.spin[s], out=out[..., s])
+            return out
         if self.exprs is not None:
             out = np.empty(pts.shape[:-1] + (2,), dtype=complex)
             # a constant component comes back as a scalar; the assignment broadcasts it
             out[..., 0], out[..., 1] = _compiled(self.exprs)(pts[..., 0], pts[..., 1], pts[..., 2])
             return out
         return self.fn(pts)
+
+
+def _packet_exprs(w: SpinWaveFunction) -> tuple:
+    """The sympy pair spin_s * exp(-|P - center|^2 / (2 width^2)) of a packet."""
+    sp, P = _sympy()
+    gauss = sp.exp(-sum((P[i] - w.center[i]) ** 2 for i in range(3)) / w._two_w2)
+    return tuple(sp.sympify(s) * gauss for s in w.spin)
+
+
+def _symbolic(w: SpinWaveFunction, exprs: tuple, **changes) -> SpinWaveFunction:
+    """`w` with the symbolic profile `exprs`, no longer a packet."""
+    return replace(w, exprs=exprs, spin=None, **changes)
 
 
 @dataclass(frozen=True)
@@ -284,19 +352,13 @@ def gaussian_packet(eps: int, mass: float, width: float,
                     center: Sequence[float] = (0.0, 0.0, 0.0)) -> SpinWaveFunction:
     """Gaussian profile
 
-        psitilde_s(p) = spin_s * exp(-|p - center|^2 / (2 width^2)).
+        psitilde_s(p) = spin_s * exp(-|p - center|^2 / (2 width^2)),
 
-    A width whose 2 width^2 is not a finite normal float64 is refused.
+    held by its parameters and evaluated in numpy.  A width whose 2 width^2
+    is not a finite normal float64 is refused, and so is a spin pair that is
+    not finite.
     """
-    two_w2 = 2.0 * float(libm_square(width))
-    if not (np.isfinite(two_w2) and two_w2 >= np.finfo(float).tiny):
-        raise ValueError(f"width = {width!r} puts 2 width^2 = {two_w2!r} outside "
-                         f"the normal float64 range")
-    sp, P = _sympy()
-    center = np.asarray(center, dtype=float)
-    gauss = sp.exp(-sum((P[i] - center[i]) ** 2 for i in range(3)) / two_w2)
-    exprs = tuple(sp.sympify(complex(spin[s])) * gauss for s in range(2))
-    return SpinWaveFunction(eps=eps, mass=mass, width=width, exprs=exprs, center=center)
+    return SpinWaveFunction(eps=eps, mass=mass, width=width, spin=spin, center=center)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +444,18 @@ def norm(a, grid: Grid | None = None) -> float:
 
 
 def normalized(w: SpinWaveFunction, grid: Grid | None = None) -> SpinWaveFunction:
-    """Scale a symbolic profile to unit norm."""
+    """Scale a profile to unit norm: a packet's spin pair, a symbolic pair,
+    or a callable's values.
+
+    A packet stays a packet, with its spin pair multiplied by 1 / norm once
+    (sympy, dividing a symbolic pair by the norm, rounds each coefficient
+    that way too)."""
     nrm = norm(w, grid)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero profile")
+    if w.spin is not None:
+        inv = 1.0 / nrm
+        return replace(w, exprs=None, spin=tuple(s * inv for s in w.spin))
     if w.exprs is not None:
         return replace(w, exprs=tuple(e / nrm for e in w.exprs))
     fn = w.fn
@@ -455,7 +525,7 @@ def nw_shift(w: SpinWaveFunction, a3: np.ndarray) -> SpinWaveFunction:
         omega = omega_expr(m)
         factor = sp.sqrt(omega / omega.subs(sub, simultaneous=True))
         exprs = tuple(factor * e.subs(sub, simultaneous=True) for e in w.exprs)
-        return replace(w, exprs=exprs, center=w.center - eps * a3)
+        return _symbolic(w, exprs, center=w.center - eps * a3)
     inner = w.fn
 
     def fn(pts: np.ndarray) -> np.ndarray:
@@ -482,14 +552,14 @@ def nw_apply(w: SpinWaveFunction, i: int) -> SpinWaveFunction:
     eps, m = w.eps, w.mass
     om2 = m * m + P[0] ** 2 + P[1] ** 2 + P[2] ** 2
     exprs = tuple(sp.I * eps * (sp.diff(e, P[i]) - P[i] / (2 * om2) * e) for e in w.exprs)
-    return replace(w, exprs=exprs)
+    return _symbolic(w, exprs)
 
 
 def momentum_apply(w: SpinWaveFunction, j: int) -> SpinWaveFunction:
     """Apply the momentum component P_j, which acts as multiplication by eps p_j."""
     if w.exprs is not None:
         P = _sympy()[1]
-        return replace(w, exprs=tuple(w.eps * P[j] * e for e in w.exprs))
+        return _symbolic(w, tuple(w.eps * P[j] * e for e in w.exprs))
     eps, inner = w.eps, w.fn
     return replace(w, fn=lambda pts: eps * np.asarray(pts, float)[..., j : j + 1] * inner(pts))
 
@@ -504,7 +574,7 @@ def apply_spin(w: SpinWaveFunction, M2: np.ndarray) -> SpinWaveFunction:
     if w.exprs is not None:
         sp = _sympy()[0]
         exprs = tuple(sum(sp.sympify(complex(M2[s, t])) * w.exprs[t] for t in range(2)) for s in range(2))
-        return replace(w, exprs=exprs)
+        return _symbolic(w, exprs)
     inner = w.fn
     return replace(w, fn=lambda pts: inner(pts) @ M2.T)
 

@@ -389,6 +389,9 @@ REFUSED_ARGV = [
     ["fourier-check", "--eps", "0"],
     ["fourier-check", "--width", "1e-300"],
     ["fourier-check", "--width", "1e300"],
+    ["fourier-check", "--width", "1e-150"],
+    ["fourier-check", "--width", "1e100"],
+    ["fourier-check", "--width", "1e150"],
 ]
 
 ADVERSARIAL_ARGV = [
@@ -440,6 +443,30 @@ def test_adversarial_numbers_keep_exit_contract(capsys, argv):
             assert [ln for ln in lines if "error:" in ln] == lines[-1:]
         else:
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("width, quantity", [("1e-150", "d3p/(2 omega) weights"),
+                                             ("1e150", "d3p/(2 omega) weights"),
+                                             ("1e100", "bound on |Psi|^2")])
+def test_fourier_check_refuses_widths_out_of_float_range(capsys, width, quantity):
+    # refused before any quadrature runs: one error line naming --width and
+    # the quantity that leaves the float64 range, and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "fourier-check", "--width", width)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: --width {float(width)!r} puts the ")
+    assert quantity in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("width, expected", [("1e-30", 0), ("1e10", 1), ("1e30", 1)])
+def test_fourier_check_keeps_wide_range_outcomes(capsys, width, expected):
+    # inside the float64 range the check runs: a narrow packet passes, and
+    # packets much wider than the mass miss Parseval (exit 1), a real result
+    code, out, _ = run(capsys, "fourier-check", "--width", width)
+    assert code == expected
+    assert json.loads(out)["passed"] is (expected == 0)
 
 
 def test_verify_kernel_refusal_is_an_identity_failure(capsys):
@@ -532,31 +559,38 @@ def test_parser_built_once_and_shares_no_default_array(capsys):
 
 
 def test_numeric_subcommands_leave_sympy_out():
-    # Only symbolic profiles need sympy: verify and the single-case commands
-    # never import it, and the packet API imports it on its first profile.
+    # Only symbolic profiles need sympy: every subcommand, fourier-check
+    # included, and a normalized, transported packet's norm run without it;
+    # a symbolic operator on a packet, or the momentum symbols P, import it.
     src = str(Path(diracspin.__file__).resolve().parents[1])
     code = """if True:
         import contextlib, io, json, sys
+        import numpy as np
         import diracspin.cli as cli
+        from diracspin import states
+        from diracspin.lorentz import random_lorentz
         runs = [["verify", "--samples", "2"], ["wigner", "--velocity", "0.3,0.1,0"],
                 ["boost", "--velocity", "0.3,0,0"], ["amplitude", "--momentum", "1,2,3"],
                 ["spin-transform", "--velocity", "0.3,0.1,0"],
-                ["precess", "--b", "0,0,1", "--t-final", "1", "--steps", "10"]]
+                ["precess", "--b", "0,0,1", "--t-final", "1", "--steps", "10"],
+                ["fourier-check", "--width", "0.4", "--spin", "1+0j,0.5j"]]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes = [cli.main(argv) for argv in runs]
+        w = states.normalized(states.gaussian_packet(1, 1.0, 0.5, spin=(0.6, 0.8j)))
+        moved = states.lorentz_transform(w, random_lorentz(np.random.default_rng(1), 0.8))
+        nrm = states.norm(moved, moved.default_grid())
         before = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
-        from diracspin.states import P, gaussian_packet, norm, normalized
-        nrm = norm(normalized(gaussian_packet(1, 1.0, 0.5)))
-        print(json.dumps({"codes": codes, "before": before, "P": str(P),
+        states.nw_apply(w, 0)  # a symbolic operator on a packet loads sympy
+        print(json.dumps({"codes": codes, "before": before, "P": str(states.P),
                           "after": "sympy" in sys.modules, "norm": nrm}))
     """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     out = json.loads(res.stdout)
-    assert out["codes"] == [0] * 6
+    assert out["codes"] == [0] * 7
     assert out["before"] == []
     assert out["after"] is True and out["P"] == "(p1, p2, p3)"
-    assert out["norm"] == pytest.approx(1.0, abs=1e-12)
+    assert out["norm"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cli_import_leaves_scipy_linalg_out():

@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 from diracspin import states
 from diracspin.amplitudes import amplitude
 from diracspin.lorentz import random_lorentz
-from diracspin.position import (default_grids, parseval_check, position_product, synthesize,
-                                synthesize_mesh)
+from diracspin.position import (default_grids, parseval_check, position_product,
+                                quadrature_range_error, synthesize, synthesize_mesh)
 from diracspin.states import (Grid, SpinWaveFunction, gaussian_packet, lorentz_transform, norm,
                               normalized, scalar_product, to_covariant)
 
@@ -162,6 +162,53 @@ def test_coverage_guard_position():
     pgrid, _ = default_grids(a, a)
     with pytest.raises(ValueError, match="spatial widths"):
         parseval_check(a, a, pgrid, Grid(5.0, 12))
+
+
+def _levels(w):
+    pgrid, xgrid = default_grids(w, w)
+    return (pgrid, xgrid), (pgrid.refined(), xgrid.refined())
+
+
+@pytest.mark.parametrize("width", [1e-30, 0.4, 1e10, 1e30])
+def test_quadrature_in_float_range_is_accepted(width):
+    w = packet(width=width)
+    pgrids, xgrids = zip(*_levels(w))
+    peak2 = sum(abs(s) ** 2 for s in normalized(w).spin)
+    assert quadrature_range_error((w.default_grid(), *pgrids), xgrids, 1.0, 0.0, peak2) is None
+
+
+@pytest.mark.parametrize("width, quantity", [(1e-150, "d3p/(2 omega) weights"),
+                                             (1e150, "d3p/(2 omega) weights")])
+def test_quadrature_weights_out_of_range_are_named(width, quantity):
+    # the named weights are the ones the library computes: on the packet's
+    # normalizing cube they underflow to zero or overflow to inf
+    w = packet(width=width)
+    pgrids, xgrids = zip(*_levels(w))
+    assert quantity in quadrature_range_error((w.default_grid(), *pgrids), xgrids, 1.0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        weights = w.default_grid().shell_measure(1.0)[2]
+    assert not (np.finfo(float).tiny <= weights.min() and weights.max() < np.inf)
+
+
+def test_position_bound_out_of_range_is_a_real_overflow():
+    # --width 1e100: every weight is a normal float, but the bound on the unit
+    # packet's |Psi|^2 overflows, and so does the refined position side
+    w = packet(width=1e100)
+    pgrids, xgrids = zip(*_levels(w))
+    assert quadrature_range_error((w.default_grid(), *pgrids), xgrids, 1.0) is None
+    unit = normalized(w)
+    problem = quadrature_range_error(pgrids, xgrids, 1.0,
+                                     peak2=sum(abs(s) ** 2 for s in unit.spin))
+    assert "bound on |Psi|^2" in problem
+    with np.errstate(all="ignore"):
+        _, rhs, _ = parseval_check(unit, unit, *_levels(w)[1])
+    assert not np.isfinite(rhs)
+
+
+def test_phases_out_of_range_are_named():
+    w = packet(width=0.4)
+    pgrids, xgrids = zip(*_levels(w))
+    assert "omega t" in quadrature_range_error(pgrids, xgrids, 1.0, t=1e308)
 
 
 def test_synthesize_point_matches_mesh_node():

@@ -28,7 +28,60 @@ def pts(rng):
     return rng.normal(scale=0.8, size=(30, 3))
 
 
-# --- compiled profiles ---------------------------------------------------
+# --- packets and compiled profiles ----------------------------------------
+
+def _compiled_values(w, pts):
+    """The lambdified form of w's symbolic pair at the points, shape (N, 2)."""
+    from diracspin.states import _compiled
+
+    out = np.empty(pts.shape[:-1] + (2,), dtype=complex)
+    out[..., 0], out[..., 1] = _compiled(w.exprs)(pts[..., 0], pts[..., 1], pts[..., 2])
+    return out
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.3, -0.2, 0.5), (0.0, -0.7, 0.0)],
+                         ids=["centred", "off-centre", "off-axis-zero"])
+@pytest.mark.parametrize("unit", [False, True], ids=["raw", "normalized"])
+def test_packet_matches_its_symbolic_form(eps, center, unit):
+    # The numpy packet takes lambdify's operations in lambdify's order, so it
+    # equals the lambdified pair bit for bit while sympy keeps the terms of
+    # the exponent in axis order.  A center with a zero component is sorted
+    # with that plain square first; the exponent x = |p - c|^2 / (2 width^2)
+    # is then summed in another order, and exp carries its rounding as a
+    # relative error of x ulps.  Measured: at most 1.6 eps (1 + x) |value|.
+    w = packet(eps=eps, width=0.45, spin=(0.3 - 0.2j, 0.5 + 0.7j), center=center)
+    if unit:
+        w = normalized(w)
+    pts = Grid(3.0, 63).points()
+    got, ref = w.evaluate(pts), _compiled_values(w, pts)
+    if center[0] and center[1] and center[2] or not any(center):
+        assert np.array_equal(got, ref)
+    x = np.sum((pts - np.asarray(center)) ** 2, axis=1) / (2.0 * 0.45 ** 2)
+    bound = 2.0 * np.finfo(float).eps * (1.0 + x)[:, None] * np.abs(ref)
+    assert (np.abs(got - ref) <= bound).all()
+
+
+def test_normalized_packet_is_a_packet(pts):
+    # normalized scales the spin pair once; evaluating the unit packet is the
+    # packet formula with that pair, with no division per call
+    w = packet(spin=(0.6, 0.8j), width=0.4)
+    unit = normalized(w)
+    assert unit.fn is None and unit.spin is not None
+    inv = 1.0 / norm(w)
+    assert unit.spin == (0.6 * inv, 0.8j * inv)
+    again = gaussian_packet(1, 1.0, 0.4, spin=unit.spin)
+    assert np.array_equal(unit.evaluate(pts), again.evaluate(pts))
+    assert norm(unit) == pytest.approx(1.0, abs=2e-15)
+
+
+def test_packet_builds_its_symbolic_pair_once():
+    w = packet(spin=(0.6, 0.8j))
+    assert w.exprs is w.exprs
+    shifted = nw_apply(w, 0)
+    assert shifted.spin is None and shifted.exprs is not None
+    assert normalized(w).exprs is not w.exprs
+
 
 def test_profile_compile_cache_is_bounded_and_shared():
     from diracspin.states import _compiled
@@ -36,12 +89,13 @@ def test_profile_compile_cache_is_bounded_and_shared():
     _compiled.cache_clear()
     origin = np.zeros((1, 3))
     widths = 0.5 + 0.01 * np.arange(70)
-    for w in widths:  # every width is a new Gaussian expression
-        gaussian_packet(1, 1.0, w).evaluate(origin)
+    for w in widths:  # every width gives a new symbolic profile
+        nw_apply(gaussian_packet(1, 1.0, w), 0).evaluate(origin)
     info = _compiled.cache_info()
     assert info.misses > 64 and info.currsize <= 64
-    # a packet built again from the same arguments compiles nothing
-    gaussian_packet(1, 1.0, widths[-1]).evaluate(origin)
+    # the operator applied again to a packet built from the same arguments
+    # compiles nothing
+    nw_apply(gaussian_packet(1, 1.0, widths[-1]), 0).evaluate(origin)
     again = _compiled.cache_info()
     assert again.hits == info.hits + 1 and again.misses == info.misses
 
@@ -61,7 +115,7 @@ def test_joint_profile_matches_per_component_lambdify(kind, pts):
     ref = np.stack([np.broadcast_to(np.asarray(
         sp.lambdify(P, e, modules="numpy", printer=_float64_printer())(*pts.T), dtype=complex),
         len(pts)) for e in w.exprs], axis=-1)
-    assert np.array_equal(w.evaluate(pts), ref)
+    assert np.array_equal(_compiled_values(w, pts), ref)
 
 
 def test_compiled_profile_keeps_float64_coefficients():
@@ -125,6 +179,11 @@ def test_packet_rejects_non_finite_width():
     # a NaN width passes a `width <= 0` test and makes the norm NaN
     with pytest.raises(ValueError, match="width"):
         gaussian_packet(1, 1.0, float("nan"))
+
+
+def test_packet_rejects_non_finite_spin():
+    with pytest.raises(ValueError, match="spin"):
+        gaussian_packet(1, 1.0, 0.5, spin=(float("nan"), 0.0))
 
 
 def test_packet_rejects_non_finite_center():
