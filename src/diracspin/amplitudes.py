@@ -18,7 +18,8 @@ import numpy as np
 
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI, energy_projector, slash
 from .lorentz import bispinor_rep, standard_boost, su2_from_so3, wigner_rotation
-from .minkowski import check_energy_sign, check_mass, max_entry, on_shell, parity_flip
+from .minkowski import (check_energy_sign, check_mass, matmul_stack, max_entry, on_shell,
+                        parity_flip, row_blocks, stack_matmul)
 
 
 def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -61,7 +62,7 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
 
 def dirac_bar(M: np.ndarray) -> np.ndarray:
     """Dirac adjoint Mbar = M^+ gamma^0 (shape (..., k, 4) for a (..., 4, k) input)."""
-    return np.swapaxes(np.asarray(M).conj(), -1, -2) @ GAMMA0
+    return stack_matmul(np.swapaxes(np.asarray(M).conj(), -1, -2), GAMMA0)
 
 
 def amplitude_via_boost(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -95,8 +96,10 @@ def orthogonality_residual(eps: int, p4: np.ndarray, m: float) -> float:
     """Max-entry residual of vbar^eps v^eps = eps I and vbar^-eps v^eps = 0,
     per four-momentum of a (..., 4) stack."""
     v = amplitude(eps, p4, m)
-    same = max_entry(dirac_bar(v) @ v - eps * np.eye(2))
-    cross = max_entry(dirac_bar(amplitude(-eps, p4, m)) @ v)
+    # both bars in one (..., 4, 4) factor: rows 0-1 give the same shell, 2-3 the other
+    products = dirac_bar(np.concatenate([v, amplitude(-eps, p4, m)], axis=-1)) @ v
+    same = max_entry(products[..., :2, :] - eps * np.eye(2))
+    cross = max_entry(products[..., 2:, :])
     return np.maximum(same, cross)
 
 
@@ -118,7 +121,7 @@ def parity_residual(eps: int, p4: np.ndarray, m: float) -> float:
     phase), per four-momentum."""
     eps = check_energy_sign(eps)
     lhs = eps * amplitude(eps, p4, m)
-    rhs = GAMMA0 @ amplitude(eps, parity_flip(p4), m)
+    rhs = matmul_stack(GAMMA0, amplitude(eps, parity_flip(p4), m))
     return max_entry(lhs - rhs)
 
 
@@ -148,18 +151,28 @@ def sandwich_formulas(p4: np.ndarray, m: float) -> dict[str, np.ndarray]:
     return out
 
 
+#: The nine fixed sandwich matrices, side by side as one (4, 36) matrix:
+#: gamma^5, then gamma^mu and gamma^mu gamma^5 for each mu.  The tenth,
+#: gamma^0 (pvec.gammavec), depends on the sample.
+_SANDWICH_FIXED = np.concatenate([GAMMA5, *(g for mu in range(4)
+                                            for g in (GAMMA[mu], GAMMA[mu] @ GAMMA5))], axis=1)
+#: `sandwich_formulas` keys in the row order of the ten sandwiches.
+_SANDWICH_TARGETS = ("gamma5", "gamma0", "gamma0_gamma5", "gamma1", "gamma1_gamma5", "gamma2",
+                     "gamma2_gamma5", "gamma3", "gamma3_gamma5", "gamma0_pslash3")
+
+
 def sandwich_formula_residual(eps: int, p4: np.ndarray, m: float) -> float:
     """Worst max-entry residual over all five closed-form contractions,
-    vbar M v with v and vbar computed once, per four-momentum."""
+    vbar M v with v and vbar computed once, per four-momentum.  The ten
+    left factors vbar M are stacked as rows of one (..., 20, 4) matrix, so
+    each sample makes one product with v."""
     p4 = np.asarray(p4, dtype=float)
     targets = sandwich_formulas(p4, m)
     v = amplitude(eps, p4, m)
     vb = dirac_bar(v)
     pv_gamma = np.einsum("...i,iab->...ab", p4[..., 1:], GAMMA[1:])
-    diffs = [vb @ GAMMA5 @ v - targets["gamma5"],
-             vb @ (GAMMA0 @ pv_gamma) @ v - targets["gamma0_pslash3"]]
-    for mu in range(4):
-        key = "gamma0_gamma5" if mu == 0 else f"gamma{mu}_gamma5"
-        diffs.append(vb @ GAMMA[mu] @ v - targets[f"gamma{mu}"])
-        diffs.append(vb @ (GAMMA[mu] @ GAMMA5) @ v - targets[key])
-    return np.abs(np.stack(diffs)).max(axis=(0, -2, -1))
+    left = np.concatenate([row_blocks(stack_matmul(vb, _SANDWICH_FIXED), 9),
+                           vb @ matmul_stack(GAMMA0, pv_gamma)], axis=-2)
+    sandwiches = (left @ v).reshape(vb.shape[:-2] + (10, 2, 2))
+    diffs = sandwiches - np.stack([targets[name] for name in _SANDWICH_TARGETS], axis=-3)
+    return np.abs(diffs).max(axis=(-3, -2, -1))

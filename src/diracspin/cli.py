@@ -249,6 +249,13 @@ def cmd_fourier_check(args) -> int:
     tol = resolve_tolerances(dict(args.tol), {"parseval": 1e-3})["parseval"]
     if args.eps not in (1, -1):
         raise ValueError("--eps must be +1 or -1")
+    # the momentum cube reaches past |center| along each axis, so its corner
+    # has |p|^2 > 3 |center|^2; refused before any cube is sized from it
+    with np.errstate(over="ignore"):
+        corner2 = 3.0 * np.vecdot(args.center, args.center)
+    if not np.isfinite(corner2):
+        raise ValueError(f"--center {','.join(repr(float(c)) for c in args.center)} puts the "
+                         f"momentum cube's corner (|p|^2 > 3 |center|^2) outside the float64 range")
     packet = gaussian_packet(args.eps, args.mass, args.width, spin=args.spin, center=args.center)
     pgrid, xgrid = default_grids(packet, packet)
     levels = ((pgrid, xgrid), (pgrid.refined(), xgrid.refined()))

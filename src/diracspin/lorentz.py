@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import GAMMA0, PAULI, SIGMA
-from .minkowski import METRIC, check_mass, lorentz_matrix, on_shell, refuse_first
+from .minkowski import (METRIC, check_mass, lorentz_matrix, matmul_stack, on_shell, refuse_first,
+                        stack_matmul)
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3)
@@ -95,10 +96,6 @@ def standard_boost(p4: np.ndarray, m: float) -> np.ndarray:
     return lorentz_matrix(_standard_boost_matrix(p4[..., 0], p4[..., 1:], m), proper=True)
 
 
-#: Metric in extended precision for the Wigner composition below.
-_METRIC_LD = METRIC.astype(np.longdouble)
-
-
 def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
     """Wigner rotations R(L, p) = L_{Lp}^{-1} L L_p by direct matrix products,
     for transformations L of shape (..., 4, 4), four-momenta p4 of shape
@@ -108,7 +105,8 @@ def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray
 
     Composing the three factors involves entries of order (p^0/m)^2 that
     cancel down to a rotation, so the products run in extended precision
-    (a standard boost is symmetric, so its inverse is g L_p g), and both
+    (a standard boost is symmetric, so its inverse is g L_p g: the same
+    matrix with the time row and column negated off the diagonal), and both
     standard boosts are assembled with the energy recomputed from the spatial
     momentum, which keeps them pseudo-orthogonal to extended-precision
     roundoff even when p4 is slightly off shell.  The result is returned as
@@ -124,7 +122,9 @@ def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray
     Q = np.stack(np.broadcast_arrays(p4d[..., 1:], Lp[..., 1:]))
     q0 = np.sqrt(md * md + np.einsum("...i,...i->...", Q, Q))
     B_in, B_out = _standard_boost_matrix(q0, Q, md)
-    R4 = np.asarray(_METRIC_LD @ B_out @ _METRIC_LD @ Ld @ B_in, dtype=float)
+    B_out[..., 0, 1:] *= -1
+    B_out[..., 1:, 0] *= -1
+    R4 = np.asarray(B_out @ Ld @ B_in, dtype=float)
     return R4[..., 1:, 1:].copy(), R4
 
 
@@ -382,7 +382,7 @@ def bispinor_rep(L: np.ndarray) -> np.ndarray:
 
 def bispinor_inverse(S: np.ndarray) -> np.ndarray:
     """Inverses of bispinor transformations (..., 4, 4) via S^{-1} = gamma^0 S^+ gamma^0."""
-    return GAMMA0 @ np.swapaxes(np.asarray(S).conj(), -1, -2) @ GAMMA0
+    return stack_matmul(matmul_stack(GAMMA0, np.swapaxes(np.asarray(S).conj(), -1, -2)), GAMMA0)
 
 
 # ---------------------------------------------------------------------------

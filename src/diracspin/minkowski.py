@@ -84,6 +84,43 @@ def max_entry(X: np.ndarray) -> np.ndarray:
     return np.abs(X).max(axis=(-2, -1))
 
 
+# numpy's stacked `@` makes one BLAS call per matrix of a stack.  A product
+# with one fixed matrix runs as one 2-D product over the flattened stack
+# instead, which computes every entry by the same dot product.  Wherever
+# each matrix of the stack has at least two rows (stack @ M) or two columns
+# (M @ stack), numpy's loop makes matrix-matrix calls too, and the results
+# agree bit for bit; a single row or column is a vector product there,
+# which rounds differently.  For M @ stack, complex stacks agree when each
+# matrix has a multiple of four columns, the column tile of OpenBLAS's
+# complex kernel; the fixed matrices used here have entries 0, +-1 and
+# +-i, so each entry of their products is one exact term whatever the tile.
+
+def stack_matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M for a (..., a, b) stack X and one (b, c) matrix M, shape
+    (..., a, c), as one (rows, b) @ (b, c) product; C-contiguous."""
+    X = np.asarray(X)
+    return (X.reshape(-1, X.shape[-1]) @ M).reshape(X.shape[:-1] + M.shape[-1:])
+
+
+def matmul_stack(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for one (a, b) matrix M and a (..., b, c) stack X, shape
+    (..., a, c), as one (a, b) @ (b, columns) product with the stack's
+    columns side by side.  M stays the left factor: swapping the factors of
+    a complex product changes its rounding."""
+    X = np.asarray(X)
+    columns = np.moveaxis(X, -2, 0).reshape(X.shape[-2], -1)
+    return np.moveaxis((M @ columns).reshape(M.shape[:1] + X.shape[:-2] + X.shape[-1:]), 0, -2)
+
+
+def row_blocks(X: np.ndarray, k: int) -> np.ndarray:
+    """The k column blocks of each (a, k b) matrix of a stack, stacked as row
+    blocks: shape (..., k a, b).  A family of products A_i B that shares its
+    right factor B is then one product, row_blocks(A_1 | ... | A_k) @ B."""
+    *batch, a, kb = X.shape
+    blocks = np.swapaxes(X.reshape(*batch, a, k, kb // k), -3, -2)
+    return blocks.reshape(*batch, k * a, kb // k)
+
+
 #: 2^512: from here on x * x overflows, and a float's x ** 2 raises OverflowError.
 _SQUARE_OVERFLOWS = 2.0 ** 512
 
@@ -134,7 +171,7 @@ def lorentz_residual(L: np.ndarray) -> float:
     """Max-entry residual of the defining relation L^T g L = g, per matrix
     of a (..., 4, 4) stack."""
     L = np.asarray(L, dtype=float)
-    return np.abs(np.swapaxes(L, -1, -2) @ METRIC @ L - METRIC).max(axis=(-2, -1))
+    return np.abs(stack_matmul(np.swapaxes(L, -1, -2), METRIC) @ L - METRIC).max(axis=(-2, -1))
 
 
 def is_proper_orthochronous(L: np.ndarray) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 from .amplitudes import amplitude, dirac_bar
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI_T
 from .lorentz import _mat, lorentz_gamma, wigner_rotation_closed
-from .minkowski import check_energy_sign, check_mass, max_entry
+from .minkowski import check_energy_sign, check_mass, matmul_stack, max_entry, stack_matmul
 
 _EYE2 = np.eye(2, dtype=complex)
 _EYE4 = np.eye(4, dtype=complex)
@@ -42,7 +42,7 @@ def pl_covariant(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     eps = check_energy_sign(eps)
     check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return -(eps / 2.0) * (eps * m * GAMMA[mu] + _mat(p4[..., mu]) * _EYE4) @ GAMMA5
+    return stack_matmul(-(eps / 2.0) * (eps * m * GAMMA[mu] + _mat(p4[..., mu]) * _EYE4), GAMMA5)
 
 
 def pl_spin(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -113,8 +113,8 @@ def spin_covariant(i: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return -(eps / 2.0) * (GAMMA[i + 1] + eps * _mat(p4[..., i + 1]) * (_EYE4 - eps * GAMMA0)
-                           / _mat(p4[..., 0] + m)) @ GAMMA5
+    return stack_matmul(-(eps / 2.0) * (GAMMA[i + 1] + eps * _mat(p4[..., i + 1]) * (_EYE4 - eps * GAMMA0)
+                                        / _mat(p4[..., 0] + m)), GAMMA5)
 
 
 def hamiltonian_covariant(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -126,7 +126,7 @@ def hamiltonian_covariant(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return GAMMA0 @ (eps * np.einsum("...i,iab->...ab", p4[..., 1:], GAMMA[1:]) + m * _EYE4)
+    return matmul_stack(GAMMA0, eps * np.einsum("...i,iab->...ab", p4[..., 1:], GAMMA[1:]) + m * _EYE4)
 
 
 def fw_residual(eps: int, p4: np.ndarray, m: float) -> float:

@@ -41,7 +41,8 @@ from .lorentz import (BALL, LORENTZ, ROTATION, VMAX_HARD, bispinor_inverse, bisp
                       boost_from_velocity, lorentz_from_draws, momenta_from_draws,
                       rotation_angle, rotations_from_draws, standard_boost, su2_from_so3,
                       velocities_from_draws, wigner_rotation, wigner_rotation_closed)
-from .minkowski import METRIC, SampleRefused, check_mass, libm_square, max_entry
+from .minkowski import (METRIC, SampleRefused, check_mass, libm_square, max_entry, row_blocks,
+                        stack_matmul)
 from .spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant, pl_covariant,
                        pl_spin, spin_covariant, spin_from_pl, spin_matrix,
                        spin_transform_closed, spin_transform_wigner)
@@ -159,11 +160,18 @@ def _energy_projector(m, p4):
                    np.abs(np.trace(plus, axis1=-2, axis2=-1).real - 2.0)])
 
 
+#: gamma^0 .. gamma^3 side by side, shape (4, 16).
+_GAMMA_ROW = np.concatenate(GAMMA, axis=1)
+#: sigma_1 .. sigma_3 side by side, shape (2, 6).
+_PAULI_ROW = np.concatenate(PAULI, axis=1)
+
+
 def _bispinor_covariance(m, L):
     S = bispinor_rep(L)
-    Sinv = bispinor_inverse(S)
-    return _worst([max_entry(Sinv @ GAMMA[mu] @ S - np.einsum("...n,nab->...ab", L[..., mu, :], GAMMA))
-                   for mu in range(4)])
+    # the four S^-1 gamma^mu as row blocks of one factor, one product with S
+    conjugated = row_blocks(stack_matmul(bispinor_inverse(S), _GAMMA_ROW), 4) @ S
+    targets = [np.einsum("...n,nab->...ab", L[..., mu, :], GAMMA) for mu in range(4)]
+    return max_entry(conjugated - np.concatenate(targets, axis=-2))
 
 
 def _bispinor_inverse_structure(m, L):
@@ -206,9 +214,11 @@ def _su2_lift(m, R3):
     D = su2_from_so3(R3)
     Dh = np.swapaxes(D.conj(), -1, -2)
     det = np.linalg.det(D)
+    # the three D sigma_i as row blocks of one factor, one product with D^+
+    rotated = row_blocks(stack_matmul(D, _PAULI_ROW), 3) @ Dh
+    targets = [np.einsum("...j,jab->...ab", R3[..., i], PAULI) for i in range(3)]
     return _worst([max_entry(D @ Dh - np.eye(2)), np.hypot(det.real - 1.0, det.imag),
-                   *(max_entry(D @ PAULI[i] @ Dh - np.einsum("...j,jab->...ab", R3[..., i], PAULI))
-                     for i in range(3))])
+                   max_entry(rotated - np.concatenate(targets, axis=-2))])
 
 
 def _amplitude_completeness(m, p4):
@@ -229,11 +239,19 @@ def _hamiltonian_square(eps, p4, m):
     return max_entry(H @ H - p0_sq[..., None, None] * np.eye(4)) / p0_sq
 
 
-def _pl_sandwich(eps, p4, m):
+def _sandwiches(eps, p4, m, ops) -> np.ndarray:
+    """eps vbar O v for each (..., 4, 4) operator O of ops, stacked as row
+    blocks, shape (..., 2 len(ops), 2): the operators side by side make one
+    product with vbar and the left factors one product with v."""
     v = amplitude(eps, p4, m)
-    vb = dirac_bar(v)
-    return _worst([max_entry(eps * (vb @ pl_covariant(mu, eps, p4, m) @ v) - pl_spin(mu, eps, p4, m))
-                   for mu in range(4)])
+    left = row_blocks(dirac_bar(v) @ np.concatenate(ops, axis=-1), len(ops))
+    return eps * (left @ v)
+
+
+def _pl_sandwich(eps, p4, m):
+    W = [pl_covariant(mu, eps, p4, m) for mu in range(4)]
+    targets = [pl_spin(mu, eps, p4, m) for mu in range(4)]
+    return max_entry(_sandwiches(eps, p4, m, W) - np.concatenate(targets, axis=-2))
 
 
 def _pl_reconstruction(eps, p4, m):
@@ -246,10 +264,8 @@ def _casimir_sandwich(eps, p4, m):
 
 
 def _spin_covariant_sandwich(eps, p4, m):
-    v = amplitude(eps, p4, m)
-    vb = dirac_bar(v)
-    return _worst([max_entry(eps * (vb @ spin_covariant(i, eps, p4, m) @ v) - spin_matrix(i))
-                   for i in range(3)])
+    S = [spin_covariant(i, eps, p4, m) for i in range(3)]
+    return max_entry(_sandwiches(eps, p4, m, S) - np.concatenate([spin_matrix(i) for i in range(3)]))
 
 
 def _spin_transform_equivalence(m, v3, p4):

@@ -392,6 +392,7 @@ REFUSED_ARGV = [
     ["fourier-check", "--width", "1e-150"],
     ["fourier-check", "--width", "1e100"],
     ["fourier-check", "--width", "1e150"],
+    ["fourier-check", "--center", "1e300,0,0"],
 ]
 
 ADVERSARIAL_ARGV = [
@@ -457,6 +458,18 @@ def test_fourier_check_refuses_widths_out_of_float_range(capsys, width, quantity
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: --width {float(width)!r} puts the ")
     assert quantity in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("center", ["1e300,0,0", "1e154,0,0", "-1e154,1e154,0"])
+def test_fourier_check_refuses_a_center_out_of_float_range(capsys, center):
+    # refused before any cube is sized from the center: one error line
+    # naming --center, and no numpy overflow warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "fourier-check", f"--center={center}")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --center ")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from diracspin.minkowski import (METRIC, SampleRefused, check_mass, is_proper_orthochronous,
-                                 libm_square, lorentz_matrix, lorentz_residual, minkowski_dot,
-                                 on_shell, parity_flip)
+                                 libm_square, lorentz_matrix, lorentz_residual, matmul_stack,
+                                 minkowski_dot, on_shell, parity_flip, stack_matmul)
 
 finite = st.floats(-50, 50, allow_nan=False)
 PARITY = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -190,3 +190,60 @@ def test_check_mass_refuses_underflowing_square():
         with pytest.raises(ValueError, match=f"mass = {m!r} underflows the mass squared"):
             check_mass(m)
     assert check_mass(np.sqrt(tiny) * (1 + 1e-15)) > 0
+
+
+# --- products with a fixed matrix ---------------------------------------------
+
+#: Batch shapes: a single 2-D point, a stack, and a stack with an extra
+#: leading axis (as `wigner_rotation` takes (2, n, 4, 4)).
+BATCHES = st.sampled_from([(), (1,), (5,), (37,), (2, 9)])
+#: Stack layouts: C-contiguous, a swapaxes view (each matrix in column-major
+#: order) and matrices stored as planes behind the batch axes (the layout of
+#: `amplitudes.amplitude`), where no matrix is contiguous.
+LAYOUTS = st.sampled_from(["contiguous", "swapaxes", "planes"])
+
+
+def _stack(rng, batch, rows, cols, layout, dtype):
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+    if layout == "contiguous":
+        return draw(batch + (rows, cols))
+    if layout == "swapaxes":
+        return np.swapaxes(draw(batch + (cols, rows)), -1, -2)
+    return np.moveaxis(draw((rows, cols) + batch), (0, 1), (-2, -1))
+
+
+def _monomial(rng, size):
+    """A matrix with one entry per row and column, each from {1, -1, i, -i}."""
+    M = np.zeros((size, size), dtype=complex)
+    M[np.arange(size), rng.permutation(size)] = rng.choice([1, -1, 1j, -1j], size)
+    return M
+
+
+@given(st.integers(0, 2 ** 32 - 1), BATCHES, LAYOUTS, st.sampled_from([float, complex]),
+       st.integers(2, 5), st.integers(1, 5), st.integers(2, 5))
+def test_stack_matmul_is_matmul_bit_for_bit(seed, batch, layout, dtype, a, b, c):
+    rng = np.random.default_rng(seed)
+    X = _stack(rng, batch, a, b, layout, dtype)
+    M = _stack(rng, (), b, c, "contiguous", dtype)
+    out = stack_matmul(X, M)
+    assert out.shape == batch + (a, c) and out.flags.c_contiguous
+    assert np.array_equal(out, X @ M)
+
+
+@given(st.integers(0, 2 ** 32 - 1), BATCHES, LAYOUTS, st.sampled_from([float, complex]),
+       st.integers(2, 5), st.integers(1, 5), st.integers(2, 9))
+def test_matmul_stack_is_matmul_bit_for_bit(seed, batch, layout, dtype, a, b, c):
+    rng = np.random.default_rng(seed)
+    if dtype is complex and c % 4:
+        # OpenBLAS's complex kernel rounds a partial column tile of its own;
+        # with entries 0, +-1, +-i every entry is one exact term anyway
+        M = _monomial(rng, b)
+        a = b
+    else:
+        M = _stack(rng, (), a, b, "contiguous", dtype)
+    X = _stack(rng, batch, b, c, layout, dtype)
+    out = matmul_stack(M, X)
+    assert out.shape == batch + (a, c)
+    assert np.array_equal(out, M @ X)

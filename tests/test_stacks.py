@@ -3,8 +3,8 @@ bit for bit, so the batched sweep reports what a per-sample loop would."""
 import numpy as np
 import pytest
 
-from diracspin.amplitudes import (dirac_residual, orthogonality_residual, parity_residual,
-                                  projector_residual, sandwich_formula_residual,
+from diracspin.amplitudes import (amplitude, dirac_bar, dirac_residual, orthogonality_residual,
+                                  parity_residual, projector_residual, sandwich_formula_residual,
                                   weinberg_residual)
 from diracspin.clifford import PAULI, energy_projector, slash
 from diracspin.lorentz import (BALL, LORENTZ, ROTATION, bispinor_inverse, bispinor_rep,
@@ -19,16 +19,18 @@ from diracspin.spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant
                                 pl_spin, spin_covariant, spin_from_pl, spin_transform_closed,
                                 spin_transform_wigner)
 from diracspin.states import DensityState, bloch_transform
+from diracspin.verify import CHUNK, IDENTITY_RUNNERS, RunConfig, evaluate_at
 
 N = 12
 M = 1.7
 
 
-def assert_rows(fn, *stacks):
-    """fn over stacks with a leading axis of N equals fn row by row."""
+def assert_rows(fn, *stacks, rows=None):
+    """fn over stacks with a leading axis equals fn row by row, on the given
+    rows (all by default)."""
     out = fn(*stacks)
     out = out if isinstance(out, tuple) else (out,)
-    for i in range(len(stacks[0])):
+    for i in range(len(stacks[0])) if rows is None else rows:
         row = fn(*(s[i] for s in stacks))
         row = row if isinstance(row, tuple) else (row,)
         assert all(np.array_equal(o[i], r, equal_nan=True) for o, r in zip(out, row)), i
@@ -200,3 +202,45 @@ def test_validators_name_the_first_refused_sample(Ls, Rs, V):
     with pytest.raises(SampleRefused, match=r"proper rotation$") as exc:
         su2_from_so3(-np.eye(3))
     assert exc.value.index == 0
+
+
+# --- sweep-sized stacks -------------------------------------------------------
+# A chunk of the sweep has CHUNK samples, so the flattened products of the
+# kernels below have 8192 rows or more, which OpenBLAS may block or thread
+# otherwise than a small stack.  Rows sampled from the whole chunk, its ends
+# included, must still equal the row-by-row calls.
+
+def _chunk_rows(rng):
+    return np.union1d([0, 1, CHUNK - 1], rng.choice(CHUNK, 29, replace=False))
+
+
+def _chunk_samples(name, cfg, rng):
+    """One chunk of CHUNK samples of an identity, drawn and built as the sweep does."""
+    widths, builders = zip(*IDENTITY_RUNNERS[name][0])
+    draws = np.split(rng.standard_normal((CHUNK, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    return [build(cfg, d) for build, d in zip(builders, draws)]
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_fixed_matrix_kernels_on_a_chunk(rng, eps):
+    P = momenta_from_draws(rng.standard_normal((CHUNK, BALL)), M, 20.0)
+    Ls = lorentz_from_draws(rng.standard_normal((CHUNK, LORENTZ)), 0.99)
+    rows = _chunk_rows(rng)
+    assert_rows(lambda p: dirac_bar(amplitude(eps, p, M)), P, rows=rows)
+    for residual in (orthogonality_residual, parity_residual, sandwich_formula_residual):
+        assert_rows(lambda p: residual(eps, p, M), P, rows=rows)
+    for mu in range(4):
+        assert_rows(lambda p: pl_covariant(mu, eps, p, M), P, rows=rows)
+    for i in range(3):
+        assert_rows(lambda p: spin_covariant(i, eps, p, M), P, rows=rows)
+    assert_rows(lambda p: hamiltonian_covariant(eps, p, M), P, rows=rows)
+    assert_rows(lambda L: bispinor_inverse(bispinor_rep(L)), Ls, rows=rows)
+    assert_rows(lorentz_residual, Ls, rows=rows)
+    assert_rows(lambda L, p: wigner_rotation(L, p, M), Ls, P, rows=rows)
+
+
+@pytest.mark.parametrize("name", [name for name, (kinds, *_) in IDENTITY_RUNNERS.items() if kinds])
+def test_evaluators_on_a_chunk(rng, name):
+    cfg = RunConfig(mass=M, pmax_over_m=20.0)
+    samples = _chunk_samples(name, cfg, rng)
+    assert_rows(lambda *s: evaluate_at(name, M, *s), *samples, rows=_chunk_rows(rng))
