@@ -18,10 +18,19 @@ scheme (RK4).
 The equations are written once, in `_rate`, on plain Python floats: the
 nine components of (q, xi, x) in, their nine derivatives out.  `integrate`
 steps those floats directly and `rhs` is the single-state wrapper, so no
-state object is rebuilt per stage.  The field callables b(x) and grad_b(x)
-are called once per RK4 stage, at the stage position.  The arithmetic keeps
-numpy's operation order (np.cross, matmul for the force), so a trajectory
-equals the 3-vector numpy form bit for bit.
+state object is rebuilt per stage.  Where B and the force matrix come from
+is chosen once per call, not per stage:
+
+- `uniform_field` keeps B as a float triple and its gradient is zero, so a
+  stage does no numpy at all;
+- `quadrupole_field` keeps G, and a stage makes one BLAS product for B = x G
+  and one for the force, G xi or G^T xi;
+- a `FieldConfig` built from callables alone has b(x) and grad_b(x) called
+  at every stage, at the stage position.
+
+The arithmetic keeps numpy's operation order (np.cross, a matrix-vector
+product for the force), so a trajectory equals the 3-vector numpy form bit
+for bit.
 """
 from __future__ import annotations
 
@@ -39,11 +48,19 @@ GRADIENT_READINGS = ("stern-gerlach", "transposed")
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Static magnetic field: B(x) and its gradient dB(x) with dB[i, j] = d_i B_j."""
+    """Static magnetic field: B(x) and its gradient dB(x) with dB[i, j] = d_i B_j.
+
+    `uniform_field` and `quadrupole_field` also keep the field as data, B as
+    a float triple or the gradient G, which `integrate` and `rhs` read instead
+    of calling b and grad_b at every stage.  A config built from callables
+    alone has neither and is integrated through its callables.
+    """
 
     b: Callable[[np.ndarray], np.ndarray]
     grad_b: Callable[[np.ndarray], np.ndarray]
     uniform: bool = False
+    constant: tuple[float, float, float] | None = field(default=None, init=False, repr=False, compare=False)
+    gradient: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def gradient_residual(self, pts: np.ndarray, h: float = 1e-6) -> float:
         """Self-check: max difference between grad_b and a central difference of b.
@@ -64,8 +81,12 @@ class FieldConfig:
 def uniform_field(b3: np.ndarray) -> FieldConfig:
     """Spatially constant field B."""
     b3 = np.asarray(b3, dtype=float).copy()
+    if b3.shape != (3,):
+        raise ValueError(f"field must have shape (3,), got {b3.shape}")
     zero = np.zeros((3, 3))
-    return FieldConfig(b=lambda x: b3, grad_b=lambda x: zero, uniform=True)
+    f = FieldConfig(b=lambda x: b3, grad_b=lambda x: zero, uniform=True)
+    object.__setattr__(f, "constant", tuple(b3.tolist()))
+    return f
 
 
 def quadrupole_field(G: np.ndarray) -> FieldConfig:
@@ -76,7 +97,9 @@ def quadrupole_field(G: np.ndarray) -> FieldConfig:
     G = np.asarray(G, dtype=float).copy()
     if G.shape != (3, 3):
         raise ValueError(f"gradient matrix must have shape (3, 3), got {G.shape}")
-    return FieldConfig(b=lambda x: np.asarray(x, dtype=float) @ G, grad_b=lambda x: G, uniform=False)
+    f = FieldConfig(b=lambda x: np.asarray(x, dtype=float) @ G, grad_b=lambda x: G, uniform=False)
+    object.__setattr__(f, "gradient", G)
+    return f
 
 
 @dataclass(frozen=True)
@@ -111,19 +134,44 @@ def _transposed(reading: str) -> bool:
     return reading == "transposed"
 
 
-def _rate(y: tuple, f: FieldConfig, e_over_m: float, mass: float, transposed: bool) -> tuple:
+def _field_terms(f: FieldConfig, transposed: bool) -> tuple:
+    """What `_rate` reads B and the force matrix from, as (b, grad):
+
+    - uniform data: b is B as a float triple and grad is None (dB = 0);
+    - linear data: b is G^T (B = x G = G^T x) and grad the force matrix,
+      G or G^T;
+    - callables alone: b is f.b and grad gives the force matrix at a position.
+    """
+    if f.constant is not None:
+        return f.constant, None
+    if f.gradient is not None:
+        G = f.gradient
+        return G.T, (G.T if transposed else G)
+    return f.b, ((lambda pos: f.grad_b(pos).T) if transposed else f.grad_b)
+
+
+def _rate(y: tuple, b, grad, e_over_m: float, mass: float) -> tuple:
     """The equations of motion on plain floats: the state y = (q, xi, x) as
-    nine floats in, (dq/dt, dxi/dt, dx/dt) as nine floats out.
+    nine floats in, (dq/dt, dxi/dt, dx/dt) as nine floats out.  (b, grad)
+    come from `_field_terms`.
 
     B and dB are read once, at the position.  The cross products follow
-    np.cross's operation order and the force keeps numpy's matmul, so each
-    value equals the 3-vector numpy evaluation bit for bit.
+    np.cross's operation order and the force is the matrix-vector product
+    that numpy's matmul makes, so each value equals the 3-vector numpy
+    evaluation bit for bit.  The uniform field's force is an exact +0.0, as
+    numpy's product with the zero gradient gives for any finite xi.
     """
     q0, q1, q2, s0, s1, s2 = y[:6]
-    pos = np.array(y[6:])
-    b0, b1, b2 = f.b(pos).tolist()
-    G = f.grad_b(pos)
-    f0, f1, f2 = ((G.T if transposed else G) @ np.array(y[3:6])).tolist()
+    if grad is None:
+        b0, b1, b2 = b
+        f0 = f1 = f2 = 0.0
+    elif callable(grad):
+        pos = np.array(y[6:])
+        b0, b1, b2 = b(pos).tolist()
+        f0, f1, f2 = (grad(pos) @ np.array(y[3:6])).tolist()
+    else:
+        b0, b1, b2 = b.dot(y[6:]).tolist()
+        f0, f1, f2 = grad.dot(y[3:6]).tolist()
     half = 0.5 * e_over_m
     return (e_over_m * (q1 * b2 - q2 * b1) + half * f0,
             e_over_m * (q2 * b0 - q0 * b2) + half * f1,
@@ -136,8 +184,8 @@ def _rate(y: tuple, f: FieldConfig, e_over_m: float, mass: float, transposed: bo
 
 def rhs(s: ChargedState, f: FieldConfig, reading: str = "stern-gerlach") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time derivatives (dq/dt, dxi/dt, dx/dt) at the state s."""
-    d = _rate((*s.q.tolist(), *s.xi.tolist(), *s.x.tolist()), f, s.charge / s.mass, s.mass,
-              _transposed(reading))
+    d = _rate((*s.q.tolist(), *s.xi.tolist(), *s.x.tolist()), *_field_terms(f, _transposed(reading)),
+              s.charge / s.mass, s.mass)
     return np.array(d[:3]), np.array(d[3:6]), np.array(d[6:])
 
 
@@ -174,7 +222,7 @@ def integrate(s0: ChargedState, f: FieldConfig, t_final: float, steps: int,
     h = float(t_final) / steps
     half, sixth = 0.5 * h, h / 6.0
     t = np.linspace(0.0, float(t_final), steps + 1)
-    consts = (f, s0.charge / s0.mass, s0.mass, transposed)
+    consts = (*_field_terms(f, transposed), s0.charge / s0.mass, s0.mass)
     y = (*s0.q.tolist(), *s0.xi.tolist(), *s0.x.tolist())
     rows = [y]
 

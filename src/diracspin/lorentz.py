@@ -267,15 +267,23 @@ def su2_from_so3(R3: np.ndarray) -> np.ndarray:
 
     D is the closed-form lift of diag(1, R), so tr D >= 0, and a half-turn
     about n lifts to -i n.sigma with the first nonzero component of n
-    positive (see `_sl2c_lift`).  A matrix that is not a proper rotation to
-    1e-10 is refused, naming the first such sample of a stack.
+    positive (see `_sl2c_lift`).  A matrix with a non-finite entry, or that
+    is not a proper rotation to 1e-10, is refused, naming the first such
+    sample of a stack.
     """
     R3 = np.asarray(R3, dtype=float)
     if R3.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must have shape (3, 3), got {R3.shape}")
-    bad = ((np.abs(np.swapaxes(R3, -1, -2) @ R3 - _I3).max(axis=(-2, -1)) >= 1e-10)
-           | (np.linalg.det(R3) <= 0.0))
-    refuse_first((bad, lambda i: "matrix is not a proper rotation"))
+    R, checks = R3, []
+    if not np.isfinite(R3).all():
+        # Non-finite samples are checked as the identity, so the gates below
+        # raise no warning; a NaN, for which they are False, is refused here.
+        finite = np.isfinite(R3).all(axis=(-2, -1))
+        R = np.where(finite[..., None, None], R3, _I3)
+        checks.append((~finite, lambda i: "matrix entries must be finite"))
+    bad = ((np.abs(np.swapaxes(R, -1, -2) @ R - _I3).max(axis=(-2, -1)) >= 1e-10)
+           | (np.linalg.det(R) <= 0.0))
+    refuse_first(*checks, (bad, lambda i: "matrix is not a proper rotation"))
     return _sl2c_lift(_rotation4(R3))
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from diracspin.dynamics import (ChargedState, FieldConfig, Trajectory, integrate,
+from diracspin.dynamics import (GRADIENT_READINGS, ChargedState, FieldConfig, Trajectory, integrate,
                                 larmor_solution, quadrupole_field, rhs, uniform_field)
 
 
@@ -227,3 +227,140 @@ def test_trajectory_type():
     assert isinstance(traj, Trajectory)
     assert traj.t.shape == (3,)
     assert traj.t[0] == 0.0 and traj.t[-1] == pytest.approx(0.1)
+
+
+# --- the plain-float stages against the 3-vector numpy form ---------------------
+# The reference below is RK4 written on numpy 3-vectors, as the stages were
+# before `_rate` went to plain floats: np.cross for the rotations and a matmul
+# G @ xi for the force, with B and dB read from callables at every stage.
+# `integrate` and `rhs` must give its bytes exactly, for every field kind.
+
+def _reference_rate(y, b_at, grad_at, e_over_m, mass):
+    q, xi, x = y[:3], y[3:6], y[6:]
+    B = b_at(x)
+    half = 0.5 * e_over_m
+    return np.concatenate([e_over_m * np.cross(q, B) + half * (grad_at(x) @ xi),
+                           e_over_m * np.cross(xi, B), q / mass])
+
+
+def _reference_integrate(s0, b_at, grad_at, t_final, steps):
+    h = float(t_final) / steps
+    half, sixth = 0.5 * h, h / 6.0
+    t = np.linspace(0.0, float(t_final), steps + 1)
+    consts = (b_at, grad_at, s0.charge / s0.mass, s0.mass)
+    y = np.concatenate([s0.q, s0.xi, s0.x])
+    rows = [y]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            k1 = _reference_rate(y, *consts)
+            k2 = _reference_rate(y + half * k1, *consts)
+            k3 = _reference_rate(y + half * k2, *consts)
+            k4 = _reference_rate(y + h * k3, *consts)
+            y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.isfinite(y).all():
+                raise RuntimeError(f"integration produced non-finite values at step {k}, t = {t[k]:.6g}")
+            rows.append(y)
+    table = np.array(rows)
+    return t, table[:, :3], table[:, 3:6], table[:, 6:]
+
+
+def _reference_field(kind, data, reading):
+    """(b_at, grad_at) of the numpy form for a uniform B or a gradient G."""
+    if kind == "uniform":
+        zero = np.zeros((3, 3))
+        return (lambda x: data), (lambda x: zero)
+    M = data.T if reading == "transposed" else data
+    return (lambda x: x @ data), (lambda x: M)
+
+
+def _signed_zeros(rng, v):
+    """v with about one entry in five replaced by -0.0."""
+    v = np.array(v, dtype=float)
+    v[rng.random(v.shape) < 0.2] = -0.0
+    return v
+
+
+def _random_config(rng, i):
+    kind = ("uniform", "symmetric", "general")[i % 3]
+    reading = GRADIENT_READINGS[(i // 3) % 2]
+    xi = rng.standard_normal(3)
+    xi *= rng.uniform(0.0, 1.0) / np.linalg.norm(xi)
+    s = ChargedState(q=_signed_zeros(rng, rng.standard_normal(3)), xi=_signed_zeros(rng, xi),
+                     x=_signed_zeros(rng, rng.standard_normal(3)),
+                     charge=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)),
+                     mass=float(rng.uniform(0.2, 5.0)))
+    if kind == "uniform":
+        data = _signed_zeros(rng, rng.standard_normal(3) * rng.uniform(0.1, 5.0))
+        f = uniform_field(data)
+    else:
+        data = rng.standard_normal((3, 3))
+        if kind == "symmetric":
+            data = data + data.T
+        data = _signed_zeros(rng, data)
+        f = quadrupole_field(data)
+        kind = "quadrupole"
+    return s, f, _reference_field(kind, data, reading), reading
+
+
+def _trajectory_bytes(traj):
+    return [a.tobytes() for a in (traj.t, traj.q, traj.xi, traj.x)]
+
+
+def _outcome(run):
+    """The bytes a run returns, or the text of the RuntimeError it raises."""
+    try:
+        return run()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_integrate_and_rhs_equal_numpy_form_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    for i in range(300):
+        s, f, (b_at, grad_at), reading = _random_config(rng, i)
+        t_final, steps = float(rng.uniform(0.1, 10.0)), int(rng.integers(1, 40))
+        assert _outcome(lambda: _trajectory_bytes(integrate(s, f, t_final, steps, reading=reading))) == \
+            _outcome(lambda: [a.tobytes() for a in _reference_integrate(s, b_at, grad_at, t_final, steps)]), i
+        ref = _reference_rate(np.concatenate([s.q, s.xi, s.x]), b_at, grad_at, s.charge / s.mass, s.mass)
+        assert np.concatenate(rhs(s, f, reading=reading)).tobytes() == ref.tobytes(), i
+
+
+@pytest.mark.parametrize("kind, data, s, t_final, steps", [
+    ("uniform", np.array([0.0, 0.0, 4.0]),
+     ChargedState(q=np.array([1.0, 0.0, 0.0]), xi=np.array([1.0, 0.0, 0.0])), 400.0, 400),
+    ("quadrupole", np.eye(3) * 1e160,
+     ChargedState(q=np.array([1e150, 0.0, 0.0]), xi=np.array([1.0, 0.0, 0.0])), 1e6, 5),
+])
+def test_divergent_run_raises_where_numpy_form_does(kind, data, s, t_final, steps):
+    f = uniform_field(data) if kind == "uniform" else quadrupole_field(data)
+    for reading in GRADIENT_READINGS:
+        with pytest.raises(RuntimeError) as exc:
+            integrate(s, f, t_final, steps, reading=reading)
+        with pytest.raises(RuntimeError) as ref:
+            _reference_integrate(s, *_reference_field(kind, data, reading), t_final, steps)
+        assert str(exc.value) == str(ref.value)
+
+
+def test_callables_alone_integrate_like_the_factory_fields():
+    # A FieldConfig without data goes through b and grad_b at every stage,
+    # and lands on the same bytes as the factory field with the same data.
+    rng = np.random.default_rng(7)
+    for i in range(24):
+        s, made, _, reading = _random_config(rng, i)
+        if made.uniform:
+            b3, zero = made.constant, np.zeros((3, 3))
+            plain = FieldConfig(b=lambda x: np.array(b3), grad_b=lambda x: zero, uniform=True)
+        else:
+            G = made.gradient
+            plain = FieldConfig(b=lambda x: x @ G, grad_b=lambda x: G)
+        assert plain.constant is None and plain.gradient is None
+        a = integrate(s, made, 3.0, 25, reading=reading)
+        b = integrate(s, plain, 3.0, 25, reading=reading)
+        assert _trajectory_bytes(a) == _trajectory_bytes(b), i
+        assert a.include_position == b.include_position
+        assert np.concatenate(rhs(s, made, reading)).tobytes() == np.concatenate(rhs(s, plain, reading)).tobytes()
+
+
+def test_uniform_field_refuses_bad_shape():
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        uniform_field(np.zeros(2))

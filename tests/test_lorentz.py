@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from diracspin.lorentz import (VMAX_HARD, bispinor_from_params, bispinor_inverse
                                rotation_params, rotations_from_draws, standard_boost,
                                su2_from_so3, wigner_d, wigner_rotation,
                                wigner_rotation_closed)
-from diracspin.minkowski import (METRIC, is_proper_orthochronous, lorentz_residual,
+from diracspin.minkowski import (METRIC, SampleRefused, is_proper_orthochronous, lorentz_residual,
                                  minkowski_dot, on_shell)
 
 # Frozen reference: boost v = 0.5 x, momentum along y with |p| = gamma/2 and
@@ -252,6 +253,28 @@ def test_su2_lift_half_turn():
 def test_su2_rejects_non_rotation():
     with pytest.raises(ValueError):
         su2_from_so3(np.diag([1.0, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_su2_refuses_non_finite_rotation_without_warning(entry):
+    R = random_rotation(np.random.default_rng(4))
+    R[1, 2] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point in (R, np.full((3, 3), entry)):
+            with pytest.raises(SampleRefused, match=r"^matrix entries must be finite$") as exc:
+                su2_from_so3(point)
+            assert exc.value.index == 0
+        # in a stack the first refused sample is named, whichever check it fails
+        Rs = rotations_from_draws(np.random.default_rng(5).standard_normal((4, 4)))
+        Rs[1] = R
+        with pytest.raises(SampleRefused, match=r"finite \(sample 1\)$") as exc:
+            su2_from_so3(Rs)
+        assert exc.value.index == 1
+        Rs[0] *= -1.0
+        with pytest.raises(SampleRefused, match=r"proper rotation \(sample 0\)$") as exc:
+            su2_from_so3(Rs)
+        assert exc.value.index == 0
 
 
 def _wigner_d_inputs(rng, n=5):
