@@ -83,6 +83,8 @@ def uniform_field(b3: np.ndarray) -> FieldConfig:
     b3 = np.asarray(b3, dtype=float).copy()
     if b3.shape != (3,):
         raise ValueError(f"field must have shape (3,), got {b3.shape}")
+    if not np.isfinite(b3).all():
+        raise ValueError(f"field b3 must be finite, got {b3}")
     zero = np.zeros((3, 3))
     f = FieldConfig(b=lambda x: b3, grad_b=lambda x: zero, uniform=True)
     object.__setattr__(f, "constant", tuple(b3.tolist()))
@@ -97,6 +99,8 @@ def quadrupole_field(G: np.ndarray) -> FieldConfig:
     G = np.asarray(G, dtype=float).copy()
     if G.shape != (3, 3):
         raise ValueError(f"gradient matrix must have shape (3, 3), got {G.shape}")
+    if not np.isfinite(G).all():
+        raise ValueError(f"gradient matrix G must be finite, got {G.tolist()}")
     f = FieldConfig(b=lambda x: np.asarray(x, dtype=float) @ G, grad_b=lambda x: G, uniform=False)
     object.__setattr__(f, "gradient", G)
     return f
@@ -106,7 +110,8 @@ def quadrupole_field(G: np.ndarray) -> FieldConfig:
 class ChargedState:
     """Mean momentum, Bloch vector, and position of a charged particle.
 
-    The Bloch vector xi is refused if |xi| > 1, as in `states.DensityState`.
+    The Bloch vector xi is refused if |xi| > 1, as in `states.DensityState`,
+    and a non-finite q, x or charge is refused.
     """
 
     q: np.ndarray
@@ -121,7 +126,11 @@ class ChargedState:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (3,):
                 raise ValueError(f"{name} must have shape (3,)")
+            if name != "xi" and not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite, got {v}")
             object.__setattr__(self, name, v)
+        if not math.isfinite(self.charge):
+            raise ValueError(f"charge must be finite, got {self.charge}")
         length = math.hypot(*self.xi.tolist())  # no overflow for finite entries
         if not length <= 1.0 + 1e-12:
             raise ValueError(f"Bloch vector must satisfy |xi| <= 1, got {length}")

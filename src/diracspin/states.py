@@ -6,12 +6,11 @@ either in the spin basis (components indexed by the rest-frame spin label)
 or in the covariant basis (four bispinor components obtained by contracting
 with the amplitude, psi = v^eps psitilde).  A Gaussian packet is held by
 its parameters (spin pair, center, width, mass) and evaluated in numpy.
-What the symbolic operators below make of a profile is held as sympy
-expressions in the momentum symbols P = (p1, p2, p3), which keeps
-Newton-Wigner applications exact; a packet builds its own pair once, on
-first use by such an operator.  Transformed states are plain callables.  A
-symbolic profile is compiled once, to one numpy callable for both
-components in which their shared subexpressions are evaluated once.
+What the operators below make of a profile is held as a jet profile,
+pts, order -> `jets.Jet`, which gives the profile's Taylor coefficients in p
+to any total degree, so a Newton-Wigner application takes an exact
+derivative.  Transformed states are plain callables, which have values
+only.
 
 Wavefunctions carry the bra-side index convention.  Consequences fixed here:
 kets transform with the SU(2) Wigner matrix D, so spin-basis wavefunction
@@ -34,77 +33,20 @@ reduction, in the order it had without blocks.  This relies on one
 contract, which every profile here keeps and a user `fn` must keep too: a
 profile is pointwise, so row i of its output depends only on row i of the
 points.
-
-sympy is imported on first use, by the functions that build or act on a
-symbolic profile (`omega_expr`, `nw_shift`, `nw_apply`, `momentum_apply`,
-`apply_spin`, a packet's `exprs`, and the lambdify cache behind
-`evaluate`) and by the first access to `P`.  Importing this module, and
-everything that works on packets, callable profiles, sharp Bloch states and
-Wigner matrices (normalizing, transporting, scalar products), loads numpy
-only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .amplitudes import amplitude
 from .clifford import GAMMA0, PAULI, energy_projector
+from .jets import Jet, variables
 from .lorentz import bispinor_rep, wigner_d, wigner_rotation
 from .minkowski import (METRIC, check_energy_sign, check_mass, libm_square, lorentz_matrix,
                         refuse_first)
-
-@lru_cache(maxsize=None)
-def _sympy():
-    """(sympy, P): the module and the momentum symbols P = (p1, p2, p3) used
-    by all symbolic profiles, imported on first use."""
-    import sympy as sp
-
-    return sp, sp.symbols("p1 p2 p3", real=True)
-
-
-def __getattr__(name: str):
-    """`P`, the momentum symbols, is made on first access."""
-    if name == "P":
-        return _sympy()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _float64_printer():
-    """lambdify's numpy printer, with the settings lambdify gives its own,
-    writing each Float as the repr of its float64, which reads back to the
-    same double; sympy's own printer keeps 15 significant digits."""
-    from sympy.printing.numpy import NumPyPrinter
-
-    class Float64Printer(NumPyPrinter):
-        def _print_Float(self, expr):
-            return repr(float(expr))
-
-    return Float64Printer({"fully_qualified_modules": False, "inline": True,
-                           "allow_unknown_functions": True})
-
-
-@lru_cache(maxsize=64)
-def _compiled(exprs: tuple[sp.Expr, ...]) -> Callable:
-    """One numpy function of (p1, p2, p3) for all components of a symbolic
-    profile, returning their list, with every Float coefficient at full
-    float64 precision (`_float64_printer`).  Subexpressions the components
-    share (the Gaussian `exp` of an operator's result on a packet) are
-    evaluated once.  Shared, since equal profiles recur when an operator is
-    applied again to an equal packet; bounded, since every new packet
-    brings new ones."""
-    sp, P = _sympy()
-    return sp.lambdify(P, list(exprs), modules="numpy", cse=True, printer=_float64_printer())
-
-
-def omega_expr(m: float) -> sp.Expr:
-    """Symbolic on-shell energy sqrt(m^2 + |p|^2)."""
-    sp, P = _sympy()
-    return sp.sqrt(m * m + P[0] ** 2 + P[1] ** 2 + P[2] ** 2)
-
 
 def omega_of(pts: np.ndarray, m: float) -> np.ndarray:
     """On-shell energies for an array of spatial momenta (..., 3).
@@ -204,44 +146,25 @@ class _ShellProfile:
         return covering_grid((self,), n)
 
 
-class _SymbolicPair:
-    """The `exprs` field of a `SpinWaveFunction`: its pair of sympy
-    expressions, or None.  A Gaussian packet builds its pair from its
-    parameters on first access, and keeps it."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field default
-        exprs = obj.__dict__["_exprs"]
-        if exprs is None and obj.spin is not None:
-            exprs = obj.__dict__["_exprs"] = _packet_exprs(obj)
-        return exprs
-
-    def __set__(self, obj, value):
-        obj.__dict__["_exprs"] = value
-
-
 @dataclass(frozen=True)
 class SpinWaveFunction(_ShellProfile):
     """Spin-basis profile psitilde on the energy-sign-eps mass shell.
 
     One of three forms: a Gaussian packet (`spin`, the pair spin_s of
-    `gaussian_packet`, with the decay `width` and `center`), symbolic
-    (`exprs`, a pair of sympy expressions in P) or callable (`fn`, mapping
-    points (..., 3) to components (..., 2)).  `width` and `center` describe
-    the momentum-space decay for default grid sizing.  A packet is evaluated
-    in numpy; its `exprs` are built on first access, for the symbolic
-    operators, and their results are symbolic profiles.
-
-    `fn` must be pointwise: row i of its output depends only on point i.
-    Grid consumers call it on blocks of the grid points (`evaluate_on`) and
-    rely on that to get the values of one whole-grid call.
+    `gaussian_packet`, with the decay `width` and `center`), a jet profile
+    (`jet`, mapping points (..., 3) and an order to the `jets.Jet` of the
+    components) or callable (`fn`, mapping points (..., 3) to components
+    (..., 2)).  `width` and `center` describe the momentum-space decay for
+    default grid sizing.  The operators below return jet profiles; `taylor`
+    gives any form's jet, and a callable has values only, the order-0 jet.
+    `fn` and `jet` must be pointwise, since grids are evaluated in blocks
+    (`evaluate_on`).
     """
 
     eps: int
     mass: float
     width: float
-    exprs: tuple[sp.Expr, sp.Expr] | None = _SymbolicPair()
+    jet: Callable[[np.ndarray, int], Jet] | None = field(default=None, repr=False)
     fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
     spin: tuple[complex, complex] | None = None
@@ -259,13 +182,13 @@ class SpinWaveFunction(_ShellProfile):
                 raise ValueError(f"width = {self.width!r} puts 2 width^2 = {two_w2!r} outside "
                                  f"the normal float64 range")
             object.__setattr__(self, "_two_w2", two_w2)
-        elif self.fn is None and self.exprs is None:
-            raise ValueError("profile needs a packet spin, symbolic exprs or a callable")
+        elif self.fn is None and self.jet is None:
+            raise ValueError("profile needs a packet spin, a jet or a callable")
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if self.spin is not None:
-            # lambdify's operations on the packet's pair, in its order:
+            # the packet's jet at order 0, in its order of operations:
             # x0 = exp(k (p1 - c1)^2 + k (p2 - c2)^2 + k (p3 - c3)^2) with
             # k = -1 / (2 width^2), summed plane by plane, then x0 * spin_s
             k = -1.0 / self._two_w2
@@ -283,24 +206,30 @@ class SpinWaveFunction(_ShellProfile):
             for s in range(2):
                 np.multiply(x0, self.spin[s], out=out[..., s])
             return out
-        if self.exprs is not None:
-            out = np.empty(pts.shape[:-1] + (2,), dtype=complex)
-            # a constant component comes back as a scalar; the assignment broadcasts it
-            out[..., 0], out[..., 1] = _compiled(self.exprs)(pts[..., 0], pts[..., 1], pts[..., 2])
-            return out
-        return self.fn(pts)
+        return self.taylor(pts, 0).value
+
+    def taylor(self, pts: np.ndarray, order: int) -> Jet:
+        """The profile's jet to total degree `order` at the points (..., 3).
+
+        A callable profile gives its values as the order-0 jet and refuses
+        any higher order."""
+        pts = np.asarray(pts, dtype=float)
+        if self.spin is not None:
+            k = -1.0 / self._two_w2
+            d = [v - c for v, c in zip(variables(pts, order), self.center)]
+            x0 = d[0] * d[0] * k + d[1] * d[1] * k + d[2] * d[2] * k
+            return x0.exp() * np.array(self.spin)
+        if self.jet is not None:
+            return self.jet(pts, order)
+        if order:
+            raise ValueError("a callable profile has no derivatives; sample it and use "
+                             "nw_apply_sampled")
+        return Jet({(0, 0, 0): self.fn(pts)}, 0)
 
 
-def _packet_exprs(w: SpinWaveFunction) -> tuple:
-    """The sympy pair spin_s * exp(-|P - center|^2 / (2 width^2)) of a packet."""
-    sp, P = _sympy()
-    gauss = sp.exp(-sum((P[i] - w.center[i]) ** 2 for i in range(3)) / w._two_w2)
-    return tuple(sp.sympify(s) * gauss for s in w.spin)
-
-
-def _symbolic(w: SpinWaveFunction, exprs: tuple, **changes) -> SpinWaveFunction:
-    """`w` with the symbolic profile `exprs`, no longer a packet."""
-    return replace(w, exprs=exprs, spin=None, **changes)
+def _jet_profile(w: SpinWaveFunction, jet: Callable, **changes) -> SpinWaveFunction:
+    """`w` with the jet profile `jet`, no longer a packet or a callable."""
+    return replace(w, jet=jet, fn=None, spin=None, **changes)
 
 
 @dataclass(frozen=True)
@@ -444,22 +373,19 @@ def norm(a, grid: Grid | None = None) -> float:
 
 
 def normalized(w: SpinWaveFunction, grid: Grid | None = None) -> SpinWaveFunction:
-    """Scale a profile to unit norm: a packet's spin pair, a symbolic pair,
-    or a callable's values.
+    """Scale a profile to unit norm.
 
-    A packet stays a packet, with its spin pair multiplied by 1 / norm once
-    (sympy, dividing a symbolic pair by the norm, rounds each coefficient
-    that way too)."""
+    A packet stays a packet, with its spin pair multiplied by 1 / norm once;
+    any other profile becomes the jet profile of its jet divided by the
+    norm."""
     nrm = norm(w, grid)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero profile")
     if w.spin is not None:
         inv = 1.0 / nrm
-        return replace(w, exprs=None, spin=tuple(s * inv for s in w.spin))
-    if w.exprs is not None:
-        return replace(w, exprs=tuple(e / nrm for e in w.exprs))
-    fn = w.fn
-    return replace(w, fn=lambda pts: fn(pts) / nrm)
+        return replace(w, spin=tuple(s * inv for s in w.spin))
+    inner = w.taylor
+    return _jet_profile(w, lambda pts, order: inner(pts, order) / nrm)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +434,12 @@ def lorentz_transform(w, L: np.ndarray):
 # Newton-Wigner position: shifts and the operator itself
 # ---------------------------------------------------------------------------
 
+def _omega2(pts: np.ndarray, m: float, order: int) -> Jet:
+    """The jet of omega^2 = m^2 + |p|^2 at the points."""
+    p = variables(pts, order)
+    return m * m + p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
+
+
 def nw_shift(w: SpinWaveFunction, a3: np.ndarray) -> SpinWaveFunction:
     """Newton-Wigner shift by the spatial vector a:
 
@@ -518,23 +450,13 @@ def nw_shift(w: SpinWaveFunction, a3: np.ndarray) -> SpinWaveFunction:
     preserve the norm because d3p/omega is shifted along with the profile.
     """
     a3 = np.asarray(a3, dtype=float)
-    eps, m = w.eps, w.mass
-    if w.exprs is not None:
-        sp, P = _sympy()
-        sub = {P[i]: P[i] + eps * a3[i] for i in range(3)}
-        omega = omega_expr(m)
-        factor = sp.sqrt(omega / omega.subs(sub, simultaneous=True))
-        exprs = tuple(factor * e.subs(sub, simultaneous=True) for e in w.exprs)
-        return _symbolic(w, exprs, center=w.center - eps * a3)
-    inner = w.fn
+    eps, m, inner = w.eps, w.mass, w.taylor
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+    def jet(pts: np.ndarray, order: int) -> Jet:
         shifted = pts + eps * a3
-        N = np.sqrt(omega_of(pts, m) / omega_of(shifted, m))
-        return N[..., None] * inner(shifted)
+        return (_omega2(pts, m, order) / _omega2(shifted, m, order)).sqrt().sqrt() * inner(shifted, order)
 
-    return replace(w, fn=fn, center=w.center - eps * a3)
+    return _jet_profile(w, jet, center=w.center - eps * a3)
 
 
 def nw_apply(w: SpinWaveFunction, i: int) -> SpinWaveFunction:
@@ -542,26 +464,26 @@ def nw_apply(w: SpinWaveFunction, i: int) -> SpinWaveFunction:
 
         (X_i psi)(p) = i eps (d/dp_i - p_i / (2 (|p|^2 + m^2))) psi(p).
 
-    Requires a symbolic profile; use `sample` plus `nw_apply_sampled` for
-    gridded data.  Components commute ([X_i, X_j] = 0) and are canonically
-    conjugate to momentum ([X_i, P_j] = i delta_{ij}).
+    The derivative is exact: the inner profile's jet is taken one order
+    higher and differentiated.  A callable profile, such as a transported
+    one, has no derivatives and is refused; use `sample` plus
+    `nw_apply_sampled` for it.  Components commute ([X_i, X_j] = 0) and are
+    canonically conjugate to momentum ([X_i, P_j] = i delta_{ij}).
     """
-    if w.exprs is None:
-        raise ValueError("nw_apply needs a symbolic profile; sample it and use nw_apply_sampled")
-    sp, P = _sympy()
-    eps, m = w.eps, w.mass
-    om2 = m * m + P[0] ** 2 + P[1] ** 2 + P[2] ** 2
-    exprs = tuple(sp.I * eps * (sp.diff(e, P[i]) - P[i] / (2 * om2) * e) for e in w.exprs)
-    return _symbolic(w, exprs)
+    eps, m, inner = w.eps, w.mass, w.taylor
+    inner(np.empty((0, 3)), 1)  # refuses a profile without derivatives now, not when evaluated
+
+    def jet(pts: np.ndarray, order: int) -> Jet:
+        f, p_i = inner(pts, order + 1), variables(pts, order)[i]
+        return 1j * eps * (f.diff(i) - p_i / (2.0 * _omega2(pts, m, order)) * f.truncate(order))
+
+    return _jet_profile(w, jet)
 
 
 def momentum_apply(w: SpinWaveFunction, j: int) -> SpinWaveFunction:
     """Apply the momentum component P_j, which acts as multiplication by eps p_j."""
-    if w.exprs is not None:
-        P = _sympy()[1]
-        return _symbolic(w, tuple(w.eps * P[j] * e for e in w.exprs))
-    eps, inner = w.eps, w.fn
-    return replace(w, fn=lambda pts: eps * np.asarray(pts, float)[..., j : j + 1] * inner(pts))
+    eps, inner = w.eps, w.taylor
+    return _jet_profile(w, lambda pts, order: eps * variables(pts, order)[j] * inner(pts, order))
 
 
 def apply_spin(w: SpinWaveFunction, M2: np.ndarray) -> SpinWaveFunction:
@@ -570,19 +492,14 @@ def apply_spin(w: SpinWaveFunction, M2: np.ndarray) -> SpinWaveFunction:
     For operator matrices stored in the ket-index convention pass their
     `column_action` first.
     """
-    M2 = np.asarray(M2, dtype=complex)
-    if w.exprs is not None:
-        sp = _sympy()[0]
-        exprs = tuple(sum(sp.sympify(complex(M2[s, t])) * w.exprs[t] for t in range(2)) for s in range(2))
-        return _symbolic(w, exprs)
-    inner = w.fn
-    return replace(w, fn=lambda pts: inner(pts) @ M2.T)
+    MT, inner = np.asarray(M2, dtype=complex).T, w.taylor
+    return _jet_profile(w, lambda pts, order: inner(pts, order) @ MT)
 
 
 @dataclass(frozen=True)
 class SampledWaveFunction:
     """Spin-basis profile sampled on a `Grid` (grid route for Newton-Wigner
-    applications when no symbolic form is available)."""
+    applications to a profile without derivatives)."""
 
     eps: int
     mass: float

@@ -572,12 +572,19 @@ def test_parser_built_once_and_shares_no_default_array(capsys):
 
 
 def test_numeric_subcommands_leave_sympy_out():
-    # Only symbolic profiles need sympy: every subcommand, fourier-check
-    # included, and a normalized, transported packet's norm run without it;
-    # a symbolic operator on a packet, or the momentum symbols P, import it.
+    # sympy is a test oracle only: with every import of it refused, each
+    # subcommand runs, and so do the Newton-Wigner and other operators on a
+    # packet and the norm of a normalized, transported packet.
     src = str(Path(diracspin.__file__).resolve().parents[1])
     code = """if True:
         import contextlib, io, json, sys
+
+        class NoSympy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "sympy":
+                    raise ModuleNotFoundError(f"{name} is blocked", name=name)
+
+        sys.meta_path.insert(0, NoSympy())
         import numpy as np
         import diracspin.cli as cli
         from diracspin import states
@@ -592,17 +599,18 @@ def test_numeric_subcommands_leave_sympy_out():
         w = states.normalized(states.gaussian_packet(1, 1.0, 0.5, spin=(0.6, 0.8j)))
         moved = states.lorentz_transform(w, random_lorentz(np.random.default_rng(1), 0.8))
         nrm = states.norm(moved, moved.default_grid())
-        before = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
-        states.nw_apply(w, 0)  # a symbolic operator on a packet loads sympy
-        print(json.dumps({"codes": codes, "before": before, "P": str(states.P),
-                          "after": "sympy" in sys.modules, "norm": nrm}))
+        ops = [states.nw_apply(w, 0), states.nw_shift(w, [0.1, 0.2, 0.0]),
+               states.momentum_apply(w, 1), states.apply_spin(w, [[0, 1], [1, 0]])]
+        finite = [bool(np.isfinite(op.evaluate(np.ones((4, 3)))).all()) for op in ops]
+        print(json.dumps({"codes": codes, "finite": finite, "norm": nrm,
+                          "sympy": sorted(m for m in sys.modules if m.split(".")[0] == "sympy")}))
     """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     out = json.loads(res.stdout)
     assert out["codes"] == [0] * 7
-    assert out["before"] == []
-    assert out["after"] is True and out["P"] == "(p1, p2, p3)"
+    assert out["finite"] == [True] * 4
+    assert out["sympy"] == []
     assert out["norm"] == pytest.approx(1.0, abs=1e-6)
 
 

@@ -216,6 +216,19 @@ def test_state_refuses_non_bloch_vector(xi):
         ChargedState(q=np.zeros(3), xi=np.array(xi))
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: uniform_field([np.nan, 0.0, 0.0]), "b3"),
+    (lambda: quadrupole_field(np.full((3, 3), np.inf)), "G"),
+    (lambda: ChargedState(q=[np.inf, 0.0, 0.0], xi=np.zeros(3)), "q"),
+    (lambda: ChargedState(q=np.zeros(3), xi=np.zeros(3), x=[0.0, -np.inf, 0.0]), "x"),
+    (lambda: ChargedState(q=np.zeros(3), xi=np.zeros(3), charge=np.nan), "charge"),
+], ids=["b3", "G", "q", "x", "charge"])
+def test_non_finite_inputs_are_refused_up_front(make, name):
+    # refused where they are given, not blamed on the first integration step
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        make()
+
+
 def test_state_accepts_unit_bloch_vector_up_to_rounding():
     xi = np.array([0.6, 0.8, 0.0]) * (1.0 + 1e-13)
     assert (ChargedState(q=np.zeros(3), xi=xi).xi == xi).all()

@@ -28,15 +28,36 @@ def pts(rng):
     return rng.normal(scale=0.8, size=(30, 3))
 
 
-# --- packets and compiled profiles ----------------------------------------
+# --- packets, jets and the sympy oracle -----------------------------------
 
-def _compiled_values(w, pts):
-    """The lambdified form of w's symbolic pair at the points, shape (N, 2)."""
-    from diracspin.states import _compiled
+def _lambdified(exprs, pts):
+    """A pair of sympy expressions in p1, p2, p3, lambdified as one numpy
+    function with shared subexpressions and every Float printed as the repr
+    of its float64 (sympy's own printer keeps 15 significant digits), at the
+    points: shape (N, 2)."""
+    sp = pytest.importorskip("sympy")
+    from sympy.printing.numpy import NumPyPrinter
 
+    class Float64Printer(NumPyPrinter):
+        def _print_Float(self, expr):
+            return repr(float(expr))
+
+    printer = Float64Printer({"fully_qualified_modules": False, "inline": True,
+                              "allow_unknown_functions": True})
+    f = sp.lambdify(sp.symbols("p1 p2 p3", real=True), list(exprs), modules="numpy", cse=True,
+                    printer=printer)
     out = np.empty(pts.shape[:-1] + (2,), dtype=complex)
-    out[..., 0], out[..., 1] = _compiled(w.exprs)(pts[..., 0], pts[..., 1], pts[..., 2])
+    # a constant component comes back as a scalar; the assignment broadcasts it
+    out[..., 0], out[..., 1] = f(pts[..., 0], pts[..., 1], pts[..., 2])
     return out
+
+
+def _packet_pair(w):
+    """The sympy pair spin_s * exp(-|P - center|^2 / (2 width^2)) of a packet."""
+    sp = pytest.importorskip("sympy")
+    P = sp.symbols("p1 p2 p3", real=True)
+    gauss = sp.exp(-sum((P[i] - w.center[i]) ** 2 for i in range(3)) / w._two_w2)
+    return tuple(sp.sympify(s) * gauss for s in w.spin)
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -54,12 +75,81 @@ def test_packet_matches_its_symbolic_form(eps, center, unit):
     if unit:
         w = normalized(w)
     pts = Grid(3.0, 63).points()
-    got, ref = w.evaluate(pts), _compiled_values(w, pts)
+    got, ref = w.evaluate(pts), _lambdified(_packet_pair(w), pts)
     if center[0] and center[1] and center[2] or not any(center):
         assert np.array_equal(got, ref)
     x = np.sum((pts - np.asarray(center)) ** 2, axis=1) / (2.0 * 0.45 ** 2)
     bound = 2.0 * np.finfo(float).eps * (1.0 + x)[:, None] * np.abs(ref)
     assert (np.abs(got - ref) <= bound).all()
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("width", [0.45, 0.02])  # at 0.02 most of the cube underflows to zero
+def test_packet_jet_matches_evaluate(eps, width):
+    # evaluate is the packet's order-0 jet computed in place: bit for bit,
+    # sign bits of zeros included
+    w = packet(eps=eps, width=width, spin=(0.3 - 0.2j, -0.5 + 0.7j), center=(0.3, -0.2, 0.5))
+    pts = Grid(3.0, 63).points()
+    jet = w.taylor(pts, 0)
+    assert jet.order == 0 and list(jet.coef) == [(0, 0, 0)]
+    assert np.array_equal(w.evaluate(pts).view(np.int64), jet.value.view(np.int64))
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_jet_operators_match_sympy(eps, rng):
+    # Chains of operators on a packet, built on jets, against the same chains
+    # built on the packet's sympy pair, differentiated by sympy and lambdified
+    sp = pytest.importorskip("sympy")
+    P = sp.symbols("p1 p2 p3", real=True)
+    om2 = 1.0 + P[0] ** 2 + P[1] ** 2 + P[2] ** 2
+    a = np.array([0.3, -0.2, 0.1])
+    M = np.array([[0.6, 1.0 - 0.5j], [1.0j, -0.3]])
+
+    def X(e, i):
+        return tuple(sp.I * eps * (sp.diff(c, P[i]) - P[i] / (2 * om2) * c) for c in e)
+
+    def Pm(e, j):
+        return tuple(eps * P[j] * c for c in e)
+
+    def shift(e):
+        sub = {P[i]: P[i] + eps * a[i] for i in range(3)}
+        factor = sp.sqrt(sp.sqrt(om2) / sp.sqrt(om2.subs(sub, simultaneous=True)))
+        return tuple(factor * c.subs(sub, simultaneous=True) for c in e)
+
+    def spin(e):
+        return tuple(sum(sp.sympify(complex(M[s, t])) * e[t] for t in range(2)) for s in range(2))
+
+    w = normalized(packet(eps=eps, width=0.7, spin=(0.6, 0.8j), center=(0.2, -0.1, 0.3)))
+    chains = {
+        "X0": (lambda u: nw_apply(u, 0), lambda e: X(e, 0)),
+        "X2": (lambda u: nw_apply(u, 2), lambda e: X(e, 2)),
+        "X0X1": (lambda u: nw_apply(nw_apply(u, 1), 0), lambda e: X(X(e, 1), 0)),
+        "X2X2": (lambda u: nw_apply(nw_apply(u, 2), 2), lambda e: X(X(e, 2), 2)),
+        "X0X1X1": (lambda u: nw_apply(nw_apply(nw_apply(u, 1), 1), 0),
+                   lambda e: X(X(X(e, 1), 1), 0)),
+        "X1P1": (lambda u: nw_apply(momentum_apply(u, 1), 1), lambda e: X(Pm(e, 1), 1)),
+        "P0X2": (lambda u: momentum_apply(nw_apply(u, 2), 0), lambda e: Pm(X(e, 2), 0)),
+        "X1 shift spin": (lambda u: nw_apply(nw_shift(apply_spin(u, M), a), 1),
+                          lambda e: X(shift(spin(e)), 1)),
+        "X0X1 shift": (lambda u: nw_apply(nw_apply(nw_shift(u, a), 1), 0),
+                       lambda e: X(X(shift(e), 1), 0)),
+    }
+    pts = rng.normal(scale=0.8, size=(64, 3))
+    for name, (op, oracle) in chains.items():
+        got, ref = op(w).evaluate(pts), _lambdified(oracle(_packet_pair(w)), pts)
+        assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max(), name
+
+
+def test_nw_apply_refuses_a_profile_without_derivatives(rng):
+    # a callable has values only: nw_apply refuses it when applied, and a
+    # profile built on one at the latest when evaluated
+    w = packet(spin=(0.6, 0.8j))
+    moved = lorentz_transform(w, random_lorentz(rng, vmax=0.8))
+    for callable_profile in (_as_callable(w), moved):
+        with pytest.raises(ValueError, match="nw_apply_sampled"):
+            nw_apply(callable_profile, 0)
+    with pytest.raises(ValueError, match="nw_apply_sampled"):
+        nw_apply(momentum_apply(moved, 2), 1).evaluate(np.zeros((1, 3)))
 
 
 def test_normalized_packet_is_a_packet(pts):
@@ -73,68 +163,6 @@ def test_normalized_packet_is_a_packet(pts):
     again = gaussian_packet(1, 1.0, 0.4, spin=unit.spin)
     assert np.array_equal(unit.evaluate(pts), again.evaluate(pts))
     assert norm(unit) == pytest.approx(1.0, abs=2e-15)
-
-
-def test_packet_builds_its_symbolic_pair_once():
-    w = packet(spin=(0.6, 0.8j))
-    assert w.exprs is w.exprs
-    shifted = nw_apply(w, 0)
-    assert shifted.spin is None and shifted.exprs is not None
-    assert normalized(w).exprs is not w.exprs
-
-
-def test_profile_compile_cache_is_bounded_and_shared():
-    from diracspin.states import _compiled
-
-    _compiled.cache_clear()
-    origin = np.zeros((1, 3))
-    widths = 0.5 + 0.01 * np.arange(70)
-    for w in widths:  # every width gives a new symbolic profile
-        nw_apply(gaussian_packet(1, 1.0, w), 0).evaluate(origin)
-    info = _compiled.cache_info()
-    assert info.misses > 64 and info.currsize <= 64
-    # the operator applied again to a packet built from the same arguments
-    # compiles nothing
-    nw_apply(gaussian_packet(1, 1.0, widths[-1]), 0).evaluate(origin)
-    again = _compiled.cache_info()
-    assert again.hits == info.hits + 1 and again.misses == info.misses
-
-
-@pytest.mark.parametrize("kind", ["gaussian", "normalized", "centred"])
-def test_joint_profile_matches_per_component_lambdify(kind, pts):
-    # one compiled callable with shared subexpressions gives, bit for bit, the
-    # values of each component compiled (with the same printer) and evaluated
-    # on its own
-    import sympy as sp
-
-    from diracspin.states import P, _float64_printer
-
-    w = {"gaussian": lambda: packet(width=0.4, spin=(0.6, 0.8j)),
-         "normalized": lambda: normalized(packet(width=0.4, spin=(1.0, 1.0j)), Grid(4.0, 24)),
-         "centred": lambda: packet(width=0.7, spin=(1.0, 0.0), center=(0.3, -0.2, 0.5))}[kind]()
-    ref = np.stack([np.broadcast_to(np.asarray(
-        sp.lambdify(P, e, modules="numpy", printer=_float64_printer())(*pts.T), dtype=complex),
-        len(pts)) for e in w.exprs], axis=-1)
-    assert np.array_equal(_compiled_values(w, pts), ref)
-
-
-def test_compiled_profile_keeps_float64_coefficients():
-    # sympy's own printer writes each Float to 15 significant digits, which
-    # rounds these coefficients to other doubles
-    import inspect
-    import re
-
-    import sympy as sp
-
-    from diracspin.states import _compiled
-
-    w = normalized(gaussian_packet(1, 1.0, 0.4, spin=(0.6, 0.8)))
-    coefficients = {abs(float(f)) for e in w.exprs for f in e.atoms(sp.Float)}
-    source = inspect.getsource(_compiled(w.exprs))
-    # unsigned: the printer writes a negative term as a subtraction
-    literals = {float(x) for x in re.findall(r"(?<![\w.])\d+\.\d+(?:e[-+]?\d+)?", source)}
-    assert all(float(f"{c:.15g}") != c for c in coefficients)
-    assert literals == coefficients
 
 
 # --- grids -----------------------------------------------------------------
@@ -624,7 +652,7 @@ def test_operators_on_callable_profile_match_symbolic(pts):
     for op in (lambda u: nw_shift(u, a), lambda u: momentum_apply(u, 1),
                lambda u: apply_spin(u, M)):
         got, expect = op(_as_callable(w)), op(w)
-        assert got.exprs is None
+        assert got.fn is None and got.jet is not None
         assert np.array_equal(got.center, expect.center)
         assert_allclose(got.evaluate(pts), expect.evaluate(pts), rtol=0, atol=1e-14)
 
@@ -632,7 +660,7 @@ def test_operators_on_callable_profile_match_symbolic(pts):
 def test_normalized_callable_profile(pts):
     w = packet(spin=(1.0, 0.5j), width=0.45)
     unit = normalized(_as_callable(w))
-    assert unit.exprs is None
+    assert unit.fn is None and unit.jet is not None
     assert norm(unit) == pytest.approx(1.0, abs=2e-15)
     assert_allclose(unit.evaluate(pts), normalized(w).evaluate(pts), rtol=0, atol=1e-14)
 
