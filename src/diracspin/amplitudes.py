@@ -38,26 +38,34 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
 
     with pref = 1 / (2 sqrt(1 + p^0/m)).  The p^0 given is used as is.
 
-    The entries are filled as contiguous planes of a (4, 2, ...) array, so a
-    batch result is a transposed view of it and not C-contiguous.
+    The entries are filled as contiguous planes of a (4, 2, ...) array
+    (`_amplitude_planes`), so a batch result is a transposed view of it and
+    not C-contiguous.
     """
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    p0, pz = p4[..., 0], p4[..., 3]
+    v = _amplitude_planes(eps, p4[..., 0], p4[..., 1:], m)
+    return v.transpose(*range(2, v.ndim), 0, 1)
+
+
+def _amplitude_planes(eps, p0: np.ndarray, pv: np.ndarray, m: float) -> np.ndarray:
+    """The amplitudes of `amplitude` for energies p0 (...) and spatial
+    momenta pv (..., 3), as planes: shape (4, 2, ...), entry (a, b) of
+    sample n at [a, b, n].  eps and m are taken as valid."""
     pref = 1.0 / (2.0 * np.sqrt(1.0 + p0 / m))
     inv_m = 1.0 / m
-    c = pref * (1.0 + (p0 + pz) * inv_m)
-    d = pref * (1.0 + (p0 - pz) * inv_m)
-    x = pref * (p4[..., 1] * inv_m)
-    y = pref * (p4[..., 2] * inv_m)
-    v = np.zeros((4, 2) + p4.shape[:-1], dtype=complex)
+    c = pref * (1.0 + (p0 + pv[..., 2]) * inv_m)
+    d = pref * (1.0 + (p0 - pv[..., 2]) * inv_m)
+    x = pref * (pv[..., 0] * inv_m)
+    y = pref * (pv[..., 1] * inv_m)
+    v = np.zeros((4, 2) + np.shape(p0), dtype=complex)
     re, im = v.real, v.imag
     re[0, 0], im[0, 0], im[0, 1] = y, x, -c
     im[1, 0], re[1, 1], im[1, 1] = d, y, -x
     re[2, 0], im[2, 0], im[2, 1] = -eps * y, -eps * x, -eps * d
     im[3, 0], re[3, 1], im[3, 1] = eps * c, -eps * y, eps * x
-    return v.transpose(*range(2, v.ndim), 0, 1)
+    return v
 
 
 def dirac_bar(M: np.ndarray) -> np.ndarray:

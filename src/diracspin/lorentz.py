@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import GAMMA0, PAULI, SIGMA
-from .minkowski import (METRIC, check_mass, lorentz_matrix, matmul_stack, on_shell, refuse_first,
-                        stack_matmul)
+from .minkowski import (METRIC, check_mass, is_proper_orthochronous, lorentz_matrix, matmul_stack,
+                        on_shell, refuse_first, stack_matmul)
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3)
@@ -90,10 +90,23 @@ def standard_boost(p4: np.ndarray, m: float) -> np.ndarray:
 
     Column 0 equals p/m; note L_p = boost_from_velocity(-pvec/p^0): the two
     constructors use opposite sign conventions for the velocity argument.
+
+    From |p|/m of a few 10^15 (near 2^53) on, the stored spatial block I + pvec (x) pvec /
+    (m (m + p^0)) of a boost along a generic direction has lost its identity
+    part to rounding, so its rotation part is gone and the matrix is no
+    longer recognizably proper orthochronous; such a boost is refused with
+    that reason, naming the first such sample.
     """
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return lorentz_matrix(_standard_boost_matrix(p4[..., 0], p4[..., 1:], m), proper=True)
+    L = lorentz_matrix(_standard_boost_matrix(p4[..., 0], p4[..., 1:], m))
+    # p^0 <= 0 gives a Lorentz matrix that is not orthochronous at all
+    refuse_first((~(L[..., 0, 0] > 0.0), lambda i: "matrix is not proper orthochronous"),
+                 (~is_proper_orthochronous(L),
+                  lambda i: (f"|p|/m = {np.linalg.norm(p4[..., 1:].reshape(-1, 3)[i]) / m:.3g} is "
+                             f"beyond the scale (about 2^53) where rounding loses the standard "
+                             f"boost's rotation part")))
+    return L
 
 
 def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
@@ -244,20 +257,44 @@ def wigner_d(L: np.ndarray, p4: np.ndarray, q4: np.ndarray, m: float) -> np.ndar
     which is one real matrix product of the (n, 16) outer products b (x) a
     with the 16 matrices sigma_mu A(L) sigma_nu.  A(q)^{-1} has unit
     determinant only when q^0 is on the shell of qvec.
+
+    The 16 matrices depend on L alone (`_wigner_sandwich`) and the product
+    on the points alone (`_wigner_product`), so a caller transporting many
+    grid blocks by one L builds them once.  A sample with a non-finite
+    entry, or with p^0 or q^0 not positive, is refused up front, naming the
+    first such sample.
     """
     m = check_mass(m)
-    L = lorentz_matrix(L, proper=True)
-    p4 = np.asarray(p4, dtype=float)
+    sandwich = _wigner_sandwich(lorentz_matrix(L, proper=True))
+    p4, q4 = np.asarray(p4, dtype=float), np.asarray(q4, dtype=float)
+    p0, q0 = p4[..., 0], q4[..., 0]
+    refuse_first((~np.isfinite(p4).all(axis=-1), lambda i: "p4 must have finite entries"),
+                 (~np.isfinite(q4).all(axis=-1), lambda i: "q4 must have finite entries"),
+                 (~(p0 > 0.0), lambda i: f"p4 needs a positive energy, got {np.ravel(p0)[i]!r}"),
+                 (~(q0 > 0.0), lambda i: f"q4 needs a positive energy, got {np.ravel(q0)[i]!r}"))
+    return _wigner_product(sandwich, p4, q4, m)
+
+
+def _wigner_sandwich(L: np.ndarray) -> np.ndarray:
+    """The per-transformation part of `wigner_d`: the 16 matrices
+    sigma_mu A(L) sigma_nu for a proper orthochronous L (validated by the
+    caller), as the real (16, 8) right factor of its product."""
+    return np.einsum("mij,jk,nkl->mnil", _SIGMA4, _sl2c_lift(L), _SIGMA4).reshape(16, 4).view(float)
+
+
+def _wigner_product(sandwich: np.ndarray, p4: np.ndarray, q4: np.ndarray, m: float) -> np.ndarray:
+    """The per-point part of `wigner_d`: D for on-shell p4 (..., 4) and their
+    images q4 (..., 4), from the factor of `_wigner_sandwich`; the inputs are
+    taken as valid float arrays."""
     batch = p4.shape[:-1]
-    p4, q4 = p4.reshape(-1, 4), np.asarray(q4, dtype=float).reshape(-1, 4)
+    p4, q4 = p4.reshape(-1, 4), q4.reshape(-1, 4)
     a = np.empty((4, len(p4)))  # one row per sigma component
     a[0], a[1:] = m + p4[:, 0], p4[:, 1:].T
     b = np.empty_like(a)
     b[0], b[1:] = m + q4[:, 0], -q4[:, 1:].T
     a /= np.sqrt(2.0 * m * a[0])
     b /= np.sqrt(2.0 * m * b[0])
-    sandwich = np.einsum("mij,jk,nkl->mnil", _SIGMA4, _sl2c_lift(L), _SIGMA4)
-    D = (b[:, None] * a[None]).reshape(16, -1).T @ sandwich.reshape(16, 4).view(float)
+    D = (b[:, None] * a[None]).reshape(16, -1).T @ sandwich
     return D.view(complex).reshape(batch + (2, 2))
 
 

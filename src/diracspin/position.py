@@ -23,6 +23,13 @@ collects 1/(2 omega)^2 ~ 1/(4 m^2) per mode).  `parseval_check` includes
 the 2m factor on the position side.  Position cubes sized from the
 uncertainty relation (extent 8 / width) keep the truncated tails below
 quadrature error for Gaussian-decaying profiles.
+
+Both sides of one Parseval level read one `states.ShellCube`: the shell
+measure is computed once, each sector is evaluated once, and the momentum
+product and the synthesis integrand (a spin sector's values contracted with
+the amplitude block by block) are formed from those values.  The cube is
+released before the contractions onto the position mesh, which hold the
+weighted integrand only.
 """
 from __future__ import annotations
 
@@ -30,8 +37,8 @@ from math import fsum
 
 import numpy as np
 
-from .states import (MIN_COVERAGE, Grid, SpinWaveFunction, _as_sectors, covering_grid,
-                     evaluate_on, scalar_product, to_covariant)
+from .states import (MIN_COVERAGE, Grid, ShellCube, SpinWaveFunction, _as_sectors, _cube_product,
+                     covering_grid, shell_weight_error)
 
 TWO_PI_CUBED_SQRT = (2.0 * np.pi) ** 1.5
 
@@ -61,11 +68,6 @@ def _position_coverage_check(widths, grid: Grid) -> None:
             f"spatial widths; need xmax >= {need:g}")
 
 
-def _covariant_sectors(w) -> tuple:
-    return tuple(to_covariant(s) if isinstance(s, SpinWaveFunction) else s
-                 for s in _as_sectors(w))
-
-
 def synthesize(w, x4, pgrid: Grid) -> np.ndarray:
     """Evaluate the position-space bispinor, shape (4,), at one spacetime
     point x4 = (t, xvec).
@@ -76,31 +78,59 @@ def synthesize(w, x4, pgrid: Grid) -> np.ndarray:
     x4 = np.asarray(x4, dtype=float)
     if x4.shape != (4,):
         raise ValueError("x4 must be a four-vector (t, x, y, z)")
-    psi = np.zeros(4, dtype=complex)
-    for s in _covariant_sectors(w):
+    sectors = _as_sectors(w)
+    for s in sectors:
         _coverage_check(s, pgrid)
-        pts, om, wts = pgrid.shell_measure(s.mass)
+    cube = ShellCube(pgrid)
+    psi = np.zeros(4, dtype=complex)
+    for s in sectors:
+        pts, om, wts = cube.measure(s.mass)
         phase = np.exp(-1j * s.eps * (om * x4[0] - pts @ x4[1:]))
-        psi = psi + np.einsum("n,n,na->a", wts, phase, evaluate_on(s, pts))
+        psi = psi + np.einsum("n,n,na->a", wts, phase, cube.covariant(s))
     return psi / TWO_PI_CUBED_SQRT
+
+
+def _synthesis_core(cube: ShellCube, s, t: float) -> np.ndarray:
+    """d3p/(2 omega) e^{-i eps omega t} psi(p) for one sector on the cube's
+    points, shape (N, 4): the integrand of the synthesis before its phase
+    in x."""
+    _, om, wts = cube.measure(s.mass)
+    wts = (wts * np.exp(-1j * s.eps * om * t))[:, None]
+    if not isinstance(s, SpinWaveFunction):
+        return wts * cube.values(s)  # the covariant values stay the cube's
+    # A spin sector's covariant values are new: weighted in place, with the
+    # weights still the first operand.  `ev *= wts` would round differently,
+    # since numpy's complex multiply is not symmetric in its operands.
+    ev = cube.covariant(s)
+    return np.multiply(wts, ev, out=ev)
+
+
+def _mesh(cores, xgrid: Grid, pgrid: Grid) -> np.ndarray:
+    """Contract (eps, core) pairs of `_synthesis_core` onto the position mesh,
+    shape (n, n, n, 4).  The phase e^{i eps pvec.xvec} factorizes over axes,
+    giving three dense contractions per sector."""
+    pa, xa = pgrid.axis(), xgrid.axis()
+    out = np.zeros((xgrid.n, xgrid.n, xgrid.n, 4), dtype=complex)
+    for eps, core in cores:
+        E = np.exp(1j * eps * np.outer(pa, xa))
+        out = out + np.einsum("abcd,aj,bk,cl->jkld", core.reshape(pgrid.n, pgrid.n, pgrid.n, 4),
+                              E, E, E, optimize=True)
+    return out / TWO_PI_CUBED_SQRT
+
+
+def _cores(cube: ShellCube, w, t: float) -> list:
+    return [(s.eps, _synthesis_core(cube, s, t)) for s in _as_sectors(w)]
 
 
 def synthesize_mesh(w, t: float, xgrid: Grid, pgrid: Grid) -> np.ndarray:
     """Position-space bispinor on the full tensor mesh of `xgrid` at time t.
 
-    Returns shape (n, n, n, 4) indexed by the three position axes.  The phase
-    e^{i eps pvec.xvec} factorizes over axes, giving three dense contractions.
+    Returns shape (n, n, n, 4) indexed by the three position axes.  The cube
+    (measure and values) is released before the contraction onto the mesh.
     """
-    pa, xa = pgrid.axis(), xgrid.axis()
-    out = np.zeros((xgrid.n, xgrid.n, xgrid.n, 4), dtype=complex)
-    for s in _covariant_sectors(w):
+    for s in _as_sectors(w):
         _coverage_check(s, pgrid)
-        pts, om, wts = pgrid.shell_measure(s.mass)
-        wts = (wts * np.exp(-1j * s.eps * om * t))[:, None]  # frees the real weights
-        core = (wts * evaluate_on(s, pts)).reshape(pgrid.n, pgrid.n, pgrid.n, 4)
-        E = np.exp(1j * s.eps * np.outer(pa, xa))
-        out = out + np.einsum("abcd,aj,bk,cl->jkld", core, E, E, E, optimize=True)
-    return out / TWO_PI_CUBED_SQRT
+    return _mesh(_cores(ShellCube(pgrid), w, t), xgrid, pgrid)
 
 
 def position_product(psi_mesh: np.ndarray, phi_mesh: np.ndarray, xgrid: Grid) -> complex:
@@ -109,7 +139,8 @@ def position_product(psi_mesh: np.ndarray, phi_mesh: np.ndarray, xgrid: Grid) ->
     w1 = xgrid.weights_1d()
     integrand = np.einsum("jkld,jkld,j,k,l->jkl", psi_mesh.conj(), phi_mesh, w1, w1, w1,
                           optimize=True).ravel()
-    return complex(fsum(integrand.real) + 1j * fsum(integrand.imag))
+    # fsum is correctly rounded, so a list (faster to iterate) gives the same sum
+    return complex(fsum(integrand.real.tolist()) + 1j * fsum(integrand.imag.tolist()))
 
 
 def default_grids(a, b, p_points: int = DEFAULT_P_POINTS,
@@ -128,34 +159,34 @@ def quadrature_range_error(pgrids, xgrids, m: float, t: float = 0.0,
     cubes that leaves the float64 range, described, or None.
 
     From the cubes alone: every d3p/(2 omega) weight of the momentum cubes
-    and every d3x weight of the position cubes must be a normal float64 (a
-    weight that underflows drops its sample, one that overflows turns the
-    sum into inf or nan), and the phase arguments omega t and p_i x_i must
-    be finite.  Given peak2, the largest |psitilde|^2 of the state, the
-    position side is bounded too: since v^+ v = (omega / m) I, Cauchy-Schwarz
-    gives |Psi(x)|^2 <= (2 pi)^-3 (V_p / 2m)^2 peak2 on a momentum cube of
-    volume V_p, and that bound and its integral over the position cube must
-    be finite.
+    (the rule of `states.shell_weight_error`, which the scalar product
+    applies too) and every d3x weight of the position cubes must be a normal
+    float64 (a weight that underflows drops its sample, one that overflows
+    turns the sum into inf or nan), and the phase arguments omega t and
+    p_i x_i must be finite.  Given peak2, the largest |psitilde|^2 of the
+    state, the position side is bounded too: since v^+ v = (omega / m) I,
+    Cauchy-Schwarz gives |Psi(x)|^2 <= (2 pi)^-3 (V_p / 2m)^2 peak2 on a
+    momentum cube of volume V_p, and that bound and its integral over the
+    position cube must be finite.
     """
+    problem = shell_weight_error(pgrids, m)
+    if problem is not None:
+        return problem
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     pmax = np.float64(max(g.half_width for g in pgrids))
     xmax = np.float64(max(g.half_width for g in xgrids))
     with np.errstate(over="ignore", under="ignore"):
         # (h / 2)^3 is a corner weight; an inner one is 8 times that
-        corner_p = [(np.float64(g.half_width) / (g.n - 1)) ** 3 for g in pgrids]
         corner_x = [(np.float64(g.half_width) / (g.n - 1)) ** 3 for g in xgrids]
+        lo, hi = min(corner_x), 8.0 * max(corner_x)
         omega_max = np.sqrt(m * m + 3.0 * pmax * pmax)
-        normal = {"the d3p/(2 omega) weights": (min(corner_p) / (2.0 * omega_max),
-                                                8.0 * max(corner_p) / (2.0 * m)),
-                  "the d3x weights": (min(corner_x), 8.0 * max(corner_x))}
         finite = {"the phase omega t": omega_max * abs(t), "the phase p x": pmax * xmax}
         if peak2 is not None:
             bound = (4.0 * pmax ** 3 / m * np.sqrt(peak2)) ** 2 / (2.0 * np.pi) ** 3
             finite["the bound on |Psi|^2"] = bound
             finite["the bound on its integral over x"] = bound * 8.0 * xmax ** 3
-    for name, (lo, hi) in normal.items():
-        if not (tiny <= lo and hi <= huge):
-            return f"{name} ({lo:.3g} to {hi:.3g}) outside the normal float64 range"
+    if not (tiny <= lo and hi <= huge):
+        return f"the d3x weights ({lo:.3g} to {hi:.3g}) outside the normal float64 range"
     for name, value in finite.items():
         if not value <= huge:
             return f"{name} ({value:.3g}) outside the float64 range"
@@ -171,7 +202,8 @@ def parseval_check(a, b, pgrid: Grid | None = None, xgrid: Grid | None = None,
     mass factor belongs there).  Returns (lhs, rhs, relerr) with relerr the
     mismatch relative to the larger magnitude.  Reducing either grid spacing
     (one `refined()` level) tightens the match until tail truncation floors it.
-    When b is a (the same object), its position mesh is synthesized once.
+    Each sector is evaluated once for both sides, and when b is a (the same
+    object), its position mesh is synthesized once.
     """
     if pgrid is None or xgrid is None:
         dp, dx = default_grids(a, b)
@@ -182,9 +214,14 @@ def parseval_check(a, b, pgrid: Grid | None = None, xgrid: Grid | None = None,
     masses = [s.mass for s in sectors]
     if max(masses) - min(masses) > 1e-12:
         raise ValueError("parseval_check requires a common mass")
-    lhs = scalar_product(a, b, pgrid)
-    psi = synthesize_mesh(a, t, xgrid, pgrid)
-    phi = psi if b is a else synthesize_mesh(b, t, xgrid, pgrid)
+    for s in sectors:
+        _coverage_check(s, pgrid)
+    cube = ShellCube(pgrid)  # one measure, and each sector evaluated once, for both sides
+    lhs = _cube_product(a, b, cube)
+    cores = (_cores(cube, a, t), None if b is a else _cores(cube, b, t))
+    del cube  # the measure and the values go before the contractions
+    psi = _mesh(cores[0], xgrid, pgrid)
+    phi = psi if b is a else _mesh(cores[1], xgrid, pgrid)
     rhs = 2.0 * masses[0] * position_product(psi, phi, xgrid)
     scale = max(abs(lhs), abs(rhs))
     relerr = abs(lhs - rhs) / scale if scale > 0 else abs(lhs - rhs)

@@ -33,6 +33,18 @@ reduction, in the order it had without blocks.  This relies on one
 contract, which every profile here keeps and a user `fn` must keep too: a
 profile is pointwise, so row i of its output depends only on row i of the
 points.
+
+What a grid's products share is computed once per cube.  A `ShellCube`
+holds the momentum cube's shell measure (points, omega, d3p/(2 omega)) for
+each mass and each sector's values on its points; the scalar product and
+the position synthesis of `position.parseval_check` both read them, and a
+spin sector's covariant values are its spin values contracted with the
+amplitude block by block on the measure's (omega, p), never a second
+evaluation.  A cube whose d3p/(2 omega) weights leave the normal float64
+range (`shell_weight_error`) is refused by name.  Likewise what depends only
+on the transformation is built once per `lorentz_transform`, not per block:
+the bispinor S(L), L^{-1} and the 16 matrices sigma_mu A(L) sigma_nu of the
+Wigner matrix.
 """
 from __future__ import annotations
 
@@ -41,10 +53,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .amplitudes import amplitude
+from .amplitudes import _amplitude_planes, amplitude
 from .clifford import GAMMA0, PAULI, energy_projector
 from .jets import Jet, variables
-from .lorentz import bispinor_rep, wigner_d, wigner_rotation
+from .lorentz import _wigner_product, _wigner_sandwich, bispinor_rep, wigner_rotation
 from .minkowski import (METRIC, check_energy_sign, check_mass, libm_square, lorentz_matrix,
                         refuse_first)
 
@@ -257,22 +269,32 @@ class CovariantWaveFunction(_ShellProfile):
 _BLOCK = 16384
 
 
+def _block_slices(n: int):
+    """Consecutive slices of n points, at most `_BLOCK` each: the near-equal
+    parts of `np.array_split`, so none is a small remainder."""
+    k = max(1, -(-n // _BLOCK))
+    q, r = divmod(n, k)
+    lo = 0
+    for i in range(k):
+        hi = lo + q + (i < r)
+        yield slice(lo, hi)
+        lo = hi
+
+
 def evaluate_on(profile, pts: np.ndarray) -> np.ndarray:
     """A profile's values at the points (N, 3), shape (N, k), evaluated on
-    consecutive blocks of at most `_BLOCK` points.
+    the consecutive blocks of `_block_slices`.
 
-    The blocks are the near-equal parts of `np.array_split`, so none is a
-    small remainder.  Since a profile is pointwise, the result is that of
-    one `profile.evaluate(pts)` call; only its temporaries are smaller.
+    Since a profile is pointwise, the result is that of one
+    `profile.evaluate(pts)` call; only its temporaries are smaller.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    out, lo = None, 0
-    for block in np.array_split(pts, max(1, -(-len(pts) // _BLOCK))):
-        vals = profile.evaluate(block)
+    out = None
+    for sl in _block_slices(len(pts)):
+        vals = profile.evaluate(pts[sl])
         if out is None:  # the first block gives the width and dtype
             out = np.empty((len(pts),) + vals.shape[1:], dtype=vals.dtype)
-        out[lo:lo + len(vals)] = vals
-        lo += len(vals)
+        out[sl] = vals
     return out
 
 
@@ -294,13 +316,24 @@ def gaussian_packet(eps: int, mass: float, width: float,
 # Basis changes and scalar products
 # ---------------------------------------------------------------------------
 
+def _contract_amplitude(eps: int, m: float, pts: np.ndarray, om: np.ndarray, vals: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """psi = v^eps(p) psitilde into out (n, 4), for spin values vals (n, 2)
+    at on-shell momenta (om, pts); eps and m are taken as valid.
+
+    The amplitude stays in its plane layout (4, 2, n) and the contraction
+    runs over the planes; it rounds as the (n, 4, 2) row-wise one does."""
+    np.einsum("abn,bn->an", _amplitude_planes(eps, om, pts, m), vals.T, out=out.T)
+    return out
+
+
 def to_covariant(w: SpinWaveFunction) -> CovariantWaveFunction:
     """Contract with the amplitude: psi(p) = v^eps(p) psitilde(p)."""
     def fn(pts: np.ndarray) -> np.ndarray:
         flat = pts.reshape(-1, 3)
-        v = amplitude(w.eps, _onshell_batch(flat, w.mass), w.mass)
-        vals = w.evaluate(flat)
-        return np.einsum("nab,nb->na", v, vals).reshape(pts.shape[:-1] + (4,))
+        out = np.empty((len(flat), 4), dtype=complex)
+        _contract_amplitude(w.eps, w.mass, flat, omega_of(flat, w.mass), w.evaluate(flat), out)
+        return out.reshape(pts.shape[:-1] + (4,))
 
     return CovariantWaveFunction(eps=w.eps, mass=w.mass, width=w.width, fn=fn, center=w.center)
 
@@ -335,36 +368,99 @@ def _as_sectors(x) -> tuple:
     return tuple(x)
 
 
-def _sector_product(a, b, grid: Grid | None) -> complex:
+def shell_weight_error(grids, m: float) -> str | None:
+    """The d3p/(2 omega) weights of these momentum cubes for mass m,
+    described if some weight may leave the normal float64 range, or None.
+
+    A weight that underflows drops its sample, and one that overflows turns
+    the sum into inf or nan.  The bounds come from the cubes alone: the
+    smallest weight is a corner's, (h / 2)^3 / (2 omega) at the largest
+    omega, and the largest an inner one, 8 (h / 2)^3 / (2m).
+    """
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    pmax = np.float64(max(g.half_width for g in grids))
+    with np.errstate(over="ignore", under="ignore"):
+        corner = [(np.float64(g.half_width) / (g.n - 1)) ** 3 for g in grids]
+        lo = min(corner) / (2.0 * np.sqrt(m * m + 3.0 * pmax * pmax))
+        hi = 8.0 * max(corner) / (2.0 * m)
+    if not (tiny <= lo and hi <= huge):
+        return f"the d3p/(2 omega) weights ({lo:.3g} to {hi:.3g}) outside the normal float64 range"
+    return None
+
+
+class ShellCube:
+    """One momentum cube with what products and syntheses on it share: the
+    shell measure of each mass, and each sector's values on its points,
+    each computed once and held until the cube is released.  Sectors are
+    told apart by identity, as in `scalar_product`."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._measures: dict[float, tuple] = {}
+        self._values: dict[int, np.ndarray] = {}
+
+    def measure(self, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`Grid.shell_measure` for mass m; a cube whose weights leave the
+        normal float64 range (`shell_weight_error`) is refused."""
+        if m not in self._measures:
+            problem = shell_weight_error((self.grid,), m)
+            if problem is not None:
+                raise ValueError(f"momentum cube {self.grid} puts {problem} (mass {m!r})")
+            self._measures[m] = self.grid.shell_measure(m)
+        return self._measures[m]
+
+    def values(self, s) -> np.ndarray:
+        """A sector's values in its own basis, (N, 2) or (N, 4)."""
+        if id(s) not in self._values:
+            self._values[id(s)] = evaluate_on(s, self.measure(s.mass)[0])
+        return self._values[id(s)]
+
+    def covariant(self, s) -> np.ndarray:
+        """A sector's covariant values (N, 4): a spin sector's values
+        contracted with the amplitude block by block, on the measure's
+        (omega, p), into a new array; a covariant sector's own values."""
+        if not isinstance(s, SpinWaveFunction):
+            return self.values(s)
+        vals = self.values(s)
+        pts, om, _ = self.measure(s.mass)
+        out = np.empty((len(pts), 4), dtype=complex)
+        for sl in _block_slices(len(pts)):
+            _contract_amplitude(s.eps, s.mass, pts[sl], om[sl], vals[sl], out[sl])
+        return out
+
+
+def _sector_product(a, b, cube: ShellCube | None) -> complex:
+    """(a, b) for one sector of each, on the cube, or on the pair's own
+    covering cube when cube is None.  Both in the spin basis, the product is
+    the spin contraction; otherwise it is the covariant one, eps psibar phi."""
     if a.eps != b.eps:
         return 0.0 + 0.0j
     if abs(a.mass - b.mass) > 1e-12:
         raise ValueError("scalar product requires equal masses")
-    if grid is None:
-        grid = covering_grid((a, b))
-    pts, wts = grid.shell_measure(a.mass)[::2]  # omega is not held through the evaluations
-    a_spin = isinstance(a, SpinWaveFunction)
-    b_spin = isinstance(b, SpinWaveFunction)
-    if a_spin != b_spin:
-        a = a if not a_spin else to_covariant(a)
-        b = b if not b_spin else to_covariant(b)
-        a_spin = b_spin = False
-    va = evaluate_on(a, pts)
-    vb = va if b is a else evaluate_on(b, pts)
-    if a_spin:
-        return complex(np.einsum("n,ns,ns->", wts, va.conj(), vb))
-    return complex(a.eps * np.einsum("n,nb,bc,nc->", wts, va.conj(), GAMMA0, vb))
+    if cube is None:
+        cube = ShellCube(covering_grid((a, b)))
+    wts = cube.measure(a.mass)[2]
+    if isinstance(a, SpinWaveFunction) and isinstance(b, SpinWaveFunction):
+        return complex(np.einsum("n,ns,ns->", wts, cube.values(a).conj(), cube.values(b)))
+    return complex(a.eps * np.einsum("n,nb,bc,nc->", wts, cube.covariant(a).conj(), GAMMA0,
+                                     cube.covariant(b)))
+
+
+def _cube_product(a, b, cube: ShellCube | None) -> complex:
+    """`scalar_product` on a shared cube (None: each pair's covering cube)."""
+    return sum(_sector_product(sa, sb, cube) for sa in _as_sectors(a) for sb in _as_sectors(b))
 
 
 def scalar_product(a, b, grid: Grid | None = None) -> complex:
     """Invariant scalar product (a, b); antilinear in a.
 
     Accepts single sectors or sequences of sectors (one per energy sign);
-    sectors with different energy signs are orthogonal.  A sector paired
-    with itself (the same object on both sides, as in `norm`) is evaluated
-    once on the grid.
+    sectors with different energy signs are orthogonal.  On a given grid
+    every sector is evaluated once (`ShellCube`), so a sector paired with
+    itself, as in `norm`, is evaluated once.  A cube whose d3p/(2 omega)
+    weights leave the normal float64 range is refused.
     """
-    return sum(_sector_product(sa, sb, grid) for sa in _as_sectors(a) for sb in _as_sectors(b))
+    return _cube_product(a, b, None if grid is None else ShellCube(grid))
 
 
 def norm(a, grid: Grid | None = None) -> float:
@@ -417,12 +513,14 @@ def lorentz_transform(w, L: np.ndarray):
         return CovariantWaveFunction(eps=w.eps, mass=m, width=new_width, fn=fn, center=new_center)
 
     if isinstance(w, SpinWaveFunction):
+        sandwich = _wigner_sandwich(L)  # D's per-L factor, built once per transform
+
         def fn(pts: np.ndarray) -> np.ndarray:
             q4 = _onshell_batch(pts, m)
             pre4 = q4 @ Linv.T
             pre4[:, 0] = omega_of(pre4[:, 1:], m)  # the preimage, back on the shell
             vals = w.evaluate(pre4[:, 1:])
-            D = wigner_d(L, pre4, q4, m)
+            D = _wigner_product(sandwich, pre4, q4, m)  # `wigner_d` on on-shell points
             return np.einsum("nse,ne->ns", D.conj(), vals).reshape(pts.shape[:-1] + (2,))
 
         return SpinWaveFunction(eps=w.eps, mass=m, width=new_width, fn=fn, center=new_center)

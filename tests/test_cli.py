@@ -174,6 +174,16 @@ def test_boost_at_extreme_momentum_is_accepted(capsys, p):
     assert L[0, 0] == L[1, 0] == L[0, 1] == p
 
 
+@pytest.mark.parametrize("p, ratio", [("1e16,2e16,3e16", "3.74e+16"), ("3e16,1e16,0", "3.16e+16")])
+def test_boost_past_rounding_scale_names_the_cause(capsys, p, ratio):
+    # valid boosts whose rotation part rounding has lost: still refused, now
+    # for that reason rather than "matrix is not proper orthochronous"
+    code, out, err = run(capsys, "boost", f"--momentum={p}")
+    assert code == 2 and out == ""
+    assert err == (f"error: |p|/m = {ratio} is beyond the scale (about 2^53) where rounding "
+                   f"loses the standard boost's rotation part\n")
+
+
 def test_boost_requires_exactly_one_input(capsys):
     code, _, _ = run(capsys, "boost")
     assert code == 2

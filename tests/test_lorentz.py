@@ -296,6 +296,29 @@ def test_wigner_d_refuses_zero_mass(rng):
         wigner_d(L, p4, q4, 0.0)
 
 
+@pytest.mark.parametrize("which", ["p4", "q4"])
+@pytest.mark.parametrize("bad, reason", [(np.nan, "must have finite entries"),
+                                         (np.inf, "must have finite entries"),
+                                         ("energy", "needs a positive energy")])
+def test_wigner_d_refuses_bad_samples_up_front(rng, which, bad, reason):
+    # a NaN used to pass through as NaN, and an inf entry or p^0 = -3m to
+    # raise a RuntimeWarning; each is refused naming the first bad sample
+    L, p4, q4 = _wigner_d_inputs(rng)
+    k4 = {"p4": p4, "q4": q4}[which]
+    if bad == "energy":
+        k4[3, 0] = -3.0
+        k4[4, 0] = 0.0
+    else:
+        k4[3, 1] = k4[4, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SampleRefused, match=rf"^{which} {reason}.*\(sample 3\)$") as exc:
+            wigner_d(L, p4, q4, 1.0)
+    assert exc.value.index == 3
+    with pytest.raises(SampleRefused, match=rf"^{which} {reason}"):
+        wigner_d(L, p4[3], q4[3], 1.0)
+
+
 def test_wigner_d_single_point_is_batch_row(rng):
     # one real matrix product per call; BLAS may round a one-row product
     # differently from a batch, so rows agree to rounding

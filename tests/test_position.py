@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from diracspin import states
 from diracspin.amplitudes import amplitude
@@ -93,7 +93,7 @@ def test_parseval_blocks_match_whole_grid(monkeypatch, rng, transported):
 
 
 def test_parseval_self_pair_evaluates_once_per_route():
-    # one evaluation for the momentum product, one for the shared mesh
+    # one evaluation per spin sector: the momentum product and the mesh share it
     calls = []
     base = packet(spin=(1.0, 0.5j), width=0.5)
 
@@ -104,7 +104,67 @@ def test_parseval_self_pair_evaluates_once_per_route():
     w = SpinWaveFunction(eps=1, mass=1.0, width=0.5, fn=fn)
     pgrid, xgrid = default_grids(w, w, p_points=12, x_points=8)
     parseval_check(w, w, pgrid, xgrid)
-    assert calls == [12 ** 3, 12 ** 3]
+    assert calls == [12 ** 3]
+
+
+# --- the shared cube -----------------------------------------------------
+# One Parseval level evaluates each sector once on one shell measure and
+# feeds both sides from it; the result is still exactly the one the public
+# routes give separately.
+
+def _sectors(kind):
+    a = packet(spin=(0.6, 0.8j), width=0.45, center=(0.1, 0.0, -0.05))
+    b = packet(spin=(1.0, 0.5), width=0.5, center=(0.0, 0.1, 0.0))
+    a_neg = packet(eps=-1, spin=(0.3, -0.2j), width=0.45)
+    return {"spin_self": (a, a), "spin_pair": (a, b),
+            "covariant_self": (to_covariant(a),) * 2,
+            "covariant_pair": (to_covariant(a), to_covariant(b)),
+            "mixed_pair": (a, to_covariant(b)),
+            "both_signs_self": ((a, a_neg),) * 2,
+            "both_signs_pair": ((a, a_neg), (b, a_neg))}[kind]
+
+
+def _public_routes(a, b, pgrid, xgrid, t):
+    # the tuple parseval_check documents, built from the public functions
+    lhs = scalar_product(a, b, pgrid)
+    rhs = 2.0 * position_product(synthesize_mesh(a, t, xgrid, pgrid),
+                                 synthesize_mesh(b, t, xgrid, pgrid), xgrid)
+    scale = max(abs(lhs), abs(rhs))
+    return lhs, rhs, float(abs(lhs - rhs) / scale if scale > 0 else abs(lhs - rhs))
+
+
+@pytest.mark.parametrize("kind", ["spin_self", "spin_pair", "covariant_self", "covariant_pair",
+                                  "mixed_pair", "both_signs_self", "both_signs_pair"])
+def test_parseval_is_the_public_routes(kind):
+    a, b = _sectors(kind)
+    pgrid, xgrid = default_grids(a, b, p_points=16, x_points=10)
+    assert parseval_check(a, b, pgrid, xgrid, t=0.3) == _public_routes(a, b, pgrid, xgrid, 0.3)
+
+
+@pytest.mark.parametrize("kind", ["spin_self", "both_signs_pair"])
+def test_parseval_is_the_public_routes_on_refined_cube(kind):
+    a, b = _sectors(kind)
+    pgrid, xgrid = default_grids(a, b)
+    pgrid, xgrid = pgrid.refined(), xgrid.refined()
+    assert pgrid.n ** 3 > states._BLOCK
+    assert parseval_check(a, b, pgrid, xgrid) == _public_routes(a, b, pgrid, xgrid, 0.0)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_synthesize_mesh_is_the_whole_array_formula(eps):
+    # the integrand is d3p/(2 omega) e^{-i eps omega t} times the covariant
+    # values, the weights the first operand of the complex product; with the
+    # operands swapped numpy's complex multiply rounds differently
+    a = packet(eps=eps, spin=(0.6, 0.8j), width=0.45, center=(0.1, 0.0, -0.05))
+    pgrid, xgrid = default_grids(a, a)
+    pgrid, xgrid = pgrid.refined(), xgrid.refined()
+    t = 0.7
+    pts, om, wts = pgrid.shell_measure(1.0)
+    core = (wts * np.exp(-1j * eps * om * t))[:, None] * to_covariant(a).evaluate(pts)
+    E = np.exp(1j * eps * np.outer(pgrid.axis(), xgrid.axis()))
+    mesh = np.einsum("abcd,aj,bk,cl->jkld", core.reshape((pgrid.n,) * 3 + (4,)), E, E, E,
+                     optimize=True) / TWO_PI_CUBED_SQRT
+    assert_array_equal(synthesize_mesh(a, t, xgrid, pgrid), mesh)
 
 
 def test_parseval_off_diagonal_pair():

@@ -312,6 +312,52 @@ def test_blocks_match_whole_grid_basis_changes(monkeypatch, eps):
     assert_array_equal(sample(back, grid).values, blocked[3])
 
 
+@pytest.mark.parametrize("eps", [1, -1])
+def test_transport_is_the_per_point_wigner_d_route(rng, eps):
+    # the per-transform Wigner factor changes no bit: the transported profile
+    # equals D* psitilde(L^-1 p) with D from the public `wigner_d`, whole and
+    # block by block, on a 64^3 grid of several blocks
+    w = normalized(packet(eps=eps, spin=(0.6, 0.8j), width=0.4))
+    L = random_lorentz(rng, vmax=0.8)
+    moved = lorentz_transform(w, L)
+    pts = moved.default_grid(64).points()
+    assert len(pts) > 4 * states._BLOCK
+    q4 = _onshell_batch(pts, 1.0)
+    pre4 = q4 @ (np.diag([1.0, -1, -1, -1]) @ L.T @ np.diag([1.0, -1, -1, -1])).T
+    pre4[:, 0] = states.omega_of(pre4[:, 1:], 1.0)
+    D = wigner_d(L, pre4, q4, 1.0)
+    reference = np.einsum("nse,ne->ns", D.conj(), w.evaluate(pre4[:, 1:]))
+    assert_array_equal(moved.evaluate(pts), reference)
+    assert_array_equal(evaluate_on(moved, pts), reference)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_to_covariant_is_the_row_wise_contraction(eps):
+    # the plane-layout contraction rounds as v^eps(p) psitilde(p) row by row
+    w = packet(eps=eps, spin=(0.6, 0.8j), width=0.4, center=(0.2, -0.1, 0.3))
+    pts = Grid(4.0, 40).points()
+    v = amplitude(eps, _onshell_batch(pts, 1.0), 1.0)
+    assert_array_equal(to_covariant(w).evaluate(pts),
+                       np.einsum("nab,nb->na", v, w.evaluate(pts)))
+
+
+@pytest.mark.parametrize("width, direction", [(1e150, "overflow"), (1e-150, "underflow")])
+def test_norm_refuses_cube_with_weights_out_of_range(width, direction):
+    # without the refusal the norm read nan (and `normalized` blamed the
+    # packet spin) or 0.0 ("cannot normalize the zero profile")
+    w = gaussian_packet(1, 1.0, width)
+    for call in (norm, normalized):
+        with pytest.raises(ValueError, match=r"^momentum cube Grid\(.*d3p/\(2 omega\) weights"):
+            call(w)
+    with pytest.raises(ValueError, match=r"d3p/\(2 omega\) weights"):
+        scalar_product(w, w, w.default_grid(8))
+
+
+@pytest.mark.parametrize("width", [1e-30, 1e30])
+def test_norm_of_extreme_in_range_widths(width):
+    assert norm(normalized(gaussian_packet(1, 1.0, width))) == pytest.approx(1.0, rel=1e-9)
+
+
 def test_blocks_are_near_equal():
     # split as np.array_split does: no block is a small remainder
     sizes = []
