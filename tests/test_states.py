@@ -312,6 +312,29 @@ def test_blocks_match_whole_grid_basis_changes(monkeypatch, eps):
     assert_array_equal(sample(back, grid).values, blocked[3])
 
 
+@pytest.mark.parametrize("kind", ["grid", "strided", "extreme", "special"])
+def test_omega_of_is_the_einsum_rounding(rng, kind):
+    # the blockwise sum of squares rounds as the einsum the goldens were made with
+    if kind == "grid":
+        pts = Grid(3.2, 63).points()
+    else:
+        pts = rng.normal(size=(3 * states._BLOCK + 5, 3))
+        if kind == "strided":
+            pts = np.concatenate([np.ones((len(pts), 1)), pts], axis=1)[:, 1:]
+        elif kind == "extreme":
+            pts *= 10.0 ** rng.uniform(-200.0, 200.0, size=(len(pts), 1))
+        else:
+            pts[rng.random(pts.shape) < 0.05] = -0.0
+            pts[rng.random(pts.shape) < 0.01] = np.inf
+            pts[rng.random(pts.shape) < 0.01] = np.nan
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        expected = np.sqrt(2.25 + np.einsum("...i,...i->...", pts, pts))
+        got = states.omega_of(pts, 1.5)
+    assert_array_equal(got, expected)
+    assert_array_equal(np.signbit(got), np.signbit(expected))
+    assert_array_equal(states.omega_of(pts[0], 1.5), states.omega_of(pts[:1], 1.5)[0])
+
+
 @pytest.mark.parametrize("eps", [1, -1])
 def test_transport_is_the_per_point_wigner_d_route(rng, eps):
     # the per-transform Wigner factor changes no bit: the transported profile
