@@ -19,7 +19,7 @@ import numpy as np
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI, energy_projector, slash
 from .lorentz import bispinor_rep, standard_boost, su2_from_so3, wigner_rotation
 from .minkowski import (check_energy_sign, check_mass, matmul_stack, max_entry, on_shell,
-                        parity_flip, row_blocks, stack_matmul)
+                        parity_flip, refuse_first, row_blocks, stack_matmul)
 
 
 def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -36,7 +36,9 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
                  [ -eps (p_y + i p_x)/m      -i eps d         ]
                  [  i eps c                  eps (-p_y + i p_x)/m ]
 
-    with pref = 1 / (2 sqrt(1 + p^0/m)).  The p^0 given is used as is.
+    with pref = 1 / (2 sqrt(1 + p^0/m)).  The p^0 given is used as is; a
+    four-momentum with a non-finite entry or p^0 <= 0 is refused up front,
+    naming the first such sample.
 
     The entries are filled as contiguous planes of a (4, 2, ...) array
     (`_amplitude_planes`), so a batch result is a transposed view of it and
@@ -45,7 +47,11 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    v = _amplitude_planes(eps, p4[..., 0], p4[..., 1:], m)
+    p0 = p4[..., 0]
+    if not (np.isfinite(p4).all() and (p0 > 0.0).all()):
+        refuse_first((~np.isfinite(p4).all(axis=-1), lambda i: "p4 must have finite entries"),
+                     (~(p0 > 0.0), lambda i: f"p4 needs a positive energy, got {float(np.ravel(p0)[i])!r}"))
+    v = _amplitude_planes(eps, p0, p4[..., 1:], m)
     return v.transpose(*range(2, v.ndim), 0, 1)
 
 

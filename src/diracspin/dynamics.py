@@ -18,15 +18,13 @@ scheme (RK4).
 The equations are written once, in `_rate`, on plain Python floats: the
 nine components of (q, xi, x) in, their nine derivatives out.  `integrate`
 steps those floats directly and `rhs` is the single-state wrapper, so no
-state object is rebuilt per stage.  Where B and the force matrix come from
-is chosen once per call, not per stage:
+state object is rebuilt per stage.  A field is data, read once per call and
+not per stage:
 
-- `uniform_field` keeps B as a float triple and its gradient is zero, so a
+- a uniform field keeps B as a float triple and its gradient is zero, so a
   stage does no numpy at all;
-- `quadrupole_field` keeps G, and a stage makes one BLAS product for B = x G
-  and one for the force, G xi or G^T xi;
-- a `FieldConfig` built from callables alone has b(x) and grad_b(x) called
-  at every stage, at the stage position.
+- a linear (quadrupole) field keeps G, and a stage makes one BLAS product
+  for B = x G and one for the force, G xi or G^T xi.
 
 The arithmetic keeps numpy's operation order (np.cross, a matrix-vector
 product for the force), so a trajectory equals the 3-vector numpy form bit
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -46,49 +43,44 @@ from .minkowski import check_mass
 GRADIENT_READINGS = ("stern-gerlach", "transposed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldConfig:
-    """Static magnetic field: B(x) and its gradient dB(x) with dB[i, j] = d_i B_j.
+    """Static magnetic field held as data, exactly one of:
 
-    `uniform_field` and `quadrupole_field` also keep the field as data, B as
-    a float triple or the gradient G, which `integrate` and `rhs` read instead
-    of calling b and grad_b at every stage.  A config built from callables
-    alone has neither and is integrated through its callables.
+    - `constant`: a uniform B, kept as a float triple;
+    - `gradient`: the matrix G of the linear field B_j(x) = sum_i G_ij x_i,
+      whose gradient d_i B_j = G_ij is constant.
+
+    Shape, finiteness and "exactly one" are checked here, on construction.
+    A field compares by identity, since G is an array.
     """
 
-    b: Callable[[np.ndarray], np.ndarray]
-    grad_b: Callable[[np.ndarray], np.ndarray]
-    uniform: bool = False
-    constant: tuple[float, float, float] | None = field(default=None, init=False, repr=False, compare=False)
-    gradient: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    constant: tuple[float, float, float] | None = None
+    gradient: np.ndarray | None = None
 
-    def gradient_residual(self, pts: np.ndarray, h: float = 1e-6) -> float:
-        """Self-check: max difference between grad_b and a central difference of b.
-
-        NaN at any point propagates to the result (0.0 for no points).
-        """
-        residuals = []
-        for x in np.asarray(pts, dtype=float).reshape(-1, 3):
-            num = np.empty((3, 3))
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = h
-                num[i] = (self.b(x + e) - self.b(x - e)) / (2.0 * h)
-            residuals.append(np.abs(num - self.grad_b(x)).max())
-        return float(np.max(residuals, initial=0.0))
+    def __post_init__(self):
+        if (self.constant is None) == (self.gradient is None):
+            raise ValueError("a field needs exactly one of constant (B) and gradient (G), got "
+                             + ("neither" if self.constant is None else "both"))
+        if self.gradient is None:
+            b3 = np.asarray(self.constant, dtype=float)
+            if b3.shape != (3,):
+                raise ValueError(f"field must have shape (3,), got {b3.shape}")
+            if not np.isfinite(b3).all():
+                raise ValueError(f"field b3 must be finite, got {b3}")
+            object.__setattr__(self, "constant", tuple(b3.tolist()))
+            return
+        G = np.array(self.gradient, dtype=float)
+        if G.shape != (3, 3):
+            raise ValueError(f"gradient matrix must have shape (3, 3), got {G.shape}")
+        if not np.isfinite(G).all():
+            raise ValueError(f"gradient matrix G must be finite, got {G.tolist()}")
+        object.__setattr__(self, "gradient", G)
 
 
 def uniform_field(b3: np.ndarray) -> FieldConfig:
     """Spatially constant field B."""
-    b3 = np.asarray(b3, dtype=float).copy()
-    if b3.shape != (3,):
-        raise ValueError(f"field must have shape (3,), got {b3.shape}")
-    if not np.isfinite(b3).all():
-        raise ValueError(f"field b3 must be finite, got {b3}")
-    zero = np.zeros((3, 3))
-    f = FieldConfig(b=lambda x: b3, grad_b=lambda x: zero, uniform=True)
-    object.__setattr__(f, "constant", tuple(b3.tolist()))
-    return f
+    return FieldConfig(constant=b3)
 
 
 def quadrupole_field(G: np.ndarray) -> FieldConfig:
@@ -96,14 +88,7 @@ def quadrupole_field(G: np.ndarray) -> FieldConfig:
 
     A symmetric traceless G gives a curl- and divergence-free field.
     """
-    G = np.asarray(G, dtype=float).copy()
-    if G.shape != (3, 3):
-        raise ValueError(f"gradient matrix must have shape (3, 3), got {G.shape}")
-    if not np.isfinite(G).all():
-        raise ValueError(f"gradient matrix G must be finite, got {G.tolist()}")
-    f = FieldConfig(b=lambda x: np.asarray(x, dtype=float) @ G, grad_b=lambda x: G, uniform=False)
-    object.__setattr__(f, "gradient", G)
-    return f
+    return FieldConfig(gradient=G)
 
 
 @dataclass(frozen=True)
@@ -146,17 +131,14 @@ def _transposed(reading: str) -> bool:
 def _field_terms(f: FieldConfig, transposed: bool) -> tuple:
     """What `_rate` reads B and the force matrix from, as (b, grad):
 
-    - uniform data: b is B as a float triple and grad is None (dB = 0);
-    - linear data: b is G^T (B = x G = G^T x) and grad the force matrix,
-      G or G^T;
-    - callables alone: b is f.b and grad gives the force matrix at a position.
+    - uniform field: b is B as a float triple and grad is None (dB = 0);
+    - linear field: b is G^T (B = x G = G^T x) and grad the force matrix,
+      G or G^T.
     """
-    if f.constant is not None:
+    G = f.gradient
+    if G is None:
         return f.constant, None
-    if f.gradient is not None:
-        G = f.gradient
-        return G.T, (G.T if transposed else G)
-    return f.b, ((lambda pos: f.grad_b(pos).T) if transposed else f.grad_b)
+    return G.T, (G.T if transposed else G)
 
 
 def _rate(y: tuple, b, grad, e_over_m: float, mass: float) -> tuple:
@@ -174,10 +156,6 @@ def _rate(y: tuple, b, grad, e_over_m: float, mass: float) -> tuple:
     if grad is None:
         b0, b1, b2 = b
         f0 = f1 = f2 = 0.0
-    elif callable(grad):
-        pos = np.array(y[6:])
-        b0, b1, b2 = b(pos).tolist()
-        f0, f1, f2 = (grad(pos) @ np.array(y[3:6])).tolist()
     else:
         b0, b1, b2 = b.dot(y[6:]).tolist()
         f0, f1, f2 = grad.dot(y[3:6]).tolist()
@@ -250,7 +228,7 @@ def integrate(s0: ChargedState, f: FieldConfig, t_final: float, steps: int,
 
     table = np.array(rows)
     q, xi, x = (np.ascontiguousarray(table[:, i:i + 3]) for i in (0, 3, 6))
-    return Trajectory(t=t, q=q, xi=xi, x=x, include_position=not f.uniform)
+    return Trajectory(t=t, q=q, xi=xi, x=x, include_position=f.gradient is not None)
 
 
 def larmor_solution(s0: ChargedState, b3: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -335,22 +335,8 @@ def _rotation4(R3: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Generator parameters: a real antisymmetric omega_{mu nu} feeds the matched
 # exponential maps exp((i/2) omega_{mu nu} J^{mu nu}) in the vector and
-# bispinor realizations.  The vector generators are
-# (J^{ab})^mu_nu = i (g^{a mu} delta^b_nu - g^{b mu} delta^a_nu).
+# bispinor realizations.
 # ---------------------------------------------------------------------------
-
-def _vector_generators() -> np.ndarray:
-    J = np.zeros((4, 4, 4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            for mu in range(4):
-                for nu in range(4):
-                    J[a, b, mu, nu] = 1j * (METRIC[a, mu] * (b == nu) - METRIC[b, mu] * (a == nu))
-    return J
-
-
-VECTOR_GENERATORS = _vector_generators()
-
 
 def check_generator_params(omega: np.ndarray) -> np.ndarray:
     """Validate an exactly antisymmetric real 4x4 parameter matrix."""
@@ -384,16 +370,18 @@ def rotation_params(theta3: np.ndarray) -> np.ndarray:
 def lorentz_from_params(omega: np.ndarray) -> np.ndarray:
     """Vector-realization exponential exp((i/2) omega_{mu nu} J^{mu nu}).
 
+    With (J^{ab})^mu_nu = i (g^{a mu} delta^b_nu - g^{b mu} delta^a_nu) and
+    omega antisymmetric, the generator is exactly real,
+
+        (i/2) omega_{ab} (J^{ab})^mu_nu = -(g omega)^mu_nu,
+
+    so the exponential is expm(-g omega).
+
     boost_params(eta x-hat) reproduces boost_from_velocity(tanh(eta) x-hat).
     """
     from scipy.linalg import expm  # slow to import; only these two references need it
 
-    omega = check_generator_params(omega)
-    gen = 0.5j * np.einsum("ab,abmn->mn", omega, VECTOR_GENERATORS)
-    L = expm(gen)
-    if np.abs(L.imag).max() > 1e-12:
-        raise ValueError("generator parameters produced a non-real vector matrix")
-    return lorentz_matrix(L.real, proper=True)
+    return lorentz_matrix(expm(-METRIC @ check_generator_params(omega)), proper=True)
 
 
 def bispinor_from_params(omega: np.ndarray) -> np.ndarray:

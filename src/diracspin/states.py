@@ -643,6 +643,10 @@ def nw_apply_sampled(s: SampledWaveFunction, i: int) -> SampledWaveFunction:
 # Sharp-momentum Bloch states
 # ---------------------------------------------------------------------------
 
+#: The four-momentum of a unit mass at rest.
+_REST = np.array([1.0, 0.0, 0.0, 0.0])
+
+
 @dataclass(frozen=True)
 class DensityState:
     """Positive-energy state sharp at four-momentum q with Bloch vector xi,
@@ -658,10 +662,19 @@ class DensityState:
         xi = np.asarray(self.xi, dtype=float)
         if q4.shape[-1:] != (4,) or xi.shape[-1:] != (3,) or q4.shape[:-1] != xi.shape[:-1]:
             raise ValueError("DensityState needs a four-momentum and a 3-vector")
-        q0 = q4[..., 0]
-        length = np.sqrt(np.vecdot(xi, xi))
-        refuse_first((q0 <= 0, lambda i: "DensityState requires positive energy"),
-                     (libm_square(q0) - np.vecdot(q4[..., 1:], q4[..., 1:]) <= 0,
+        qc, xc, checks = q4, xi, []
+        if not (np.isfinite(q4).all() and np.isfinite(xi).all()):
+            # Non-finite samples are checked as a state at rest, so the gates
+            # below raise no warning; they are refused here.
+            finite_q, finite_xi = np.isfinite(q4).all(axis=-1), np.isfinite(xi).all(axis=-1)
+            ok = (finite_q & finite_xi)[..., None]
+            qc, xc = np.where(ok, q4, _REST), np.where(ok, xi, 0.0)
+            checks = [(~finite_q, lambda i: "q4 must have finite entries"),
+                      (~finite_xi, lambda i: "xi must have finite entries")]
+        q0 = qc[..., 0]
+        length = np.sqrt(np.vecdot(xc, xc))
+        refuse_first(*checks, (q0 <= 0, lambda i: "DensityState requires positive energy"),
+                     (libm_square(q0) - np.vecdot(qc[..., 1:], qc[..., 1:]) <= 0,
                       lambda i: "four-momentum must be timelike"),
                      (length > 1.0 + 1e-12,
                       lambda i: f"Bloch vector must satisfy |xi| <= 1, got {length.reshape(-1)[i]}"))

@@ -343,6 +343,20 @@ def test_params_rotation_roundtrip():
     assert_allclose(L[1:, 1:], Rotation.from_rotvec(theta).as_matrix(), atol=1e-13)
 
 
+def test_params_generator_is_minus_metric_times_omega():
+    # (i/2) omega_ab (J^ab)^mu_nu with (J^ab)^mu_nu = i (g^{a mu} delta^b_nu -
+    # g^{b mu} delta^a_nu), contracted in full, is -g omega to the last bit,
+    # the generator lorentz_from_params exponentiates
+    eye = np.eye(4)
+    J = 1j * (np.einsum("am,bn->abmn", METRIC, eye) - np.einsum("bm,an->abmn", METRIC, eye))
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        a = rng.standard_normal((4, 4))
+        omega = a - a.T
+        gen = 0.5j * np.einsum("ab,abmn->mn", omega, J)
+        assert np.array_equal(gen, -METRIC @ omega)
+
+
 def test_params_antisymmetry_required():
     with pytest.raises(ValueError):
         lorentz_from_params(np.ones((4, 4)))

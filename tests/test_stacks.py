@@ -204,6 +204,49 @@ def test_validators_name_the_first_refused_sample(Ls, Rs, V):
     assert exc.value.index == 0
 
 
+_Q = on_shell(1.0, [0.1, 0.2, 0.0])
+NAN, INF = np.nan, np.inf
+
+
+def _stack_with(rows: dict, width: int):
+    """Four copies of the momentum _Q (width 4) or four zero Bloch vectors
+    (width 3), with the given rows replaced."""
+    a = np.array([_Q] * 4) if width == 4 else np.zeros((4, 3))
+    for i, row in rows.items():
+        a[i] = row
+    return a
+
+
+@pytest.mark.parametrize("make, message, index", [
+    (lambda: amplitude(1, [NAN, 0.0, 0.0, 0.0], 1.0), r"finite entries$", 0),
+    (lambda: amplitude(1, [1.0, 0.0, INF, 0.0], 1.0), r"finite entries$", 0),
+    (lambda: amplitude(1, [-3.0, 0.0, 0.0, 0.0], 1.0), r"positive energy, got -3.0$", 0),
+    (lambda: amplitude(-1, [INF, 0.0, 0.0, 0.0], 1.0), r"finite entries$", 0),
+    (lambda: amplitude(1, _stack_with({2: [0.0, 0.0, 0.0, 0.0], 3: [1.0, NAN, 0.0, 0.0]}, 4), 1.0),
+     r"positive energy, got 0.0 \(sample 2\)", 2),
+    (lambda: amplitude(1, _stack_with({1: [1.0, NAN, 0.0, 0.0], 2: [-1.0, 0.0, 0.0, 0.0]}, 4), 1.0),
+     r"p4 must have finite entries \(sample 1\)", 1),
+    (lambda: DensityState([NAN, 0.0, 0.0, 0.0], np.zeros(3)), r"q4 must have finite entries$", 0),
+    (lambda: DensityState([INF, 0.0, 0.0, 0.0], np.zeros(3)), r"q4 must have finite entries$", 0),
+    (lambda: DensityState([INF, INF, 0.0, 0.0], np.zeros(3)), r"q4 must have finite entries$", 0),
+    (lambda: DensityState(_Q, [0.0, NAN, 0.0]), r"xi must have finite entries$", 0),
+    (lambda: DensityState(_stack_with({1: [NAN, 0.0, 0.0, 0.0]}, 4), np.zeros((4, 3))),
+     r"q4 must have finite entries \(sample 1\)", 1),
+    (lambda: DensityState(_stack_with({}, 4), _stack_with({3: [0.0, 0.0, -INF]}, 3)),
+     r"xi must have finite entries \(sample 3\)", 3),
+    # a finite sample failing a later gate still counts if it comes first
+    (lambda: DensityState(_stack_with({2: [INF, 0.0, 0.0, 0.0]}, 4), _stack_with({1: [0.0, 1.5, 0.0]}, 3)),
+     r"\|xi\| <= 1, got 1.5 \(sample 1\)", 1),
+], ids=["amp-nan", "amp-inf-p", "amp-negative-p0", "amp-inf-p0", "amp-stack-p0", "amp-stack-nan",
+        "rho-nan", "rho-inf", "rho-inf-inf", "rho-xi-nan", "rho-stack-nan", "rho-stack-xi",
+        "rho-stack-order"])
+def test_non_finite_samples_are_refused_by_name(make, message, index):
+    # refused before any arithmetic, so no RuntimeWarning (an error here) fires
+    with pytest.raises(SampleRefused, match=message) as exc:
+        make()
+    assert exc.value.index == index
+
+
 # --- sweep-sized stacks -------------------------------------------------------
 # A chunk of the sweep has CHUNK samples, so the flattened products of the
 # kernels below have 8192 rows or more, which OpenBLAS may block or thread
