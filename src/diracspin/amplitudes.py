@@ -18,8 +18,8 @@ import numpy as np
 
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI, energy_projector, slash
 from .lorentz import bispinor_rep, standard_boost, su2_from_so3, wigner_rotation
-from .minkowski import (check_energy_sign, check_mass, matmul_stack, max_entry, on_shell,
-                        parity_flip, refuse_first, row_blocks, stack_matmul)
+from .minkowski import (check_energy_sign, check_mass, four_momentum_checks, matmul_stack,
+                        max_entry, on_shell, parity_flip, refuse_first, row_blocks, stack_matmul)
 
 
 def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -37,8 +37,8 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
                  [  i eps c                  eps (-p_y + i p_x)/m ]
 
     with pref = 1 / (2 sqrt(1 + p^0/m)).  The p^0 given is used as is; a
-    four-momentum with a non-finite entry or p^0 <= 0 is refused up front,
-    naming the first such sample.
+    four-momentum with a non-finite entry, p^0 <= 0 or a p^0/m that
+    overflows is refused up front, naming the first such sample.
 
     The entries are filled as contiguous planes of a (4, 2, ...) array
     (`_amplitude_planes`), so a batch result is a transposed view of it and
@@ -48,9 +48,13 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
     p0 = p4[..., 0]
-    if not (np.isfinite(p4).all() and (p0 > 0.0).all()):
-        refuse_first((~np.isfinite(p4).all(axis=-1), lambda i: "p4 must have finite entries"),
-                     (~(p0 > 0.0), lambda i: f"p4 needs a positive energy, got {float(np.ravel(p0)[i])!r}"))
+    # a finite p^0 overflows p^0/m only when m < 1
+    if m < 1.0 or not (np.isfinite(p4).all() and (p0 > 0.0).all()):
+        with np.errstate(over="ignore"):
+            ratio = p0 / m
+        refuse_first(*four_momentum_checks("p4", p4),
+                     (~np.isfinite(ratio), lambda i: (f"p4 energy {float(np.ravel(p0)[i])!r} "
+                                                      f"overflows p^0/m for mass = {m!r}")))
     v = _amplitude_planes(eps, p0, p4[..., 1:], m)
     return v.transpose(*range(2, v.ndim), 0, 1)
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import GAMMA0, PAULI, SIGMA
-from .minkowski import (METRIC, check_mass, is_proper_orthochronous, lorentz_matrix, matmul_stack,
-                        on_shell, refuse_first, stack_matmul)
+from .minkowski import (METRIC, check_mass, four_momentum_checks, is_proper_orthochronous,
+                        lorentz_matrix, matmul_stack, on_shell, refuse_first, stack_matmul)
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3)
@@ -267,11 +267,7 @@ def wigner_d(L: np.ndarray, p4: np.ndarray, q4: np.ndarray, m: float) -> np.ndar
     m = check_mass(m)
     sandwich = _wigner_sandwich(lorentz_matrix(L, proper=True))
     p4, q4 = np.asarray(p4, dtype=float), np.asarray(q4, dtype=float)
-    p0, q0 = p4[..., 0], q4[..., 0]
-    refuse_first((~np.isfinite(p4).all(axis=-1), lambda i: "p4 must have finite entries"),
-                 (~np.isfinite(q4).all(axis=-1), lambda i: "q4 must have finite entries"),
-                 (~(p0 > 0.0), lambda i: f"p4 needs a positive energy, got {np.ravel(p0)[i]!r}"),
-                 (~(q0 > 0.0), lambda i: f"q4 needs a positive energy, got {np.ravel(q0)[i]!r}"))
+    refuse_first(*four_momentum_checks("p4", p4), *four_momentum_checks("q4", q4))
     return _wigner_product(sandwich, p4, q4, m)
 
 

@@ -32,7 +32,11 @@ grid (scalar product, position synthesis) is then one whole-array
 reduction, in the order it had without blocks.  This relies on one
 contract, which every profile here keeps and a user `fn` must keep too: a
 profile is pointwise, so row i of its output depends only on row i of the
-points.
+points.  The blocks are those of `minkowski._block_slices`, and every
+on-shell energy here, of a grid point, a block or a packet's center, is
+`minkowski.shell_energy` (through `on_shell` where a four-momentum is
+needed), so one point is lifted with the same bits wherever it is lifted,
+and a momentum whose energy is not finite is refused by name.
 
 What a grid's products share is computed once per cube.  A `ShellCube`
 holds the momentum cube's shell measure (points, omega, d3p/(2 omega)) for
@@ -57,40 +61,8 @@ from .amplitudes import _amplitude_planes, amplitude
 from .clifford import GAMMA0, PAULI, energy_projector
 from .jets import Jet, variables
 from .lorentz import _wigner_product, _wigner_sandwich, bispinor_rep, wigner_rotation
-from .minkowski import (METRIC, check_energy_sign, check_mass, libm_square, lorentz_matrix,
-                        refuse_first)
-
-def omega_of(pts: np.ndarray, m: float) -> np.ndarray:
-    """On-shell energies for an array of spatial momenta (..., 3).
-
-    |p|^2 is summed as (p1^2 + p3^2) + p2^2, block by block
-    (`_block_slices`) so the squares stay in cache.  That is the order in
-    which `np.einsum("...i,...i->...")` rounds it, and the goldens pin it.
-    Grids are lifted here and not through `minkowski.on_shell`: its
-    `np.vecdot` rounds |p|^2 differently (on 14% of a 64^3 grid on
-    [-3, 3]^3), and the goldens pin the rounding of each path.
-    """
-    pts = np.asarray(pts, dtype=float)
-    flat = pts.reshape(-1, 3)
-    om = np.empty(len(flat))
-    sq = np.empty(min(len(flat), _BLOCK))
-    for sl in _block_slices(len(flat)):
-        o, t = om[sl], sq[:sl.stop - sl.start]
-        np.multiply(flat[sl, 0], flat[sl, 0], out=o)
-        np.multiply(flat[sl, 2], flat[sl, 2], out=t)
-        o += t
-        np.multiply(flat[sl, 1], flat[sl, 1], out=t)
-        o += t
-        o += m * m
-        np.sqrt(o, out=o)
-    return om.reshape(pts.shape[:-1])[()]
-
-
-def _onshell_batch(pts: np.ndarray, m: float) -> np.ndarray:
-    """On-shell four-momenta (n, 4) for spatial momenta (..., 3), with the
-    energies of `omega_of`."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    return np.concatenate([omega_of(pts, m)[:, None], pts], axis=1)
+from .minkowski import (METRIC, _block_slices, check_energy_sign, check_mass, lorentz_matrix,
+                        on_shell, refuse_first, shell_energy)
 
 
 #: Minimum decay widths the quadrature cubes must cover.
@@ -139,7 +111,7 @@ class Grid:
         """(points, omega, weights / (2 omega)): the momentum cube with its
         on-shell energies and the invariant measure d3p/(2 omega) for mass m."""
         pts = self.points()
-        om = omega_of(pts, m)
+        om = shell_energy(m, pts)
         wts = self.weights()
         wts /= 2.0 * om  # in place: a new quotient array raised the peak RSS of a 64^3 norm
         return pts, om, wts
@@ -203,8 +175,8 @@ class SpinWaveFunction(_ShellProfile):
             if len(spin) != 2 or not np.isfinite(spin).all():
                 raise ValueError(f"packet spin must be two finite numbers, got {self.spin}")
             object.__setattr__(self, "spin", spin)
-            # 2 width^2, with width^2 rounded as `width ** 2`
-            two_w2 = 2.0 * float(libm_square(self.width))
+            width = float(self.width)
+            two_w2 = 2.0 * (width * width)
             if not (np.isfinite(two_w2) and two_w2 >= np.finfo(float).tiny):
                 raise ValueError(f"width = {self.width!r} puts 2 width^2 = {two_w2!r} outside "
                                  f"the normal float64 range")
@@ -277,25 +249,6 @@ class CovariantWaveFunction(_ShellProfile):
         return self.fn(np.asarray(pts, dtype=float))
 
 
-#: Points per block in `evaluate_on`.  A block's temporaries (Wigner
-#: matrices, amplitudes, outer products; a few hundred bytes per point)
-#: then stay within cache; on a 64^3 grid 8192-32768 did equally well and
-#: 2048 was slower.
-_BLOCK = 16384
-
-
-def _block_slices(n: int):
-    """Consecutive slices of n points, at most `_BLOCK` each: the near-equal
-    parts of `np.array_split`, so none is a small remainder."""
-    k = max(1, -(-n // _BLOCK))
-    q, r = divmod(n, k)
-    lo = 0
-    for i in range(k):
-        hi = lo + q + (i < r)
-        yield slice(lo, hi)
-        lo = hi
-
-
 def evaluate_on(profile, pts: np.ndarray) -> np.ndarray:
     """A profile's values at the points (N, 3), shape (N, k), evaluated on
     the consecutive blocks of `_block_slices`.
@@ -347,7 +300,7 @@ def to_covariant(w: SpinWaveFunction) -> CovariantWaveFunction:
     def fn(pts: np.ndarray) -> np.ndarray:
         flat = pts.reshape(-1, 3)
         out = np.empty((len(flat), 4), dtype=complex)
-        _contract_amplitude(w.eps, w.mass, flat, omega_of(flat, w.mass), w.evaluate(flat), out)
+        _contract_amplitude(w.eps, w.mass, flat, shell_energy(w.mass, flat), w.evaluate(flat), out)
         return out.reshape(pts.shape[:-1] + (4,))
 
     return CovariantWaveFunction(eps=w.eps, mass=w.mass, width=w.width, fn=fn, center=w.center)
@@ -357,7 +310,7 @@ def from_covariant(c: CovariantWaveFunction) -> SpinWaveFunction:
     """Invert the basis change: psitilde(p) = eps vbar^eps(p) psi(p)."""
     def fn(pts: np.ndarray) -> np.ndarray:
         flat = pts.reshape(-1, 3)
-        v = amplitude(c.eps, _onshell_batch(flat, c.mass), c.mass)
+        v = amplitude(c.eps, on_shell(c.mass, flat), c.mass)
         vals = c.evaluate(flat)
         out = c.eps * np.einsum("nbs,bc,nc->ns", v.conj(), GAMMA0, vals)
         return out.reshape(pts.shape[:-1] + (2,))
@@ -371,7 +324,7 @@ def dirac_residual(c: CovariantWaveFunction, pts: np.ndarray) -> float:
     The projected profile is pointwise too, so it is evaluated in blocks and
     the (N, 4, 4) projector is never held whole; the max is order-free."""
     def projected(block: np.ndarray) -> np.ndarray:
-        proj = energy_projector(-c.eps, _onshell_batch(block, c.mass), c.mass)
+        proj = energy_projector(-c.eps, on_shell(c.mass, block), c.mass)
         return np.einsum("nab,nb->na", proj, c.evaluate(block))
 
     return float(np.abs(evaluate_on(replace(c, fn=projected), pts)).max())
@@ -513,7 +466,7 @@ def lorentz_transform(w, L: np.ndarray):
     L = lorentz_matrix(L, proper=True)
     Linv = METRIC @ L.T @ METRIC
     m = w.mass
-    new_center = (L @ _onshell_batch(w.center[None, :], m)[0])[1:]
+    new_center = (L @ on_shell(m, w.center))[1:]
     new_width = w.width * L[0, 0]
 
     if isinstance(w, CovariantWaveFunction):
@@ -521,7 +474,7 @@ def lorentz_transform(w, L: np.ndarray):
 
         def fn(pts: np.ndarray) -> np.ndarray:
             flat = pts.reshape(-1, 3)
-            pre = (_onshell_batch(flat, m) @ Linv.T)[:, 1:]
+            pre = (on_shell(m, flat) @ Linv.T)[:, 1:]
             vals = w.evaluate(pre)
             return np.einsum("ab,nb->na", S, vals).reshape(pts.shape[:-1] + (4,))
 
@@ -531,9 +484,9 @@ def lorentz_transform(w, L: np.ndarray):
         sandwich = _wigner_sandwich(L)  # D's per-L factor, built once per transform
 
         def fn(pts: np.ndarray) -> np.ndarray:
-            q4 = _onshell_batch(pts, m)
+            q4 = on_shell(m, pts.reshape(-1, 3))
             pre4 = q4 @ Linv.T
-            pre4[:, 0] = omega_of(pre4[:, 1:], m)  # the preimage, back on the shell
+            pre4[:, 0] = shell_energy(m, pre4[:, 1:])  # the preimage, back on the shell
             vals = w.evaluate(pre4[:, 1:])
             D = _wigner_product(sandwich, pre4, q4, m)  # `wigner_d` on on-shell points
             return np.einsum("nse,ne->ns", D.conj(), vals).reshape(pts.shape[:-1] + (2,))
@@ -634,7 +587,7 @@ def sample(w: SpinWaveFunction, grid: Grid) -> SampledWaveFunction:
 def nw_apply_sampled(s: SampledWaveFunction, i: int) -> SampledWaveFunction:
     """X_i on gridded data, with the derivative as a central difference."""
     deriv = np.gradient(s.values, s.grid.axis(), axis=i, edge_order=2)
-    om2 = s.mass ** 2 + sum(s.mesh(k) ** 2 for k in range(3))
+    om2 = s.mass * s.mass + sum(s.mesh(k) ** 2 for k in range(3))
     vals = 1j * s.eps * (deriv - (s.mesh(i) / (2.0 * om2))[..., None] * s.values)
     return replace(s, values=vals)
 
@@ -642,10 +595,6 @@ def nw_apply_sampled(s: SampledWaveFunction, i: int) -> SampledWaveFunction:
 # ---------------------------------------------------------------------------
 # Sharp-momentum Bloch states
 # ---------------------------------------------------------------------------
-
-#: The four-momentum of a unit mass at rest.
-_REST = np.array([1.0, 0.0, 0.0, 0.0])
-
 
 @dataclass(frozen=True)
 class DensityState:
@@ -662,20 +611,17 @@ class DensityState:
         xi = np.asarray(self.xi, dtype=float)
         if q4.shape[-1:] != (4,) or xi.shape[-1:] != (3,) or q4.shape[:-1] != xi.shape[:-1]:
             raise ValueError("DensityState needs a four-momentum and a 3-vector")
-        qc, xc, checks = q4, xi, []
-        if not (np.isfinite(q4).all() and np.isfinite(xi).all()):
-            # Non-finite samples are checked as a state at rest, so the gates
-            # below raise no warning; they are refused here.
-            finite_q, finite_xi = np.isfinite(q4).all(axis=-1), np.isfinite(xi).all(axis=-1)
-            ok = (finite_q & finite_xi)[..., None]
-            qc, xc = np.where(ok, q4, _REST), np.where(ok, xi, 0.0)
-            checks = [(~finite_q, lambda i: "q4 must have finite entries"),
-                      (~finite_xi, lambda i: "xi must have finite entries")]
-        q0 = qc[..., 0]
-        length = np.sqrt(np.vecdot(xc, xc))
-        refuse_first(*checks, (q0 <= 0, lambda i: "DensityState requires positive energy"),
-                     (libm_square(q0) - np.vecdot(qc[..., 1:], qc[..., 1:]) <= 0,
-                      lambda i: "four-momentum must be timelike"),
+        q0, qv = q4[..., 0], q4[..., 1:]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            q0_sq, qv_sq = q0 * q0, np.vecdot(qv, qv)
+            spacelike = q0_sq - qv_sq <= 0
+            length = np.sqrt(np.vecdot(xi, xi))
+        refuse_first((~np.isfinite(q4).all(axis=-1), lambda i: "q4 must have finite entries"),
+                     (~np.isfinite(xi).all(axis=-1), lambda i: "xi must have finite entries"),
+                     (q0 <= 0, lambda i: "DensityState requires positive energy"),
+                     (~(np.isfinite(q0_sq) & np.isfinite(qv_sq)),
+                      lambda i: "q4 entries overflow q^2 = (q^0)^2 - |qvec|^2"),
+                     (spacelike, lambda i: "four-momentum must be timelike"),
                      (length > 1.0 + 1e-12,
                       lambda i: f"Bloch vector must satisfy |xi| <= 1, got {length.reshape(-1)[i]}"))
         object.__setattr__(self, "q4", q4)
@@ -683,7 +629,8 @@ class DensityState:
 
     @property
     def mass(self) -> float:
-        return np.sqrt(libm_square(self.q4[..., 0]) - np.vecdot(self.q4[..., 1:], self.q4[..., 1:]))
+        q0, qv = self.q4[..., 0], self.q4[..., 1:]
+        return np.sqrt(q0 * q0 - np.vecdot(qv, qv))
 
     def density_matrix(self) -> np.ndarray:
         return (np.eye(2, dtype=complex) + np.einsum("...i,iab->...ab", self.xi, PAULI)) / 2.0

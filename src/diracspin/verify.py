@@ -41,8 +41,7 @@ from .lorentz import (BALL, LORENTZ, ROTATION, VMAX_HARD, bispinor_inverse, bisp
                       boost_from_velocity, lorentz_from_draws, momenta_from_draws,
                       rotation_angle, rotations_from_draws, standard_boost, su2_from_so3,
                       velocities_from_draws, wigner_rotation, wigner_rotation_closed)
-from .minkowski import (METRIC, SampleRefused, check_mass, libm_square, max_entry, row_blocks,
-                        stack_matmul)
+from .minkowski import METRIC, SampleRefused, check_mass, max_entry, row_blocks, stack_matmul
 from .spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant, pl_covariant,
                        pl_spin, spin_covariant, spin_from_pl, spin_matrix,
                        spin_transform_closed, spin_transform_wigner)
@@ -235,7 +234,8 @@ def _weinberg_condition(m, L, p4, eps):
 
 def _hamiltonian_square(eps, p4, m):
     H = hamiltonian_covariant(eps, p4, m)
-    p0_sq = libm_square(p4[..., 0])
+    p0 = p4[..., 0]
+    p0_sq = p0 * p0
     return max_entry(H @ H - p0_sq[..., None, None] * np.eye(4)) / p0_sq
 
 

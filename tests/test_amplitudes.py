@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,7 @@ from diracspin.amplitudes import (amplitude, amplitude_via_boost, dirac_bar, par
                                   sandwich_formulas, weinberg_residual)
 from diracspin.clifford import GAMMA, GAMMA0, PAULI, energy_projector, slash
 from diracspin.lorentz import random_lorentz, random_momentum
-from diracspin.minkowski import on_shell
-from diracspin.states import _onshell_batch
+from diracspin.minkowski import SampleRefused, on_shell
 
 SQRT_HALF = np.sqrt(0.5)
 # amplitudes at p = 0 (the sigma_2 pairing fixes the phase convention)
@@ -76,7 +77,7 @@ def test_amplitude_normalization_property(px, py, pz, m):
 
 def test_batch_matches_scalar(rng):
     # a batch row is, bit for bit, the point amplitude of the same four-momentum
-    P = _onshell_batch(np.array([random_momentum(rng, 1.0)[1:] for _ in range(9)]), 1.0)
+    P = on_shell(1.0, np.array([random_momentum(rng, 1.0)[1:] for _ in range(9)]))
     for eps in (1, -1):
         batch = amplitude(eps, P, 1.0)
         assert batch.shape == (9, 4, 2)
@@ -92,7 +93,7 @@ def test_batch_matches_scalar_both_shells(rng, eps, m):
     # of p^0, a relative few eps of the largest entry
     u = rng.normal(size=(60, 3))
     P = m * (10.0 ** rng.uniform(-3, 3, size=60) / np.linalg.norm(u, axis=1))[:, None] * u
-    batch = amplitude(eps, _onshell_batch(P, m), m)
+    batch = amplitude(eps, on_shell(m, P), m)
     assert batch.shape == (60, 4, 2)
     for k in range(60):
         ref = amplitude(eps, on_shell(m, P[k]), m)
@@ -169,6 +170,21 @@ def test_weinberg_pure_rotation(rng):
     R4[1:, 1:] = random_rotation(rng)
     p4 = random_momentum(rng, 1.0)
     assert weinberg_residual(R4, 1, p4, 1.0) < 1e-12
+
+
+def test_refuses_energy_over_mass_that_overflows():
+    # p^0/m = 1e408 used to raise "overflow encountered in divide"
+    stack = on_shell(1e-100, np.zeros((3, 3)))
+    stack[1, 0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SampleRefused, match=r"^p4 energy 1e\+308 overflows p\^0/m "
+                                                r"for mass = 1e-100$"):
+            amplitude(1, [1e308, 0.0, 0.0, 0.0], 1e-100)
+        with pytest.raises(SampleRefused, match=r"\(sample 1\)$") as exc:
+            amplitude(-1, stack, 1e-100)
+    assert exc.value.index == 1
+    assert_array_equal(amplitude(1, stack[::2], 1e-100)[1], amplitude(1, stack[2], 1e-100))
 
 
 def test_rejects_bad_energy_sign():

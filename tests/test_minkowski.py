@@ -3,11 +3,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from diracspin.minkowski import (METRIC, SampleRefused, check_mass, is_proper_orthochronous,
-                                 libm_square, lorentz_matrix, lorentz_residual, matmul_stack,
-                                 minkowski_dot, on_shell, parity_flip, stack_matmul)
+from diracspin.minkowski import (_BLOCK, METRIC, SampleRefused, check_mass,
+                                 is_proper_orthochronous, lorentz_matrix, lorentz_residual,
+                                 matmul_stack, minkowski_dot, on_shell, parity_flip, stack_matmul)
+from diracspin.states import Grid
 
 finite = st.floats(-50, 50, allow_nan=False)
 PARITY = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -45,6 +46,42 @@ def test_on_shell_rest():
 def test_on_shell_rejects_bad_mass(bad):
     with pytest.raises(ValueError):
         on_shell(bad, np.zeros(3))
+
+
+@pytest.mark.parametrize("kind", ["grid", "strided", "extreme", "special"])
+def test_on_shell_is_the_einsum_rounding(rng, kind):
+    # the blockwise sum of squares rounds as the einsum; a momentum whose
+    # energy is not finite (a squared entry overflowing in "extreme", an inf
+    # or nan entry in "special") is refused by index, with no warning
+    if kind == "grid":
+        pts = Grid(3.2, 63).points()
+    else:
+        pts = rng.normal(size=(3 * _BLOCK + 5, 3))
+        if kind == "strided":
+            pts = np.concatenate([np.ones((len(pts), 1)), pts], axis=1)[:, 1:]
+        elif kind == "extreme":
+            pts *= 10.0 ** rng.uniform(-200.0, 200.0, size=(len(pts), 1))
+        else:
+            pts[rng.random(pts.shape) < 0.05] = -0.0
+            pts[rng.random(pts.shape) < 0.01] = np.inf
+            pts[rng.random(pts.shape) < 0.01] = np.nan
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        expected = np.sqrt(2.25 + np.einsum("...i,...i->...", pts, pts))
+    ok = np.isfinite(expected)
+    assert ok.all() == (kind in ("grid", "strided"))
+    good = pts if ok.all() else pts[ok]
+    assert len(good) > _BLOCK
+    got = on_shell(1.5, good)
+    reference = np.concatenate([expected[ok, None], good], axis=1)
+    assert_array_equal(got, reference)
+    assert_array_equal(np.signbit(got), np.signbit(reference))
+    assert_array_equal(on_shell(1.5, good[0]), got[0])
+    if not ok.all():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SampleRefused) as exc:
+                on_shell(1.5, pts)
+        assert exc.value.index == np.argmin(ok)
 
 
 def test_parity_flip_keeps_time():
@@ -171,16 +208,6 @@ def test_lorentz_matrix_refuses_overflowing_entries_without_warnings(proper):
         warnings.simplefilter("error")
         with pytest.raises(SampleRefused, match="overflow the metric check"):
             lorentz_matrix(L, proper=proper)
-
-
-def test_libm_square_overflows_to_inf_and_keeps_finite_bits():
-    rng = np.random.default_rng(0)
-    x = np.concatenate([rng.normal(size=1000) * 10.0 ** rng.integers(-150, 150, 1000),
-                        [2.0 ** 512 * (1 - 2.0 ** -53), -1e154, 0.0, -0.0]])
-    expected = np.array([v ** 2 for v in x.tolist()])
-    assert np.array_equal(libm_square(x), expected)
-    big = libm_square(np.array([2.0 ** 512, -1e200, np.inf, -np.inf, np.nan]))
-    assert np.array_equal(big[:4], [np.inf] * 4) and np.isnan(big[4])
 
 
 def test_check_mass_refuses_underflowing_square():

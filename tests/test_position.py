@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from diracspin import states
+from diracspin import minkowski
 from diracspin.amplitudes import amplitude
 from diracspin.lorentz import random_lorentz
 from diracspin.position import (default_grids, parseval_check, position_product,
@@ -86,9 +86,9 @@ def test_parseval_blocks_match_whole_grid(monkeypatch, rng, transported):
         a = lorentz_transform(a, random_lorentz(rng, vmax=0.6))
     pgrid, xgrid = default_grids(a, a)
     pgrid, xgrid = pgrid.refined(), xgrid.refined()
-    assert pgrid.n ** 3 > states._BLOCK
+    assert pgrid.n ** 3 > minkowski._BLOCK
     blocked = parseval_check(a, a, pgrid, xgrid)
-    monkeypatch.setattr(states, "_BLOCK", pgrid.n ** 3)
+    monkeypatch.setattr(minkowski, "_BLOCK", pgrid.n ** 3)
     assert parseval_check(a, a, pgrid, xgrid) == blocked
 
 
@@ -146,7 +146,7 @@ def test_parseval_is_the_public_routes_on_refined_cube(kind):
     a, b = _sectors(kind)
     pgrid, xgrid = default_grids(a, b)
     pgrid, xgrid = pgrid.refined(), xgrid.refined()
-    assert pgrid.n ** 3 > states._BLOCK
+    assert pgrid.n ** 3 > minkowski._BLOCK
     assert parseval_check(a, b, pgrid, xgrid) == _public_routes(a, b, pgrid, xgrid, 0.0)
 
 

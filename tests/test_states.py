@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,11 @@ from diracspin.amplitudes import amplitude
 from diracspin.clifford import GAMMA0, PAULI
 from diracspin.lorentz import (_sl2c_lift, bispinor_rep, boost_from_velocity, random_lorentz,
                                random_rotation, wigner_d, wigner_rotation)
-from diracspin import states
-from diracspin.minkowski import on_shell
+from diracspin import minkowski
+from diracspin.minkowski import SampleRefused, on_shell, shell_energy
 from diracspin.states import (CovariantWaveFunction, DensityState, Grid, SpinWaveFunction,
                               apply_spin, bloch_transform, dirac_residual, evaluate_on,
-                              from_covariant, _onshell_batch, gaussian_packet, lorentz_transform,
+                              from_covariant, gaussian_packet, lorentz_transform,
                               momentum_apply, norm, normalized, nw_apply, nw_apply_sampled,
                               nw_shift, sample, scalar_product, spin_expectations,
                               to_covariant)
@@ -276,8 +277,8 @@ def test_self_product_evaluates_once():
 
 
 # --- block-wise grid evaluation ------------------------------------------
-# The reference is the whole-array evaluation: `_BLOCK` raised to at least
-# the number of points makes `evaluate_on` a single call.
+# The reference is the whole-array evaluation: `minkowski._BLOCK` raised to
+# at least the number of points makes `evaluate_on` a single call.
 
 def _transported(rng, eps):
     w = normalized(packet(eps=eps, spin=(0.6, 0.8j), width=0.4))
@@ -289,9 +290,9 @@ def test_blocks_match_whole_grid_transported(monkeypatch, rng, eps):
     moved = _transported(rng, eps)
     grid = moved.default_grid(64)
     pts = grid.points()
-    assert len(pts) > states._BLOCK
+    assert len(pts) > minkowski._BLOCK
     blocked, nrm = evaluate_on(moved, pts), norm(moved, grid)
-    monkeypatch.setattr(states, "_BLOCK", len(pts))
+    monkeypatch.setattr(minkowski, "_BLOCK", len(pts))
     assert_array_equal(blocked, moved.evaluate(pts))
     assert norm(moved, grid) == nrm
 
@@ -302,37 +303,14 @@ def test_blocks_match_whole_grid_basis_changes(monkeypatch, eps):
     back = from_covariant(c)
     grid = c.default_grid(63)
     pts = grid.points()
-    assert len(pts) % states._BLOCK != 0
+    assert len(pts) % minkowski._BLOCK != 0
     blocked = [evaluate_on(c, pts), evaluate_on(back, pts), dirac_residual(c, pts),
                sample(back, grid).values]
-    monkeypatch.setattr(states, "_BLOCK", len(pts))
+    monkeypatch.setattr(minkowski, "_BLOCK", len(pts))
     assert_array_equal(blocked[0], c.evaluate(pts))
     assert_array_equal(blocked[1], back.evaluate(pts))
     assert dirac_residual(c, pts) == blocked[2]
     assert_array_equal(sample(back, grid).values, blocked[3])
-
-
-@pytest.mark.parametrize("kind", ["grid", "strided", "extreme", "special"])
-def test_omega_of_is_the_einsum_rounding(rng, kind):
-    # the blockwise sum of squares rounds as the einsum the goldens were made with
-    if kind == "grid":
-        pts = Grid(3.2, 63).points()
-    else:
-        pts = rng.normal(size=(3 * states._BLOCK + 5, 3))
-        if kind == "strided":
-            pts = np.concatenate([np.ones((len(pts), 1)), pts], axis=1)[:, 1:]
-        elif kind == "extreme":
-            pts *= 10.0 ** rng.uniform(-200.0, 200.0, size=(len(pts), 1))
-        else:
-            pts[rng.random(pts.shape) < 0.05] = -0.0
-            pts[rng.random(pts.shape) < 0.01] = np.inf
-            pts[rng.random(pts.shape) < 0.01] = np.nan
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        expected = np.sqrt(2.25 + np.einsum("...i,...i->...", pts, pts))
-        got = states.omega_of(pts, 1.5)
-    assert_array_equal(got, expected)
-    assert_array_equal(np.signbit(got), np.signbit(expected))
-    assert_array_equal(states.omega_of(pts[0], 1.5), states.omega_of(pts[:1], 1.5)[0])
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -344,10 +322,10 @@ def test_transport_is_the_per_point_wigner_d_route(rng, eps):
     L = random_lorentz(rng, vmax=0.8)
     moved = lorentz_transform(w, L)
     pts = moved.default_grid(64).points()
-    assert len(pts) > 4 * states._BLOCK
-    q4 = _onshell_batch(pts, 1.0)
+    assert len(pts) > 4 * minkowski._BLOCK
+    q4 = on_shell(1.0, pts)
     pre4 = q4 @ (np.diag([1.0, -1, -1, -1]) @ L.T @ np.diag([1.0, -1, -1, -1])).T
-    pre4[:, 0] = states.omega_of(pre4[:, 1:], 1.0)
+    pre4[:, 0] = shell_energy(1.0, pre4[:, 1:])
     D = wigner_d(L, pre4, q4, 1.0)
     reference = np.einsum("nse,ne->ns", D.conj(), w.evaluate(pre4[:, 1:]))
     assert_array_equal(moved.evaluate(pts), reference)
@@ -359,7 +337,7 @@ def test_to_covariant_is_the_row_wise_contraction(eps):
     # the plane-layout contraction rounds as v^eps(p) psitilde(p) row by row
     w = packet(eps=eps, spin=(0.6, 0.8j), width=0.4, center=(0.2, -0.1, 0.3))
     pts = Grid(4.0, 40).points()
-    v = amplitude(eps, _onshell_batch(pts, 1.0), 1.0)
+    v = amplitude(eps, on_shell(1.0, pts), 1.0)
     assert_array_equal(to_covariant(w).evaluate(pts),
                        np.einsum("nab,nb->na", v, w.evaluate(pts)))
 
@@ -393,8 +371,8 @@ def test_blocks_are_near_equal():
     w = SpinWaveFunction(eps=1, mass=1.0, width=0.5, fn=fn)
     n = 63 ** 3
     evaluate_on(w, Grid(4.0, 63).points())
-    assert sum(sizes) == n and len(sizes) == -(-n // states._BLOCK)
-    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= states._BLOCK
+    assert sum(sizes) == n and len(sizes) == -(-n // minkowski._BLOCK)
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= minkowski._BLOCK
 
 
 def test_transported_norm_peak_memory(rng):
@@ -525,8 +503,8 @@ def test_norm_invariant_under_boost():
 
 def _transport_d(L, pts, m):
     # D on a batch of spatial momenta, with p and q = Lp lifted as transport lifts them
-    p4 = _onshell_batch(pts, m)
-    return wigner_d(L, p4, _onshell_batch(p4 @ L[1:].T, m), m)
+    p4 = on_shell(m, pts)
+    return wigner_d(L, p4, on_shell(m, p4 @ L[1:].T), m)
 
 
 def test_wigner_d_batch_unitary(rng, pts):
@@ -540,8 +518,8 @@ def test_wigner_d_batch_unitary(rng, pts):
 def _wigner_d_reference(L, pts, m, eps):
     # D^T = (eps vbar(Lp) S(L) v(p))^{-1} through a general einsum and inverse
     p4 = np.concatenate([np.sqrt(m * m + np.sum(pts ** 2, axis=1))[:, None], pts], axis=1)
-    v_in = amplitude(eps, _onshell_batch(pts, m), m)
-    v_out = amplitude(eps, _onshell_batch((p4 @ L.T)[:, 1:], m), m)
+    v_in = amplitude(eps, on_shell(m, pts), m)
+    v_out = amplitude(eps, on_shell(m, (p4 @ L.T)[:, 1:]), m)
     M = eps * np.einsum("nbs,bc,cd,nde->nse", v_out.conj(), GAMMA0, bispinor_rep(L), v_in)
     return np.linalg.inv(M).transpose(0, 2, 1)
 
@@ -743,6 +721,21 @@ def test_density_state_validation():
         DensityState(np.array([-1.0, 0.0, 0.0, 0.0]), np.zeros(3))  # past-pointing
     with pytest.raises(ValueError):
         DensityState(on_shell(1.0, np.zeros(3)), np.array([0.0, 0.0, 1.5]))  # |xi| > 1
+
+
+@pytest.mark.parametrize("q4", [[1e200, 1e199, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0]])
+def test_density_state_refuses_overflowing_squares_without_warnings(q4):
+    # the first raised an overflow warning in the timelike gate, and the
+    # second was accepted with mass inf
+    stack = np.array([on_shell(1.0, np.zeros(3))] * 3)
+    stack[2] = q4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SampleRefused, match=r"^q4 entries overflow q\^2 = \(q\^0\)\^2 - \|qvec\|\^2$"):
+            DensityState(np.array(q4), np.zeros(3))
+        with pytest.raises(SampleRefused, match=r"overflow q\^2 .*\(sample 2\)$") as exc:
+            DensityState(stack, np.zeros((3, 3)))
+    assert exc.value.index == 2
 
 
 def test_density_matrix_properties():
