@@ -234,8 +234,7 @@ def _weinberg_condition(m, L, p4, eps):
 
 def _hamiltonian_square(eps, p4, m):
     H = hamiltonian_covariant(eps, p4, m)
-    p0 = p4[..., 0]
-    p0_sq = p0 * p0
+    p0_sq = p4[..., 0] * p4[..., 0]
     return max_entry(H @ H - p0_sq[..., None, None] * np.eye(4)) / p0_sq
 
 

@@ -5,9 +5,10 @@ Comparing two runs of one build cannot see a change in the last digit of a
 residual; these files can.  A change that moves a pinned report on purpose
 re-pins the file under a version bump and says so in CHANGES.md.  The digits
 are those of float64 numpy on x86-64; another BLAS or CPU may round a
-residual differently.  They do not depend on the C library: every square
-is the IEEE product x * x, never libm's pow, and |p|^2 is summed in one
-order, (p1^2 + p3^2) + p2^2, by `minkowski.shell_energy`.
+residual differently.  They do not depend on the C library: each square
+behind a pinned digit is the IEEE product x * x, never libm's pow, and
+|p|^2 is summed in one order, (p1^2 + p3^2) + p2^2, by
+`minkowski.shell_energy`.
 """
 from pathlib import Path
 

@@ -731,7 +731,8 @@ def test_density_state_refuses_overflowing_squares_without_warnings(q4):
     stack[2] = q4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SampleRefused, match=r"^q4 entries overflow q\^2 = \(q\^0\)\^2 - \|qvec\|\^2$"):
+        with pytest.raises(SampleRefused,
+                           match=r"^q4 entries overflow q\^2 = \(q\^0\)\^2 - \|qvec\|\^2$"):
             DensityState(np.array(q4), np.zeros(3))
         with pytest.raises(SampleRefused, match=r"overflow q\^2 .*\(sample 2\)$") as exc:
             DensityState(stack, np.zeros((3, 3)))
