@@ -95,11 +95,33 @@ def standard_boost(p4: np.ndarray, m: float) -> np.ndarray:
     (m (m + p^0)) of a boost along a generic direction has lost its identity
     part to rounding, so its rotation part is gone and the matrix is no
     longer recognizably proper orthochronous; such a boost is refused with
-    that reason, naming the first such sample.
+    that reason, naming the first such sample.  So is, up front, a sample
+    whose p^0/m, m (m + p^0), pvec/m or pvec (x) pvec / (m (m + p^0))
+    overflows.
     """
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    L = lorentz_matrix(_standard_boost_matrix(p4[..., 0], p4[..., 1:], m))
+    p0, pv = p4[..., 0], p4[..., 1:]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # the largest entries of column 0 and of the spatial block, formed
+        # as the build forms them
+        pmax = np.abs(pv).max(axis=-1)
+        ratio, denom = p0 / m, m * (m + p0)
+        spatial = (pmax / m, pmax * pmax / denom)
+    # a non-finite sample or one with p^0 <= 0 is refused as a matrix below
+    valid = np.isfinite(p4).all(axis=-1) & (p0 > 0.0)
+    refuse_first((valid & ~np.isfinite(ratio),
+                  lambda i: (f"p4 energy {float(np.ravel(p0)[i])!r} overflows p^0/m "
+                             f"for mass = {m!r}")),
+                 (valid & ~np.isfinite(denom),
+                  lambda i: (f"p4 energy {float(np.ravel(p0)[i])!r} overflows m (m + p^0) "
+                             f"for mass = {m!r}")),
+                 (valid & ~(np.isfinite(spatial[0]) & np.isfinite(spatial[1])),
+                  lambda i: (f"p4 momentum entries up to {float(np.ravel(pmax)[i])!r} overflow "
+                             f"pvec/m or pvec (x) pvec / (m (m + p^0)) for mass = {m!r}")))
+    with np.errstate(all="ignore"):  # only samples refused below can overflow here
+        L = _standard_boost_matrix(p0, pv, m)
+    L = lorentz_matrix(L)
     # p^0 <= 0 gives a Lorentz matrix that is not orthochronous at all
     refuse_first((~(L[..., 0, 0] > 0.0), lambda i: "matrix is not proper orthochronous"),
                  (~is_proper_orthochronous(L),
@@ -261,14 +283,31 @@ def wigner_d(L: np.ndarray, p4: np.ndarray, q4: np.ndarray, m: float) -> np.ndar
     The 16 matrices depend on L alone (`_wigner_sandwich`) and the product
     on the points alone (`_wigner_product`), so a caller transporting many
     grid blocks by one L builds them once.  A sample with a non-finite
-    entry, or with p^0 or q^0 not positive, is refused up front, naming the
-    first such sample.
+    entry, with p^0 or q^0 not positive, or whose 2m (m + p^0) or
+    2m (m + q^0) overflows is refused up front, naming the first such
+    sample; one whose product still overflows (a tiny mass against a huge
+    energy) is refused after it.
     """
     m = check_mass(m)
     sandwich = _wigner_sandwich(lorentz_matrix(L, proper=True))
     p4, q4 = np.asarray(p4, dtype=float), np.asarray(q4, dtype=float)
-    refuse_first(*four_momentum_checks("p4", p4), *four_momentum_checks("q4", q4))
-    return _wigner_product(sandwich, p4, q4, m)
+    refuse_first(*four_momentum_checks("p4", p4), *four_momentum_checks("q4", q4),
+                 *(_norm_scale_check(name, k4, m) for name, k4 in (("p4", p4), ("q4", q4))))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        D = _wigner_product(sandwich, p4, q4, m)
+    refuse_first((~np.isfinite(D).all(axis=(-2, -1)),
+                  lambda i: f"the Wigner matrix overflows float64 for mass = {m!r}"))
+    return D
+
+
+def _norm_scale_check(name: str, k4: np.ndarray, m: float) -> tuple:
+    """The `refuse_first` check that 2m (m + k^0), the square of the norm
+    `_wigner_product` divides by, is finite, formed as it forms it."""
+    k0 = k4[..., 0]
+    with np.errstate(over="ignore"):
+        scale = 2.0 * m * (m + k0)
+    return (~np.isfinite(scale), lambda i: (f"{name} energy {float(np.ravel(k0)[i])!r} overflows "
+                                            f"2m (m + {name[0]}^0) for mass = {m!r}"))
 
 
 def _wigner_sandwich(L: np.ndarray) -> np.ndarray:

@@ -26,10 +26,14 @@ quadrature error for Gaussian-decaying profiles.
 
 Both sides of one Parseval level read one `states.ShellCube`: the shell
 measure is computed once, each sector is evaluated once, and the momentum
-product and the synthesis integrand (a spin sector's values contracted with
-the amplitude block by block) are formed from those values.  The cube is
-released before the contractions onto the position mesh, which hold the
-weighted integrand only.
+product and the synthesis integrand are formed from those values.  What is
+held whole is what a whole-array reduction or the mesh contraction reads:
+the cube's omega, weights and sector values, and each sector's (N, 4)
+integrand (`_synthesis_core`).  What is made per block is the points, the
+phases e^{-i eps omega t} with their weights, and the amplitude
+temporaries; the mesh contraction makes one component's (n, n, n)
+intermediates at a time.  The cube is released before the contractions
+onto the position mesh, which hold the weighted integrand only.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from math import fsum
 
 import numpy as np
 
+from .minkowski import _block_slices
 from .states import (MIN_COVERAGE, Grid, ShellCube, SpinWaveFunction, _as_sectors, _cube_product,
                      covering_grid, shell_weight_error)
 
@@ -84,8 +89,11 @@ def synthesize(w, x4, pgrid: Grid) -> np.ndarray:
     cube = ShellCube(pgrid)
     psi = np.zeros(4, dtype=complex)
     for s in sectors:
-        pts, om, wts = cube.measure(s.mass)
-        phase = np.exp(-1j * s.eps * (om * x4[0] - pts @ x4[1:]))
+        om, wts = cube.measure(s.mass)
+        phase = np.empty(len(om), dtype=complex)  # whole: the sum below reads it whole
+        for sl in _block_slices(len(om)):
+            pts = pgrid.block_points(sl)
+            phase[sl] = np.exp(-1j * s.eps * (om[sl] * x4[0] - pts @ x4[1:]))
         psi = psi + np.einsum("n,n,na->a", wts, phase, cube.covariant(s))
     return psi / TWO_PI_CUBED_SQRT
 
@@ -93,29 +101,50 @@ def synthesize(w, x4, pgrid: Grid) -> np.ndarray:
 def _synthesis_core(cube: ShellCube, s, t: float) -> np.ndarray:
     """d3p/(2 omega) e^{-i eps omega t} psi(p) for one sector on the cube's
     points, shape (N, 4): the integrand of the synthesis before its phase
-    in x."""
-    _, om, wts = cube.measure(s.mass)
-    wts = (wts * np.exp(-1j * s.eps * om * t))[:, None]
-    if not isinstance(s, SpinWaveFunction):
-        return wts * cube.values(s)  # the covariant values stay the cube's
-    # A spin sector's covariant values are new: weighted in place, with the
-    # weights still the first operand.  `ev *= wts` would round differently,
-    # since numpy's complex multiply is not symmetric in its operands.
-    ev = cube.covariant(s)
-    return np.multiply(wts, ev, out=ev)
+    in x.
+
+    Each block's covariant values (a spin sector's contracted with the
+    amplitude there) and its weighted phases are formed into the one
+    result, with the weights the first operand of the complex product:
+    numpy's complex multiply is not symmetric in its operands."""
+    om, wts = cube.measure(s.mass)
+    core = np.empty((len(om), 4), dtype=complex)
+    spin = isinstance(s, SpinWaveFunction)
+    for sl in _block_slices(len(om)):
+        weights = (wts[sl] * np.exp(-1j * s.eps * om[sl] * t))[:, None]
+        values = cube.contract(s, sl, core[sl]) if spin else cube.values(s)[sl]
+        np.multiply(weights, values, out=core[sl])
+    return core
 
 
 def _mesh(cores, xgrid: Grid, pgrid: Grid) -> np.ndarray:
     """Contract (eps, core) pairs of `_synthesis_core` onto the position mesh,
     shape (n, n, n, 4).  The phase e^{i eps pvec.xvec} factorizes over axes,
-    giving three dense contractions per sector."""
+    giving three dense contractions, over a, b and c, per component of each
+    sector; the sectors are summed into the mesh in turn.
+
+    Each component goes through the products of
+    `einsum("abcd,aj,bk,cl->jkld", core, E, E, E, optimize=True)`, and
+    agrees with it bit for bit.  One thing keeps it so: in the first
+    product the component's n^2 columns (b, c) are padded with zeros to a
+    multiple of four, as the four components' 4 n^2 columns are, since
+    OpenBLAS's zgemm rounds a column left over past a multiple of four
+    differently."""
+    n, nx = pgrid.n, xgrid.n
     pa, xa = pgrid.axis(), xgrid.axis()
-    out = np.zeros((xgrid.n, xgrid.n, xgrid.n, 4), dtype=complex)
+    cols = n * n
+    plane = np.zeros((n, cols + -cols % 4), dtype=complex)  # one component's (a, bc) planes
+    out = np.zeros((nx, nx, nx, 4), dtype=complex)
     for eps, core in cores:
         E = np.exp(1j * eps * np.outer(pa, xa))
-        out = out + np.einsum("abcd,aj,bk,cl->jkld", core.reshape(pgrid.n, pgrid.n, pgrid.n, 4),
-                              E, E, E, optimize=True)
-    return out / TWO_PI_CUBED_SQRT
+        for d in range(4):
+            plane[:, :cols] = core[:, d].reshape(n, cols)
+            part = (E.T @ plane)[:, :cols]  # over a: (j, b c)
+            part = part.reshape(nx, n, n).transpose(0, 2, 1).reshape(-1, n) @ E  # over b: (j c, k)
+            part = part.reshape(nx, n, nx).transpose(0, 2, 1).reshape(-1, n) @ E  # over c: (j k, l)
+            out[..., d] += part.reshape(nx, nx, nx)
+    out /= TWO_PI_CUBED_SQRT
+    return out
 
 
 def _cores(cube: ShellCube, w, t: float) -> list:

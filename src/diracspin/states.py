@@ -29,26 +29,31 @@ Grids are evaluated in blocks and reduced whole.  `evaluate_on` fills one
 points, so the per-point temporaries of a transported or basis-changed
 profile (amplitudes, Wigner matrices) stay cache-sized; every sum over the
 grid (scalar product, position synthesis) is then one whole-array
-reduction, in the order it had without blocks.  This relies on one
-contract, which every profile here keeps and a user `fn` must keep too: a
-profile is pointwise, so row i of its output depends only on row i of the
-points.  The blocks are those of `minkowski._block_slices`, and every
-on-shell energy here, of a grid point, a block or a packet's center, is
-`minkowski.shell_energy` (through `on_shell` where a four-momentum is
-needed), so one point is lifted with the same bits wherever it is lifted,
-and a momentum whose energy is not finite is refused by name.
+reduction, in the order it had without blocks.  On a `Grid` the points
+themselves are made per block, from the axis (`Grid.block_points`), with
+the bits of `Grid.points()`: no grid path here holds the (N, 3) array.
+This relies on one contract, which every profile here keeps and a user
+`fn` must keep too: a profile is pointwise, so row i of its output depends
+only on row i of the points.  The blocks are those of
+`minkowski._block_slices`, and every on-shell energy here, of a grid
+point, a block or a packet's center, is `minkowski.shell_energy` (through
+`on_shell` where a four-momentum is needed), so one point is lifted with
+the same bits wherever it is lifted, and a momentum whose energy is not
+finite is refused by name.
 
 What a grid's products share is computed once per cube.  A `ShellCube`
-holds the momentum cube's shell measure (points, omega, d3p/(2 omega)) for
-each mass and each sector's values on its points; the scalar product and
-the position synthesis of `position.parseval_check` both read them, and a
-spin sector's covariant values are its spin values contracted with the
-amplitude block by block on the measure's (omega, p), never a second
-evaluation.  A cube whose d3p/(2 omega) weights leave the normal float64
-range (`shell_weight_error`) is refused by name.  Likewise what depends only
-on the transformation is built once per `lorentz_transform`, not per block:
-the bispinor S(L), L^{-1} and the 16 matrices sigma_mu A(L) sigma_nu of the
-Wigner matrix.
+holds whole what a whole-array reduction reads: the momentum cube's shell
+measure (omega, d3p/(2 omega)) for each mass and each sector's values on
+its points.  It makes per block what only a block needs: the points, and
+the amplitude temporaries of a spin sector's covariant values, which are
+its spin values contracted with the amplitude block by block
+(`ShellCube.contract`) on the measure's omega and the block's points, never
+a second evaluation.  The scalar product and the position synthesis of
+`position.parseval_check` both read the cube.  A cube whose d3p/(2 omega)
+weights leave the normal float64 range (`shell_weight_error`) is refused
+by name.  Likewise what depends only on the transformation is built once
+per `lorentz_transform`, not per block: the bispinor S(L), L^{-1} and the
+16 matrices sigma_mu A(L) sigma_nu of the Wigner matrix.
 """
 from __future__ import annotations
 
@@ -88,12 +93,21 @@ class Grid:
 
     def points(self) -> np.ndarray:
         """Flat list of grid points, shape (n^3, 3), axis-0 fastest last."""
+        return self.block_points(slice(0, self.n ** 3))
+
+    def block_points(self, sl: slice) -> np.ndarray:
+        """Rows sl of `points()`, shape (rows, 3), built from the axis alone:
+        the planes of axis 0 that the rows touch are filled and the rows cut
+        from them, so a block's points are those of the whole array, bit for
+        bit, and the whole array is never made."""
+        n2 = self.n * self.n
+        first, last = sl.start // n2, -(-sl.stop // n2)
         ax = self.axis()
-        pts = np.empty((self.n,) * 3 + (3,))
-        pts[..., 0] = ax[:, None, None]
+        pts = np.empty((last - first, self.n, self.n, 3))
+        pts[..., 0] = ax[first:last, None, None]
         pts[..., 1] = ax[:, None]
         pts[..., 2] = ax
-        return pts.reshape(-1, 3)
+        return pts.reshape(-1, 3)[sl.start - first * n2:sl.stop - first * n2]
 
     def weights_1d(self) -> np.ndarray:
         """Trapezoid weights along one axis, shape (n,)."""
@@ -107,14 +121,18 @@ class Grid:
         w1 = self.weights_1d()
         return np.einsum("i,j,k->ijk", w1, w1, w1).ravel()
 
-    def shell_measure(self, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(points, omega, weights / (2 omega)): the momentum cube with its
-        on-shell energies and the invariant measure d3p/(2 omega) for mass m."""
-        pts = self.points()
-        om = shell_energy(m, pts)
-        wts = self.weights()
-        wts /= 2.0 * om  # in place: a new quotient array raised the peak RSS of a 64^3 norm
-        return pts, om, wts
+    def shell_measure(self, m: float) -> tuple[np.ndarray, np.ndarray]:
+        """(omega, weights / (2 omega)): the on-shell energies of `points()`
+        for mass m and the invariant measure d3p/(2 omega), both (n^3,),
+        computed block by block from each block's points.  A cube's first
+        point, a corner, has its largest |p|, so an energy that overflows is
+        refused at sample 0 of the first block, as on the whole array."""
+        size = self.n ** 3
+        om, wts = np.empty(size), self.weights()
+        for sl in _block_slices(size):
+            om[sl] = shell_energy(m, self.block_points(sl))
+            wts[sl] /= 2.0 * om[sl]
+        return om, wts
 
     def refined(self) -> "Grid":
         """One refinement level: doubles the resolution on the same cube."""
@@ -249,19 +267,24 @@ class CovariantWaveFunction(_ShellProfile):
         return self.fn(np.asarray(pts, dtype=float))
 
 
-def evaluate_on(profile, pts: np.ndarray) -> np.ndarray:
-    """A profile's values at the points (N, 3), shape (N, k), evaluated on
-    the consecutive blocks of `_block_slices`.
+def evaluate_on(profile, pts) -> np.ndarray:
+    """A profile's values at the points (N, 3), or at the points of a `Grid`,
+    shape (N, k), evaluated on the consecutive blocks of `_block_slices`.
 
     Since a profile is pointwise, the result is that of one
-    `profile.evaluate(pts)` call; only its temporaries are smaller.
+    `profile.evaluate(pts)` call; only its temporaries are smaller.  A
+    grid's points are made block by block (`Grid.block_points`).
     """
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    if isinstance(pts, Grid):
+        size, rows = pts.n ** 3, pts.block_points
+    else:
+        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+        size, rows = len(pts), pts.__getitem__
     out = None
-    for sl in _block_slices(len(pts)):
-        vals = profile.evaluate(pts[sl])
+    for sl in _block_slices(size):
+        vals = profile.evaluate(rows(sl))
         if out is None:  # the first block gives the width and dtype
-            out = np.empty((len(pts),) + vals.shape[1:], dtype=vals.dtype)
+            out = np.empty((size,) + vals.shape[1:], dtype=vals.dtype)
         out[sl] = vals
     return out
 
@@ -358,16 +381,18 @@ def shell_weight_error(grids, m: float) -> str | None:
 
 class ShellCube:
     """One momentum cube with what products and syntheses on it share: the
-    shell measure of each mass, and each sector's values on its points,
-    each computed once and held until the cube is released.  Sectors are
-    told apart by identity, as in `scalar_product`."""
+    shell measure (omega, d3p/(2 omega)) of each mass, and each sector's
+    values on its points, each computed once and held until the cube is
+    released.  The points themselves are not held: each block's are made
+    from the grid's axis when a block needs them.  Sectors are told apart
+    by identity, as in `scalar_product`."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self._measures: dict[float, tuple] = {}
         self._values: dict[int, np.ndarray] = {}
 
-    def measure(self, m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def measure(self, m: float) -> tuple[np.ndarray, np.ndarray]:
         """`Grid.shell_measure` for mass m; a cube whose weights leave the
         normal float64 range (`shell_weight_error`) is refused."""
         if m not in self._measures:
@@ -380,20 +405,26 @@ class ShellCube:
     def values(self, s) -> np.ndarray:
         """A sector's values in its own basis, (N, 2) or (N, 4)."""
         if id(s) not in self._values:
-            self._values[id(s)] = evaluate_on(s, self.measure(s.mass)[0])
+            self._values[id(s)] = evaluate_on(s, self.grid)
         return self._values[id(s)]
+
+    def contract(self, s: SpinWaveFunction, sl: slice, out: np.ndarray) -> np.ndarray:
+        """Rows sl of a spin sector's covariant values into out (rows, 4):
+        its spin values contracted with the amplitude at the block's points
+        and the measure's omega."""
+        om = self.measure(s.mass)[0]
+        return _contract_amplitude(s.eps, s.mass, self.grid.block_points(sl), om[sl],
+                                   self.values(s)[sl], out)
 
     def covariant(self, s) -> np.ndarray:
         """A sector's covariant values (N, 4): a spin sector's values
-        contracted with the amplitude block by block, on the measure's
-        (omega, p), into a new array; a covariant sector's own values."""
+        contracted block by block (`contract`) into a new array; a covariant
+        sector's own values."""
         if not isinstance(s, SpinWaveFunction):
             return self.values(s)
-        vals = self.values(s)
-        pts, om, _ = self.measure(s.mass)
-        out = np.empty((len(pts), 4), dtype=complex)
-        for sl in _block_slices(len(pts)):
-            _contract_amplitude(s.eps, s.mass, pts[sl], om[sl], vals[sl], out[sl])
+        out = np.empty((self.grid.n ** 3, 4), dtype=complex)
+        for sl in _block_slices(len(out)):
+            self.contract(s, sl, out[sl])
         return out
 
 
@@ -407,7 +438,7 @@ def _sector_product(a, b, cube: ShellCube | None) -> complex:
         raise ValueError("scalar product requires equal masses")
     if cube is None:
         cube = ShellCube(covering_grid((a, b)))
-    wts = cube.measure(a.mass)[2]
+    wts = cube.measure(a.mass)[1]
     if isinstance(a, SpinWaveFunction) and isinstance(b, SpinWaveFunction):
         return complex(np.einsum("n,ns,ns->", wts, cube.values(a).conj(), cube.values(b)))
     return complex(a.eps * np.einsum("n,nb,bc,nc->", wts, cube.covariant(a).conj(), GAMMA0,
@@ -580,7 +611,7 @@ class SampledWaveFunction:
 
 def sample(w: SpinWaveFunction, grid: Grid) -> SampledWaveFunction:
     """Evaluate a profile at the points of a grid."""
-    values = evaluate_on(w, grid.points()).reshape((grid.n,) * 3 + (2,))
+    values = evaluate_on(w, grid).reshape((grid.n,) * 3 + (2,))
     return SampledWaveFunction(eps=w.eps, mass=w.mass, grid=grid, values=values)
 
 

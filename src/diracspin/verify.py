@@ -27,6 +27,7 @@ identity); a non-finite worst residual is written as null (JSON) or nan (CSV).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -443,51 +444,83 @@ def run_all(cfg: RunConfig) -> dict:
 
 def format_float(x: float) -> str:
     """17 significant digits; enough to round-trip any double, and stable."""
-    if not np.isfinite(x):
+    x = float(x)
+    if not math.isfinite(x):
         raise ValueError(f"refusing to serialize non-finite value {x}")
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
-def _write_json(obj, out: list, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f'{pad}  "{k}": ')
-            _write_json(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _write_json(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{escaped}"')
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _write_dict(obj: dict, out: list, pad: str) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    inner = pad + "  "
+    sep = "{\n"
+    for k, v in obj.items():
+        out.append(f'{sep}{inner}"{k}": ')
+        _write_json(v, out, inner)
+        sep = ",\n"
+    out.append(f"\n{pad}}}")
+
+
+def _write_list(obj, out: list, pad: str) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = "[\n"
+    for v in obj:
+        out.append(sep + inner)
+        _write_json(v, out, inner)
+        sep = ",\n"
+    out.append(f"\n{pad}]")
+
+
+def _write_str(obj: str, out: list, pad: str) -> None:
+    escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+    out.append(f'"{escaped}"')
+
+
+def _write_bool(obj, out: list, pad: str) -> None:
+    out.append("true" if obj else "false")
+
+
+def _write_int(obj, out: list, pad: str) -> None:
+    out.append(str(int(obj)))
+
+
+def _write_float(obj, out: list, pad: str) -> None:
+    out.append(format_float(obj))
+
+
+def _write_null(obj, out: list, pad: str) -> None:
+    out.append("null")
+
+
+#: The writer of each exact type a report holds; any other subclass of these
+#: kinds is matched by `_writer`.
+_WRITERS = {dict: _write_dict, list: _write_list, tuple: _write_list, str: _write_str,
+            bool: _write_bool, np.bool_: _write_bool, int: _write_int, float: _write_float,
+            np.float64: _write_float, type(None): _write_null}
+_KINDS = ((dict, _write_dict), ((list, tuple), _write_list), ((bool, np.bool_), _write_bool),
+          ((int, np.integer), _write_int), ((float, np.floating), _write_float), (str, _write_str))
+
+
+def _writer(obj):
+    for kind, write in _KINDS:
+        if isinstance(obj, kind):
+            return write
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write_json(obj, out: list, pad: str) -> None:
+    """Append obj as JSON to out, nested lines indented by pad plus two spaces."""
+    (_WRITERS.get(type(obj)) or _writer(obj))(obj, out, pad)
 
 
 def to_json(report) -> str:
     out: list[str] = []
-    _write_json(report, out, 0)
+    _write_json(report, out, "")
     out.append("\n")
     return "".join(out)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.transform import Rotation
 
 import diracspin
@@ -95,6 +95,26 @@ def test_standard_boost_velocity_reading(momenta):
 
 def test_standard_boost_rest_identity():
     assert_allclose(standard_boost(on_shell(3.0, np.zeros(3)), 3.0), np.eye(4), atol=0)
+
+
+def test_standard_boost_refuses_overflow_up_front():
+    # a finite p^0/m, m (m + p^0) or pvec (x) pvec that overflows used to
+    # raise a RuntimeWarning in the build, and p^0 = -m an invalid 0/0
+    stack = on_shell(1.0, np.zeros((3, 3)))
+    stack[1] = [1e200, 1e199, 0.0, 0.0]
+    cases = [(np.array([1e308, 0.0, 0.0, 0.0]), 1e-100,
+              r"^p4 energy 1e\+308 overflows p\^0/m for mass = 1e-100$"),
+             (np.array([1e200, 0.0, 0.0, 0.0]), 1e200,
+              r"^p4 energy 1e\+200 overflows m \(m \+ p\^0\) for mass = 1e\+200$"),
+             (stack, 1.0, r"^p4 momentum entries up to 1e\+199 overflow pvec/m or pvec \(x\) "
+                          r"pvec / \(m \(m \+ p\^0\)\) for mass = 1.0 \(sample 1\)$"),
+             (np.array([-1.0, 0.0, 0.0, 0.0]), 1.0, r"^matrix has a non-finite entry$")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p4, m, message in cases:
+            with pytest.raises(SampleRefused, match=message):
+                standard_boost(p4, m)
+    assert_array_equal(standard_boost(stack[::2], 1.0), np.eye(4)[None].repeat(2, axis=0))
 
 
 def test_wigner_rotation_block_structure(rng):
@@ -318,6 +338,33 @@ def test_wigner_d_refuses_bad_samples_up_front(rng, which, bad, reason):
     assert exc.value.index == 3
     with pytest.raises(SampleRefused, match=rf"^{which} {reason}$"):
         wigner_d(L, p4[3], q4[3], 1.0)
+
+
+@pytest.mark.parametrize("which", ["p4", "q4"])
+def test_wigner_d_refuses_overflowing_norm_up_front(rng, which):
+    # 2m (m + k^0) of a finite k^0 near the float64 maximum used to raise
+    # "overflow encountered in multiply" in the product
+    L, p4, q4 = _wigner_d_inputs(rng)
+    {"p4": p4, "q4": q4}[which][2, 0] = 1e308
+    reason = rf"{which} energy 1e\+308 overflows 2m \(m \+ {which[0]}\^0\) for mass = 1.0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SampleRefused, match=rf"^{reason} \(sample 2\)$") as exc:
+            wigner_d(L, p4, q4, 1.0)
+        assert exc.value.index == 2
+        one = {"p4": ([1e308, 0, 0, 0], [1.0, 0, 0, 0]), "q4": ([1.0, 0, 0, 0], [1e308, 0, 0, 0])}
+        with pytest.raises(SampleRefused, match=rf"^{reason}$"):
+            wigner_d(np.eye(4), *one[which], 1.0)
+
+
+def test_wigner_d_refuses_overflowing_product():
+    # with a tiny mass, 2m (m + p^0) is finite but the product's outer
+    # products b (x) a overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SampleRefused, match=r"^the Wigner matrix overflows float64 for "
+                                                r"mass = 1e-150$"):
+            wigner_d(np.eye(4), [1e300, 0, 0, 0], [1e300, 0, 0, 0], 1e-150)
 
 
 def test_wigner_d_single_point_is_batch_row(rng):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,28 @@ def test_format_float_rejects_non_finite():
         format_float(float("nan"))
     with pytest.raises(ValueError):
         format_float(float("inf"))
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_pinned_reports_come_out_of_the_writer_byte_for_byte(path):
+    text = path.read_text()
+    assert to_json(json.loads(text)) == text
+
+
+def test_to_json_writes_each_kind():
+    # numpy scalars are written as the Python ones; a subclass of a kind goes
+    # to that kind's writer, and anything else is refused
+    report = {"f": [np.float64(0.1), np.float32(0.5), 2.5], "i": (np.int64(-3), 4),
+              "b": [np.bool_(True), False], "s": 'a"b\\c', "n": None, "e": [{}, []]}
+    assert to_json(report) == (
+        '{\n  "f": [\n    0.10000000000000001,\n    0.5,\n    2.5\n  ],\n'
+        '  "i": [\n    -3,\n    4\n  ],\n  "b": [\n    true,\n    false\n  ],\n'
+        '  "s": "a\\"b\\\\c",\n  "n": null,\n  "e": [\n    {},\n    []\n  ]\n}\n')
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        to_json({"z": 1j})
+    with pytest.raises(ValueError, match="non-finite"):
+        to_json([np.float32("nan")])
 
 
 def test_matrix_payloads():
