@@ -16,15 +16,19 @@ readings coincide.  Integration is a fixed-step classical Runge-Kutta
 scheme (RK4).
 
 The equations are written once, in `_rate`, on plain Python floats: the
-nine components of (q, xi, x) in, their nine derivatives out.  `integrate`
-steps those floats directly and `rhs` is the single-state wrapper, so no
-state object is rebuilt per stage.  A field is data, read once per call and
-not per stage:
+nine components of (q, xi, x) in, their nine derivatives out.  `_rate`
+binds the field, the charge-to-mass ratio and the mass once per trajectory
+and returns the rate function; `integrate` then keeps the state as nine
+local floats through the four RK4 stages and the update, building no
+tuple, array or state object per stage, and `rhs` is the single-state
+wrapper.  A field is data:
 
-- a uniform field keeps B as a float triple and its gradient is zero, so a
+- a uniform field binds B as a float triple and its gradient is zero, so a
   stage does no numpy at all;
-- a linear (quadrupole) field keeps G, and a stage makes one BLAS product
-  for B = x G and one for the force, G xi or G^T xi.
+- a linear (quadrupole) field binds G, and a stage makes one BLAS product
+  for B = x G and one for the force, G xi or G^T xi.  These stay numpy
+  products: OpenBLAS rounds a 3x3 product with fused multiply-adds, which
+  plain Python sums do not reproduce.
 
 The arithmetic keeps numpy's operation order (np.cross, a matrix-vector
 product for the force), so a trajectory equals the 3-vector numpy form bit
@@ -141,38 +145,49 @@ def _field_terms(f: FieldConfig, transposed: bool) -> tuple:
     return G.T, (G.T if transposed else G)
 
 
-def _rate(y: tuple, b, grad, e_over_m: float, mass: float) -> tuple:
-    """The equations of motion on plain floats: the state y = (q, xi, x) as
-    nine floats in, (dq/dt, dxi/dt, dx/dt) as nine floats out.  (b, grad)
-    come from `_field_terms`.
+def _rate(b, grad, e_over_m: float, mass: float):
+    """The equations of motion bound to one field and one particle: returns
+    rate(q0, q1, q2, s0, s1, s2, x0, x1, x2), which takes the state
+    (q, xi, x) as nine floats and gives (dq/dt, dxi/dt, dx/dt) as nine
+    floats.  (b, grad) come from `_field_terms`.
 
-    B and dB are read once, at the position.  The cross products follow
-    np.cross's operation order and the force is the matrix-vector product
-    that numpy's matmul makes, so each value equals the 3-vector numpy
-    evaluation bit for bit.  The uniform field's force is an exact +0.0, as
-    numpy's product with the zero gradient gives for any finite xi.
+    The field is bound once per trajectory, and `integrate` calls the rate
+    once per stage on the nine local floats it steps.  A call reads the
+    field through one branch: a uniform field's B and force are the bound
+    floats, a linear field's B and dB are read at the position with one
+    BLAS product each (numpy's, whose FMA rounding plain sums would miss).
+    The cross products follow np.cross's operation order and the force is
+    the matrix-vector product that numpy's matmul makes, so each value
+    equals the 3-vector numpy evaluation bit for bit.  The uniform field's
+    force is (e/2m) 0.0, as numpy's product with the zero gradient gives for
+    any finite xi: a zero whose sign follows the charge.
     """
-    q0, q1, q2, s0, s1, s2 = y[:6]
-    if grad is None:
-        b0, b1, b2 = b
-        f0 = f1 = f2 = 0.0
-    else:
-        b0, b1, b2 = b.dot(y[6:]).tolist()
-        f0, f1, f2 = grad.dot(y[3:6]).tolist()
     half = 0.5 * e_over_m
-    return (e_over_m * (q1 * b2 - q2 * b1) + half * f0,
-            e_over_m * (q2 * b0 - q0 * b2) + half * f1,
-            e_over_m * (q0 * b1 - q1 * b0) + half * f2,
-            e_over_m * (s1 * b2 - s2 * b1),
-            e_over_m * (s2 * b0 - s0 * b2),
-            e_over_m * (s0 * b1 - s1 * b0),
-            q0 / mass, q1 / mass, q2 / mass)
+    if grad is None:
+        uniform = (*b, half * 0.0, half * 0.0, half * 0.0)
+
+    def rate(q0, q1, q2, s0, s1, s2, x0, x1, x2):
+        if grad is None:
+            b0, b1, b2, f0, f1, f2 = uniform
+        else:
+            b0, b1, b2 = b.dot((x0, x1, x2)).tolist()
+            g0, g1, g2 = grad.dot((s0, s1, s2)).tolist()
+            f0, f1, f2 = half * g0, half * g1, half * g2
+        return (e_over_m * (q1 * b2 - q2 * b1) + f0,
+                e_over_m * (q2 * b0 - q0 * b2) + f1,
+                e_over_m * (q0 * b1 - q1 * b0) + f2,
+                e_over_m * (s1 * b2 - s2 * b1),
+                e_over_m * (s2 * b0 - s0 * b2),
+                e_over_m * (s0 * b1 - s1 * b0),
+                q0 / mass, q1 / mass, q2 / mass)
+
+    return rate
 
 
 def rhs(s: ChargedState, f: FieldConfig, reading: str = "stern-gerlach") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time derivatives (dq/dt, dxi/dt, dx/dt) at the state s."""
-    d = _rate((*s.q.tolist(), *s.xi.tolist(), *s.x.tolist()), *_field_terms(f, _transposed(reading)),
-              s.charge / s.mass, s.mass)
+    rate = _rate(*_field_terms(f, _transposed(reading)), s.charge / s.mass, s.mass)
+    d = rate(*s.q.tolist(), *s.xi.tolist(), *s.x.tolist())
     return np.array(d[:3]), np.array(d[3:6]), np.array(d[6:])
 
 
@@ -209,22 +224,43 @@ def integrate(s0: ChargedState, f: FieldConfig, t_final: float, steps: int,
     h = float(t_final) / steps
     half, sixth = 0.5 * h, h / 6.0
     t = np.linspace(0.0, float(t_final), steps + 1)
-    consts = (*_field_terms(f, transposed), s0.charge / s0.mass, s0.mass)
-    y = (*s0.q.tolist(), *s0.xi.tolist(), *s0.x.tolist())
-    rows = [y]
+    rate = _rate(*_field_terms(f, transposed), s0.charge / s0.mass, s0.mass)
+    q0, q1, q2 = s0.q.tolist()
+    xi0, xi1, xi2 = s0.xi.tolist()
+    x0, x1, x2 = s0.x.tolist()
+    rows = [(q0, q1, q2, xi0, xi1, xi2, x0, x1, x2)]
 
-    # Overflow is caught by the finiteness check below, not by warnings.
+    # The stages' derivatives are a0..a8 (k1), b (k2), c (k3) and d (k4), in
+    # the state's order.  Overflow is caught by the finiteness check below,
+    # not by warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
-            k1 = _rate(y, *consts)
-            k2 = _rate(tuple([a + half * d for a, d in zip(y, k1)]), *consts)
-            k3 = _rate(tuple([a + half * d for a, d in zip(y, k2)]), *consts)
-            k4 = _rate(tuple([a + h * d for a, d in zip(y, k3)]), *consts)
-            y = tuple([a + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
-                       for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
-            if not all(map(math.isfinite, y)):
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = rate(q0, q1, q2, xi0, xi1, xi2, x0, x1, x2)
+            b0, b1, b2, b3, b4, b5, b6, b7, b8 = rate(
+                q0 + half * a0, q1 + half * a1, q2 + half * a2,
+                xi0 + half * a3, xi1 + half * a4, xi2 + half * a5,
+                x0 + half * a6, x1 + half * a7, x2 + half * a8)
+            c0, c1, c2, c3, c4, c5, c6, c7, c8 = rate(
+                q0 + half * b0, q1 + half * b1, q2 + half * b2,
+                xi0 + half * b3, xi1 + half * b4, xi2 + half * b5,
+                x0 + half * b6, x1 + half * b7, x2 + half * b8)
+            d0, d1, d2, d3, d4, d5, d6, d7, d8 = rate(
+                q0 + h * c0, q1 + h * c1, q2 + h * c2,
+                xi0 + h * c3, xi1 + h * c4, xi2 + h * c5,
+                x0 + h * c6, x1 + h * c7, x2 + h * c8)
+            row = (q0 + sixth * (a0 + 2 * b0 + 2 * c0 + d0),
+                   q1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1),
+                   q2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2),
+                   xi0 + sixth * (a3 + 2 * b3 + 2 * c3 + d3),
+                   xi1 + sixth * (a4 + 2 * b4 + 2 * c4 + d4),
+                   xi2 + sixth * (a5 + 2 * b5 + 2 * c5 + d5),
+                   x0 + sixth * (a6 + 2 * b6 + 2 * c6 + d6),
+                   x1 + sixth * (a7 + 2 * b7 + 2 * c7 + d7),
+                   x2 + sixth * (a8 + 2 * b8 + 2 * c8 + d8))
+            if not all(map(math.isfinite, row)):
                 raise RuntimeError(f"integration produced non-finite values at step {k}, t = {t[k]:.6g}")
-            rows.append(y)
+            rows.append(row)
+            q0, q1, q2, xi0, xi1, xi2, x0, x1, x2 = row
 
     table = np.array(rows)
     q, xi, x = (np.ascontiguousarray(table[:, i:i + 3]) for i in (0, 3, 6))

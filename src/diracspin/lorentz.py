@@ -20,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import GAMMA0, PAULI, SIGMA
-from .minkowski import (METRIC, check_mass, four_momentum_checks, is_proper_orthochronous,
-                        lorentz_matrix, matmul_stack, on_shell, refuse_first, stack_matmul)
+from .minkowski import (_TINY, METRIC, check_mass, four_momentum_checks, is_proper_orthochronous,
+                        lorentz_matrix, mass_checks, matmul_stack, on_shell, refuse_first,
+                        stack_matmul)
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3)
@@ -149,17 +150,35 @@ def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray
     exact products of group elements.  Returns (R3, R4): the rotation blocks,
     shape (..., 3, 3), and the full matrices, shape (..., 4, 4), whose time
     row and column equal (1, 0, 0, 0) up to roundoff.
+
+    A sample with a non-finite entry of L or p4, with p^0 <= 0, or with a
+    mass that `check_mass` refuses is refused up front, and one whose
+    product overflows float64 after it; each refusal names the first such
+    sample.
     """
     Ld = np.asarray(L).astype(np.longdouble)
     p4d = np.asarray(p4).astype(np.longdouble)
     md = np.asarray(m, dtype=np.longdouble)
-    Lp = (Ld @ p4d[..., None])[..., 0]
-    Q = np.stack(np.broadcast_arrays(p4d[..., 1:], Lp[..., 1:]))
-    q0 = np.sqrt(md * md + np.einsum("...i,...i->...", Q, Q))
-    B_in, B_out = _standard_boost_matrix(q0, Q, md)
-    B_out[..., 0, 1:] *= -1
-    B_out[..., 1:, 0] *= -1
-    R4 = np.asarray(B_out @ Ld @ B_in, dtype=float)
+    m2 = md * md
+    if not (np.isfinite(Ld).all() and np.isfinite(p4d).all() and (p4d[..., 0] > 0.0).all()
+            and ((md > 0.0) & (m2 >= _TINY) & np.isfinite(m2)).all()):
+        # the slow path: find and name the first bad sample of the broadcast batch
+        batch = np.broadcast_shapes(Ld.shape[:-2], p4d.shape[:-1], md.shape)
+        refuse_first(*four_momentum_checks("p4", np.broadcast_to(p4d, batch + (4,))),
+                     (~np.isfinite(Ld).all(axis=(-2, -1)), lambda i: "L must have finite entries"),
+                     *mass_checks(np.broadcast_to(np.asarray(m, dtype=float), batch)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        Lp = (Ld @ p4d[..., None])[..., 0]
+        Q = np.stack(np.broadcast_arrays(p4d[..., 1:], Lp[..., 1:]))
+        q0 = np.sqrt(m2 + np.einsum("...i,...i->...", Q, Q))
+        B_in, B_out = _standard_boost_matrix(q0, Q, md)
+        B_out[..., 0, 1:] *= -1
+        B_out[..., 1:, 0] *= -1
+        R4 = np.asarray(B_out @ Ld @ B_in, dtype=float)
+    if not np.isfinite(R4).all():
+        refuse_first((~np.isfinite(R4).all(axis=(-2, -1)),
+                      lambda i: "the Wigner rotation overflows float64: the standard boosts' "
+                                "product L_{Lp}^{-1} L L_p does not cancel down to a rotation"))
     return R4[..., 1:, 1:].copy(), R4
 
 

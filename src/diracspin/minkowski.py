@@ -89,6 +89,18 @@ def check_mass(m: float) -> float:
     return m
 
 
+def mass_checks(m: np.ndarray) -> list:
+    """The `refuse_first` checks of float64 masses m (...): `check_mass`'s
+    rule, with its messages, per sample."""
+    with np.errstate(over="ignore"):
+        underflows = m * m < _TINY
+    return [(~(np.isfinite(m) & (m > 0.0)),
+             lambda i: f"mass must be positive and finite, got {float(np.ravel(m)[i])!r}"),
+            (underflows,
+             lambda i: (f"mass = {float(np.ravel(m)[i])!r} underflows the mass squared: mass^2 is "
+                        f"below the smallest normal float64, {_TINY:.4g}"))]
+
+
 def max_entry(X: np.ndarray) -> np.ndarray:
     """Largest |entry| of each matrix of a (..., a, b) stack; NaN propagates."""
     return np.abs(X).max(axis=(-2, -1))

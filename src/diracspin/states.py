@@ -441,8 +441,15 @@ def _sector_product(a, b, cube: ShellCube | None) -> complex:
     wts = cube.measure(a.mass)[1]
     if isinstance(a, SpinWaveFunction) and isinstance(b, SpinWaveFunction):
         return complex(np.einsum("n,ns,ns->", wts, cube.values(a).conj(), cube.values(b)))
-    return complex(a.eps * np.einsum("n,nb,bc,nc->", wts, cube.covariant(a).conj(), GAMMA0,
-                                     cube.covariant(b)))
+    # the ket first, so that its evaluation's temporaries are not held next
+    # to the bra's values
+    ket = cube.covariant(b)
+    bra = cube.covariant(a)
+    if isinstance(a, SpinWaveFunction):
+        np.conjugate(bra, out=bra)  # contracted into a new array for this product alone
+    else:
+        bra = bra.conj()  # the cube's held values
+    return complex(a.eps * np.einsum("n,nb,bc,nc->", wts, bra, GAMMA0, ket))
 
 
 def _cube_product(a, b, cube: ShellCube | None) -> complex:

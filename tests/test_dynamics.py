@@ -341,6 +341,31 @@ def test_integrate_and_rhs_equal_numpy_form_bit_for_bit():
         assert np.concatenate(rhs(s, f, reading=reading)).tobytes() == ref.tobytes(), i
 
 
+#: A non-symmetric gradient, so the two readings differ.
+_GENERAL_G = np.array([[0.2, 0.5, -0.1], [0.0, -0.3, 0.4], [0.1, 0.0, 0.1]])
+
+
+@pytest.mark.parametrize("kind, data, s", [
+    ("uniform", np.array([0.2, -0.7, 1.3]),
+     ChargedState(q=np.array([0.3, -0.1, 0.2]), xi=np.array([0.6, 0.0, 0.8]), charge=1.5, mass=2.0)),
+    # with B along z and e < 0, the cross product gives dq_z = e (+0.0) =
+    # -0.0, which stays -0.0 (and so does q_z) only when the uniform field's
+    # force added to it is (e/2m) 0.0 = -0.0, not +0.0
+    ("uniform", np.array([0.0, 0.0, 1.3]),
+     ChargedState(q=np.array([0.5, 0.2, -0.0]), xi=np.array([0.6, 0.0, -0.8]), charge=-1.5, mass=2.0)),
+    ("quadrupole", _GENERAL_G,
+     ChargedState(q=np.array([0.1, 0.4, -0.2]), xi=np.array([0.0, 0.6, 0.8]),
+                  x=np.array([0.3, -0.2, 0.5]), charge=2.0, mass=0.7)),
+], ids=["uniform", "uniform-negative-charge", "quadrupole"])
+def test_workload_length_run_equals_numpy_form_bit_for_bit(kind, data, s):
+    # 2000 steps over t = 10, the length of the benchmark's precess runs
+    f = uniform_field(data) if kind == "uniform" else quadrupole_field(data)
+    for reading in GRADIENT_READINGS:
+        ref = _reference_integrate(s, *_reference_field(kind, data, reading), 10.0, 2000)
+        assert _trajectory_bytes(integrate(s, f, 10.0, 2000, reading=reading)) == \
+            [a.tobytes() for a in ref], reading
+
+
 @pytest.mark.parametrize("kind, data, s, t_final, steps", [
     ("uniform", np.array([0.0, 0.0, 4.0]),
      ChargedState(q=np.array([1.0, 0.0, 0.0]), xi=np.array([1.0, 0.0, 0.0])), 400.0, 400),

@@ -167,6 +167,51 @@ def test_wigner_rotation_recomputes_energy_from_spatial_momentum(rng):
         assert lorentz_residual(R4) < 1e-13
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("p4-nan", r"p4 must have finite entries"),
+    ("p4-energy", r"p4 needs a positive energy, got -3.0"),
+    ("L-nan", r"L must have finite entries"),
+    ("mass-nan", r"mass must be positive and finite, got nan"),
+    ("mass-zero", r"mass must be positive and finite, got 0.0"),
+    ("mass-negative", r"mass must be positive and finite, got -1.0"),
+    ("mass-underflow", r"mass = 1e-160 underflows the mass squared: .*"),
+    ("overflow", r"the Wigner rotation overflows float64: .*"),
+])
+def test_wigner_rotation_refuses_bad_samples(rng, bad, message):
+    # each used to return NaN rotations, warn ("invalid value encountered in
+    # divide", "overflow encountered in cast") or accept p^0 < 0; each is
+    # refused naming the first bad sample, with no warning
+    Ls = np.stack([random_lorentz(rng, 0.5) for _ in range(5)])
+    p4 = np.array([random_momentum(rng, 1.0) for _ in range(5)])
+    m = np.ones(5)
+    if bad == "p4-nan":
+        p4[3, 2] = p4[4, 1] = np.nan
+    elif bad == "p4-energy":
+        p4[3, 0], p4[4, 0] = -3.0, 0.0
+    elif bad == "L-nan":
+        Ls[3, 1, 2] = Ls[4, 0, 0] = np.nan
+    elif bad == "overflow":
+        Ls[3] = random_lorentz(np.random.default_rng(0), 0.5)
+        p4[3] = [1e200, 1e200, 0.0, 0.0]
+    else:
+        m[3] = {"mass-nan": np.nan, "mass-zero": 0.0, "mass-negative": -1.0,
+                "mass-underflow": 1e-160}[bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SampleRefused, match=rf"^{message} \(sample 3\)$") as exc:
+            wigner_rotation(Ls, p4, m)
+        assert exc.value.index == 3
+        # a single sample is refused with the same text; broadcast against a
+        # single L, p4 or mass, the stack keeps its sample index
+        with pytest.raises(SampleRefused, match=rf"^{message}$"):
+            wigner_rotation(Ls[3], p4[3], m[3])
+        broadcast = {"p4": (Ls[0], p4, 1.0), "L-": (Ls, p4[0], 1.0), "mass": (Ls[0], p4[0], m)}
+        for prefix, args in broadcast.items():
+            if bad.startswith(prefix):
+                with pytest.raises(SampleRefused, match=rf"^{message} \(sample 3\)$"):
+                    wigner_rotation(*args)
+
+
 def test_wigner_perpendicular_frozen_angle():
     gamma = 1.0 / np.sqrt(0.75)
     v3 = np.array([0.5, 0.0, 0.0])

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from diracspin.minkowski import (_BLOCK, METRIC, SampleRefused, check_mass,
                                  is_proper_orthochronous, lorentz_matrix, lorentz_residual,
-                                 matmul_stack, minkowski_dot, on_shell, parity_flip, stack_matmul)
+                                 mass_checks, matmul_stack, minkowski_dot, on_shell, parity_flip,
+                                 refuse_first, stack_matmul)
 from diracspin.states import Grid
 
 finite = st.floats(-50, 50, allow_nan=False)
@@ -217,6 +219,21 @@ def test_check_mass_refuses_underflowing_square():
         with pytest.raises(ValueError, match=f"mass = {m!r} underflows the mass squared"):
             check_mass(m)
     assert check_mass(np.sqrt(tiny) * (1 + 1e-15)) > 0
+
+
+@pytest.mark.parametrize("m", [1.0, 1.5e-154, 1e300, 1.4e-154, 5e-324, 0.0, -1.0, np.nan, np.inf])
+def test_mass_checks_apply_check_mass_per_sample(m):
+    # the batched rule refuses exactly what check_mass refuses, with its text
+    masses = np.array([1.0, 2.0, m, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            check_mass(m)
+        except ValueError as exc:
+            with pytest.raises(SampleRefused, match=rf"^{re.escape(str(exc))} \(sample 2\)$"):
+                refuse_first(*mass_checks(masses))
+        else:
+            refuse_first(*mass_checks(masses))
 
 
 # --- products with a fixed matrix ---------------------------------------------
