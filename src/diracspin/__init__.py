@@ -29,11 +29,9 @@ from .lorentz import (
     wigner_rotation_closed,
     wigner_d,
     su2_from_so3,
-    lorentz_from_params,
-    bispinor_from_params,
     bispinor_rep,
 )
-from .amplitudes import amplitude, amplitude_via_boost, dirac_bar, weinberg_residual
+from .amplitudes import amplitude, dirac_bar, weinberg_residual
 from .spin_ops import (
     pl_covariant,
     pl_spin,
@@ -71,7 +69,7 @@ from .dynamics import (
     integrate,
     larmor_solution,
 )
-from .position import synthesize, synthesize_mesh, parseval_check, default_grids
+from .position import synthesize_mesh, parseval_check, default_grids
 from .verify import RunConfig, run_all, run_identity, to_json, to_csv, DEFAULT_TOLERANCES
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI, energy_projector, slash
-from .lorentz import bispinor_rep, standard_boost, su2_from_so3, wigner_rotation
+from .lorentz import bispinor_rep, su2_from_so3, wigner_rotation
 from .minkowski import (check_energy_sign, check_mass, four_momentum_checks, matmul_stack,
-                        max_entry, on_shell, parity_flip, refuse_first, row_blocks, stack_matmul)
+                        max_entry, parity_flip, refuse_first, row_blocks, stack_matmul)
 
 
 def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -81,16 +81,6 @@ def _amplitude_planes(eps, p0: np.ndarray, pv: np.ndarray, m: float) -> np.ndarr
 def dirac_bar(M: np.ndarray) -> np.ndarray:
     """Dirac adjoint Mbar = M^+ gamma^0 (shape (..., k, 4) for a (..., 4, k) input)."""
     return stack_matmul(np.swapaxes(np.asarray(M).conj(), -1, -2), GAMMA0)
-
-
-def amplitude_via_boost(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
-    """Amplitude generated from the rest frame, S(L_p) v^eps(q) with q = (m, 0).
-
-    Agrees with the closed form because the standard boost has trivial
-    Wigner rotation.
-    """
-    q = on_shell(m, np.zeros(3))
-    return bispinor_rep(standard_boost(p4, m)) @ amplitude(eps, q, m)
 
 
 def weinberg_residual(L: np.ndarray, eps: int, p4: np.ndarray, m: float) -> float:

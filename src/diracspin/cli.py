@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .amplitudes import amplitude
-from .dynamics import GRADIENT_READINGS, ChargedState, integrate, quadrupole_field, uniform_field
+from .dynamics import (GRADIENT_READINGS, ChargedState, check_bloch_length, integrate,
+                       quadrupole_field, uniform_field)
 from .lorentz import (boost_from_velocity, lorentz_gamma, rotation_angle, standard_boost,
                       su2_from_so3, wigner_rotation_closed)
 from .minkowski import lorentz_residual, on_shell
@@ -188,6 +189,7 @@ def cmd_amplitude(args) -> int:
 
 
 def cmd_spin_transform(args) -> int:
+    check_bloch_length(args.xi)  # as precess refuses it
     v3 = _check_speed(args.velocity)
     p4 = on_shell(args.mass, args.momentum)
     tols, residuals, passed = _check_point(args, ["spin_transform_equivalence"], v3, p4)
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--velocity", type=_vec3, required=True, metavar="VX,VY,VZ")
     sp.add_argument("--momentum", type=_vec3, default="0,0,0", metavar="PX,PY,PZ")
     sp.add_argument("--xi", type=_vec3, default="0,0,1",
-                    metavar="X,Y,Z", help="Bloch vector to rotate")
+                    metavar="X,Y,Z", help="Bloch vector to rotate, |xi| <= 1")
     sp.set_defaults(func=cmd_spin_transform)
 
     sp = sub.add_parser("precess", parents=[common], help="integrate magnetic precession")
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=_vec3, default="0,0,0", metavar="QX,QY,QZ",
                     help="initial momentum")
     sp.add_argument("--xi", type=_vec3, default="1,0,0", metavar="X,Y,Z",
-                    help="initial polarization")
+                    help="initial polarization (Bloch vector, |xi| <= 1)")
     sp.add_argument("--x0", type=_vec3, default="0,0,0", metavar="X,Y,Z",
                     help="initial position")
     sp.add_argument("--charge", type=_number, default=1.0)

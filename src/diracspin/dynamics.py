@@ -95,6 +95,14 @@ def quadrupole_field(G: np.ndarray) -> FieldConfig:
     return FieldConfig(gradient=G)
 
 
+def check_bloch_length(xi: np.ndarray) -> None:
+    """Refuse a Bloch vector xi (3,) longer than 1 beyond rounding (a NaN
+    entry included), the rule `states.DensityState` applies per sample."""
+    length = math.hypot(*xi.tolist())  # no overflow for finite entries
+    if not length <= 1.0 + 1e-12:
+        raise ValueError(f"Bloch vector must satisfy |xi| <= 1, got {length}")
+
+
 @dataclass(frozen=True)
 class ChargedState:
     """Mean momentum, Bloch vector, and position of a charged particle.
@@ -120,9 +128,7 @@ class ChargedState:
             object.__setattr__(self, name, v)
         if not math.isfinite(self.charge):
             raise ValueError(f"charge must be finite, got {self.charge}")
-        length = math.hypot(*self.xi.tolist())  # no overflow for finite entries
-        if not length <= 1.0 + 1e-12:
-            raise ValueError(f"Bloch vector must satisfy |xi| <= 1, got {length}")
+        check_bloch_length(self.xi)
 
 
 def _transposed(reading: str) -> bool:

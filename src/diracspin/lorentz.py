@@ -8,19 +8,17 @@ X(x) = x^mu sigma_mu and sigma_mu = (I, sigma_1, sigma_2, sigma_3); the
 SU(2) lift of a rotation, the bispinor S(L) = diag(A, (A^+)^{-1}) and the
 Wigner matrix D = A(Lp)^{-1} A(L) A(p) (`wigner_d`) are all read off it.
 The double-cover sign is fixed by Re tr A > 0 (see `_sl2c_lift` for the tie
-at Re tr A = 0).  Finite bispinor transformations
-also come from generator parameters through the matrix exponential, which
-stays as the brute-force reference for the closed form.
+at Re tr A = 0).
 
 The kinematic kernels and the samplers' builders are batch-first (see
-`minkowski`); the generator-parameter maps take one matrix.
+`minkowski`).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .clifford import GAMMA0, PAULI, SIGMA
-from .minkowski import (_TINY, METRIC, check_mass, four_momentum_checks, is_proper_orthochronous,
+from .clifford import GAMMA0, PAULI
+from .minkowski import (_TINY, check_mass, four_momentum_checks, is_proper_orthochronous,
                         lorentz_matrix, mass_checks, matmul_stack, on_shell, refuse_first,
                         stack_matmul)
 
@@ -384,70 +382,6 @@ def _rotation4(R3: np.ndarray) -> np.ndarray:
     L[..., 0, 0] = 1.0
     L[..., 1:, 1:] = R3
     return L
-
-
-# ---------------------------------------------------------------------------
-# Generator parameters: a real antisymmetric omega_{mu nu} feeds the matched
-# exponential maps exp((i/2) omega_{mu nu} J^{mu nu}) in the vector and
-# bispinor realizations.
-# ---------------------------------------------------------------------------
-
-def check_generator_params(omega: np.ndarray) -> np.ndarray:
-    """Validate an exactly antisymmetric real 4x4 parameter matrix."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (4, 4):
-        raise ValueError(f"generator parameters must have shape (4, 4), got {omega.shape}")
-    if not np.array_equal(omega, -omega.T):
-        raise ValueError("generator parameters must be exactly antisymmetric")
-    return omega
-
-
-def boost_params(eta3: np.ndarray) -> np.ndarray:
-    """Parameters of a pure boost with rapidity vector eta (omega_{0i} = eta_i)."""
-    eta3 = np.asarray(eta3, dtype=float)
-    omega = np.zeros((4, 4))
-    omega[0, 1:] = eta3
-    omega[1:, 0] = -eta3
-    return omega
-
-
-def rotation_params(theta3: np.ndarray) -> np.ndarray:
-    """Parameters of a rotation by the axis-angle vector theta (omega_{ij} = -eps_{ijk} theta_k)."""
-    theta3 = np.asarray(theta3, dtype=float)
-    omega = np.zeros((4, 4))
-    omega[1, 2], omega[2, 1] = -theta3[2], theta3[2]
-    omega[2, 3], omega[3, 2] = -theta3[0], theta3[0]
-    omega[3, 1], omega[1, 3] = -theta3[1], theta3[1]
-    return omega
-
-
-def lorentz_from_params(omega: np.ndarray) -> np.ndarray:
-    """Vector-realization exponential exp((i/2) omega_{mu nu} J^{mu nu}).
-
-    With (J^{ab})^mu_nu = i (g^{a mu} delta^b_nu - g^{b mu} delta^a_nu) and
-    omega antisymmetric, the generator is exactly real,
-
-        (i/2) omega_{ab} (J^{ab})^mu_nu = -(g omega)^mu_nu,
-
-    so the exponential is expm(-g omega).
-
-    boost_params(eta x-hat) reproduces boost_from_velocity(tanh(eta) x-hat).
-    """
-    from scipy.linalg import expm  # slow to import; only these two references need it
-
-    return lorentz_matrix(expm(-METRIC @ check_generator_params(omega)), proper=True)
-
-
-def bispinor_from_params(omega: np.ndarray) -> np.ndarray:
-    """Bispinor-realization exponential exp((i/2) omega_{mu nu} Sigma^{mu nu}).
-
-    Paired with lorentz_from_params on the same omega it satisfies the
-    conjugation law S^{-1} gamma^mu S = L^mu_nu gamma^nu.
-    """
-    from scipy.linalg import expm
-
-    omega = check_generator_params(omega)
-    return expm(0.5j * np.einsum("ab,abmn->mn", omega, SIGMA))
 
 
 def bispinor_rep(L: np.ndarray) -> np.ndarray:

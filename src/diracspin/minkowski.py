@@ -64,6 +64,14 @@ def check_energy_sign(eps):
     return eps.astype(int)
 
 
+def check_component(i, n: int, name: str) -> int:
+    """Validate a component index, an integer (not a bool) in range(n), as an
+    int: a negative index is refused, not aliased to another component."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+        raise ValueError(f"{name} must be an integer in range({n}), got {i!r}")
+    return int(i)
+
+
 def four_momentum_checks(name: str, p4: np.ndarray) -> list:
     """The `refuse_first` checks of four-momenta p4 (..., 4) called `name`:
     finite entries, then a positive p^0, printed as a float when refused."""

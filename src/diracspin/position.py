@@ -7,7 +7,8 @@ A momentum-space state is carried to a fixed-time position slice by
 evaluated by trapezoid quadrature on the same centered momentum cubes the
 scalar product uses.  On tensor-product grids the plane-wave phase factors
 over the three axes, so a full position mesh costs three small contractions
-instead of a six-dimensional loop.
+instead of a six-dimensional loop.  The mesh is the only synthesis: one
+point is a node of a position cube chosen to pass through it.
 
 The invariant scalar product can then be computed two ways — the
 sign-weighted momentum integral or the position integral of
@@ -71,31 +72,6 @@ def _position_coverage_check(widths, grid: Grid) -> None:
         raise ValueError(
             f"position grid extent {grid.half_width:g} covers fewer than {MIN_COVERAGE:g} "
             f"spatial widths; need xmax >= {need:g}")
-
-
-def synthesize(w, x4, pgrid: Grid) -> np.ndarray:
-    """Evaluate the position-space bispinor, shape (4,), at one spacetime
-    point x4 = (t, xvec).
-
-    `w` is a wavefunction or a sequence of them (one per energy sign); spin-basis
-    profiles are contracted with the amplitude first.
-    """
-    x4 = np.asarray(x4, dtype=float)
-    if x4.shape != (4,):
-        raise ValueError("x4 must be a four-vector (t, x, y, z)")
-    sectors = _as_sectors(w)
-    for s in sectors:
-        _coverage_check(s, pgrid)
-    cube = ShellCube(pgrid)
-    psi = np.zeros(4, dtype=complex)
-    for s in sectors:
-        om, wts = cube.measure(s.mass)
-        phase = np.empty(len(om), dtype=complex)  # whole: the sum below reads it whole
-        for sl in _block_slices(len(om)):
-            pts = pgrid.block_points(sl)
-            phase[sl] = np.exp(-1j * s.eps * (om[sl] * x4[0] - pts @ x4[1:]))
-        psi = psi + np.einsum("n,n,na->a", wts, phase, cube.covariant(s))
-    return psi / TWO_PI_CUBED_SQRT
 
 
 def _synthesis_core(cube: ShellCube, s, t: float) -> np.ndarray:

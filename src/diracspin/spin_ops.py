@@ -19,7 +19,8 @@ import numpy as np
 from .amplitudes import amplitude, dirac_bar
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI_T
 from .lorentz import _mat, lorentz_gamma, wigner_rotation_closed
-from .minkowski import check_energy_sign, check_mass, matmul_stack, max_entry, stack_matmul
+from .minkowski import (check_component, check_energy_sign, check_mass, matmul_stack, max_entry,
+                        stack_matmul)
 
 _EYE2 = np.eye(2, dtype=complex)
 _EYE4 = np.eye(4, dtype=complex)
@@ -39,6 +40,7 @@ def pl_covariant(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     Contracting with p_mu gives a matrix that annihilates the amplitude
     columns (transversality P.W = 0).
     """
+    mu = check_component(mu, 4, "mu")
     eps = check_energy_sign(eps)
     check_mass(m)
     p4 = np.asarray(p4, dtype=float)
@@ -55,6 +57,7 @@ def pl_spin(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     which equals the basis contraction eps vbar W^mu_cov v and also
     -(m/2) eps vbar gamma^mu gamma^5 v.
     """
+    mu = check_component(mu, 4, "mu")
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
@@ -68,7 +71,7 @@ def pl_spin(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
 
 def spin_matrix(i: int) -> np.ndarray:
     """Spin component S_i on the spin basis: sigma^T_i / 2, independent of p and eps."""
-    return PAULI_T[i] / 2.0
+    return PAULI_T[check_component(i, 3, "i")] / 2.0
 
 
 #: The spin triple (S_1, S_2, S_3), shape (3, 2, 2).
@@ -110,6 +113,7 @@ def spin_covariant(i: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     contracts to the spin-basis matrix, eps vbar S_i v = sigma^T_i / 2,
     for both energy signs.
     """
+    i = check_component(i, 3, "i")
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)

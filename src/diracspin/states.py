@@ -66,8 +66,8 @@ from .amplitudes import _amplitude_planes, amplitude
 from .clifford import GAMMA0, PAULI, energy_projector
 from .jets import Jet, variables
 from .lorentz import _wigner_product, _wigner_sandwich, bispinor_rep, wigner_rotation
-from .minkowski import (METRIC, _block_slices, check_energy_sign, check_mass, lorentz_matrix,
-                        on_shell, refuse_first, shell_energy)
+from .minkowski import (METRIC, _block_slices, check_component, check_energy_sign, check_mass,
+                        lorentz_matrix, on_shell, refuse_first, shell_energy)
 
 
 #: Minimum decay widths the quadrature cubes must cover.
@@ -155,6 +155,8 @@ class _ShellProfile:
         if not (np.isfinite(self.width) and self.width > 0):
             raise ValueError(f"profile width must be finite and positive, got {self.width}")
         center = np.asarray(self.center, dtype=float)
+        if center.shape != (3,):
+            raise ValueError(f"profile center must have shape (3,), got {center.shape}")
         if not np.isfinite(center).all():
             raise ValueError(f"profile center must be finite, got {center}")
         object.__setattr__(self, "center", center)
@@ -554,6 +556,8 @@ def nw_shift(w: SpinWaveFunction, a3: np.ndarray) -> SpinWaveFunction:
     preserve the norm because d3p/omega is shifted along with the profile.
     """
     a3 = np.asarray(a3, dtype=float)
+    if a3.shape != (3,):
+        raise ValueError(f"shift a3 must have shape (3,), got {a3.shape}")
     eps, m, inner = w.eps, w.mass, w.taylor
 
     def jet(pts: np.ndarray, order: int) -> Jet:
@@ -574,6 +578,7 @@ def nw_apply(w: SpinWaveFunction, i: int) -> SpinWaveFunction:
     `nw_apply_sampled` for it.  Components commute ([X_i, X_j] = 0) and are
     canonically conjugate to momentum ([X_i, P_j] = i delta_{ij}).
     """
+    i = check_component(i, 3, "i")
     eps, m, inner = w.eps, w.mass, w.taylor
     inner(np.empty((0, 3)), 1)  # refuses a profile without derivatives now, not when evaluated
 
@@ -586,6 +591,7 @@ def nw_apply(w: SpinWaveFunction, i: int) -> SpinWaveFunction:
 
 def momentum_apply(w: SpinWaveFunction, j: int) -> SpinWaveFunction:
     """Apply the momentum component P_j, which acts as multiplication by eps p_j."""
+    j = check_component(j, 3, "j")
     eps, inner = w.eps, w.taylor
     return _jet_profile(w, lambda pts, order: eps * variables(pts, order)[j] * inner(pts, order))
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from diracspin.amplitudes import (amplitude, amplitude_via_boost, dirac_bar, parity_residual, sandwich_formula_residual,
+from diracspin.amplitudes import (amplitude, dirac_bar, parity_residual, sandwich_formula_residual,
                                   sandwich_formulas, weinberg_residual)
 from diracspin.clifford import GAMMA, GAMMA0, PAULI, energy_projector, slash
 from diracspin.lorentz import random_lorentz, random_momentum
 from diracspin.minkowski import SampleRefused, on_shell
+from _reference import amplitude_via_boost
 
 SQRT_HALF = np.sqrt(0.5)
 # amplitudes at p = 0 (the sigma_2 pairing fixes the phase convention)

@@ -393,6 +393,7 @@ REFUSED_ARGV = [
     ["precess", "--b", "1,2,3,4", "--t-final", "1", "--steps", "10"],
     ["precess", "--b", "1,nan,2", "--t-final", "1", "--steps", "10"],
     ["precess", "--b", "0,0,1", "--xi", "2,0,0", "--t-final", "0.1", "--steps", "3"],
+    ["spin-transform", "--velocity", "0.5,0,0", "--xi", "2,0,0"],
     ["precess", "--b", "0,0,1", "--xi", "1e300,1e300,0", "--t-final", "0.1", "--steps", "3"],
     ["fourier-check", "--spin", "1,2,3"],
     ["fourier-check", "--spin", "1,x"],
@@ -454,6 +455,13 @@ def test_adversarial_numbers_keep_exit_contract(capsys, argv):
             assert [ln for ln in lines if "error:" in ln] == lines[-1:]
         else:
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_spin_transform_refuses_a_long_bloch_vector_as_precess_does(capsys):
+    expected = (2, "", "error: Bloch vector must satisfy |xi| <= 1, got 2.0\n")
+    assert run(capsys, "spin-transform", "--velocity", "0.5,0,0", "--xi", "2,0,0") == expected
+    assert run(capsys, "precess", "--b", "0,0,1", "--xi", "2,0,0", "--t-final", "0.1",
+               "--steps", "3") == expected
 
 
 @pytest.mark.parametrize("width, quantity", [("1e-150", "d3p/(2 omega) weights"),
@@ -582,23 +590,28 @@ def test_parser_built_once_and_shares_no_default_array(capsys):
 
 
 def test_numeric_subcommands_leave_sympy_out():
-    # sympy is a test oracle only: with every import of it refused, each
-    # subcommand runs, and so do the Newton-Wigner and other operators on a
-    # packet and the norm of a normalized, transported packet.
+    # The runtime is numpy alone; scipy and sympy are test references.  With
+    # every import of either refused, importing the package and the CLI and
+    # running each subcommand load neither, and neither do the samplers, the
+    # Newton-Wigner and other operators on a packet and the norm of a
+    # normalized, transported packet.
     src = str(Path(diracspin.__file__).resolve().parents[1])
     code = """if True:
         import contextlib, io, json, sys
 
-        class NoSympy:
+        BLOCKED = ("scipy", "sympy")
+
+        class Blocked:
             def find_spec(self, name, path=None, target=None):
-                if name.split(".")[0] == "sympy":
+                if name.split(".")[0] in BLOCKED:
                     raise ModuleNotFoundError(f"{name} is blocked", name=name)
 
-        sys.meta_path.insert(0, NoSympy())
+        sys.meta_path.insert(0, Blocked())
         import numpy as np
+        import diracspin
         import diracspin.cli as cli
         from diracspin import states
-        from diracspin.lorentz import random_lorentz
+        from diracspin.lorentz import random_lorentz, random_rotation
         runs = [["verify", "--samples", "2"], ["wigner", "--velocity", "0.3,0.1,0"],
                 ["boost", "--velocity", "0.3,0,0"], ["amplitude", "--momentum", "1,2,3"],
                 ["spin-transform", "--velocity", "0.3,0.1,0"],
@@ -612,26 +625,19 @@ def test_numeric_subcommands_leave_sympy_out():
         ops = [states.nw_apply(w, 0), states.nw_shift(w, [0.1, 0.2, 0.0]),
                states.momentum_apply(w, 1), states.apply_spin(w, [[0, 1], [1, 0]])]
         finite = [bool(np.isfinite(op.evaluate(np.ones((4, 3)))).all()) for op in ops]
+        rotation = random_rotation(np.random.default_rng(2))
         print(json.dumps({"codes": codes, "finite": finite, "norm": nrm,
-                          "sympy": sorted(m for m in sys.modules if m.split(".")[0] == "sympy")}))
+                          "rotation": rotation.shape,
+                          "loaded": sorted(m for m in sys.modules if m.split(".")[0] in BLOCKED)}))
     """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     out = json.loads(res.stdout)
     assert out["codes"] == [0] * 7
     assert out["finite"] == [True] * 4
-    assert out["sympy"] == []
+    assert out["rotation"] == [3, 3]
+    assert out["loaded"] == []
     assert out["norm"] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_cli_import_leaves_scipy_linalg_out():
-    # Only the generator-exponential references need scipy.linalg (expm);
-    # no subcommand calls them, and they import it on first use.
-    src = str(Path(diracspin.__file__).resolve().parents[1])
-    code = "import sys, diracspin.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert res.stdout.strip() == "[]"
 
 
 def test_precess_overflow_is_reported_not_raised(capsys):

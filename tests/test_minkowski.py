@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from diracspin.minkowski import (_BLOCK, METRIC, SampleRefused, check_mass,
+from diracspin import spin_ops
+from diracspin.minkowski import (_BLOCK, METRIC, SampleRefused, check_component, check_mass,
                                  is_proper_orthochronous, lorentz_matrix, lorentz_residual,
                                  mass_checks, matmul_stack, minkowski_dot, on_shell, parity_flip,
                                  refuse_first, stack_matmul)
-from diracspin.states import Grid
+from diracspin.states import Grid, gaussian_packet, momentum_apply, nw_apply
 
 finite = st.floats(-50, 50, allow_nan=False)
 PARITY = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -219,6 +220,36 @@ def test_check_mass_refuses_underflowing_square():
         with pytest.raises(ValueError, match=f"mass = {m!r} underflows the mass squared"):
             check_mass(m)
     assert check_mass(np.sqrt(tiny) * (1 + 1e-15)) > 0
+
+
+_P4 = on_shell(1.3, np.array([0.3, -0.4, 0.2]))
+_PACKET = gaussian_packet(1, 1.3, 0.5, spin=(0.6, 0.8j))
+
+#: Each function that takes a component index, as (name, range, call).
+COMPONENT_CALLS = [
+    ("pl_covariant", 4, lambda mu: spin_ops.pl_covariant(mu, 1, _P4, 1.3)),
+    ("pl_spin", 4, lambda mu: spin_ops.pl_spin(mu, -1, _P4, 1.3)),
+    ("spin_matrix", 3, spin_ops.spin_matrix),
+    ("spin_covariant", 3, lambda i: spin_ops.spin_covariant(i, 1, _P4, 1.3)),
+    ("nw_apply", 3, lambda i: nw_apply(_PACKET, i)),
+    ("momentum_apply", 3, lambda j: momentum_apply(_PACKET, j)),
+]
+
+
+@pytest.mark.parametrize("name, n, call", COMPONENT_CALLS, ids=[c[0] for c in COMPONENT_CALLS])
+@pytest.mark.parametrize("bad", [-1, -3, "n", 7, 1.0, True, None])
+def test_component_index_outside_range_is_refused(name, n, call, bad):
+    # a negative index once gave another component's value or one that
+    # matched none, and a float or a large one failed inside the indexing
+    index = n if bad == "n" else bad
+    with pytest.raises(ValueError, match=rf"must be an integer in range\({n}\), got "):
+        call(index)
+
+
+def test_check_component_accepts_integers_in_range():
+    assert [check_component(i, 4, "mu") for i in range(4)] == [0, 1, 2, 3]
+    got = check_component(np.int64(2), 3, "i")
+    assert got == 2 and type(got) is int
 
 
 @pytest.mark.parametrize("m", [1.0, 1.5e-154, 1e300, 1.4e-154, 5e-324, 0.0, -1.0, np.nan, np.inf])

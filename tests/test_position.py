@@ -15,9 +15,10 @@ from diracspin import minkowski
 from diracspin.amplitudes import amplitude
 from diracspin.lorentz import random_lorentz
 from diracspin.position import (default_grids, parseval_check, position_product,
-                                quadrature_range_error, synthesize, synthesize_mesh)
+                                quadrature_range_error, synthesize_mesh)
 from diracspin.states import (Grid, SpinWaveFunction, gaussian_packet, lorentz_transform, norm,
                               normalized, scalar_product, to_covariant)
+from _reference import synthesize
 
 TWO_PI_CUBED_SQRT = (2.0 * np.pi) ** 1.5
 
@@ -168,21 +169,6 @@ def test_synthesize_mesh_is_the_whole_array_formula(eps):
     assert_array_equal(synthesize_mesh(a, t, xgrid, pgrid), mesh)
 
 
-@pytest.mark.parametrize("eps", [1, -1])
-def test_synthesize_point_is_the_whole_array_formula(monkeypatch, eps):
-    # the phases are formed block by block from each block's points, into
-    # the one array the sum over the cube reads
-    a = packet(eps=eps, spin=(0.6, 0.8j), width=0.45, center=(0.1, 0.0, -0.05))
-    pgrid, _ = default_grids(a, a)
-    x4 = np.array([0.7, 1.5, -2.0, 0.25])
-    monkeypatch.setattr(minkowski, "_BLOCK", pgrid.n ** 2 // 2 + 1)
-    om, wts = pgrid.shell_measure(1.0)
-    pts = pgrid.points()
-    phase = np.exp(-1j * eps * (om * x4[0] - pts @ x4[1:]))
-    psi = np.einsum("n,n,na->a", wts, phase, to_covariant(a).evaluate(pts)) / TWO_PI_CUBED_SQRT
-    assert_array_equal(synthesize(a, x4, pgrid), psi)
-
-
 def test_refined_parseval_level_peak_memory():
     # One refined level (63^3 momentum, 35^3 position points) peaked at
     # 39.6 MiB with whole point arrays, whole-grid complex phases and weights,
@@ -320,14 +306,19 @@ def test_synthesize_point_matches_mesh_node():
 def test_narrow_packet_approaches_plane_wave(eps):
     # a narrow profile centered at pbar synthesizes to the sharp-momentum
     # field eps exp(-i eps p.x) v(pbar) column / (2 pi)^{3/2}; the width
-    # correction enters at O(w^2)
+    # correction enters at O(w^2).  The point is the mesh node (3, 10, 6)
+    # of an 11-point cube of half-width 0.5.
     pbar = np.array([0.4, -0.2, 0.3])
     width = 0.05
     m = 1.0
     w = gaussian_packet(eps, m, width, spin=(1.0, 0.0), center=pbar)
     p0 = np.sqrt(m * m + pbar @ pbar)
-    x4 = np.array([0.3, -0.2, 0.5, 0.1])
-    got = synthesize(w, x4, Grid(float(np.abs(pbar).max() + 8 * width), 48))
+    xgrid = Grid(0.5, 11)
+    ax = xgrid.axis()
+    x4 = np.array([0.3, ax[3], ax[10], ax[6]])
+    assert_allclose(x4[1:], [-0.2, 0.5, 0.1], atol=1e-15)
+    mesh = synthesize_mesh(w, x4[0], xgrid, Grid(float(np.abs(pbar).max() + 8 * width), 48))
+    got = mesh[3, 10, 6]
     phase = np.exp(-1j * eps * (p0 * x4[0] - pbar @ x4[1:]))
     v = amplitude(eps, np.concatenate([[p0], pbar]), m)
     kernel = eps * phase * v[:, 0] / TWO_PI_CUBED_SQRT
