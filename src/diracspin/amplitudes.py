@@ -14,12 +14,14 @@ summation over the first index of D when kets are relabelled.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI, energy_projector, slash
+from .clifford import GAMMA, GAMMA0, GAMMA0_ROWS, GAMMA5, PAULI, PAULI_T, energy_projector, slash
 from .lorentz import bispinor_rep, su2_from_so3, wigner_rotation
-from .minkowski import (check_energy_sign, check_mass, four_momentum_checks, matmul_stack,
-                        max_entry, parity_flip, refuse_first, row_blocks, stack_matmul)
+from .minkowski import (check_energy_sign, check_mass, conj_gather, contract, four_momentum_checks,
+                        matmul_stack, max_entry, parity_flip, refuse_first, row_blocks, stack_matmul)
 
 
 def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -79,8 +81,17 @@ def _amplitude_planes(eps, p0: np.ndarray, pv: np.ndarray, m: float) -> np.ndarr
 
 
 def dirac_bar(M: np.ndarray) -> np.ndarray:
-    """Dirac adjoint Mbar = M^+ gamma^0 (shape (..., k, 4) for a (..., 4, k) input)."""
-    return stack_matmul(np.swapaxes(np.asarray(M).conj(), -1, -2), GAMMA0)
+    """Dirac adjoint Mbar = M^+ gamma^0 (shape (..., k, 4) for a (..., 4, k)
+    input), gathered (`_bar_index`)."""
+    M = np.asarray(M)
+    return conj_gather(M, _bar_index(M.shape[-1]))
+
+
+@functools.cache
+def _bar_index(k: int) -> np.ndarray:
+    """Row-major position in a 4 x k matrix M of (M^+ gamma^0)_{ja},
+    conjugated: M_{GAMMA0_ROWS[a], j}; shape (k, 4)."""
+    return k * GAMMA0_ROWS + np.arange(k)[:, None]
 
 
 def weinberg_residual(L: np.ndarray, eps: int, p4: np.ndarray, m: float) -> float:
@@ -149,7 +160,7 @@ def sandwich_formulas(p4: np.ndarray, m: float) -> dict[str, np.ndarray]:
     p0, pv = p4[..., 0, None, None], p4[..., 1:]
     eye = np.eye(2, dtype=complex)
     zero = np.zeros(p4.shape[:-1] + (2, 2), dtype=complex)
-    psig_t = np.einsum("...i,iba->...ab", pv, PAULI)  # pvec . sigma^T
+    psig_t = contract(pv, PAULI_T)  # pvec . sigma^T
     out = {f"gamma{mu}": (p4[..., mu, None, None] / m) * eye for mu in range(4)}
     out["gamma5"] = zero
     out["gamma0_gamma5"] = -psig_t / m
@@ -178,7 +189,7 @@ def sandwich_formula_residual(eps: int, p4: np.ndarray, m: float) -> float:
     targets = sandwich_formulas(p4, m)
     v = amplitude(eps, p4, m)
     vb = dirac_bar(v)
-    pv_gamma = np.einsum("...i,iab->...ab", p4[..., 1:], GAMMA[1:])
+    pv_gamma = contract(p4[..., 1:], GAMMA[1:])
     left = np.concatenate([row_blocks(stack_matmul(vb, _SANDWICH_FIXED), 9),
                            vb @ matmul_stack(GAMMA0, pv_gamma)], axis=-2)
     sandwiches = (left @ v).reshape(vb.shape[:-2] + (10, 2, 2))

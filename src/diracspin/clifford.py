@@ -10,12 +10,24 @@ gamma^mu gamma^nu + gamma^nu gamma^mu = 2 g^{mu nu} I holds exactly in
 floating point.  The spin generators are Sigma^{mu nu} = (i/4)
 [gamma^mu, gamma^nu].  Space inversion acts on bispinors as gamma^0 (unit
 phase): conjugation by it keeps gamma^0 and flips the sign of gamma^k.
+
+Products with these fixed tensors obey the two-term rule of `minkowski`:
+each real output component is at most two terms, each an input times an
+entry in {0, +-1, +-1/2}, so it is exact whatever the summation order.
+A per-sample vector is contracted with a tensor by one flat product
+(`minkowski.contract`, as in `slash`).  Every gamma^mu, gamma^5 and
+sigma_mu is monomial, one nonzero entry per row, so a product with one is
+a gather with phases; `monomial` reads the column and phase tables off a
+matrix.  `GAMMA0_ROWS` is the table of gamma^0, a permutation matrix, which
+`amplitudes.dirac_bar` and `lorentz.bispinor_inverse` gather with;
+`lorentz._trace_table` reads the tables of sigma_mu = (I, sigma_k) for the
+trace its SL(2,C) lift takes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .minkowski import METRIC, check_energy_sign, check_mass
+from .minkowski import METRIC, check_energy_sign, check_mass, contract
 
 _I2 = np.eye(2, dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
@@ -54,6 +66,26 @@ def _sigma_tensor() -> np.ndarray:
 SIGMA = _sigma_tensor()
 
 
+def monomial(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column and phase tables of monomial matrices M (..., n, n), each with
+    one nonzero entry per row and per column: row a of M holds phases[a]
+    in column columns[a], so (M X)_a = phases[a] X_{columns[a]}.  Shapes
+    (..., n) each; a matrix that is not monomial is refused."""
+    M = np.asarray(M)
+    nonzero = M != 0
+    if not ((nonzero.sum(axis=-1) == 1).all() and (nonzero.sum(axis=-2) == 1).all()):
+        raise ValueError("matrix is not monomial: a row or column has other than one nonzero entry")
+    columns = nonzero.argmax(axis=-1)
+    return columns, np.take_along_axis(M, columns[..., None], axis=-1)[..., 0]
+
+
+#: gamma^0 is a permutation matrix: row a holds its 1 in column
+#: GAMMA0_ROWS[a], and since it is symmetric, column a holds it in row
+#: GAMMA0_ROWS[a].  So (X gamma^0)_{ia} = X_{i, GAMMA0_ROWS[a]} and
+#: (gamma^0 X)_{ai} = X_{GAMMA0_ROWS[a], i}.
+GAMMA0_ROWS = monomial(GAMMA0)[0]
+
+
 #: Lowers the index of a contravariant four-vector: p_mu = g_{mu nu} p^nu.
 _LOWER = np.diag(METRIC)
 
@@ -61,8 +93,7 @@ _LOWER = np.diag(METRIC)
 def slash(p4: np.ndarray) -> np.ndarray:
     """Feynman slash p_mu gamma^mu = p^0 gamma^0 - pvec . gammavec, for
     four-momenta (..., 4); shape (..., 4, 4)."""
-    p4 = np.asarray(p4, dtype=float)
-    return np.einsum("...m,mab->...ab", p4 * _LOWER, GAMMA)
+    return contract(np.asarray(p4, dtype=float) * _LOWER, GAMMA)
 
 
 def energy_projector(eps: int, p4: np.ndarray, m: float) -> np.ndarray:

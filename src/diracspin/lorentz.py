@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import GAMMA0, PAULI
-from .minkowski import (_TINY, check_mass, four_momentum_checks, is_proper_orthochronous,
-                        lorentz_matrix, mass_checks, matmul_stack, on_shell, refuse_first,
-                        stack_matmul)
+from .clifford import GAMMA0_ROWS, PAULI, monomial
+from .minkowski import (_TINY, check_mass, conj_gather, four_momentum_checks,
+                        is_proper_orthochronous, lorentz_matrix, mass_checks, on_shell,
+                        refuse_first)
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3)
@@ -219,6 +219,30 @@ _SIGMA4 = np.concatenate([_I2[None], PAULI])
 _LIFT = np.einsum("mab,xbc,ncd->mnxad", _SIGMA4, _SIGMA4, _SIGMA4).reshape(16, 16)
 
 
+def _trace_table() -> tuple[np.ndarray, np.ndarray]:
+    """Positions and signs, both (4, 2), of Re (sigma_k M)_{aa} in the
+    (re, im) view of a 2x2 complex M, (M_00, M_01, M_10, M_11) as 8 floats:
+    with sigma_k's row a holding the phase z in column c (`monomial`),
+    Re (z M_{ca}) is z.re M_{ca}.re for a real z and -z.im M_{ca}.im for an
+    imaginary one."""
+    columns, phases = monomial(_SIGMA4)
+    real = phases.imag == 0
+    positions = 2 * (2 * columns + np.arange(2)) + ~real
+    return positions, np.where(real, phases.real, -phases.imag)
+
+
+_TRACE_POSITIONS, _TRACE_SIGNS = _trace_table()
+
+
+def _sigma_trace(k: np.ndarray, Mk: np.ndarray) -> np.ndarray:
+    """Re tr(sigma_k M_k) for indices k (n,) and C-contiguous matrices M_k
+    (n, 2, 2), shape (n,): each diagonal entry of sigma_k M_k is one
+    component of M_k times a unit phase, read off `_trace_table`."""
+    terms = Mk.view(float).take(8 * np.arange(len(k))[:, None] + _TRACE_POSITIONS[k])
+    terms *= _TRACE_SIGNS[k]
+    return terms[:, 0] + terms[:, 1]
+
+
 def _sl2c_lift(L: np.ndarray) -> np.ndarray:
     """SL(2,C) elements A with A X(x) A^+ = X(Lx), X(x) = x^mu sigma_mu, for
     proper orthochronous float matrices L of shape (..., 4, 4) (validated by
@@ -251,8 +275,7 @@ def _sl2c_lift(L: np.ndarray) -> np.ndarray:
     re = x[..., 0] * y[..., 0] - x[..., 1] * y[..., 1]
     im = x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]
     det_re, det_im = re[:, 0] - re[:, 1], im[:, 0] - im[:, 1]
-    tr = _SIGMA4[k] @ Mk
-    scale = 2.0 * (tr[:, 0, 0].real + tr[:, 1, 1].real)
+    scale = 2.0 * _sigma_trace(k, Mk)
     inv_abs = 1.0 / np.hypot(det_re, det_im)
     c2 = np.empty(len(M), dtype=complex)
     c2.real, c2.imag = scale * det_re * inv_abs, scale * det_im * inv_abs
@@ -401,9 +424,15 @@ def bispinor_rep(L: np.ndarray) -> np.ndarray:
     return S
 
 
+#: Row-major position in S of (gamma^0 S^+ gamma^0)_{ab}, conjugated:
+#: S_{GAMMA0_ROWS[b], GAMMA0_ROWS[a]}.
+_INVERSE_INDEX = 4 * GAMMA0_ROWS + GAMMA0_ROWS[:, None]
+
+
 def bispinor_inverse(S: np.ndarray) -> np.ndarray:
-    """Inverses of bispinor transformations (..., 4, 4) via S^{-1} = gamma^0 S^+ gamma^0."""
-    return stack_matmul(matmul_stack(GAMMA0, np.swapaxes(np.asarray(S).conj(), -1, -2)), GAMMA0)
+    """Inverses of bispinor transformations (..., 4, 4) via S^{-1} = gamma^0 S^+ gamma^0,
+    gathered (`_INVERSE_INDEX`)."""
+    return conj_gather(S, _INVERSE_INDEX)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,16 @@ def mass_checks(m: np.ndarray) -> list:
                         f"below the smallest normal float64, {_TINY:.4g}"))]
 
 
+def check_masses(m) -> float | np.ndarray:
+    """Validate a mass, or per-sample masses (...) with `check_mass`'s rule
+    each, refused by the first bad sample; a float or a float array."""
+    if np.ndim(m) == 0:
+        return check_mass(m)
+    m = np.asarray(m, dtype=float)
+    refuse_first(*mass_checks(m))
+    return m
+
+
 def max_entry(X: np.ndarray) -> np.ndarray:
     """Largest |entry| of each matrix of a (..., a, b) stack; NaN propagates."""
     return np.abs(X).max(axis=(-2, -1))
@@ -124,6 +134,15 @@ def max_entry(X: np.ndarray) -> np.ndarray:
 # matrix has a multiple of four columns, the column tile of OpenBLAS's
 # complex kernel; the fixed matrices used here have entries 0, +-1 and
 # +-i, so each entry of their products is one exact term whatever the tile.
+#
+# The two-term rule.  A product with a fixed Clifford or Pauli tensor is
+# exact, and so rounds the same in every summation order, with or without
+# fused multiply-adds, when each real output component is a sum of at most
+# two terms, each an input times an entry in {0, +-1, +-1/2}: each term is
+# then exact and the sum rounds once.  `contract` relies on it, and so do
+# the monomial gathers (`conj_gather` with `clifford.GAMMA0_ROWS`, and
+# `lorentz._sigma_trace`), which read the one term of each component
+# directly instead of multiplying by a fixed matrix.
 
 def stack_matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     """X @ M for a (..., a, b) stack X and one (b, c) matrix M, shape
@@ -140,6 +159,39 @@ def matmul_stack(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X)
     columns = np.moveaxis(X, -2, 0).reshape(X.shape[-2], -1)
     return np.moveaxis((M @ columns).reshape(M.shape[:1] + X.shape[:-2] + X.shape[-1:]), 0, -2)
+
+
+def contract(x: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum_i x_i T_i for real vectors x (..., k) and one fixed complex tensor
+    T (k, ...), shape x.shape[:-1] + T.shape[1:]; C-contiguous.
+
+    Runs as one real (rows, k) @ (k, 2 T[0].size) product with the
+    (re, im) pairs of T's entries side by side.  When T obeys the two-term
+    rule above (every real output component at most two terms, entries in
+    {0, +-1, +-1/2}), the result equals `np.einsum("...i,iab->...ab", x, T)`
+    bit for bit, sign bits of zeros included, and a sample with a NaN or
+    inf entry is non-finite exactly where the einsum's is (numpy warns of
+    the inf * 0 terms, which the einsum did not).  For a subnormal x a
+    halved term is inexact, and a fused sum may round it differently.
+    """
+    x = np.asarray(x, dtype=float)
+    k = len(T)
+    out = x.reshape(-1, k) @ T.reshape(k, -1).view(float)
+    return out.view(complex).reshape(x.shape[:-1] + T.shape[1:])
+
+
+def conj_gather(X: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """conj(X_flat[..., index]) for a stack X (..., a, b), X_flat holding
+    each matrix row by row (entry (i, j) at i b + j), and a table of
+    positions index (r, s): shape (..., r, s), C-contiguous, with every
+    zero component +0.  A product of X^+ with permutation matrices is such
+    a gather, and this one equals it bit for bit: the product's BLAS sums
+    of one exact term and exact zeros round a zero to +0 as well."""
+    X = np.asarray(X)
+    out = np.take(X.reshape(X.shape[:-2] + (-1,)), index, axis=-1)
+    np.conjugate(out, out=out)
+    out += 0.0
+    return out
 
 
 def row_blocks(X: np.ndarray, k: int) -> np.ndarray:

@@ -19,16 +19,17 @@ import numpy as np
 from .amplitudes import amplitude, dirac_bar
 from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI_T
 from .lorentz import _mat, lorentz_gamma, wigner_rotation_closed
-from .minkowski import (check_component, check_energy_sign, check_mass, matmul_stack, max_entry,
-                        stack_matmul)
+from .minkowski import (check_component, check_energy_sign, check_mass, check_masses, contract,
+                        matmul_stack, max_entry, stack_matmul)
 
 _EYE2 = np.eye(2, dtype=complex)
 _EYE4 = np.eye(4, dtype=complex)
 
 
 def column_action(M: np.ndarray) -> np.ndarray:
-    """Convert a stored (ket-index) operator matrix to its coefficient-column action."""
-    return np.asarray(M).T.copy()
+    """Convert stored (ket-index) operator matrices (..., n, n) to their
+    coefficient-column actions: each matrix transposed, the stack axes kept."""
+    return np.swapaxes(M, -1, -2).copy()
 
 
 def pl_covariant(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -49,7 +50,7 @@ def pl_covariant(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
 
 def pl_spin(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     """Pauli-Lubanski component W^mu on the spin basis, for four-momenta
-    (..., 4); shape (..., 2, 2):
+    (..., 4) and masses m (a scalar or (...)); shape (..., 2, 2):
 
         W^0 -> (eps/2) pvec.sigma^T
         W^k -> (eps/2) (m sigma^T_k + p_k (pvec.sigma^T)/(m + p^0)),
@@ -59,14 +60,14 @@ def pl_spin(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     """
     mu = check_component(mu, 4, "mu")
     eps = check_energy_sign(eps)
-    m = check_mass(m)
+    m = check_masses(m)
     p4 = np.asarray(p4, dtype=float)
     p0, pv = p4[..., 0], p4[..., 1:]
-    pst = np.einsum("...i,iab->...ab", pv, PAULI_T)
+    pst = contract(pv, PAULI_T)
     if mu == 0:
         return (eps / 2.0) * pst
     k = mu - 1
-    return (eps / 2.0) * (m * PAULI_T[k] + _mat(pv[..., k]) * pst / _mat(m + p0))
+    return (eps / 2.0) * (_mat(m) * PAULI_T[k] + _mat(pv[..., k]) * pst / _mat(m + p0))
 
 
 def spin_matrix(i: int) -> np.ndarray:
@@ -130,7 +131,7 @@ def hamiltonian_covariant(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return matmul_stack(GAMMA0, eps * np.einsum("...i,iab->...ab", p4[..., 1:], GAMMA[1:]) + m * _EYE4)
+    return matmul_stack(GAMMA0, eps * contract(p4[..., 1:], GAMMA[1:]) + m * _EYE4)
 
 
 def fw_residual(eps: int, p4: np.ndarray, m: float) -> float:
@@ -164,8 +165,8 @@ def spin_transform_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarra
     a = m + p0
     vp = _mat(np.vecdot(v3, pv))
     b = m + g * (p0 - vp)
-    p_dot_s = np.einsum("...i,iab->...ab", pv, _SPIN)
-    v_dot_s = np.einsum("...i,iab->...ab", v3, _SPIN)
+    p_dot_s = contract(pv, _SPIN)
+    v_dot_s = contract(v3, _SPIN)
     p_term = ((1.0 - g) * p_dot_s + g * (m + p0) * v_dot_s) / (a * b)
     v_term = (g / b) * (g * (m - p0) * v_dot_s / (1.0 + g)
                         + 2.0 * g * vp * p_dot_s / (a * (1.0 + g))
@@ -177,4 +178,4 @@ def spin_transform_wigner(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarra
     """Spin matrices transformed by rotating the triple with R(v, p), for
     velocities (..., 3) and four-momenta (..., 4); shape (..., 3, 2, 2)."""
     R = wigner_rotation_closed(v3, p4, m)
-    return np.einsum("...ij,jab->...iab", R, _SPIN)
+    return contract(R, _SPIN)

@@ -67,7 +67,7 @@ from .clifford import GAMMA0, PAULI, energy_projector
 from .jets import Jet, variables
 from .lorentz import _wigner_product, _wigner_sandwich, bispinor_rep, wigner_rotation
 from .minkowski import (METRIC, _block_slices, check_component, check_energy_sign, check_mass,
-                        lorentz_matrix, on_shell, refuse_first, shell_energy)
+                        contract, lorentz_matrix, on_shell, refuse_first, shell_energy)
 
 
 #: Minimum decay widths the quadrature cubes must cover.
@@ -677,11 +677,13 @@ class DensityState:
         return np.sqrt(q0 * q0 - np.vecdot(qv, qv))
 
     def density_matrix(self) -> np.ndarray:
-        return (np.eye(2, dtype=complex) + np.einsum("...i,iab->...ab", self.xi, PAULI)) / 2.0
+        return (np.eye(2, dtype=complex) + contract(self.xi, PAULI)) / 2.0
 
 
 def spin_expectations(s: DensityState) -> dict[str, np.ndarray]:
-    """Expectation values of W^0, Wvec, and Svec in a sharp Bloch state.
+    """Expectation values of W^0, Wvec, and Svec in sharp Bloch states, one
+    per sample of a stack: w0 (...), wvec and svec (..., 3); a single state
+    gives a float w0 and (3,) vectors.
 
     Evaluated as tr(rho M_col) with M_col the coefficient-column action of
     the stored spin-basis matrices; closed forms are
@@ -693,10 +695,14 @@ def spin_expectations(s: DensityState) -> dict[str, np.ndarray]:
 
     rho = s.density_matrix()
     m = s.mass
-    w0 = np.real(np.trace(rho @ column_action(pl_spin(0, 1, s.q4, m))))
-    wvec = np.array([np.real(np.trace(rho @ column_action(pl_spin(k + 1, 1, s.q4, m)))) for k in range(3)])
-    svec = np.array([np.real(np.trace(rho @ column_action(spin_matrix(k)))) for k in range(3)])
-    return {"w0": float(w0), "wvec": wvec, "svec": svec}
+
+    def expectation(M):
+        return np.real(np.trace(rho @ column_action(M), axis1=-2, axis2=-1))
+
+    w0 = expectation(pl_spin(0, 1, s.q4, m))
+    wvec = np.stack([expectation(pl_spin(k + 1, 1, s.q4, m)) for k in range(3)], axis=-1)
+    svec = np.stack([expectation(spin_matrix(k)) for k in range(3)], axis=-1)
+    return {"w0": float(w0) if w0.ndim == 0 else w0, "wvec": wvec, "svec": svec}
 
 
 def bloch_transform(s: DensityState, L: np.ndarray) -> DensityState:

@@ -42,7 +42,8 @@ from .lorentz import (BALL, LORENTZ, ROTATION, VMAX_HARD, bispinor_inverse, bisp
                       boost_from_velocity, lorentz_from_draws, momenta_from_draws,
                       rotation_angle, rotations_from_draws, standard_boost, su2_from_so3,
                       velocities_from_draws, wigner_rotation, wigner_rotation_closed)
-from .minkowski import METRIC, SampleRefused, check_mass, max_entry, row_blocks, stack_matmul
+from .minkowski import (METRIC, SampleRefused, check_mass, contract, max_entry, row_blocks,
+                        stack_matmul)
 from .spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant, pl_covariant,
                        pl_spin, spin_covariant, spin_from_pl, spin_matrix,
                        spin_transform_closed, spin_transform_wigner)
@@ -170,8 +171,9 @@ def _bispinor_covariance(m, L):
     S = bispinor_rep(L)
     # the four S^-1 gamma^mu as row blocks of one factor, one product with S
     conjugated = row_blocks(stack_matmul(bispinor_inverse(S), _GAMMA_ROW), 4) @ S
-    targets = [np.einsum("...n,nab->...ab", L[..., mu, :], GAMMA) for mu in range(4)]
-    return max_entry(conjugated - np.concatenate(targets, axis=-2))
+    # the four targets L^mu_nu gamma^nu as row blocks, like the products
+    targets = contract(L, GAMMA).reshape(conjugated.shape)
+    return max_entry(conjugated - targets)
 
 
 def _bispinor_inverse_structure(m, L):
@@ -216,9 +218,10 @@ def _su2_lift(m, R3):
     det = np.linalg.det(D)
     # the three D sigma_i as row blocks of one factor, one product with D^+
     rotated = row_blocks(stack_matmul(D, _PAULI_ROW), 3) @ Dh
-    targets = [np.einsum("...j,jab->...ab", R3[..., i], PAULI) for i in range(3)]
+    # the three targets R_ji sigma_j as row blocks, like the products
+    targets = contract(np.swapaxes(R3, -1, -2), PAULI).reshape(rotated.shape)
     return _worst([max_entry(D @ Dh - np.eye(2)), np.hypot(det.real - 1.0, det.imag),
-                   max_entry(rotated - np.concatenate(targets, axis=-2))])
+                   max_entry(rotated - targets)])
 
 
 def _amplitude_completeness(m, p4):
@@ -279,8 +282,8 @@ def _bloch_rotation(m, L, p4, xi):
     s2 = bloch_transform(s, L)
     R3, _ = wigner_rotation(L, p4, m)
     D = su2_from_so3(R3)
-    lhs = np.einsum("...i,iab->...ab", s2.xi, PAULI)
-    rhs = D @ np.einsum("...i,iab->...ab", s.xi, PAULI) @ np.swapaxes(D.conj(), -1, -2)
+    lhs = contract(s2.xi, PAULI)
+    rhs = D @ contract(s.xi, PAULI) @ np.swapaxes(D.conj(), -1, -2)
     norm = np.sqrt(np.vecdot(s2.xi, s2.xi)) - np.sqrt(np.vecdot(s.xi, s.xi))
     return _worst([np.abs(norm), max_entry(lhs - rhs)])
 

@@ -8,7 +8,11 @@ independent partner of one of them, kept here because only tests call it:
   closed-form lift and `lorentz.boost_from_velocity`;
 - the amplitude boosted from the rest frame, against `amplitudes.amplitude`;
 - the one-point position synthesis as one whole-array sum, against a node
-  of `position.synthesize_mesh`.
+  of `position.synthesize_mesh`;
+- the dense products with fixed Clifford and Pauli tensors (einsum
+  contractions and stacked matrix products), against the flat
+  `minkowski.contract` and the monomial gathers that replaced them, which
+  must equal them bit for bit.
 """
 from __future__ import annotations
 
@@ -16,9 +20,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from diracspin.amplitudes import amplitude
-from diracspin.clifford import SIGMA
-from diracspin.lorentz import bispinor_rep, standard_boost
-from diracspin.minkowski import METRIC, lorentz_matrix, on_shell
+from diracspin.clifford import GAMMA0, SIGMA
+from diracspin.lorentz import _SIGMA4, bispinor_rep, standard_boost
+from diracspin.minkowski import METRIC, lorentz_matrix, matmul_stack, on_shell, stack_matmul
 from diracspin.position import TWO_PI_CUBED_SQRT
 from diracspin.states import SpinWaveFunction, _as_sectors, to_covariant
 
@@ -111,3 +115,51 @@ def synthesize(w, x4, pgrid) -> np.ndarray:
         values = (to_covariant(s) if isinstance(s, SpinWaveFunction) else s).evaluate(pts)
         psi = psi + np.einsum("n,n,na->a", wts, phase, values)
     return psi / TWO_PI_CUBED_SQRT
+
+
+# ---------------------------------------------------------------------------
+# Dense products with fixed tensors
+# ---------------------------------------------------------------------------
+
+#: Batch shapes of the exactness tests: one point (no batch axis), the
+#: default sweep's 200 samples and one 4096-sample sweep chunk.
+EXACT_BATCHES = [(), (200,), (4096,)]
+
+
+def assert_same_bits(a, b):
+    """a and b hold the same bytes: shape, dtype, sign bits of zeros and NaN
+    payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.shape, a.dtype) == (b.shape, b.dtype)
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def dense_contract(x, T):
+    """sum_i x_i T_i as the einsum `minkowski.contract` replaced."""
+    axes = "abcd"[:np.ndim(T) - 1]
+    return np.einsum(f"...i,i{axes}->...{axes}", x, T)
+
+
+def dense_dirac_bar(M):
+    """M^+ gamma^0 as one flat product with gamma^0."""
+    return stack_matmul(np.swapaxes(np.asarray(M).conj(), -1, -2), GAMMA0)
+
+
+def dense_bispinor_inverse(S):
+    """gamma^0 S^+ gamma^0 as two flat products with gamma^0."""
+    return stack_matmul(matmul_stack(GAMMA0, np.swapaxes(np.asarray(S).conj(), -1, -2)), GAMMA0)
+
+
+def dense_sigma_trace(k, Mk):
+    """Re tr(sigma_k M_k) from the stacked products sigma_k M_k."""
+    tr = _SIGMA4[k] @ Mk
+    return tr[:, 0, 0].real + tr[:, 1, 1].real
+
+
+def obeys_two_term_rule(T) -> bool:
+    """Whether contracting a vector with T (k, ...) is exact: every real
+    output component a sum of at most two terms, each an input times an
+    entry in {0, +-1, +-1/2}."""
+    flat = np.ascontiguousarray(T, dtype=complex).reshape(len(T), -1).view(float)
+    return bool(np.isin(flat, [0.0, 1.0, -1.0, 0.5, -0.5]).all()
+                and ((flat != 0).sum(axis=0) <= 2).all())

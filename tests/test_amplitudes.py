@@ -8,9 +8,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from diracspin.amplitudes import (amplitude, dirac_bar, parity_residual, sandwich_formula_residual,
                                   sandwich_formulas, weinberg_residual)
 from diracspin.clifford import GAMMA, GAMMA0, PAULI, energy_projector, slash
-from diracspin.lorentz import random_lorentz, random_momentum
+from diracspin import amplitudes
+from diracspin.lorentz import momenta_from_draws, random_lorentz, random_momentum
 from diracspin.minkowski import SampleRefused, on_shell
-from _reference import amplitude_via_boost
+from _reference import (EXACT_BATCHES, amplitude_via_boost, assert_same_bits, dense_contract,
+                        dense_dirac_bar)
 
 SQRT_HALF = np.sqrt(0.5)
 # amplitudes at p = 0 (the sigma_2 pairing fixes the phase convention)
@@ -194,3 +196,46 @@ def test_rejects_bad_energy_sign():
         amplitude(0, p4, 1.0)
     with pytest.raises(ValueError):
         amplitude(2, p4, 1.0)
+
+
+def _signed_zeros(rng, shape):
+    """Complex normals with about a third of the components +0 or -0."""
+    z = rng.standard_normal(shape + (2,))
+    z[rng.random(z.shape) < 0.3] = 0.0
+    z[rng.random(z.shape) < 0.5] *= -1.0
+    return z.view(complex)[..., 0]
+
+
+@pytest.mark.parametrize("batch", EXACT_BATCHES)
+def test_sandwich_contractions_are_the_einsums_bit_for_bit(batch, monkeypatch):
+    p4 = momenta_from_draws(np.random.default_rng(8).standard_normal(batch + (5,)), 0.7, 10.0)
+    targets = sandwich_formulas(p4, 0.7)
+    residuals = [sandwich_formula_residual(eps, p4, 0.7) for eps in (1, -1)]
+    monkeypatch.setattr(amplitudes, "contract", dense_contract)
+    for name, target in sandwich_formulas(p4, 0.7).items():
+        assert_same_bits(targets[name], target)
+    for eps, residual in zip((1, -1), residuals):
+        assert_same_bits(residual, sandwich_formula_residual(eps, p4, 0.7))
+
+
+@pytest.mark.parametrize("batch", EXACT_BATCHES)
+def test_dirac_bar_is_the_gamma0_product_bit_for_bit(batch):
+    rng = np.random.default_rng(9)
+    p4 = momenta_from_draws(rng.standard_normal(batch + (5,)), 1.0, 10.0)
+    v = amplitude(1, p4, 1.0)
+    for M in (v, np.concatenate([v, amplitude(-1, p4, 1.0)], axis=-1),
+              _signed_zeros(rng, batch + (4, 3))):
+        got = dirac_bar(M)
+        assert got.flags.c_contiguous
+        assert_same_bits(got, dense_dirac_bar(M))
+
+
+def test_dirac_bar_keeps_each_samples_non_finiteness():
+    M = _signed_zeros(np.random.default_rng(10), (6, 4, 2))
+    M[1, 3, 0] = np.nan
+    M[4, 0, 1] = complex(0.0, np.inf)
+    with np.errstate(invalid="ignore"):
+        dense = dense_dirac_bar(M)
+    finite = np.isfinite(dirac_bar(M)).all(axis=(-2, -1))
+    assert_array_equal(finite, np.isfinite(dense).all(axis=(-2, -1)))
+    assert_array_equal(finite, [True, False, True, True, False, True])

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from diracspin.clifford import (GAMMA, GAMMA0, GAMMA5, PAULI, SIGMA, energy_projector,
-                                slash)
+from diracspin import clifford
+from diracspin.clifford import (GAMMA, GAMMA0, GAMMA0_ROWS, GAMMA5, PAULI, SIGMA, energy_projector,
+                                monomial, slash)
+from diracspin.lorentz import _SIGMA4, momenta_from_draws
 from diracspin.minkowski import METRIC, minkowski_dot, on_shell
+from _reference import EXACT_BATCHES, assert_same_bits, dense_contract
 
 finite = st.floats(-20, 20, allow_nan=False)
 
@@ -79,3 +82,34 @@ def test_energy_projector_rest():
     assert_allclose(energy_projector(1, p4, 1.0), (np.eye(4) + GAMMA0) / 2.0)
 
 
+
+
+@pytest.mark.parametrize("batch", EXACT_BATCHES)
+def test_slash_is_the_einsum_bit_for_bit(batch, monkeypatch):
+    p4 = momenta_from_draws(np.random.default_rng(3).standard_normal(batch + (5,)), 1.3, 10.0)
+    got = slash(p4)
+    monkeypatch.setattr(clifford, "contract", dense_contract)
+    assert_same_bits(got, slash(p4))
+
+
+def test_every_fixed_matrix_is_monomial_with_unit_phases():
+    for M in (*GAMMA, GAMMA5, *_SIGMA4):
+        columns, phases = monomial(M)
+        assert_array_equal(np.abs(phases), 1.0)
+        assert_array_equal(M[np.arange(len(M)), columns], phases)
+        X = np.arange(len(M) * 3.0).reshape(len(M), 3) + 1j
+        assert_array_equal(phases[:, None] * X[columns], M @ X)
+
+
+def test_gamma0_rows_make_it_a_symmetric_permutation():
+    columns, phases = monomial(GAMMA0)
+    assert_array_equal(columns, GAMMA0_ROWS)
+    assert_array_equal(phases, 1.0)
+    assert_array_equal(GAMMA0, GAMMA0.T)
+
+
+def test_monomial_refuses_a_matrix_with_two_entries_in_a_row():
+    with pytest.raises(ValueError, match="not monomial"):
+        monomial(GAMMA0 + GAMMA5)
+    with pytest.raises(ValueError, match="not monomial"):
+        monomial(np.array([[1.0, 0.0], [1.0, 0.0]]))

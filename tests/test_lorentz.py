@@ -6,16 +6,19 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.transform import Rotation
 
+from diracspin import lorentz
 from diracspin.amplitudes import amplitude
 from diracspin.clifford import GAMMA, PAULI
-from diracspin.lorentz import (VMAX_HARD, bispinor_inverse, bispinor_rep, boost_from_velocity,
+from diracspin.lorentz import (_LIFT, VMAX_HARD, _sigma_trace, _sl2c_lift, bispinor_inverse,
+                               bispinor_rep, boost_from_velocity, lorentz_from_draws,
                                lorentz_gamma, random_lorentz, random_momentum, random_rotation,
                                random_velocity, rotations_from_draws, standard_boost,
                                su2_from_so3, wigner_d, wigner_rotation, wigner_rotation_closed)
 from diracspin.minkowski import (METRIC, SampleRefused, is_proper_orthochronous, lorentz_residual,
                                  minkowski_dot, on_shell)
-from _reference import (amplitude_via_boost, bispinor_from_params, boost_params,
-                        lorentz_from_params, rotation_params)
+from _reference import (EXACT_BATCHES, amplitude_via_boost, assert_same_bits,
+                        bispinor_from_params, boost_params, dense_bispinor_inverse,
+                        dense_sigma_trace, lorentz_from_params, rotation_params)
 
 # Frozen reference: boost v = 0.5 x, momentum along y with |p| = gamma/2 and
 # m = 1 rotates the spin frame about z by arctan(sqrt(3)/12).
@@ -575,3 +578,80 @@ def test_dot_invariance_under_random_lorentz(rng):
 def test_metric_congruence(rng):
     L = random_lorentz(rng)
     assert_allclose(L.T @ METRIC @ L, METRIC, atol=1e-10 * max(1.0, np.abs(L).max() ** 2))
+
+
+# --- monomial gathers against the dense products they replaced ---------------
+
+def _lorentz_draws(batch, seed=12):
+    return lorentz_from_draws(np.random.default_rng(seed).standard_normal(batch + (9,)), 0.99)
+
+
+@pytest.mark.parametrize("batch", EXACT_BATCHES)
+def test_bispinor_inverse_is_the_gamma0_product_bit_for_bit(batch):
+    rng = np.random.default_rng(13)
+    S = bispinor_rep(_lorentz_draws(batch))
+    # bispinor_rep leaves exact zeros off the diagonal blocks; add signed ones
+    noisy = S + rng.standard_normal(S.shape) * (rng.random(S.shape) < 0.5)
+    noisy.real[rng.random(S.shape) < 0.2] = -0.0
+    for X in (S, noisy):
+        got = bispinor_inverse(X)
+        assert got.flags.c_contiguous
+        assert_same_bits(got, dense_bispinor_inverse(X))
+
+
+def test_bispinor_inverse_keeps_each_samples_non_finiteness():
+    S = bispinor_rep(_lorentz_draws((6,)))
+    S[1, 2, 3] = np.nan
+    S[4, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        dense = dense_bispinor_inverse(S)
+    finite = np.isfinite(bispinor_inverse(S)).all(axis=(-2, -1))
+    assert_array_equal(finite, np.isfinite(dense).all(axis=(-2, -1)))
+    assert_array_equal(finite, [True, False, True, True, False, True])
+
+
+def _largest_lift_terms(L):
+    """The k and M_k that `_sl2c_lift` takes the sigma_k trace of."""
+    M = (L.reshape(-1, 1, 16) @ _LIFT).reshape(-1, 4, 2, 2)
+    k = np.abs(M).reshape(-1, 16).argmax(axis=-1) // 4
+    return k, M[np.arange(len(M)), k]
+
+
+@pytest.mark.parametrize("batch", EXACT_BATCHES)
+def test_sigma_trace_is_the_stacked_product_bit_for_bit(batch, monkeypatch):
+    L = _lorentz_draws(batch)
+    k, Mk = _largest_lift_terms(L)
+    assert_same_bits(_sigma_trace(k, Mk), dense_sigma_trace(k, Mk))
+    # every k, on complex normals
+    rng = np.random.default_rng(14)
+    k = np.arange(4 * 50) % 4
+    Mk = rng.standard_normal((len(k), 2, 2)) + 1j * rng.standard_normal((len(k), 2, 2))
+    assert_same_bits(_sigma_trace(k, Mk), dense_sigma_trace(k, Mk))
+    # and so the lift itself
+    A = _sl2c_lift(L)
+    monkeypatch.setattr(lorentz, "_sigma_trace", dense_sigma_trace)
+    assert_same_bits(A, _sl2c_lift(L))
+
+
+def test_sigma_trace_lift_keeps_each_samples_non_finiteness(monkeypatch):
+    L = _lorentz_draws((6,))
+    L[1, 2, 3] = np.nan
+    L[4, 0, 0] = np.inf
+    with np.errstate(all="ignore"):
+        gathered = _sl2c_lift(L)
+        monkeypatch.setattr(lorentz, "_sigma_trace", dense_sigma_trace)
+        dense = _sl2c_lift(L)
+    finite = np.isfinite(gathered).all(axis=(-2, -1))
+    assert_array_equal(finite, np.isfinite(dense).all(axis=(-2, -1)))
+    assert_array_equal(finite, [True, False, True, True, False, True])
+    # The trace skips the components it does not read, but the lift divides
+    # all of M_k by it: per sample, the trace and M_k together are
+    # non-finite exactly where the dense trace is.
+    k, Mk = _largest_lift_terms(_lorentz_draws((4,)))
+    unread = [position for position in range(8) if position not in lorentz._TRACE_POSITIONS[k[2]]]
+    Mk.view(float).reshape(-1, 8)[2, unread[0]] = np.nan
+    with np.errstate(invalid="ignore"):
+        dense = dense_sigma_trace(k, Mk)
+    assert_array_equal(dense, np.where(np.arange(4) == 2, np.nan, _sigma_trace(k, Mk)))
+    assert_array_equal(np.isfinite(_sigma_trace(k, Mk)) & np.isfinite(Mk).all(axis=(-2, -1)),
+                       np.isfinite(dense))

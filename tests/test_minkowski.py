@@ -1,4 +1,5 @@
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -7,11 +8,15 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from diracspin import spin_ops
+from diracspin.clifford import GAMMA, PAULI, PAULI_T, SIGMA
 from diracspin.minkowski import (_BLOCK, METRIC, SampleRefused, check_component, check_mass,
-                                 is_proper_orthochronous, lorentz_matrix, lorentz_residual,
-                                 mass_checks, matmul_stack, minkowski_dot, on_shell, parity_flip,
-                                 refuse_first, stack_matmul)
-from diracspin.states import Grid, gaussian_packet, momentum_apply, nw_apply
+                                 check_masses, contract, is_proper_orthochronous, lorentz_matrix,
+                                 lorentz_residual, mass_checks, matmul_stack, minkowski_dot,
+                                 on_shell, parity_flip, refuse_first, stack_matmul)
+from diracspin.states import (DensityState, Grid, gaussian_packet, momentum_apply, nw_apply,
+                              spin_expectations)
+from diracspin.verify import RunConfig, run_all
+from _reference import EXACT_BATCHES, assert_same_bits, dense_contract, obeys_two_term_rule
 
 finite = st.floats(-50, 50, allow_nan=False)
 PARITY = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -322,3 +327,64 @@ def test_matmul_stack_is_matmul_bit_for_bit(seed, batch, layout, dtype, a, b, c)
     out = matmul_stack(M, X)
     assert out.shape == batch + (a, c)
     assert np.array_equal(out, M @ X)
+
+
+# --- flat contractions with fixed tensors ------------------------------------
+
+def _fixed_tensors():
+    return {"GAMMA": GAMMA, "GAMMA[1:]": GAMMA[1:], "PAULI": PAULI, "PAULI_T": PAULI_T,
+            "_SPIN": spin_ops._SPIN}
+
+
+@pytest.mark.parametrize("batch", EXACT_BATCHES)
+@pytest.mark.parametrize("name", list(_fixed_tensors()))
+def test_contract_is_the_einsum_bit_for_bit(name, batch):
+    T = _fixed_tensors()[name]
+    x = np.random.default_rng(len(batch) + len(T)).standard_normal(batch + (len(T),)) * 7.0
+    x[..., 0] = np.where(np.abs(x[..., 0]) < 0.5, 0.0, x[..., 0])  # some exact zeros too
+    got = contract(x, T)
+    assert got.flags.c_contiguous
+    assert_same_bits(got, dense_contract(x, T))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", list(_fixed_tensors()))
+def test_contract_leaves_the_einsums_samples_non_finite(name, bad):
+    T = _fixed_tensors()[name]
+    x = np.random.default_rng(5).standard_normal((6, len(T)))
+    x[1, 0] = x[4, -1] = bad
+    with np.errstate(invalid="ignore"):
+        got, ref = contract(x, T), dense_contract(x, T)
+    tail = tuple(range(1, got.ndim))
+    assert_array_equal(np.isfinite(got).all(axis=tail), np.isfinite(ref).all(axis=tail))
+    assert_array_equal(np.isfinite(got).all(axis=tail), [True, False, True, True, False, True])
+
+
+def test_every_contracted_tensor_obeys_the_two_term_rule(monkeypatch):
+    # Record each tensor any module hands to contract while the sweep and the
+    # Bloch-state kernels run: a tensor outside the rule could round
+    # differently from its einsum and move a pinned digit.  The recorded set
+    # must also be the one the einsum test above covers.
+    seen = {}
+
+    def recording(x, T):
+        seen[(T.shape, T.tobytes())] = T
+        return contract(x, T)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("diracspin")]:
+        if getattr(mod, "contract", None) is contract:
+            monkeypatch.setattr(mod, "contract", recording)
+    assert run_all(RunConfig(samples=20))["all_pass"]
+    spin_expectations(DensityState(on_shell(1.0, [0.3, -0.2, 0.9]), np.array([0.1, 0.5, -0.3])))
+    expected = {(T.shape, T.tobytes()) for T in _fixed_tensors().values()}
+    assert set(seen) == expected
+    assert all(obeys_two_term_rule(T) for T in seen.values())
+    # the rule bites: contracting with the 16 generators Sigma^{mu nu} sums four terms
+    assert not obeys_two_term_rule(SIGMA.reshape(16, 4, 4))
+
+
+def test_check_masses_takes_a_scalar_or_one_mass_per_sample():
+    assert check_masses(2) == 2.0 and isinstance(check_masses(2), float)
+    assert_array_equal(check_masses([1.0, 0.5]), [1.0, 0.5])
+    with pytest.raises(SampleRefused, match=r"mass must be positive and finite, got -1\.0 \(sample 1\)"):
+        check_masses([1.0, -1.0, np.nan])

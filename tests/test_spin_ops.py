@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from diracspin import spin_ops
 from diracspin.amplitudes import amplitude, dirac_bar
 from diracspin.clifford import GAMMA5, PAULI
-from diracspin.lorentz import random_momentum, random_velocity, wigner_rotation_closed
-from diracspin.minkowski import minkowski_dot, on_shell
+from diracspin.lorentz import (momenta_from_draws, random_momentum, random_velocity,
+                               velocities_from_draws, wigner_rotation_closed)
+from diracspin.minkowski import SampleRefused, minkowski_dot, on_shell
 from diracspin.spin_ops import (casimir_spin, column_action, fw_residual,
                                 hamiltonian_covariant, pl_covariant, pl_spin, spin_covariant,
                                 spin_from_pl, spin_matrix, spin_transform_closed,
                                 spin_transform_wigner)
+from _reference import EXACT_BATCHES, assert_same_bits, dense_contract
 
 EPS_LC = np.zeros((3, 3, 3))
 for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -154,3 +157,44 @@ def test_spin_transform_preserves_casimir(rng):
     got = spin_transform_closed(v3, p4, 1.0)
     total = sum(column_action(got[i]) @ column_action(got[i]) for i in range(3))
     assert_allclose(total, 0.75 * np.eye(2), atol=1e-12)
+
+
+# Each kernel with a flat contraction equals, bit for bit, the same kernel
+# with the contraction done by the einsum it replaced.
+CONTRACTING_KERNELS = {
+    "pl_spin": lambda v3, p4: np.stack([pl_spin(mu, -1, p4, 1.3) for mu in range(4)]),
+    "hamiltonian_covariant": lambda v3, p4: hamiltonian_covariant(-1, p4, 1.3),
+    "spin_transform_closed": lambda v3, p4: spin_transform_closed(v3, p4, 1.3),
+    "spin_transform_wigner": lambda v3, p4: spin_transform_wigner(v3, p4, 1.3),
+}
+
+
+@pytest.mark.parametrize("batch", EXACT_BATCHES)
+@pytest.mark.parametrize("kernel", list(CONTRACTING_KERNELS))
+def test_contracting_kernel_is_the_einsum_bit_for_bit(kernel, batch, monkeypatch):
+    draws = np.random.default_rng(11).standard_normal(batch + (10,))
+    v3 = velocities_from_draws(draws[..., :5], 0.99)
+    p4 = momenta_from_draws(draws[..., 5:], 1.3, 10.0)
+    got = CONTRACTING_KERNELS[kernel](v3, p4)
+    monkeypatch.setattr(spin_ops, "contract", dense_contract)
+    assert_same_bits(got, CONTRACTING_KERNELS[kernel](v3, p4))
+
+
+def test_column_action_transposes_each_matrix_of_a_stack():
+    M = np.arange(5 * 2 * 3).reshape(5, 2, 3) + 1j
+    got = column_action(M)
+    assert got.shape == (5, 3, 2)
+    for n in range(5):
+        assert_same_bits(got[n], column_action(M[n]))
+        assert_same_bits(got[n], M[n].T)
+
+
+def test_pl_spin_takes_one_mass_per_sample(rng):
+    m = np.array([0.5, 1.0, 2.5])
+    p4 = np.array([on_shell(mi, rng.normal(size=3)) for mi in m])
+    for mu in range(4):
+        got = pl_spin(mu, 1, p4, m)
+        for n in range(3):
+            assert_same_bits(got[n], pl_spin(mu, 1, p4[n], m[n]))
+    with pytest.raises(SampleRefused, match=r"\(sample 1\)"):
+        pl_spin(1, 1, p4, np.array([1.0, 0.0, 1.0]))

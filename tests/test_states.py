@@ -18,6 +18,8 @@ from diracspin.states import (CovariantWaveFunction, DensityState, Grid, SpinWav
                               momentum_apply, norm, normalized, nw_apply, nw_apply_sampled,
                               nw_shift, sample, scalar_product, spin_expectations,
                               to_covariant)
+from diracspin import states
+from _reference import EXACT_BATCHES, assert_same_bits, dense_contract
 
 
 def packet(eps=1, width=0.5, spin=(1.0, 0.0), center=(0.0, 0.0, 0.0)):
@@ -847,3 +849,46 @@ def test_bloch_transform_preserves_length(rng):
         L = random_lorentz(rng)
         out = bloch_transform(s, L)
         assert np.linalg.norm(out.xi) == pytest.approx(np.linalg.norm(s.xi), abs=1e-12)
+
+
+def _bloch_states(batch, seed=16):
+    """Positive-energy states off and on the unit shell, |xi| <= 1."""
+    rng = np.random.default_rng(seed)
+    q4 = on_shell(1.0, rng.normal(scale=2.0, size=batch + (3,)))
+    q4[..., 0] *= 1.0 + rng.random(batch)  # masses from 1 up to about 2 |q|
+    xi = rng.normal(size=batch + (3,))
+    xi /= np.maximum(1.0, np.linalg.norm(xi, axis=-1) * 1.25)[..., None]
+    return DensityState(q4, xi)
+
+
+@pytest.mark.parametrize("batch", EXACT_BATCHES)
+def test_density_matrix_is_the_einsum_bit_for_bit(batch, monkeypatch):
+    s = _bloch_states(batch)
+    got = s.density_matrix()
+    monkeypatch.setattr(states, "contract", dense_contract)
+    assert_same_bits(got, s.density_matrix())
+
+
+def test_spin_expectations_of_a_stack_are_its_rows_bit_for_bit():
+    s = _bloch_states((7,))
+    got = spin_expectations(s)
+    assert got["w0"].shape == (7,) and got["wvec"].shape == got["svec"].shape == (7, 3)
+    for n in range(7):
+        row = spin_expectations(DensityState(s.q4[n], s.xi[n]))
+        assert isinstance(row["w0"], float)
+        assert row["wvec"].shape == row["svec"].shape == (3,)
+        assert_same_bits(got["w0"][n], row["w0"])
+        assert_same_bits(got["wvec"][n], row["wvec"])
+        assert_same_bits(got["svec"][n], row["svec"])
+
+
+def test_spin_expectations_match_their_closed_forms():
+    # <W^0> = qvec.xi / 2, <S> = xi / 2 and <Wvec> = (m xi + qvec (qvec.xi)/(q^0 + m)) / 2
+    s = _bloch_states((50,))
+    got = spin_expectations(s)
+    qv, q0, m = s.q4[:, 1:], s.q4[:, 0], s.mass
+    q_xi = np.vecdot(qv, s.xi)
+    assert_allclose(got["w0"], q_xi / 2.0, rtol=1e-13, atol=1e-14)
+    assert_allclose(got["svec"], s.xi / 2.0, rtol=1e-13, atol=1e-15)
+    wvec = (m[:, None] * s.xi + qv * (q_xi / (q0 + m))[:, None]) / 2.0
+    assert_allclose(got["wvec"], wvec, rtol=1e-13, atol=1e-14)

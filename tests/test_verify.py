@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diracspin import __version__
-from diracspin import verify
+from diracspin import amplitudes, clifford, lorentz, spin_ops, verify
 from diracspin.cli import main
 from diracspin.minkowski import SampleRefused
 from diracspin.verify import (DEFAULT_TOLERANCES, IDENTITY_RUNNERS, RunConfig,
                               complex_matrix_payload, evaluate_at, format_float, identity_rng,
                               real_matrix_payload, resolve_tolerances, run_all, run_identity,
                               to_csv, to_json)
+from _reference import EXACT_BATCHES, assert_same_bits, dense_contract
 
 CFG = RunConfig(samples=25)
 
@@ -414,3 +415,39 @@ def test_refusal_reports_the_first_refused_sample(monkeypatch):
     monkeypatch.setattr(verify, "bispinor_inverse", refusing_late)
     r = run_identity("bispinor_inverse_structure", RunConfig(samples=8))
     assert r.samples == 2 and np.isnan(r.max_residual) and r.passed is False
+
+
+@pytest.mark.parametrize("batch", EXACT_BATCHES)
+@pytest.mark.parametrize("name", ["bispinor_covariance", "su2_lift", "bloch_rotation"])
+def test_contracted_targets_are_the_einsums_bit_for_bit(name, batch, monkeypatch):
+    kinds = IDENTITY_RUNNERS[name][0]
+    rng = np.random.default_rng(15)
+    n = batch[0] if batch else 1
+    samples = [build(CFG, rng.standard_normal((n, width))) for width, build in kinds]
+    if not batch:
+        samples = [s[0] for s in samples]
+    got = evaluate_at(name, CFG.mass, *samples)
+    assert got.shape == batch
+    monkeypatch.setattr(verify, "contract", dense_contract)
+    assert_same_bits(got, evaluate_at(name, CFG.mass, *samples))
+
+
+@pytest.mark.parametrize("module, kernel, name", [
+    (verify, "contract", "bispinor_covariance"), (verify, "contract", "su2_lift"),
+    (verify, "contract", "bloch_rotation"), (amplitudes, "contract", "sandwich_formulas"),
+    (spin_ops, "contract", "pauli_lubanski_sandwich"), (spin_ops, "contract", "fw_diagonalization"),
+    (spin_ops, "contract", "spin_transform_equivalence"), (clifford, "contract", "amplitude_dirac"),
+    (amplitudes, "conj_gather", "amplitude_orthogonality"),
+    (lorentz, "conj_gather", "bispinor_inverse_structure"), (lorentz, "_sigma_trace", "su2_lift")])
+def test_nan_from_a_flat_product_or_gather_fails_its_identity(module, kernel, name, monkeypatch):
+    real = getattr(module, kernel)
+
+    def poisoned(*args):
+        out = real(*args)
+        out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(module, kernel, poisoned)
+    with np.errstate(invalid="ignore"):  # the lift's complex division by a NaN warns
+        r = run_identity(name, RunConfig(samples=5))
+    assert r.samples == 5 and np.isnan(r.max_residual) and r.passed is False
