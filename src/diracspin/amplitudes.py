@@ -18,10 +18,11 @@ import functools
 
 import numpy as np
 
-from .clifford import GAMMA, GAMMA0, GAMMA0_ROWS, GAMMA5, PAULI, PAULI_T, energy_projector, slash
+from .clifford import (ALPHA, GAMMA, GAMMA0_ROWS, GAMMA5, GAMMA_GAMMA5, PAULI, PAULI_T, column_tables,
+                       energy_projector, slash)
 from .lorentz import bispinor_rep, su2_from_so3, wigner_rotation
 from .minkowski import (check_energy_sign, check_mass, conj_gather, contract, four_momentum_checks,
-                        matmul_stack, max_entry, parity_flip, refuse_first, row_blocks, stack_matmul)
+                        gather_columns, max_entry, parity_flip, refuse_first, row_blocks)
 
 
 def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -140,7 +141,7 @@ def parity_residual(eps: int, p4: np.ndarray, m: float) -> float:
     phase), per four-momentum."""
     eps = check_energy_sign(eps)
     lhs = eps * amplitude(eps, p4, m)
-    rhs = matmul_stack(GAMMA0, amplitude(eps, parity_flip(p4), m))
+    rhs = amplitude(eps, parity_flip(p4), m)[..., GAMMA0_ROWS, :]
     return max_entry(lhs - rhs)
 
 
@@ -170,11 +171,10 @@ def sandwich_formulas(p4: np.ndarray, m: float) -> dict[str, np.ndarray]:
     return out
 
 
-#: The nine fixed sandwich matrices, side by side as one (4, 36) matrix:
-#: gamma^5, then gamma^mu and gamma^mu gamma^5 for each mu.  The tenth,
-#: gamma^0 (pvec.gammavec), depends on the sample.
-_SANDWICH_FIXED = np.concatenate([GAMMA5, *(g for mu in range(4)
-                                            for g in (GAMMA[mu], GAMMA[mu] @ GAMMA5))], axis=1)
+#: The `column_tables` of the nine fixed sandwich matrices: gamma^5, then gamma^mu and
+#: gamma^mu gamma^5 for each mu.  The tenth, gamma^0 (pvec.gammavec) = pvec.alphavec, varies.
+_SANDWICH_COLUMNS = column_tables([GAMMA5, *(g for mu in range(4)
+                                             for g in (GAMMA[mu], GAMMA_GAMMA5[mu]))])
 #: `sandwich_formulas` keys in the row order of the ten sandwiches.
 _SANDWICH_TARGETS = ("gamma5", "gamma0", "gamma0_gamma5", "gamma1", "gamma1_gamma5", "gamma2",
                      "gamma2_gamma5", "gamma3", "gamma3_gamma5", "gamma0_pslash3")
@@ -189,9 +189,8 @@ def sandwich_formula_residual(eps: int, p4: np.ndarray, m: float) -> float:
     targets = sandwich_formulas(p4, m)
     v = amplitude(eps, p4, m)
     vb = dirac_bar(v)
-    pv_gamma = contract(p4[..., 1:], GAMMA[1:])
-    left = np.concatenate([row_blocks(stack_matmul(vb, _SANDWICH_FIXED), 9),
-                           vb @ matmul_stack(GAMMA0, pv_gamma)], axis=-2)
+    left = np.concatenate([row_blocks(gather_columns(vb, *_SANDWICH_COLUMNS), 9),
+                           vb @ contract(p4[..., 1:], ALPHA)], axis=-2)
     sandwiches = (left @ v).reshape(vb.shape[:-2] + (10, 2, 2))
     diffs = sandwiches - np.stack([targets[name] for name in _SANDWICH_TARGETS], axis=-3)
     return np.abs(diffs).max(axis=(-3, -2, -1))

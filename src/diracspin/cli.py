@@ -33,7 +33,7 @@ from .dynamics import (GRADIENT_READINGS, ChargedState, check_bloch_length, inte
                        quadrupole_field, uniform_field)
 from .lorentz import (boost_from_velocity, lorentz_gamma, rotation_angle, standard_boost,
                       su2_from_so3, wigner_rotation_closed)
-from .minkowski import lorentz_residual, on_shell
+from .minkowski import SampleRefused, lorentz_residual, on_shell
 from .position import default_grids, parseval_check, quadrature_range_error
 from .spin_ops import spin_transform_closed
 from .states import gaussian_packet, normalized
@@ -195,13 +195,18 @@ def cmd_spin_transform(args) -> int:
     tols, residuals, passed = _check_point(args, ["spin_transform_equivalence"], v3, p4)
     closed = spin_transform_closed(v3, p4, args.mass)
     R3 = wigner_rotation_closed(v3, p4, args.mass)
+    try:
+        su2 = complex_matrix_payload(su2_from_so3(R3))
+    except SampleRefused as exc:
+        print(f"the SU(2) lift refused the rotation: {exc}", file=sys.stderr)
+        su2, passed = None, False
     report = {
         "version": __version__,
         "config": {"velocity": list(map(float, v3)), "momentum": list(map(float, args.momentum)),
                    "mass": args.mass, "xi": list(map(float, args.xi)),
                    "tolerance": tols["spin_transform_equivalence"]},
         "rotation": real_matrix_payload(R3),
-        "su2": complex_matrix_payload(su2_from_so3(R3)),
+        "su2": su2,
         "xi_out": [float(x) for x in R3 @ args.xi],
         "transformed_spin": [complex_matrix_payload(closed[i]) for i in range(3)],
         "equivalence_residual": residuals["spin_transform_equivalence"],

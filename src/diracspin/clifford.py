@@ -21,13 +21,13 @@ a gather with phases; `monomial` reads the column and phase tables off a
 matrix.  `GAMMA0_ROWS` is the table of gamma^0, a permutation matrix, which
 `amplitudes.dirac_bar` and `lorentz.bispinor_inverse` gather with;
 `lorentz._trace_table` reads the tables of sigma_mu = (I, sigma_k) for the
-trace its SL(2,C) lift takes.
+trace its SL(2,C) lift takes, `column_tables` those `gather_columns` takes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .minkowski import METRIC, check_energy_sign, check_mass, contract
+from .minkowski import _LOWER, check_energy_sign, check_mass, contract
 
 _I2 = np.eye(2, dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
@@ -86,8 +86,18 @@ def monomial(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 GAMMA0_ROWS = monomial(GAMMA0)[0]
 
 
-#: Lowers the index of a contravariant four-vector: p_mu = g_{mu nu} p^nu.
-_LOWER = np.diag(METRIC)
+#: alpha_k = gamma^0 gamma^k, shape (3, 4, 4): H = alphavec.pvec + beta m, beta = gamma^0.
+ALPHA = GAMMA0 @ GAMMA[1:]
+#: gamma^mu gamma^5 stacked over mu = 0..3, shape (4, 4, 4).
+GAMMA_GAMMA5 = GAMMA @ GAMMA5
+
+
+def column_tables(Ms) -> tuple[np.ndarray, np.ndarray]:
+    """Row and phase tables, shape (k n,) each, of monomial matrices Ms (k, n, n)
+    placed side by side as one (n, k n) matrix M: column j of M holds phases[j]
+    in row rows[j] (`monomial` of each transpose), for `minkowski.gather_columns`."""
+    rows, phases = monomial(np.swapaxes(np.asarray(Ms), -1, -2))
+    return rows.reshape(-1), phases.reshape(-1)
 
 
 def slash(p4: np.ndarray) -> np.ndarray:

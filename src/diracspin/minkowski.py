@@ -16,8 +16,10 @@ from typing import Callable
 
 import numpy as np
 
+#: The diagonal of the metric, which lowers an index: p_mu = _LOWER[mu] p^mu.
+_LOWER = np.array([1.0, -1.0, -1.0, -1.0])
 #: Metric tensor g_{mu nu} = diag(1, -1, -1, -1).
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+METRIC = np.diag(_LOWER)
 
 #: Metric defect |L^T g L - g| that `lorentz_matrix` accepts, per unit of
 #: the squared largest entry.
@@ -124,42 +126,14 @@ def max_entry(X: np.ndarray) -> np.ndarray:
     return np.abs(X).max(axis=(-2, -1))
 
 
-# numpy's stacked `@` makes one BLAS call per matrix of a stack.  A product
-# with one fixed matrix runs as one 2-D product over the flattened stack
-# instead, which computes every entry by the same dot product.  Wherever
-# each matrix of the stack has at least two rows (stack @ M) or two columns
-# (M @ stack), numpy's loop makes matrix-matrix calls too, and the results
-# agree bit for bit; a single row or column is a vector product there,
-# which rounds differently.  For M @ stack, complex stacks agree when each
-# matrix has a multiple of four columns, the column tile of OpenBLAS's
-# complex kernel; the fixed matrices used here have entries 0, +-1 and
-# +-i, so each entry of their products is one exact term whatever the tile.
-#
 # The two-term rule.  A product with a fixed Clifford or Pauli tensor is
 # exact, and so rounds the same in every summation order, with or without
 # fused multiply-adds, when each real output component is a sum of at most
 # two terms, each an input times an entry in {0, +-1, +-1/2}: each term is
 # then exact and the sum rounds once.  `contract` relies on it, and so do
-# the monomial gathers (`conj_gather` with `clifford.GAMMA0_ROWS`, and
-# `lorentz._sigma_trace`), which read the one term of each component
-# directly instead of multiplying by a fixed matrix.
-
-def stack_matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """X @ M for a (..., a, b) stack X and one (b, c) matrix M, shape
-    (..., a, c), as one (rows, b) @ (b, c) product; C-contiguous."""
-    X = np.asarray(X)
-    return (X.reshape(-1, X.shape[-1]) @ M).reshape(X.shape[:-1] + M.shape[-1:])
-
-
-def matmul_stack(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ X for one (a, b) matrix M and a (..., b, c) stack X, shape
-    (..., a, c), as one (a, b) @ (b, columns) product with the stack's
-    columns side by side.  M stays the left factor: swapping the factors of
-    a complex product changes its rounding."""
-    X = np.asarray(X)
-    columns = np.moveaxis(X, -2, 0).reshape(X.shape[-2], -1)
-    return np.moveaxis((M @ columns).reshape(M.shape[:1] + X.shape[:-2] + X.shape[-1:]), 0, -2)
-
+# the monomial gathers (`conj_gather` with `clifford.GAMMA0_ROWS`,
+# `gather_columns`, and `lorentz._sigma_trace`), which read the one term of
+# each component directly instead of multiplying by a fixed matrix.
 
 def contract(x: np.ndarray, T: np.ndarray) -> np.ndarray:
     """sum_i x_i T_i for real vectors x (..., k) and one fixed complex tensor
@@ -190,6 +164,18 @@ def conj_gather(X: np.ndarray, index: np.ndarray) -> np.ndarray:
     X = np.asarray(X)
     out = np.take(X.reshape(X.shape[:-2] + (-1,)), index, axis=-1)
     np.conjugate(out, out=out)
+    out += 0.0
+    return out
+
+
+def gather_columns(X: np.ndarray, rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """X @ M for a stack X (..., a, b) and a matrix M (b, c) whose column j holds
+    phases[j] in row rows[j] alone (`clifford.column_tables`): shape (..., a, c),
+    C-contiguous, every zero +0.  Equal to the dense product bit for bit but
+    for the sign of a zero, which BLAS leaves to its kernel; each column of X
+    is read, so a sample with a NaN or inf entry is non-finite there too."""
+    out = np.take(X, rows, axis=-1)
+    out *= phases
     out += 0.0
     return out
 
@@ -293,7 +279,7 @@ def lorentz_residual(L: np.ndarray) -> float:
     """Max-entry residual of the defining relation L^T g L = g, per matrix
     of a (..., 4, 4) stack."""
     L = np.asarray(L, dtype=float)
-    return np.abs(stack_matmul(np.swapaxes(L, -1, -2), METRIC) @ L - METRIC).max(axis=(-2, -1))
+    return np.abs(np.swapaxes(L, -1, -2) * _LOWER @ L - METRIC).max(axis=(-2, -1))
 
 
 def is_proper_orthochronous(L: np.ndarray) -> bool:

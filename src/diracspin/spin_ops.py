@@ -17,13 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from .amplitudes import amplitude, dirac_bar
-from .clifford import GAMMA, GAMMA0, GAMMA5, PAULI_T
+from .clifford import ALPHA, GAMMA0, GAMMA5, GAMMA_GAMMA5, PAULI_T
 from .lorentz import _mat, lorentz_gamma, wigner_rotation_closed
-from .minkowski import (check_component, check_energy_sign, check_mass, check_masses, contract,
-                        matmul_stack, max_entry, stack_matmul)
+from .minkowski import check_component, check_energy_sign, check_mass, check_masses, contract, max_entry
 
 _EYE2 = np.eye(2, dtype=complex)
-_EYE4 = np.eye(4, dtype=complex)
 
 
 def column_action(M: np.ndarray) -> np.ndarray:
@@ -39,13 +37,14 @@ def pl_covariant(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
         W^mu -> -(eps/2) (eps m gamma^mu + p^mu I) gamma^5.
 
     Contracting with p_mu gives a matrix that annihilates the amplitude
-    columns (transversality P.W = 0).
+    columns (transversality P.W = 0).  A zero entry may be -0 where the
+    product with gamma^5 gave +0.
     """
     mu = check_component(mu, 4, "mu")
     eps = check_energy_sign(eps)
     check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return stack_matmul(-(eps / 2.0) * (eps * m * GAMMA[mu] + _mat(p4[..., mu]) * _EYE4), GAMMA5)
+    return -(eps / 2.0) * (eps * m * GAMMA_GAMMA5[mu] + _mat(p4[..., mu]) * GAMMA5)
 
 
 def pl_spin(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
@@ -112,26 +111,27 @@ def spin_covariant(i: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
 
     obtained from the Pauli-Lubanski actions with shell eigenvalues; it
     contracts to the spin-basis matrix, eps vbar S_i v = sigma^T_i / 2,
-    for both energy signs.
+    for both energy signs.  As in `pl_covariant`, gamma^5 is folded into
+    the fixed factors, and a zero entry may be -0 where the product gave +0.
     """
     i = check_component(i, 3, "i")
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return stack_matmul(-(eps / 2.0) * (GAMMA[i + 1] + eps * _mat(p4[..., i + 1]) * (_EYE4 - eps * GAMMA0)
-                                        / _mat(p4[..., 0] + m)), GAMMA5)
+    return -(eps / 2.0) * (GAMMA_GAMMA5[i + 1] + eps * _mat(p4[..., i + 1])
+                           * (GAMMA5 - eps * GAMMA_GAMMA5[0]) / _mat(p4[..., 0] + m))
 
 
 def hamiltonian_covariant(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
-    """Free Dirac Hamiltonian on the covariant basis, H = gamma^0 (eps pvec.gammavec + m I),
-    for four-momenta (..., 4); shape (..., 4, 4).
+    """Free Dirac Hamiltonian on the covariant basis, H = eps pvec.alphavec + m beta
+    (alpha_k = gamma^0 gamma^k, beta = gamma^0), for four-momenta (..., 4); shape (..., 4, 4).
 
     Squares to (p^0)^2 I.
     """
     eps = check_energy_sign(eps)
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
-    return matmul_stack(GAMMA0, eps * contract(p4[..., 1:], GAMMA[1:]) + m * _EYE4)
+    return eps * contract(p4[..., 1:], ALPHA) + m * GAMMA0
 
 
 def fw_residual(eps: int, p4: np.ndarray, m: float) -> float:

@@ -84,6 +84,8 @@ class Grid:
     n: int = 64
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if not (np.isfinite(self.half_width) and self.half_width > 0) or self.n < 2:
             raise ValueError(f"need finite half_width > 0 and n >= 2, "
                              f"got half_width={self.half_width}, n={self.n}")

@@ -37,13 +37,13 @@ from . import __version__
 from .amplitudes import (amplitude, dirac_bar, dirac_residual, orthogonality_residual,
                          parity_residual, projector_residual, sandwich_formula_residual,
                          weinberg_residual)
-from .clifford import GAMMA, GAMMA5, PAULI, energy_projector
+from .clifford import GAMMA, GAMMA5, PAULI, column_tables, energy_projector
 from .lorentz import (BALL, LORENTZ, ROTATION, VMAX_HARD, bispinor_inverse, bispinor_rep,
                       boost_from_velocity, lorentz_from_draws, momenta_from_draws,
                       rotation_angle, rotations_from_draws, standard_boost, su2_from_so3,
                       velocities_from_draws, wigner_rotation, wigner_rotation_closed)
-from .minkowski import (METRIC, SampleRefused, check_mass, contract, max_entry, row_blocks,
-                        stack_matmul)
+from .minkowski import (METRIC, SampleRefused, check_mass, contract, gather_columns, max_entry,
+                        row_blocks)
 from .spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant, pl_covariant,
                        pl_spin, spin_covariant, spin_from_pl, spin_matrix,
                        spin_transform_closed, spin_transform_wigner)
@@ -161,16 +161,14 @@ def _energy_projector(m, p4):
                    np.abs(np.trace(plus, axis1=-2, axis2=-1).real - 2.0)])
 
 
-#: gamma^0 .. gamma^3 side by side, shape (4, 16).
-_GAMMA_ROW = np.concatenate(GAMMA, axis=1)
-#: sigma_1 .. sigma_3 side by side, shape (2, 6).
-_PAULI_ROW = np.concatenate(PAULI, axis=1)
+#: The `column_tables` of gamma^0 .. gamma^3 and of sigma_1 .. sigma_3, each side by side.
+_GAMMA_COLUMNS, _PAULI_COLUMNS = column_tables(GAMMA), column_tables(PAULI)
 
 
 def _bispinor_covariance(m, L):
     S = bispinor_rep(L)
     # the four S^-1 gamma^mu as row blocks of one factor, one product with S
-    conjugated = row_blocks(stack_matmul(bispinor_inverse(S), _GAMMA_ROW), 4) @ S
+    conjugated = row_blocks(gather_columns(bispinor_inverse(S), *_GAMMA_COLUMNS), 4) @ S
     # the four targets L^mu_nu gamma^nu as row blocks, like the products
     targets = contract(L, GAMMA).reshape(conjugated.shape)
     return max_entry(conjugated - targets)
@@ -217,7 +215,7 @@ def _su2_lift(m, R3):
     Dh = np.swapaxes(D.conj(), -1, -2)
     det = np.linalg.det(D)
     # the three D sigma_i as row blocks of one factor, one product with D^+
-    rotated = row_blocks(stack_matmul(D, _PAULI_ROW), 3) @ Dh
+    rotated = row_blocks(gather_columns(D, *_PAULI_COLUMNS), 3) @ Dh
     # the three targets R_ji sigma_j as row blocks, like the products
     targets = contract(np.swapaxes(R3, -1, -2), PAULI).reshape(rotated.shape)
     return _worst([max_entry(D @ Dh - np.eye(2)), np.hypot(det.real - 1.0, det.imag),

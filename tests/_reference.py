@@ -10,9 +10,9 @@ independent partner of one of them, kept here because only tests call it:
 - the one-point position synthesis as one whole-array sum, against a node
   of `position.synthesize_mesh`;
 - the dense products with fixed Clifford and Pauli tensors (einsum
-  contractions and stacked matrix products), against the flat
-  `minkowski.contract` and the monomial gathers that replaced them, which
-  must equal them bit for bit.
+  contractions and matrix products), against the flat `minkowski.contract`
+  and the monomial gathers that replaced them, which must equal them bit
+  for bit.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from scipy.linalg import expm
 from diracspin.amplitudes import amplitude
 from diracspin.clifford import GAMMA0, SIGMA
 from diracspin.lorentz import _SIGMA4, bispinor_rep, standard_boost
-from diracspin.minkowski import METRIC, lorentz_matrix, matmul_stack, on_shell, stack_matmul
+from diracspin.minkowski import METRIC, lorentz_matrix, on_shell
 from diracspin.position import TWO_PI_CUBED_SQRT
 from diracspin.states import SpinWaveFunction, _as_sectors, to_covariant
 
@@ -141,13 +141,13 @@ def dense_contract(x, T):
 
 
 def dense_dirac_bar(M):
-    """M^+ gamma^0 as one flat product with gamma^0."""
-    return stack_matmul(np.swapaxes(np.asarray(M).conj(), -1, -2), GAMMA0)
+    """M^+ gamma^0 as a matrix product with gamma^0."""
+    return np.swapaxes(np.asarray(M).conj(), -1, -2) @ GAMMA0
 
 
 def dense_bispinor_inverse(S):
-    """gamma^0 S^+ gamma^0 as two flat products with gamma^0."""
-    return stack_matmul(matmul_stack(GAMMA0, np.swapaxes(np.asarray(S).conj(), -1, -2)), GAMMA0)
+    """gamma^0 S^+ gamma^0 as two matrix products with gamma^0."""
+    return GAMMA0 @ np.swapaxes(np.asarray(S).conj(), -1, -2) @ GAMMA0
 
 
 def dense_sigma_trace(k, Mk):

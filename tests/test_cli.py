@@ -251,6 +251,21 @@ def test_spin_transform_identity_report(capsys):
     assert_allclose(r["xi_out"], [0.0, 1.0, 0.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("velocity, momentum, equivalence_passes", [
+    ("0.99999,0,0", "1e4,0,0", True), ("0.9999999,0,0", "1e4,0,0", False),
+    ("0.9999999,0,0", "1e10,0,0", False)])
+def test_spin_transform_fails_closed_when_the_lift_refuses(capsys, velocity, momentum,
+                                                           equivalence_passes):
+    # the closed-form rotation is too far from orthogonal for the SU(2) lift,
+    # even where the equivalence check passes: a failed check, not a usage error
+    code, out, err = run(capsys, "spin-transform", "--velocity", velocity, "--momentum", momentum)
+    assert code == 1
+    assert "the SU(2) lift refused the rotation: matrix is not a proper rotation" in err
+    r = json.loads(out)
+    assert r["su2"] is None and r["passed"] is False
+    assert (r["equivalence_residual"] < r["config"]["tolerance"]) == equivalence_passes
+
+
 # --- precess ---------------------------------------------------------------
 
 def test_precess_uniform_csv(capsys, tmp_path):

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from diracspin import clifford
-from diracspin.clifford import (GAMMA, GAMMA0, GAMMA0_ROWS, GAMMA5, PAULI, SIGMA, energy_projector,
-                                monomial, slash)
+from diracspin.clifford import (ALPHA, GAMMA, GAMMA0, GAMMA0_ROWS, GAMMA5, GAMMA_GAMMA5, PAULI, SIGMA,
+                                energy_projector, monomial, slash)
 from diracspin.lorentz import _SIGMA4, momenta_from_draws
 from diracspin.minkowski import METRIC, minkowski_dot, on_shell
 from _reference import EXACT_BATCHES, assert_same_bits, dense_contract
@@ -93,7 +93,7 @@ def test_slash_is_the_einsum_bit_for_bit(batch, monkeypatch):
 
 
 def test_every_fixed_matrix_is_monomial_with_unit_phases():
-    for M in (*GAMMA, GAMMA5, *_SIGMA4):
+    for M in (*GAMMA, GAMMA5, *ALPHA, *GAMMA_GAMMA5, *_SIGMA4):
         columns, phases = monomial(M)
         assert_array_equal(np.abs(phases), 1.0)
         assert_array_equal(M[np.arange(len(M)), columns], phases)
@@ -106,6 +106,18 @@ def test_gamma0_rows_make_it_a_symmetric_permutation():
     assert_array_equal(columns, GAMMA0_ROWS)
     assert_array_equal(phases, 1.0)
     assert_array_equal(GAMMA0, GAMMA0.T)
+
+
+def test_alpha_and_beta_obey_the_dirac_algebra_exactly():
+    beta, eye = GAMMA0, np.eye(4)
+    for i in range(3):
+        assert_array_equal(ALPHA[i], GAMMA0 @ GAMMA[i + 1])
+        assert_array_equal(ALPHA[i] @ beta + beta @ ALPHA[i], 0.0)
+        for j in range(3):
+            assert_array_equal(ALPHA[i] @ ALPHA[j] + ALPHA[j] @ ALPHA[i], 2.0 * (i == j) * eye)
+    assert_array_equal(beta @ beta, eye)
+    for mu in range(4):
+        assert_array_equal(GAMMA_GAMMA5[mu], GAMMA[mu] @ GAMMA5)
 
 
 def test_monomial_refuses_a_matrix_with_two_entries_in_a_row():

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from diracspin import spin_ops
-from diracspin.clifford import GAMMA, PAULI, PAULI_T, SIGMA
+from diracspin import amplitudes, spin_ops, verify
+from diracspin.clifford import (ALPHA, GAMMA, GAMMA5, GAMMA_GAMMA5, PAULI, PAULI_T, SIGMA,
+                                column_tables)
 from diracspin.minkowski import (_BLOCK, METRIC, SampleRefused, check_component, check_mass,
-                                 check_masses, contract, is_proper_orthochronous, lorentz_matrix,
-                                 lorentz_residual, mass_checks, matmul_stack, minkowski_dot,
-                                 on_shell, parity_flip, refuse_first, stack_matmul)
+                                 check_masses, contract, gather_columns, is_proper_orthochronous,
+                                 lorentz_matrix, lorentz_residual, mass_checks, minkowski_dot,
+                                 on_shell, parity_flip, refuse_first)
 from diracspin.states import (DensityState, Grid, gaussian_packet, momentum_apply, nw_apply,
                               spin_expectations)
 from diracspin.verify import RunConfig, run_all
@@ -272,21 +273,21 @@ def test_mass_checks_apply_check_mass_per_sample(m):
             refuse_first(*mass_checks(masses))
 
 
-# --- products with a fixed matrix ---------------------------------------------
+# --- gathers with fixed monomial matrices ------------------------------------
 
-#: Batch shapes: a single 2-D point, a stack, and a stack with an extra
-#: leading axis (as `wigner_rotation` takes (2, n, 4, 4)).
-BATCHES = st.sampled_from([(), (1,), (5,), (37,), (2, 9)])
 #: Stack layouts: C-contiguous, a swapaxes view (each matrix in column-major
 #: order) and matrices stored as planes behind the batch axes (the layout of
 #: `amplitudes.amplitude`), where no matrix is contiguous.
-LAYOUTS = st.sampled_from(["contiguous", "swapaxes", "planes"])
+LAYOUTS = ["contiguous", "swapaxes", "planes"]
 
 
-def _stack(rng, batch, rows, cols, layout, dtype):
+def _stack(rng, batch, rows, cols, layout, zeros=False):
     def draw(shape):
-        x = rng.standard_normal(shape)
-        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if zeros:  # exact zeros of both signs, in both components
+            x.real[np.abs(x.real) < 0.3] = 0.0
+            x.imag[np.abs(x.imag) < 0.3] = -0.0
+        return x
     if layout == "contiguous":
         return draw(batch + (rows, cols))
     if layout == "swapaxes":
@@ -294,52 +295,62 @@ def _stack(rng, batch, rows, cols, layout, dtype):
     return np.moveaxis(draw((rows, cols) + batch), (0, 1), (-2, -1))
 
 
-def _monomial(rng, size):
-    """A matrix with one entry per row and column, each from {1, -1, i, -i}."""
-    M = np.zeros((size, size), dtype=complex)
-    M[np.arange(size), rng.permutation(size)] = rng.choice([1, -1, 1j, -1j], size)
-    return M
+def _gather_tables():
+    """Each gather table in use, with its matrices side by side as one dense
+    matrix and the rows of the stacks it is applied to."""
+    sandwich = [GAMMA5, *(g for mu in range(4) for g in (GAMMA[mu], GAMMA_GAMMA5[mu]))]
+    return {"sandwiches": (amplitudes._SANDWICH_COLUMNS, np.concatenate(sandwich, axis=1), 2),
+            "gamma": (verify._GAMMA_COLUMNS, np.concatenate(GAMMA, axis=1), 4),
+            "pauli": (verify._PAULI_COLUMNS, np.concatenate(PAULI, axis=1), 2)}
 
 
-@given(st.integers(0, 2 ** 32 - 1), BATCHES, LAYOUTS, st.sampled_from([float, complex]),
-       st.integers(2, 5), st.integers(1, 5), st.integers(2, 5))
-def test_stack_matmul_is_matmul_bit_for_bit(seed, batch, layout, dtype, a, b, c):
-    rng = np.random.default_rng(seed)
-    X = _stack(rng, batch, a, b, layout, dtype)
-    M = _stack(rng, (), b, c, "contiguous", dtype)
-    out = stack_matmul(X, M)
-    assert out.shape == batch + (a, c) and out.flags.c_contiguous
-    assert np.array_equal(out, X @ M)
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("batch", EXACT_BATCHES)
+@pytest.mark.parametrize("name", list(_gather_tables()))
+def test_gather_columns_is_the_matrix_product_bit_for_bit(name, batch, layout):
+    tables, M, rows = _gather_tables()[name]
+    blocks = np.split(M, M.shape[1] // len(M), axis=1)
+    assert_same_bits(np.stack(tables), np.stack(column_tables(blocks)))
+    rng = np.random.default_rng(len(batch) + M.shape[1])
+    X = _stack(rng, batch, rows, len(M), layout)
+    got = gather_columns(X, *tables)
+    assert got.flags.c_contiguous
+    assert_same_bits(got, np.ascontiguousarray(X @ M))
+    # A zero term gives a zero entry, always +0 here.  The dense product's
+    # sign of it depends on the BLAS kernel (OpenBLAS's stacked 2 x 6 Pauli
+    # product gives -0 for some), so the gather equals it with zeros made +0.
+    X = _stack(rng, batch, rows, len(M), layout, zeros=True)
+    assert_same_bits(gather_columns(X, *tables), np.ascontiguousarray(X @ M) + 0.0)
 
 
-@given(st.integers(0, 2 ** 32 - 1), BATCHES, LAYOUTS, st.sampled_from([float, complex]),
-       st.integers(2, 5), st.integers(1, 5), st.integers(2, 9))
-def test_matmul_stack_is_matmul_bit_for_bit(seed, batch, layout, dtype, a, b, c):
-    rng = np.random.default_rng(seed)
-    if dtype is complex and c % 4:
-        # OpenBLAS's complex kernel rounds a partial column tile of its own;
-        # with entries 0, +-1, +-i every entry is one exact term anyway
-        M = _monomial(rng, b)
-        a = b
-    else:
-        M = _stack(rng, (), a, b, "contiguous", dtype)
-    X = _stack(rng, batch, b, c, layout, dtype)
-    out = matmul_stack(M, X)
-    assert out.shape == batch + (a, c)
-    assert np.array_equal(out, M @ X)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("name", list(_gather_tables()))
+def test_gather_columns_leaves_the_products_samples_non_finite(name, bad):
+    tables, M, rows = _gather_tables()[name]
+    X = _stack(np.random.default_rng(5), (6,), rows, len(M), "contiguous")
+    X[1, 0, 0] = X[4, -1, -1] = bad
+    with np.errstate(invalid="ignore"):
+        got, ref = gather_columns(X, *tables), X @ M
+    assert_array_equal(np.isfinite(got).all(axis=(-2, -1)), np.isfinite(ref).all(axis=(-2, -1)))
+    assert_array_equal(np.isfinite(got).all(axis=(-2, -1)), [True, False, True, True, False, True])
 
 
 # --- flat contractions with fixed tensors ------------------------------------
 
 def _fixed_tensors():
-    return {"GAMMA": GAMMA, "GAMMA[1:]": GAMMA[1:], "PAULI": PAULI, "PAULI_T": PAULI_T,
+    return {"GAMMA": GAMMA, "ALPHA": ALPHA, "PAULI": PAULI, "PAULI_T": PAULI_T,
             "_SPIN": spin_ops._SPIN}
 
 
+#: The tensors the contraction tests take: those above, and gamma^k alone,
+#: whose rows alpha_k = gamma^0 gamma^k permutes.
+_CONTRACTED = {**_fixed_tensors(), "GAMMA[1:]": GAMMA[1:]}
+
+
 @pytest.mark.parametrize("batch", EXACT_BATCHES)
-@pytest.mark.parametrize("name", list(_fixed_tensors()))
+@pytest.mark.parametrize("name", list(_CONTRACTED))
 def test_contract_is_the_einsum_bit_for_bit(name, batch):
-    T = _fixed_tensors()[name]
+    T = _CONTRACTED[name]
     x = np.random.default_rng(len(batch) + len(T)).standard_normal(batch + (len(T),)) * 7.0
     x[..., 0] = np.where(np.abs(x[..., 0]) < 0.5, 0.0, x[..., 0])  # some exact zeros too
     got = contract(x, T)
@@ -348,9 +359,9 @@ def test_contract_is_the_einsum_bit_for_bit(name, batch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", list(_fixed_tensors()))
+@pytest.mark.parametrize("name", list(_CONTRACTED))
 def test_contract_leaves_the_einsums_samples_non_finite(name, bad):
-    T = _fixed_tensors()[name]
+    T = _CONTRACTED[name]
     x = np.random.default_rng(5).standard_normal((6, len(T)))
     x[1, 0] = x[4, -1] = bad
     with np.errstate(invalid="ignore"):

@@ -226,6 +226,16 @@ def test_grid_rejects_bad_shape():
         Grid(1.0, 1)
 
 
+@pytest.mark.parametrize("n", [3.5, 64.0, True, "64"])
+def test_grid_rejects_a_non_integer_n(n):
+    with pytest.raises(ValueError, match=r"n must be an integer, got"):
+        Grid(1.0, n)
+
+
+def test_grid_takes_a_numpy_integer_n():
+    assert Grid(1.0, np.int64(5)).points().shape == (125, 3)
+
+
 def test_grid_rejects_non_finite_pmax():
     with pytest.raises(ValueError, match="half_width"):
         Grid(float("nan"))

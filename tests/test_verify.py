@@ -438,7 +438,9 @@ def test_contracted_targets_are_the_einsums_bit_for_bit(name, batch, monkeypatch
     (spin_ops, "contract", "pauli_lubanski_sandwich"), (spin_ops, "contract", "fw_diagonalization"),
     (spin_ops, "contract", "spin_transform_equivalence"), (clifford, "contract", "amplitude_dirac"),
     (amplitudes, "conj_gather", "amplitude_orthogonality"),
-    (lorentz, "conj_gather", "bispinor_inverse_structure"), (lorentz, "_sigma_trace", "su2_lift")])
+    (lorentz, "conj_gather", "bispinor_inverse_structure"), (lorentz, "_sigma_trace", "su2_lift"),
+    (verify, "gather_columns", "bispinor_covariance"), (verify, "gather_columns", "su2_lift"),
+    (amplitudes, "gather_columns", "sandwich_formulas")])
 def test_nan_from_a_flat_product_or_gather_fails_its_identity(module, kernel, name, monkeypatch):
     real = getattr(module, kernel)
 
