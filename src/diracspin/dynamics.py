@@ -23,16 +23,16 @@ local floats through the four RK4 stages and the update, building no
 tuple, array or state object per stage, and `rhs` is the single-state
 wrapper.  A field is data:
 
-- a uniform field binds B as a float triple and its gradient is zero, so a
-  stage does no numpy at all;
-- a linear (quadrupole) field binds G, and a stage makes one BLAS product
-  for B = x G and one for the force, G xi or G^T xi.  These stay numpy
-  products: OpenBLAS rounds a 3x3 product with fused multiply-adds, which
-  plain Python sums do not reproduce.
+- a uniform field binds B as a float triple and its gradient is zero;
+- a linear (quadrupole) field binds G^T (B = x G) and the force matrix, G
+  or G^T, as 18 floats, and a stage forms each component of B and of the
+  force as the plain float sum (a_0 y_0 + a_1 y_1) + a_2 y_2.
 
-The arithmetic keeps numpy's operation order (np.cross, a matrix-vector
-product for the force), so a trajectory equals the 3-vector numpy form bit
-for bit.
+So no stage calls numpy or BLAS.  A sum of IEEE products in one fixed order
+has no fused multiply-add, so a trajectory rounds the same on every IEEE-754
+machine, whatever kernel OpenBLAS picks for the CPU.  The cross products
+keep np.cross's operation order, so a trajectory equals the 3-vector numpy
+form written with these sums bit for bit.
 """
 from __future__ import annotations
 
@@ -160,25 +160,32 @@ def _rate(b, grad, e_over_m: float, mass: float):
     The field is bound once per trajectory, and `integrate` calls the rate
     once per stage on the nine local floats it steps.  A call reads the
     field through one branch: a uniform field's B and force are the bound
-    floats, a linear field's B and dB are read at the position with one
-    BLAS product each (numpy's, whose FMA rounding plain sums would miss).
-    The cross products follow np.cross's operation order and the force is
-    the matrix-vector product that numpy's matmul makes, so each value
-    equals the 3-vector numpy evaluation bit for bit.  The uniform field's
-    force is (e/2m) 0.0, as numpy's product with the zero gradient gives for
-    any finite xi: a zero whose sign follows the charge.
+    floats; a linear field's B_j = (b_j0 x0 + b_j1 x1) + b_j2 x2 and force
+    F_i = half ((M_i0 s0 + M_i1 s1) + M_i2 s2) are plain float sums in that
+    order, with no BLAS call and no FMA.  The cross products follow
+    np.cross's operation order, so each value equals the 3-vector numpy
+    evaluation with these sums bit for bit.  The uniform field's force is
+    (e/2m) 0.0, as numpy's product with the zero gradient gives for any
+    finite xi: a zero whose sign follows the charge.
     """
+    e_over_m, mass = float(e_over_m), float(mass)
     half = 0.5 * e_over_m
     if grad is None:
         uniform = (*b, half * 0.0, half * 0.0, half * 0.0)
+    else:
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b.tolist()
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = grad.tolist()
 
     def rate(q0, q1, q2, s0, s1, s2, x0, x1, x2):
         if grad is None:
             b0, b1, b2, f0, f1, f2 = uniform
         else:
-            b0, b1, b2 = b.dot((x0, x1, x2)).tolist()
-            g0, g1, g2 = grad.dot((s0, s1, s2)).tolist()
-            f0, f1, f2 = half * g0, half * g1, half * g2
+            b0 = (b00 * x0 + b01 * x1) + b02 * x2
+            b1 = (b10 * x0 + b11 * x1) + b12 * x2
+            b2 = (b20 * x0 + b21 * x1) + b22 * x2
+            f0 = half * ((m00 * s0 + m01 * s1) + m02 * s2)
+            f1 = half * ((m10 * s0 + m11 * s1) + m12 * s2)
+            f2 = half * ((m20 * s0 + m21 * s1) + m22 * s2)
         return (e_over_m * (q1 * b2 - q2 * b1) + f0,
                 e_over_m * (q2 * b0 - q0 * b2) + f1,
                 e_over_m * (q0 * b1 - q1 * b0) + f2,
@@ -237,36 +244,35 @@ def integrate(s0: ChargedState, f: FieldConfig, t_final: float, steps: int,
     rows = [(q0, q1, q2, xi0, xi1, xi2, x0, x1, x2)]
 
     # The stages' derivatives are a0..a8 (k1), b (k2), c (k3) and d (k4), in
-    # the state's order.  Overflow is caught by the finiteness check below,
-    # not by warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            a0, a1, a2, a3, a4, a5, a6, a7, a8 = rate(q0, q1, q2, xi0, xi1, xi2, x0, x1, x2)
-            b0, b1, b2, b3, b4, b5, b6, b7, b8 = rate(
-                q0 + half * a0, q1 + half * a1, q2 + half * a2,
-                xi0 + half * a3, xi1 + half * a4, xi2 + half * a5,
-                x0 + half * a6, x1 + half * a7, x2 + half * a8)
-            c0, c1, c2, c3, c4, c5, c6, c7, c8 = rate(
-                q0 + half * b0, q1 + half * b1, q2 + half * b2,
-                xi0 + half * b3, xi1 + half * b4, xi2 + half * b5,
-                x0 + half * b6, x1 + half * b7, x2 + half * b8)
-            d0, d1, d2, d3, d4, d5, d6, d7, d8 = rate(
-                q0 + h * c0, q1 + h * c1, q2 + h * c2,
-                xi0 + h * c3, xi1 + h * c4, xi2 + h * c5,
-                x0 + h * c6, x1 + h * c7, x2 + h * c8)
-            row = (q0 + sixth * (a0 + 2 * b0 + 2 * c0 + d0),
-                   q1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1),
-                   q2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2),
-                   xi0 + sixth * (a3 + 2 * b3 + 2 * c3 + d3),
-                   xi1 + sixth * (a4 + 2 * b4 + 2 * c4 + d4),
-                   xi2 + sixth * (a5 + 2 * b5 + 2 * c5 + d5),
-                   x0 + sixth * (a6 + 2 * b6 + 2 * c6 + d6),
-                   x1 + sixth * (a7 + 2 * b7 + 2 * c7 + d7),
-                   x2 + sixth * (a8 + 2 * b8 + 2 * c8 + d8))
-            if not all(map(math.isfinite, row)):
-                raise RuntimeError(f"integration produced non-finite values at step {k}, t = {t[k]:.6g}")
-            rows.append(row)
-            q0, q1, q2, xi0, xi1, xi2, x0, x1, x2 = row
+    # the state's order.  Float arithmetic overflows to inf or nan without a
+    # warning, and the finiteness check below catches it.
+    for k in range(1, steps + 1):
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = rate(q0, q1, q2, xi0, xi1, xi2, x0, x1, x2)
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = rate(
+            q0 + half * a0, q1 + half * a1, q2 + half * a2,
+            xi0 + half * a3, xi1 + half * a4, xi2 + half * a5,
+            x0 + half * a6, x1 + half * a7, x2 + half * a8)
+        c0, c1, c2, c3, c4, c5, c6, c7, c8 = rate(
+            q0 + half * b0, q1 + half * b1, q2 + half * b2,
+            xi0 + half * b3, xi1 + half * b4, xi2 + half * b5,
+            x0 + half * b6, x1 + half * b7, x2 + half * b8)
+        d0, d1, d2, d3, d4, d5, d6, d7, d8 = rate(
+            q0 + h * c0, q1 + h * c1, q2 + h * c2,
+            xi0 + h * c3, xi1 + h * c4, xi2 + h * c5,
+            x0 + h * c6, x1 + h * c7, x2 + h * c8)
+        row = (q0 + sixth * (a0 + 2 * b0 + 2 * c0 + d0),
+               q1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1),
+               q2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2),
+               xi0 + sixth * (a3 + 2 * b3 + 2 * c3 + d3),
+               xi1 + sixth * (a4 + 2 * b4 + 2 * c4 + d4),
+               xi2 + sixth * (a5 + 2 * b5 + 2 * c5 + d5),
+               x0 + sixth * (a6 + 2 * b6 + 2 * c6 + d6),
+               x1 + sixth * (a7 + 2 * b7 + 2 * c7 + d7),
+               x2 + sixth * (a8 + 2 * b8 + 2 * c8 + d8))
+        if not all(map(math.isfinite, row)):
+            raise RuntimeError(f"integration produced non-finite values at step {k}, t = {t[k]:.6g}")
+        rows.append(row)
+        q0, q1, q2, xi0, xi1, xi2, x0, x1, x2 = row
 
     table = np.array(rows)
     q, xi, x = (np.ascontiguousarray(table[:, i:i + 3]) for i in (0, 3, 6))

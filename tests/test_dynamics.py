@@ -246,24 +246,28 @@ def test_trajectory_type():
 
 
 # --- the plain-float stages against the 3-vector numpy form ---------------------
-# The reference below is RK4 written on numpy 3-vectors, as the stages were
-# before `_rate` went to plain floats: np.cross for the rotations and a matmul
-# G @ xi for the force, with B and dB read from callables at every stage.
-# `integrate` and `rhs` must give its bytes exactly, for every field kind.
+# The reference below is RK4 written on numpy 3-vectors: np.cross for the
+# rotations, with B and the force read from callables at every stage.  A
+# linear field's B = x G and force M xi are elementwise numpy sums in the
+# order `_rate` states, (a_0 y_0 + a_1 y_1) + a_2 y_2, never a BLAS product,
+# and a uniform field's force is the product with the zero gradient.
+# `integrate` and `rhs` must give its bytes exactly, for every field kind;
+# `test_linear_rhs_is_within_rounding_of_blas_products` bounds how far the
+# sums may sit from the BLAS products the stages made before.
 
-def _reference_rate(y, b_at, grad_at, e_over_m, mass):
+def _reference_rate(y, b_at, force_at, e_over_m, mass):
     q, xi, x = y[:3], y[3:6], y[6:]
     B = b_at(x)
     half = 0.5 * e_over_m
-    return np.concatenate([e_over_m * np.cross(q, B) + half * (grad_at(x) @ xi),
+    return np.concatenate([e_over_m * np.cross(q, B) + half * force_at(xi),
                            e_over_m * np.cross(xi, B), q / mass])
 
 
-def _reference_integrate(s0, b_at, grad_at, t_final, steps):
+def _reference_integrate(s0, b_at, force_at, t_final, steps):
     h = float(t_final) / steps
     half, sixth = 0.5 * h, h / 6.0
     t = np.linspace(0.0, float(t_final), steps + 1)
-    consts = (b_at, grad_at, s0.charge / s0.mass, s0.mass)
+    consts = (b_at, force_at, s0.charge / s0.mass, s0.mass)
     y = np.concatenate([s0.q, s0.xi, s0.x])
     rows = [y]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,12 +285,13 @@ def _reference_integrate(s0, b_at, grad_at, t_final, steps):
 
 
 def _reference_field(kind, data, reading):
-    """(b_at, grad_at) of the numpy form for a uniform B or a gradient G."""
+    """(b_at, force_at) of the numpy form for a uniform B or a gradient G."""
     if kind == "uniform":
         zero = np.zeros((3, 3))
-        return (lambda x: data), (lambda x: zero)
+        return (lambda x: data), (lambda xi: zero @ xi)
     M = data.T if reading == "transposed" else data
-    return (lambda x: x @ data), (lambda x: M)
+    return ((lambda x: (x[0] * data[0] + x[1] * data[1]) + x[2] * data[2]),
+            (lambda xi: (M[:, 0] * xi[0] + M[:, 1] * xi[1]) + M[:, 2] * xi[2]))
 
 
 def _signed_zeros(rng, v):
@@ -333,12 +338,45 @@ def _outcome(run):
 def test_integrate_and_rhs_equal_numpy_form_bit_for_bit():
     rng = np.random.default_rng(20261019)
     for i in range(300):
-        s, f, (b_at, grad_at), reading = _random_config(rng, i)
+        s, f, (b_at, force_at), reading = _random_config(rng, i)
         t_final, steps = float(rng.uniform(0.1, 10.0)), int(rng.integers(1, 40))
         assert _outcome(lambda: _trajectory_bytes(integrate(s, f, t_final, steps, reading=reading))) == \
-            _outcome(lambda: [a.tobytes() for a in _reference_integrate(s, b_at, grad_at, t_final, steps)]), i
-        ref = _reference_rate(np.concatenate([s.q, s.xi, s.x]), b_at, grad_at, s.charge / s.mass, s.mass)
+            _outcome(lambda: [a.tobytes() for a in _reference_integrate(s, b_at, force_at, t_final, steps)]), i
+        ref = _reference_rate(np.concatenate([s.q, s.xi, s.x]), b_at, force_at, s.charge / s.mass, s.mass)
         assert np.concatenate(rhs(s, f, reading=reading)).tobytes() == ref.tobytes(), i
+
+
+def test_linear_rhs_is_within_rounding_of_blas_products():
+    # Each component of rhs is, in exact arithmetic, a signed sum of terms:
+    # (e/m) q_j x_l G_lk for the rotations and (e/2m) M_il xi_l for the
+    # force.  In floating point every term passes through at most 7
+    # roundings (3 in the 3-term product for B, the cross product's product
+    # and difference, the factor e/m, the force's addition), so either
+    # evaluation, the plain sums or BLAS's in any order with or without FMA,
+    # is within gamma_7 T of the exact value (Higham, 2nd ed., ch. 3), where
+    # T is the sum of the terms' magnitudes and gamma_n = n u / (1 - n u).
+    # The two are within 2 gamma_7 T of each other; gamma_8 covers the
+    # rounding of T itself.  dx/dt = q/m does not involve the field and must
+    # not move at all.
+    u = np.finfo(float).eps / 2
+    bound = 2 * (8 * u / (1 - 8 * u))
+    rng = np.random.default_rng(31)
+    for i in range(10_000):
+        # a symmetric or general G (i % 2), in either reading (i // 2 % 2)
+        s, f, _, reading = _random_config(rng, 3 * (i // 2 % 2) + 1 + i % 2)
+        G = f.gradient
+        M = G.T if reading == "transposed" else G
+        e_over_m = s.charge / s.mass
+        blas = _reference_rate(np.concatenate([s.q, s.xi, s.x]), lambda x: x @ G, lambda xi: M @ xi,
+                               e_over_m, s.mass)
+        A = np.abs(s.x) @ np.abs(G)  # A_k = sum_l |x_l G_lk| bounds |B_k|
+        cyc = [1, 2, 0], [2, 0, 1]
+        rot = [abs(e_over_m) * (np.abs(a[cyc[0]]) * A[cyc[1]] + np.abs(a[cyc[1]]) * A[cyc[0]])
+               for a in (s.q, s.xi)]
+        T = np.concatenate([rot[0] + 0.5 * abs(e_over_m) * (np.abs(M) @ np.abs(s.xi)), rot[1]])
+        dq, dxi, dx = rhs(s, f, reading=reading)
+        assert (np.abs(np.concatenate([dq, dxi]) - blas[:6]) <= bound * T).all(), i
+        assert dx.tobytes() == blas[6:].tobytes(), i
 
 
 #: A non-symmetric gradient, so the two readings differ.

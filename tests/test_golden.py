@@ -5,10 +5,21 @@ Comparing two runs of one build cannot see a change in the last digit of a
 residual; these files can.  A change that moves a pinned report on purpose
 re-pins the file under a version bump and says so in CHANGES.md.  The digits
 are those of float64 numpy on x86-64; another BLAS or CPU may round a
-residual differently.  They do not depend on the C library: each square
-behind a pinned digit is the IEEE product x * x, never libm's pow, and
-|p|^2 is summed in one order, (p1^2 + p3^2) + p2^2, by
-`minkowski.shell_energy`.
+residual differently.
+
+Most of them depend on the kernel OpenBLAS selects for the CPU: they were
+pinned under its SkylakeX (AVX-512) kernel.  Forced to the Haswell kernel,
+which a CPU without AVX-512 gets, the three verify reports,
+fourier_check_readme.json, both amplitude reports and transport_packet.txt
+change at the rounding level (a max_residual of 2.66e-15 reads 2.00e-15),
+since that kernel rounds their BLAS products with other fused
+multiply-adds.  The precess trajectories do not: their RK4 stages make no
+BLAS call, only plain float sums in a fixed order, so both precess runs are
+the same bytes under every kernel (CI checks Haswell and Nehalem).
+
+They do not depend on the C library: each square behind a pinned digit is
+the IEEE product x * x, never libm's pow, and |p|^2 is summed in one order,
+(p1^2 + p3^2) + p2^2, by `minkowski.shell_energy`.
 """
 from pathlib import Path
 
