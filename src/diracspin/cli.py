@@ -129,10 +129,12 @@ def cmd_wigner(args) -> int:
     p4 = on_shell(args.mass, args.momentum)
     tols, residuals, passed = _check_point(args, ["wigner_closed_form"], v3, p4)
     closed = wigner_rotation_closed(v3, p4, args.mass)
-    # Rotation axis from the antisymmetric part; zero vector for angle ~ 0.
+    # Rotation axis from the antisymmetric part; the zero vector where that
+    # part is exactly zero (R = I, as v parallel to p gives).
     w = np.array([closed[2, 1] - closed[1, 2], closed[0, 2] - closed[2, 0],
                   closed[1, 0] - closed[0, 1]])
-    axis = (w / np.linalg.norm(w)).tolist() if np.linalg.norm(w) > 1e-14 else [0.0, 0.0, 0.0]
+    norm = np.linalg.norm(w)
+    axis = (w / norm).tolist() if norm > 0.0 else [0.0, 0.0, 0.0]
     report = {
         "version": __version__,
         "config": {"velocity": list(map(float, v3)), "momentum": list(map(float, args.momentum)),

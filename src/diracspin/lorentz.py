@@ -1,8 +1,8 @@
 """Lorentz transformations in the vector, SU(2), and bispinor realizations.
 
 Covers velocity boosts, the standard boost taking the rest momentum to p,
-Wigner rotations (both the brute-force matrix product and the closed form),
-and the spinor double cover.  One closed-form map takes a proper
+Wigner rotations (both the brute-force matrix product and the half-angle
+closed form), and the spinor double cover.  One closed-form map takes a proper
 orthochronous L to the SL(2,C) element A(L) with A X(x) A^+ = X(Lx), where
 X(x) = x^mu sigma_mu and sigma_mu = (I, sigma_1, sigma_2, sigma_3); the
 SU(2) lift of a rotation, the bispinor S(L) = diag(A, (A^+)^{-1}) and the
@@ -181,36 +181,60 @@ def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray
 
 
 def wigner_rotation_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarray:
-    """Closed-form Wigner rotations for pure boosts of velocities v3 (..., 3)
-    acting on four-momenta p4 (..., 4); shape (..., 3, 3).
+    """Closed-form Wigner rotations R(boost_from_velocity(v), p) for pure
+    boosts of velocities v3 (..., 3) acting on four-momenta p4 (..., 4);
+    shape (..., 3, 3).  `boost_from_velocity(v)` is the active boost by -v.
 
-    With a = m + p^0 and b = m + gamma (p^0 - v.p) (b is m plus the boosted
-    energy), the rotation block is
+    The half-angle (Rodrigues) form of O'Donnell & Visser, Eur. J. Phys. 32,
+    1033 (2011), arXiv:1102.2001, with gamma the Lorentz factor of v:
 
-        R = I + (1-gamma)/(a b) p(x)p + gamma^2 (m-p^0)/(b (1+gamma)) v(x)v
-            + (gamma/b) p(x)v
-            + (gamma/b) (2 gamma (v.p)/(a (1+gamma)) - 1) v(x)p.
+        w = v x p,   D = (p^0 + m)(1 + 1/gamma) - v.p,   t = w / D,
+        c = 2 / (1 + |t|^2),   R = I + c ([t]x + t t^T - |t|^2 I),
 
-    Agrees with wigner_rotation(boost_from_velocity(v), p, m).
+    a rotation about v x p by theta with tan(theta/2) = |t|.  D is positive:
+    D >= m + (p^0 + m)/gamma + (p^0 - |v||pvec|), and p^0 > |pvec|, |v| < 1.
+    That same bound keeps the one subtraction in D from cancelling by more
+    than a factor gamma + 1, so t carries a relative error of order gamma
+    eps at worst.  Every entry of R is then built from bounded terms
+    (|c t_i| <= 1, c |t|^2 < 2): nothing of order gamma p^0 / m cancels
+    down to a rotation, R is orthogonal to a few eps for any rounded t, and
+    v parallel to p (w = 0) gives R = I exactly.  The entries are plain
+    float products of the components; the kernel makes no BLAS call.
     """
     v3 = np.asarray(v3, dtype=float)
     p4 = np.asarray(p4, dtype=float)
     m = check_mass(m)
-    g, p0, pv = _mat(lorentz_gamma(v3)), _mat(p4[..., 0]), p4[..., 1:]
-    a = m + p0
-    vp = _mat(np.vecdot(v3, pv))
-    b = m + g * (p0 - vp)
-    return (_I3
-            + ((1.0 - g) / (a * b)) * _outer(pv, pv)
-            + (g * g * (m - p0) / (b * (1.0 + g))) * _outer(v3, v3)
-            + (g / b) * _outer(pv, v3)
-            + (g / b) * (2.0 * g * vp / (a * (1.0 + g)) - 1.0) * _outer(v3, pv))
+    g = lorentz_gamma(v3)
+    vx, vy, vz = v3[..., 0], v3[..., 1], v3[..., 2]
+    px, py, pz = p4[..., 1], p4[..., 2], p4[..., 3]
+    d = (p4[..., 0] + m) * (1.0 + 1.0 / g) - (vx * px + vy * py + vz * pz)
+    tx, ty, tz = (vy * pz - vz * py) / d, (vz * px - vx * pz) / d, (vx * py - vy * px) / d
+    t2 = tx * tx + ty * ty + tz * tz
+    c = 2.0 / (1.0 + t2)
+    xy, xz, yz = tx * ty, tx * tz, ty * tz
+    R = np.empty(t2.shape + (3, 3))
+    R[..., 0, 0] = 1.0 + c * (tx * tx - t2)
+    R[..., 1, 1] = 1.0 + c * (ty * ty - t2)
+    R[..., 2, 2] = 1.0 + c * (tz * tz - t2)
+    R[..., 0, 1], R[..., 1, 0] = c * (xy - tz), c * (xy + tz)
+    R[..., 0, 2], R[..., 2, 0] = c * (xz + ty), c * (xz - ty)
+    R[..., 1, 2], R[..., 2, 1] = c * (yz - tx), c * (yz + tx)
+    return R
 
 
 def rotation_angle(R3: np.ndarray) -> np.ndarray:
-    """Angles arccos((tr R - 1) / 2) of rotations R of shape (..., 3, 3); the
-    cosine is clipped to [-1, 1], so rounding past 0 or pi gives no NaN."""
-    return np.arccos(np.clip((np.trace(R3, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
+    """Angles atan2(|a| / 2, (tr R - 1) / 2) of rotations R of shape
+    (..., 3, 3), with a = (R_21 - R_12, R_02 - R_20, R_10 - R_01) = 2 sin(theta) n.
+
+    Both arguments carry absolute errors of order eps, so the angle is
+    accurate to a few eps relative at every scale, where arccos of the
+    cosine alone loses digits at small angles (and gives 0 below ~1e-8)."""
+    R3 = np.asarray(R3, dtype=float)
+    ax = R3[..., 2, 1] - R3[..., 1, 2]
+    ay = R3[..., 0, 2] - R3[..., 2, 0]
+    az = R3[..., 1, 0] - R3[..., 0, 1]
+    trace = R3[..., 0, 0] + R3[..., 1, 1] + R3[..., 2, 2]
+    return np.arctan2(np.sqrt(ax * ax + ay * ay + az * az) / 2.0, (trace - 1.0) / 2.0)
 
 
 #: sigma_mu = (I, sigma_1, sigma_2, sigma_3), shape (4, 2, 2).

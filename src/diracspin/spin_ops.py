@@ -155,8 +155,10 @@ def spin_transform_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarra
                                      + 2 gamma (v.p)(p.S)/(a (1+gamma)) - p.S ]
 
     evaluated on the positive-energy shell with the S_i of spin_matrix.
-    Componentwise equal to applying the closed-form Wigner rotation to the
-    spin triple.  Returns shape (..., 3, 2, 2).
+    Componentwise equal to applying the Wigner rotation to the spin triple
+    (`spin_transform_wigner`), though a different formula: this expansion
+    has terms of order gamma p^0/m that cancel, the half-angle form of
+    `lorentz.wigner_rotation_closed` has none.  Returns shape (..., 3, 2, 2).
     """
     v3 = np.asarray(v3, dtype=float)
     p4 = np.asarray(p4, dtype=float)

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import diracspin
 from diracspin.cli import build_parser, main
+from diracspin.minkowski import SampleRefused
 
 PERP_ANGLE = 0.14334756890536535
 
@@ -132,6 +133,25 @@ def test_wigner_zero_velocity_identity(capsys):
     assert_allclose(np.array(r["rotation"]), np.eye(3), atol=1e-14)
 
 
+def test_wigner_small_angle_keeps_its_digits(capsys):
+    # the arccos of the trace read 0 here; the perpendicular form
+    # tan(angle) = gv gu v u / (gv + gu) gives 5.0e-9
+    code, out, _ = run(capsys, "wigner", "--velocity", "0.0001,0,0", "--momentum=0,0.0001,0")
+    assert code == 0
+    r = json.loads(out)
+    gv, gu = 1.0 / np.sqrt(1.0 - 1e-8), np.sqrt(1.0 + 1e-8)  # gu u = |p| / m = 1e-4
+    assert r["angle"] == pytest.approx(np.arctan(gv * 1e-4 * 1e-4 / (gv + gu)), rel=1e-14, abs=0)
+    assert r["axis"] == [0.0, 0.0, 1.0]
+
+
+def test_wigner_collinear_reports_no_axis(capsys):
+    # v parallel to p gives R = I exactly, so the axis is the zero vector
+    code, out, _ = run(capsys, "wigner", "--velocity", "0.99999,0,0", "--momentum", "1e4,0,0")
+    r = json.loads(out)
+    assert r["rotation"] == np.eye(3).tolist() and r["angle"] == 0.0
+    assert r["axis"] == [0.0, 0.0, 0.0]
+
+
 def test_wigner_mass_is_not_checked_against_the_sweep_range(capsys):
     # m^2 (1 + pmax^2) would overflow for verify's default --pmax; a point
     # check draws nothing, so only its own momentum has to stay finite
@@ -251,16 +271,39 @@ def test_spin_transform_identity_report(capsys):
     assert_allclose(r["xi_out"], [0.0, 1.0, 0.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("velocity, momentum, equivalence_passes", [
-    ("0.99999,0,0", "1e4,0,0", True), ("0.9999999,0,0", "1e4,0,0", False),
-    ("0.9999999,0,0", "1e10,0,0", False)])
-def test_spin_transform_fails_closed_when_the_lift_refuses(capsys, velocity, momentum,
-                                                           equivalence_passes):
-    # the closed-form rotation is too far from orthogonal for the SU(2) lift,
-    # even where the equivalence check passes: a failed check, not a usage error
+HIGH_RAPIDITY = [("0.99999,0,0", "1e4,0,0", True), ("0.9999999,0,0", "1e4,0,0", False),
+                 ("0.9999999,0,0", "1e10,0,0", False)]
+
+
+@pytest.mark.parametrize("velocity, momentum, equivalence_passes", HIGH_RAPIDITY)
+def test_spin_transform_lifts_the_rotation_at_high_rapidity(capsys, velocity, momentum,
+                                                            equivalence_passes):
+    # v parallel to p: the half-angle rotation is I exactly, so the SU(2)
+    # lift takes it; the exit code is the equivalence check's, whose
+    # expansion side cancels (3.3e-12, 5.1e-10 and 2.4e-9 against 1e-10)
+    code, out, err = run(capsys, "spin-transform", "--velocity", velocity, "--momentum", momentum)
+    r = json.loads(out)
+    assert r["rotation"] == np.eye(3).tolist()
+    assert r["su2"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    assert (r["equivalence_residual"] < r["config"]["tolerance"]) == equivalence_passes
+    assert r["passed"] is equivalence_passes and code == (0 if equivalence_passes else 1)
+    assert err == ""
+
+
+@pytest.mark.parametrize("velocity, momentum, equivalence_passes", HIGH_RAPIDITY)
+def test_spin_transform_fails_closed_when_the_lift_refuses(capsys, monkeypatch, velocity,
+                                                           momentum, equivalence_passes):
+    # a rotation the SU(2) lift refuses is a failed check, not a usage
+    # error, even where the equivalence check passes
+    from diracspin import cli
+
+    def refuse(R3):
+        raise SampleRefused("matrix is not a proper rotation")
+
+    monkeypatch.setattr(cli, "su2_from_so3", refuse)
     code, out, err = run(capsys, "spin-transform", "--velocity", velocity, "--momentum", momentum)
     assert code == 1
-    assert "the SU(2) lift refused the rotation: matrix is not a proper rotation" in err
+    assert err == "the SU(2) lift refused the rotation: matrix is not a proper rotation\n"
     r = json.loads(out)
     assert r["su2"] is None and r["passed"] is False
     assert (r["equivalence_residual"] < r["config"]["tolerance"]) == equivalence_passes

@@ -12,8 +12,9 @@ from diracspin.clifford import GAMMA, PAULI
 from diracspin.lorentz import (_LIFT, VMAX_HARD, _sigma_trace, _sl2c_lift, bispinor_inverse,
                                bispinor_rep, boost_from_velocity, lorentz_from_draws,
                                lorentz_gamma, random_lorentz, random_momentum, random_rotation,
-                               random_velocity, rotations_from_draws, standard_boost,
-                               su2_from_so3, wigner_d, wigner_rotation, wigner_rotation_closed)
+                               random_velocity, rotation_angle, rotations_from_draws,
+                               standard_boost, su2_from_so3, wigner_d, wigner_rotation,
+                               wigner_rotation_closed)
 from diracspin.minkowski import (METRIC, SampleRefused, is_proper_orthochronous, lorentz_residual,
                                  minkowski_dot, on_shell)
 from _reference import (EXACT_BATCHES, amplitude_via_boost, assert_same_bits,
@@ -214,7 +215,7 @@ def test_wigner_perpendicular_frozen_angle():
     v3 = np.array([0.5, 0.0, 0.0])
     p4 = np.array([gamma, 0.0, gamma / 2.0, 0.0])
     R = wigner_rotation_closed(v3, p4, 1.0)
-    angle = np.arccos((np.trace(R) - 1.0) / 2.0)
+    angle = rotation_angle(R)
     assert angle == pytest.approx(PERP_ANGLE, abs=1e-14)
     # independent closed form for perpendicular configurations:
     # tan(angle) = gv gu v u / (gv + gu), here both gammas are 2/sqrt(3)
@@ -222,23 +223,122 @@ def test_wigner_perpendicular_frozen_angle():
     # rotation happens in the v-p plane, about +z for this orientation
     assert R[2, 2] == pytest.approx(1.0, abs=1e-15)
     # Over a grid of speeds both the closed form and the brute-force product
-    # equal R_z(angle) entry by entry.  Matrices, not angles, are compared:
-    # the arccos above loses digits at small angles.
-    speeds = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
-    v, u = (a.ravel() for a in np.meshgrid(speeds, speeds, indexing="ij"))
-    gv, gu = 1.0 / np.sqrt(1.0 - v * v), 1.0 / np.sqrt(1.0 - u * u)
-    Rz = Rotation.from_euler("z", np.arctan(gv * gu * v * u / (gv + gu))[:, None]).as_matrix()
-    zero = np.zeros_like(v)
-    v3 = np.stack([v, zero, zero], -1)
-    p4 = np.stack([gu, zero, gu * u, zero], -1)
+    # equal R_z(angle) entry by entry.
+    v, u, angles = _perpendicular_speeds()
+    Rz = Rotation.from_euler("z", angles[:, None]).as_matrix()
+    v3, p4 = _perpendicular_samples(v, u)
     assert np.abs(wigner_rotation_closed(v3, p4, 1.0) - Rz).max() <= 1e-15
     assert np.abs(wigner_rotation(boost_from_velocity(v3), p4, 1.0)[0] - Rz).max() <= 1e-12
 
 
+def _perpendicular_speeds():
+    """Every pair (v, u) of speeds from 1e-4 to 0.99, with the angle of the
+    independent perpendicular form tan(angle) = gv gu v u / (gv + gu)."""
+    speeds = np.array([1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    v, u = (a.ravel() for a in np.meshgrid(speeds, speeds, indexing="ij"))
+    gv, gu = 1.0 / np.sqrt(1.0 - v * v), 1.0 / np.sqrt(1.0 - u * u)
+    return v, u, np.arctan(gv * gu * v * u / (gv + gu))
+
+
+def _perpendicular_samples(v, u):
+    """A boost at speed v along x and a unit-mass momentum at speed u along y."""
+    gu, zero = 1.0 / np.sqrt(1.0 - u * u), np.zeros_like(v)
+    return np.stack([v, zero, zero], -1), np.stack([gu, zero, gu * u, zero], -1)
+
+
+def test_rotation_angle_matches_the_perpendicular_form_at_every_scale():
+    # arccos((tr R - 1) / 2) read 0 at v = u = 1e-4 (angle 5e-9) and erred
+    # by 4.4e-5 relative at 1e-3; the atan2 form keeps every digit
+    v, u, angles = _perpendicular_speeds()
+    got = rotation_angle(wigner_rotation_closed(*_perpendicular_samples(v, u), 1.0))
+    assert got.shape == angles.shape and (got > 0.0).all()
+    assert_allclose(got, angles, rtol=1e-14, atol=0)
+    # a stack keeps its shape; the identity and a half-turn read 0 and pi
+    assert rotation_angle(np.eye(3)) == 0.0
+    assert rotation_angle(np.diag([1.0, -1.0, -1.0])) == np.pi
+    assert rotation_angle(np.stack([np.eye(3)] * 4).reshape(2, 2, 3, 3)).shape == (2, 2)
+
+
+#: (|v|, |p|/m) from moderate to extreme rapidity.
+RAPIDITY_LADDER = [(0.7, 2.0), (0.9, 10.0), (0.999, 30.0), (0.99999, 1e4), (0.9999999, 1e4),
+                   (0.9999999, 1e10)]
+
+
 def test_wigner_parallel_gives_identity():
-    p4 = on_shell(1.0, [0.0, 0.0, 2.0])
-    R = wigner_rotation_closed(np.array([0.0, 0.0, 0.7]), p4, 1.0)
-    assert_allclose(R, np.eye(3), atol=1e-13)
+    # v x p = 0 exactly gives R = I bit for bit at every rapidity, parallel
+    # or antiparallel; the five-term form it replaced missed orthogonality
+    # there by 1.46e-10 at (0.99999, 1e4)
+    n = np.array([0.48, -0.6, 0.64])
+    for speed, pm in RAPIDITY_LADDER:
+        samples = []
+        for i in range(3):
+            v3, pv = np.zeros(3), np.zeros(3)
+            v3[i], pv[i] = speed, pm
+            samples.append((v3, pv))
+        # a generic direction, with p a power of two times v, so that v x p
+        # is exactly zero in float arithmetic
+        v3 = speed * n / np.sqrt(np.vecdot(n, n))
+        samples.append((v3, 2.0 ** np.round(np.log2(pm / speed)) * v3))
+        for v3, pv in samples:
+            for sign in (1.0, -1.0):
+                R = wigner_rotation_closed(v3, on_shell(1.0, sign * pv), 1.0)
+                assert np.array_equal(R, np.eye(3)), (speed, pm, v3, sign)
+
+
+#: The rows of the forward-error probe: (|v|, |p|/m).
+FORWARD_ERROR_ROWS = [(0.999, 30.0), (0.99999, 1e4), (0.9999999, 1e10), (0.999999999, 1e6)]
+
+
+def _exact_wigner(mp, v3, p4, m):
+    """R = L_{Lp}^{-1} L L_p at the working precision of mp, for float v3
+    and the float spatial momentum of p4, with L = boost_from_velocity(v3)
+    and every energy on the shell."""
+    v = [mp.mpf(float(x)) for x in v3]
+    g = 1 / mp.sqrt(1 - sum(x * x for x in v))
+    L = mp.matrix(4, 4)
+    L[0, 0] = g
+    for i in range(3):
+        L[0, i + 1] = L[i + 1, 0] = -g * v[i]
+        for j in range(3):
+            L[i + 1, j + 1] = (i == j) + g * g / (1 + g) * v[i] * v[j]
+
+    def standard(k, inverse):
+        k0 = mp.sqrt(m * m + sum(x * x for x in k))
+        B = mp.matrix(4, 4)
+        B[0, 0] = k0 / m
+        for i in range(3):
+            B[0, i + 1] = B[i + 1, 0] = (-k[i] if inverse else k[i]) / m
+            for j in range(3):
+                B[i + 1, j + 1] = (i == j) + k[i] * k[j] / (m * (m + k0))
+        return B, k0
+
+    pv = [mp.mpf(float(x)) for x in p4[1:]]
+    Lp, p0 = standard(pv, False)
+    q = L * mp.matrix([p0] + pv)
+    R = standard([q[1], q[2], q[3]], True)[0] * L * Lp
+    return np.array([[float(R[i, j]) for j in range(1, 4)] for i in range(1, 4)])
+
+
+@pytest.mark.parametrize("speed, pm", FORWARD_ERROR_ROWS)
+def test_wigner_closed_forward_error_against_50_digits(speed, pm):
+    # against the 50-digit product on the same float v and p, the half-angle
+    # form errs by at most a few gamma eps and stays orthogonal to a few eps
+    # (the five-term form reached 2.4e-7 and 4.8e-7 on the last row)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(15)
+    n = rng.standard_normal((20, 2, 3))
+    n[:4, 1] = n[:4, 0]  # four near-collinear samples
+    n /= np.sqrt(np.vecdot(n, n))[..., None]
+    v3, p4 = speed * n[:, 0], on_shell(1.0, pm * n[:, 1])
+    R = wigner_rotation_closed(v3, p4, 1.0)
+    u = np.finfo(float).eps / 2.0
+    gamma = lorentz_gamma(v3)
+    with mpmath.workdps(50):
+        exact = np.array([_exact_wigner(mpmath.mp, v3[k], p4[k], mpmath.mpf(1)) for k in range(20)])
+    error = np.abs(R - exact).max(axis=(-2, -1))
+    assert (error <= 8.0 * gamma * u).all(), (error / (gamma * u)).max()
+    orthogonality = np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3)).max(axis=(-2, -1))
+    assert (orthogonality <= 16.0 * u).all(), orthogonality.max() / u
 
 
 def test_wigner_zero_velocity_identity(momenta):
