@@ -134,8 +134,8 @@ def test_wigner_zero_velocity_identity(capsys):
 
 
 def test_wigner_small_angle_keeps_its_digits(capsys):
-    # the arccos of the trace read 0 here; the perpendicular form
-    # tan(angle) = gv gu v u / (gv + gu) gives 5.0e-9
+    # a 5.0e-9 angle, from the perpendicular form
+    # tan(angle) = gv gu v u / (gv + gu)
     code, out, _ = run(capsys, "wigner", "--velocity", "0.0001,0,0", "--momentum=0,0.0001,0")
     assert code == 0
     r = json.loads(out)

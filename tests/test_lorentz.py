@@ -247,8 +247,8 @@ def _perpendicular_samples(v, u):
 
 
 def test_rotation_angle_matches_the_perpendicular_form_at_every_scale():
-    # arccos((tr R - 1) / 2) read 0 at v = u = 1e-4 (angle 5e-9) and erred
-    # by 4.4e-5 relative at 1e-3; the atan2 form keeps every digit
+    # every digit down to the 5e-9 angle at v = u = 1e-4, where the cosine
+    # (tr R - 1) / 2 alone rounds to 1
     v, u, angles = _perpendicular_speeds()
     got = rotation_angle(wigner_rotation_closed(*_perpendicular_samples(v, u), 1.0))
     assert got.shape == angles.shape and (got > 0.0).all()
@@ -266,8 +266,7 @@ RAPIDITY_LADDER = [(0.7, 2.0), (0.9, 10.0), (0.999, 30.0), (0.99999, 1e4), (0.99
 
 def test_wigner_parallel_gives_identity():
     # v x p = 0 exactly gives R = I bit for bit at every rapidity, parallel
-    # or antiparallel; the five-term form it replaced missed orthogonality
-    # there by 1.46e-10 at (0.99999, 1e4)
+    # or antiparallel
     n = np.array([0.48, -0.6, 0.64])
     for speed, pm in RAPIDITY_LADDER:
         samples = []
@@ -323,7 +322,6 @@ def _exact_wigner(mp, v3, p4, m):
 def test_wigner_closed_forward_error_against_50_digits(speed, pm):
     # against the 50-digit product on the same float v and p, the half-angle
     # form errs by at most a few gamma eps and stays orthogonal to a few eps
-    # (the five-term form reached 2.4e-7 and 4.8e-7 on the last row)
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(15)
     n = rng.standard_normal((20, 2, 3))
