@@ -29,11 +29,10 @@ import numpy as np
 
 from . import __version__
 from .amplitudes import amplitude
-from .dynamics import (GRADIENT_READINGS, ChargedState, check_bloch_length, integrate,
-                       quadrupole_field, uniform_field)
+from .dynamics import GRADIENT_READINGS, ChargedState, integrate, quadrupole_field, uniform_field
 from .lorentz import (boost_from_velocity, lorentz_gamma, rotation_angle, standard_boost,
                       su2_from_so3, wigner_rotation_closed)
-from .minkowski import SampleRefused, lorentz_residual, on_shell
+from .minkowski import SampleRefused, check_bloch_length, lorentz_residual, on_shell
 from .position import default_grids, parseval_check, quadrature_range_error
 from .spin_ops import spin_transform_closed
 from .states import gaussian_packet, normalized

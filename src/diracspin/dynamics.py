@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .minkowski import check_mass
+from .minkowski import check_bloch_length, check_mass
 
 #: Available index conventions for the gradient force.
 GRADIENT_READINGS = ("stern-gerlach", "transposed")
@@ -95,20 +95,12 @@ def quadrupole_field(G: np.ndarray) -> FieldConfig:
     return FieldConfig(gradient=G)
 
 
-def check_bloch_length(xi: np.ndarray) -> None:
-    """Refuse a Bloch vector xi (3,) longer than 1 beyond rounding (a NaN
-    entry included), the rule `states.DensityState` applies per sample."""
-    length = math.hypot(*xi.tolist())  # no overflow for finite entries
-    if not length <= 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector must satisfy |xi| <= 1, got {length}")
-
-
 @dataclass(frozen=True)
 class ChargedState:
     """Mean momentum, Bloch vector, and position of a charged particle.
 
-    The Bloch vector xi is refused if |xi| > 1, as in `states.DensityState`,
-    and a non-finite q, x or charge is refused.
+    The Bloch vector xi is refused by `minkowski.check_bloch_length`, as in
+    `states.DensityState`, and a non-finite q, x or charge is refused.
     """
 
     q: np.ndarray

@@ -18,9 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import GAMMA0_ROWS, PAULI, monomial
-from .minkowski import (_TINY, check_mass, conj_gather, four_momentum_checks,
-                        is_proper_orthochronous, lorentz_matrix, mass_checks, on_shell,
-                        refuse_first)
+from .minkowski import (check_mass, conj_gather, four_momentum_checks, is_proper_orthochronous,
+                        lorentz_matrix, on_shell, refuse_first)
 
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3)
@@ -71,14 +70,14 @@ def _mat(x) -> np.ndarray:
 
 def _standard_boost_matrix(p0, pv, m):
     """Standard boosts L_p for energies p0 (...), spatial momenta pv (..., 3)
-    and masses m (a scalar or (...)), shape (..., 4, 4), in the dtype of pv.
+    and one mass m, shape (..., 4, 4), in the dtype of pv.
 
     Column 0 is p/m, and the spatial block is I + pvec (x) pvec / (m (m + p^0));
     the matrix is symmetric.
     """
     L = np.zeros(pv.shape[:-1] + (4, 4), dtype=pv.dtype)
     L[..., 0, 0] = p0 / m
-    L[..., 0, 1:] = L[..., 1:, 0] = pv / np.asarray(m)[..., None]
+    L[..., 0, 1:] = L[..., 1:, 0] = pv / m
     L[..., 1:, 1:] = _I3 + _outer(pv, pv) / _mat(m * (m + p0))
     return L
 
@@ -132,10 +131,9 @@ def standard_boost(p4: np.ndarray, m: float) -> np.ndarray:
 
 def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
     """Wigner rotations R(L, p) = L_{Lp}^{-1} L L_p by direct matrix products,
-    for transformations L of shape (..., 4, 4), four-momenta p4 of shape
-    (..., 4) and masses m (a scalar or (...)), broadcast against each other
-    over the leading axes; a single L and a single four-momentum is the
-    n = 1 case.
+    for transformations L of shape (..., 4, 4) and four-momenta p4 of shape
+    (..., 4) of one mass m, broadcast against each other over the leading
+    axes; a single L and a single four-momentum is the n = 1 case.
 
     Composing the three factors involves entries of order (p^0/m)^2 that
     cancel down to a rotation, so the products run in extended precision
@@ -149,22 +147,20 @@ def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray
     shape (..., 3, 3), and the full matrices, shape (..., 4, 4), whose time
     row and column equal (1, 0, 0, 0) up to roundoff.
 
-    A sample with a non-finite entry of L or p4, with p^0 <= 0, or with a
-    mass that `check_mass` refuses is refused up front, and one whose
-    product overflows float64 after it; each refusal names the first such
-    sample.
+    A mass that `check_mass` refuses is refused first.  A sample with a
+    non-finite entry of L or p4, or with p^0 <= 0, is refused up front, and
+    one whose product overflows float64 after it; each refusal names the
+    first such sample.
     """
+    md = np.longdouble(check_mass(m))
     Ld = np.asarray(L).astype(np.longdouble)
     p4d = np.asarray(p4).astype(np.longdouble)
-    md = np.asarray(m, dtype=np.longdouble)
     m2 = md * md
-    if not (np.isfinite(Ld).all() and np.isfinite(p4d).all() and (p4d[..., 0] > 0.0).all()
-            and ((md > 0.0) & (m2 >= _TINY) & np.isfinite(m2)).all()):
+    if not (np.isfinite(Ld).all() and np.isfinite(p4d).all() and (p4d[..., 0] > 0.0).all()):
         # the slow path: find and name the first bad sample of the broadcast batch
-        batch = np.broadcast_shapes(Ld.shape[:-2], p4d.shape[:-1], md.shape)
+        batch = np.broadcast_shapes(Ld.shape[:-2], p4d.shape[:-1])
         refuse_first(*four_momentum_checks("p4", np.broadcast_to(p4d, batch + (4,))),
-                     (~np.isfinite(Ld).all(axis=(-2, -1)), lambda i: "L must have finite entries"),
-                     *mass_checks(np.broadcast_to(np.asarray(m, dtype=float), batch)))
+                     (~np.isfinite(Ld).all(axis=(-2, -1)), lambda i: "L must have finite entries"))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         Lp = (Ld @ p4d[..., None])[..., 0]
         Q = np.stack(np.broadcast_arrays(p4d[..., 1:], Lp[..., 1:]))

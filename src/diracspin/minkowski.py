@@ -99,26 +99,16 @@ def check_mass(m: float) -> float:
     return m
 
 
-def mass_checks(m: np.ndarray) -> list:
-    """The `refuse_first` checks of float64 masses m (...): `check_mass`'s
-    rule, with its messages, per sample."""
-    with np.errstate(over="ignore"):
-        underflows = m * m < _TINY
-    return [(~(np.isfinite(m) & (m > 0.0)),
-             lambda i: f"mass must be positive and finite, got {float(np.ravel(m)[i])!r}"),
-            (underflows,
-             lambda i: (f"mass = {float(np.ravel(m)[i])!r} underflows the mass squared: mass^2 is "
-                        f"below the smallest normal float64, {_TINY:.4g}"))]
-
-
-def check_masses(m) -> float | np.ndarray:
-    """Validate a mass, or per-sample masses (...) with `check_mass`'s rule
-    each, refused by the first bad sample; a float or a float array."""
-    if np.ndim(m) == 0:
-        return check_mass(m)
-    m = np.asarray(m, dtype=float)
-    refuse_first(*mass_checks(m))
-    return m
+def check_bloch_length(xi) -> None:
+    """Refuse Bloch vectors xi (..., 3) with a non-finite entry, or longer
+    than 1 beyond rounding, |xi| > 1 + 1e-12, naming the first such sample."""
+    xi = np.asarray(xi, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        length = np.sqrt(np.vecdot(xi, xi))
+    if not (length <= 1.0 + 1e-12).all():  # a NaN or inf entry fails this too
+        refuse_first((~np.isfinite(xi).all(axis=-1), lambda i: "xi must have finite entries"),
+                     (length > 1.0 + 1e-12,
+                      lambda i: f"Bloch vector must satisfy |xi| <= 1, got {length.reshape(-1)[i]}"))
 
 
 def max_entry(X: np.ndarray) -> np.ndarray:

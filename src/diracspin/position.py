@@ -217,7 +217,7 @@ def parseval_check(a, b, pgrid: Grid | None = None, xgrid: Grid | None = None,
     sectors = _as_sectors(a) + _as_sectors(b)
     _position_coverage_check([s.width for s in sectors], xgrid)
     masses = [s.mass for s in sectors]
-    if max(masses) - min(masses) > 1e-12:
+    if len(set(masses)) > 1:
         raise ValueError("parseval_check requires a common mass")
     for s in sectors:
         _coverage_check(s, pgrid)

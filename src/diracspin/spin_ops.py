@@ -19,7 +19,7 @@ import numpy as np
 from .amplitudes import amplitude, dirac_bar
 from .clifford import ALPHA, GAMMA0, GAMMA5, GAMMA_GAMMA5, PAULI_T
 from .lorentz import _mat, lorentz_gamma, wigner_rotation_closed
-from .minkowski import check_component, check_energy_sign, check_mass, check_masses, contract, max_entry
+from .minkowski import check_component, check_energy_sign, check_mass, contract, max_entry
 
 _EYE2 = np.eye(2, dtype=complex)
 
@@ -49,7 +49,7 @@ def pl_covariant(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
 
 def pl_spin(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     """Pauli-Lubanski component W^mu on the spin basis, for four-momenta
-    (..., 4) and masses m (a scalar or (...)); shape (..., 2, 2):
+    (..., 4) of one mass m; shape (..., 2, 2):
 
         W^0 -> (eps/2) pvec.sigma^T
         W^k -> (eps/2) (m sigma^T_k + p_k (pvec.sigma^T)/(m + p^0)),
@@ -59,14 +59,14 @@ def pl_spin(mu: int, eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     """
     mu = check_component(mu, 4, "mu")
     eps = check_energy_sign(eps)
-    m = check_masses(m)
+    m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
     p0, pv = p4[..., 0], p4[..., 1:]
     pst = contract(pv, PAULI_T)
     if mu == 0:
         return (eps / 2.0) * pst
     k = mu - 1
-    return (eps / 2.0) * (_mat(m) * PAULI_T[k] + _mat(pv[..., k]) * pst / _mat(m + p0))
+    return (eps / 2.0) * (m * PAULI_T[k] + _mat(pv[..., k]) * pst / _mat(m + p0))
 
 
 def spin_matrix(i: int) -> np.ndarray:

@@ -66,8 +66,9 @@ from .amplitudes import _amplitude_planes, amplitude
 from .clifford import GAMMA0, PAULI, energy_projector
 from .jets import Jet, variables
 from .lorentz import _wigner_product, _wigner_sandwich, bispinor_rep, wigner_rotation
-from .minkowski import (METRIC, _block_slices, check_component, check_energy_sign, check_mass,
-                        contract, lorentz_matrix, on_shell, refuse_first, shell_energy)
+from .minkowski import (METRIC, _block_slices, check_bloch_length, check_component,
+                        check_energy_sign, check_mass, contract, lorentz_matrix, on_shell,
+                        shell_energy)
 
 
 #: Minimum decay widths the quadrature cubes must cover.
@@ -438,7 +439,7 @@ def _sector_product(a, b, cube: ShellCube | None) -> complex:
     the spin contraction; otherwise it is the covariant one, eps psibar phi."""
     if a.eps != b.eps:
         return 0.0 + 0.0j
-    if abs(a.mass - b.mass) > 1e-12:
+    if a.mass != b.mass:
         raise ValueError("scalar product requires equal masses")
     if cube is None:
         cube = ShellCube(covering_grid((a, b)))
@@ -644,39 +645,34 @@ def nw_apply_sampled(s: SampledWaveFunction, i: int) -> SampledWaveFunction:
 
 @dataclass(frozen=True)
 class DensityState:
-    """Positive-energy state sharp at four-momentum q with Bloch vector xi,
-    rho = (I + xi.sigma)/2 on the spin indices.  q4 (..., 4) and xi (..., 3)
-    may also hold a stack of states, one per sample; a refused sample is
-    named by its index."""
+    """Positive-energy state of one mass, sharp at spatial momentum q, with
+    Bloch vector xi: rho = (I + xi.sigma)/2 on the spin indices.  q (..., 3)
+    and xi (..., 3) may also hold a stack of states of that mass, one per
+    sample; a refused sample is named by its index.
 
-    q4: np.ndarray
+    The mass labels the representation and is kept, not derived: q4 is
+    `on_shell(mass, q)`, made once here, so a state lies on its shell by
+    construction.  The Bloch vectors are checked (`check_bloch_length`)
+    before the momenta are lifted.
+    """
+
+    mass: float
+    q: np.ndarray
     xi: np.ndarray
+    q4: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        q4 = np.asarray(self.q4, dtype=float)
+        mass = check_mass(self.mass)
+        q = np.asarray(self.q, dtype=float)
         xi = np.asarray(self.xi, dtype=float)
-        if q4.shape[-1:] != (4,) or xi.shape[-1:] != (3,) or q4.shape[:-1] != xi.shape[:-1]:
-            raise ValueError("DensityState needs a four-momentum and a 3-vector")
-        q0, qv = q4[..., 0], q4[..., 1:]
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-            q0_sq, qv_sq = q0 * q0, np.vecdot(qv, qv)
-            spacelike = q0_sq - qv_sq <= 0
-            length = np.sqrt(np.vecdot(xi, xi))
-        refuse_first((~np.isfinite(q4).all(axis=-1), lambda i: "q4 must have finite entries"),
-                     (~np.isfinite(xi).all(axis=-1), lambda i: "xi must have finite entries"),
-                     (q0 <= 0, lambda i: "DensityState requires positive energy"),
-                     (~(np.isfinite(q0_sq) & np.isfinite(qv_sq)),
-                      lambda i: "q4 entries overflow q^2 = (q^0)^2 - |qvec|^2"),
-                     (spacelike, lambda i: "four-momentum must be timelike"),
-                     (length > 1.0 + 1e-12,
-                      lambda i: f"Bloch vector must satisfy |xi| <= 1, got {length.reshape(-1)[i]}"))
-        object.__setattr__(self, "q4", q4)
+        if q.shape[-1:] != (3,) or xi.shape != q.shape:
+            raise ValueError(f"DensityState needs momenta q and Bloch vectors xi of one shape "
+                             f"(..., 3), got {q.shape} and {xi.shape}")
+        check_bloch_length(xi)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "xi", xi)
-
-    @property
-    def mass(self) -> float:
-        q0, qv = self.q4[..., 0], self.q4[..., 1:]
-        return np.sqrt(q0 * q0 - np.vecdot(qv, qv))
+        object.__setattr__(self, "q4", on_shell(mass, q))
 
     def density_matrix(self) -> np.ndarray:
         return (np.eye(2, dtype=complex) + contract(self.xi, PAULI)) / 2.0
@@ -709,11 +705,13 @@ def spin_expectations(s: DensityState) -> dict[str, np.ndarray]:
 
 def bloch_transform(s: DensityState, L: np.ndarray) -> DensityState:
     """Transport sharp Bloch states: q -> Lq and xi -> R(L, q) xi, for one L
-    or a stack of them matching a stack of states.
+    or a stack of them matching a stack of states.  The result is the state
+    of the same mass at the spatial part of L q4, lifted back onto the shell.
 
     The Bloch vector rotates with the Wigner rotation, so its length is
     preserved; equivalently rho -> D rho D^+ with D the SU(2) lift.
     """
     L = lorentz_matrix(L, proper=True)
     R3, _ = wigner_rotation(L, s.q4, s.mass)
-    return DensityState(q4=(L @ s.q4[..., None])[..., 0], xi=(R3 @ s.xi[..., None])[..., 0])
+    q4 = (L @ s.q4[..., None])[..., 0]
+    return DensityState(s.mass, q4[..., 1:], (R3 @ s.xi[..., None])[..., 0])

@@ -283,7 +283,7 @@ def _spin_transform_equivalence(m, v3, p4):
 
 
 def _bloch_rotation(m, L, p4, xi):
-    s = DensityState(q4=p4, xi=xi)
+    s = DensityState(m, p4[..., 1:], xi)
     s2 = bloch_transform(s, L)
     R3, _ = wigner_rotation(L, p4, m)
     D = su2_from_so3(R3)

@@ -208,7 +208,7 @@ def test_criterion_10_bloch_transformation():
         q4 = random_momentum(rng, 1.0, pmax_over_m=5.0)
         xi = rng.normal(size=3)
         xi /= max(1.0, np.linalg.norm(xi) / 0.95)
-        s = DensityState(q4, xi)
+        s = DensityState(1.0, q4[1:], xi)
         worst_exp = max(worst_exp, np.abs(spin_expectations(s)["svec"] - xi / 2.0).max())
         L = random_lorentz(rng, vmax=0.9)
         out = bloch_transform(s, L)

@@ -208,7 +208,11 @@ def test_large_finite_state_is_not_refused():
 
 @pytest.mark.parametrize("xi", [[2.0, 0.0, 0.0], [1e308, 1e308, 0.0], [np.nan, 0.0, 0.0]])
 def test_state_refuses_non_bloch_vector(xi):
-    with pytest.raises(ValueError, match=r"\|xi\| <= 1"):
+    # the one Bloch check of `minkowski.check_bloch_length`: finite entries
+    # first, then |xi| <= 1, where an overflowing |xi|^2 reads inf
+    message = (r"^xi must have finite entries$" if np.isnan(xi).any()
+               else r"^Bloch vector must satisfy \|xi\| <= 1, got (2\.0|inf)$")
+    with pytest.raises(ValueError, match=message):
         ChargedState(q=np.zeros(3), xi=np.array(xi))
 
 

@@ -178,10 +178,11 @@ def test_wigner_rotation_recomputes_energy_from_spatial_momentum(rng):
 def test_wigner_rotation_refuses_bad_samples(rng, bad, message):
     # each used to return NaN rotations, warn ("invalid value encountered in
     # divide", "overflow encountered in cast") or accept p^0 < 0; each is
-    # refused naming the first bad sample, with no warning
+    # refused naming the first bad sample, with no warning.  The mass is one
+    # scalar, refused by check_mass before any sample is looked at.
     Ls = np.stack([random_lorentz(rng, 0.5) for _ in range(5)])
     p4 = np.array([random_momentum(rng, 1.0) for _ in range(5)])
-    m = np.ones(5)
+    m = 1.0
     if bad == "p4-nan":
         p4[3, 2] = p4[4, 1] = np.nan
     elif bad == "p4-energy":
@@ -192,18 +193,25 @@ def test_wigner_rotation_refuses_bad_samples(rng, bad, message):
         Ls[3] = random_lorentz(np.random.default_rng(0), 0.5)
         p4[3] = [1e200, 1e200, 0.0, 0.0]
     else:
-        m[3] = {"mass-nan": np.nan, "mass-zero": 0.0, "mass-negative": -1.0,
-                "mass-underflow": 1e-160}[bad]
+        m = {"mass-nan": np.nan, "mass-zero": 0.0, "mass-negative": -1.0,
+             "mass-underflow": 1e-160}[bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in ((Ls, p4, m), (Ls[3], p4[3], m)):
+                with pytest.raises(ValueError, match=rf"^{message}$") as exc:
+                    wigner_rotation(*args)
+                assert not isinstance(exc.value, SampleRefused)
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SampleRefused, match=rf"^{message} \(sample 3\)$") as exc:
             wigner_rotation(Ls, p4, m)
         assert exc.value.index == 3
         # a single sample is refused with the same text; broadcast against a
-        # single L, p4 or mass, the stack keeps its sample index
+        # single L or p4, the stack keeps its sample index
         with pytest.raises(SampleRefused, match=rf"^{message}$"):
-            wigner_rotation(Ls[3], p4[3], m[3])
-        broadcast = {"p4": (Ls[0], p4, 1.0), "L-": (Ls, p4[0], 1.0), "mass": (Ls[0], p4[0], m)}
+            wigner_rotation(Ls[3], p4[3], m)
+        broadcast = {"p4": (Ls[0], p4, m), "L-": (Ls, p4[0], m)}
         for prefix, args in broadcast.items():
             if bad.startswith(prefix):
                 with pytest.raises(SampleRefused, match=rf"^{message} \(sample 3\)$"):

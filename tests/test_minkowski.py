@@ -10,10 +10,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from diracspin import amplitudes, spin_ops, verify
 from diracspin.clifford import (ALPHA, GAMMA, GAMMA5, GAMMA_GAMMA5, PAULI, PAULI_T, SIGMA,
                                 column_tables)
+from diracspin.lorentz import wigner_rotation
 from diracspin.minkowski import (_BLOCK, METRIC, SampleRefused, check_component, check_mass,
-                                 check_masses, contract, gather_columns, is_proper_orthochronous,
-                                 lorentz_matrix, lorentz_residual, mass_checks, minkowski_dot,
-                                 on_shell, parity_flip, refuse_first)
+                                 contract, gather_columns, is_proper_orthochronous, lorentz_matrix,
+                                 lorentz_residual, minkowski_dot, on_shell, parity_flip)
 from diracspin.states import (DensityState, Grid, gaussian_packet, momentum_apply, nw_apply,
                               spin_expectations)
 from diracspin.verify import RunConfig, run_all
@@ -259,18 +259,26 @@ def test_check_component_accepts_integers_in_range():
 
 
 @pytest.mark.parametrize("m", [1.0, 1.5e-154, 1e300, 1.4e-154, 5e-324, 0.0, -1.0, np.nan, np.inf])
-def test_mass_checks_apply_check_mass_per_sample(m):
-    # the batched rule refuses exactly what check_mass refuses, with its text
-    masses = np.array([1.0, 2.0, m, 1.0])
+def test_kernels_refuse_a_mass_as_check_mass_does(m):
+    # each kernel takes one mass and refuses exactly what check_mass refuses,
+    # with its text and no warning; a state at rest is exact at any such mass
+    rest = np.array([[m, 0.0, 0.0, 0.0]] * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             check_mass(m)
         except ValueError as exc:
-            with pytest.raises(SampleRefused, match=rf"^{re.escape(str(exc))} \(sample 2\)$"):
-                refuse_first(*mass_checks(masses))
+            message = rf"^{re.escape(str(exc))}$"
+            with pytest.raises(ValueError, match=message):
+                wigner_rotation(np.eye(4), rest, m)
+            with pytest.raises(ValueError, match=message):
+                spin_ops.pl_spin(1, 1, rest, m)
+            with pytest.raises(ValueError, match=message):
+                DensityState(m, np.zeros((2, 3)), np.zeros((2, 3)))
         else:
-            refuse_first(*mass_checks(masses))
+            R3, _ = wigner_rotation(np.eye(4), rest, m)
+            assert np.array_equal(R3, [np.eye(3)] * 2)
+            assert np.array_equal(spin_ops.pl_spin(1, 1, rest, m), [m * PAULI_T[0] / 2.0] * 2)
 
 
 # --- gathers with fixed monomial matrices ------------------------------------
@@ -386,16 +394,9 @@ def test_every_contracted_tensor_obeys_the_two_term_rule(monkeypatch):
         if getattr(mod, "contract", None) is contract:
             monkeypatch.setattr(mod, "contract", recording)
     assert run_all(RunConfig(samples=20))["all_pass"]
-    spin_expectations(DensityState(on_shell(1.0, [0.3, -0.2, 0.9]), np.array([0.1, 0.5, -0.3])))
+    spin_expectations(DensityState(1.0, [0.3, -0.2, 0.9], [0.1, 0.5, -0.3]))
     expected = {(T.shape, T.tobytes()) for T in _fixed_tensors().values()}
     assert set(seen) == expected
     assert all(obeys_two_term_rule(T) for T in seen.values())
     # the rule bites: contracting with the 16 generators Sigma^{mu nu} sums four terms
     assert not obeys_two_term_rule(SIGMA.reshape(16, 4, 4))
-
-
-def test_check_masses_takes_a_scalar_or_one_mass_per_sample():
-    assert check_masses(2) == 2.0 and isinstance(check_masses(2), float)
-    assert_array_equal(check_masses([1.0, 0.5]), [1.0, 0.5])
-    with pytest.raises(SampleRefused, match=r"mass must be positive and finite, got -1\.0 \(sample 1\)"):
-        check_masses([1.0, -1.0, np.nan])

@@ -225,10 +225,12 @@ def test_parseval_time_slice_invariance():
 
 
 def test_parseval_rejects_mass_mismatch():
-    a = gaussian_packet(1, 1.0, 0.4)
-    b = gaussian_packet(1, 2.0, 0.4)
-    with pytest.raises(ValueError):
-        parseval_check(a, b)
+    # masses are compared exactly, also where they differ by less than 1e-12
+    for m1, m2, width in ((1.0, 2.0, 0.4), (1e-13, 5e-13, 0.5)):
+        a = gaussian_packet(1, m1, width)
+        b = gaussian_packet(1, m2, width)
+        with pytest.raises(ValueError, match="requires a common mass"):
+            parseval_check(a, b)
 
 
 def test_coverage_guard_momentum():

@@ -14,7 +14,7 @@ from diracspin.amplitudes import amplitude, dirac_bar
 from diracspin.clifford import GAMMA5, PAULI
 from diracspin.lorentz import (momenta_from_draws, random_momentum, random_velocity,
                                velocities_from_draws, wigner_rotation_closed)
-from diracspin.minkowski import SampleRefused, minkowski_dot, on_shell
+from diracspin.minkowski import minkowski_dot, on_shell
 from diracspin.spin_ops import (casimir_spin, column_action, fw_residual,
                                 hamiltonian_covariant, pl_covariant, pl_spin, spin_covariant,
                                 spin_from_pl, spin_matrix, spin_transform_closed,
@@ -187,14 +187,3 @@ def test_column_action_transposes_each_matrix_of_a_stack():
     for n in range(5):
         assert_same_bits(got[n], column_action(M[n]))
         assert_same_bits(got[n], M[n].T)
-
-
-def test_pl_spin_takes_one_mass_per_sample(rng):
-    m = np.array([0.5, 1.0, 2.5])
-    p4 = np.array([on_shell(mi, rng.normal(size=3)) for mi in m])
-    for mu in range(4):
-        got = pl_spin(mu, 1, p4, m)
-        for n in range(3):
-            assert_same_bits(got[n], pl_spin(mu, 1, p4[n], m[n]))
-    with pytest.raises(SampleRefused, match=r"\(sample 1\)"):
-        pl_spin(1, 1, p4, np.array([1.0, 0.0, 1.0]))

@@ -18,7 +18,7 @@ from diracspin.minkowski import (SampleRefused, is_proper_orthochronous, lorentz
 from diracspin.spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant, pl_covariant,
                                 pl_spin, spin_covariant, spin_from_pl, spin_transform_closed,
                                 spin_transform_wigner)
-from diracspin.states import DensityState, bloch_transform
+from diracspin.states import DensityState, bloch_transform, spin_expectations
 from diracspin.verify import CHUNK, IDENTITY_RUNNERS, RunConfig, evaluate_at
 
 N = 12
@@ -151,11 +151,17 @@ def test_weinberg_residual_sign_per_sample(P, Ls):
 
 def test_bloch_state_stacks(rng, P, Ls):
     xi = rng.uniform(-0.5, 0.5, size=(N, 3))
-    states = DensityState(q4=P, xi=xi)
-    assert np.array_equal(states.mass, [DensityState(q4=p, xi=x).mass for p, x in zip(P, xi)])
-    moved = bloch_transform(states, Ls)
+    states = DensityState(M, P[:, 1:], xi)
+    assert states.mass == M and np.array_equal(states.q4, P)
+    assert_rows(lambda q, x: DensityState(M, q, x).q4, P[:, 1:], xi)
+    expected = spin_expectations(states)
     for i in range(N):
-        row = bloch_transform(DensityState(q4=P[i], xi=xi[i]), Ls[i])
+        row = spin_expectations(DensityState(M, P[i, 1:], xi[i]))
+        assert all(np.array_equal(expected[k][i], row[k]) for k in ("w0", "wvec", "svec"))
+    moved = bloch_transform(states, Ls)
+    assert moved.mass == M
+    for i in range(N):
+        row = bloch_transform(DensityState(M, P[i, 1:], xi[i]), Ls[i])
         assert np.array_equal(moved.q4[i], row.q4) and np.array_equal(moved.xi[i], row.xi)
 
 
@@ -190,13 +196,13 @@ def test_validators_name_the_first_refused_sample(Ls, Rs, V):
     with pytest.raises(SampleRefused, match=r"superluminal.*\(sample 4\)") as exc:
         boost_from_velocity(fast)
     assert exc.value.index == 4
-    # a sample failing a later check still counts if it comes first
-    q4 = np.array([on_shell(1.0, [0.1, 0.0, 0.0])] * 4)
+    # the Bloch vectors are checked before the momenta are lifted
+    q = np.array([[0.1, 0.0, 0.0]] * 4)
     xi = np.zeros((4, 3))
-    q4[2, 0] = -1.0
+    q[2, 0] = np.inf
     xi[1] = [0.0, 0.0, 1.5]
     with pytest.raises(SampleRefused, match=r"\|xi\| <= 1.*\(sample 1\)") as exc:
-        DensityState(q4=q4, xi=xi)
+        DensityState(1.0, q, xi)
     assert exc.value.index == 1
     # a single input keeps the plain message, sample 0
     with pytest.raises(SampleRefused, match=r"proper rotation$") as exc:
@@ -205,13 +211,13 @@ def test_validators_name_the_first_refused_sample(Ls, Rs, V):
 
 
 _Q = on_shell(1.0, [0.1, 0.2, 0.0])
+_XI = np.zeros(3)
 NAN, INF = np.nan, np.inf
 
 
-def _stack_with(rows: dict, width: int):
-    """Four copies of the momentum _Q (width 4) or four zero Bloch vectors
-    (width 3), with the given rows replaced."""
-    a = np.array([_Q] * 4) if width == 4 else np.zeros((4, 3))
+def _stack_with(base, rows: dict):
+    """Four copies of the row base, with the given rows replaced."""
+    a = np.array([base] * 4, dtype=float)
     for i, row in rows.items():
         a[i] = row
     return a
@@ -222,20 +228,22 @@ def _stack_with(rows: dict, width: int):
     (lambda: amplitude(1, [1.0, 0.0, INF, 0.0], 1.0), r"finite entries$", 0),
     (lambda: amplitude(1, [-3.0, 0.0, 0.0, 0.0], 1.0), r"positive energy, got -3.0$", 0),
     (lambda: amplitude(-1, [INF, 0.0, 0.0, 0.0], 1.0), r"finite entries$", 0),
-    (lambda: amplitude(1, _stack_with({2: [0.0, 0.0, 0.0, 0.0], 3: [1.0, NAN, 0.0, 0.0]}, 4), 1.0),
+    (lambda: amplitude(1, _stack_with(_Q, {2: [0.0, 0.0, 0.0, 0.0], 3: [1.0, NAN, 0.0, 0.0]}), 1.0),
      r"positive energy, got 0.0 \(sample 2\)", 2),
-    (lambda: amplitude(1, _stack_with({1: [1.0, NAN, 0.0, 0.0], 2: [-1.0, 0.0, 0.0, 0.0]}, 4), 1.0),
+    (lambda: amplitude(1, _stack_with(_Q, {1: [1.0, NAN, 0.0, 0.0], 2: [-1.0, 0.0, 0.0, 0.0]}),
+                       1.0),
      r"p4 must have finite entries \(sample 1\)", 1),
-    (lambda: DensityState([NAN, 0.0, 0.0, 0.0], np.zeros(3)), r"q4 must have finite entries$", 0),
-    (lambda: DensityState([INF, 0.0, 0.0, 0.0], np.zeros(3)), r"q4 must have finite entries$", 0),
-    (lambda: DensityState([INF, INF, 0.0, 0.0], np.zeros(3)), r"q4 must have finite entries$", 0),
-    (lambda: DensityState(_Q, [0.0, NAN, 0.0]), r"xi must have finite entries$", 0),
-    (lambda: DensityState(_stack_with({1: [NAN, 0.0, 0.0, 0.0]}, 4), np.zeros((4, 3))),
-     r"q4 must have finite entries \(sample 1\)", 1),
-    (lambda: DensityState(_stack_with({}, 4), _stack_with({3: [0.0, 0.0, -INF]}, 3)),
+    (lambda: DensityState(1.0, [NAN, 0.0, 0.0], _XI), r"momentum must have finite entries$", 0),
+    (lambda: DensityState(1.0, [INF, 0.0, 0.0], _XI), r"momentum must have finite entries$", 0),
+    (lambda: DensityState(1.0, [INF, INF, 0.0], _XI), r"momentum must have finite entries$", 0),
+    (lambda: DensityState(1.0, _Q[1:], [0.0, NAN, 0.0]), r"xi must have finite entries$", 0),
+    (lambda: DensityState(1.0, _stack_with(_Q[1:], {1: [NAN, 0.0, 0.0]}), _stack_with(_XI, {})),
+     r"momentum must have finite entries \(sample 1\)", 1),
+    (lambda: DensityState(1.0, _stack_with(_Q[1:], {}), _stack_with(_XI, {3: [0.0, 0.0, -INF]})),
      r"xi must have finite entries \(sample 3\)", 3),
-    # a finite sample failing a later gate still counts if it comes first
-    (lambda: DensityState(_stack_with({2: [INF, 0.0, 0.0, 0.0]}, 4), _stack_with({1: [0.0, 1.5, 0.0]}, 3)),
+    # the Bloch vectors are checked before the momenta are lifted
+    (lambda: DensityState(1.0, _stack_with(_Q[1:], {2: [INF, 0.0, 0.0]}),
+                          _stack_with(_XI, {1: [0.0, 1.5, 0.0]})),
      r"\|xi\| <= 1, got 1.5 \(sample 1\)", 1),
 ], ids=["amp-nan", "amp-inf-p", "amp-negative-p0", "amp-inf-p0", "amp-stack-p0", "amp-stack-nan",
         "rho-nan", "rho-inf", "rho-inf-inf", "rho-xi-nan", "rho-stack-nan", "rho-stack-xi",

@@ -482,10 +482,12 @@ def test_self_product_equals_product_with_copy(rng, covariant):
 
 
 def test_scalar_product_rejects_mass_mismatch():
-    a = gaussian_packet(1, 1.0, 0.5)
-    b = gaussian_packet(1, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        scalar_product(a, b)
+    # masses are compared exactly, also where they differ by less than 1e-12
+    for m1, m2 in ((1.0, 2.0), (1e-13, 5e-13)):
+        a = gaussian_packet(1, m1, 0.5)
+        b = gaussian_packet(1, m2, 0.5)
+        with pytest.raises(ValueError, match="requires equal masses"):
+            scalar_product(a, b)
 
 
 def test_orthogonal_spins_give_zero():
@@ -784,34 +786,51 @@ def test_normalized_callable_profile(pts):
 # --- sharp-momentum Bloch states -------------------------------------------
 
 def test_density_state_validation():
-    with pytest.raises(ValueError):
-        DensityState(np.array([1.0, 2.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))  # spacelike
-    with pytest.raises(ValueError):
-        DensityState(np.array([-1.0, 0.0, 0.0, 0.0]), np.zeros(3))  # past-pointing
-    with pytest.raises(ValueError):
-        DensityState(on_shell(1.0, np.zeros(3)), np.array([0.0, 0.0, 1.5]))  # |xi| > 1
+    with pytest.raises(ValueError, match="mass must be positive"):
+        DensityState(0.0, [2.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="of one shape"):
+        DensityState(1.0, [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0])  # a four-momentum
+    with pytest.raises(ValueError, match=r"\|xi\| <= 1, got 1.5$"):
+        DensityState(1.0, np.zeros(3), [0.0, 0.0, 1.5])
 
 
-@pytest.mark.parametrize("q4", [[1e200, 1e199, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0]])
-def test_density_state_refuses_overflowing_squares_without_warnings(q4):
-    # the first raised an overflow warning in the timelike gate, and the
-    # second was accepted with mass inf
-    stack = np.array([on_shell(1.0, np.zeros(3))] * 3)
-    stack[2] = q4
+@pytest.mark.parametrize("q", [[1e200, 1e199, 0.0], [1e154, 1e154, 1e154]])
+def test_density_state_refuses_overflowing_momenta_without_warnings(q):
+    # |q|^2 overflows in a square, or in the sum of three finite squares;
+    # the on-shell lift refuses both by name
+    stack = np.zeros((3, 3))
+    stack[2] = q
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SampleRefused,
-                           match=r"^q4 entries overflow q\^2 = \(q\^0\)\^2 - \|qvec\|\^2$"):
-            DensityState(np.array(q4), np.zeros(3))
-        with pytest.raises(SampleRefused, match=r"overflow q\^2 .*\(sample 2\)$") as exc:
-            DensityState(stack, np.zeros((3, 3)))
+        with pytest.raises(SampleRefused, match=r"^momentum with mass = 1.0 overflows the on-shell "
+                                                r"energy squared, \|p\|\^2 \+ mass\^2$"):
+            DensityState(1.0, np.array(q), np.zeros(3))
+        with pytest.raises(SampleRefused, match=r"overflows .*\(sample 2\)$") as exc:
+            DensityState(1.0, stack, np.zeros((3, 3)))
     assert exc.value.index == 2
 
 
+def test_density_state_carries_its_mass_at_high_momentum():
+    # at |q| ~ 1e8 m, q0^2 - |q|^2 cancels to rounding: a mass derived from q4
+    # was refused as "four-momentum must be timelike" or read as sqrt(2), 2,
+    # 1/sqrt(2), ...  The carried mass is the given one, and q4 its lift.
+    rng = np.random.default_rng(33)
+    for m in (1.0, 0.3, 2.5):
+        q = rng.normal(size=(200, 3))
+        q *= (1e8 * m * rng.uniform(0.5, 2.0, 200) / np.linalg.norm(q, axis=1))[:, None]
+        xi = rng.normal(size=(200, 3))
+        xi /= np.maximum(1.0, np.linalg.norm(xi, axis=1) * 1.25)[:, None]
+        s = DensityState(m, q, xi)
+        assert type(s.mass) is float and s.mass == m
+        assert_same_bits(s.q4, on_shell(m, q))
+        # <Wvec> = (m xi + q (q.xi) / (q^0 + m)) / 2, whose second term is of order |q|
+        wvec = spin_expectations(s)["wvec"]
+        boosted = q * (np.vecdot(q, xi) / (2.0 * (s.q4[:, 0] + m)))[:, None]
+        assert np.abs(wvec - boosted - m * xi / 2.0).max() < 1e-6
+
+
 def test_density_matrix_properties():
-    q4 = on_shell(1.0, [0.4, -0.2, 1.1])
-    xi = np.array([0.3, 0.4, 0.5])
-    s = DensityState(q4, xi)
+    s = DensityState(1.0, [0.4, -0.2, 1.1], [0.3, 0.4, 0.5])
     rho = s.density_matrix()
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
     assert_allclose(rho, rho.conj().T, atol=1e-15)
@@ -820,15 +839,15 @@ def test_density_matrix_properties():
 
 def test_spin_expectation_is_half_bloch(rng):
     for _ in range(20):
-        q4 = on_shell(1.0, rng.normal(scale=2.0, size=3))
+        q = rng.normal(scale=2.0, size=3)
         xi = rng.normal(size=3)
         xi /= max(1.0, np.linalg.norm(xi) * 1.25)
-        got = spin_expectations(DensityState(q4, xi))
+        got = spin_expectations(DensityState(1.0, q, xi))
         assert_allclose(got["svec"], xi / 2.0, atol=1e-13)
 
 
 def test_rest_pl_expectations():
-    s = DensityState(on_shell(1.0, np.zeros(3)), np.array([0.0, 0.0, 1.0]))
+    s = DensityState(1.0, np.zeros(3), [0.0, 0.0, 1.0])
     got = spin_expectations(s)
     assert got["w0"] == pytest.approx(0.0, abs=1e-15)
     assert_allclose(got["wvec"], [0.0, 0.0, 0.5], atol=1e-14)
@@ -838,15 +857,16 @@ def test_bloch_transform_rotation(rng):
     R = random_rotation(rng)
     L = np.eye(4)
     L[1:, 1:] = R
-    s = DensityState(on_shell(1.0, [0.3, 0.1, -0.5]), np.array([0.6, 0.0, 0.3]))
+    s = DensityState(1.0, [0.3, 0.1, -0.5], [0.6, 0.0, 0.3])
     out = bloch_transform(s, L)
-    assert_allclose(out.q4[1:], R @ s.q4[1:], atol=1e-13)
+    assert out.mass == s.mass
+    assert_allclose(out.q, R @ s.q, atol=1e-13)
     # for a pure rotation the Wigner rotation is the rotation itself
     assert_allclose(out.xi, R @ s.xi, atol=1e-12)
 
 
 def test_bloch_transform_boost_from_rest_is_trivial():
-    s = DensityState(on_shell(1.0, np.zeros(3)), np.array([0.0, 0.8, 0.0]))
+    s = DensityState(1.0, np.zeros(3), [0.0, 0.8, 0.0])
     L = boost_from_velocity([0.6, 0.0, 0.0])
     out = bloch_transform(s, L)
     assert_allclose(out.xi, s.xi, atol=1e-14)
@@ -854,21 +874,25 @@ def test_bloch_transform_boost_from_rest_is_trivial():
 
 
 def test_bloch_transform_preserves_length(rng):
-    s = DensityState(on_shell(1.0, [1.0, -2.0, 0.5]), np.array([0.2, -0.7, 0.4]))
+    s = DensityState(1.0, [1.0, -2.0, 0.5], [0.2, -0.7, 0.4])
     for _ in range(25):
         L = random_lorentz(rng)
         out = bloch_transform(s, L)
         assert np.linalg.norm(out.xi) == pytest.approx(np.linalg.norm(s.xi), abs=1e-12)
 
 
-def _bloch_states(batch, seed=16):
-    """Positive-energy states off and on the unit shell, |xi| <= 1."""
+#: One mass per stack of Bloch states, from well below the momenta drawn
+#: (|q| ~ 2) to well above them.
+BLOCH_MASSES = (0.05, 1.0, 2.5, 40.0)
+
+
+def _bloch_states(batch, mass=1.0, seed=16):
+    """A stack of positive-energy states of one mass, |xi| <= 1."""
     rng = np.random.default_rng(seed)
-    q4 = on_shell(1.0, rng.normal(scale=2.0, size=batch + (3,)))
-    q4[..., 0] *= 1.0 + rng.random(batch)  # masses from 1 up to about 2 |q|
+    q = rng.normal(scale=2.0, size=batch + (3,))
     xi = rng.normal(size=batch + (3,))
     xi /= np.maximum(1.0, np.linalg.norm(xi, axis=-1) * 1.25)[..., None]
-    return DensityState(q4, xi)
+    return DensityState(mass, q, xi)
 
 
 @pytest.mark.parametrize("batch", EXACT_BATCHES)
@@ -880,25 +904,27 @@ def test_density_matrix_is_the_einsum_bit_for_bit(batch, monkeypatch):
 
 
 def test_spin_expectations_of_a_stack_are_its_rows_bit_for_bit():
-    s = _bloch_states((7,))
-    got = spin_expectations(s)
-    assert got["w0"].shape == (7,) and got["wvec"].shape == got["svec"].shape == (7, 3)
-    for n in range(7):
-        row = spin_expectations(DensityState(s.q4[n], s.xi[n]))
-        assert isinstance(row["w0"], float)
-        assert row["wvec"].shape == row["svec"].shape == (3,)
-        assert_same_bits(got["w0"][n], row["w0"])
-        assert_same_bits(got["wvec"][n], row["wvec"])
-        assert_same_bits(got["svec"][n], row["svec"])
+    for mass in BLOCH_MASSES:
+        s = _bloch_states((7,), mass)
+        got = spin_expectations(s)
+        assert got["w0"].shape == (7,) and got["wvec"].shape == got["svec"].shape == (7, 3)
+        for n in range(7):
+            row = spin_expectations(DensityState(mass, s.q[n], s.xi[n]))
+            assert isinstance(row["w0"], float)
+            assert row["wvec"].shape == row["svec"].shape == (3,)
+            assert_same_bits(got["w0"][n], row["w0"])
+            assert_same_bits(got["wvec"][n], row["wvec"])
+            assert_same_bits(got["svec"][n], row["svec"])
 
 
 def test_spin_expectations_match_their_closed_forms():
     # <W^0> = qvec.xi / 2, <S> = xi / 2 and <Wvec> = (m xi + qvec (qvec.xi)/(q^0 + m)) / 2
-    s = _bloch_states((50,))
-    got = spin_expectations(s)
-    qv, q0, m = s.q4[:, 1:], s.q4[:, 0], s.mass
-    q_xi = np.vecdot(qv, s.xi)
-    assert_allclose(got["w0"], q_xi / 2.0, rtol=1e-13, atol=1e-14)
-    assert_allclose(got["svec"], s.xi / 2.0, rtol=1e-13, atol=1e-15)
-    wvec = (m[:, None] * s.xi + qv * (q_xi / (q0 + m))[:, None]) / 2.0
-    assert_allclose(got["wvec"], wvec, rtol=1e-13, atol=1e-14)
+    for m in BLOCH_MASSES:
+        s = _bloch_states((50,), m)
+        got = spin_expectations(s)
+        qv, q0 = s.q, s.q4[:, 0]
+        q_xi = np.vecdot(qv, s.xi)
+        assert_allclose(got["w0"], q_xi / 2.0, rtol=1e-13, atol=1e-14)
+        assert_allclose(got["svec"], s.xi / 2.0, rtol=1e-13, atol=1e-15)
+        wvec = (m * s.xi + qv * (q_xi / (q0 + m))[:, None]) / 2.0
+        assert_allclose(got["wvec"], wvec, rtol=1e-13, atol=1e-14)
