@@ -24,18 +24,34 @@ from .minkowski import (check_mass, conj_gather, four_momentum_checks, is_proper
 _I2 = np.eye(2, dtype=complex)
 _I3 = np.eye(3)
 
-#: Hard upper bound on boost speeds accepted anywhere in the package; keeps
-#: gamma factors (and with them condition numbers) bounded in sweeps.
+#: Largest velocity sampling radius (`check_vmax`): keeps the gamma factors
+#: of a sweep's random boosts, and with them its condition numbers, bounded.
+#: A velocity given directly needs only |v| < 1 (`lorentz_gamma`).
 VMAX_HARD = 0.999999
 
 
-def lorentz_gamma(v3: np.ndarray) -> float:
+def check_vmax(vmax: float) -> float:
+    """Validate a velocity sampling radius, 0 < vmax <= VMAX_HARD."""
+    if not 0.0 < vmax <= VMAX_HARD:  # a NaN fails this too
+        raise ValueError(f"vmax must lie in (0, {VMAX_HARD}], got {vmax!r}")
+    return vmax
+
+
+def lorentz_gamma(v3: np.ndarray) -> np.ndarray:
     """Lorentz factor gamma = (1 - |v|^2)^(-1/2) for velocities v3 of shape
-    (..., 3) with |v| < 1."""
+    (..., 3).
+
+    This is the package's one speed check: a velocity with a non-finite
+    entry, or with |v| >= 1 (|v|^2 overflowing included), is refused,
+    naming the first such sample.
+    """
     v3 = np.asarray(v3, dtype=float)
-    b2 = np.vecdot(v3, v3)
-    refuse_first((b2 >= 1.0,
-                  lambda i: f"superluminal velocity: |v| = {np.sqrt(b2.reshape(-1)[i]):.6f} >= 1"))
+    with np.errstate(over="ignore"):  # refused below, not warned about
+        b2 = np.vecdot(v3, v3)
+    if not (b2 < 1.0).all():  # a NaN or inf entry fails this too
+        refuse_first((~np.isfinite(v3).all(axis=-1), lambda i: "velocity must have finite entries"),
+                     (~(b2 < 1.0), lambda i: (f"superluminal velocity: speed |v| = "
+                                              f"{np.sqrt(b2.reshape(-1)[i]):.6g} >= 1")))
     return 1.0 / np.sqrt(1.0 - b2)
 
 
@@ -485,10 +501,8 @@ def momenta_from_draws(d: np.ndarray, m: float, pmax_over_m: float) -> np.ndarra
 
 def velocities_from_draws(d: np.ndarray, vmax: float) -> np.ndarray:
     """Velocities (..., 3) uniform in the ball |v| <= vmax from `BALL` draws
-    d (..., 5), for 0 < vmax <= VMAX_HARD."""
-    if not 0.0 < vmax <= VMAX_HARD:
-        raise ValueError(f"vmax must lie in (0, {VMAX_HARD}], got {vmax}")
-    return _ball_points(d, vmax)
+    d (..., 5), for a radius `check_vmax` accepts."""
+    return _ball_points(d, check_vmax(vmax))
 
 
 def rotations_from_draws(q: np.ndarray) -> np.ndarray:
@@ -523,7 +537,7 @@ def random_momentum(rng: np.random.Generator, m: float, pmax_over_m: float = 10.
 
 
 def random_velocity(rng: np.random.Generator, vmax: float = 0.99) -> np.ndarray:
-    """Velocity uniform in the ball |v| <= vmax (vmax capped at 0.999999)."""
+    """Velocity uniform in the ball |v| <= vmax, for a radius `check_vmax` accepts."""
     return velocities_from_draws(rng.standard_normal(BALL), vmax)
 
 

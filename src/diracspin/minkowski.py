@@ -186,11 +186,11 @@ def minkowski_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[0] * b[0] - a[1:] @ b[1:])
 
 
-#: Points per block of a batch lifted onto the shell, and per block in
-#: `states.evaluate_on`.  A block's temporaries (Wigner matrices,
-#: amplitudes, outer products; a few hundred bytes per point) then stay
-#: within cache; on a 64^3 grid 8192-32768 did equally well and 2048 was
-#: slower.
+#: Points per block of a grid walked block by block (`Grid.shell_measure`,
+#: `states.evaluate_on`, the `ShellCube` contractions, the position
+#: synthesis).  A block's temporaries (Wigner matrices, amplitudes, outer
+#: products; a few hundred bytes per point) then stay within cache; on a
+#: 64^3 grid 8192-32768 did equally well and 2048 was slower.
 _BLOCK = 16384
 
 
@@ -213,9 +213,9 @@ def shell_energy(m: float, p3: np.ndarray) -> np.ndarray:
     This is the package's one float64 mass-shell lift.  |p|^2 is summed as
     (p1^2 + p3^2) + p2^2, the order in which `np.einsum("...i,...i->...")`
     rounds it, with each square the IEEE product x * x.  A batch is summed
-    in place, block by block (`_block_slices`), so the squares stay in
-    cache.  A momentum whose energy is not finite (a non-finite entry, or
-    |p|^2 + m^2 overflowing) is refused, naming the first such sample.
+    whole; the callers that walk a grid hand it one block at a time.  A
+    momentum whose energy is not finite (a non-finite entry, or |p|^2 + m^2
+    overflowing) is refused, naming the first such sample.
     """
     m = check_mass(m)
     p3 = np.asarray(p3, dtype=float)
@@ -226,20 +226,9 @@ def shell_energy(m: float, p3: np.ndarray) -> np.ndarray:
         om = np.float64(math.sqrt((x * x + z * z) + y * y + m * m))
         finite = math.isfinite(om)
     else:
-        flat = p3.reshape(-1, 3)
-        om = np.empty(len(flat))
-        sq = np.empty(min(len(flat), _BLOCK))
-        with np.errstate(over="ignore"):
-            for sl in _block_slices(len(flat)):
-                o, t = om[sl], sq[:sl.stop - sl.start]
-                np.multiply(flat[sl, 0], flat[sl, 0], out=o)
-                np.multiply(flat[sl, 2], flat[sl, 2], out=t)
-                o += t
-                np.multiply(flat[sl, 1], flat[sl, 1], out=t)
-                o += t
-                o += m * m
-                np.sqrt(o, out=o)
-        om = om.reshape(p3.shape[:-1])
+        x, y, z = p3[..., 0], p3[..., 1], p3[..., 2]
+        with np.errstate(over="ignore"):  # refused below, not warned about
+            om = np.sqrt((x * x + z * z) + y * y + m * m)
         finite = np.isfinite(om).all()
     if not finite:
         refuse_first((~np.isfinite(p3).all(axis=-1), lambda i: "momentum must have finite entries"),

@@ -38,8 +38,8 @@ from .amplitudes import (amplitude, dirac_bar, dirac_residual, orthogonality_res
                          parity_residual, projector_residual, sandwich_formula_residual,
                          weinberg_residual)
 from .clifford import GAMMA, GAMMA5, PAULI, column_tables, energy_projector
-from .lorentz import (BALL, LORENTZ, ROTATION, VMAX_HARD, bispinor_inverse, bispinor_rep,
-                      boost_from_velocity, lorentz_from_draws, momenta_from_draws,
+from .lorentz import (BALL, LORENTZ, ROTATION, bispinor_inverse, bispinor_rep,
+                      boost_from_velocity, check_vmax, lorentz_from_draws, momenta_from_draws,
                       rotation_angle, rotations_from_draws, standard_boost, su2_from_so3,
                       velocities_from_draws, wigner_rotation, wigner_rotation_closed)
 from .minkowski import (METRIC, SampleRefused, check_mass, contract, gather_columns, max_entry,
@@ -81,10 +81,7 @@ class RunConfig:
             raise ValueError(f"mass = {self.mass!r} with pmax_over_m = {self.pmax_over_m!r} "
                              f"overflows the largest on-shell energy squared, "
                              f"mass^2 (1 + pmax_over_m^2)")
-        if not 0.0 < self.vmax < 1.0:
-            raise ValueError("vmax must lie strictly between 0 and 1")
-        if self.vmax > VMAX_HARD:
-            raise ValueError(f"vmax must not exceed {VMAX_HARD}")
+        check_vmax(self.vmax)
         resolve_tolerances(self.tolerances, DEFAULT_TOLERANCES)
 
     def tolerance(self, name: str) -> float:

@@ -452,6 +452,10 @@ REFUSED_ARGV = [
     ["precess", "--b", "1,nan,2", "--t-final", "1", "--steps", "10"],
     ["precess", "--b", "0,0,1", "--xi", "2,0,0", "--t-final", "0.1", "--steps", "3"],
     ["spin-transform", "--velocity", "0.5,0,0", "--xi", "2,0,0"],
+    # |v|^2 overflows: refused by the kernels' one speed check, with no warning
+    ["wigner", "--velocity", "1e200,0,0"],
+    ["boost", "--velocity", "1e200,0,0"],
+    ["spin-transform", "--velocity", "1e200,0,0"],
     ["precess", "--b", "0,0,1", "--xi", "1e300,1e300,0", "--t-final", "0.1", "--steps", "3"],
     ["fourier-check", "--spin", "1,2,3"],
     ["fourier-check", "--spin", "1,x"],

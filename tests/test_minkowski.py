@@ -59,7 +59,7 @@ def test_on_shell_rejects_bad_mass(bad):
 
 @pytest.mark.parametrize("kind", ["grid", "strided", "extreme", "special"])
 def test_on_shell_is_the_einsum_rounding(rng, kind):
-    # the blockwise sum of squares rounds as the einsum; a momentum whose
+    # the whole-batch sum of squares rounds as the einsum; a momentum whose
     # energy is not finite (a squared entry overflowing in "extreme", an inf
     # or nan entry in "special") is refused by index, with no warning
     if kind == "grid":

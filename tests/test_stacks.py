@@ -212,6 +212,7 @@ def test_validators_name_the_first_refused_sample(Ls, Rs, V):
 
 _Q = on_shell(1.0, [0.1, 0.2, 0.0])
 _XI = np.zeros(3)
+_V = np.array([0.3, -0.2, 0.1])
 NAN, INF = np.nan, np.inf
 
 
@@ -221,6 +222,11 @@ def _stack_with(base, rows: dict):
     for i, row in rows.items():
         a[i] = row
     return a
+
+
+#: Velocities with a NaN in row 2, which the closed-form kernels would carry
+#: into a NaN matrix if their speed check let it through.
+_V_NAN = _stack_with(_V, {2: [0.0, NAN, 0.0]})
 
 
 @pytest.mark.parametrize("make, message, index", [
@@ -245,9 +251,24 @@ def _stack_with(base, rows: dict):
     (lambda: DensityState(1.0, _stack_with(_Q[1:], {2: [INF, 0.0, 0.0]}),
                           _stack_with(_XI, {1: [0.0, 1.5, 0.0]})),
      r"\|xi\| <= 1, got 1.5 \(sample 1\)", 1),
+    # the one speed check, `lorentz_gamma`, in every kernel that takes a velocity
+    (lambda: lorentz_gamma(_V_NAN), r"velocity must have finite entries \(sample 2\)", 2),
+    (lambda: boost_from_velocity(_V_NAN), r"velocity must have finite entries \(sample 2\)", 2),
+    (lambda: wigner_rotation_closed(_V_NAN, _stack_with(_Q, {}), 1.0),
+     r"velocity must have finite entries \(sample 2\)", 2),
+    (lambda: spin_transform_closed(_V_NAN, _stack_with(_Q, {}), 1.0),
+     r"velocity must have finite entries \(sample 2\)", 2),
+    (lambda: spin_transform_wigner(_V_NAN, _stack_with(_Q, {}), 1.0),
+     r"velocity must have finite entries \(sample 2\)", 2),
+    (lambda: lorentz_gamma([1e200, 0.0, 0.0]),
+     r"superluminal velocity: speed \|v\| = inf >= 1$", 0),
+    (lambda: boost_from_velocity(_stack_with(_V, {1: [0.0, -1e200, 0.0], 3: [NAN, 0.0, 0.0]})),
+     r"superluminal velocity: speed \|v\| = inf >= 1 \(sample 1\)", 1),
 ], ids=["amp-nan", "amp-inf-p", "amp-negative-p0", "amp-inf-p0", "amp-stack-p0", "amp-stack-nan",
         "rho-nan", "rho-inf", "rho-inf-inf", "rho-xi-nan", "rho-stack-nan", "rho-stack-xi",
-        "rho-stack-order"])
+        "rho-stack-order", "gamma-stack-nan", "boost-stack-nan", "wigner-closed-stack-nan",
+        "spin-closed-stack-nan", "spin-wigner-stack-nan", "gamma-overflow",
+        "boost-stack-overflow"])
 def test_non_finite_samples_are_refused_by_name(make, message, index):
     # refused before any arithmetic, so no RuntimeWarning (an error here) fires
     with pytest.raises(SampleRefused, match=message) as exc:

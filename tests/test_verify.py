@@ -1,13 +1,16 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.testing import assert_array_equal
 
 from diracspin import __version__
 from diracspin import amplitudes, clifford, lorentz, spin_ops, verify
 from diracspin.cli import main
+from diracspin.lorentz import VMAX_HARD, velocities_from_draws
 from diracspin.minkowski import SampleRefused
 from diracspin.verify import (DEFAULT_TOLERANCES, IDENTITY_RUNNERS, RunConfig,
                               complex_matrix_payload, evaluate_at, format_float, identity_rng,
@@ -82,6 +85,21 @@ def test_config_validation():
         RunConfig(mass=-1.0)
     with pytest.raises(ValueError):
         RunConfig(tolerances={"bogus": 1e-9})
+
+
+@pytest.mark.parametrize("vmax", [0.0, -0.5, 0.9999995, 1.0, 1.5, float("nan"), float("inf")])
+def test_sampling_radius_has_one_rule(vmax):
+    # the sweep's configuration refuses a radius as the velocity sampler does
+    with pytest.raises(ValueError, match=r"^vmax must lie in \(0, 0\.999999\], got ") as exc:
+        RunConfig(vmax=vmax)
+    with pytest.raises(ValueError, match=re.escape(str(exc.value))):
+        velocities_from_draws(np.ones(5), vmax)
+
+
+def test_sampling_radius_reaches_vmax_hard():
+    assert RunConfig(vmax=VMAX_HARD).vmax == VMAX_HARD
+    assert_array_equal(velocities_from_draws(np.ones(5), VMAX_HARD),
+                       np.full(3, VMAX_HARD / np.sqrt(5.0)))
 
 
 def test_resolve_tolerances():
