@@ -104,8 +104,7 @@ def weinberg_residual(L: np.ndarray, eps: int, p4: np.ndarray, m: float) -> floa
     the residual is evaluated for both signs and the smaller one returned.
     """
     L = np.asarray(L, dtype=float)
-    R3, _ = wigner_rotation(L, p4, m)
-    D = su2_from_so3(R3)
+    D = su2_from_so3(wigner_rotation(L, p4, m))
     moved = bispinor_rep(L) @ amplitude(eps, p4, m)
     target = amplitude(eps, (L @ np.asarray(p4, dtype=float)[..., None])[..., 0], m)
     return np.minimum(*(max_entry(moved @ np.swapaxes(sign * D, -1, -2) - target)

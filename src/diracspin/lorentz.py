@@ -1,8 +1,8 @@
 """Lorentz transformations in the vector, SU(2), and bispinor realizations.
 
 Covers velocity boosts, the standard boost taking the rest momentum to p,
-Wigner rotations (both the brute-force matrix product and the half-angle
-closed form), and the spinor double cover.  One closed-form map takes a proper
+Wigner rotations (the half-angle closed form, and any L through its boost x
+rotation split), and the spinor double cover.  One closed-form map takes a proper
 orthochronous L to the SL(2,C) element A(L) with A X(x) A^+ = X(Lx), where
 X(x) = x^mu sigma_mu and sigma_mu = (I, sigma_1, sigma_2, sigma_3); the
 SU(2) lift of a rotation, the bispinor S(L) = diag(A, (A^+)^{-1}) and the
@@ -145,51 +145,44 @@ def standard_boost(p4: np.ndarray, m: float) -> np.ndarray:
     return L
 
 
-def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Wigner rotations R(L, p) = L_{Lp}^{-1} L L_p by direct matrix products,
-    for transformations L of shape (..., 4, 4) and four-momenta p4 of shape
-    (..., 4) of one mass m, broadcast against each other over the leading
-    axes; a single L and a single four-momentum is the n = 1 case.
+def wigner_rotation(L: np.ndarray, p4: np.ndarray, m: float) -> np.ndarray:
+    """Wigner rotations R(L, p) = L_{Lp}^{-1} L L_p for transformations L
+    (..., 4, 4) and four-momenta p4 (..., 4) of one mass m, broadcast against
+    each other over the leading axes; shape (..., 3, 3).
 
-    Composing the three factors involves entries of order (p^0/m)^2 that
-    cancel down to a rotation, so the products run in extended precision
-    (a standard boost is symmetric, so its inverse is g L_p g: the same
-    matrix with the time row and column negated off the diagonal), and both
-    standard boosts are assembled with the energy recomputed from the spatial
-    momentum, which keeps them pseudo-orthogonal to extended-precision
-    roundoff even when p4 is slightly off shell.  The result is returned as
-    float64.  Longdouble inputs are used as given, which lets callers chain
-    exact products of group elements.  Returns (R3, R4): the rotation blocks,
-    shape (..., 3, 3), and the full matrices, shape (..., 4, 4), whose time
-    row and column equal (1, 0, 0, 0) up to roundoff.
+    With L = boost_from_velocity(v) diag(1, R0) (`_boost_rotation_split`), a
+    rotation is its own Wigner rotation and R0 L_p R0^T = L_{R0 p}, so
+    R(L, p) = R(boost_from_velocity(v), (p^0, R0 pvec)) R0, the first factor
+    in the half-angle form of `wigner_rotation_closed`.  No product of boosts
+    is formed, so nothing of order (p^0/m)^2 cancels: R carries L's own
+    rounding, of order L^0_0 eps, at any momentum.  No BLAS call is made.
 
-    A mass that `check_mass` refuses is refused first.  A sample with a
-    non-finite entry of L or p4, or with p^0 <= 0, is refused up front, and
-    one whose product overflows float64 after it; each refusal names the
-    first such sample.
+    A mass that `check_mass` refuses is refused first, then a sample with a
+    non-finite entry of L or p4, p^0 <= 0 or L^0_0 < 1, naming the first one.
     """
-    md = np.longdouble(check_mass(m))
-    Ld = np.asarray(L).astype(np.longdouble)
-    p4d = np.asarray(p4).astype(np.longdouble)
-    m2 = md * md
-    if not (np.isfinite(Ld).all() and np.isfinite(p4d).all() and (p4d[..., 0] > 0.0).all()):
+    m = check_mass(m)
+    L, p4 = np.asarray(L, dtype=float), np.asarray(p4, dtype=float)
+    if not (np.isfinite(L).all() and np.isfinite(p4).all() and (p4[..., 0] > 0.0).all()
+            and (L[..., 0, 0] >= 1.0).all()):
         # the slow path: find and name the first bad sample of the broadcast batch
-        batch = np.broadcast_shapes(Ld.shape[:-2], p4d.shape[:-1])
-        refuse_first(*four_momentum_checks("p4", np.broadcast_to(p4d, batch + (4,))),
-                     (~np.isfinite(Ld).all(axis=(-2, -1)), lambda i: "L must have finite entries"))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        Lp = (Ld @ p4d[..., None])[..., 0]
-        Q = np.stack(np.broadcast_arrays(p4d[..., 1:], Lp[..., 1:]))
-        q0 = np.sqrt(m2 + np.einsum("...i,...i->...", Q, Q))
-        B_in, B_out = _standard_boost_matrix(q0, Q, md)
-        B_out[..., 0, 1:] *= -1
-        B_out[..., 1:, 0] *= -1
-        R4 = np.asarray(B_out @ Ld @ B_in, dtype=float)
-    if not np.isfinite(R4).all():
-        refuse_first((~np.isfinite(R4).all(axis=(-2, -1)),
-                      lambda i: "the Wigner rotation overflows float64: the standard boosts' "
-                                "product L_{Lp}^{-1} L L_p does not cancel down to a rotation"))
-    return R4[..., 1:, 1:].copy(), R4
+        batch = np.broadcast_shapes(L.shape[:-2], p4.shape[:-1])
+        g = np.broadcast_to(L[..., 0, 0], batch)
+        refuse_first(*four_momentum_checks("p4", np.broadcast_to(p4, batch + (4,))),
+                     (~np.isfinite(L).all(axis=(-2, -1)), lambda i: "L must have finite entries"),
+                     (~(g >= 1.0), lambda i: f"L needs L^0_0 >= 1, got {float(g.flat[i])!r}"))
+    g, v, R0 = _boost_rotation_split(L)
+    q = R0[..., 0] * p4[..., None, 1] + R0[..., 1] * p4[..., None, 2] + R0[..., 2] * p4[..., None, 3]
+    R = _half_angle_rotation(g, v, p4[..., 0], q, m)
+    return (R[..., :, 0, None] * R0[..., None, 0, :] + R[..., :, 1, None] * R0[..., None, 1, :]
+            + R[..., :, 2, None] * R0[..., None, 2, :])
+
+
+def _boost_rotation_split(L: np.ndarray) -> tuple:
+    """(gamma, v, R0) with L = boost_from_velocity(v) diag(1, R0), read off L's
+    entries gamma = L^0_0 (not recomputed from v: 1 - |v|^2 cancels), u = L[1:, 0]
+    and w = L[0, 1:]: v = -u / gamma and R0 = L[1:, 1:] - u w^T / (1 + gamma)."""
+    g, u = L[..., 0, 0], L[..., 1:, 0]
+    return g, -u / g[..., None], L[..., 1:, 1:] - _outer(u / (1.0 + g)[..., None], L[..., 0, 1:])
 
 
 def wigner_rotation_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarray:
@@ -213,13 +206,17 @@ def wigner_rotation_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarr
     v parallel to p (w = 0) gives R = I exactly.  The entries are plain
     float products of the components; the kernel makes no BLAS call.
     """
-    v3 = np.asarray(v3, dtype=float)
-    p4 = np.asarray(p4, dtype=float)
+    v3, p4 = np.asarray(v3, dtype=float), np.asarray(p4, dtype=float)
     m = check_mass(m)
-    g = lorentz_gamma(v3)
+    return _half_angle_rotation(lorentz_gamma(v3), v3, p4[..., 0], p4[..., 1:], m)
+
+
+def _half_angle_rotation(g, v3, p0, pv, m):
+    """`wigner_rotation_closed` for valid Lorentz factors g, velocities v3,
+    energies p0 and spatial momenta pv, broadcast together."""
     vx, vy, vz = v3[..., 0], v3[..., 1], v3[..., 2]
-    px, py, pz = p4[..., 1], p4[..., 2], p4[..., 3]
-    d = (p4[..., 0] + m) * (1.0 + 1.0 / g) - (vx * px + vy * py + vz * pz)
+    px, py, pz = pv[..., 0], pv[..., 1], pv[..., 2]
+    d = (p0 + m) * (1.0 + 1.0 / g) - (vx * px + vy * py + vz * pz)
     tx, ty, tz = (vy * pz - vz * py) / d, (vz * px - vx * pz) / d, (vx * py - vy * px) / d
     t2 = tx * tx + ty * ty + tz * tz
     c = 2.0 / (1.0 + t2)

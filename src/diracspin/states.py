@@ -712,6 +712,6 @@ def bloch_transform(s: DensityState, L: np.ndarray) -> DensityState:
     preserved; equivalently rho -> D rho D^+ with D the SU(2) lift.
     """
     L = lorentz_matrix(L, proper=True)
-    R3, _ = wigner_rotation(L, s.q4, s.mass)
+    R3 = wigner_rotation(L, s.q4, s.mass)
     q4 = (L @ s.q4[..., None])[..., 0]
     return DensityState(s.mass, q4[..., 1:], (R3 @ s.xi[..., None])[..., 0])

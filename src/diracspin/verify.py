@@ -15,11 +15,11 @@ at most `CHUNK` samples in one call, an (n, width) array of normals with a
 sample's kinds side by side, builds each kind from its columns at once and
 evaluates the identity over the chunk, one residual per sample, in memory
 independent of the sample count.  A kernel that refuses a sample (say a
-Wigner rotation too far from orthogonal to lift at high rapidity) raises
-`SampleRefused` with the index of the first refused sample; the samples
-before it are evaluated again (a later kernel may refuse an earlier
-sample), the refused sample gets a NaN residual and the run ends there, so
-`samples` counts the samples up to and including the first refused one.
+standard boost beyond |p|/m ~ 2^53) raises `SampleRefused` with the index
+of the first refused sample; the samples before it are evaluated again (a
+later kernel may refuse an earlier sample), the refused sample gets a NaN
+residual and the run ends there, so `samples` counts the samples up to and
+including the first refused one.
 
 Reports serialize to JSON (canonical; floats printed with 17 significant
 digits by a small writer that keeps key order fixed) or CSV (one line per
@@ -38,12 +38,12 @@ from .amplitudes import (amplitude, dirac_bar, dirac_residual, orthogonality_res
                          parity_residual, projector_residual, sandwich_formula_residual,
                          weinberg_residual)
 from .clifford import GAMMA, GAMMA5, PAULI, column_tables, energy_projector
-from .lorentz import (BALL, LORENTZ, ROTATION, bispinor_inverse, bispinor_rep,
-                      boost_from_velocity, check_vmax, lorentz_from_draws, momenta_from_draws,
-                      rotation_angle, rotations_from_draws, standard_boost, su2_from_so3,
-                      velocities_from_draws, wigner_rotation, wigner_rotation_closed)
-from .minkowski import (METRIC, SampleRefused, check_mass, contract, gather_columns, max_entry,
-                        row_blocks)
+from .lorentz import (BALL, LORENTZ, ROTATION, _standard_boost_matrix, bispinor_inverse,
+                      bispinor_rep, boost_from_velocity, check_vmax, lorentz_from_draws,
+                      momenta_from_draws, rotation_angle, rotations_from_draws, standard_boost,
+                      su2_from_so3, velocities_from_draws, wigner_rotation, wigner_rotation_closed)
+from .minkowski import (METRIC, SampleRefused, check_mass, contract, four_momentum_checks,
+                        gather_columns, max_entry, refuse_first, row_blocks)
 from .spin_ops import (casimir_spin, fw_residual, hamiltonian_covariant, pl_covariant,
                        pl_spin, spin_covariant, spin_from_pl, spin_matrix,
                        spin_transform_closed, spin_transform_wigner)
@@ -185,22 +185,26 @@ def _standard_boost(m, p4):
 
 def _wigner_closed_form(m, v3, p4):
     """The half-angle closed form against its brute-force partner, the
-    product L_{Lp}^{-1} L L_p on the rounded L = boost_from_velocity(v).
-    At high rapidity the brute-force side is the less accurate one: the
-    product amplifies L's rounding by about (p^0/m)^2, where the closed form
-    errs by about gamma eps."""
-    R3, _ = wigner_rotation(boost_from_velocity(v3), p4, m)
-    return max_entry(R3 - wigner_rotation_closed(v3, p4, m))
+    product L_{Lp}^{-1} L L_p on the rounded L = boost_from_velocity(v), both
+    standard boosts built on the shell of their spatial momenta.  The product
+    amplifies L's rounding by about (p^0/m)^2 (the closed form errs by about
+    gamma eps), so it runs in extended precision to keep a margin at high boost."""
+    L = boost_from_velocity(v3).astype(np.longdouble)
+    md, p = np.longdouble(check_mass(m)), np.asarray(p4, dtype=np.longdouble)
+    refuse_first(*four_momentum_checks("p4", p))
+    Q = np.stack(np.broadcast_arrays(p[..., 1:], (L @ p[..., None])[..., 1:, 0]))
+    B_in, B_out = _standard_boost_matrix(np.sqrt(md * md + np.einsum("...i,...i->...", Q, Q)), Q, md)
+    B_out[..., 0, 1:] *= -1
+    B_out[..., 1:, 0] *= -1
+    brute = np.asarray((B_out @ L @ B_in)[..., 1:, 1:], dtype=float)
+    return max_entry(brute - wigner_rotation_closed(v3, p4, m))
 
 
 def _wigner_cocycle(m, L1, L2, p4):
-    # The sampled L1, L2, p are the exact data; their products are formed in
-    # extended precision so the comparison probes the cocycle identity rather
-    # than rounding in L2 @ L1.
-    L1, L2, p4 = (x.astype(np.longdouble) for x in (L1, L2, p4))
-    R21, _ = wigner_rotation(L2 @ L1, p4, m)
-    Ra, _ = wigner_rotation(L2, (L1 @ p4[..., None])[..., 0], m)
-    Rb, _ = wigner_rotation(L1, p4, m)
+    # The split route on products L2 L1 that are not given as boost x rotation
+    R21 = wigner_rotation(L2 @ L1, p4, m)
+    Ra = wigner_rotation(L2, (L1 @ p4[..., None])[..., 0], m)
+    Rb = wigner_rotation(L1, p4, m)
     return max_entry(R21 - Ra @ Rb)
 
 
@@ -282,8 +286,7 @@ def _spin_transform_equivalence(m, v3, p4):
 def _bloch_rotation(m, L, p4, xi):
     s = DensityState(m, p4[..., 1:], xi)
     s2 = bloch_transform(s, L)
-    R3, _ = wigner_rotation(L, p4, m)
-    D = su2_from_so3(R3)
+    D = su2_from_so3(wigner_rotation(L, p4, m))
     lhs = contract(s2.xi, PAULI)
     rhs = D @ contract(s.xi, PAULI) @ np.swapaxes(D.conj(), -1, -2)
     norm = np.sqrt(np.vecdot(s2.xi, s2.xi)) - np.sqrt(np.vecdot(s.xi, s.xi))

@@ -563,15 +563,14 @@ def test_fourier_check_keeps_wide_range_outcomes(capsys, width, expected):
 
 
 def test_verify_kernel_refusal_is_an_identity_failure(capsys):
-    # At |p|/m up to 1e3 the Wigner rotation misses orthogonality by more than
-    # su2_from_so3 accepts; the configuration is valid, so the identities
-    # that lift it fail (exit 1) instead of the run ending as bad usage.
-    code, out, err = run(capsys, "verify", "--samples", "3", "--pmax", "1000")
+    # At |p|/m up to 1e17, beyond 2^53, standard_boost refuses the boosts
+    # whose rotation part rounding has lost; the configuration is valid, so
+    # that identity fails (exit 1) instead of the run ending as bad usage.
+    code, out, err = run(capsys, "verify", "--samples", "3", "--pmax", "1e17")
     assert code == 1 and "Traceback" not in err
-    rows = {r["name"]: r for r in json.loads(out)["identities"]}
-    for name in ("bloch_rotation", "weinberg_condition"):
-        assert rows[name]["max_residual"] is None and rows[name]["passed"] is False
-        assert name in err
+    row = {r["name"]: r for r in json.loads(out)["identities"]}["standard_boost"]
+    assert row["max_residual"] is None and row["passed"] is False
+    assert "standard_boost" in err
 
 
 @pytest.mark.parametrize("argv", [["precess", "--b", "0,0,1", "--t-final", "nan", "--steps", "10"],

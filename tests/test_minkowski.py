@@ -276,7 +276,7 @@ def test_kernels_refuse_a_mass_as_check_mass_does(m):
             with pytest.raises(ValueError, match=message):
                 DensityState(m, np.zeros((2, 3)), np.zeros((2, 3)))
         else:
-            R3, _ = wigner_rotation(np.eye(4), rest, m)
+            R3 = wigner_rotation(np.eye(4), rest, m)
             assert np.array_equal(R3, [np.eye(3)] * 2)
             assert np.array_equal(spin_ops.pl_spin(1, 1, rest, m), [m * PAULI_T[0] / 2.0] * 2)
 

@@ -86,7 +86,7 @@ def test_fill_takes_the_reference_numbers(name, seed):
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(samples=CHUNK + 3),
-                                 RunConfig(samples=200, pmax_over_m=1000.0)],
+                                 RunConfig(samples=200, pmax_over_m=1e17)],
                          ids=["chunk_boundary", "refusals"])
 def test_sweep_residuals_equal_the_reference_stream(cfg):
     refused = []
@@ -96,7 +96,7 @@ def test_sweep_residuals_equal_the_reference_stream(cfg):
         if np.isnan(residuals[-1]):
             refused.append(name)
     # the second run takes the refusal path: a NaN residual ends the stream
-    assert bool(refused) == (cfg.pmax_over_m == 1000.0)
+    assert bool(refused) == (cfg.pmax_over_m == 1e17)
 
 
 @pytest.mark.parametrize("sampler, width, build", [

@@ -97,9 +97,9 @@ def test_wigner_rotation_stack_of_L(P, Ls):
     assert_rows(lambda p: wigner_rotation(L, p, M), P)
     p = P[0]
     assert_rows(lambda L: wigner_rotation(L, p, M), Ls)
-    R3, R4 = wigner_rotation(Ls.reshape(3, 4, 4, 4), P.reshape(3, 4, 4), M)
-    assert R3.shape == (3, 4, 3, 3) and R4.shape == (3, 4, 4, 4)
-    assert np.array_equal(R3.reshape(N, 3, 3), wigner_rotation(Ls, P, M)[0])
+    R3 = wigner_rotation(Ls.reshape(3, 4, 4, 4), P.reshape(3, 4, 4), M)
+    assert R3.shape == (3, 4, 3, 3)
+    assert np.array_equal(R3.reshape(N, 3, 3), wigner_rotation(Ls, P, M))
 
 
 def test_su2_and_bispinor_stacks(Rs, Ls):

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from diracspin import __version__
 from diracspin import amplitudes, clifford, lorentz, spin_ops, verify
 from diracspin.cli import main
 from diracspin.lorentz import VMAX_HARD, velocities_from_draws
-from diracspin.minkowski import SampleRefused
+from diracspin.minkowski import SampleRefused, lorentz_residual
 from diracspin.verify import (DEFAULT_TOLERANCES, IDENTITY_RUNNERS, RunConfig,
                               complex_matrix_payload, evaluate_at, format_float, identity_rng,
                               real_matrix_payload, resolve_tolerances, run_all, run_identity,
@@ -471,3 +472,61 @@ def test_nan_from_a_flat_product_or_gather_fails_its_identity(module, kernel, na
     with np.errstate(invalid="ignore"):  # the lift's complex division by a NaN warns
         r = run_identity(name, RunConfig(samples=5))
     assert r.samples == 5 and np.isnan(r.max_residual) and r.passed is False
+
+
+# --- wigner_rotation's boost x rotation split --------------------------------
+
+def test_split_passes_bloch_rotation_at_every_high_boost_seed():
+    # the high-boost config of verify_seed7_high_boost.json at seeds
+    # 20000-20039; the long-double triple product failed 5 of them (up to
+    # 1.41e-11 against 1e-11)
+    for seed in range(20000, 20040):
+        cfg = RunConfig(seed=seed, samples=500, vmax=0.999, pmax_over_m=30.0)
+        r = run_identity("bloch_rotation", cfg)
+        assert r.passed, (seed, r.max_residual)
+
+
+@pytest.mark.parametrize("name", ["bloch_rotation", "weinberg_condition", "wigner_cocycle"])
+def test_split_passes_the_wigner_identities_at_high_momentum(name):
+    # |p|/m up to 1e6, where the triple product's rotation missed
+    # orthogonality by up to ~1e-2 and su2_from_so3 refused it
+    r = run_identity(name, RunConfig(pmax_over_m=1e6, vmax=0.999))
+    assert r.passed and r.samples == 200, r.max_residual
+
+
+def test_split_of_a_high_rapidity_boost_is_orthogonal_to_its_rounding():
+    # L = B(v)^2 at |v| = 0.99999999, L^0_0 ~ 1e8: R misses orthogonality by
+    # about L's own metric defect per unit L^0_0, a few L^0_0 eps whichever
+    # BLAS kernel rounds B @ B, with no warning (the triple product returned
+    # |R^T R - I| ~ 6e3 here)
+    rng = np.random.default_rng(36)
+    n = rng.normal(size=3)
+    B = lorentz.boost_from_velocity(0.99999999 * n / np.linalg.norm(n))
+    L = B @ B
+    p4 = lorentz.momenta_from_draws(rng.standard_normal((20, lorentz.BALL)), 1.0, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R = lorentz.wigner_rotation(L, p4, 1.0)
+    defect = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max()
+    assert defect <= 4.0 * lorentz_residual(L) / L[0, 0], defect
+
+
+#: Mutants of the split (gamma, v, R0) of L.
+SPLIT_MUTANTS = {"drop_R0": lambda g, v, R0: (g, v, np.broadcast_to(np.eye(3), R0.shape)),
+                 "transpose_R0": lambda g, v, R0: (g, v, np.swapaxes(R0, -1, -2)),
+                 "flip_v": lambda g, v, R0: (g, -v, R0)}
+
+
+@pytest.mark.parametrize("mutant", SPLIT_MUTANTS)
+def test_split_mutants_fail_the_default_sweep(monkeypatch, mutant):
+    # weinberg_condition checks the rotation against the amplitudes'
+    # transport, and wigner_cocycle on products L2 L1 not given as boost x
+    # rotation; each kills every mutant.  bloch_rotation kills none: both of
+    # its sides call the same wigner_rotation.
+    split = lorentz._boost_rotation_split
+    monkeypatch.setattr(lorentz, "_boost_rotation_split",
+                        lambda L: SPLIT_MUTANTS[mutant](*split(L)))
+    report = run_all(RunConfig())
+    failed = {r["name"] for r in report["identities"] if not r["passed"]}
+    assert not report["all_pass"]
+    assert {"weinberg_condition", "wigner_cocycle"} <= failed
