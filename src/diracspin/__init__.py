@@ -11,7 +11,7 @@ Conventions: metric diag(1, -1, -1, -1), natural units, eps^{0123} = +1,
 chiral-like gamma matrices (see `clifford`), unit parity phase.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .minkowski import (
     METRIC,
