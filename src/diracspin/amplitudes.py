@@ -40,8 +40,9 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
                  [  i eps c                  eps (-p_y + i p_x)/m ]
 
     with pref = 1 / (2 sqrt(1 + p^0/m)).  The p^0 given is used as is; a
-    four-momentum with a non-finite entry, p^0 <= 0 or a p^0/m that
-    overflows is refused up front, naming the first such sample.
+    four-momentum with a non-finite entry, p^0 <= 0, or a p^0/m or
+    (p^0 + |p_i|)/m that overflows is refused up front, naming the first such
+    sample.
 
     The entries are filled as contiguous planes of a (4, 2, ...) array
     (`_amplitude_planes`), so a batch result is a transposed view of it and
@@ -51,13 +52,14 @@ def amplitude(eps: int, p4: np.ndarray, m: float) -> np.ndarray:
     m = check_mass(m)
     p4 = np.asarray(p4, dtype=float)
     p0 = p4[..., 0]
-    # a finite p^0 overflows p^0/m only when m < 1
+    # a finite p4 overflows p^0/m or (p^0 + |p_i|)/m only when m < 1
     if m < 1.0 or not (np.isfinite(p4).all() and (p0 > 0.0).all()):
-        with np.errstate(over="ignore"):
-            ratio = p0 / m
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio, spatial = p0 / m, (p0 + np.abs(p4[..., 1:]).max(axis=-1)) / m
         refuse_first(*four_momentum_checks("p4", p4),
                      (~np.isfinite(ratio), lambda i: (f"p4 energy {float(np.ravel(p0)[i])!r} "
-                                                      f"overflows p^0/m for mass = {m!r}")))
+                                                      f"overflows p^0/m for mass = {m!r}")),
+                     (~np.isfinite(spatial), lambda i: f"p4 overflows (p^0 + p_i)/m for mass = {m!r}"))
     v = _amplitude_planes(eps, p0, p4[..., 1:], m)
     return v.transpose(*range(2, v.ndim), 0, 1)
 

@@ -71,7 +71,7 @@ def boost_from_velocity(v3: np.ndarray) -> np.ndarray:
     L[..., 0, 0] = g
     L[..., 0, 1:] = L[..., 1:, 0] = -g[..., None] * v3
     L[..., 1:, 1:] = _I3 + _mat(g * g / (1.0 + g)) * _outer(v3, v3)
-    return lorentz_matrix(L, proper=True)
+    return L
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -35,6 +35,12 @@ phases e^{-i eps omega t} with their weights, and the amplitude
 temporaries; the mesh contraction makes one component's (n, n, n)
 intermediates at a time.  The cube is released before the contractions
 onto the position mesh, which hold the weighted integrand only.
+
+`synthesize_mesh` and `parseval_check` own their range checks
+(`_quadrature_check`): once the cube holds the sector values, before any
+phase is formed, they refuse by name a cube short of a packet's decay, a
+phase that is not finite and an overflowing bound on |Psi|^2 read off those
+values; the cube refuses its own weights (`states.ShellCube.measure`).
 """
 from __future__ import annotations
 
@@ -44,7 +50,7 @@ import numpy as np
 
 from .minkowski import _block_slices
 from .states import (MIN_COVERAGE, Grid, ShellCube, SpinWaveFunction, _as_sectors, _cube_product,
-                     covering_grid, shell_weight_error)
+                     covering_grid)
 
 TWO_PI_CUBED_SQRT = (2.0 * np.pi) ** 1.5
 
@@ -56,22 +62,54 @@ DEFAULT_P_POINTS = 32
 DEFAULT_X_POINTS = 18
 
 
-def _coverage_check(w, grid: Grid) -> None:
-    reach = grid.half_width - float(np.abs(w.center).max())
-    cover = reach / w.width
-    if cover < MIN_COVERAGE - 1e-9:
-        raise ValueError(
-            f"momentum grid covers only {cover:.2f} decay widths past the profile "
-            f"center; need >= {MIN_COVERAGE:g} (pmax >= |center| + {MIN_COVERAGE:g} * width)")
+def _quadrature_check(cube: ShellCube, states, t: float, xgrid: Grid, integral: bool) -> None:
+    """Refuse by name a synthesis of `states` at time t from the cube onto
+    xgrid (with `integral`, a Parseval check) that the quadrature cannot
+    carry; run once the cube holds the sector values, before any phase.
 
+    The momentum cube must reach MIN_COVERAGE decay widths past each center
+    and, with `integral`, the position cube MIN_COVERAGE spatial widths
+    1 / width.  The phases omega t and p_i x_i must be finite, and so must
+    the Cauchy-Schwarz bound |Psi|^2 <= (2 pi)^-3 (V_p / 2m)^2 peak, from
+    v^+ v = (omega / m) I on a cube of volume V_p; sqrt(peak) is summed over
+    a state's sectors, each read off its held values as sqrt(k) times the
+    largest of a row's k float components.  With `integral`, the d3x weights
+    must be normal float64s and the bound's integral over x finite.  The
+    d3p/(2 omega) weights are `ShellCube.measure`'s to refuse.
+    """
+    sectors = [s for w in states for s in _as_sectors(w)]
+    for s in sectors:
+        cover = (cube.grid.half_width - float(np.abs(s.center).max())) / s.width
+        if cover < MIN_COVERAGE - 1e-9:
+            raise ValueError(
+                f"momentum grid covers only {cover:.2f} decay widths past the profile "
+                f"center; need >= {MIN_COVERAGE:g} (pmax >= |center| + {MIN_COVERAGE:g} * width)")
+    need = MIN_COVERAGE / min(s.width for s in sectors)  # a packet's spatial width is 1 / width
+    if integral and xgrid.half_width < need * (1.0 - 1e-12):
+        raise ValueError(f"position grid extent {xgrid.half_width:g} covers fewer than "
+                         f"{MIN_COVERAGE:g} spatial widths; need xmax >= {need:g}")
+    omega = max(cube.measure(s.mass)[0][0] for s in sectors)  # at a corner, the first point
 
-def _position_coverage_check(widths, grid: Grid) -> None:
-    # Spatial width of a Gaussian packet of momentum width w is 1/w.
-    need = MIN_COVERAGE / min(widths)
-    if grid.half_width < need * (1.0 - 1e-12):
-        raise ValueError(
-            f"position grid extent {grid.half_width:g} covers fewer than {MIN_COVERAGE:g} "
-            f"spatial widths; need xmax >= {need:g}")
+    def root_peak(s) -> float:
+        flat = cube.values(s).view(float)  # scanned in place, with no |values| array
+        return max(flat.max(), -flat.min()) * np.sqrt(flat.shape[-1])
+
+    root = max(sum(map(root_peak, _as_sectors(w))) for w in states)
+    pmax, xmax = np.float64(cube.grid.half_width), np.float64(xgrid.half_width)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        bound = (4.0 * pmax ** 3 / min(s.mass for s in sectors) * root) ** 2 / (2.0 * np.pi) ** 3
+        corner_x = (xmax / (xgrid.n - 1)) ** 3  # (h / 2)^3; an inner d3x weight is 8 times that
+        finite = {"the phase omega t": omega * abs(t), "the phase p x": pmax * xmax,
+                  "the bound on |Psi|^2": bound}
+        if integral:
+            finite["the bound on its integral over x"] = bound * 8.0 * xmax ** 3
+    if integral and not np.finfo(float).tiny <= corner_x <= np.finfo(float).max / 8.0:
+        raise ValueError(f"position cube {xgrid} puts the d3x weights ({corner_x:.3g} to "
+                         f"{8.0 * corner_x:.3g}) outside the normal float64 range")
+    for name, value in finite.items():
+        if not value <= np.finfo(float).max:
+            raise ValueError(f"momentum cube {cube.grid} and position cube {xgrid} put {name} "
+                             f"({value:.3g}) outside the float64 range (t = {t!r})")
 
 
 def _synthesis_core(cube: ShellCube, s, t: float) -> np.ndarray:
@@ -133,9 +171,11 @@ def synthesize_mesh(w, t: float, xgrid: Grid, pgrid: Grid) -> np.ndarray:
     Returns shape (n, n, n, 4) indexed by the three position axes.  The cube
     (measure and values) is released before the contraction onto the mesh.
     """
-    for s in _as_sectors(w):
-        _coverage_check(s, pgrid)
-    return _mesh(_cores(ShellCube(pgrid), w, t), xgrid, pgrid)
+    cube = ShellCube(pgrid)
+    _quadrature_check(cube, (w,), t, xgrid, integral=False)
+    cores = _cores(cube, w, t)
+    del cube
+    return _mesh(cores, xgrid, pgrid)
 
 
 def position_product(psi_mesh: np.ndarray, phi_mesh: np.ndarray, xgrid: Grid) -> complex:
@@ -158,46 +198,6 @@ def default_grids(a, b, p_points: int = DEFAULT_P_POINTS,
     return covering_grid(sectors, p_points), Grid(MIN_COVERAGE / min(widths), x_points)
 
 
-def quadrature_range_error(pgrids, xgrids, m: float, t: float = 0.0,
-                           peak2: float | None = None) -> str | None:
-    """The first quantity of a Parseval check on these momentum and position
-    cubes that leaves the float64 range, described, or None.
-
-    From the cubes alone: every d3p/(2 omega) weight of the momentum cubes
-    (the rule of `states.shell_weight_error`, which the scalar product
-    applies too) and every d3x weight of the position cubes must be a normal
-    float64 (a weight that underflows drops its sample, one that overflows
-    turns the sum into inf or nan), and the phase arguments omega t and
-    p_i x_i must be finite.  Given peak2, the largest |psitilde|^2 of the
-    state, the position side is bounded too: since v^+ v = (omega / m) I,
-    Cauchy-Schwarz gives |Psi(x)|^2 <= (2 pi)^-3 (V_p / 2m)^2 peak2 on a
-    momentum cube of volume V_p, and that bound and its integral over the
-    position cube must be finite.
-    """
-    problem = shell_weight_error(pgrids, m)
-    if problem is not None:
-        return problem
-    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    pmax = np.float64(max(g.half_width for g in pgrids))
-    xmax = np.float64(max(g.half_width for g in xgrids))
-    with np.errstate(over="ignore", under="ignore"):
-        # (h / 2)^3 is a corner weight; an inner one is 8 times that
-        corner_x = [(np.float64(g.half_width) / (g.n - 1)) ** 3 for g in xgrids]
-        lo, hi = min(corner_x), 8.0 * max(corner_x)
-        omega_max = np.sqrt(m * m + 3.0 * pmax * pmax)
-        finite = {"the phase omega t": omega_max * abs(t), "the phase p x": pmax * xmax}
-        if peak2 is not None:
-            bound = (4.0 * pmax ** 3 / m * np.sqrt(peak2)) ** 2 / (2.0 * np.pi) ** 3
-            finite["the bound on |Psi|^2"] = bound
-            finite["the bound on its integral over x"] = bound * 8.0 * xmax ** 3
-    if not (tiny <= lo and hi <= huge):
-        return f"the d3x weights ({lo:.3g} to {hi:.3g}) outside the normal float64 range"
-    for name, value in finite.items():
-        if not value <= huge:
-            return f"{name} ({value:.3g}) outside the float64 range"
-    return None
-
-
 def parseval_check(a, b, pgrid: Grid | None = None, xgrid: Grid | None = None,
                    t: float = 0.0) -> tuple[complex, complex, float]:
     """Compare the two routes to the invariant scalar product (a, b).
@@ -214,14 +214,11 @@ def parseval_check(a, b, pgrid: Grid | None = None, xgrid: Grid | None = None,
         dp, dx = default_grids(a, b)
         pgrid = pgrid if pgrid is not None else dp
         xgrid = xgrid if xgrid is not None else dx
-    sectors = _as_sectors(a) + _as_sectors(b)
-    _position_coverage_check([s.width for s in sectors], xgrid)
-    masses = [s.mass for s in sectors]
+    masses = [s.mass for s in _as_sectors(a) + _as_sectors(b)]
     if len(set(masses)) > 1:
         raise ValueError("parseval_check requires a common mass")
-    for s in sectors:
-        _coverage_check(s, pgrid)
     cube = ShellCube(pgrid)  # one measure, and each sector evaluated once, for both sides
+    _quadrature_check(cube, (a, b), t, xgrid, integral=True)
     lhs = _cube_product(a, b, cube)
     cores = (_cores(cube, a, t), None if b is a else _cores(cube, b, t))
     del cube  # the measure and the values go before the contractions

@@ -19,7 +19,8 @@ import numpy as np
 from .amplitudes import amplitude, dirac_bar
 from .clifford import ALPHA, GAMMA0, GAMMA5, GAMMA_GAMMA5, PAULI_T
 from .lorentz import _mat, lorentz_gamma, wigner_rotation_closed
-from .minkowski import check_component, check_energy_sign, check_mass, contract, max_entry
+from .minkowski import (check_component, check_energy_sign, check_mass, contract, max_entry,
+                        refuse_first)
 
 _EYE2 = np.eye(2, dtype=complex)
 
@@ -159,21 +160,26 @@ def spin_transform_closed(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarra
     (`spin_transform_wigner`), though a different formula: this expansion
     has terms of order gamma p^0/m that cancel, the half-angle form of
     `lorentz.wigner_rotation_closed` has none.  Returns shape (..., 3, 2, 2).
+    A sample whose S' overflows float64 is refused, naming the first one.
     """
     v3 = np.asarray(v3, dtype=float)
     p4 = np.asarray(p4, dtype=float)
     m = check_mass(m)
     g, p0, pv = _mat(lorentz_gamma(v3)), _mat(p4[..., 0]), p4[..., 1:]
-    a = m + p0
-    vp = _mat(np.vecdot(v3, pv))
-    b = m + g * (p0 - vp)
-    p_dot_s = contract(pv, _SPIN)
-    v_dot_s = contract(v3, _SPIN)
-    p_term = ((1.0 - g) * p_dot_s + g * (m + p0) * v_dot_s) / (a * b)
-    v_term = (g / b) * (g * (m - p0) * v_dot_s / (1.0 + g)
-                        + 2.0 * g * vp * p_dot_s / (a * (1.0 + g))
-                        - p_dot_s)
-    return _SPIN + _mat(pv) * p_term[..., None, :, :] + _mat(v3) * v_term[..., None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        a = m + p0
+        vp = _mat(np.vecdot(v3, pv))
+        b = m + g * (p0 - vp)
+        p_dot_s = contract(pv, _SPIN)
+        v_dot_s = contract(v3, _SPIN)
+        p_term = ((1.0 - g) * p_dot_s + g * (m + p0) * v_dot_s) / (a * b)
+        v_term = (g / b) * (g * (m - p0) * v_dot_s / (1.0 + g)
+                            + 2.0 * g * vp * p_dot_s / (a * (1.0 + g))
+                            - p_dot_s)
+        out = _SPIN + _mat(pv) * p_term[..., None, :, :] + _mat(v3) * v_term[..., None, :, :]
+    refuse_first((~np.isfinite(out).all(axis=(-3, -2, -1)),
+                  lambda i: f"the transformed spin S' overflows float64 for mass = {m!r}"))
+    return out
 
 
 def spin_transform_wigner(v3: np.ndarray, p4: np.ndarray, m: float) -> np.ndarray:

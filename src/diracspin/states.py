@@ -49,11 +49,12 @@ the amplitude temporaries of a spin sector's covariant values, which are
 its spin values contracted with the amplitude block by block
 (`ShellCube.contract`) on the measure's omega and the block's points, never
 a second evaluation.  The scalar product and the position synthesis of
-`position.parseval_check` both read the cube.  A cube whose d3p/(2 omega)
-weights leave the normal float64 range (`shell_weight_error`) is refused
-by name.  Likewise what depends only on the transformation is built once
-per `lorentz_transform`, not per block: the bispinor S(L), L^{-1} and the
-16 matrices sigma_mu A(L) sigma_nu of the Wigner matrix.
+`position.parseval_check` both read the cube.  A cube whose corner energy
+or d3p/(2 omega) weights leave the float64 range (`shell_weight_error`),
+or a center that puts them there (`covering_grid`), is refused by name.
+Likewise what depends only on the transformation is built once per
+`lorentz_transform`, not per block: the bispinor S(L), L^{-1} and the 16
+matrices sigma_mu A(L) sigma_nu of the Wigner matrix.
 """
 from __future__ import annotations
 
@@ -144,8 +145,16 @@ class Grid:
 
 def covering_grid(sectors, n: int = 64) -> Grid:
     """The momentum cube that reaches MIN_COVERAGE decay widths past the
-    center of every sector."""
-    return Grid(max(float(np.linalg.norm(s.center)) + MIN_COVERAGE * s.width for s in sectors), n)
+    center of every sector: half-width max(|center| + MIN_COVERAGE width).
+    A sector whose half-width, or corner energy squared 3 half_width^2,
+    overflows is refused, naming its center, before any cube is sized."""
+    with np.errstate(over="ignore"):  # refused below, not warned about
+        half = [float(np.linalg.norm(s.center)) + MIN_COVERAGE * s.width for s in sectors]
+    for s, h in zip(sectors, half):
+        if not 3.0 * h * h <= np.finfo(float).max:
+            raise ValueError(f"profile center ({', '.join(map(repr, s.center.tolist()))}) puts "
+                             f"the momentum cube's corner energy squared outside the float64 range")
+    return Grid(max(half), n)
 
 
 class _ShellProfile:
@@ -364,21 +373,24 @@ def _as_sectors(x) -> tuple:
     return tuple(x)
 
 
-def shell_weight_error(grids, m: float) -> str | None:
-    """The d3p/(2 omega) weights of these momentum cubes for mass m,
-    described if some weight may leave the normal float64 range, or None.
+def shell_weight_error(grid: Grid, m: float) -> str | None:
+    """The d3p/(2 omega) weights of this momentum cube for mass m, described
+    if they or its corner energy may leave the float64 range, or None.
 
     A weight that underflows drops its sample, and one that overflows turns
-    the sum into inf or nan.  The bounds come from the cubes alone: the
-    smallest weight is a corner's, (h / 2)^3 / (2 omega) at the largest
-    omega, and the largest an inner one, 8 (h / 2)^3 / (2m).
+    the sum into inf or nan.  The bounds come from the cube alone: the
+    smallest weight is a corner's, (h / 2)^3 / (2 omega) at the corner
+    energy omega = sqrt(m^2 + 3 pmax^2), and the largest an inner one,
+    8 (h / 2)^3 / (2m).
     """
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    pmax = np.float64(max(g.half_width for g in grids))
-    with np.errstate(over="ignore", under="ignore"):
-        corner = [(np.float64(g.half_width) / (g.n - 1)) ** 3 for g in grids]
-        lo = min(corner) / (2.0 * np.sqrt(m * m + 3.0 * pmax * pmax))
-        hi = 8.0 * max(corner) / (2.0 * m)
+    pmax = np.float64(grid.half_width)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        corner = (pmax / (grid.n - 1)) ** 3
+        omega = np.sqrt(m * m + 3.0 * pmax * pmax)
+        lo, hi = corner / (2.0 * omega), 8.0 * corner / (2.0 * m)
+    if not omega <= huge:
+        return f"the corner energy sqrt(m^2 + 3 pmax^2) ({omega:.3g}) outside the float64 range"
     if not (tiny <= lo and hi <= huge):
         return f"the d3p/(2 omega) weights ({lo:.3g} to {hi:.3g}) outside the normal float64 range"
     return None
@@ -398,10 +410,10 @@ class ShellCube:
         self._values: dict[int, np.ndarray] = {}
 
     def measure(self, m: float) -> tuple[np.ndarray, np.ndarray]:
-        """`Grid.shell_measure` for mass m; a cube whose weights leave the
-        normal float64 range (`shell_weight_error`) is refused."""
+        """`Grid.shell_measure` for mass m; a cube whose corner energy or
+        weights leave the float64 range (`shell_weight_error`) is refused."""
         if m not in self._measures:
-            problem = shell_weight_error((self.grid,), m)
+            problem = shell_weight_error(self.grid, m)
             if problem is not None:
                 raise ValueError(f"momentum cube {self.grid} puts {problem} (mass {m!r})")
             self._measures[m] = self.grid.shell_measure(m)
@@ -484,10 +496,11 @@ def normalized(w: SpinWaveFunction, grid: Grid | None = None) -> SpinWaveFunctio
 
     A packet stays a packet, with its spin pair multiplied by 1 / norm once;
     any other profile becomes the jet profile of its jet divided by the
-    norm."""
-    nrm = norm(w, grid)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero profile")
+    norm.  A profile whose norm is zero or not finite is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        nrm = norm(w, grid)
+    if not 0.0 < nrm < np.inf:
+        raise ValueError(f"cannot normalize a profile of norm {nrm!r}")
     if w.spin is not None:
         inv = 1.0 / nrm
         return replace(w, spin=tuple(s * inv for s in w.spin))

@@ -190,6 +190,19 @@ def test_refuses_energy_over_mass_that_overflows():
     assert_array_equal(amplitude(1, stack[::2], 1e-100)[1], amplitude(1, stack[2], 1e-100))
 
 
+def test_refuses_spatial_momentum_over_mass_that_overflows():
+    # off shell, p^0/m = 1e100 is finite but pvec/m = 1e407 is not; it used
+    # to raise "overflow encountered in scalar multiply"
+    with pytest.raises(SampleRefused, match=r"^p4 overflows \(p\^0 \+ p_i\)/m for mass = 1e-100$"):
+        amplitude(1, [1.0, 1e307, 5e-324, 1e307], 1e-100)
+    stack = on_shell(1e-100, np.zeros((4, 3)))
+    stack[2] = [1e208, 0.0, 0.0, -1e208]  # (p^0 - p_z)/m overflows
+    with pytest.raises(SampleRefused, match=r"\(sample 2\)$") as exc:
+        amplitude(-1, stack, 1e-100)
+    assert exc.value.index == 2
+    assert np.isfinite(amplitude(1, [1.0, 1e99, 0.0, -1e99], 1e-100)).all()
+
+
 def test_rejects_bad_energy_sign():
     p4 = on_shell(1.0, np.zeros(3))
     with pytest.raises(ValueError):

@@ -1,17 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import diracspin
 from diracspin.cli import build_parser, main
-from diracspin.minkowski import SampleRefused
 
 PERP_ANGLE = 0.14334756890536535
 
@@ -290,25 +292,6 @@ def test_spin_transform_lifts_the_rotation_at_high_rapidity(capsys, velocity, mo
     assert err == ""
 
 
-@pytest.mark.parametrize("velocity, momentum, equivalence_passes", HIGH_RAPIDITY)
-def test_spin_transform_fails_closed_when_the_lift_refuses(capsys, monkeypatch, velocity,
-                                                           momentum, equivalence_passes):
-    # a rotation the SU(2) lift refuses is a failed check, not a usage
-    # error, even where the equivalence check passes
-    from diracspin import cli
-
-    def refuse(R3):
-        raise SampleRefused("matrix is not a proper rotation")
-
-    monkeypatch.setattr(cli, "su2_from_so3", refuse)
-    code, out, err = run(capsys, "spin-transform", "--velocity", velocity, "--momentum", momentum)
-    assert code == 1
-    assert err == "the SU(2) lift refused the rotation: matrix is not a proper rotation\n"
-    r = json.loads(out)
-    assert r["su2"] is None and r["passed"] is False
-    assert (r["equivalence_residual"] < r["config"]["tolerance"]) == equivalence_passes
-
-
 # --- precess ---------------------------------------------------------------
 
 def test_precess_uniform_csv(capsys, tmp_path):
@@ -466,6 +449,11 @@ REFUSED_ARGV = [
     ["fourier-check", "--width", "1e100"],
     ["fourier-check", "--width", "1e150"],
     ["fourier-check", "--center", "1e300,0,0"],
+    # refused by the library: an infinite norm, an overflowing phase omega t,
+    # and an S' that overflows at a finite on-shell momentum
+    ["fourier-check", "--spin", "1e200,0"],
+    ["fourier-check", "--time", "1e308"],
+    ["spin-transform", "--velocity", "0.9,0.3,0", "--momentum", "1.3e154,0,0"],
 ]
 
 ADVERSARIAL_ARGV = [
@@ -530,13 +518,13 @@ def test_spin_transform_refuses_a_long_bloch_vector_as_precess_does(capsys):
                                              ("1e150", "d3p/(2 omega) weights"),
                                              ("1e100", "bound on |Psi|^2")])
 def test_fourier_check_refuses_widths_out_of_float_range(capsys, width, quantity):
-    # refused before any quadrature runs: one error line naming --width and
-    # the quantity that leaves the float64 range, and no numpy warning
+    # refused by the library before any quadrature runs: one error line
+    # naming the quantity that leaves the float64 range, and no numpy warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "fourier-check", "--width", width)
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith(f"error: --width {float(width)!r} puts the ")
+    assert err.count("\n") == 1 and err.startswith("error: momentum cube Grid(")
     assert quantity in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -544,12 +532,12 @@ def test_fourier_check_refuses_widths_out_of_float_range(capsys, width, quantity
 @pytest.mark.parametrize("center", ["1e300,0,0", "1e154,0,0", "-1e154,1e154,0"])
 def test_fourier_check_refuses_a_center_out_of_float_range(capsys, center):
     # refused before any cube is sized from the center: one error line
-    # naming --center, and no numpy overflow warning
+    # naming the center, and no numpy overflow warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "fourier-check", f"--center={center}")
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: --center ")
+    assert err.count("\n") == 1 and err.startswith("error: profile center (")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -560,6 +548,75 @@ def test_fourier_check_keeps_wide_range_outcomes(capsys, width, expected):
     code, out, _ = run(capsys, "fourier-check", "--width", width)
     assert code == expected
     assert json.loads(out)["passed"] is (expected == 0)
+
+
+def test_fourier_check_refuses_an_infinite_norm(capsys):
+    # spin 1e200: the norm overflows, and normalizing refuses it; it used to
+    # return the zero packet, whose check then failed (exit 1) with both
+    # sides [0, 0]
+    code, out, err = run(capsys, "fourier-check", "--spin", "1e200,0")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot normalize a profile of norm inf\n"
+
+
+@pytest.mark.parametrize("momentum", ["1.3e154,0,0", "1e153,0,0"])
+def test_spin_transform_refuses_an_overflowing_transformed_spin(capsys, momentum):
+    # at 1.3e154 the S' expansion overflows, though the momentum lifts onto
+    # the shell; it is refused by name, not warned about, and 1e153 runs
+    code, out, err = run(capsys, "spin-transform", "--velocity", "0.9,0.3,0",
+                         "--momentum", momentum)
+    if momentum == "1e153,0,0":
+        assert code in (0, 1) and err == ""
+        assert np.isfinite(np.array(json.loads(out)["transformed_spin"])).all()
+    else:
+        assert (code, out) == (2, "")
+        assert err == "error: the transformed spin S' overflows float64 for mass = 1.0\n"
+
+
+def _extreme(hi: float):
+    """Zero, or 10^e of either sign with the exponent e log-uniform on
+    [-3, 3] or on [-hi, hi]."""
+    exponent = st.one_of(st.floats(-3.0, 3.0), st.floats(-hi, hi))
+    return st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                             st.sampled_from((1.0, -1.0)), exponent))
+
+
+def _option(name: str, size: int, hi: float = 300.0):
+    """An option with `size` such numbers, or None (left at its default)."""
+    values = st.lists(_extreme(hi), min_size=size, max_size=size)
+    return st.one_of(st.none(), values.map(lambda v: f"--{name}={','.join(map(repr, v))}"))
+
+
+def _exit_contract(argv) -> None:
+    """Exit 0, 1 or 2; on 2 nothing on stdout and exactly one error line;
+    never a warning (raised here as an error) or a traceback."""
+    argv = [a for a in argv if a is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len([ln for ln in err.getvalue().splitlines() if "error:" in ln]) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_option("velocity", 3, hi=0.2).filter(bool), _option("momentum", 3),
+       _option("mass", 1, hi=160.0), _option("xi", 3, hi=1.0))
+def test_spin_transform_argv_keeps_the_exit_contract(velocity, momentum, mass, xi):
+    _exit_contract(["spin-transform", velocity, momentum, mass, xi])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_option("width", 1), _option("center", 3), _option("spin", 2), _option("time", 1),
+       _option("mass", 1, hi=160.0))
+def test_fourier_check_argv_keeps_the_exit_contract(width, center, spin, time, mass):
+    _exit_contract(["fourier-check", width, center, spin, time, mass])
 
 
 def test_verify_kernel_refusal_is_an_identity_failure(capsys):

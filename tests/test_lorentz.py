@@ -15,8 +15,8 @@ from diracspin.lorentz import (_LIFT, VMAX_HARD, _sigma_trace, _sl2c_lift, bispi
                                random_velocity, rotation_angle, rotations_from_draws,
                                standard_boost, su2_from_so3, wigner_d, wigner_rotation,
                                wigner_rotation_closed)
-from diracspin.minkowski import (METRIC, SampleRefused, is_proper_orthochronous, lorentz_residual,
-                                 minkowski_dot, on_shell)
+from diracspin.minkowski import (METRIC, SampleRefused, is_proper_orthochronous, lorentz_matrix,
+                                 lorentz_residual, minkowski_dot, on_shell)
 from diracspin.verify import evaluate_at
 from _reference import (EXACT_BATCHES, amplitude_via_boost, assert_same_bits,
                         bispinor_from_params, boost_params, dense_bispinor_inverse,
@@ -50,6 +50,22 @@ def test_boost_inverse_pairs(vx, vy):
         return
     L = boost_from_velocity(v)
     assert_allclose(L @ boost_from_velocity(-v), np.eye(4), atol=1e-12)
+
+
+def test_extreme_speed_boosts_are_proper_lorentz_matrices(rng):
+    # `lorentz_gamma` is the boost's one check; every boost it lets through,
+    # up to |v|^2 = 1 - 1e-16 (gamma ~ 1e8), is a proper orthochronous
+    # Lorentz matrix within `lorentz_matrix`'s metric tolerance
+    n = rng.standard_normal((4000, 3))
+    speed2 = 1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 4000)
+    v = n / np.linalg.norm(n, axis=1, keepdims=True) * np.sqrt(speed2)[:, None]
+    v = v[np.vecdot(v, v) < 1.0]
+    assert len(v) > 3900
+    L = boost_from_velocity(v)
+    assert L[:, 0, 0].max() > 1e7
+    lorentz_matrix(L, proper=True)
+    for row in (0, np.argmax(L[:, 0, 0])):
+        lorentz_matrix(boost_from_velocity(v[row]), proper=True)
 
 
 def test_boost_rejects_superluminal():

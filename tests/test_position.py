@@ -4,6 +4,7 @@ The slice comparison carries the mode-normalization factor: with the
 amplitude convention vbar v = eps I, summing both shells of the momentum
 product equals 2m times the spatial integral of Psi^+ Phi.
 """
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -11,13 +12,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from diracspin import minkowski
+from diracspin import minkowski, position
 from diracspin.amplitudes import amplitude
 from diracspin.lorentz import random_lorentz
-from diracspin.position import (default_grids, parseval_check, position_product,
-                                quadrature_range_error, synthesize_mesh)
-from diracspin.states import (Grid, SpinWaveFunction, gaussian_packet, lorentz_transform, norm,
-                              normalized, scalar_product, to_covariant)
+from diracspin.position import default_grids, parseval_check, position_product, synthesize_mesh
+from diracspin.states import (Grid, ShellCube, SpinWaveFunction, gaussian_packet, lorentz_transform,
+                              norm, normalized, scalar_product, to_covariant)
 from _reference import synthesize
 
 TWO_PI_CUBED_SQRT = (2.0 * np.pi) ** 1.5
@@ -253,10 +253,22 @@ def _levels(w):
 
 @pytest.mark.parametrize("width", [1e-30, 0.4, 1e10, 1e30])
 def test_quadrature_in_float_range_is_accepted(width):
-    w = packet(width=width)
-    pgrids, xgrids = zip(*_levels(w))
-    peak2 = sum(abs(s) ** 2 for s in normalized(w).spin)
-    assert quadrature_range_error((w.default_grid(), *pgrids), xgrids, 1.0, 0.0, peak2) is None
+    # inside the float64 range both levels of the unit packet run, with no
+    # warning (the suite turns one into an error), to finite sides
+    w = normalized(packet(width=width))
+    for pgrid, xgrid in _levels(w):
+        assert np.isfinite(parseval_check(w, w, pgrid, xgrid)).all()
+
+
+def _refusals(w, pgrid, xgrid, t=0.0):
+    """The messages parseval_check and synthesize_mesh refuse w with."""
+    messages = []
+    for call in (lambda: parseval_check(w, w, pgrid, xgrid, t=t),
+                 lambda: synthesize_mesh(w, t, xgrid, pgrid)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        messages.append(str(exc.value))
+    return messages
 
 
 @pytest.mark.parametrize("width, quantity", [(1e-150, "d3p/(2 omega) weights"),
@@ -265,32 +277,62 @@ def test_quadrature_weights_out_of_range_are_named(width, quantity):
     # the named weights are the ones the library computes: on the packet's
     # normalizing cube they underflow to zero or overflow to inf
     w = packet(width=width)
-    pgrids, xgrids = zip(*_levels(w))
-    assert quantity in quadrature_range_error((w.default_grid(), *pgrids), xgrids, 1.0)
+    with pytest.raises(ValueError, match=re.escape(quantity)):
+        normalized(w)
+    for pgrid, xgrid in _levels(w):
+        assert all(quantity in m for m in _refusals(w, pgrid, xgrid))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         weights = w.default_grid().shell_measure(1.0)[1]
     assert not (np.finfo(float).tiny <= weights.min() and weights.max() < np.inf)
 
 
 def test_position_bound_out_of_range_is_a_real_overflow():
-    # --width 1e100: every weight is a normal float, but the bound on the unit
+    # width 1e100: every weight is a normal float, but the bound on the unit
     # packet's |Psi|^2 overflows, and so does the refined position side
     w = packet(width=1e100)
-    pgrids, xgrids = zip(*_levels(w))
-    assert quadrature_range_error((w.default_grid(), *pgrids), xgrids, 1.0) is None
     unit = normalized(w)
-    problem = quadrature_range_error(pgrids, xgrids, 1.0,
-                                     peak2=sum(abs(s) ** 2 for s in unit.spin))
-    assert "bound on |Psi|^2" in problem
-    with np.errstate(all="ignore"):
-        _, rhs, _ = parseval_check(unit, unit, *_levels(w)[1])
+    for pgrid, xgrid in _levels(w):
+        assert all("bound on |Psi|^2" in m for m in _refusals(unit, pgrid, xgrid))
+    pgrid, xgrid = _levels(w)[1]
+    with np.errstate(all="ignore"):  # the refused synthesis, run past the check
+        psi = position._mesh(position._cores(ShellCube(pgrid), unit, 0.0), xgrid, pgrid)
+        rhs = 2.0 * position_product(psi, psi, xgrid)
     assert not np.isfinite(rhs)
 
 
 def test_phases_out_of_range_are_named():
     w = packet(width=0.4)
-    pgrids, xgrids = zip(*_levels(w))
-    assert "omega t" in quadrature_range_error(pgrids, xgrids, 1.0, t=1e308)
+    pgrid, xgrid = default_grids(w, w)
+    assert all("the phase omega t" in m for m in _refusals(w, pgrid, xgrid, t=1e308))
+    # pmax xmax overflows; the Parseval check refuses the d3x weights first
+    parseval, mesh = _refusals(w, pgrid, Grid(1e308, 5))
+    assert "d3x weights" in parseval and "the phase p x" in mesh
+    # the d3x weights are normal, the bound's integral over x is not
+    with pytest.raises(ValueError, match="the bound on its integral over x"):
+        parseval_check(w, w, pgrid, Grid(1e102, 18))
+
+
+@pytest.mark.parametrize("spin", [(1e200, 0.0), (1e-20, 1e160j)])
+def test_overflowing_spin_is_refused_before_any_product(spin):
+    # the bound on |Psi|^2 is read off the cube's values, so a finite packet
+    # whose |Psi|^2 or momentum product overflows is refused by name; the
+    # normalization refuses its infinite norm
+    w = packet(spin=spin)
+    pgrid, xgrid = default_grids(w, w)
+    assert all("bound on |Psi|^2" in m for m in _refusals(w, pgrid, xgrid))
+    with pytest.raises(ValueError, match="cannot normalize a profile of norm inf"):
+        normalized(w)
+
+
+def test_range_bound_holds_for_covariant_sectors():
+    # a covariant sector's bound comes from its four components, as a spin
+    # sector's from its two; in range the check passes both
+    w = normalized(packet(spin=(0.6, 0.8j)))
+    c = to_covariant(w)
+    pgrid, xgrid = default_grids(w, w)
+    assert np.isfinite(parseval_check(c, c, pgrid, xgrid)).all()
+    big = replace(c, fn=lambda pts: 1e200 * c.fn(pts))
+    assert all("bound on |Psi|^2" in m for m in _refusals(big, pgrid, xgrid))
 
 
 def test_synthesize_point_matches_mesh_node():

@@ -264,13 +264,20 @@ _V_NAN = _stack_with(_V, {2: [0.0, NAN, 0.0]})
      r"superluminal velocity: speed \|v\| = inf >= 1$", 0),
     (lambda: boost_from_velocity(_stack_with(_V, {1: [0.0, -1e200, 0.0], 3: [NAN, 0.0, 0.0]})),
      r"superluminal velocity: speed \|v\| = inf >= 1 \(sample 1\)", 1),
+    # finite inputs whose results overflow, refused after the arithmetic
+    (lambda: spin_transform_closed(_stack_with([0.9, 0.3, 0.0], {}),
+                                   _stack_with(_Q, {2: on_shell(1.0, [1.3e154, 0.0, 0.0])}), 1.0),
+     r"S' overflows float64 for mass = 1.0 \(sample 2\)", 2),
+    (lambda: amplitude(1, _stack_with(_Q, {3: [1.0, 1e307, 5e-324, 1e307]}), 1e-100),
+     r"overflows \(p\^0 \+ p_i\)/m for mass = 1e-100 \(sample 3\)", 3),
 ], ids=["amp-nan", "amp-inf-p", "amp-negative-p0", "amp-inf-p0", "amp-stack-p0", "amp-stack-nan",
         "rho-nan", "rho-inf", "rho-inf-inf", "rho-xi-nan", "rho-stack-nan", "rho-stack-xi",
         "rho-stack-order", "gamma-stack-nan", "boost-stack-nan", "wigner-closed-stack-nan",
         "spin-closed-stack-nan", "spin-wigner-stack-nan", "gamma-overflow",
-        "boost-stack-overflow"])
+        "boost-stack-overflow", "spin-closed-stack-overflow", "amp-stack-pvec-overflow"])
 def test_non_finite_samples_are_refused_by_name(make, message, index):
-    # refused before any arithmetic, so no RuntimeWarning (an error here) fires
+    # refused before any arithmetic, or after it under np.errstate, so no
+    # RuntimeWarning (an error here) fires
     with pytest.raises(SampleRefused, match=message) as exc:
         make()
     assert exc.value.index == index

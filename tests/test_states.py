@@ -394,13 +394,47 @@ def test_to_covariant_is_the_row_wise_contraction(eps):
 @pytest.mark.parametrize("width, direction", [(1e150, "overflow"), (1e-150, "underflow")])
 def test_norm_refuses_cube_with_weights_out_of_range(width, direction):
     # without the refusal the norm read nan (and `normalized` blamed the
-    # packet spin) or 0.0 ("cannot normalize the zero profile")
+    # packet spin) or 0.0 ("cannot normalize a profile of norm 0.0")
     w = gaussian_packet(1, 1.0, width)
     for call in (norm, normalized):
         with pytest.raises(ValueError, match=r"^momentum cube Grid\(.*d3p/\(2 omega\) weights"):
             call(w)
     with pytest.raises(ValueError, match=r"d3p/\(2 omega\) weights"):
         scalar_product(w, w, w.default_grid(8))
+
+
+@pytest.mark.parametrize("center", [(1e300, 0.0, 0.0), (-1e154, 1e154, 0.0), (1e154, 0.0, 0.0)])
+def test_covering_grid_refuses_an_overflowing_corner_by_center(center):
+    # |center| overflows (first two), or 3 |center|^2 does (third): refused
+    # by name before any cube is sized, with no warning (here an error)
+    from diracspin.position import default_grids, parseval_check
+
+    w = gaussian_packet(1, 1.0, 0.4, center=center)
+    for call in (lambda: states.covering_grid((w,)), w.default_grid, lambda: norm(w),
+                 lambda: default_grids(w, w), lambda: parseval_check(w, w)):
+        with pytest.raises(ValueError, match=r"^profile center \(.*corner energy squared"):
+            call()
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.3, -1.7, 2.5), (1e153, 0.0, 0.0),
+                                    (-3e100, 4e100, 0.0)])
+def test_covering_grid_keeps_the_norm_of_the_center(center):
+    w = gaussian_packet(1, 1.0, 0.4, center=center)
+    wide = gaussian_packet(-1, 1.0, 2.0, center=(1.0, 0.0, 0.0))
+    assert states.covering_grid((w,)).half_width == float(np.linalg.norm(center)) + 8.0 * 0.4
+    assert states.covering_grid((w, wide), 5).half_width == max(
+        float(np.linalg.norm(center)) + 3.2, 1.0 + 16.0)
+
+
+def test_shell_cube_refuses_an_overflowing_corner_energy():
+    # sqrt(m^2 + 3 pmax^2) overflows, so the weights' bounds would read
+    # inf / inf: refused by name, with no warning
+    w = gaussian_packet(1, 1.0, 0.4)
+    grid = Grid(1e155, 3)
+    with pytest.raises(ValueError, match=r"^momentum cube Grid\(.*corner energy .*\(inf\)"):
+        states.ShellCube(grid).measure(1.0)
+    with pytest.raises(ValueError, match="corner energy"):
+        scalar_product(w, w, grid)
 
 
 @pytest.mark.parametrize("width", [1e-30, 1e30])

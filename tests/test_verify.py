@@ -465,13 +465,16 @@ def test_nan_from_a_flat_product_or_gather_fails_its_identity(module, kernel, na
 
     def poisoned(*args):
         out = real(*args)
-        out[1] = np.nan
+        out[1:2] = np.nan  # row 1, where the call has one
         return out
 
     monkeypatch.setattr(module, kernel, poisoned)
     with np.errstate(invalid="ignore"):  # the lift's complex division by a NaN warns
         r = run_identity(name, RunConfig(samples=5))
-    assert r.samples == 5 and np.isnan(r.max_residual) and r.passed is False
+    assert np.isnan(r.max_residual) and r.passed is False
+    # `spin_transform_closed` refuses its non-finite S', which ends the run
+    # at that sample; the other NaNs reach the residual
+    assert r.samples == (2 if name == "spin_transform_equivalence" else 5)
 
 
 # --- wigner_rotation's boost x rotation split --------------------------------
